@@ -37,8 +37,6 @@ STATE_DIM = 18
 DEFAULT_WINDOW = 20
 DEFAULT_BETWEEN_SIGMA_ROT = math.radians(0.5)
 DEFAULT_BETWEEN_SIGMA_TRANS = 0.05
-DEFAULT_GNSS_SIGMA = 0.5
-GNSS_ASSOCIATION_WINDOW = 50_000_000  # ns
 GNSS_GATE_CHI2 = 16.27  # chi-square 3 dof, 99.9%
 
 

@@ -123,6 +123,7 @@ class RunCounters:
     icp_insufficient: int = 0
     gnss_added: int = 0
     gnss_rejected: int = 0
+    gnss_unassociated: int = 0  # fixes no keyframe took (GNSS_ASSOCIATION_NS)
     sensors_consumed: dict = field(default_factory=dict)
 
 
@@ -300,7 +301,6 @@ class _Propagator:
             dt = (sample.stamp - self.last_stamp) / NS_PER_S
             if dt <= 0:
                 return
-            dt = min(dt, 0.099)
             # trapezoidal hold: integrate the interval-average measurement
             mid = FusedImuSample(
                 stamp=sample.stamp,
@@ -308,7 +308,11 @@ class _Propagator:
                 w=0.5 * (self.last_sample.w + sample.w),
                 w_dot=sample.w_dot,
             )
-            self.delta = integrate(self.delta, mid, dt)
+            # integrate() takes steps below 0.1 s; a longer gap is held
+            # over equal sub-steps so it counts at its full length
+            steps = math.ceil(dt / 0.099)
+            for _ in range(steps):
+                self.delta = integrate(self.delta, mid, dt / steps, self.noise)
             pred = predict(self.state, self.delta)
             self.track.append((sample.stamp, pred.pose))
         self.last_stamp = sample.stamp
@@ -471,6 +475,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         # ---- GNSS ----
         while gnss_idx < len(gnss) and gnss[gnss_idx].stamp < kf_stamp - GNSS_ASSOCIATION_NS:
             gnss_idx += 1
+            counters.gnss_unassociated += 1
         if (
             gnss_idx < len(gnss)
             and abs(gnss[gnss_idx].stamp - kf_stamp) <= GNSS_ASSOCIATION_NS
@@ -514,6 +519,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         prop.advance(sample)
         counters.keyframes += 1
 
+    counters.gnss_unassociated += len(gnss) - gnss_idx
     order = sorted(est_poses)
     return RunResult(
         stamps=[est_stamps[k] for k in order],
@@ -557,5 +563,6 @@ def write_run_outputs(out_dir, result: RunResult) -> None:
         fh.write(f"icp_insufficient: {c.icp_insufficient}\n")
         fh.write(f"gnss_added: {c.gnss_added}\n")
         fh.write(f"gnss_rejected: {c.gnss_rejected}\n")
+        fh.write(f"gnss_unassociated: {c.gnss_unassociated}\n")
         for sid in sorted(c.sensors_consumed):
             fh.write(f"consumed {sid}: {c.sensors_consumed[sid]}\n")

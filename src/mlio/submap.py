@@ -2,15 +2,22 @@
 
 The contract is a bounded spatial index: inserts dedupe at voxel
 resolution, points far from the current pose are dropped, and k-NN
-queries are exact over the stored points. Internally a hash grid holds
-the points and a scipy KD-tree is rebuilt lazily when queried after a
-modification.
+queries are exact over the stored points. Internally the map is two
+flat arrays in insertion order, the (N, 3) points and their voxel keys
+packed into one int64 each, so insert and crop are array operations and
+the scipy KD-tree, rebuilt lazily after a change, sees the points in
+the order they arrived. Plane normals are fit on demand, in one batch
+per call, to each point's k nearest stored neighbors, and cached until
+the map changes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+_KEY_BITS = 21  # per axis: voxel indices in [-2**20, 2**20)
+_KEY_HALF = 1 << (_KEY_BITS - 1)
 
 
 class LocalSubmap:
@@ -19,61 +26,60 @@ class LocalSubmap:
             raise ValueError("voxel_resolution must be positive")
         self.voxel_resolution = float(voxel_resolution)
         self.extent = float(extent)  # side length of the sliding box
-        self._voxels: dict = {}
-        self._tree = None
-        self._points = None
-        self._normals_cache: dict = {}
+        self._points = np.empty((0, 3))
+        self._keys = np.empty(0, dtype=np.int64)
+        self._dirty()
 
     def __len__(self) -> int:
-        return len(self._voxels)
+        return len(self._points)
 
-    def _keys(self, points) -> np.ndarray:
-        return np.floor(np.asarray(points) / self.voxel_resolution).astype(np.int64)
+    def _pack(self, points) -> np.ndarray:
+        """One int64 per point from its three voxel indices."""
+        idx = np.floor(points / self.voxel_resolution)
+        if not np.all((idx >= -_KEY_HALF) & (idx < _KEY_HALF)):
+            raise ValueError("point outside the packable voxel range")
+        idx = idx.astype(np.int64) + _KEY_HALF
+        return (idx[:, 0] << 2 * _KEY_BITS) | (idx[:, 1] << _KEY_BITS) | idx[:, 2]
 
     def insert(self, points) -> int:
         """Insert points, one per voxel (first wins). Returns inserted count."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        added = 0
-        voxels = self._voxels
-        for key, p in zip(map(tuple, self._keys(points)), points):
-            if key not in voxels:
-                voxels[key] = p
-                added += 1
-        if added:
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        packed = self._pack(points)
+        keys, first = np.unique(packed, return_index=True)
+        new = np.sort(first[~np.isin(keys, self._keys, assume_unique=True)])
+        if len(new):
+            self._points = np.concatenate([self._points, points[new]])
+            self._keys = np.concatenate([self._keys, packed[new]])
             self._dirty()
-        return added
+        return len(new)
 
     def crop_to_box(self, center) -> int:
         """Remove points outside the sliding box centered at `center`."""
         center = np.asarray(center, dtype=float)
-        half = self.extent / 2.0
-        doomed = [
-            k for k, p in self._voxels.items() if np.max(np.abs(p - center)) > half
-        ]
-        for k in doomed:
-            del self._voxels[k]
-        if doomed:
+        out = np.abs(self._points - center) > self.extent / 2.0
+        doomed = out[:, 0] | out[:, 1] | out[:, 2]
+        removed = int(doomed.sum())
+        if removed:
+            self._points = self._points[~doomed]
+            self._keys = self._keys[~doomed]
             self._dirty()
-        return len(doomed)
+        return removed
 
     def _dirty(self):
         self._tree = None
-        self._points = None
-        self._normals_cache.clear()
+        n = len(self._points)
+        self._normals = np.empty((n, 3))
+        self._valid = np.empty(n, dtype=bool)
+        self._computed = np.zeros(n, dtype=bool)
 
     def points(self) -> np.ndarray:
-        if self._points is None:
-            self._points = (
-                np.stack(list(self._voxels.values()))
-                if self._voxels
-                else np.empty((0, 3))
-            )
         return self._points
 
     def _ensure_tree(self):
-        if self._tree is None:
-            pts = self.points()
-            self._tree = cKDTree(pts) if len(pts) else None
+        if self._tree is None and len(self._points):
+            # sliding-midpoint splits build faster than medians; the
+            # neighbors found are exact either way
+            self._tree = cKDTree(self._points, balanced_tree=False)
         return self._tree
 
     def knn(self, queries, k: int = 1):
@@ -85,37 +91,28 @@ class LocalSubmap:
         d, idx = tree.query(queries, k=k)
         return d.reshape(len(queries), -1), idx.reshape(len(queries), -1)
 
-    def normals(self, indices, k: int = 5) -> np.ndarray:
-        """Plane normals at the given stored-point indices, fit to the k
-        nearest stored neighbors (smallest covariance eigenvector)."""
-        return self.plane_normals(indices, k)[0]
-
     def plane_normals(self, indices, k: int = 5):
         """(normals, valid) at the given stored-point indices.
 
         A fit is valid only when the neighborhood is genuinely planar:
         thin along the normal and spread in both in-plane directions
-        (nearly collinear neighborhoods give arbitrary normals)."""
-        pts = self.points()
-        tree = self._ensure_tree()
-        out = np.empty((len(indices), 3))
-        ok = np.empty(len(indices), dtype=bool)
-        todo = [i for i, idx in enumerate(indices) if idx not in self._normals_cache]
-        if todo:
-            uniq = sorted({int(indices[i]) for i in todo})
+        (nearly collinear neighborhoods give arbitrary normals). Each
+        point is fit once, to its k nearest stored neighbors, in one
+        batched eigendecomposition per call."""
+        indices = np.asarray(indices, dtype=np.int64)
+        todo = np.unique(indices[~self._computed[indices]])
+        if len(todo):
+            pts = self._points
             kk = min(k, len(pts))
-            _, nbr = tree.query(pts[uniq], k=kk)
-            nbr = np.atleast_2d(nbr)
-            for u, row in zip(uniq, nbr):
-                local = pts[row] - pts[row].mean(axis=0)
-                cov = local.T @ local
-                vals, vecs = np.linalg.eigh(cov)
-                valid = bool(
-                    vals[2] > 0.0
-                    and vals[0] <= 1e-3 * vals[2]
-                    and vals[1] >= 1e-2 * vals[2]
-                )
-                self._normals_cache[u] = (vecs[:, 0], valid)
-        for i, idx in enumerate(indices):
-            out[i], ok[i] = self._normals_cache[int(idx)]
-        return out, ok
+            _, nbr = self._ensure_tree().query(pts[todo], k=kk)
+            hood = pts[nbr.reshape(len(todo), kk)]
+            local = hood - hood.mean(axis=1, keepdims=True)
+            vals, vecs = np.linalg.eigh(np.swapaxes(local, 1, 2) @ local)
+            self._normals[todo] = vecs[:, :, 0]
+            self._valid[todo] = (
+                (vals[:, 2] > 0.0)
+                & (vals[:, 0] <= 1e-3 * vals[:, 2])
+                & (vals[:, 1] >= 1e-2 * vals[:, 2])
+            )
+            self._computed[todo] = True
+        return self._normals[indices], self._valid[indices]

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 POSITIONS = ("F_L", "F_R", "R_L", "R_R")
 MODALITIES = ("imu", "lidar")
-GNSS_SENSOR = "gnss"
 
 MS = 1_000_000  # ns
 

@@ -25,6 +25,7 @@ from mlio.lidar import (
     voxel_downsample,
 )
 from mlio.submap import LocalSubmap
+from submap_oracle import DictSubmap
 
 
 def grid_on_plane(origin, u, v, nu, nv, su, sv):
@@ -82,6 +83,67 @@ class TestLocalSubmap:
         m.insert(rng.uniform(-2, 2, size=(20000, 3)))
         m.crop_to_box([0, 0, 0])
         assert len(m) <= int((m.extent / m.voxel_resolution + 1) ** 3)
+
+    @staticmethod
+    def _churn_batch(rng, m):
+        """Points on a floor, on a wall and in free space, plus copies
+        of stored points and second points in voxels the batch already
+        hits, shifted within their voxel."""
+        n = int(rng.integers(50, 400))
+        floor = np.c_[rng.uniform(-3, 3, size=(n, 2)), np.full(n, 0.02)]
+        wall = np.c_[np.full(n // 2, 1.51), rng.uniform(-3, 3, size=(n // 2, 2))]
+        free = rng.uniform(-3, 3, size=(n // 4, 3))
+        batch = np.concatenate([floor, wall, free])
+        twins = batch[rng.integers(0, len(batch), size=n // 3)]
+        twins = (np.floor(twins / m.voxel_resolution)
+                 + rng.uniform(0, 1, size=twins.shape)) * m.voxel_resolution
+        stored = m.points()[rng.integers(0, len(m), size=n // 5)] if len(m) else twins[:0]
+        batch = np.concatenate([batch, twins, stored])
+        return batch[rng.permutation(len(batch))]
+
+    def test_matches_dict_oracle_under_churn(self):
+        rng = np.random.default_rng(11)
+        m = LocalSubmap(voxel_resolution=0.1, extent=4.0)
+        ref = DictSubmap(voxel_resolution=0.1, extent=4.0)
+
+        def same_normals(indices, k):
+            n, ok = m.plane_normals(indices, k=k)
+            n_ref, ok_ref = ref.plane_normals(indices, k=k)
+            np.testing.assert_array_equal(ok, ok_ref)
+            sign = np.sign(np.einsum("ij,ij->i", n, n_ref))
+            np.testing.assert_allclose(n * sign[:, None], n_ref, rtol=0, atol=1e-12)
+            return ok
+
+        valid = 0
+        for _ in range(12):
+            batch = self._churn_batch(rng, m)
+            assert m.insert(batch) == ref.insert(batch)
+            np.testing.assert_array_equal(m.points(), ref.points())
+            for _ in range(2):  # the second call reads the cache
+                idx = rng.integers(0, len(m), size=300)  # repeats included
+                valid += same_normals(idx, k=5).sum()
+            center = rng.uniform(-1.5, 1.5, size=3)
+            assert m.crop_to_box(center) == ref.crop_to_box(center)
+            assert len(m) == len(ref)
+            np.testing.assert_array_equal(m.points(), ref.points())
+            valid += same_normals(rng.integers(0, len(m), size=200), k=7).sum()
+        assert 0 < valid < 12 * 800  # both planar and non-planar fits seen
+
+    def test_first_point_per_voxel_wins(self):
+        m = LocalSubmap(voxel_resolution=0.1)
+        assert m.insert([[0.01, 0, 0], [0.5, 0, 0], [0.02, 0, 0]]) == 2
+        assert m.insert([[0.03, 0, 0], [0.31, 0, 0]]) == 1
+        np.testing.assert_array_equal(
+            m.points(), [[0.01, 0, 0], [0.5, 0, 0], [0.31, 0, 0]]
+        )
+
+    @pytest.mark.parametrize("bad", [[1e6, 0, 0], [0, -1e6, 0], [0, 0, np.nan]])
+    def test_unpackable_key_raises(self, bad):
+        m = LocalSubmap(voxel_resolution=0.1)
+        m.insert([[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            m.insert([[1.0, 1.0, 1.0], bad])
+        assert len(m) == 1
 
 
 class TestDeskew:

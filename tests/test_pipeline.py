@@ -121,6 +121,38 @@ class TestPropagator:
         assert np.linalg.norm(pose.t - truth.t) < 0.01
         assert np.linalg.norm(so3_log(truth.R.T @ pose.R)) < 1e-3
 
+    @staticmethod
+    def _rest_samples(stamps_s):
+        return [
+            FusedImuSample(stamp=int(round(t * 1e9)), f=np.array([0.1, -0.2, 9.81]),
+                           w=np.array([0.01, 0.02, -0.03]), w_dot=np.zeros(3))
+            for t in stamps_s
+        ]
+
+    def test_imu_noise_reaches_preintegrated_covariance(self):
+        base = ImuNoiseParams()
+        loud = dataclasses.replace(
+            base, gyro_noise_density=10 * base.gyro_noise_density,
+            acc_noise_density=10 * base.acc_noise_density,
+        )
+        covs = []
+        for noise in (base, loud):
+            prop = _Propagator(NavState(), noise)
+            for sample in self._rest_samples(np.arange(0.0, 0.5, 0.01)):
+                prop.advance(sample)
+            covs.append(prop.delta.cov)
+        assert np.all(np.isfinite(covs[0])) and covs[0][0, 0] > 0
+        scale = np.abs(covs[1]).max()
+        np.testing.assert_allclose(covs[1], 100.0 * covs[0], rtol=0, atol=1e-9 * scale)
+
+    def test_gap_integrated_over_full_length(self):
+        # a 0.5 s hole in the fused stream, longer than one integrate() step
+        stamps = np.concatenate([np.arange(0.0, 0.2, 0.01), 0.7 + np.arange(0.0, 0.1, 0.01)])
+        prop = _Propagator(NavState(), ImuNoiseParams())
+        for sample in self._rest_samples(stamps):
+            prop.advance(sample)
+        assert abs(prop.delta.dt - (stamps[-1] - stamps[0])) < 1e-6
+
 
 @pytest.fixture(scope="module")
 def result(straight_data):
@@ -155,6 +187,13 @@ class TestEndToEnd:
 
     def test_gnss_factors_used(self, result):
         assert result.counters.gnss_added > 0
+
+    def test_every_gnss_fix_accounted_for(self, result, straight_data):
+        c = result.counters
+        assert c.gnss_unassociated > 0  # 5 Hz fixes, 2 Hz keyframes
+        assert c.gnss_added + c.gnss_rejected + c.gnss_unassociated == len(
+            straight_data.gnss
+        )
 
     def test_deterministic_rerun(self, result, straight_data):
         again = run_pipeline(straight_data, parse_sensor_mask("L4I4G1"))
