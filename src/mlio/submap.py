@@ -1,14 +1,13 @@
 """Incremental voxel-deduplicated local map with k-NN queries.
 
-The contract is a bounded spatial index: inserts dedupe at voxel
-resolution, points far from the current pose are dropped, and k-NN
-queries are exact over the stored points. Internally the map is two
-flat arrays in insertion order, the (N, 3) points and their voxel keys
-packed into one int64 each, so insert and crop are array operations and
-the scipy KD-tree, rebuilt lazily after a change, sees the points in
-the order they arrived. Plane normals are fit on demand, in one batch
-per call, to each point's k nearest stored neighbors, and cached until
-the map changes.
+A bounded spatial index: inserts keep one point per voxel, points far
+from the current pose are dropped, and k-NN queries are exact. The map
+is two flat arrays in insertion order, the (N, 3) points and their voxel
+keys packed into one int64 each relative to an origin voxel that follows
+the box, so insert and crop are array operations, world coordinates of
+any size (UTM too) pack, and the KD-tree sees the points in the order
+they arrived. Plane normals are fit lazily, in one batch per call, and
+cached until the map changes.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-_KEY_BITS = 21  # per axis: voxel indices in [-2**20, 2**20)
+_KEY_BITS = 21  # per axis: voxel offsets from the origin in [-2**20, 2**20)
 _KEY_HALF = 1 << (_KEY_BITS - 1)
 
 
@@ -26,24 +25,40 @@ class LocalSubmap:
             raise ValueError("voxel_resolution must be positive")
         self.voxel_resolution = float(voxel_resolution)
         self.extent = float(extent)  # side length of the sliding box
+        if self.extent / self.voxel_resolution >= _KEY_HALF:
+            raise ValueError("extent spans too many voxels to pack")
         self._points = np.empty((0, 3))
         self._keys = np.empty(0, dtype=np.int64)
+        self._origin = np.zeros(3)  # voxel the keys count from
         self._dirty()
 
     def __len__(self) -> int:
         return len(self._points)
 
     def _pack(self, points) -> np.ndarray:
-        """One int64 per point from its three voxel indices."""
-        idx = np.floor(points / self.voxel_resolution)
+        """One int64 per point from its voxel offsets to the origin."""
+        idx = np.floor(points / self.voxel_resolution) - self._origin
         if not np.all((idx >= -_KEY_HALF) & (idx < _KEY_HALF)):
             raise ValueError("point outside the packable voxel range")
         idx = idx.astype(np.int64) + _KEY_HALF
         return (idx[:, 0] << 2 * _KEY_BITS) | (idx[:, 1] << _KEY_BITS) | idx[:, 2]
 
+    def _move_origin(self, point):
+        """Count keys from the voxel of `point`. Packing is linear, and all
+        stored points lie in the box around it, so their keys shift alike."""
+        voxel = np.floor(np.asarray(point, dtype=float) / self.voxel_resolution)
+        if not np.all(np.isfinite(voxel)):
+            raise ValueError("map origin must be finite")
+        if len(self._keys):
+            dx, dy, dz = (int(d) for d in voxel - self._origin)
+            self._keys -= (dx << 2 * _KEY_BITS) + (dy << _KEY_BITS) + dz
+        self._origin = voxel
+
     def insert(self, points) -> int:
         """Insert points, one per voxel (first wins). Returns inserted count."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not len(self._points) and len(points):
+            self._move_origin(points[0])
         packed = self._pack(points)
         keys, first = np.unique(packed, return_index=True)
         new = np.sort(first[~np.isin(keys, self._keys, assume_unique=True)])
@@ -63,6 +78,7 @@ class LocalSubmap:
             self._points = self._points[~doomed]
             self._keys = self._keys[~doomed]
             self._dirty()
+        self._move_origin(center)
         return removed
 
     def _dirty(self):
@@ -77,8 +93,8 @@ class LocalSubmap:
 
     def _ensure_tree(self):
         if self._tree is None and len(self._points):
-            # sliding-midpoint splits build faster than medians; the
-            # neighbors found are exact either way
+            # sliding-midpoint splits build and query faster than medians;
+            # distances stay exact, ties between equally near points may not
             self._tree = cKDTree(self._points, balanced_tree=False)
         return self._tree
 

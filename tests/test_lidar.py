@@ -85,15 +85,15 @@ class TestLocalSubmap:
         assert len(m) <= int((m.extent / m.voxel_resolution + 1) ** 3)
 
     @staticmethod
-    def _churn_batch(rng, m):
-        """Points on a floor, on a wall and in free space, plus copies
-        of stored points and second points in voxels the batch already
-        hits, shifted within their voxel."""
+    def _churn_batch(rng, m, offset):
+        """Points on a floor, on a wall and in free space around `offset`,
+        plus copies of stored points and second points in voxels the
+        batch already hits, shifted within their voxel."""
         n = int(rng.integers(50, 400))
         floor = np.c_[rng.uniform(-3, 3, size=(n, 2)), np.full(n, 0.02)]
         wall = np.c_[np.full(n // 2, 1.51), rng.uniform(-3, 3, size=(n // 2, 2))]
         free = rng.uniform(-3, 3, size=(n // 4, 3))
-        batch = np.concatenate([floor, wall, free])
+        batch = np.concatenate([floor, wall, free]) + offset
         twins = batch[rng.integers(0, len(batch), size=n // 3)]
         twins = (np.floor(twins / m.voxel_resolution)
                  + rng.uniform(0, 1, size=twins.shape)) * m.voxel_resolution
@@ -101,10 +101,9 @@ class TestLocalSubmap:
         batch = np.concatenate([batch, twins, stored])
         return batch[rng.permutation(len(batch))]
 
-    def test_matches_dict_oracle_under_churn(self):
-        rng = np.random.default_rng(11)
-        m = LocalSubmap(voxel_resolution=0.1, extent=4.0)
-        ref = DictSubmap(voxel_resolution=0.1, extent=4.0)
+    def _churn_against_oracle(self, rng, m, ref, offset, rounds):
+        """Insert, fit normals and crop around `offset` in both maps,
+        comparing every result. Returns the number of valid fits."""
 
         def same_normals(indices, k):
             n, ok = m.plane_normals(indices, k=k)
@@ -115,19 +114,41 @@ class TestLocalSubmap:
             return ok
 
         valid = 0
-        for _ in range(12):
-            batch = self._churn_batch(rng, m)
+        for _ in range(rounds):
+            batch = self._churn_batch(rng, m, offset)
             assert m.insert(batch) == ref.insert(batch)
             np.testing.assert_array_equal(m.points(), ref.points())
             for _ in range(2):  # the second call reads the cache
                 idx = rng.integers(0, len(m), size=300)  # repeats included
                 valid += same_normals(idx, k=5).sum()
-            center = rng.uniform(-1.5, 1.5, size=3)
+            center = offset + rng.uniform(-1.5, 1.5, size=3)
             assert m.crop_to_box(center) == ref.crop_to_box(center)
             assert len(m) == len(ref)
             np.testing.assert_array_equal(m.points(), ref.points())
             valid += same_normals(rng.integers(0, len(m), size=200), k=7).sum()
+        return valid
+
+    def test_matches_dict_oracle_under_churn(self):
+        rng = np.random.default_rng(11)
+        m = LocalSubmap(voxel_resolution=0.1, extent=4.0)
+        ref = DictSubmap(voxel_resolution=0.1, extent=4.0)
+        valid = self._churn_against_oracle(rng, m, ref, np.zeros(3), rounds=12)
         assert 0 < valid < 12 * 800  # both planar and non-planar fits seen
+
+    def test_matches_dict_oracle_far_from_origin(self):
+        """Churn at UTM-sized coordinates, then a jump further than the
+        key range reaches (2**20 voxels of 0.1 m, about 105 km), which
+        empties the map, and churn again there."""
+        rng = np.random.default_rng(12)
+        m = LocalSubmap(voxel_resolution=0.1, extent=4.0)
+        ref = DictSubmap(voxel_resolution=0.1, extent=4.0)
+        utm = np.array([5e5, 5e6, 0.0])
+        valid = self._churn_against_oracle(rng, m, ref, utm, rounds=6)
+        far = utm + [3e5, -2e5, 10.0]
+        assert m.crop_to_box(far) == ref.crop_to_box(far) > 0
+        assert len(m) == 0
+        valid += self._churn_against_oracle(rng, m, ref, far, rounds=6)
+        assert 0 < valid < 12 * 800
 
     def test_first_point_per_voxel_wins(self):
         m = LocalSubmap(voxel_resolution=0.1)
@@ -137,13 +158,25 @@ class TestLocalSubmap:
             m.points(), [[0.01, 0, 0], [0.5, 0, 0], [0.31, 0, 0]]
         )
 
-    @pytest.mark.parametrize("bad", [[1e6, 0, 0], [0, -1e6, 0], [0, 0, np.nan]])
+    @pytest.mark.parametrize("bad", [[2e5, 0, 0], [0, -2e5, 0], [0, 0, np.nan]])
     def test_unpackable_key_raises(self, bad):
+        """Keys count voxels from the map's origin voxel (the first point,
+        until a crop moves it to the box center); points more than 2**20
+        voxels from it, or NaN, cannot be packed and change nothing."""
+        utm = np.array([5e5, 5e6, 0.0])
+        m = LocalSubmap(voxel_resolution=0.1)
+        m.insert([utm])
+        with pytest.raises(ValueError):
+            m.insert([utm + 1.0, utm + bad])
+        assert len(m) == 1
+
+    def test_unpackable_box_raises(self):
+        with pytest.raises(ValueError):
+            LocalSubmap(voxel_resolution=1e-4, extent=150.0)  # 1.5e6 voxels
         m = LocalSubmap(voxel_resolution=0.1)
         m.insert([[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
-            m.insert([[1.0, 1.0, 1.0], bad])
-        assert len(m) == 1
+            m.crop_to_box([0.0, np.nan, 0.0])
 
 
 class TestDeskew:
