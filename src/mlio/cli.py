@@ -239,6 +239,7 @@ def cmd_fuse_imu(args) -> int:
         SensorMask,
         fuse_imu_groups,
         replay_sync,
+        write_fused_imu,
     )
     from .sync import SyncConfig
 
@@ -255,11 +256,7 @@ def cmd_fuse_imu(args) -> int:
     fused = fuse_imu_groups(imu_groups, imus, counters)
     if not fused:
         raise ValueError("no fused samples produced (empty or unsynchronized IMU data)")
-    with open(args.out, "w") as fh:
-        fh.write("t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
-        for s in fused:
-            vals = ",".join(f"{v:.9e}" for v in (*s.f, *s.w, *s.w_dot))
-            fh.write(f"{s.stamp},{vals}\n")
+    write_fused_imu(args.out, fused)
     print(f"{len(fused)} fused samples from {counters.imu_groups} groups -> {args.out}")
     return EXIT_OK
 

@@ -77,6 +77,23 @@ def _arc_lengths(poses) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
+def _rpe_errors(gt: Trajectory, est: Trajectory, pairs, distance: float):
+    """Yield (gi, err) for each associated pair whose partner j is the
+    first pair at least `distance` meters of gt path beyond it; err is
+    the discrepancy between the gt and estimated relative transforms."""
+    arc = _arc_lengths(gt.poses)
+    j = 0
+    for gi, ei in pairs:
+        while j < len(pairs) and arc[pairs[j][0]] < arc[gi] + distance:
+            j += 1
+        if j >= len(pairs):
+            return
+        gj, ej = pairs[j]
+        rel_gt = pose_compose(pose_inverse(gt.poses[gi]), gt.poses[gj])
+        rel_est = pose_compose(pose_inverse(est.poses[ei]), est.poses[ej])
+        yield gi, pose_compose(pose_inverse(rel_gt), rel_est)
+
+
 def rpe(gt: Trajectory, est: Trajectory, distance: float = 10.0):
     """RMS relative pose error over ground-truth arc-length windows.
 
@@ -87,18 +104,8 @@ def rpe(gt: Trajectory, est: Trajectory, distance: float = 10.0):
     pairs = associate(gt, est)
     if not pairs:
         raise AssociationError("no associated poses")
-    arc = _arc_lengths(gt.poses)
     trans_sq, rot_sq, count = 0.0, 0.0, 0
-    j = 0
-    for k, (gi, ei) in enumerate(pairs):
-        while j < len(pairs) and arc[pairs[j][0]] < arc[gi] + distance:
-            j += 1
-        if j >= len(pairs):
-            break
-        gj, ej = pairs[j]
-        rel_gt = pose_compose(pose_inverse(gt.poses[gi]), gt.poses[gj])
-        rel_est = pose_compose(pose_inverse(est.poses[ei]), est.poses[ej])
-        err = pose_compose(pose_inverse(rel_gt), rel_est)
+    for _, err in _rpe_errors(gt, est, pairs, distance):
         trans_sq += float(err.t @ err.t)
         rot_sq += float(np.sum(so3_log(err.R) ** 2))
         count += 1
@@ -115,27 +122,14 @@ def rpe(gt: Trajectory, est: Trajectory, distance: float = 10.0):
 
 def rpe_pairs(gt: Trajectory, est: Trajectory, distance: float = 10.0):
     """Per-pair (stamp_s, trans_err, rot_err_deg) rows for plotting."""
-    pairs = associate(gt, est)
-    arc = _arc_lengths(gt.poses)
-    rows = []
-    j = 0
-    for gi, ei in pairs:
-        while j < len(pairs) and arc[pairs[j][0]] < arc[gi] + distance:
-            j += 1
-        if j >= len(pairs):
-            break
-        gj, ej = pairs[j]
-        rel_gt = pose_compose(pose_inverse(gt.poses[gi]), gt.poses[gj])
-        rel_est = pose_compose(pose_inverse(est.poses[ei]), est.poses[ej])
-        err = pose_compose(pose_inverse(rel_gt), rel_est)
-        rows.append(
-            (
-                gt.stamps[gi] / 1e9,
-                float(np.linalg.norm(err.t)),
-                math.degrees(float(np.linalg.norm(so3_log(err.R)))),
-            )
+    return [
+        (
+            gt.stamps[gi] / 1e9,
+            float(np.linalg.norm(err.t)),
+            math.degrees(float(np.linalg.norm(so3_log(err.R)))),
         )
-    return rows
+        for gi, err in _rpe_errors(gt, est, associate(gt, est), distance)
+    ]
 
 
 def ape(gt: Trajectory, est: Trajectory) -> float:

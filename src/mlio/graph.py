@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import (
     NavState,
@@ -306,65 +307,59 @@ class FactorGraph:
     def _order(self):
         return sorted(self.nodes)
 
-    def _linearize(self, states: dict, order):
+    def normal_equations(self, states: dict, order, factors=None):
+        """Gauss-Newton system (H, b, cost) of `factors` (default: all)
+        at `states` over the nodes in `order`: H = J^T J and b = J^T r
+        of the whitened residuals, cost = r^T r. Each factor is
+        evaluated once and adds J_a^T J_c into the block of each of its
+        node pairs; J itself is never formed."""
+        factors = self.factors if factors is None else factors
         col = {idx: k * STATE_DIM for k, idx in enumerate(order)}
-        rows = sum(
-            f.whitened([states[n] for n in f.nodes])[0].shape[0]
-            for f in self.factors
-        )
-        J = np.zeros((rows, STATE_DIM * len(order)))
-        r = np.zeros(rows)
-        at = 0
-        for f in self.factors:
-            rf, jacs = f.whitened([states[n] for n in f.nodes])
-            m = rf.shape[0]
-            r[at:at + m] = rf
-            for n, jac in zip(f.nodes, jacs):
-                J[at:at + m, col[n]:col[n] + STATE_DIM] = jac
-            at += m
-        return J, r
-
-    def _cost(self, states: dict) -> float:
-        return float(
-            sum(
-                np.sum(f.whitened([states[n] for n in f.nodes])[0] ** 2)
-                for f in self.factors
-            )
-        )
+        n = STATE_DIM * len(order)
+        H = np.zeros((n, n))
+        b = np.zeros(n)
+        cost = 0.0
+        for f in factors:
+            r, jacs = f.whitened([states[i] for i in f.nodes])
+            cost += float(r @ r)
+            cols = [col[i] for i in f.nodes]
+            for a, J_a in zip(cols, jacs):
+                b[a:a + STATE_DIM] += J_a.T @ r
+                for c, J_c in zip(cols, jacs):
+                    H[a:a + STATE_DIM, c:c + STATE_DIM] += J_a.T @ J_c
+        return H, b, cost
 
     def optimize(self, max_iter: int = 50) -> OptimizeReport:
         order = self._order()
         self._check_connected(order)
         states = dict(self.nodes)
-        cost = self._cost(states)
+        H, b, cost = self.normal_equations(states, order)
         initial_cost = cost
         lam = 1e-4
         converged = False
         iterations = 0
         for iterations in range(1, max_iter + 1):
-            J, r = self._linearize(states, order)
-            H = J.T @ J
-            g = J.T @ r
             accepted = False
-            step_norm = 0.0
             for _ in range(12):
                 try:
-                    delta = np.linalg.solve(
-                        H + lam * np.eye(H.shape[0]), -g
-                    )
+                    # unchecked: a non-finite system fails here or at the cost test
+                    factor = cho_factor(H + lam * np.eye(len(b)),
+                                        check_finite=False)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue
+                delta = cho_solve(factor, -b, check_finite=False)
                 cand = {
                     idx: states[idx].retract(
                         delta[k * STATE_DIM:(k + 1) * STATE_DIM]
                     )
                     for k, idx in enumerate(order)
                 }
-                new_cost = self._cost(cand)
+                # the accepted candidate's system is the next linearization
+                H_c, b_c, new_cost = self.normal_equations(cand, order)
                 if new_cost <= cost:
                     step_norm = float(np.linalg.norm(delta))
-                    states = cand
+                    states, H, b = cand, H_c, b_c
                     rel = (cost - new_cost) / max(cost, 1e-300)
                     cost = new_cost
                     lam = max(lam / 10.0, 1e-12)
@@ -410,24 +405,9 @@ class FactorGraph:
         conn = [f for f in self.factors if oldest in f.nodes]
         blanket = sorted({n for f in conn for n in f.nodes} - {oldest})
         if blanket:
-            sub = [oldest] + blanket
-            col = {idx: k * STATE_DIM for k, idx in enumerate(sub)}
-            rows = sum(
-                f.whitened([self.nodes[n] for n in f.nodes])[0].shape[0]
-                for f in conn
+            H, b, _ = self.normal_equations(
+                self.nodes, [oldest] + blanket, conn
             )
-            J = np.zeros((rows, STATE_DIM * len(sub)))
-            r = np.zeros(rows)
-            at = 0
-            for f in conn:
-                rf, jacs = f.whitened([self.nodes[n] for n in f.nodes])
-                m = rf.shape[0]
-                r[at:at + m] = rf
-                for n, jac in zip(f.nodes, jacs):
-                    J[at:at + m, col[n]:col[n] + STATE_DIM] = jac
-                at += m
-            H = J.T @ J
-            b = J.T @ r
             d = STATE_DIM
             H_mm = H[:d, :d]
             H_mb = H[:d, d:]

@@ -9,11 +9,14 @@ plus per-stage counters.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
+from . import lidar
 from .geometry import (
     NS_PER_S,
     NavState,
@@ -36,6 +39,7 @@ from .graph import (
 from .lidar import IcpConfig, deskew, voxel_downsample
 from .mimu import BatchFuser, FusedImuSample, MimuArray
 from .preintegration import (
+    GravityInit,
     ImuNoiseParams,
     NotStaticError,
     empty_delta,
@@ -109,7 +113,6 @@ class PipelineConfig:
     init_samples: int = 30
     max_sensor_gap_s: float = 2.0
     degenerate_cov_scale: float = 100.0
-    gnss_gating: bool = True
 
 
 @dataclass
@@ -160,26 +163,16 @@ def replay_sync(dataset, mask: SensorMask, config: SyncConfig, counters: RunCoun
                 StampedSignal(stamp=scan.scan_start, sensor_id=sid, payload=scan)
             )
     events.sort(key=lambda e: (e.stamp, e.sensor_id))
-    imu_groups, lidar_groups = [], []
+    groups = []
     for e in events:
         sync.push(e)
         counters.sensors_consumed[e.sensor_id] = (
             counters.sensors_consumed.get(e.sensor_id, 0) + 1
         )
-        for group in sync.drain():
-            (imu_groups if group.modality == "imu" else lidar_groups).append(group)
-    # flush the tail: everything has been seen, so age out stragglers
-    last = events[-1].stamp if events else 0
-    horizon = last + max(config.imu_max_age, config.lidar_max_age) + 1
-    sync.push(StampedSignal(stamp=horizon, sensor_id=events[0].sensor_id
-                            if events else "imu/F_L", payload=None))
-    for group in sync.drain():
-        members = {k: v for k, v in group.members.items() if v.payload is not None}
-        if members:
-            (imu_groups if group.modality == "imu" else lidar_groups).append(
-                type(group)(anchor_stamp=group.anchor_stamp,
-                            modality=group.modality, members=members)
-            )
+        groups.extend(sync.drain())
+    groups.extend(sync.flush())  # everything has been seen: age out the tail
+    imu_groups = [g for g in groups if g.modality == "imu"]
+    lidar_groups = [g for g in groups if g.modality == "lidar"]
     counters.imu_groups = len(imu_groups)
     counters.lidar_groups = len(lidar_groups)
     return imu_groups, lidar_groups
@@ -264,8 +257,6 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
         init = gravity_align(head, t0=t0, yaw=yaw)
     except NotStaticError:
         # accelerating start: fall back to a level attitude, zero biases
-        from .preintegration import GravityInit
-
         init = GravityInit(roll=0.0, pitch=0.0, yaw=yaw, t0=t0,
                            b_a0=np.zeros(3), b_g0=np.zeros(3))
     anchor = init.pose()
@@ -390,10 +381,6 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     lidar_iter = iter(lidar_groups)
     next_lidar = next(lidar_iter, None)
     node = 0
-
-    def seed_map(cloud_world):
-        submap.insert(cloud_world)
-
     last_fused_stamp = fused[0].stamp
     for sample in fused[1:]:
         gap = (sample.stamp - last_fused_stamp) / NS_PER_S
@@ -435,17 +422,14 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
             )
             pending_scans = []
         if node == 1 and cloud is not None:
-            seed_map(pred.pose.apply(cloud))
+            submap.insert(pred.pose.apply(cloud))
         # ---- ICP odometry ----
         icp_pose = pred.pose
         degenerate = False
         have_odom = False
         if cloud is not None and len(submap) > 0 and node > 1:
-            est = None
-            from .lidar import icp_register
-
-            est = icp_register(cloud, submap, pred.pose, config.icp,
-                               stamp=kf_stamp)
+            est = lidar.icp_register(cloud, submap, pred.pose, config.icp,
+                                     stamp=kf_stamp)
             counters.icp_iterations += est.iterations
             if est.insufficient_overlap:
                 counters.icp_insufficient += 1
@@ -485,17 +469,11 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
             base_fix = GnssFix(
                 stamp=fix.stamp, t=fix.t - x_new.pose.R @ lever, cov=fix.cov
             )
-            if config.gnss_gating:
-                est_cov = graph_position_covariance(graph, node)
-                if graph.maybe_add_gnss(node, est_cov, base_fix):
-                    counters.gnss_added += 1
-                else:
-                    counters.gnss_rejected += 1
-            else:
-                from .graph import GnssFactor
-
-                graph.add_factor(GnssFactor(node, base_fix))
+            est_cov = graph_position_covariance(graph, node)
+            if graph.maybe_add_gnss(node, est_cov, base_fix):
                 counters.gnss_added += 1
+            else:
+                counters.gnss_rejected += 1
             gnss_idx += 1
         # ---- optimize / marginalize ----
         report = graph.optimize(max_iter=config.optimize_iters)
@@ -512,9 +490,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         est_stamps[node] = kf_stamp
         state = graph.nodes[node]
         if cloud is not None:
-            from .lidar import map_update
-
-            map_update(submap, state.pose.apply(cloud), state.pose)
+            lidar.map_update(submap, state.pose.apply(cloud), state.pose)
         prop.reset(state)
         prop.advance(sample)
         counters.keyframes += 1
@@ -534,23 +510,28 @@ def graph_position_covariance(graph: FactorGraph, idx: int) -> np.ndarray:
     """Marginal position covariance of a node from the current
     linearization (ridge-regularized for unconstrained directions)."""
     order = sorted(graph.nodes)
-    J, _ = graph._linearize(dict(graph.nodes), order)
-    H = J.T @ J + np.eye(J.shape[1]) * 1e-9
-    cov = np.linalg.inv(H)
-    k = order.index(idx) * STATE_DIM
-    return cov[k + 3:k + 6, k + 3:k + 6]
+    H, _, _ = graph.normal_equations(graph.nodes, order)
+    H[np.diag_indices_from(H)] += 1e-9
+    k = order.index(idx) * STATE_DIM + 3
+    unit = np.zeros((len(H), 3))
+    unit[k:k + 3] = np.eye(3)
+    # the three position columns of H^-1
+    return cho_solve(cho_factor(H), unit)[k:k + 3]
+
+
+def write_fused_imu(path, fused) -> None:
+    """Fused-IMU CSV: one 't_ns, f, w, w_dot' line per sample."""
+    with open(path, "w") as fh:
+        fh.write("t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
+        for s in fused:
+            vals = ",".join(f"{v:.9e}" for v in (*s.f, *s.w, *s.w_dot))
+            fh.write(f"{s.stamp},{vals}\n")
 
 
 def write_run_outputs(out_dir, result: RunResult) -> None:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     write_tum(os.path.join(out_dir, "est.tum"), result.stamps, result.poses)
-    with open(os.path.join(out_dir, "fused_imu.csv"), "w") as fh:
-        fh.write("t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
-        for s in result.fused:
-            vals = ",".join(f"{v:.9e}" for v in (*s.f, *s.w, *s.w_dot))
-            fh.write(f"{s.stamp},{vals}\n")
+    write_fused_imu(os.path.join(out_dir, "fused_imu.csv"), result.fused)
     c = result.counters
     with open(os.path.join(out_dir, "counters.txt"), "w") as fh:
         fh.write(f"mask: {result.mask}\n")

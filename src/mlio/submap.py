@@ -7,7 +7,7 @@ keys packed into one int64 each relative to an origin voxel that follows
 the box, so insert and crop are array operations, world coordinates of
 any size (UTM too) pack, and the KD-tree sees the points in the order
 they arrived. Plane normals are fit lazily, in one batch per call, and
-cached until the map changes.
+cached until the map or the neighbor count changes.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ class LocalSubmap:
         self._points = np.empty((0, 3))
         self._keys = np.empty(0, dtype=np.int64)
         self._origin = np.zeros(3)  # voxel the keys count from
+        self._fit_k = None  # neighbor count of the cached normal fits
         self._dirty()
 
     def __len__(self) -> int:
@@ -113,9 +114,12 @@ class LocalSubmap:
         A fit is valid only when the neighborhood is genuinely planar:
         thin along the normal and spread in both in-plane directions
         (nearly collinear neighborhoods give arbitrary normals). Each
-        point is fit once, to its k nearest stored neighbors, in one
-        batched eigendecomposition per call."""
+        point is fit to its k nearest stored neighbors, in one batched
+        eigendecomposition per call; fits are cached for the last k."""
         indices = np.asarray(indices, dtype=np.int64)
+        if k != self._fit_k:
+            self._computed[:] = False
+            self._fit_k = k
         todo = np.unique(indices[~self._computed[indices]])
         if len(todo):
             pts = self._points

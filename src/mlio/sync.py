@@ -10,7 +10,6 @@ fused on their own.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -74,11 +73,8 @@ class SyncCounters:
 
 
 class Synchronizer:
-    """Single-consumer message synchronizer over per-sensor FIFO queues.
-
-    ``push`` is internally locked so each producer thread may feed its own
-    sensor queue; ``associate``/``evict_aged`` belong to the one consumer.
-    """
+    """Message synchronizer over per-sensor FIFO queues, fed and
+    drained by one replay loop."""
 
     def __init__(self, sensors, config: SyncConfig | None = None):
         self.config = config or SyncConfig()
@@ -89,7 +85,6 @@ class Synchronizer:
         self._last_anchor = {m: None for m in MODALITIES}
         self._newest_seen = None
         self.counters = SyncCounters()
-        self._lock = threading.Lock()
 
     def queue_lengths(self) -> dict:
         return {sid: len(q) for sid, q in self._queues.items()}
@@ -97,21 +92,20 @@ class Synchronizer:
     def push(self, signal: StampedSignal) -> None:
         if signal.stamp < 0:
             raise ValueError("negative timestamp")
-        with self._lock:
-            modality = modality_of(signal.sensor_id)
-            last = self._last_anchor.get(modality)
-            if last is not None and signal.stamp < last:
-                self.counters.late += 1
-                return
-            queue = self._queues[signal.sensor_id]
-            if len(queue) >= self.config.queue_capacity:
-                queue.popleft()
-                self.counters.capacity_drops += 1
-            queue.append(signal)
-            if self._newest_seen is None or signal.stamp > self._newest_seen:
-                self._newest_seen = signal.stamp
+        modality = modality_of(signal.sensor_id)
+        last = self._last_anchor.get(modality)
+        if last is not None and signal.stamp < last:
+            self.counters.late += 1
+            return
+        queue = self._queues[signal.sensor_id]
+        if len(queue) >= self.config.queue_capacity:
+            queue.popleft()
+            self.counters.capacity_drops += 1
+        queue.append(signal)
+        if self._newest_seen is None or signal.stamp > self._newest_seen:
+            self._newest_seen = signal.stamp
 
-    def _candidate(self, modality: str):
+    def _candidate(self, modality: str, flushing: bool):
         heads = [
             (self._queues[sid][0].stamp, sid)
             for sid in self._by_modality[modality]
@@ -121,7 +115,7 @@ class Synchronizer:
             return None
         anchor = min(h[0] for h in heads)
         complete = len(heads) == len(self._by_modality[modality])
-        aged = (
+        aged = flushing or (
             self._newest_seen is not None
             and self._newest_seen - anchor > self.config.max_age(modality)
         )
@@ -129,36 +123,43 @@ class Synchronizer:
             return None
         return anchor, modality
 
+    def _pop_group(self, flushing: bool):
+        candidates = [c for m in MODALITIES if (c := self._candidate(m, flushing))]
+        if not candidates:
+            return None
+        anchor, modality = min(candidates)
+        threshold = self.config.threshold(modality)
+        members = {}
+        for sid in self._by_modality[modality]:
+            queue = self._queues[sid]
+            if queue and abs(queue[0].stamp - anchor) <= threshold:
+                members[sid] = queue.popleft()
+        self._last_anchor[modality] = anchor
+        self.counters.groups += 1
+        return SyncGroup(anchor_stamp=anchor, modality=modality, members=members)
+
     def associate(self):
         """Pop and return the oldest ready SyncGroup, or None."""
-        with self._lock:
-            candidates = [c for m in MODALITIES if (c := self._candidate(m))]
-            if not candidates:
-                return None
-            anchor, modality = min(candidates)
-            threshold = self.config.threshold(modality)
-            members = {}
-            for sid in self._by_modality[modality]:
-                queue = self._queues[sid]
-                if queue and abs(queue[0].stamp - anchor) <= threshold:
-                    members[sid] = queue.popleft()
-            self._last_anchor[modality] = anchor
-            self.counters.groups += 1
-            return SyncGroup(anchor_stamp=anchor, modality=modality, members=members)
+        return self._pop_group(flushing=False)
 
     def drain(self):
         """Yield every group that is currently ready."""
         while (group := self.associate()) is not None:
             yield group
 
+    def flush(self):
+        """Yield every buffered group, oldest first, each treated as aged:
+        at the end of the input no later message can complete one."""
+        while (group := self._pop_group(flushing=True)) is not None:
+            yield group
+
     def evict_aged(self, now: int) -> int:
         """Drop all buffered messages older than max_age relative to now."""
         count = 0
-        with self._lock:
-            for sid, queue in self._queues.items():
-                max_age = self.config.max_age(modality_of(sid))
-                while queue and now - queue[0].stamp > max_age:
-                    queue.popleft()
-                    count += 1
-            self.counters.evictions += count
+        for sid, queue in self._queues.items():
+            max_age = self.config.max_age(modality_of(sid))
+            while queue and now - queue[0].stamp > max_age:
+                queue.popleft()
+                count += 1
+        self.counters.evictions += count
         return count

@@ -19,7 +19,8 @@ class DictSubmap:
         self._voxels: dict = {}
         self._tree = None
         self._points = None
-        self._normals_cache: dict = {}
+        self._normals_cache: dict = {}  # index -> fit to _normals_k neighbors
+        self._normals_k = None
 
     def __len__(self) -> int:
         return len(self._voxels)
@@ -67,6 +68,9 @@ class DictSubmap:
 
     def plane_normals(self, indices, k: int = 5):
         pts = self.points()
+        if k != self._normals_k:
+            self._normals_cache.clear()
+            self._normals_k = k
         if self._tree is None:
             self._tree = cKDTree(pts)
         out = np.empty((len(indices), 3))

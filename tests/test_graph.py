@@ -184,6 +184,51 @@ def chain_graph(n, step=None, gnss_on=(), prior_cov=None, sigma_gnss=0.5):
     return g, truth
 
 
+def whitened_cost(g, states):
+    """Sum of squared whitened residuals of every factor at `states`."""
+    return sum(
+        float(np.sum(f.whitened([states[n] for n in f.nodes])[0] ** 2))
+        for f in g.factors
+    )
+
+
+class TestNormalEquations:
+    def test_matches_stacked_jacobian(self):
+        """H, b and the cost equal J^T J, J^T r and r^T r of the stacked
+        whitened factors, in any node order and for a factor subset."""
+        rng = np.random.default_rng(6)
+        g = FactorGraph()
+        for k in range(5):
+            g.add_node(k, random_state(rng, scale=0.3))
+        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3),
+                                 np.eye(18) * 0.01))
+        for k in range(4):
+            g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
+            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
+        g.add_factor(GnssFactor(3, GnssFix(0, rng.normal(size=3), np.eye(3))))
+        g.marginalize_oldest()  # adds a dense LinearFactor on node 1
+        for k in g.nodes:
+            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=18))
+        order = [3, 1, 4, 2]
+        for factors in (g.factors, g.factors[::2]):
+            rows, res = [], []
+            for f in factors:
+                r, jacs = f.whitened([g.nodes[n] for n in f.nodes])
+                J = np.zeros((len(r), 18 * len(order)))
+                for n, jac in zip(f.nodes, jacs):
+                    J[:, 18 * order.index(n):18 * order.index(n) + 18] = jac
+                rows.append(J)
+                res.append(r)
+            J, r = np.vstack(rows), np.concatenate(res)
+            sub = None if factors is g.factors else factors
+            H, b, cost = g.normal_equations(g.nodes, order, sub)
+            scale = np.max(np.abs(J.T @ J))
+            np.testing.assert_allclose(H, J.T @ J, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(b, J.T @ r, rtol=1e-10,
+                                       atol=1e-12 * np.max(np.abs(J.T @ r)))
+            assert abs(cost - r @ r) <= 1e-12 * (r @ r)
+
+
 class TestOptimize:
     def test_consistent_graph_fixed_point(self):
         g, truth = chain_graph(5, gnss_on=(2, 4))
@@ -273,16 +318,16 @@ class TestOptimize:
         z = se3_exp(rng.normal(scale=0.2, size=6))
         for k in range(3):
             g.add_factor(BetweenFactor(k, k + 1, z))
-        cost0 = g._cost(g.nodes)
+        cost0 = whitened_cost(g, g.nodes)
         G = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
         moved = {
             k: NavState(pose=pose_compose(G, s.pose), v=s.v, w=s.w,
                         b_a=s.b_a, b_g=s.b_g)
             for k, s in g.nodes.items()
         }
-        assert abs(g._cost(moved) - cost0) < 1e-10
+        assert abs(whitened_cost(g, moved) - cost0) < 1e-10
         g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), np.eye(18)))
-        assert abs(g._cost(moved) - g._cost(g.nodes)) > 1e-3
+        assert abs(whitened_cost(g, moved) - whitened_cost(g, g.nodes)) > 1e-3
 
 
 class TestGnssGating:
@@ -332,7 +377,7 @@ class TestMarginalization:
         g.add_factor(GnssFactor(1, GnssFix(0, [0.2, 0, 0], np.eye(3))))
         rest_cost = 0.2**2  # the GNSS factor alone
         g.marginalize_oldest()
-        assert abs(g._cost(g.nodes) - rest_cost) < 1e-8
+        assert abs(whitened_cost(g, g.nodes) - rest_cost) < 1e-8
 
     def test_repeated_marginalization_matches_full_smoothing(self):
         rng = np.random.default_rng(5)

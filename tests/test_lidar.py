@@ -158,6 +158,21 @@ class TestLocalSubmap:
             m.points(), [[0.01, 0, 0], [0.5, 0, 0], [0.31, 0, 0]]
         )
 
+    def test_normals_refit_when_k_changes(self):
+        """Fits cached for one neighbor count are not returned for
+        another: a k=7 query after a k=5 one equals a fresh map's."""
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-2, 2, size=(500, 3)) * [1.0, 1.0, 0.05]
+        idx = np.arange(0, 500, 7)
+        m, fresh = LocalSubmap(voxel_resolution=0.01), LocalSubmap(voxel_resolution=0.01)
+        m.insert(pts)
+        fresh.insert(pts)
+        m.plane_normals(idx, k=5)
+        n, ok = m.plane_normals(idx, k=7)
+        n_ref, ok_ref = fresh.plane_normals(idx, k=7)
+        np.testing.assert_array_equal(n, n_ref)
+        np.testing.assert_array_equal(ok, ok_ref)
+
     @pytest.mark.parametrize("bad", [[2e5, 0, 0], [0, -2e5, 0], [0, 0, np.nan]])
     def test_unpackable_key_raises(self, bad):
         """Keys count voxels from the map's origin voxel (the first point,

@@ -1,10 +1,16 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mlio
 from mlio.evaluation import Trajectory, ape, rpe
-from mlio.geometry import NavState, so3_log
+from mlio.geometry import NavState, Pose, so3_log
+from mlio.graph import BetweenFactor, FactorGraph, GnssFactor, GnssFix, PriorFactor
 from mlio.mimu import FusedImuSample
 from mlio.pipeline import (
     EstimatorDivergence,
@@ -12,6 +18,7 @@ from mlio.pipeline import (
     SensorMask,
     _Propagator,
     fuse_imu_groups,
+    graph_position_covariance,
     parse_sensor_mask,
     replay_sync,
     run_pipeline,
@@ -229,6 +236,61 @@ class TestCorridor:
         result = run_pipeline(data, parse_sensor_mask("L4I4"))
         est = Trajectory(stamps=np.array(result.stamps), poses=tuple(result.poses))
         assert ape(gt, est) < 0.5
+
+
+class TestPositionCovariance:
+    def test_matches_inverse_of_ridged_normal_matrix(self):
+        g = FactorGraph()
+        for k in range(3):
+            g.add_node(k, NavState(pose=Pose(np.eye(3), [k, 0.0, 0.0])))
+        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3),
+                                 np.eye(18) * 0.01))
+        for k in range(2):
+            g.add_factor(BetweenFactor(k, k + 1, Pose(np.eye(3), [1.0, 0, 0])))
+        g.add_factor(GnssFactor(2, GnssFix(0, [2.0, 0.1, 0], np.diag([0.25, 0.5, 1.0]))))
+        H, _, _ = g.normal_equations(g.nodes, [0, 1, 2])
+        inv = np.linalg.inv(H + np.eye(len(H)) * 1e-9)
+        for k in range(3):
+            block = inv[18 * k + 3:18 * k + 6, 18 * k + 3:18 * k + 6]
+            np.testing.assert_allclose(graph_position_covariance(g, k), block,
+                                       rtol=1e-9, atol=1e-15)
+
+
+# one short noisy L4I4 run (standstill, three straights, two turns);
+# prints the keyframe positions as JSON
+_THREAD_RUN = """
+import dataclasses, json
+from mlio import sim
+from mlio.pipeline import parse_sensor_mask, run_pipeline
+noise = sim.NoiseSpec(accel_sigma=0.01, gyro_sigma=0.001, lidar_sigma=0.01,
+                      gnss_sigma=0.5)
+base = sim.loop_scenario(side=24.0, seed=0, noise=noise)
+scenario = dataclasses.replace(base, segments=base.segments[:6])
+result = run_pipeline(sim.simulate(scenario), parse_sensor_mask("L4I4"))
+print(json.dumps([list(p.t) for p in result.poses]))
+"""
+
+
+class TestBlasThreads:
+    def test_keyframes_agree_across_thread_counts(self):
+        """The estimate must not hinge on how BLAS splits its sums. Runs
+        with 1 and 2 OpenBLAS threads differ by up to 8.5e-7 m on this
+        scenario (1e-10 m at seeds 1-3); 1e-4 m leaves two orders of
+        magnitude for other CPUs while a rounding-driven divergence
+        (metres) still fails."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mlio.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                                 capture_output=True, text=True, timeout=300,
+                                 check=True).stdout
+            runs.append(np.array(json.loads(out)))
+        one, two = runs
+        assert len(one) == len(two) >= 10
+        assert np.max(np.linalg.norm(one - two, axis=1)) < 1e-4
 
 
 class TestOutputs:

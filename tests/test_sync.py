@@ -95,6 +95,19 @@ class TestAssociate:
     def test_empty_returns_none(self):
         assert make_sync().associate() is None
 
+    def test_flush_releases_every_buffered_group_oldest_first(self):
+        sync = make_sync()
+        push(sync, "lidar/F_L", 10 * S)
+        push(sync, "imu/F_L", 10 * S + 5 * MS)
+        push(sync, "imu/F_R", 10 * S + 20 * MS)
+        assert list(sync.drain()) == []  # neither complete nor aged
+        groups = list(sync.flush())
+        assert [(g.modality, set(g.members)) for g in groups] == [
+            ("lidar", {"lidar/F_L"}), ("imu", {"imu/F_L"}), ("imu", {"imu/F_R"}),
+        ]
+        assert sum(sync.queue_lengths().values()) == 0
+        assert sync.counters.groups == 3
+
     def test_no_message_reused_and_monotone_anchors(self):
         rng = np.random.default_rng(1)
         sync = make_sync()
