@@ -94,10 +94,6 @@ def so3_right_jacobian(phi) -> np.ndarray:
     return so3_left_jacobian(-np.asarray(phi, dtype=float))
 
 
-def so3_right_jacobian_inv(phi) -> np.ndarray:
-    return so3_left_jacobian_inv(-np.asarray(phi, dtype=float))
-
-
 def so3_double_integral(phi) -> np.ndarray:
     """C(phi) = integral_0^1 integral_0^a Exp(u*phi) du da."""
     phi = np.asarray(phi, dtype=float)
@@ -289,34 +285,32 @@ def se3_left_jacobian_inv(xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NavState:
-    """Full vehicle state: pose, world-frame velocity, body-frame angular
-    rate and the accelerometer / gyro biases."""
+    """Smoothed vehicle state: pose, world-frame velocity and the
+    accelerometer / gyro biases."""
 
     pose: Pose = field(default_factory=Pose.identity)
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    w: np.ndarray = field(default_factory=lambda: np.zeros(3))
     b_a: np.ndarray = field(default_factory=lambda: np.zeros(3))
     b_g: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        for name in ("v", "w", "b_a", "b_g"):
+        for name in ("v", "b_a", "b_g"):
             val = np.asarray(getattr(self, name), dtype=float).reshape(3)
             if not np.all(np.isfinite(val)):
                 raise ValueError(f"non-finite {name}")
             object.__setattr__(self, name, val)
 
     def retract(self, delta) -> "NavState":
-        """Apply an 18-dim tangent update ordered
-        (rot, trans, v, w, b_a, b_g); rotation via right perturbation,
-        translation and vector blocks additive."""
-        delta = np.asarray(delta, dtype=float).reshape(18)
+        """Apply a 15-dim tangent update ordered (rot, trans, v, b_a,
+        b_g); rotation via right perturbation, translation and vector
+        blocks additive."""
+        delta = np.asarray(delta, dtype=float).reshape(15)
         pose = Pose(self.pose.R @ so3_exp(delta[0:3]), self.pose.t + delta[3:6])
         return NavState(
             pose=pose,
             v=self.v + delta[6:9],
-            w=self.w + delta[9:12],
-            b_a=self.b_a + delta[12:15],
-            b_g=self.b_g + delta[15:18],
+            b_a=self.b_a + delta[9:12],
+            b_g=self.b_g + delta[12:15],
         )
 
     def local(self, other: "NavState") -> np.ndarray:
@@ -326,7 +320,6 @@ class NavState:
                 so3_log(self.pose.R.T @ other.pose.R),
                 other.pose.t - self.pose.t,
                 other.v - self.v,
-                other.w - self.w,
                 other.b_a - self.b_a,
                 other.b_g - self.b_g,
             ]
@@ -357,10 +350,6 @@ def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     real = quat_mul(a.real, b.real)
     dual = quat_mul(a.real, b.dual) + quat_mul(a.dual, b.real)
     return DualQuaternion(real, dual)
-
-
-def dq_conj(q: DualQuaternion) -> DualQuaternion:
-    return DualQuaternion(quat_conj(q.real), quat_conj(q.dual))
 
 
 def dq_normalize(q: DualQuaternion) -> DualQuaternion:

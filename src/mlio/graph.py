@@ -34,8 +34,7 @@ from .preintegration import (
     residual_covariance,
 )
 
-STATE_DIM = 18
-DEFAULT_WINDOW = 20
+STATE_DIM = 15  # tangent (rot, trans, v, b_a, b_g), see NavState.retract
 DEFAULT_BETWEEN_SIGMA_ROT = math.radians(0.5)
 DEFAULT_BETWEEN_SIGMA_TRANS = 0.05
 GNSS_GATE_CHI2 = 16.27  # chi-square 3 dof, 99.9%
@@ -90,11 +89,12 @@ def pose_adjoint(p: Pose) -> np.ndarray:
 
 
 def residual_prior(x0: NavState, anchor: Pose, b_a0, b_g0) -> np.ndarray:
-    """Anchors the first state: pose to the initialization pose, velocity
-    and angular rate to zero, biases to their initial estimates."""
+    """Anchors the first state: pose to the initialization pose,
+    velocity to zero, biases to their initial estimates. The 15-vector
+    is ordered like the state tangent (pose, v, b_a, b_g)."""
     r_pose = se3_log(pose_compose(pose_inverse(anchor), x0.pose))
     return np.concatenate(
-        [r_pose, x0.v, x0.w, x0.b_a - np.asarray(b_a0, dtype=float),
+        [r_pose, x0.v, x0.b_a - np.asarray(b_a0, dtype=float),
          x0.b_g - np.asarray(b_g0, dtype=float)]
     )
 
@@ -177,8 +177,8 @@ class BiasAnchorFactor(_Factor):
         x = states[0]
         r = np.concatenate([x.b_a - self.b_a0, x.b_g - self.b_g0])
         J = np.zeros((6, STATE_DIM))
-        J[:3, 12:15] = np.eye(3)
-        J[3:, 15:18] = np.eye(3)
+        J[:3, 9:12] = np.eye(3)
+        J[3:, 12:15] = np.eye(3)
         return self.sqrt_info @ r, [self.sqrt_info @ J]
 
 
@@ -267,7 +267,6 @@ class LinearFactor(_Factor):
 
 @dataclass
 class FactorGraph:
-    window: int = DEFAULT_WINDOW
     nodes: dict = field(default_factory=dict)  # keyframe index -> NavState
     stamps: dict = field(default_factory=dict)  # keyframe index -> ns
     factors: list = field(default_factory=list)

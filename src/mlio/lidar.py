@@ -199,12 +199,10 @@ def icp_register(
     )
 
 
-def _apply_delta(pose: Pose, delta, center=None) -> Pose:
+def _apply_delta(pose: Pose, delta, center) -> Pose:
     """World-frame perturbation rotating about `center`:
     R <- Exp(dphi) R, t <- Exp(dphi) (t - c) + c + dt."""
     dphi, dt = delta[:3], delta[3:]
-    if center is None:
-        center = np.zeros(3)
     Rd = so3_exp(dphi)
     return Pose(Rd @ pose.R, Rd @ (pose.t - center) + center + dt)
 

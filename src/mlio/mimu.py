@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .geometry import skew
+from .geometry import quat_from_rotmat, quat_to_rotmat, skew
 
 MAX_SPECIFIC_FORCE = 200.0  # m/s^2
 MAX_ANGULAR_RATE = 35.0  # rad/s
@@ -320,8 +320,6 @@ def load_calibration(path) -> dict:
 
     Returns {channel_id: ImuChannelCalib}; quaternions are [w, x, y, z].
     """
-    from .geometry import quat_to_rotmat
-
     with open(path) as fh:
         doc = yaml.safe_load(fh)
     out = {}
@@ -336,8 +334,6 @@ def load_calibration(path) -> dict:
 
 
 def save_calibration(path, channels: dict) -> None:
-    from .geometry import quat_from_rotmat
-
     doc = {
         "channels": [
             {

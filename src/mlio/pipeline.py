@@ -272,14 +272,19 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
 
 class _Propagator:
     """IMU-mechanized pose prediction between keyframes; records the
-    predicted pose at every fused sample stamp for deskewing."""
+    predicted pose at every fused sample stamp for deskewing.
 
-    def __init__(self, state: NavState, noise: ImuNoiseParams):
-        self.reset(state)
+    `w` is the body rate at the keyframe (bias-corrected gyro), which
+    the smoothed state does not carry."""
+
+    def __init__(self, state: NavState, noise: ImuNoiseParams,
+                 w=np.zeros(3)):
+        self.reset(state, w)
         self.noise = noise
 
-    def reset(self, state: NavState):
+    def reset(self, state: NavState, w):
         self.state = state
+        self.w = w
         self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
         self.track = [(0, state.pose)]  # (stamp, predicted base pose)
         self.last_stamp = None
@@ -319,14 +324,14 @@ class _Propagator:
         sample at or before them with the latest rate and velocity.
         Stamps before the keyframe (scans that started before it) are
         extrapolated backwards from the keyframe pose with the keyframe
-        state's own velocity and angular rate: the current prediction
+        state's own velocity and body rate: the current prediction
         can be up to a keyframe interval later and, in a turn, points
         elsewhere."""
         stamps = [t for t, _ in self.track]
         k = int(np.searchsorted(stamps, stamp, side="right")) - 1
         if k < 0:
             t_k, pose = self.track[0]
-            w, v = self.state.w, self.state.v
+            w, v = self.w, self.state.v
         else:
             t_k, pose = self.track[k]
             if self.last_sample is None:
@@ -361,11 +366,11 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     )
 
     state = NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0)
-    graph = FactorGraph(window=config.window)
+    graph = FactorGraph()
     graph.add_node(0, state, stamp=fused[0].stamp)
     prior_cov = np.diag(
         [0.01**2, 0.01**2, yaw_sigma**2] + [pos_sigma**2] * 3 + [0.1**2] * 3
-        + [0.1**2] * 3 + [0.005**2] * 3 + [0.0005**2] * 3
+        + [0.005**2] * 3 + [0.0005**2] * 3
     )
     graph.add_factor(PriorFactor(0, anchor, init.b_a0, init.b_g0, prior_cov))
 
@@ -404,8 +409,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         kf_stamp = sample.stamp
         kf_bound = kf_stamp + interval_ns
         pred = prop.predicted()
-        pred = NavState(pose=pred.pose, v=pred.v, w=sample.w - state.b_g,
-                        b_a=state.b_a, b_g=state.b_g)
+        w_kf = sample.w - state.b_g
         # deskew + fuse accumulated scans into the predicted keyframe frame
         cloud = None
         if pending_scans:
@@ -442,8 +446,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
                 if est.degenerate:
                     counters.icp_degenerate += 1
         # ---- graph update ----
-        x_new = NavState(pose=icp_pose, v=pred.v, w=pred.w,
-                         b_a=pred.b_a, b_g=pred.b_g)
+        x_new = NavState(pose=icp_pose, v=pred.v, b_a=pred.b_a, b_g=pred.b_g)
         graph.add_node(node, x_new, stamp=kf_stamp)
         graph.add_factor(ImuFactor(node - 1, node, prop.delta, config.imu_noise))
         graph.add_factor(BiasAnchorFactor(node, init.b_a0, init.b_g0))
@@ -491,7 +494,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         state = graph.nodes[node]
         if cloud is not None:
             lidar.map_update(submap, state.pose.apply(cloud), state.pose)
-        prop.reset(state)
+        prop.reset(state, w_kf)
         prop.advance(sample)
         counters.keyframes += 1
 
@@ -508,7 +511,9 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
 
 def graph_position_covariance(graph: FactorGraph, idx: int) -> np.ndarray:
     """Marginal position covariance of a node from the current
-    linearization (ridge-regularized for unconstrained directions)."""
+    linearization. The 1e-9 ridge keeps H factorable for graphs whose
+    nodes lack IMU factors, where velocity and biases are unconstrained
+    (e.g. a chain of between factors only)."""
     order = sorted(graph.nodes)
     H, _, _ = graph.normal_equations(graph.nodes, order)
     H[np.diag_indices_from(H)] += 1e-9

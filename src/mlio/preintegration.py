@@ -23,6 +23,7 @@ from .geometry import (
     so3_double_integral,
     so3_exp,
     so3_left_jacobian,
+    so3_left_jacobian_inv,
     so3_log,
     so3_right_jacobian,
 )
@@ -139,7 +140,7 @@ def predict(x_i: NavState, delta: PreintegratedDelta, g=GRAVITY) -> NavState:
     R_j = R_i @ dR
     v_j = v_i + g * dt + R_i @ dv
     p_j = p_i + v_i * dt + 0.5 * g * dt**2 + R_i @ dp
-    return NavState(pose=Pose(R_j, p_j), v=v_j, w=x_i.w, b_a=x_i.b_a, b_g=x_i.b_g)
+    return NavState(pose=Pose(R_j, p_j), v=v_j, b_a=x_i.b_a, b_g=x_i.b_g)
 
 
 def imu_residual(
@@ -161,10 +162,8 @@ def imu_residual(
 def imu_residual_jacobians(
     x_i: NavState, x_j: NavState, delta: PreintegratedDelta, g=GRAVITY
 ):
-    """Analytic Jacobians of imu_residual w.r.t. the 18-dim tangents of
-    x_i and x_j (ordering: rot, trans, v, w, b_a, b_g)."""
-    from .geometry import so3_left_jacobian_inv
-
+    """Analytic 15x15 Jacobians of imu_residual w.r.t. the tangents of
+    x_i and x_j (NavState.retract ordering: rot, trans, v, b_a, b_g)."""
     dR, dv, dp = delta.corrected(x_i.b_a, x_i.b_g)
     R_i, p_i, v_i = x_i.pose.R, x_i.pose.t, x_i.v
     R_j, p_j, v_j = x_j.pose.R, x_j.pose.t, x_j.v
@@ -176,32 +175,30 @@ def imu_residual_jacobians(
     u_p = R_i.T @ (p_j - p_i - v_i * dt - 0.5 * g * dt**2)
     u_v = R_i.T @ (v_j - v_i - g * dt)
 
-    Ji = np.zeros((15, 18))
-    Jj = np.zeros((15, 18))
+    Ji = np.zeros((15, 15))
+    Jj = np.zeros((15, 15))
     # rotation block; the bias correction enters through
     # Exp(J_r_bg (bg + d)) = Exp(u) Exp(Jr(u) J_r_bg d)
     u = delta.J_r_bg @ (x_i.b_g - delta.b_g0)
     Ji[0:3, 0:3] = -Jr_inv @ E.T
-    Ji[0:3, 15:18] = -Jl_inv @ so3_right_jacobian(u) @ delta.J_r_bg
+    Ji[0:3, 12:15] = -Jl_inv @ so3_right_jacobian(u) @ delta.J_r_bg
     Jj[0:3, 0:3] = Jr_inv
     # position block
     Ji[3:6, 0:3] = skew(u_p)
     Ji[3:6, 3:6] = -R_i.T
     Ji[3:6, 6:9] = -R_i.T * dt
-    Ji[3:6, 12:15] = -delta.J_p_ba
-    Ji[3:6, 15:18] = -delta.J_p_bg
+    Ji[3:6, 9:12] = -delta.J_p_ba
+    Ji[3:6, 12:15] = -delta.J_p_bg
     Jj[3:6, 3:6] = R_i.T
     # velocity block
     Ji[6:9, 0:3] = skew(u_v)
     Ji[6:9, 6:9] = -R_i.T
-    Ji[6:9, 12:15] = -delta.J_v_ba
-    Ji[6:9, 15:18] = -delta.J_v_bg
+    Ji[6:9, 9:12] = -delta.J_v_ba
+    Ji[6:9, 12:15] = -delta.J_v_bg
     Jj[6:9, 6:9] = R_i.T
     # bias random-walk blocks
-    Ji[9:12, 12:15] = -np.eye(3)
-    Jj[9:12, 12:15] = np.eye(3)
-    Ji[12:15, 15:18] = -np.eye(3)
-    Jj[12:15, 15:18] = np.eye(3)
+    Ji[9:15, 9:15] = -np.eye(6)
+    Jj[9:15, 9:15] = np.eye(6)
     return Ji, Jj
 
 

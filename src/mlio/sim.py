@@ -18,7 +18,6 @@ import yaml
 
 from .geometry import (
     NS_PER_S,
-    NavState,
     Pose,
     pose_compose,
     pose_inverse,
@@ -191,12 +190,6 @@ class GroundTruth:
     w_body: np.ndarray  # (N, 3)
     a_world: np.ndarray  # (N, 3)
     w_dot: np.ndarray  # (N, 3) body
-
-    def states(self):
-        return [
-            NavState(pose=p, v=v, w=w)
-            for p, v, w in zip(self.poses, self.v_world, self.w_body)
-        ]
 
     def pose_at(self, stamp_ns: int) -> Pose:
         """Pose at an arbitrary time by constant-twist interpolation

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from mlio.geometry import NavState, Pose, pose_compose, se3_exp, se3_log, so3_exp
 from mlio.graph import (
+    STATE_DIM,
     BetweenFactor,
+    BiasAnchorFactor,
     FactorGraph,
     GnssFactor,
     GnssFix,
@@ -22,10 +25,12 @@ from mlio.preintegration import empty_delta, integrate, predict
 
 
 def random_state(rng, scale=1.0):
+    pose = Pose(so3_exp(rng.normal(scale=scale, size=3)), rng.normal(size=3))
+    v = rng.normal(size=3)
+    rng.normal(size=3)  # the former body-rate draw: keeps each seed's data
     return NavState(
-        pose=Pose(so3_exp(rng.normal(scale=scale, size=3)), rng.normal(size=3)),
-        v=rng.normal(size=3),
-        w=rng.normal(size=3),
+        pose=pose,
+        v=v,
         b_a=rng.normal(scale=0.05, size=3),
         b_g=rng.normal(scale=0.01, size=3),
     )
@@ -135,7 +140,7 @@ class TestFactorJacobians:
         fix = GnssFix(0, rng.normal(size=3), np.eye(3) * 0.25)
         factors = [
             PriorFactor(0, anchor, rng.normal(size=3) * 0.01,
-                        rng.normal(size=3) * 0.01, np.eye(18) * 0.1),
+                        rng.normal(size=3) * 0.01, np.eye(STATE_DIM) * 0.1),
             BetweenFactor(0, 1, z),
             GnssFactor(0, fix),
             ImuFactor(0, 1, random_delta(rng)),
@@ -146,8 +151,8 @@ class TestFactorJacobians:
             h = 1e-6
             for which, J in enumerate(jacs):
                 num = np.zeros_like(J)
-                for k in range(18):
-                    e = np.zeros(18)
+                for k in range(STATE_DIM):
+                    e = np.zeros(STATE_DIM)
                     e[k] = h
                     sp = list(states)
                     sm = list(states)
@@ -172,7 +177,7 @@ def chain_graph(n, step=None, gnss_on=(), prior_cov=None, sigma_gnss=0.5):
         g.add_node(k, NavState(pose=pose), stamp=k * 500_000_000)
     g.add_factor(
         PriorFactor(0, truth[0], np.zeros(3), np.zeros(3),
-                    prior_cov if prior_cov is not None else np.eye(18) * 0.01)
+                    prior_cov if prior_cov is not None else np.eye(STATE_DIM) * 0.01)
     )
     z = Pose(np.eye(3), step)
     for k in range(n - 1):
@@ -201,22 +206,23 @@ class TestNormalEquations:
         for k in range(5):
             g.add_node(k, random_state(rng, scale=0.3))
         g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3),
-                                 np.eye(18) * 0.01))
+                                 np.eye(STATE_DIM) * 0.01))
         for k in range(4):
             g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
             g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
         g.add_factor(GnssFactor(3, GnssFix(0, rng.normal(size=3), np.eye(3))))
         g.marginalize_oldest()  # adds a dense LinearFactor on node 1
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=18))
+            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
         order = [3, 1, 4, 2]
         for factors in (g.factors, g.factors[::2]):
             rows, res = [], []
             for f in factors:
                 r, jacs = f.whitened([g.nodes[n] for n in f.nodes])
-                J = np.zeros((len(r), 18 * len(order)))
+                J = np.zeros((len(r), STATE_DIM * len(order)))
                 for n, jac in zip(f.nodes, jacs):
-                    J[:, 18 * order.index(n):18 * order.index(n) + 18] = jac
+                    c = STATE_DIM * order.index(n)
+                    J[:, c:c + STATE_DIM] = jac
                 rows.append(J)
                 res.append(r)
             J, r = np.vstack(rows), np.concatenate(res)
@@ -227,6 +233,26 @@ class TestNormalEquations:
             np.testing.assert_allclose(b, J.T @ r, rtol=1e-10,
                                        atol=1e-12 * np.max(np.abs(J.T @ r)))
             assert abs(cost - r @ r) <= 1e-12 * (r @ r)
+
+    def test_pipeline_window_constrains_every_state_dimension(self):
+        """A window built like the pipeline's (prior, chained IMU factors,
+        a bias anchor per node, lidar between factors) touches every
+        tangent dimension, so H is positive definite without a ridge."""
+        rng = np.random.default_rng(7)
+        g = FactorGraph()
+        for k in range(3):
+            g.add_node(k, random_state(rng, scale=0.3))
+        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3),
+                                 np.eye(STATE_DIM) * 0.01))
+        for k in range(3):
+            g.add_factor(BiasAnchorFactor(k, np.zeros(3), np.zeros(3)))
+        for k in range(2):
+            g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
+            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
+        H, _, _ = g.normal_equations(g.nodes, [0, 1, 2])
+        assert H.shape == (3 * STATE_DIM, 3 * STATE_DIM)
+        assert np.all(np.any(H != 0.0, axis=1))
+        cho_factor(H)  # raises LinAlgError if H is not positive definite
 
 
 class TestOptimize:
@@ -242,7 +268,7 @@ class TestOptimize:
     def test_single_node_prior_vs_gnss_midpoint(self):
         g = FactorGraph()
         g.add_node(0, NavState())
-        cov = np.eye(18)
+        cov = np.eye(STATE_DIM)
         g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), cov))
         g.add_factor(GnssFactor(0, GnssFix(0, [1.0, 0, 0], np.eye(3))))
         report = g.optimize()
@@ -250,7 +276,7 @@ class TestOptimize:
         np.testing.assert_allclose(g.nodes[0].pose.t, [0.5, 0, 0], atol=1e-6)
 
     def test_three_node_chain_matches_dense_oracle(self):
-        g, _ = chain_graph(3, prior_cov=np.eye(18) * 0.01)
+        g, _ = chain_graph(3, prior_cov=np.eye(STATE_DIM) * 0.01)
         # GNSS on the last node, offset 0.3 m, tight covariance
         g.add_factor(
             GnssFactor(2, GnssFix(0, [2.3, 0, 0], np.eye(3) * 0.01**2))
@@ -260,16 +286,16 @@ class TestOptimize:
         # independent dense Gauss-Newton oracle with numeric Jacobians
         for _ in range(30):
             r_blocks, J_rows = [], []
-            ncols = 18 * len(order)
+            ncols = STATE_DIM * len(order)
             for f in g.factors:
                 states = [oracle[n] for n in f.nodes]
                 r0 = f.whitened(states)[0]
                 Jrow = np.zeros((len(r0), ncols))
                 h = 1e-7
                 for sl, n in enumerate(f.nodes):
-                    base = order.index(n) * 18
-                    for k in range(18):
-                        e = np.zeros(18)
+                    base = order.index(n) * STATE_DIM
+                    for k in range(STATE_DIM):
+                        e = np.zeros(STATE_DIM)
                         e[k] = h
                         sp = list(states)
                         sp[sl] = sp[sl].retract(e)
@@ -280,7 +306,7 @@ class TestOptimize:
             r = np.concatenate(r_blocks)
             delta = -np.linalg.pinv(J.T @ J, hermitian=True) @ (J.T @ r)
             for i, n in enumerate(order):
-                oracle[n] = oracle[n].retract(delta[18 * i:18 * (i + 1)])
+                oracle[n] = oracle[n].retract(delta[STATE_DIM * i:STATE_DIM * (i + 1)])
             if np.linalg.norm(delta) < 1e-12:
                 break
         report = g.optimize()
@@ -299,7 +325,7 @@ class TestOptimize:
         rng = np.random.default_rng(2)
         g, truth = chain_graph(6, gnss_on=(5,))
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.1, size=18))
+            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.1, size=STATE_DIM))
         report = g.optimize()
         assert report.final_cost <= report.initial_cost
         assert report.final_cost >= 0.0
@@ -321,12 +347,12 @@ class TestOptimize:
         cost0 = whitened_cost(g, g.nodes)
         G = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
         moved = {
-            k: NavState(pose=pose_compose(G, s.pose), v=s.v, w=s.w,
-                        b_a=s.b_a, b_g=s.b_g)
+            k: NavState(pose=pose_compose(G, s.pose), v=s.v, b_a=s.b_a,
+                        b_g=s.b_g)
             for k, s in g.nodes.items()
         }
         assert abs(whitened_cost(g, moved) - cost0) < 1e-10
-        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), np.eye(18)))
+        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), np.eye(STATE_DIM)))
         assert abs(whitened_cost(g, moved) - whitened_cost(g, g.nodes)) > 1e-3
 
 
@@ -354,7 +380,7 @@ class TestGnssGating:
         g, truth = chain_graph(4)
         rng = np.random.default_rng(4)
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=18))
+            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
         report = g.optimize()
         assert report.converged
         for k, pose in enumerate(truth):
@@ -373,7 +399,7 @@ class TestMarginalization:
         g = FactorGraph()
         g.add_node(0, NavState(pose=Pose(np.eye(3), [0.1, 0, 0])))
         g.add_node(1, NavState())
-        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), np.eye(18)))
+        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), np.eye(STATE_DIM)))
         g.add_factor(GnssFactor(1, GnssFix(0, [0.2, 0, 0], np.eye(3))))
         rest_cost = 0.2**2  # the GNSS factor alone
         g.marginalize_oldest()
@@ -387,7 +413,7 @@ class TestMarginalization:
         # pass), then perturb the remaining nodes identically in both
         for _ in range(10):
             marg.marginalize_oldest()
-        perturb = {k: rng.normal(scale=0.01, size=18) for k in marg.nodes}
+        perturb = {k: rng.normal(scale=0.01, size=STATE_DIM) for k in marg.nodes}
         for k in perturb:
             full.nodes[k] = full.nodes[k].retract(perturb[k])
             marg.nodes[k] = marg.nodes[k].retract(perturb[k])

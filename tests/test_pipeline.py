@@ -10,7 +10,14 @@ import pytest
 import mlio
 from mlio.evaluation import Trajectory, ape, rpe
 from mlio.geometry import NavState, Pose, so3_log
-from mlio.graph import BetweenFactor, FactorGraph, GnssFactor, GnssFix, PriorFactor
+from mlio.graph import (
+    STATE_DIM,
+    BetweenFactor,
+    FactorGraph,
+    GnssFactor,
+    GnssFix,
+    PriorFactor,
+)
 from mlio.mimu import FusedImuSample
 from mlio.pipeline import (
     EstimatorDivergence,
@@ -114,8 +121,8 @@ class TestPropagator:
         # the propagator has run on to the next keyframe
         gt = gen_trajectory(loop_scenario())
         k = int(np.searchsorted(gt.stamps, 13_500_000_000))
-        state = NavState(pose=gt.poses[k], v=gt.v_world[k], w=gt.w_body[k])
-        prop = _Propagator(state, ImuNoiseParams())
+        state = NavState(pose=gt.poses[k], v=gt.v_world[k])
+        prop = _Propagator(state, ImuNoiseParams(), w=gt.w_body[k])
         for i in range(k, k + 51):
             prop.advance(FusedImuSample(
                 stamp=int(gt.stamps[i]),
@@ -244,14 +251,15 @@ class TestPositionCovariance:
         for k in range(3):
             g.add_node(k, NavState(pose=Pose(np.eye(3), [k, 0.0, 0.0])))
         g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3),
-                                 np.eye(18) * 0.01))
+                                 np.eye(STATE_DIM) * 0.01))
         for k in range(2):
             g.add_factor(BetweenFactor(k, k + 1, Pose(np.eye(3), [1.0, 0, 0])))
         g.add_factor(GnssFactor(2, GnssFix(0, [2.0, 0.1, 0], np.diag([0.25, 0.5, 1.0]))))
         H, _, _ = g.normal_equations(g.nodes, [0, 1, 2])
         inv = np.linalg.inv(H + np.eye(len(H)) * 1e-9)
         for k in range(3):
-            block = inv[18 * k + 3:18 * k + 6, 18 * k + 3:18 * k + 6]
+            p = STATE_DIM * k + 3  # position columns of node k
+            block = inv[p:p + 3, p:p + 3]
             np.testing.assert_allclose(graph_position_covariance(g, k), block,
                                        rtol=1e-9, atol=1e-15)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlio.geometry import NavState, Pose, so3_exp, so3_log
+from mlio.graph import STATE_DIM
 from mlio.mimu import FusedImuSample
 from mlio.preintegration import (
     GRAVITY,
@@ -171,7 +172,7 @@ class TestResidual:
         shift = np.array([0.1, 0.0, 0.0])
         x_shifted = NavState(
             pose=Pose(x_j.pose.R, x_j.pose.t + shift),
-            v=x_j.v, w=x_j.w, b_a=x_j.b_a, b_g=x_j.b_g,
+            v=x_j.v, b_a=x_j.b_a, b_g=x_j.b_g,
         )
         r = imu_residual(x_i, x_shifted, delta)
         np.testing.assert_allclose(r[3:6], x_i.pose.R.T @ shift, atol=1e-9)
@@ -185,7 +186,7 @@ class TestResidual:
         delta = integrate(delta, fused(b_i, [0, 0, 0]), 0.01)
         x_i = NavState(b_a=b_i)
         x_j = predict(x_i, delta)
-        x_j = NavState(pose=x_j.pose, v=x_j.v, w=x_j.w, b_a=b_j, b_g=x_j.b_g)
+        x_j = NavState(pose=x_j.pose, v=x_j.v, b_a=b_j, b_g=x_j.b_g)
         r = imu_residual(x_i, x_j, delta)
         np.testing.assert_allclose(r[9:12], b_j - b_i, atol=1e-12)
 
@@ -207,7 +208,7 @@ class TestResidual:
                 states.append(
                     NavState(
                         pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)),
-                        v=rng.normal(size=3), w=rng.normal(size=3),
+                        v=rng.normal(size=3),
                         b_a=rng.normal(scale=0.05, size=3),
                         b_g=rng.normal(scale=0.01, size=3),
                     )
@@ -217,8 +218,8 @@ class TestResidual:
             h = 1e-6
             for J, which in ((Ji, 0), (Jj, 1)):
                 num = np.zeros_like(J)
-                for k in range(18):
-                    e = np.zeros(18)
+                for k in range(STATE_DIM):
+                    e = np.zeros(STATE_DIM)
                     e[k] = h
                     xs_p = [x_i, x_j]
                     xs_m = [x_i, x_j]
