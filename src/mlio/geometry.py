@@ -51,20 +51,75 @@ def so3_exp(phi) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
+def matvec_many(A, x) -> np.ndarray:
+    """Stacked matrix-vector products A[k] @ x[k], shape (..., a)."""
+    return (A @ np.asarray(x)[..., None])[..., 0]
+
+
+def skew_many(v) -> np.ndarray:
+    """Stacked skew matrices of (..., 3) vectors, shape (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
+
+
+def so3_exp_many(phi) -> np.ndarray:
+    """so3_exp of stacked (m, 3) rotation vectors, shape (m, 3, 3)."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
+    K = skew_many(phi)
+    small = theta < 1e-8
+    ts = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(ts) / ts)
+    b = np.where(small, 0.5, (1.0 - np.cos(ts)) / ts**2)
+    return np.eye(3) + a * K + b * (K @ K)
+
+
 def so3_log(R) -> np.ndarray:
-    """Rotation vector of R. Requires angle < pi - 1e-6."""
+    """Rotation vector of R; see so3_log_many."""
+    return so3_log_many(np.asarray(R, dtype=float)[None])[0]
+
+
+# The log is two-valued at a half-turn (phi and -phi), and closer to it
+# than this a perturbation of R of the same size flips the result's sign.
+LOG_PI_MARGIN = 1e-8
+
+
+def so3_log_many(R) -> np.ndarray:
+    """Rotation vectors of stacked (m, 3, 3) rotations, shape (m, 3).
+
+    The angle is atan2(sin, cos), accurate over the whole range. Below a
+    quarter turn the axis comes from the antisymmetric part of R (2 sin
+    theta times the axis); above it from the largest column of the
+    symmetric part R + R^T + (1 - tr R) I (2 (1 - cos theta) times axis
+    axis^T), with the sign of the antisymmetric part. Each divides by
+    the larger of sin theta and 1 - cos theta, so no angle loses
+    precision. Requires every angle <= pi - LOG_PI_MARGIN."""
     R = np.asarray(R, dtype=float)
-    c = (np.trace(R) - 1.0) * 0.5
-    c = min(1.0, max(-1.0, c))
-    theta = math.acos(c)
-    if theta >= math.pi - 1e-6:
+    w = R[:, (2, 0, 1), (1, 2, 0)] - R[:, (1, 2, 0), (2, 0, 1)]
+    s = 0.5 * np.sqrt(np.sum(w * w, axis=-1))
+    c = 0.5 * (R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0)
+    theta = np.arctan2(s, c)
+    if (theta > math.pi - LOG_PI_MARGIN).any():
         raise DegenerateInputError("rotation angle too close to pi for log map")
-    if theta < 1e-8:
-        w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-        return w
-    return theta / (2.0 * math.sin(theta)) * np.array(
-        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]
-    )
+    small = theta < 1e-8
+    scale = np.where(small, 0.5, theta / np.where(small, 1.0, 2.0 * s))
+    out = scale[:, None] * w
+    wide = c < 0.0
+    if wide.any():
+        Rw = R[wide]
+        B = Rw + np.swapaxes(Rw, -1, -2)
+        B[:, [0, 1, 2], [0, 1, 2]] -= 2.0 * c[wide, None]
+        k = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
+        axis = B[np.arange(len(k)), :, k]
+        axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+        axis *= np.where(np.sum(axis * w[wide], axis=-1) < 0.0, -1.0, 1.0)[:, None]
+        out[wide] = theta[wide, None] * axis
+    return out
 
 
 def so3_left_jacobian(phi) -> np.ndarray:
@@ -79,14 +134,28 @@ def so3_left_jacobian(phi) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def so3_left_jacobian_inv(phi) -> np.ndarray:
+def so3_left_jacobian_many(phi) -> np.ndarray:
+    """so3_left_jacobian of stacked (m, 3) vectors, shape (m, 3, 3)."""
     phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    K = skew(phi)
-    if theta < 1e-6:
-        return np.eye(3) - 0.5 * K + (K @ K) / 12.0
-    cot_half = theta * math.cos(theta / 2.0) / (2.0 * math.sin(theta / 2.0))
-    b = (1.0 - cot_half) / theta**2
+    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
+    K = skew_many(phi)
+    small = theta < 1e-6
+    ts = np.where(small, 1.0, theta)
+    a = np.where(small, 0.5, (1.0 - np.cos(ts)) / ts**2)
+    b = np.where(small, 1.0 / 6.0, (ts - np.sin(ts)) / ts**3)
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+def so3_left_jacobian_inv_many(phi) -> np.ndarray:
+    """Inverse left Jacobians of stacked (m, 3) vectors, (m, 3, 3); the
+    inverse right Jacobian at phi is the one at -phi."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
+    K = skew_many(phi)
+    small = theta < 1e-6
+    ts = np.where(small, 1.0, theta)
+    cot_half = ts * np.cos(ts / 2.0) / (2.0 * np.sin(ts / 2.0))
+    b = np.where(small, 1.0 / 12.0, (1.0 - cot_half) / ts**2)
     return np.eye(3) - 0.5 * K + b * (K @ K)
 
 
@@ -238,48 +307,57 @@ def se3_exp(xi) -> Pose:
 
 
 def se3_log(p: Pose) -> np.ndarray:
-    phi = so3_log(p.R)
-    rho = so3_left_jacobian_inv(phi) @ p.t
-    return np.concatenate([phi, rho])
+    return se3_log_many(p.R[None], p.t[None])[0]
 
 
-def _se3_Q(phi, rho) -> np.ndarray:
-    """Second-order block of the SE(3) left Jacobian (Barfoot)."""
-    theta = np.linalg.norm(phi)
-    px = skew(phi)
-    rx = skew(rho)
+def se3_log_many(R, t) -> np.ndarray:
+    """Twists (m, 6) of the poses (R (m, 3, 3), t (m, 3))."""
+    phi = so3_log_many(R)
+    rho = matvec_many(so3_left_jacobian_inv_many(phi), t)
+    return np.concatenate([phi, rho], axis=-1)
+
+
+def _se3_Q_many(phi, rho) -> np.ndarray:
+    """Second-order block of the SE(3) left Jacobian (Barfoot), for
+    stacked (m, 3) phi and rho."""
+    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
+    px = skew_many(phi)
+    rx = skew_many(rho)
     px_rx = px @ rx
     rx_px = rx @ px
     px_rx_px = px_rx @ px
-    if theta < 1e-4:
-        c1 = 1.0 / 6.0 - theta**2 / 120.0
-        c2 = 1.0 / 24.0 - theta**2 / 720.0
-        c3 = 1.0 / 120.0 - theta**2 / 2520.0
-    else:
-        c1 = (theta - math.sin(theta)) / theta**3
-        c2 = (1.0 - theta**2 / 2.0 - math.cos(theta)) / theta**4
-        c3 = 0.5 * (
-            c2 - 3.0 * (theta - math.sin(theta) - theta**3 / 6.0) / theta**5
-        )
-    Q = (
+    small = theta < 1e-4
+    ts = np.where(small, 1.0, theta)
+    c1 = (ts - np.sin(ts)) / ts**3
+    c2 = (1.0 - ts**2 / 2.0 - np.cos(ts)) / ts**4
+    c3 = 0.5 * (c2 - 3.0 * (ts - np.sin(ts) - ts**3 / 6.0) / ts**5)
+    t2 = theta**2
+    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, c1)
+    c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0, c2)
+    c3 = np.where(small, 1.0 / 120.0 - t2 / 2520.0, c3)
+    return (
         0.5 * rx
         + c1 * (px_rx + rx_px + px_rx_px)
         - c2 * (px @ px_rx + rx_px @ px - 3.0 * px_rx_px)
         - c3 * (px_rx_px @ px + px @ px_rx_px)
     )
-    return Q
 
 
 def se3_left_jacobian_inv(xi) -> np.ndarray:
     """Inverse left Jacobian of SE(3) in (rot, trans) ordering."""
+    return se3_left_jacobian_inv_many(np.asarray(xi, dtype=float)[None])[0]
+
+
+def se3_left_jacobian_inv_many(xi) -> np.ndarray:
+    """se3_left_jacobian_inv of stacked (m, 6) twists, shape (m, 6, 6);
+    the inverse right Jacobian at xi is the one at -xi."""
     xi = np.asarray(xi, dtype=float)
-    phi, rho = xi[:3], xi[3:]
-    Jinv = so3_left_jacobian_inv(phi)
-    Q = _se3_Q(phi, rho)
-    out = np.zeros((6, 6))
-    out[:3, :3] = Jinv
-    out[3:, 3:] = Jinv
-    out[3:, :3] = -Jinv @ Q @ Jinv
+    phi, rho = xi[:, :3], xi[:, 3:]
+    Jinv = so3_left_jacobian_inv_many(phi)
+    out = np.zeros((len(xi), 6, 6))
+    out[:, :3, :3] = Jinv
+    out[:, 3:, 3:] = Jinv
+    out[:, 3:, :3] = -Jinv @ _se3_Q_many(phi, rho) @ Jinv
     return out
 
 
@@ -301,29 +379,64 @@ class NavState:
             object.__setattr__(self, name, val)
 
     def retract(self, delta) -> "NavState":
-        """Apply a 15-dim tangent update ordered (rot, trans, v, b_a,
-        b_g); rotation via right perturbation, translation and vector
-        blocks additive."""
-        delta = np.asarray(delta, dtype=float).reshape(15)
-        pose = Pose(self.pose.R @ so3_exp(delta[0:3]), self.pose.t + delta[3:6])
-        return NavState(
-            pose=pose,
-            v=self.v + delta[6:9],
-            b_a=self.b_a + delta[9:12],
-            b_g=self.b_g + delta[12:15],
+        """Apply a 15-dim tangent update, see NavStates.retract."""
+        delta = np.asarray(delta, dtype=float).reshape(1, 15)
+        return NavStates.stack([self]).retract(delta).unstack()[0]
+
+
+@dataclass(frozen=True)
+class NavStates:
+    """m NavStates as stacked arrays: R (m, 3, 3); t, v, b_a, b_g (m, 3)."""
+
+    R: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+    b_a: np.ndarray
+    b_g: np.ndarray
+
+    @staticmethod
+    def stack(states) -> "NavStates":
+        return NavStates(
+            np.stack([s.pose.R for s in states]),
+            np.stack([s.pose.t for s in states]),
+            np.stack([s.v for s in states]),
+            np.stack([s.b_a for s in states]),
+            np.stack([s.b_g for s in states]),
         )
 
-    def local(self, other: "NavState") -> np.ndarray:
-        """Tangent of other relative to self (inverse of retract)."""
-        return np.concatenate(
-            [
-                so3_log(self.pose.R.T @ other.pose.R),
-                other.pose.t - self.pose.t,
-                other.v - self.v,
-                other.b_a - self.b_a,
-                other.b_g - self.b_g,
-            ]
+    def unstack(self) -> list:
+        return [
+            NavState(pose=Pose(R, t), v=v, b_a=b_a, b_g=b_g)
+            for R, t, v, b_a, b_g in zip(self.R, self.t, self.v, self.b_a,
+                                         self.b_g)
+        ]
+
+    def take(self, idx) -> "NavStates":
+        return NavStates(self.R[idx], self.t[idx], self.v[idx],
+                         self.b_a[idx], self.b_g[idx])
+
+    def retract(self, delta) -> "NavStates":
+        """Apply (m, 15) tangent updates ordered (rot, trans, v, b_a,
+        b_g); rotation via right perturbation, translation and vector
+        blocks additive."""
+        return NavStates(
+            self.R @ so3_exp_many(delta[:, 0:3]),
+            self.t + delta[:, 3:6],
+            self.v + delta[:, 6:9],
+            self.b_a + delta[:, 9:12],
+            self.b_g + delta[:, 12:15],
         )
+
+    def local(self, other: "NavStates") -> np.ndarray:
+        """Tangents (m, 15) of other relative to self, the inverse of
+        retract."""
+        return np.concatenate([
+            so3_log_many(np.swapaxes(self.R, -1, -2) @ other.R),
+            other.t - self.t,
+            other.v - self.v,
+            other.b_a - self.b_a,
+            other.b_g - self.b_g,
+        ], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Keyframe states are connected by prior, preintegrated-IMU, lidar
 between and GNSS position factors; the joint nonlinear least-squares
 problem is solved with Levenberg-Marquardt on the manifold (lift,
 solve, retract) and old keyframes leave the window through a
-Schur-complement marginal prior.
+Schur-complement marginal prior. Every pass over the factors evaluates
+each factor kind in one vectorized batch on stacked states.
 """
 
 from __future__ import annotations
@@ -17,24 +18,24 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import (
     NavState,
+    NavStates,
     Pose,
-    pose_compose,
-    pose_inverse,
+    matvec_many,
     quat_from_rotmat,
-    se3_left_jacobian_inv,
-    se3_log,
-    skew,
+    se3_left_jacobian_inv_many,
+    se3_log_many,
+    skew_many,
     to_seconds,
 )
 from .preintegration import (
     ImuNoiseParams,
     PreintegratedDelta,
-    imu_residual,
-    imu_residual_jacobians,
+    imu_residual_jacobians_many,
     residual_covariance,
+    stack_deltas,
 )
 
-STATE_DIM = 15  # tangent (rot, trans, v, b_a, b_g), see NavState.retract
+STATE_DIM = 15  # tangent (rot, trans, v, b_a, b_g), see NavStates.retract
 DEFAULT_BETWEEN_SIGMA_ROT = math.radians(0.5)
 DEFAULT_BETWEEN_SIGMA_TRANS = 0.05
 GNSS_GATE_CHI2 = 16.27  # chi-square 3 dof, 99.9%
@@ -57,10 +58,20 @@ class GnssFix:
 
 @dataclass(frozen=True)
 class OptimizeReport:
-    iterations: int
+    iterations: int  # accepted LM steps
     initial_cost: float
     final_cost: float
     converged: bool
+    rejected: int  # trials whose cost rose
+    failed_factorizations: int
+
+
+# Levenberg-Marquardt stop rules (Madsen, Nielsen & Tingleff 2004): the
+# decrease the linear model predicts for a step below this share of the
+# cost, or a gradient J^T r with no entry above LM_GRADIENT_TOL.
+LM_FUNCTION_TOL = 1e-12
+LM_GRADIENT_TOL = 1e-10
+LM_MAX_TRIALS = 12  # consecutive rejected or unfactorable trials
 
 
 def _sqrt_info(cov) -> np.ndarray:
@@ -68,42 +79,58 @@ def _sqrt_info(cov) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(np.asarray(cov, dtype=float)))
 
 
-def _decoupled(R) -> np.ndarray:
-    """Maps the (rot, trans) retraction tangent of a pose to the right
-    se3 perturbation of that pose."""
-    out = np.eye(6)
-    out[3:, 3:] = R.T
+def _tr(A) -> np.ndarray:
+    return np.swapaxes(A, -1, -2)
+
+
+def _decoupled(J, R) -> np.ndarray:
+    """J (m, 6, 6) with respect to the (rot, trans) retraction tangent of
+    poses with rotations R, given J with respect to their right se3
+    perturbation: the trans columns turn by R^T."""
+    out = J.copy()
+    out[:, :, 3:] = J[:, :, 3:] @ _tr(R)
     return out
 
 
-def se3_right_jacobian_inv(xi) -> np.ndarray:
-    return se3_left_jacobian_inv(-np.asarray(xi, dtype=float))
-
-
-def pose_adjoint(p: Pose) -> np.ndarray:
-    ad = np.zeros((6, 6))
-    ad[:3, :3] = p.R
-    ad[3:, 3:] = p.R
-    ad[3:, :3] = skew(p.t) @ p.R
-    return ad
+def _prior_many(x: NavStates, anchor_R, anchor_t, b_a0, b_g0):
+    """residual_prior and residual_prior_jacobian of m states at once:
+    r (m, 15) and J (m, 15, 15)."""
+    RaT = _tr(anchor_R)
+    r_pose = se3_log_many(RaT @ x.R, matvec_many(RaT, x.t - anchor_t))
+    r = np.concatenate([r_pose, x.v, x.b_a - b_a0, x.b_g - b_g0], axis=-1)
+    J = np.tile(np.eye(STATE_DIM), (len(r), 1, 1))
+    J[:, :6, :6] = _decoupled(se3_left_jacobian_inv_many(-r_pose), x.R)
+    return r, J
 
 
 def residual_prior(x0: NavState, anchor: Pose, b_a0, b_g0) -> np.ndarray:
     """Anchors the first state: pose to the initialization pose,
     velocity to zero, biases to their initial estimates. The 15-vector
     is ordered like the state tangent (pose, v, b_a, b_g)."""
-    r_pose = se3_log(pose_compose(pose_inverse(anchor), x0.pose))
-    return np.concatenate(
-        [r_pose, x0.v, x0.b_a - np.asarray(b_a0, dtype=float),
-         x0.b_g - np.asarray(b_g0, dtype=float)]
-    )
+    return _prior_many(NavStates.stack([x0]), anchor.R, anchor.t,
+                       np.asarray(b_a0, dtype=float),
+                       np.asarray(b_g0, dtype=float))[0][0]
 
 
 def residual_prior_jacobian(x0: NavState, anchor: Pose) -> np.ndarray:
-    r_pose = se3_log(pose_compose(pose_inverse(anchor), x0.pose))
-    J = np.eye(STATE_DIM)
-    J[:6, :6] = se3_right_jacobian_inv(r_pose) @ _decoupled(x0.pose.R)
-    return J
+    return _prior_many(NavStates.stack([x0]), anchor.R, anchor.t, 0.0, 0.0)[1][0]
+
+
+def _between_many(R_i, t_i, R_j, t_j, z_R, z_t):
+    """residual_between_jacobians of m pose pairs at once: r (m, 6),
+    J_i and J_j (m, 6, 6)."""
+    RjT = _tr(R_j)
+    # (T_i^-1 T_j)^-1 z
+    r = se3_log_many(RjT @ R_i @ z_R,
+                     matvec_many(RjT, matvec_many(R_i, z_t) + t_i - t_j))
+    # adjoint of z^-1 = (z_R^T, -z_R^T z_t)
+    ad = np.zeros((len(r), 6, 6))
+    ad[:, :3, :3] = _tr(z_R)
+    ad[:, 3:, 3:] = _tr(z_R)
+    ad[:, 3:, :3] = skew_many(-matvec_many(_tr(z_R), z_t)) @ _tr(z_R)
+    J_i = _decoupled(se3_left_jacobian_inv_many(-r) @ ad, R_i)
+    J_j = -_decoupled(se3_left_jacobian_inv_many(r), R_j)
+    return r, J_i, J_j
 
 
 def residual_between(T_i: Pose, T_j: Pose, z: Pose) -> np.ndarray:
@@ -114,29 +141,55 @@ def residual_between(T_i: Pose, T_j: Pose, z: Pose) -> np.ndarray:
     ICP at j starts from a prior predicted from the smoothed i and
     registers against a map built from smoothed poses, so z is taken
     relative to that smoothed pose."""
-    rel = pose_compose(pose_inverse(T_i), T_j)
-    return se3_log(pose_compose(pose_inverse(rel), z))
+    return residual_between_jacobians(T_i, T_j, z)[0]
 
 
 def residual_between_jacobians(T_i: Pose, T_j: Pose, z: Pose):
-    r = residual_between(T_i, T_j, z)
-    J_i = se3_right_jacobian_inv(r) @ pose_adjoint(pose_inverse(z)) @ _decoupled(T_i.R)
-    J_j = -se3_left_jacobian_inv(r) @ _decoupled(T_j.R)
-    return r, J_i, J_j
+    r, J_i, J_j = _between_many(T_i.R[None], T_i.t[None], T_j.R[None],
+                                T_j.t[None], z.R[None], z.t[None])
+    return r[0], J_i[0], J_j[0]
 
 
 def residual_gnss(x_i: NavState, fix: GnssFix) -> np.ndarray:
     return x_i.pose.t - fix.t
 
 
+def _whiten(S, r, J):
+    """Whitened residuals (m, d) and Jacobians (m, k, d, 15) of m
+    factors with square-root informations S (m, d, d)."""
+    return matvec_many(S, r), S[:, None] @ J
+
+
+def _stacked(factors, name) -> np.ndarray:
+    return np.stack([getattr(f, name) for f in factors])
+
+
 class _Factor:
-    """Base: concrete factors define nodes, residual and jacobians
-    (already whitened)."""
+    """Base. Each concrete kind evaluates m of its factors in one call:
+    `stack(factors)` gathers their constants into stacked arrays once,
+    and `evaluate(params, x, idx)` takes those, the stacked states x and
+    idx (m, k), the row of x of each factor's k nodes. It returns the
+    whitened residuals (m, d) and Jacobians (m, k, d, STATE_DIM)."""
 
     nodes: tuple
 
-    def whitened(self, states):  # -> (residual, [jacobian per node])
+    def batch_key(self):
+        """Factors with equal keys are evaluated in one batch."""
+        return type(self)
+
+    @classmethod
+    def stack(cls, factors):
         raise NotImplementedError
+
+    @classmethod
+    def evaluate(cls, params, x: NavStates, idx):
+        raise NotImplementedError
+
+    def whitened(self, states):  # -> (residual, [jacobian per node])
+        """This factor alone, as a batch of one."""
+        r, J = self.evaluate(self.stack([self]), NavStates.stack(states),
+                             np.arange(len(states))[None])
+        return r[0], list(J[0])
 
 
 class PriorFactor(_Factor):
@@ -149,11 +202,18 @@ class PriorFactor(_Factor):
         self.b_g0 = np.asarray(b_g0, dtype=float).reshape(3)
         self.sqrt_info = _sqrt_info(cov)
 
-    def whitened(self, states):
-        x = states[0]
-        r = residual_prior(x, self.anchor, self.b_a0, self.b_g0)
-        J = residual_prior_jacobian(x, self.anchor)
-        return self.sqrt_info @ r, [self.sqrt_info @ J]
+    @classmethod
+    def stack(cls, factors):
+        return (np.stack([f.anchor.R for f in factors]),
+                np.stack([f.anchor.t for f in factors]),
+                _stacked(factors, "b_a0"), _stacked(factors, "b_g0"),
+                _stacked(factors, "sqrt_info"))
+
+    @classmethod
+    def evaluate(cls, params, x, idx):
+        *anchors, S = params
+        r, J = _prior_many(x.take(idx[:, 0]), *anchors)
+        return _whiten(S, r, J[:, None])
 
 
 class BiasAnchorFactor(_Factor):
@@ -173,13 +233,19 @@ class BiasAnchorFactor(_Factor):
         self.b_g0 = np.asarray(b_g0, dtype=float).reshape(3)
         self.sqrt_info = np.diag([1.0 / sigma_ba] * 3 + [1.0 / sigma_bg] * 3)
 
-    def whitened(self, states):
-        x = states[0]
-        r = np.concatenate([x.b_a - self.b_a0, x.b_g - self.b_g0])
-        J = np.zeros((6, STATE_DIM))
-        J[:3, 9:12] = np.eye(3)
-        J[3:, 12:15] = np.eye(3)
-        return self.sqrt_info @ r, [self.sqrt_info @ J]
+    @classmethod
+    def stack(cls, factors):
+        return (_stacked(factors, "b_a0"), _stacked(factors, "b_g0"),
+                _stacked(factors, "sqrt_info"))
+
+    @classmethod
+    def evaluate(cls, params, x, idx):
+        b_a0, b_g0, S = params
+        x = x.take(idx[:, 0])
+        r = np.concatenate([x.b_a - b_a0, x.b_g - b_g0], axis=-1)
+        J = np.zeros((len(r), 1, 6, STATE_DIM))
+        J[:, 0, :, 9:15] = np.eye(6)
+        return _whiten(S, r, J)
 
 
 class ImuFactor(_Factor):
@@ -191,11 +257,17 @@ class ImuFactor(_Factor):
         self.delta = delta
         self.sqrt_info = _sqrt_info(residual_covariance(delta, noise))
 
-    def whitened(self, states):
-        x_i, x_j = states
-        r = imu_residual(x_i, x_j, self.delta)
-        J_i, J_j = imu_residual_jacobians(x_i, x_j, self.delta)
-        return self.sqrt_info @ r, [self.sqrt_info @ J_i, self.sqrt_info @ J_j]
+    @classmethod
+    def stack(cls, factors):
+        return (stack_deltas([f.delta for f in factors]),
+                _stacked(factors, "sqrt_info"))
+
+    @classmethod
+    def evaluate(cls, params, x, idx):
+        deltas, S = params
+        r, J_i, J_j = imu_residual_jacobians_many(
+            x.take(idx[:, 0]), x.take(idx[:, 1]), deltas)
+        return _whiten(S, r, np.stack([J_i, J_j], axis=1))
 
 
 class BetweenFactor(_Factor):
@@ -214,15 +286,21 @@ class BetweenFactor(_Factor):
             )
         self.sqrt_info = _sqrt_info(cov)
 
-    def whitened(self, states):
-        x_i, x_j = states
-        r, J_i, J_j = residual_between_jacobians(x_i.pose, x_j.pose, self.z)
-        Z = np.zeros((6, STATE_DIM))
-        Ji = Z.copy()
-        Jj = Z.copy()
-        Ji[:, :6] = J_i
-        Jj[:, :6] = J_j
-        return self.sqrt_info @ r, [self.sqrt_info @ Ji, self.sqrt_info @ Jj]
+    @classmethod
+    def stack(cls, factors):
+        return (np.stack([f.z.R for f in factors]),
+                np.stack([f.z.t for f in factors]),
+                _stacked(factors, "sqrt_info"))
+
+    @classmethod
+    def evaluate(cls, params, x, idx):
+        z_R, z_t, S = params
+        x_i, x_j = x.take(idx[:, 0]), x.take(idx[:, 1])
+        r, J_i, J_j = _between_many(x_i.R, x_i.t, x_j.R, x_j.t, z_R, z_t)
+        J = np.zeros((len(r), 2, 6, STATE_DIM))
+        J[:, 0, :, :6] = J_i
+        J[:, 1, :, :6] = J_j
+        return _whiten(S, r, J)
 
 
 class GnssFactor(_Factor):
@@ -233,12 +311,18 @@ class GnssFactor(_Factor):
         self.fix = fix
         self.sqrt_info = _sqrt_info(fix.cov)
 
-    def whitened(self, states):
-        x = states[0]
-        r = residual_gnss(x, self.fix)
-        J = np.zeros((3, STATE_DIM))
-        J[:, 3:6] = np.eye(3)
-        return self.sqrt_info @ r, [self.sqrt_info @ J]
+    @classmethod
+    def stack(cls, factors):
+        return (np.stack([f.fix.t for f in factors]),
+                _stacked(factors, "sqrt_info"))
+
+    @classmethod
+    def evaluate(cls, params, x, idx):
+        t, S = params
+        r = x.take(idx[:, 0]).t - t
+        J = np.zeros((len(r), 1, 3, STATE_DIM))
+        J[:, 0, :, 3:6] = np.eye(3)
+        return _whiten(S, r, J)
 
 
 class LinearFactor(_Factor):
@@ -254,15 +338,36 @@ class LinearFactor(_Factor):
         self.Lambda = np.asarray(Lambda, dtype=float)
         self.r0 = np.asarray(r0, dtype=float)
 
-    def whitened(self, states):
-        delta = np.concatenate(
-            [lin.local(x) for lin, x in zip(self.lin_states, states)]
-        )
-        jacs = [
-            self.Lambda[:, k * STATE_DIM:(k + 1) * STATE_DIM]
-            for k in range(len(self.nodes))
-        ]
-        return self.r0 + self.Lambda @ delta, jacs
+    def batch_key(self):
+        return (type(self), self.Lambda.shape)
+
+    @classmethod
+    def stack(cls, factors):
+        lin = NavStates.stack([s for f in factors for s in f.lin_states])
+        return lin, _stacked(factors, "Lambda"), _stacked(factors, "r0")
+
+    @classmethod
+    def evaluate(cls, params, x, idx):
+        lin, Lam, r0 = params
+        m, k = idx.shape
+        delta = lin.local(x.take(idx.reshape(-1))).reshape(m, k * STATE_DIM)
+        r = r0 + matvec_many(Lam, delta)
+        J = Lam.reshape(m, -1, k, STATE_DIM).transpose(0, 2, 1, 3)
+        return r, J
+
+
+def _batches(factors, order) -> list:
+    """`factors` grouped into batches by batch_key: (kind, its stacked
+    constants, the rows in `order` of each factor's nodes (m, k))."""
+    row = {idx: k for k, idx in enumerate(order)}
+    groups = {}
+    for f in factors:
+        groups.setdefault(f.batch_key(), []).append(f)
+    return [
+        (type(fs[0]), type(fs[0]).stack(fs),
+         np.array([[row[i] for i in f.nodes] for f in fs]))
+        for fs in groups.values()
+    ]
 
 
 @dataclass
@@ -294,7 +399,7 @@ class FactorGraph:
         if float(np.trace(est_cov)) > float(np.trace(fix.cov)):
             self.add_factor(GnssFactor(idx, fix))
             return True
-        r = self.nodes[idx].pose.t - fix.t
+        r = residual_gnss(self.nodes[idx], fix)
         S = est_cov + fix.cov + np.eye(3) * 1e-9
         if float(r @ np.linalg.solve(S, r)) > GNSS_GATE_CHI2:
             return False
@@ -309,72 +414,92 @@ class FactorGraph:
     def normal_equations(self, states: dict, order, factors=None):
         """Gauss-Newton system (H, b, cost) of `factors` (default: all)
         at `states` over the nodes in `order`: H = J^T J and b = J^T r
-        of the whitened residuals, cost = r^T r. Each factor is
-        evaluated once and adds J_a^T J_c into the block of each of its
-        node pairs; J itself is never formed."""
+        of the whitened residuals, cost = r^T r."""
         factors = self.factors if factors is None else factors
-        col = {idx: k * STATE_DIM for k, idx in enumerate(order)}
-        n = STATE_DIM * len(order)
-        H = np.zeros((n, n))
-        b = np.zeros(n)
+        x = NavStates.stack([states[i] for i in order])
+        return self._linearize(x, _batches(factors, order))
+
+    def _linearize(self, x: NavStates, batches):
+        """normal_equations at the stacked states x of prepared
+        `batches`. Each batch is evaluated in one call, and its
+        J_a^T J_c blocks for every node pair (a, c) of its factors are
+        added in with one indexed add; J itself is never formed."""
+        n, d = len(x.t), STATE_DIM
+        H = np.zeros((n * n, d, d))  # block (a, c) at row a * n + c
+        b = np.zeros((n, d))
         cost = 0.0
-        for f in factors:
-            r, jacs = f.whitened([states[i] for i in f.nodes])
-            cost += float(r @ r)
-            cols = [col[i] for i in f.nodes]
-            for a, J_a in zip(cols, jacs):
-                b[a:a + STATE_DIM] += J_a.T @ r
-                for c, J_c in zip(cols, jacs):
-                    H[a:a + STATE_DIM, c:c + STATE_DIM] += J_a.T @ J_c
-        return H, b, cost
+        for kind, params, idx in batches:
+            r, J = kind.evaluate(params, x, idx)
+            cost += float(np.einsum("md,md->", r, r))
+            Jt = np.swapaxes(J, -1, -2)
+            np.add.at(b, idx, matvec_many(Jt, r[:, None]))
+            np.add.at(H, idx[:, :, None] * n + idx[:, None, :],
+                      Jt[:, :, None] @ J[:, None])
+        H = H.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+        return H, b.reshape(-1), cost
 
     def optimize(self, max_iter: int = 50) -> OptimizeReport:
+        """Levenberg-Marquardt over the window, at most `max_iter`
+        accepted steps. Each trial solves (H + lam I) delta = -b; a step
+        is taken when the cost does not rise, and lam shrinks or grows
+        tenfold on acceptance or rejection. It stops converged, without
+        evaluating the step, when the step's predicted decrease
+        delta^T H delta + 2 lam |delta|^2 is at most LM_FUNCTION_TOL of
+        the cost or the gradient is below LM_GRADIENT_TOL, and also
+        after an accepted step that changed the cost by a relative 1e-9
+        or less or moved less than 1e-10; it stops unconverged after
+        LM_MAX_TRIALS failed trials in a row."""
         order = self._order()
         self._check_connected(order)
-        states = dict(self.nodes)
-        H, b, cost = self.normal_equations(states, order)
+        batches = _batches(self.factors, order)
+        x = NavStates.stack([self.nodes[i] for i in order])
+        H, b, cost = self._linearize(x, batches)
         initial_cost = cost
         lam = 1e-4
         converged = False
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            accepted = False
-            for _ in range(12):
-                try:
-                    # unchecked: a non-finite system fails here or at the cost test
-                    factor = cho_factor(H + lam * np.eye(len(b)),
-                                        check_finite=False)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                delta = cho_solve(factor, -b, check_finite=False)
-                cand = {
-                    idx: states[idx].retract(
-                        delta[k * STATE_DIM:(k + 1) * STATE_DIM]
-                    )
-                    for k, idx in enumerate(order)
-                }
-                # the accepted candidate's system is the next linearization
-                H_c, b_c, new_cost = self.normal_equations(cand, order)
-                if new_cost <= cost:
-                    step_norm = float(np.linalg.norm(delta))
-                    states, H, b = cand, H_c, b_c
-                    rel = (cost - new_cost) / max(cost, 1e-300)
-                    cost = new_cost
-                    lam = max(lam / 10.0, 1e-12)
-                    accepted = True
-                    if rel < 1e-9 or step_norm < 1e-10:
-                        converged = True
-                    break
-                lam *= 10.0
-            if not accepted or converged:
+        iterations = rejected = failed = trials = 0
+        eye = np.eye(len(b))
+        while iterations < max_iter and trials < LM_MAX_TRIALS:
+            if np.max(np.abs(b)) <= LM_GRADIENT_TOL:
+                converged = True
                 break
-        self.nodes.update(states)
+            trials += 1
+            try:
+                # unchecked: a non-finite system fails here or at the cost test
+                factor = cho_factor(H + lam * eye, check_finite=False)
+            except np.linalg.LinAlgError:
+                failed += 1
+                lam *= 10.0
+                continue
+            delta = cho_solve(factor, -b, check_finite=False)
+            step_sq = float(delta @ delta)
+            predicted = float(delta @ H @ delta) + 2.0 * lam * step_sq
+            if predicted <= LM_FUNCTION_TOL * cost:
+                converged = True
+                break
+            cand = x.retract(delta.reshape(-1, STATE_DIM))
+            # the accepted candidate's system is the next linearization
+            H_c, b_c, new_cost = self._linearize(cand, batches)
+            if not new_cost <= cost:  # a non-finite cost is rejected too
+                rejected += 1
+                lam *= 10.0
+                continue
+            rel = (cost - new_cost) / max(cost, 1e-300)
+            x, H, b, cost = cand, H_c, b_c, new_cost
+            lam = max(lam / 10.0, 1e-12)
+            iterations += 1
+            trials = 0
+            if rel < 1e-9 or step_sq < 1e-20:
+                converged = True
+                break
+        self.nodes.update(zip(order, x.unstack()))
         return OptimizeReport(
             iterations=iterations,
             initial_cost=initial_cost,
             final_cost=cost,
             converged=converged,
+            rejected=rejected,
+            failed_factorizations=failed,
         )
 
     def _check_connected(self, order):

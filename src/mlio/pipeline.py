@@ -127,6 +127,9 @@ class RunCounters:
     gnss_added: int = 0
     gnss_rejected: int = 0
     gnss_unassociated: int = 0  # fixes no keyframe took (GNSS_ASSOCIATION_NS)
+    lm_iterations: int = 0  # accepted LM steps, summed over keyframes
+    lm_rejected: int = 0  # LM trials whose cost rose
+    lm_unconverged: int = 0  # optimizes that stopped unconverged
     sensors_consumed: dict = field(default_factory=dict)
 
 
@@ -484,6 +487,9 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
             raise EstimatorDivergence(
                 f"non-finite cost at keyframe {node}: {report}"
             )
+        counters.lm_iterations += report.iterations
+        counters.lm_rejected += report.rejected
+        counters.lm_unconverged += int(not report.converged)
         while len(graph.nodes) > config.window:
             oldest = min(graph.nodes)
             est_poses[oldest] = graph.nodes[oldest].pose
@@ -550,5 +556,8 @@ def write_run_outputs(out_dir, result: RunResult) -> None:
         fh.write(f"gnss_added: {c.gnss_added}\n")
         fh.write(f"gnss_rejected: {c.gnss_rejected}\n")
         fh.write(f"gnss_unassociated: {c.gnss_unassociated}\n")
+        fh.write(f"lm_iterations: {c.lm_iterations}\n")
+        fh.write(f"lm_rejected: {c.lm_rejected}\n")
+        fh.write(f"lm_unconverged: {c.lm_unconverged}\n")
         for sid in sorted(c.sensors_consumed):
             fh.write(f"consumed {sid}: {c.sensors_consumed[sid]}\n")

@@ -12,19 +12,24 @@ fine-step integrator to the integrator's own error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .geometry import (
     NavState,
+    NavStates,
     Pose,
+    matvec_many,
     skew,
+    skew_many,
     so3_double_integral,
     so3_exp,
+    so3_exp_many,
     so3_left_jacobian,
-    so3_left_jacobian_inv,
-    so3_log,
+    so3_left_jacobian_inv_many,
+    so3_left_jacobian_many,
+    so3_log_many,
     so3_right_jacobian,
 )
 
@@ -143,20 +148,20 @@ def predict(x_i: NavState, delta: PreintegratedDelta, g=GRAVITY) -> NavState:
     return NavState(pose=Pose(R_j, p_j), v=v_j, b_a=x_i.b_a, b_g=x_i.b_g)
 
 
+def stack_deltas(deltas) -> PreintegratedDelta:
+    """m deltas as one PreintegratedDelta whose fields carry a leading
+    axis of length m (dt becomes an (m,) array)."""
+    return PreintegratedDelta(**{
+        f.name: np.stack([getattr(d, f.name) for d in deltas])
+        for f in fields(PreintegratedDelta)
+    })
+
+
 def imu_residual(
     x_i: NavState, x_j: NavState, delta: PreintegratedDelta, g=GRAVITY
 ) -> np.ndarray:
     """15-vector residual ordered (rot, pos, vel, b_a, b_g)."""
-    dR, dv, dp = delta.corrected(x_i.b_a, x_i.b_g)
-    R_i, p_i, v_i = x_i.pose.R, x_i.pose.t, x_i.v
-    R_j, p_j, v_j = x_j.pose.R, x_j.pose.t, x_j.v
-    dt = delta.dt
-    r_rot = so3_log(dR.T @ (R_i.T @ R_j))
-    r_pos = R_i.T @ (p_j - p_i - v_i * dt - 0.5 * g * dt**2) - dp
-    r_vel = R_i.T @ (v_j - v_i - g * dt) - dv
-    r_ba = x_j.b_a - x_i.b_a
-    r_bg = x_j.b_g - x_i.b_g
-    return np.concatenate([r_rot, r_pos, r_vel, r_ba, r_bg])
+    return _imu_many_of_one(x_i, x_j, delta, g)[0][0]
 
 
 def imu_residual_jacobians(
@@ -164,42 +169,67 @@ def imu_residual_jacobians(
 ):
     """Analytic 15x15 Jacobians of imu_residual w.r.t. the tangents of
     x_i and x_j (NavState.retract ordering: rot, trans, v, b_a, b_g)."""
-    dR, dv, dp = delta.corrected(x_i.b_a, x_i.b_g)
-    R_i, p_i, v_i = x_i.pose.R, x_i.pose.t, x_i.v
-    R_j, p_j, v_j = x_j.pose.R, x_j.pose.t, x_j.v
-    dt = delta.dt
-    E = R_i.T @ R_j
-    r_rot = so3_log(dR.T @ E)
-    Jr_inv = so3_left_jacobian_inv(-r_rot)  # right-Jacobian inverse at r_rot
-    Jl_inv = so3_left_jacobian_inv(r_rot)
-    u_p = R_i.T @ (p_j - p_i - v_i * dt - 0.5 * g * dt**2)
-    u_v = R_i.T @ (v_j - v_i - g * dt)
+    _, Ji, Jj = _imu_many_of_one(x_i, x_j, delta, g)
+    return Ji[0], Jj[0]
 
-    Ji = np.zeros((15, 15))
-    Jj = np.zeros((15, 15))
+
+def _imu_many_of_one(x_i, x_j, delta, g):
+    return imu_residual_jacobians_many(
+        NavStates.stack([x_i]), NavStates.stack([x_j]), stack_deltas([delta]), g
+    )
+
+
+def imu_residual_jacobians_many(
+    x_i: NavStates, x_j: NavStates, delta: PreintegratedDelta, g=GRAVITY
+):
+    """imu_residual and imu_residual_jacobians of m factors at once:
+    x_i, x_j hold their m start and end states, delta their stacked
+    deltas (stack_deltas). Returns r (m, 15), J_i and J_j (m, 15, 15)."""
+    dba = x_i.b_a - delta.b_a0
+    dbg = x_i.b_g - delta.b_g0
+    # first-order bias correction, as PreintegratedDelta.corrected
+    u = matvec_many(delta.J_r_bg, dbg)
+    dR = delta.dR @ so3_exp_many(u)
+    dv = (delta.dv + matvec_many(delta.J_v_ba, dba)
+          + matvec_many(delta.J_v_bg, dbg))
+    dp = (delta.dp + matvec_many(delta.J_p_ba, dba)
+          + matvec_many(delta.J_p_bg, dbg))
+    dt = delta.dt[:, None]
+    RiT = np.swapaxes(x_i.R, -1, -2)
+    E = RiT @ x_j.R
+    r_rot = so3_log_many(np.swapaxes(dR, -1, -2) @ E)
+    u_p = matvec_many(RiT, x_j.t - x_i.t - x_i.v * dt - 0.5 * g * dt**2)
+    u_v = matvec_many(RiT, x_j.v - x_i.v - g * dt)
+    r = np.concatenate([r_rot, u_p - dp, u_v - dv, x_j.b_a - x_i.b_a,
+                        x_j.b_g - x_i.b_g], axis=-1)
+
+    Jr_inv = so3_left_jacobian_inv_many(-r_rot)  # right-Jacobian inverse at r_rot
+    Jl_inv = so3_left_jacobian_inv_many(r_rot)
+    m = len(r)
+    Ji = np.zeros((m, 15, 15))
+    Jj = np.zeros((m, 15, 15))
     # rotation block; the bias correction enters through
     # Exp(J_r_bg (bg + d)) = Exp(u) Exp(Jr(u) J_r_bg d)
-    u = delta.J_r_bg @ (x_i.b_g - delta.b_g0)
-    Ji[0:3, 0:3] = -Jr_inv @ E.T
-    Ji[0:3, 12:15] = -Jl_inv @ so3_right_jacobian(u) @ delta.J_r_bg
-    Jj[0:3, 0:3] = Jr_inv
+    Ji[:, 0:3, 0:3] = -Jr_inv @ np.swapaxes(E, -1, -2)
+    Ji[:, 0:3, 12:15] = -Jl_inv @ so3_left_jacobian_many(-u) @ delta.J_r_bg
+    Jj[:, 0:3, 0:3] = Jr_inv
     # position block
-    Ji[3:6, 0:3] = skew(u_p)
-    Ji[3:6, 3:6] = -R_i.T
-    Ji[3:6, 6:9] = -R_i.T * dt
-    Ji[3:6, 9:12] = -delta.J_p_ba
-    Ji[3:6, 12:15] = -delta.J_p_bg
-    Jj[3:6, 3:6] = R_i.T
+    Ji[:, 3:6, 0:3] = skew_many(u_p)
+    Ji[:, 3:6, 3:6] = -RiT
+    Ji[:, 3:6, 6:9] = -RiT * dt[..., None]
+    Ji[:, 3:6, 9:12] = -delta.J_p_ba
+    Ji[:, 3:6, 12:15] = -delta.J_p_bg
+    Jj[:, 3:6, 3:6] = RiT
     # velocity block
-    Ji[6:9, 0:3] = skew(u_v)
-    Ji[6:9, 6:9] = -R_i.T
-    Ji[6:9, 9:12] = -delta.J_v_ba
-    Ji[6:9, 12:15] = -delta.J_v_bg
-    Jj[6:9, 6:9] = R_i.T
+    Ji[:, 6:9, 0:3] = skew_many(u_v)
+    Ji[:, 6:9, 6:9] = -RiT
+    Ji[:, 6:9, 9:12] = -delta.J_v_ba
+    Ji[:, 6:9, 12:15] = -delta.J_v_bg
+    Jj[:, 6:9, 6:9] = RiT
     # bias random-walk blocks
-    Ji[9:15, 9:15] = -np.eye(6)
-    Jj[9:15, 9:15] = np.eye(6)
-    return Ji, Jj
+    Ji[:, 9:15, 9:15] = -np.eye(6)
+    Jj[:, 9:15, 9:15] = np.eye(6)
+    return r, Ji, Jj
 
 
 def residual_covariance(

@@ -20,6 +20,9 @@ from mlio.geometry import (
     se3_log,
     skew,
     so3_exp,
+    so3_exp_many,
+    so3_log,
+    so3_log_many,
 )
 
 
@@ -183,6 +186,37 @@ class TestDqPow:
             t_eta = dq_to_pose(dq_pow(q, eta))
             expected = pose_inverse(t_eta).apply(pts[i])
             np.testing.assert_allclose(got[i], expected, atol=1e-9)
+
+
+class TestSo3Log:
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_round_trip_near_pi(self, gap):
+        """Log(Exp(phi)) = phi for |phi| = pi - gap, within 1e-12 rad
+        (a few thousand rounding units of pi) on 200 random axes."""
+        rng = np.random.default_rng(13)
+        axes = rng.normal(size=(200, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        phis = (math.pi - gap) * axes
+        worst = max(
+            float(np.max(np.abs(so3_log(so3_exp(phi)) - phi))) for phi in phis
+        )
+        assert worst < 1e-12
+
+    def test_batched_matches_single(self):
+        """Each row of so3_log_many is so3_log of that rotation, over
+        angles from zero to near pi, both sides of the quarter turn."""
+        rng = np.random.default_rng(14)
+        axes = rng.normal(size=(50, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        phis = rng.uniform(0.0, math.pi - 1e-3, size=(50, 1)) * axes
+        phis[0] = 0.0
+        R = so3_exp_many(phis)
+        for phi, Rk in zip(phis, R):
+            np.testing.assert_allclose(Rk, so3_exp(phi), rtol=0, atol=1e-15)
+        got = so3_log_many(R)
+        for k in range(len(R)):
+            np.testing.assert_array_equal(got[k], so3_log(R[k]))
+        np.testing.assert_allclose(got, phis, rtol=0, atol=1e-12)
 
 
 class TestSe3LogExp:

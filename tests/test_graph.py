@@ -197,6 +197,21 @@ def whitened_cost(g, states):
     )
 
 
+def stacked_whitened(g, factors, order):
+    """J and r of `factors` at g.nodes, stacked factor by factor from
+    each one's own whitened residual and Jacobians."""
+    rows, res = [], []
+    for f in factors:
+        r, jacs = f.whitened([g.nodes[n] for n in f.nodes])
+        J = np.zeros((len(r), STATE_DIM * len(order)))
+        for n, jac in zip(f.nodes, jacs):
+            c = STATE_DIM * order.index(n)
+            J[:, c:c + STATE_DIM] += jac
+        rows.append(J)
+        res.append(r)
+    return np.vstack(rows), np.concatenate(res)
+
+
 class TestNormalEquations:
     def test_matches_stacked_jacobian(self):
         """H, b and the cost equal J^T J, J^T r and r^T r of the stacked
@@ -231,6 +246,44 @@ class TestNormalEquations:
             scale = np.max(np.abs(J.T @ J))
             np.testing.assert_allclose(H, J.T @ J, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(b, J.T @ r, rtol=1e-10,
+                                       atol=1e-12 * np.max(np.abs(J.T @ r)))
+            assert abs(cost - r @ r) <= 1e-12 * (r @ r)
+
+    def test_every_kind_batched_matches_per_factor(self):
+        """One batch per factor kind gives the system of the factors
+        stacked one by one, for a window holding every kind (two GNSS
+        fixes on one node, a marginal prior from marginalize_oldest), in
+        shuffled node order and on a shuffled factor subset."""
+        rng = np.random.default_rng(8)
+        g = FactorGraph()
+        for k in range(5):
+            g.add_node(k, random_state(rng, scale=0.3))
+        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3),
+                                 np.eye(STATE_DIM) * 0.01))
+        for k in range(5):
+            g.add_factor(BiasAnchorFactor(k, rng.normal(scale=0.01, size=3),
+                                          rng.normal(scale=0.001, size=3)))
+        for k in range(4):
+            g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
+            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
+        for _ in range(2):
+            g.add_factor(GnssFactor(3, GnssFix(0, rng.normal(size=3),
+                                               np.eye(3) * 0.5)))
+        g.marginalize_oldest()
+        assert {f.kind for f in g.factors} == {
+            "linear", "bias_anchor", "imu", "between", "gnss"}
+        g.add_factor(PriorFactor(2, se3_exp(rng.normal(scale=0.3, size=6)),
+                                 np.zeros(3), np.zeros(3), np.eye(STATE_DIM)))
+        for k in g.nodes:
+            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
+        order = [int(n) for n in rng.permutation(sorted(g.nodes))]
+        subset = [g.factors[i] for i in rng.permutation(len(g.factors))[:9]]
+        for factors in (g.factors, subset):
+            J, r = stacked_whitened(g, factors, order)
+            H, b, cost = g.normal_equations(g.nodes, order, factors)
+            scale = np.max(np.abs(J.T @ J))
+            np.testing.assert_allclose(H, J.T @ J, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(b, J.T @ r, rtol=0,
                                        atol=1e-12 * np.max(np.abs(J.T @ r)))
             assert abs(cost - r @ r) <= 1e-12 * (r @ r)
 
@@ -320,6 +373,26 @@ class TestOptimize:
                     oracle[n].pose,
                 ))) < 1e-6
             )
+
+    def test_rerun_at_minimum_is_one_pass(self, monkeypatch):
+        """Optimizing a window that is already at its minimum evaluates
+        the system once, tries no step and reports convergence."""
+        rng = np.random.default_rng(9)
+        g, _ = chain_graph(5, gnss_on=(2, 4))
+        g.add_factor(GnssFactor(4, GnssFix(0, [4.3, 0.2, 0.0], np.eye(3) * 0.25)))
+        for k in g.nodes:
+            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
+        first = g.optimize()
+        assert first.converged and first.final_cost > 1e-3
+        passes = []
+        linearize = g._linearize
+        monkeypatch.setattr(g, "_linearize",
+                            lambda *a: passes.append(a) or linearize(*a))
+        second = g.optimize()
+        assert len(passes) == 1
+        assert second.converged
+        assert second.rejected == 0 and second.iterations == 0
+        assert second.final_cost == first.final_cost
 
     def test_cost_never_increases(self):
         rng = np.random.default_rng(2)

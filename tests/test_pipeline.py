@@ -313,3 +313,7 @@ class TestOutputs:
         counters = (out / "counters.txt").read_text()
         assert "mask: L2I2" in counters
         assert "keyframes:" in counters
+        c = result.counters
+        assert c.lm_iterations > 0
+        for name in ("lm_iterations", "lm_rejected", "lm_unconverged"):
+            assert f"{name}: {getattr(c, name)}\n" in counters
