@@ -9,6 +9,9 @@ the generating scenario:
     scans/<id>/<n>.csv    header 'sensor_id,start,end' then t_offset_ns, x, y, z
     gt.tum                t x y z qx qy qz qw
     scenario.yaml         scenario copy
+
+The TUM trajectory format (gt.tum here, a run's est.tum) is read and
+written by this module alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GnssFix, write_tum
+from .geometry import Pose, quat_from_rotmat, quat_to_rotmat, to_nanos, to_seconds
+from .graph import GnssFix
 from .lidar import LidarScan
 from .mimu import ImuSample
 from .sim import Scenario, SimData, load_scenario, save_scenario
@@ -88,9 +92,20 @@ class Dataset:
     gt_poses: tuple
 
 
-def load_tum(path):
-    from .geometry import Pose, quat_to_rotmat, to_nanos
+def format_tum_line(stamp_ns: int, pose: Pose) -> str:
+    q = quat_from_rotmat(pose.R)  # (w, x, y, z)
+    vals = [to_seconds(stamp_ns), *pose.t, q[1], q[2], q[3], q[0]]
+    return " ".join(f"{v:.9f}" for v in vals)
 
+
+def write_tum(path, stamps, poses) -> None:
+    """Trajectory file: one 't x y z qx qy qz qw' line per pose."""
+    with open(path, "w") as fh:
+        for s, p in zip(stamps, poses):
+            fh.write(format_tum_line(s, p) + "\n")
+
+
+def load_tum(path):
     rows = np.loadtxt(path).reshape(-1, 8)
     stamps = np.array([to_nanos(t) for t in rows[:, 0]], dtype=np.int64)
     poses = tuple(

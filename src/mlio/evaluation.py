@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, pose_compose, pose_inverse, so3_log
+from .dataset import load_tum
+from .geometry import pose_compose, pose_inverse, so3_log
 
 ASSOCIATION_WINDOW_NS = 10_000_000  # trajectory stamp matching, 10 ms
 IMU_ASSOCIATION_NS = 1_000_000  # fused-IMU stamp matching, 1 ms
@@ -39,8 +40,6 @@ class Trajectory:
 
     @staticmethod
     def from_tum(path) -> "Trajectory":
-        from .dataset import load_tum
-
         stamps, poses = load_tum(path)
         return Trajectory(stamps=stamps, poses=poses)
 
@@ -53,20 +52,28 @@ class MetricReport:
     pairs_evaluated: int
 
 
+def _nearest(sorted_stamps, stamp, window_ns):
+    """Index of the entry of `sorted_stamps` nearest to `stamp`, or None
+    if none is within `window_ns` (inclusive); of two equally near
+    entries the earlier wins."""
+    i = int(np.searchsorted(sorted_stamps, stamp))
+    best, best_d = None, window_ns + 1
+    for cand in (i - 1, i):
+        if 0 <= cand < len(sorted_stamps):
+            d = abs(int(sorted_stamps[cand]) - int(stamp))
+            if d < best_d:
+                best, best_d = cand, d
+    return best
+
+
 def associate(gt: Trajectory, est: Trajectory, window_ns=ASSOCIATION_WINDOW_NS):
-    """Index pairs (i_gt, i_est) of mutually nearest stamps within the
-    association window."""
+    """Index pairs (i_gt, i_est): each estimated stamp with its nearest
+    ground-truth stamp within the association window."""
     pairs = []
     for j, s in enumerate(est.stamps):
-        i = int(np.searchsorted(gt.stamps, s))
-        best, best_d = None, window_ns + 1
-        for cand in (i - 1, i):
-            if 0 <= cand < len(gt.stamps):
-                d = abs(int(gt.stamps[cand]) - int(s))
-                if d < best_d:
-                    best, best_d = cand, d
-        if best is not None and best_d <= window_ns:
-            pairs.append((best, j))
+        i = _nearest(gt.stamps, s, window_ns)
+        if i is not None:
+            pairs.append((i, j))
     return pairs
 
 
@@ -154,16 +161,10 @@ def imu_rmse(gt_stream, fused_stream):
     fused_by_stamp = np.array([s.stamp for s in fused_stream], dtype=np.int64)
     acc_sq, gyro_sq, n = 0.0, 0.0, 0
     for s in gt_stream:
-        j = int(np.searchsorted(fused_by_stamp, s.stamp))
-        best, best_d = None, IMU_ASSOCIATION_NS + 1
-        for cand in (j - 1, j):
-            if 0 <= cand < len(fused_by_stamp):
-                d = abs(int(fused_by_stamp[cand]) - int(s.stamp))
-                if d < best_d:
-                    best, best_d = cand, d
-        if best is None or best_d > IMU_ASSOCIATION_NS:
+        j = _nearest(fused_by_stamp, s.stamp, IMU_ASSOCIATION_NS)
+        if j is None:
             continue
-        other = fused_stream[best]
+        other = fused_stream[j]
         acc_sq += float(np.sum((np.asarray(s.f) - np.asarray(other.f)) ** 2))
         gyro_sq += float(np.sum((np.asarray(s.w) - np.asarray(other.w)) ** 2))
         n += 1

@@ -278,11 +278,6 @@ class Pose:
         T[:3, 3] = self.t
         return T
 
-    @staticmethod
-    def from_matrix(T) -> "Pose":
-        T = np.asarray(T, dtype=float)
-        return Pose(T[:3, :3], T[:3, 3])
-
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.R.T + self.t
@@ -343,14 +338,10 @@ def _se3_Q_many(phi, rho) -> np.ndarray:
     )
 
 
-def se3_left_jacobian_inv(xi) -> np.ndarray:
-    """Inverse left Jacobian of SE(3) in (rot, trans) ordering."""
-    return se3_left_jacobian_inv_many(np.asarray(xi, dtype=float)[None])[0]
-
-
 def se3_left_jacobian_inv_many(xi) -> np.ndarray:
-    """se3_left_jacobian_inv of stacked (m, 6) twists, shape (m, 6, 6);
-    the inverse right Jacobian at xi is the one at -xi."""
+    """Inverse left Jacobians of SE(3) in (rot, trans) ordering of
+    stacked (m, 6) twists, shape (m, 6, 6); the inverse right Jacobian
+    at xi is the one at -xi."""
     xi = np.asarray(xi, dtype=float)
     phi, rho = xi[:, :3], xi[:, 3:]
     Jinv = so3_left_jacobian_inv_many(phi)
@@ -459,12 +450,6 @@ class DualQuaternion:
         return DualQuaternion(np.array([1.0, 0, 0, 0]), np.zeros(4))
 
 
-def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
-    real = quat_mul(a.real, b.real)
-    dual = quat_mul(a.real, b.dual) + quat_mul(a.dual, b.real)
-    return DualQuaternion(real, dual)
-
-
 def dq_normalize(q: DualQuaternion) -> DualQuaternion:
     n = np.linalg.norm(q.real)
     real = q.real / n
@@ -524,14 +509,9 @@ def _dq_from_screw(theta: float, d: float, l, m) -> DualQuaternion:
     return DualQuaternion(real, dual)
 
 
-def dq_pow(q: DualQuaternion, eta: float) -> DualQuaternion:
-    """Screw-linear interpolation kernel: constant-twist power q**eta."""
-    theta, d, l, m = _screw_parameters(q)
-    return _dq_from_screw(theta * eta, d * eta, l, m)
-
-
 def dq_pow_many(q: DualQuaternion, etas) -> list:
-    """Vectorized dq_pow for a shared base transform."""
+    """Screw-linear interpolation kernel: the constant-twist powers
+    q**eta for each eta of etas."""
     theta, d, l, m = _screw_parameters(q)
     return [_dq_from_screw(theta * e, d * e, l, m) for e in np.asarray(etas)]
 
@@ -539,7 +519,7 @@ def dq_pow_many(q: DualQuaternion, etas) -> list:
 def dq_transform_points_many(q: DualQuaternion, etas, points) -> np.ndarray:
     """Apply inverse of q**eta_i to point i (the scan-deskew kernel).
 
-    Equivalent to stacking dq_to_pose(dq_pow(q, eta)).inverse applied per
+    Equivalent to stacking dq_to_pose(q**eta).inverse applied per
     point, but vectorized through one screw decomposition: the screw axis
     passes through c = l x m, so q**eta maps p -> R_eta p + (I - R_eta) c
     + d eta l.

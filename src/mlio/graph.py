@@ -21,11 +21,9 @@ from .geometry import (
     NavStates,
     Pose,
     matvec_many,
-    quat_from_rotmat,
     se3_left_jacobian_inv_many,
     se3_log_many,
     skew_many,
-    to_seconds,
 )
 from .preintegration import (
     ImuNoiseParams,
@@ -93,8 +91,10 @@ def _decoupled(J, R) -> np.ndarray:
 
 
 def _prior_many(x: NavStates, anchor_R, anchor_t, b_a0, b_g0):
-    """residual_prior and residual_prior_jacobian of m states at once:
-    r (m, 15) and J (m, 15, 15)."""
+    """Prior residuals r (m, 15) and Jacobians J (m, 15, 15) of m
+    states. Each anchors its state: pose to the anchor pose (anchor_R,
+    anchor_t), velocity to zero, biases to b_a0, b_g0; r is ordered like
+    the state tangent (pose, v, b_a, b_g)."""
     RaT = _tr(anchor_R)
     r_pose = se3_log_many(RaT @ x.R, matvec_many(RaT, x.t - anchor_t))
     r = np.concatenate([r_pose, x.v, x.b_a - b_a0, x.b_g - b_g0], axis=-1)
@@ -103,22 +103,11 @@ def _prior_many(x: NavStates, anchor_R, anchor_t, b_a0, b_g0):
     return r, J
 
 
-def residual_prior(x0: NavState, anchor: Pose, b_a0, b_g0) -> np.ndarray:
-    """Anchors the first state: pose to the initialization pose,
-    velocity to zero, biases to their initial estimates. The 15-vector
-    is ordered like the state tangent (pose, v, b_a, b_g)."""
-    return _prior_many(NavStates.stack([x0]), anchor.R, anchor.t,
-                       np.asarray(b_a0, dtype=float),
-                       np.asarray(b_g0, dtype=float))[0][0]
-
-
-def residual_prior_jacobian(x0: NavState, anchor: Pose) -> np.ndarray:
-    return _prior_many(NavStates.stack([x0]), anchor.R, anchor.t, 0.0, 0.0)[1][0]
-
-
 def _between_many(R_i, t_i, R_j, t_j, z_R, z_t):
-    """residual_between_jacobians of m pose pairs at once: r (m, 6),
-    J_i and J_j (m, 6, 6)."""
+    """Between residuals r (m, 6) and Jacobians J_i, J_j (m, 6, 6) of m
+    pose pairs: r is the log of the discrepancy between the relative
+    pose T_i^-1 T_j of the states and the measured (lidar odometry)
+    relative pose z = (z_R, z_t)."""
     RjT = _tr(R_j)
     # (T_i^-1 T_j)^-1 z
     r = se3_log_many(RjT @ R_i @ z_R,
@@ -131,23 +120,6 @@ def _between_many(R_i, t_i, R_j, t_j, z_R, z_t):
     J_i = _decoupled(se3_left_jacobian_inv_many(-r) @ ad, R_i)
     J_j = -_decoupled(se3_left_jacobian_inv_many(r), R_j)
     return r, J_i, J_j
-
-
-def residual_between(T_i: Pose, T_j: Pose, z: Pose) -> np.ndarray:
-    """Log of the discrepancy between the state relative pose and the
-    measured (lidar odometry) relative pose
-    z = (smoothed pose of i at the time j is registered)^-1 (ICP pose of j).
-
-    ICP at j starts from a prior predicted from the smoothed i and
-    registers against a map built from smoothed poses, so z is taken
-    relative to that smoothed pose."""
-    return residual_between_jacobians(T_i, T_j, z)[0]
-
-
-def residual_between_jacobians(T_i: Pose, T_j: Pose, z: Pose):
-    r, J_i, J_j = _between_many(T_i.R[None], T_i.t[None], T_j.R[None],
-                                T_j.t[None], z.R[None], z.t[None])
-    return r[0], J_i[0], J_j[0]
 
 
 def residual_gnss(x_i: NavState, fix: GnssFix) -> np.ndarray:
@@ -184,12 +156,6 @@ class _Factor:
     @classmethod
     def evaluate(cls, params, x: NavStates, idx):
         raise NotImplementedError
-
-    def whitened(self, states):  # -> (residual, [jacobian per node])
-        """This factor alone, as a batch of one."""
-        r, J = self.evaluate(self.stack([self]), NavStates.stack(states),
-                             np.arange(len(states))[None])
-        return r[0], list(J[0])
 
 
 class PriorFactor(_Factor):
@@ -271,8 +237,12 @@ class ImuFactor(_Factor):
 
 
 class BetweenFactor(_Factor):
-    """Lidar odometry between keyframes i and j, z as in
-    residual_between."""
+    """Lidar odometry between keyframes i and j:
+    z = (smoothed pose of i at the time j is registered)^-1 (ICP pose of j).
+
+    ICP at j starts from a prior predicted from the smoothed i and
+    registers against a map built from smoothed poses, so z is taken
+    relative to that smoothed pose."""
 
     kind = "between"
 
@@ -554,16 +524,3 @@ class FactorGraph:
             self.factors.remove(f)
         del self.nodes[oldest]
         del self.stamps[oldest]
-
-
-def format_tum_line(stamp_ns: int, pose: Pose) -> str:
-    q = quat_from_rotmat(pose.R)  # (w, x, y, z)
-    vals = [to_seconds(stamp_ns), *pose.t, q[1], q[2], q[3], q[0]]
-    return " ".join(f"{v:.9f}" for v in vals)
-
-
-def write_tum(path, stamps, poses) -> None:
-    """Trajectory file: one 't x y z qx qy qz qw' line per pose."""
-    with open(path, "w") as fh:
-        for s, p in zip(stamps, poses):
-            fh.write(format_tum_line(s, p) + "\n")

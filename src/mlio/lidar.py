@@ -1,23 +1,20 @@
-"""Scan deskewing, multi-lidar fusion, downsampling and direct ICP odometry.
+"""Scan deskewing, downsampling and direct ICP odometry.
 
 Scans are deskewed to their start time with a constant-twist motion model
-evaluated through dual-quaternion screw interpolation, fused across
-sensors into the vehicle base frame, voxel-downsampled and registered
-point-to-plane against the incremental local submap.
+evaluated through dual-quaternion screw interpolation, voxel-downsampled
+and registered point-to-plane against the incremental local submap.
+`run_pipeline` moves each deskewed scan into the base frame by its mount
+pose before the scans of one keyframe are downsampled together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Pose, dq_from_pose, dq_transform_points_many, pose_compose, pose_inverse, skew, so3_exp
+from .geometry import Pose, dq_from_pose, dq_transform_points_many, pose_compose, pose_inverse, so3_exp
 from .submap import LocalSubmap
-
-
-class MissingCalibrationError(KeyError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -65,19 +62,6 @@ def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> LidarScan:
     return replace(
         scan, stamps=np.full_like(scan.stamps, scan.scan_start), points=pts
     )
-
-
-def fuse_to_base(scans, calib: dict) -> np.ndarray:
-    """Union of scans transformed into the base frame via per-sensor
-    extrinsic poses (base <- lidar)."""
-    clouds = []
-    for scan in scans:
-        if scan.sensor_id not in calib:
-            raise MissingCalibrationError(
-                f"no extrinsic calibration for sensor {scan.sensor_id!r}"
-            )
-        clouds.append(calib[scan.sensor_id].apply(scan.points))
-    return np.concatenate(clouds, axis=0)
 
 
 def voxel_downsample(points, resolution: float = 0.05) -> np.ndarray:

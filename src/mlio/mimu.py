@@ -14,12 +14,11 @@ squares with the stacked covariance Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
-from .geometry import quat_from_rotmat, quat_to_rotmat, skew
+from .geometry import skew
 
 MAX_SPECIFIC_FORCE = 200.0  # m/s^2
 MAX_ANGULAR_RATE = 35.0  # rad/s
@@ -104,10 +103,6 @@ class MimuArray:
         return len(self.channels)
 
     @property
-    def Q_acc(self) -> np.ndarray:
-        return self.Q[: 3 * self.K, : 3 * self.K]
-
-    @property
     def Q_gyro(self) -> np.ndarray:
         return self.Q[3 * self.K :, 3 * self.K :]
 
@@ -122,7 +117,6 @@ class FusedImuSample:
     f: np.ndarray  # base-frame specific force
     w: np.ndarray  # base-frame angular rate
     w_dot: np.ndarray  # angular acceleration estimate
-    cov: np.ndarray = field(default_factory=lambda: np.eye(9))  # (wdot, f, w)
     w_dot_observable: bool = True
 
     def __post_init__(self):
@@ -135,19 +129,6 @@ class FusedImuSample:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def transform_to_base(s: ImuSample, c: ImuChannelCalib, w_dot_est=None) -> ImuSample:
-    """Re-express one channel's measurement at the base origin.
-
-    Removes the centrifugal term w x (w x t) and the Euler term wdot x t
-    from the rotated specific force.
-    """
-    if w_dot_est is None:
-        w_dot_est = np.zeros(3)
-    w_b = c.R @ s.w
-    f_b = c.R @ s.f - skew(w_b) @ skew(w_b) @ c.t - np.cross(w_dot_est, c.t)
-    return ImuSample(stamp=s.stamp, f=f_b, w=w_b)
-
 
 def build_stacked_model(arr: MimuArray, w):
     """Return (h, H) of the stacked array model at angular rate w."""
@@ -162,15 +143,6 @@ def build_stacked_model(arr: MimuArray, w):
         H[3 * k : 3 * k + 3, 3:] = np.eye(3)
     h[3 * K :] = np.tile(w, K)
     return h, H
-
-
-def fuse_gyro(arr: MimuArray, y_w) -> np.ndarray:
-    """Inverse-variance weighted least-squares angular rate over the array."""
-    y = np.asarray(y_w, dtype=float).reshape(3 * arr.K)
-    Winv = np.linalg.inv(arr.Q_gyro)
-    S = np.kron(np.ones((arr.K, 1)), np.eye(3))  # 1_K (x) I_3
-    A = S.T @ Winv @ S
-    return np.linalg.solve(A, S.T @ Winv @ y)
 
 
 RANK_DEFICIENCY_RATIO = 1e-8
@@ -196,71 +168,6 @@ def _phi_projector(N):
     T[:3, :r] = B
     T[3:, r:] = np.eye(3)
     return T, r == 3
-
-
-def fuse_mle(arr: MimuArray, y_f, y_w, stamp: int = 0) -> FusedImuSample:
-    """Two-stage maximum-likelihood fusion of the stacked array measurement.
-
-    y_f and y_w are the per-channel measurements rotated into the base
-    orientation (lever-arm terms still present), stacked channel-major.
-    """
-    K = arr.K
-    y_f = np.asarray(y_f, dtype=float).reshape(3 * K)
-    y_w = np.asarray(y_w, dtype=float).reshape(3 * K)
-    w_star = fuse_gyro(arr, y_w)
-
-    h, H = build_stacked_model(arr, w_star)
-    y = np.concatenate([y_f, y_w])
-    # whitened least squares: better conditioned than forming H^T Q^-1 H
-    L = np.linalg.cholesky(arr.Q)
-    A = np.linalg.solve(L, H)
-    b = np.linalg.solve(L, y - h)
-    N = A.T @ A
-
-    T, observable = _phi_projector(N)
-    cov = np.zeros((9, 9))
-    S = np.kron(np.ones((arr.K, 1)), np.eye(3))
-    Wg = np.linalg.inv(arr.Q_gyro)
-    cov[6:, 6:] = np.linalg.inv(S.T @ Wg @ S)
-    # reduced solve: unobservable wdot directions (single channel,
-    # collinear lever arms) are pinned to zero and flagged
-    phi_r, *_ = np.linalg.lstsq(A @ T, b, rcond=None)
-    phi = T @ phi_r
-    w_dot, f_b = phi[:3], phi[3:]
-    cov[:6, :6] = T @ np.linalg.inv(T.T @ N @ T) @ T.T
-    return FusedImuSample(
-        stamp=stamp, f=f_b, w=w_star, w_dot=w_dot, cov=cov,
-        w_dot_observable=bool(observable),
-    )
-
-
-def fuse_average(arr: MimuArray, y_f, y_w, stamp: int = 0) -> FusedImuSample:
-    """Arithmetic-mean baseline with per-channel centrifugal correction."""
-    K = arr.K
-    y_f = np.asarray(y_f, dtype=float).reshape(K, 3)
-    y_w = np.asarray(y_w, dtype=float).reshape(K, 3)
-    f_acc = np.zeros(3)
-    for k, c in enumerate(arr.channels):
-        wk = y_w[k]
-        f_acc += y_f[k] - skew(wk) @ skew(wk) @ c.t
-    return FusedImuSample(
-        stamp=stamp, f=f_acc / K, w=y_w.mean(axis=0), w_dot=np.zeros(3),
-        w_dot_observable=False,
-    )
-
-
-def stack_channel_samples(arr: MimuArray, samples, indices=None):
-    """Rotate per-channel samples into the base orientation and stack them.
-
-    Returns (sub_array, y_f, y_w) where sub_array is restricted to the
-    channels actually present (dropout support).
-    """
-    if indices is None:
-        indices = range(len(samples))
-    sub = arr.subset(indices)
-    y_f = np.concatenate([sub.channels[i].R @ s.f for i, s in enumerate(samples)])
-    y_w = np.concatenate([sub.channels[i].R @ s.w for i, s in enumerate(samples)])
-    return sub, y_f, y_w
 
 
 class BatchFuser:
@@ -310,41 +217,3 @@ class BatchFuser:
         centrifugal = np.cross(Yw3, wxt)
         return (Yf3 - centrifugal).mean(axis=1), Yw3.mean(axis=1)
 
-
-# ---------------------------------------------------------------------------
-# calibration file
-# ---------------------------------------------------------------------------
-
-def load_calibration(path) -> dict:
-    """Read a channel calibration file (YAML).
-
-    Returns {channel_id: ImuChannelCalib}; quaternions are [w, x, y, z].
-    """
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    out = {}
-    for entry in doc["channels"]:
-        out[entry["id"]] = ImuChannelCalib(
-            R=quat_to_rotmat(np.asarray(entry["quat"], dtype=float)),
-            t=np.asarray(entry["lever_arm"], dtype=float),
-            acc_noise_var=np.asarray(entry["acc_noise_var"], dtype=float),
-            gyro_noise_var=np.asarray(entry["gyro_noise_var"], dtype=float),
-        )
-    return out
-
-
-def save_calibration(path, channels: dict) -> None:
-    doc = {
-        "channels": [
-            {
-                "id": cid,
-                "quat": [float(x) for x in quat_from_rotmat(c.R)],
-                "lever_arm": [float(x) for x in c.t],
-                "acc_noise_var": [float(x) for x in c.acc_noise_var],
-                "gyro_noise_var": [float(x) for x in c.gyro_noise_var],
-            }
-            for cid, c in channels.items()
-        ]
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)

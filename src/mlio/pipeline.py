@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import lidar
+from .dataset import write_tum
 from .geometry import (
     NS_PER_S,
     NavState,
@@ -24,7 +25,6 @@ from .geometry import (
     pose_compose,
     pose_inverse,
     se3_exp,
-    se3_log,
 )
 from .graph import (
     STATE_DIM,
@@ -34,7 +34,6 @@ from .graph import (
     GnssFix,
     ImuFactor,
     PriorFactor,
-    write_tum,
 )
 from .lidar import IcpConfig, deskew, voxel_downsample
 from .mimu import BatchFuser, FusedImuSample, MimuArray

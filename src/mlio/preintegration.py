@@ -157,34 +157,14 @@ def stack_deltas(deltas) -> PreintegratedDelta:
     })
 
 
-def imu_residual(
-    x_i: NavState, x_j: NavState, delta: PreintegratedDelta, g=GRAVITY
-) -> np.ndarray:
-    """15-vector residual ordered (rot, pos, vel, b_a, b_g)."""
-    return _imu_many_of_one(x_i, x_j, delta, g)[0][0]
-
-
-def imu_residual_jacobians(
-    x_i: NavState, x_j: NavState, delta: PreintegratedDelta, g=GRAVITY
-):
-    """Analytic 15x15 Jacobians of imu_residual w.r.t. the tangents of
-    x_i and x_j (NavState.retract ordering: rot, trans, v, b_a, b_g)."""
-    _, Ji, Jj = _imu_many_of_one(x_i, x_j, delta, g)
-    return Ji[0], Jj[0]
-
-
-def _imu_many_of_one(x_i, x_j, delta, g):
-    return imu_residual_jacobians_many(
-        NavStates.stack([x_i]), NavStates.stack([x_j]), stack_deltas([delta]), g
-    )
-
-
 def imu_residual_jacobians_many(
     x_i: NavStates, x_j: NavStates, delta: PreintegratedDelta, g=GRAVITY
 ):
-    """imu_residual and imu_residual_jacobians of m factors at once:
-    x_i, x_j hold their m start and end states, delta their stacked
-    deltas (stack_deltas). Returns r (m, 15), J_i and J_j (m, 15, 15)."""
+    """Residuals and analytic Jacobians of m IMU factors at once: x_i,
+    x_j hold their m start and end states, delta their stacked deltas
+    (stack_deltas). Returns r (m, 15) ordered (rot, pos, vel, b_a, b_g)
+    and J_i, J_j (m, 15, 15) with respect to the tangents of x_i and
+    x_j (NavState.retract ordering: rot, trans, v, b_a, b_g)."""
     dba = x_i.b_a - delta.b_a0
     dbg = x_i.b_g - delta.b_g0
     # first-order bias correction, as PreintegratedDelta.corrected

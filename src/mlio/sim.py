@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -754,11 +754,3 @@ BUILTIN_SCENARIOS = {
     "urban-loop": loop_scenario,
     "corridor": corridor_scenario,
 }
-
-
-def builtin_scenario(name: str, **kwargs) -> Scenario:
-    if name not in BUILTIN_SCENARIOS:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {sorted(BUILTIN_SCENARIOS)}"
-        )
-    return BUILTIN_SCENARIOS[name](**kwargs)

@@ -11,7 +11,7 @@ fused on their own.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 POSITIONS = ("F_L", "F_R", "R_L", "R_R")
 MODALITIES = ("imu", "lidar")
@@ -68,7 +68,7 @@ class SyncConfig:
 class SyncCounters:
     late: int = 0
     capacity_drops: int = 0
-    evictions: int = 0
+    evictions: int = 0  # no replay path evicts; the benchmark reports it
     groups: int = 0
 
 
@@ -85,9 +85,6 @@ class Synchronizer:
         self._last_anchor = {m: None for m in MODALITIES}
         self._newest_seen = None
         self.counters = SyncCounters()
-
-    def queue_lengths(self) -> dict:
-        return {sid: len(q) for sid, q in self._queues.items()}
 
     def push(self, signal: StampedSignal) -> None:
         if signal.stamp < 0:
@@ -152,14 +149,3 @@ class Synchronizer:
         at the end of the input no later message can complete one."""
         while (group := self._pop_group(flushing=True)) is not None:
             yield group
-
-    def evict_aged(self, now: int) -> int:
-        """Drop all buffered messages older than max_age relative to now."""
-        count = 0
-        for sid, queue in self._queues.items():
-            max_age = self.config.max_age(modality_of(sid))
-            while queue and now - queue[0].stamp > max_age:
-                queue.popleft()
-                count += 1
-        self.counters.evictions += count
-        return count

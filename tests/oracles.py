@@ -1,0 +1,100 @@
+"""Per-sample references for the batched code in `mlio`, shared by tests.
+
+`transform_to_base`, `fuse_gyro` and `fuse_mle` solve the IMU array
+model one sample at a time, independently of `BatchFuser`. The residual
+adapters and `dq_pow` call the product `_many` functions with a batch of
+one, so finite-difference tests (`numeric_jacobian`) of them check the
+code that runs.
+"""
+
+import numpy as np
+
+from mlio.geometry import NavStates, dq_pow_many, skew
+from mlio.graph import STATE_DIM, _between_many, _prior_many
+from mlio.mimu import FusedImuSample, ImuSample, _phi_projector, build_stacked_model
+from mlio.preintegration import GRAVITY, imu_residual_jacobians_many, stack_deltas
+
+
+def transform_to_base(s: ImuSample, c, w_dot_est=None) -> ImuSample:
+    """One channel's sample at the base origin, less the centrifugal
+    term w x (w x t) and the Euler term wdot x t."""
+    if w_dot_est is None:
+        w_dot_est = np.zeros(3)
+    w_b = c.R @ s.w
+    f_b = c.R @ s.f - skew(w_b) @ skew(w_b) @ c.t - np.cross(w_dot_est, c.t)
+    return ImuSample(stamp=s.stamp, f=f_b, w=w_b)
+
+
+def fuse_gyro(arr, y_w) -> np.ndarray:
+    """Inverse-variance weighted least-squares angular rate over the array."""
+    y = np.asarray(y_w, dtype=float).reshape(3 * arr.K)
+    Winv = np.linalg.inv(arr.Q_gyro)
+    S = np.kron(np.ones((arr.K, 1)), np.eye(3))  # 1_K (x) I_3
+    return np.linalg.solve(S.T @ Winv @ S, S.T @ Winv @ y)
+
+
+def fuse_mle(arr, y_f, y_w) -> FusedImuSample:
+    """Two-stage maximum-likelihood fusion of one sample: y_f, y_w stack
+    the base-oriented channel measurements (lever-arm terms still in)."""
+    w_star = fuse_gyro(arr, y_w)
+    h, H = build_stacked_model(arr, w_star)
+    # whitened least squares: better conditioned than forming H^T Q^-1 H
+    L = np.linalg.cholesky(arr.Q)
+    A = np.linalg.solve(L, H)
+    b = np.linalg.solve(L, np.concatenate([y_f, y_w]) - h)
+    # reduced solve: unobservable wdot directions (single channel,
+    # collinear lever arms) are pinned to zero and flagged
+    T, observable = _phi_projector(A.T @ A)
+    phi = T @ np.linalg.lstsq(A @ T, b, rcond=None)[0]
+    return FusedImuSample(stamp=0, f=phi[3:], w=w_star, w_dot=phi[:3],
+                          w_dot_observable=bool(observable))
+
+
+def residual_prior(x0, anchor, b_a0, b_g0) -> np.ndarray:
+    return _prior_many(NavStates.stack([x0]), anchor.R, anchor.t,
+                       b_a0, b_g0)[0][0]
+
+
+def residual_prior_jacobian(x0, anchor) -> np.ndarray:
+    return _prior_many(NavStates.stack([x0]), anchor.R, anchor.t, 0.0, 0.0)[1][0]
+
+
+def residual_between_jacobians(T_i, T_j, z):
+    r, J_i, J_j = _between_many(T_i.R[None], T_i.t[None], T_j.R[None],
+                                T_j.t[None], z.R[None], z.t[None])
+    return r[0], J_i[0], J_j[0]
+
+
+def residual_between(T_i, T_j, z) -> np.ndarray:
+    return residual_between_jacobians(T_i, T_j, z)[0]
+
+
+def _imu_of_one(x_i, x_j, delta, g):
+    return imu_residual_jacobians_many(
+        NavStates.stack([x_i]), NavStates.stack([x_j]), stack_deltas([delta]), g
+    )
+
+
+def imu_residual(x_i, x_j, delta, g=GRAVITY) -> np.ndarray:
+    return _imu_of_one(x_i, x_j, delta, g)[0][0]
+
+
+def imu_residual_jacobians(x_i, x_j, delta, g=GRAVITY):
+    _, J_i, J_j = _imu_of_one(x_i, x_j, delta, g)
+    return J_i[0], J_j[0]
+
+
+def numeric_jacobian(fn, state, eps=1e-6):
+    """Central differences of fn along the 15 tangent directions of state."""
+    r0 = fn(state)
+    J = np.zeros((len(r0), STATE_DIM))
+    for k in range(STATE_DIM):
+        step = np.zeros(STATE_DIM)
+        step[k] = eps
+        J[:, k] = (fn(state.retract(step)) - fn(state.retract(-step))) / (2 * eps)
+    return J
+
+
+def dq_pow(q, eta: float):
+    """Constant-twist power q**eta of a unit dual quaternion."""
+    return dq_pow_many(q, [eta])[0]

@@ -25,21 +25,13 @@ from mlio.geometry import (
     so3_exp,
     so3_log,
 )
-from mlio.graph import (
-    STATE_DIM,
-    GnssFix,
-    residual_between_jacobians,
-    residual_gnss,
-    residual_prior,
-    residual_prior_jacobian,
-)
+from mlio.graph import STATE_DIM, GnssFix, residual_gnss
 from mlio.lidar import IcpConfig, LidarScan, deskew, icp_register
 from mlio.mimu import (
     BatchFuser,
     ImuChannelCalib,
     MimuArray,
     build_stacked_model,
-    fuse_mle,
 )
 from mlio.pipeline import (
     EstimatorDivergence,
@@ -47,15 +39,19 @@ from mlio.pipeline import (
     run_pipeline,
 )
 from mlio.mimu import FusedImuSample
-from mlio.preintegration import (
-    empty_delta,
-    imu_residual,
-    imu_residual_jacobians,
-    integrate,
-)
+from mlio.preintegration import empty_delta, integrate
 from mlio.sim import Dropout, NoiseSpec, loop_scenario, simulate
 from mlio.submap import LocalSubmap
 from mlio.sync import StampedSignal, Synchronizer
+from oracles import (
+    fuse_mle,
+    imu_residual,
+    imu_residual_jacobians,
+    numeric_jacobian,
+    residual_between_jacobians,
+    residual_prior,
+    residual_prior_jacobian,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +190,6 @@ class TestPreintegrationOracle:
 # ---------------------------------------------------------------------------
 # 3. factor residual Jacobians against central differences
 # ---------------------------------------------------------------------------
-
-
-def numeric_jacobian(fn, state, eps=1e-6):
-    r0 = fn(state)
-    J = np.zeros((len(r0), STATE_DIM))
-    for k in range(STATE_DIM):
-        step = np.zeros(STATE_DIM)
-        step[k] = eps
-        J[:, k] = (fn(state.retract(step)) - fn(state.retract(-step))) / (2 * eps)
-    return J
 
 
 def random_state(rng):

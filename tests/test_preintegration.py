@@ -11,11 +11,10 @@ from mlio.preintegration import (
     NotStaticError,
     empty_delta,
     gravity_align,
-    imu_residual,
-    imu_residual_jacobians,
     integrate,
     predict,
 )
+from oracles import imu_residual, imu_residual_jacobians
 
 
 def fused(f, w, stamp=0):

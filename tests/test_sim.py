@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from mlio.dataset import load_dataset, write_dataset
-from mlio.geometry import NS_PER_S, Pose, pose_compose, pose_inverse, so3_exp
+from mlio.geometry import NS_PER_S, Pose, pose_compose, so3_exp
 from mlio.lidar import deskew
-from mlio.mimu import ImuChannelCalib, transform_to_base
+from mlio.mimu import ImuChannelCalib
 from mlio.sim import (
+    BUILTIN_SCENARIOS,
     Box,
     Dropout,
-    GroundTruth,
     LidarMount,
     NoiseSpec,
     Plane,
     Rates,
     Scenario,
-    builtin_scenario,
     corridor_scenario,
     gen_trajectory,
     inject_dropout,
@@ -28,6 +27,7 @@ from mlio.sim import (
     synth_imu,
     synth_lidar,
 )
+from oracles import transform_to_base
 
 
 def simple_imus(levers):
@@ -202,7 +202,7 @@ class TestSynthLidar:
         assert np.max(np.abs(raw_x - 30.0)) > 0.1
 
     def test_four_mounts_cover_full_circle(self):
-        s = builtin_scenario("urban-loop", seed=0)
+        s = loop_scenario(seed=0)
         gt = gen_trajectory(
             scenario_with([(1.0, np.zeros(6))])
         )
@@ -374,6 +374,6 @@ class TestScenarioValidation:
             Rates(imu_hz=0.0)
 
     def test_builtin_names(self):
-        assert builtin_scenario("urban-loop").duration > 30.0
+        assert BUILTIN_SCENARIOS["urban-loop"]().duration > 30.0
         with pytest.raises(KeyError):
-            builtin_scenario("nope")
+            BUILTIN_SCENARIOS["nope"]
