@@ -1,17 +1,15 @@
-"""SE(3) basics and screw interpolation.
+"""SE(3) basics and constant-twist interpolation.
 
 Shows the Lie-group helpers the rest of the package is built on: poses,
-exp/log round trips, and dual-quaternion screw interpolation (the kernel
-used for scan deskewing).
+exp/log round trips, and the constant-twist interpolation
+se3_exp(eta * se3_log(rel)) (the kernel used for scan deskewing and for
+the simulator's scans).
 """
 
 import numpy as np
 
 from mlio.geometry import (
     Pose,
-    dq_from_pose,
-    dq_pow_many,
-    dq_to_pose,
     pose_compose,
     pose_inverse,
     se3_exp,
@@ -30,11 +28,11 @@ def main():
     rel = pose_compose(pose_inverse(a), b)
     print("recovered relative motion:", np.round(se3_log(rel), 6))
 
-    # screw interpolation: rel^eta sweeps the constant-twist path a -> b
-    q = dq_from_pose(rel)
+    # exp(eta * log(rel)) sweeps the constant-twist path a -> b
+    xi_rel = se3_log(rel)
     print("\nconstant-twist interpolation between a and b:")
-    for eta, qe in zip([0.0, 0.25, 0.5, 1.0], dq_pow_many(q, [0.0, 0.25, 0.5, 1.0])):
-        p = pose_compose(a, dq_to_pose(qe))
+    for eta in [0.0, 0.25, 0.5, 1.0]:
+        p = pose_compose(a, se3_exp(eta * xi_rel))
         print(f"  eta={eta:4.2f}  t={np.round(p.t, 4)}")
 
 

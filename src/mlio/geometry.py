@@ -1,4 +1,4 @@
-"""SE(3) / dual-quaternion algebra shared by every other module.
+"""SE(3) algebra shared by every other module.
 
 Conventions:
     - Quaternions are [w, x, y, z] with non-negative scalar part after
@@ -187,23 +187,6 @@ def _project_rotation(R) -> np.ndarray:
 # quaternions [w, x, y, z]
 # ---------------------------------------------------------------------------
 
-def quat_mul(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
-def quat_conj(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_from_rotmat(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     t = np.trace(R)
@@ -294,11 +277,17 @@ def pose_inverse(a: Pose) -> Pose:
 
 def se3_exp(xi) -> Pose:
     """Exponential map; xi = (phi, rho) ordered rotation-first."""
+    R, t = se3_exp_many(np.asarray(xi, dtype=float)[None])
+    return Pose(R[0], t[0])
+
+
+def se3_exp_many(xi):
+    """Poses (R (m, 3, 3), t (m, 3)) of stacked (m, 6) twists. The pose
+    at fraction eta of a constant twist xi is se3_exp(eta * xi), the
+    screw motion that deskewing and the simulator's scans share."""
     xi = np.asarray(xi, dtype=float)
-    phi, rho = xi[:3], xi[3:]
-    R = so3_exp(phi)
-    t = so3_left_jacobian(phi) @ rho
-    return Pose(R, t)
+    phi, rho = xi[:, :3], xi[:, 3:]
+    return so3_exp_many(phi), matvec_many(so3_left_jacobian_many(phi), rho)
 
 
 def se3_log(p: Pose) -> np.ndarray:
@@ -428,116 +417,3 @@ class NavStates:
             other.b_a - self.b_a,
             other.b_g - self.b_g,
         ], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# dual quaternions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DualQuaternion:
-    """Unit dual quaternion; real encodes rotation, dual = 0.5 * t x real."""
-
-    real: np.ndarray
-    dual: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "real", np.asarray(self.real, dtype=float))
-        object.__setattr__(self, "dual", np.asarray(self.dual, dtype=float))
-
-    @staticmethod
-    def identity() -> "DualQuaternion":
-        return DualQuaternion(np.array([1.0, 0, 0, 0]), np.zeros(4))
-
-
-def dq_normalize(q: DualQuaternion) -> DualQuaternion:
-    n = np.linalg.norm(q.real)
-    real = q.real / n
-    dual = q.dual / n
-    dual = dual - real * float(real @ dual)
-    if real[0] < 0.0:
-        real, dual = -real, -dual
-    return DualQuaternion(real, dual)
-
-
-def dq_from_pose(p: Pose) -> DualQuaternion:
-    real = quat_from_rotmat(p.R)
-    tq = np.array([0.0, p.t[0], p.t[1], p.t[2]])
-    dual = 0.5 * quat_mul(tq, real)
-    return DualQuaternion(real, dual)
-
-
-def dq_to_pose(q: DualQuaternion) -> Pose:
-    q = dq_normalize(q)
-    R = quat_to_rotmat(q.real)
-    tq = 2.0 * quat_mul(q.dual, quat_conj(q.real))
-    return Pose(R, tq[1:])
-
-
-def _screw_parameters(q: DualQuaternion):
-    """Screw decomposition (theta, d, axis l, moment m) of a unit DQ.
-
-    The DQ equals cos(th/2 + eps d/2) + (l + eps m) sin(th/2 + eps d/2).
-    """
-    q = dq_normalize(q)
-    w = min(1.0, max(-1.0, float(q.real[0])))
-    theta = 2.0 * math.acos(w)
-    sin_half = math.sqrt(max(0.0, 1.0 - w * w))
-    if sin_half < 1e-9:
-        # pure translation (or identity): axis along t, d = |t|
-        t = 2.0 * quat_mul(q.dual, quat_conj(q.real))[1:]
-        d = np.linalg.norm(t)
-        if d < 1e-15:
-            return 0.0, 0.0, np.array([0.0, 0.0, 1.0]), np.zeros(3)
-        return 0.0, d, t / d, np.zeros(3)
-    if theta > math.pi - 1e-9:
-        raise DegenerateInputError("screw axis ambiguous at rotation angle pi")
-    l = q.real[1:] / sin_half
-    d = -2.0 * float(q.dual[0]) / sin_half
-    cos_half = w
-    m = (q.dual[1:] - l * (d / 2.0) * cos_half) / sin_half
-    return theta, d, l, m
-
-
-def _dq_from_screw(theta: float, d: float, l, m) -> DualQuaternion:
-    ch = math.cos(theta / 2.0)
-    sh = math.sin(theta / 2.0)
-    real = np.concatenate([[ch], sh * np.asarray(l)])
-    dual_w = -(d / 2.0) * sh
-    dual_v = sh * np.asarray(m) + (d / 2.0) * ch * np.asarray(l)
-    dual = np.concatenate([[dual_w], dual_v])
-    return DualQuaternion(real, dual)
-
-
-def dq_pow_many(q: DualQuaternion, etas) -> list:
-    """Screw-linear interpolation kernel: the constant-twist powers
-    q**eta for each eta of etas."""
-    theta, d, l, m = _screw_parameters(q)
-    return [_dq_from_screw(theta * e, d * e, l, m) for e in np.asarray(etas)]
-
-
-def dq_transform_points_many(q: DualQuaternion, etas, points) -> np.ndarray:
-    """Apply inverse of q**eta_i to point i (the scan-deskew kernel).
-
-    Equivalent to stacking dq_to_pose(q**eta).inverse applied per
-    point, but vectorized through one screw decomposition: the screw axis
-    passes through c = l x m, so q**eta maps p -> R_eta p + (I - R_eta) c
-    + d eta l.
-    """
-    theta, d, l, m = _screw_parameters(q)
-    etas = np.asarray(etas, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    c = np.cross(l, m)
-    K = skew(l)
-    angles = theta * etas
-    s = np.sin(angles)[:, None]
-    one_c = (1.0 - np.cos(angles))[:, None]
-    # forward translation of q**eta
-    Kc = K @ c
-    KKc = K @ Kc
-    t = c - (c + s * Kc + one_c * KKc) + (d * etas)[:, None] * l
-    # apply R_eta^T (p - t): Rodrigues with negated angle
-    v = pts - t
-    Kv = v @ K.T
-    KKv = Kv @ K.T
-    return v - s * Kv + one_c * KKv

@@ -343,14 +343,12 @@ def _batches(factors, order) -> list:
 @dataclass
 class FactorGraph:
     nodes: dict = field(default_factory=dict)  # keyframe index -> NavState
-    stamps: dict = field(default_factory=dict)  # keyframe index -> ns
     factors: list = field(default_factory=list)
 
-    def add_node(self, idx: int, state: NavState, stamp: int = 0):
+    def add_node(self, idx: int, state: NavState):
         if idx in self.nodes:
             raise ValueError(f"node {idx} already exists")
         self.nodes[idx] = state
-        self.stamps[idx] = int(stamp)
 
     def add_factor(self, factor: _Factor):
         for n in factor.nodes:
@@ -523,4 +521,3 @@ class FactorGraph:
         for f in conn:
             self.factors.remove(f)
         del self.nodes[oldest]
-        del self.stamps[oldest]

@@ -1,8 +1,10 @@
 """Scan deskewing, downsampling and direct ICP odometry.
 
-Scans are deskewed to their start time with a constant-twist motion model
-evaluated through dual-quaternion screw interpolation, voxel-downsampled
-and registered point-to-plane against the incremental local submap.
+Scans are deskewed to their start time with a constant-twist motion model:
+the sensor pose at fraction eta of the scan is se3_exp(eta * xi) relative
+to the start pose, xi being the twist of the start-to-end motion. Scans
+are then voxel-downsampled and registered point-to-plane against the
+incremental local submap.
 `run_pipeline` moves each deskewed scan into the base frame by its mount
 pose before the scans of one keyframe are downsampled together.
 """
@@ -13,7 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Pose, dq_from_pose, dq_transform_points_many, pose_compose, pose_inverse, so3_exp
+from .geometry import (
+    Pose,
+    matvec_many,
+    pose_compose,
+    pose_inverse,
+    se3_exp_many,
+    se3_log,
+    so3_exp,
+)
 from .submap import LocalSubmap
 
 
@@ -38,7 +48,6 @@ class LidarScan:
 
 @dataclass(frozen=True)
 class OdomEstimate:
-    stamp: int
     pose: Pose
     fitness: float  # mean squared point-to-plane distance
     iterations: int
@@ -53,12 +62,11 @@ def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> LidarScan:
     span = scan.scan_end - scan.scan_start
     if span == 0:
         return replace(scan, stamps=np.full_like(scan.stamps, scan.scan_start))
-    rel = pose_compose(pose_inverse(pose_start), pose_end)
+    xi = se3_log(pose_compose(pose_inverse(pose_start), pose_end))
     etas = (scan.stamps - scan.scan_start) / span
-    # p_start = (rel^eta) p_t: the screw kernel applies the inverse of its
-    # argument, so hand it the end-to-start motion
-    q = dq_from_pose(pose_inverse(rel))
-    pts = dq_transform_points_many(q, etas, scan.points)
+    # point i was seen from exp(eta_i xi) relative to the start pose
+    R, t = se3_exp_many(etas[:, None] * xi)
+    pts = matvec_many(R, scan.points) + t
     return replace(
         scan, stamps=np.full_like(scan.stamps, scan.scan_start), points=pts
     )
@@ -94,7 +102,6 @@ class IcpConfig:
 
 def icp_register(
     cloud, submap: LocalSubmap, prior: Pose, config: IcpConfig = IcpConfig(),
-    stamp: int = 0,
 ) -> OdomEstimate:
     """Point-to-plane Gauss-Newton registration of a base-frame cloud
     against the local submap, starting from the IMU motion prior."""
@@ -103,7 +110,6 @@ def icp_register(
     center = np.asarray(prior.t, dtype=float)  # rotation pivot
     degenerate = False
     fitness = np.inf
-    last_cost = np.inf
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         # coarse-to-fine gate: early iterations accept distant pairs for
@@ -127,15 +133,13 @@ def icp_register(
         n_corr = int(mask.sum())
         if n_corr < config.min_correspondences:
             return OdomEstimate(
-                stamp=stamp, pose=prior, fitness=np.inf, iterations=iterations,
+                pose=prior, fitness=np.inf, iterations=iterations,
                 insufficient_overlap=True, degenerate=True, converged=False,
             )
         w = world[mask]
         targets = submap.points()[idx[mask, 0]]
         r = np.einsum("ij,ij->i", normals, w - targets)
-        # Huber IRLS weights
-        absr = np.abs(r)
-        weights = np.where(absr <= config.huber_delta, 1.0, config.huber_delta / np.maximum(absr, 1e-12))
+        weights = _huber_weights(r, config.huber_delta)
         J = np.empty((n_corr, 6))
         # rotation about the prior position keeps the lever arms at scene
         # scale, so the conditioning of N reflects the geometry alone
@@ -159,28 +163,31 @@ def icp_register(
             cand = _apply_delta(pose, delta * step, center)
             cw = cand.apply(cloud)[mask]
             cr = np.einsum("ij,ij->i", normals, cw - targets)
-            ca = np.abs(cr)
-            cweights = np.where(ca <= config.huber_delta, 1.0, config.huber_delta / np.maximum(ca, 1e-12))
-            ccost = float(np.sum(cweights * cr * cr))
+            ccost = float(np.sum(_huber_weights(cr, config.huber_delta) * cr * cr))
             if ccost <= cost or np.linalg.norm(delta * step) < 1e-12:
                 break
             step *= 0.5
         pose = _apply_delta(pose, delta * step, center)
         fitness = float(np.mean(r * r))
-        last_cost = cost
         # only declare convergence once the gate has tightened fully
         if (
             gate <= config.max_correspondence_dist
             and np.linalg.norm(delta * step) < config.translation_tol
         ):
             return OdomEstimate(
-                stamp=stamp, pose=pose, fitness=fitness, iterations=iterations,
+                pose=pose, fitness=fitness, iterations=iterations,
                 degenerate=degenerate, converged=True,
             )
     return OdomEstimate(
-        stamp=stamp, pose=pose, fitness=fitness, iterations=iterations,
+        pose=pose, fitness=fitness, iterations=iterations,
         degenerate=degenerate, converged=False,
     )
+
+
+def _huber_weights(r, delta: float) -> np.ndarray:
+    """Huber IRLS weights of the residuals r."""
+    absr = np.abs(r)
+    return np.where(absr <= delta, 1.0, delta / np.maximum(absr, 1e-12))
 
 
 def _apply_delta(pose: Pose, delta, center) -> Pose:

@@ -14,7 +14,7 @@ squares with the stacked covariance Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,28 +75,21 @@ class ImuChannelCalib:
 
 @dataclass(frozen=True)
 class MimuArray:
-    """K calibrated channels plus the stacked 6K x 6K covariance Q
-    (accelerometer block above the gyro block)."""
+    """K calibrated channels plus their stacked 6K x 6K covariance Q, the
+    diagonal of the channel noise variances (accelerometer block above
+    the gyro block)."""
 
     channels: tuple
-    Q: np.ndarray = None
+    Q: np.ndarray = field(init=False)
 
     def __post_init__(self):
         channels = tuple(self.channels)
         if len(channels) < 1:
             raise ValueError("need at least one channel")
         object.__setattr__(self, "channels", channels)
-        if self.Q is None:
-            acc = np.concatenate([c.acc_noise_var for c in channels])
-            gyr = np.concatenate([c.gyro_noise_var for c in channels])
-            object.__setattr__(self, "Q", np.diag(np.concatenate([acc, gyr])))
-        else:
-            Q = np.asarray(self.Q, dtype=float)
-            if Q.shape != (6 * len(channels),) * 2:
-                raise ValueError("Q shape mismatch")
-            if np.linalg.norm(Q - Q.T) > 1e-12 * np.linalg.norm(Q):
-                raise ValueError("Q must be symmetric")
-            object.__setattr__(self, "Q", Q)
+        acc = np.concatenate([c.acc_noise_var for c in channels])
+        gyr = np.concatenate([c.gyro_noise_var for c in channels])
+        object.__setattr__(self, "Q", np.diag(np.concatenate([acc, gyr])))
 
     @property
     def K(self) -> int:

@@ -369,7 +369,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
 
     state = NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0)
     graph = FactorGraph()
-    graph.add_node(0, state, stamp=fused[0].stamp)
+    graph.add_node(0, state)
     prior_cov = np.diag(
         [0.01**2, 0.01**2, yaw_sigma**2] + [pos_sigma**2] * 3 + [0.1**2] * 3
         + [0.005**2] * 3 + [0.0005**2] * 3
@@ -434,8 +434,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         degenerate = False
         have_odom = False
         if cloud is not None and len(submap) > 0 and node > 1:
-            est = lidar.icp_register(cloud, submap, pred.pose, config.icp,
-                                     stamp=kf_stamp)
+            est = lidar.icp_register(cloud, submap, pred.pose, config.icp)
             counters.icp_iterations += est.iterations
             if est.insufficient_overlap:
                 counters.icp_insufficient += 1
@@ -449,7 +448,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
                     counters.icp_degenerate += 1
         # ---- graph update ----
         x_new = NavState(pose=icp_pose, v=pred.v, b_a=pred.b_a, b_g=pred.b_g)
-        graph.add_node(node, x_new, stamp=kf_stamp)
+        graph.add_node(node, x_new)
         graph.add_factor(ImuFactor(node - 1, node, prop.delta, config.imu_noise))
         graph.add_factor(BiasAnchorFactor(node, init.b_a0, init.b_g0))
         if have_odom:

@@ -19,11 +19,13 @@ import yaml
 from .geometry import (
     NS_PER_S,
     Pose,
+    matvec_many,
     pose_compose,
     pose_inverse,
     quat_from_rotmat,
     quat_to_rotmat,
     se3_exp,
+    se3_exp_many,
     se3_log,
     skew,
     so3_exp,
@@ -243,24 +245,28 @@ def gen_trajectory(scenario: Scenario) -> GroundTruth:
     else:
         stamps[-1] = end_ns
     n = len(stamps)
+    # each step's midpoint twist depends on time alone, so one kernel
+    # call gives every step motion
+    h = np.diff(stamps) / NS_PER_S
+    mid_twists = np.array([
+        _twist_at(scenario, s / NS_PER_S + hk / 2.0)[0] * hk
+        for s, hk in zip(stamps[:-1], h)
+    ]).reshape(-1, 6)
     poses = [Pose.identity()]
+    for R, t in zip(*se3_exp_many(mid_twists)):
+        poses.append(pose_compose(poses[-1], Pose(R, t)))
     v_world = np.zeros((n, 3))
     w_body = np.zeros((n, 3))
     a_world = np.zeros((n, 3))
     w_dot = np.zeros((n, 3))
     for k in range(n):
-        t = stamps[k] / NS_PER_S
-        xi, dxi = _twist_at(scenario, t)
+        xi, dxi = _twist_at(scenario, stamps[k] / NS_PER_S)
         w, v_b = xi[:3], xi[3:]
         R = poses[k].R
         v_world[k] = R @ v_b
         w_body[k] = w
         a_world[k] = R @ (skew(w) @ v_b + dxi[3:])
         w_dot[k] = dxi[:3]
-        if k + 1 < n:
-            h = (stamps[k + 1] - stamps[k]) / NS_PER_S
-            xi_mid, _ = _twist_at(scenario, t + h / 2.0)
-            poses.append(pose_compose(poses[k], se3_exp(xi_mid * h)))
     return GroundTruth(
         stamps=stamps,
         poses=tuple(poses),
@@ -356,12 +362,9 @@ def synth_lidar(
             S1 = pose_compose(gt.pose_at(end), mount.pose)
             xi = se3_log(pose_compose(pose_inverse(S0), S1))
             offsets = (np.arange(n_az) * period_ns) // n_az
-            origins = np.empty((n_az, 3))
-            rot = np.empty((n_az, 3, 3))
-            for a in range(n_az):
-                Sa = pose_compose(S0, se3_exp(xi * (offsets[a] / period_ns)))
-                origins[a] = Sa.t
-                rot[a] = Sa.R
+            R_rel, t_rel = se3_exp_many((offsets / period_ns)[:, None] * xi)
+            rot = S0.R @ R_rel
+            origins = matvec_many(S0.R, t_rel) + S0.t
             dirs_w = np.einsum("aij,aej->aei", rot, pattern)
             o_flat = np.repeat(origins, n_el, axis=0)
             d_flat = dirs_w.reshape(-1, 3)
@@ -562,18 +565,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         for pos, c in doc.get("imus", {}).items()
     }
-    lidars = {
-        pos: LidarMount(
+    lidars = {}
+    for pos, m in doc.get("lidars", {}).items():
+        # keys the file omits keep LidarMount's defaults
+        opts = {k: m[k] for k in ("fov_deg", "n_azimuth") if k in m}
+        if "elevations_deg" in m:
+            opts["elevations_deg"] = tuple(m["elevations_deg"])
+        lidars[pos] = LidarMount(
             pose=Pose(
                 quat_to_rotmat(np.asarray(m["pose"]["quat"], dtype=float)),
                 m["pose"]["t"],
             ),
-            fov_deg=m.get("fov_deg", 360.0),
-            n_azimuth=m.get("n_azimuth", 90),
-            elevations_deg=tuple(m.get("elevations_deg", (-15.0, -5.0, 0.0, 10.0))),
+            **opts,
         )
-        for pos, m in doc.get("lidars", {}).items()
-    }
     rates = Rates(**doc.get("rates", {}))
     noise = NoiseSpec(**doc.get("noise", {}))
     dropouts = tuple(

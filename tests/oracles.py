@@ -2,14 +2,14 @@
 
 `transform_to_base`, `fuse_gyro` and `fuse_mle` solve the IMU array
 model one sample at a time, independently of `BatchFuser`. The residual
-adapters and `dq_pow` call the product `_many` functions with a batch of
-one, so finite-difference tests (`numeric_jacobian`) of them check the
-code that runs.
+adapters call the product `_many` functions with a batch of one, so
+finite-difference tests (`numeric_jacobian`) of them check the code that
+runs.
 """
 
 import numpy as np
 
-from mlio.geometry import NavStates, dq_pow_many, skew
+from mlio.geometry import NavStates, skew
 from mlio.graph import STATE_DIM, _between_many, _prior_many
 from mlio.mimu import FusedImuSample, ImuSample, _phi_projector, build_stacked_model
 from mlio.preintegration import GRAVITY, imu_residual_jacobians_many, stack_deltas
@@ -94,7 +94,3 @@ def numeric_jacobian(fn, state, eps=1e-6):
         J[:, k] = (fn(state.retract(step)) - fn(state.retract(-step))) / (2 * eps)
     return J
 
-
-def dq_pow(q, eta: float):
-    """Constant-twist power q**eta of a unit dual quaternion."""
-    return dq_pow_many(q, [eta])[0]

@@ -6,15 +6,11 @@ from scipy.linalg import expm, logm
 
 from mlio.geometry import (
     DegenerateInputError,
-    DualQuaternion,
     Pose,
-    dq_from_pose,
-    dq_to_pose,
-    dq_transform_points_many,
     pose_compose,
     pose_inverse,
-    quat_mul,
     se3_exp,
+    se3_exp_many,
     se3_left_jacobian_inv_many,
     se3_log,
     skew,
@@ -23,7 +19,7 @@ from mlio.geometry import (
     so3_log,
     so3_log_many,
 )
-from oracles import dq_pow
+from mlio.lidar import LidarScan, deskew
 
 
 def rot_z(angle):
@@ -38,10 +34,10 @@ def random_pose(rng, max_angle=2.5):
     return Pose(so3_exp(axis * angle), rng.normal(scale=3.0, size=3))
 
 
-def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
-    real = quat_mul(a.real, b.real)
-    dual = quat_mul(a.real, b.dual) + quat_mul(a.dual, b.real)
-    return DualQuaternion(real, dual)
+def twist_power(p: Pose, eta: float) -> Pose:
+    """p**eta, the pose at fraction eta of p's constant twist."""
+    R, t = se3_exp_many(eta * se3_log(p)[None])
+    return Pose(R[0], t[0])
 
 
 def se3_left_jacobian_inv(xi) -> np.ndarray:
@@ -105,58 +101,32 @@ class TestPose:
         assert np.linalg.det(p.R) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestDualQuaternion:
-    def test_identity_pose(self):
-        q = dq_from_pose(Pose.identity())
-        np.testing.assert_allclose(q.real, [1, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(q.dual, 0.0, atol=1e-15)
-
-    def test_pure_translation(self):
-        q = dq_from_pose(Pose(np.eye(3), np.array([2.0, 0.0, 0.0])))
-        np.testing.assert_allclose(q.real, [1, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(q.dual, [0, 1, 0, 0], atol=1e-15)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(4)
-        for _ in range(1000):
-            p = random_pose(rng)
-            r = dq_to_pose(dq_from_pose(p))
-            np.testing.assert_allclose(r.t, p.t, atol=1e-9)
-            np.testing.assert_allclose(r.R, p.R, atol=1e-9)
-
-    def test_mul_matches_compose(self):
-        rng = np.random.default_rng(5)
-        a, b = random_pose(rng), random_pose(rng)
-        p = dq_to_pose(dq_mul(dq_from_pose(a), dq_from_pose(b)))
-        c = pose_compose(a, b)
-        np.testing.assert_allclose(p.R, c.R, atol=1e-9)
-        np.testing.assert_allclose(p.t, c.t, atol=1e-9)
-
-
 class TestDqPow:
+    """The constant-twist power T**eta = se3_exp(eta * se3_log(T)), the
+    kernel of scan deskewing and of the simulator's scans (formerly a
+    dual-quaternion screw power, hence the name)."""
+
     def test_zero_exponent(self):
         rng = np.random.default_rng(6)
-        q = dq_from_pose(random_pose(rng))
-        r = dq_pow(q, 0.0)
-        np.testing.assert_allclose(r.real, [1, 0, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(r.dual, 0.0, atol=1e-12)
+        r = twist_power(random_pose(rng), 0.0)
+        np.testing.assert_allclose(r.R, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(r.t, 0.0, atol=1e-12)
 
     def test_unit_exponent(self):
         rng = np.random.default_rng(7)
         p = random_pose(rng)
-        r = dq_to_pose(dq_pow(dq_from_pose(p), 1.0))
+        r = twist_power(p, 1.0)
         np.testing.assert_allclose(r.R, p.R, atol=1e-9)
         np.testing.assert_allclose(r.t, p.t, atol=1e-9)
 
     def test_half_translation(self):
-        q = dq_from_pose(Pose(np.eye(3), np.array([1.0, 0.0, 0.0])))
-        p = dq_to_pose(dq_pow(q, 0.5))
+        p = twist_power(Pose(np.eye(3), np.array([1.0, 0.0, 0.0])), 0.5)
         np.testing.assert_allclose(p.t, [0.5, 0, 0], atol=1e-12)
         np.testing.assert_allclose(p.R, np.eye(3), atol=1e-12)
 
     def test_half_screw_against_matrix_log_oracle(self):
         pose = Pose(rot_z(math.pi / 2), np.array([0.0, 0.0, 1.0]))
-        got = dq_to_pose(dq_pow(dq_from_pose(pose), 0.5))
+        got = twist_power(pose, 0.5)
         expected = expm(0.5 * logm(pose.matrix()))
         np.testing.assert_allclose(got.matrix(), expected.real, atol=1e-9)
         np.testing.assert_allclose(got.R, rot_z(math.pi / 4), atol=1e-9)
@@ -167,7 +137,7 @@ class TestDqPow:
         rng = np.random.default_rng(8)
         for _ in range(20):
             p = random_pose(rng)
-            got = dq_to_pose(dq_pow(dq_from_pose(p), eta)).matrix()
+            got = twist_power(p, eta).matrix()
             expected = expm(eta * logm(p.matrix())).real
             np.testing.assert_allclose(got, expected, atol=1e-8)
 
@@ -175,28 +145,53 @@ class TestDqPow:
         rng = np.random.default_rng(9)
         for _ in range(50):
             p = random_pose(rng)
-            q = dq_from_pose(p)
-            half = dq_to_pose(dq_pow(q, 0.5))
+            half = twist_power(p, 0.5)
             full = pose_compose(half, half)
             np.testing.assert_allclose(full.R, p.R, atol=1e-8)
             np.testing.assert_allclose(full.t, p.t, atol=1e-8)
 
     def test_angle_pi_is_degenerate(self):
-        q = dq_from_pose(Pose(rot_z(math.pi), np.zeros(3)))
         with pytest.raises(DegenerateInputError):
-            dq_pow(q, 0.5)
+            twist_power(Pose(rot_z(math.pi), np.zeros(3)), 0.5)
 
     def test_transform_points_many_matches_per_point(self):
+        """deskew maps point i by T**eta_i, checked point by point
+        against the matrix exponential of eta_i log T."""
         rng = np.random.default_rng(10)
         p = random_pose(rng)
-        q = dq_from_pose(p)
-        etas = rng.uniform(0.0, 1.0, size=40)
+        start = random_pose(rng)
+        stamps = np.sort(rng.integers(0, 100_000_000, size=40))
         pts = rng.normal(scale=5.0, size=(40, 3))
-        got = dq_transform_points_many(q, etas, pts)
-        for i, eta in enumerate(etas):
-            t_eta = dq_to_pose(dq_pow(q, eta))
-            expected = pose_inverse(t_eta).apply(pts[i])
+        scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, pts)
+        got = deskew(scan, start, pose_compose(start, p)).points
+        log_p = logm(p.matrix())
+        for i, s in enumerate(stamps):
+            T = expm(s / 100_000_000 * log_p).real
+            expected = T[:3, :3] @ pts[i] + T[:3, 3]
             np.testing.assert_allclose(got[i], expected, atol=1e-9)
+
+    def test_many_matches_matrix_exponential(self):
+        """Each row of se3_exp_many is expm of the 4x4 twist matrix,
+        from zero through the small-angle series to near a half-turn."""
+        rng = np.random.default_rng(15)
+        axes = rng.normal(size=(30, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate([[0.0, 1e-9, 1e-7, 1e-5],
+                                 rng.uniform(0.0, 3.1, size=26)])
+        xi = np.concatenate(
+            [angles[:, None] * axes, rng.normal(scale=3.0, size=(30, 3))], axis=1
+        )
+        R, t = se3_exp_many(xi)
+        for k in range(len(xi)):
+            A = np.zeros((4, 4))
+            A[:3, :3] = skew(xi[k, :3])
+            A[:3, 3] = xi[k, 3:]
+            T = expm(A)
+            np.testing.assert_allclose(R[k], T[:3, :3], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t[k], T[:3, 3], rtol=0, atol=1e-11)
+            single = se3_exp(xi[k])
+            np.testing.assert_array_equal(single.R, R[k])
+            np.testing.assert_array_equal(single.t, t[k])
 
 
 class TestSo3Log:

@@ -184,7 +184,7 @@ def chain_graph(n, step=None, gnss_on=(), prior_cov=None, sigma_gnss=0.5):
     for k in range(n):
         pose = Pose(np.eye(3), k * step)
         truth.append(pose)
-        g.add_node(k, NavState(pose=pose), stamp=k * 500_000_000)
+        g.add_node(k, NavState(pose=pose))
     g.add_factor(
         PriorFactor(0, truth[0], np.zeros(3), np.zeros(3),
                     prior_cov if prior_cov is not None else np.eye(STATE_DIM) * 0.01)

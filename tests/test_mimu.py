@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,15 @@ def calib(t=(0, 0, 0), R=None, acc_var=1.0, gyro_var=1.0):
         t=np.asarray(t, dtype=float),
         acc_noise_var=np.full(3, acc_var),
         gyro_noise_var=np.full(3, gyro_var),
+    )
+
+
+def scale_variances(channels, k):
+    """The channels with every noise variance multiplied by k."""
+    return tuple(
+        replace(c, acc_noise_var=k * c.acc_noise_var,
+                gyro_noise_var=k * c.gyro_noise_var)
+        for c in channels
     )
 
 
@@ -128,7 +139,8 @@ class TestFuseGyro:
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)
         base = MimuArray((calib(gyro_var=0.5), calib(t=(1, 0, 0), gyro_var=2.0)))
-        scaled = MimuArray(base.channels, Q=7.3 * base.Q)
+        scaled = MimuArray(scale_variances(base.channels, 7.3))
+        np.testing.assert_allclose(scaled.Q, 7.3 * base.Q, rtol=1e-15)
         y = rng.normal(size=6)
         np.testing.assert_allclose(
             fuse_gyro(base, y), fuse_gyro(scaled, y), atol=1e-10
@@ -164,7 +176,7 @@ class TestFuseMle:
     def test_uniform_q_equals_unweighted_ls(self):
         rng = np.random.default_rng(3)
         channels = tuple(calib(t=rng.normal(size=3), acc_var=1.0) for _ in range(3))
-        arr = MimuArray(channels, Q=0.37 * MimuArray(channels).Q)
+        arr = MimuArray(scale_variances(channels, 0.37))
         y_f, y_w = rng.normal(size=9), rng.normal(size=9)
         out = fuse_mle(arr, y_f, y_w)
         w = fuse_gyro(arr, y_w)

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from mlio.dataset import load_dataset, write_dataset
-from mlio.geometry import NS_PER_S, Pose, pose_compose, so3_exp
+from mlio.geometry import (
+    NS_PER_S,
+    Pose,
+    pose_compose,
+    pose_inverse,
+    se3_exp,
+    se3_log,
+    so3_exp,
+)
 from mlio.lidar import deskew
 from mlio.mimu import ImuChannelCalib
 from mlio.sim import (
@@ -17,11 +25,13 @@ from mlio.sim import (
     Plane,
     Rates,
     Scenario,
+    _scan_pattern,
     corridor_scenario,
     gen_trajectory,
     inject_dropout,
     loop_scenario,
     raycast_world,
+    scenario_from_dict,
     simulate,
     synth_gnss,
     synth_imu,
@@ -201,6 +211,38 @@ class TestSynthLidar:
         raw_x = S0.apply(scan.points)[:, 0]
         assert np.max(np.abs(raw_x - 30.0)) > 0.1
 
+    def test_matches_per_azimuth_pose_loop(self):
+        """Each azimuth step is cast from pose_compose(S0, se3_exp(eta
+        xi)), evaluated here one azimuth at a time."""
+        mount = LidarMount(pose=Pose(so3_exp([0.0, 0.1, 0.6]), [0.4, -0.2, 1.5]))
+        world = [Plane(point=[0, 0, 0], normal=[0, 0, 1]),
+                 Box(lo=[8, -20, 0], hi=[9, 20, 6]),
+                 Box(lo=[-20, 6, 0], hi=[20, 7, 6])]
+        s = scenario_with([(1.0, [0.1, 0, 0.8, 4.0, 0.5, 0])],
+                          lidars={"F_L": mount}, world=world)
+        gt = gen_trajectory(s)
+        period_ns = NS_PER_S // 5
+        pattern = _scan_pattern(mount)
+        n_az = len(pattern)
+        scans = synth_lidar(gt, world, s.lidars, 5.0, NoiseSpec(), seed=0)["lidar/F_L"]
+        assert len(scans) == 5
+        for scan in scans:
+            S0 = pose_compose(gt.pose_at(scan.scan_start), mount.pose)
+            S1 = pose_compose(gt.pose_at(scan.scan_end), mount.pose)
+            xi = se3_log(pose_compose(pose_inverse(S0), S1))
+            pts, stamps = [], []
+            for a in range(n_az):
+                offset = a * period_ns // n_az
+                Sa = pose_compose(S0, se3_exp(xi * (offset / period_ns)))
+                dirs = pattern[a] @ Sa.R.T
+                ranges = raycast_world(world, np.tile(Sa.t, (len(dirs), 1)), dirs)
+                hit = np.isfinite(ranges) & (ranges <= s.max_range)
+                pts.append(pattern[a][hit] * ranges[hit, None])
+                stamps += [scan.scan_start + offset] * int(hit.sum())
+            np.testing.assert_array_equal(scan.stamps, stamps)
+            np.testing.assert_allclose(scan.points, np.concatenate(pts),
+                                       rtol=0, atol=1e-9)
+
     def test_four_mounts_cover_full_circle(self):
         s = loop_scenario(seed=0)
         gt = gen_trajectory(
@@ -377,3 +419,16 @@ class TestScenarioValidation:
         assert BUILTIN_SCENARIOS["urban-loop"]().duration > 30.0
         with pytest.raises(KeyError):
             BUILTIN_SCENARIOS["nope"]
+
+    def test_lidar_keys_omitted_from_file_keep_mount_defaults(self):
+        doc = {
+            "segments": [{"duration": 1.0, "twist": [0.0] * 6}],
+            "lidars": {"F_L": {"pose": {"quat": [1.0, 0, 0, 0],
+                                        "t": [0.0, 0.0, 1.8]}}},
+        }
+        got = scenario_from_dict(doc).lidars["F_L"]
+        expected = LidarMount(pose=Pose(np.eye(3), [0.0, 0.0, 1.8]))
+        assert got.fov_deg == expected.fov_deg
+        assert got.n_azimuth == expected.n_azimuth
+        np.testing.assert_array_equal(got.elevations_deg,
+                                      expected.elevations_deg)
