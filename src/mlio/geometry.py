@@ -67,16 +67,25 @@ def skew_many(v) -> np.ndarray:
     return out
 
 
-def so3_exp_many(phi) -> np.ndarray:
-    """so3_exp of stacked (m, 3) rotation vectors, shape (m, 3, 3)."""
+def _so3_terms_many(phi):
+    """(theta, K, K @ K) of stacked (m, 3) rotation vectors, theta shaped
+    (m, 1, 1): the terms every SO(3) series below is a sum of."""
     phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
     K = skew_many(phi)
+    return np.linalg.norm(phi, axis=-1)[..., None, None], K, K @ K
+
+
+def _so3_exp_terms(theta, K, KK) -> np.ndarray:
     small = theta < 1e-8
     ts = np.where(small, 1.0, theta)
     a = np.where(small, 1.0, np.sin(ts) / ts)
     b = np.where(small, 0.5, (1.0 - np.cos(ts)) / ts**2)
-    return np.eye(3) + a * K + b * (K @ K)
+    return np.eye(3) + a * K + b * KK
+
+
+def so3_exp_many(phi) -> np.ndarray:
+    """so3_exp of stacked (m, 3) rotation vectors, shape (m, 3, 3)."""
+    return _so3_exp_terms(*_so3_terms_many(phi))
 
 
 def so3_log(R) -> np.ndarray:
@@ -122,57 +131,62 @@ def so3_log_many(R) -> np.ndarray:
     return out
 
 
-def so3_left_jacobian(phi) -> np.ndarray:
-    """J_l(phi) = integral_0^1 Exp(s*phi) ds."""
+def so3_series(phi):
+    """(Exp, J_l, J_r, C) of one rotation vector from one norm, skew and
+    K @ K: the exponential, the left Jacobian J_l = integral_0^1
+    Exp(s*phi) ds, the right Jacobian J_r = J_l(-phi) and the double
+    integral C = integral_0^1 integral_0^a Exp(u*phi) du da. Each keeps
+    its own small-angle threshold (1e-8, 1e-6, 1e-4)."""
     phi = np.asarray(phi, dtype=float)
     theta = np.linalg.norm(phi)
     K = skew(phi)
+    KK = K @ K
+    eye = np.eye(3)
+    s, c = math.sin(theta), math.cos(theta)
+    if theta < 1e-8:
+        R = eye + K + 0.5 * KK
+    else:
+        R = eye + s / theta * K + (1.0 - c) / theta**2 * KK
     if theta < 1e-6:
-        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
-    a = (1.0 - math.cos(theta)) / theta**2
-    b = (theta - math.sin(theta)) / theta**3
-    return np.eye(3) + a * K + b * (K @ K)
+        Jl = eye + 0.5 * K + KK / 6.0
+        Jr = eye - 0.5 * K + KK / 6.0
+    else:
+        a = (1.0 - c) / theta**2
+        b = (theta - s) / theta**3
+        Jl = eye + a * K + b * KK
+        Jr = eye - a * K + b * KK
+    if theta < 1e-4:
+        C = 0.5 * eye + K / 6.0 + KK / 24.0
+    else:
+        a = (theta - s) / theta**3
+        b = (c - 1.0 + theta**2 / 2.0) / theta**4
+        C = 0.5 * eye + a * K + b * KK
+    return R, Jl, Jr, C
 
 
-def so3_left_jacobian_many(phi) -> np.ndarray:
-    """so3_left_jacobian of stacked (m, 3) vectors, shape (m, 3, 3)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
-    K = skew_many(phi)
+def _so3_left_jacobian_terms(theta, K, KK) -> np.ndarray:
     small = theta < 1e-6
     ts = np.where(small, 1.0, theta)
     a = np.where(small, 0.5, (1.0 - np.cos(ts)) / ts**2)
     b = np.where(small, 1.0 / 6.0, (ts - np.sin(ts)) / ts**3)
-    return np.eye(3) + a * K + b * (K @ K)
+    return np.eye(3) + a * K + b * KK
+
+
+def so3_left_jacobian_many(phi) -> np.ndarray:
+    """Left Jacobians J_l(phi) = integral_0^1 Exp(s*phi) ds of stacked
+    (m, 3) vectors, shape (m, 3, 3)."""
+    return _so3_left_jacobian_terms(*_so3_terms_many(phi))
 
 
 def so3_left_jacobian_inv_many(phi) -> np.ndarray:
     """Inverse left Jacobians of stacked (m, 3) vectors, (m, 3, 3); the
     inverse right Jacobian at phi is the one at -phi."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
-    K = skew_many(phi)
+    theta, K, KK = _so3_terms_many(phi)
     small = theta < 1e-6
     ts = np.where(small, 1.0, theta)
     cot_half = ts * np.cos(ts / 2.0) / (2.0 * np.sin(ts / 2.0))
     b = np.where(small, 1.0 / 12.0, (1.0 - cot_half) / ts**2)
-    return np.eye(3) - 0.5 * K + b * (K @ K)
-
-
-def so3_right_jacobian(phi) -> np.ndarray:
-    return so3_left_jacobian(-np.asarray(phi, dtype=float))
-
-
-def so3_double_integral(phi) -> np.ndarray:
-    """C(phi) = integral_0^1 integral_0^a Exp(u*phi) du da."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    K = skew(phi)
-    if theta < 1e-4:
-        return 0.5 * np.eye(3) + K / 6.0 + (K @ K) / 24.0
-    a = (theta - math.sin(theta)) / theta**3
-    b = (math.cos(theta) - 1.0 + theta**2 / 2.0) / theta**4
-    return 0.5 * np.eye(3) + a * K + b * (K @ K)
+    return np.eye(3) - 0.5 * K + b * KK
 
 
 def _project_rotation(R) -> np.ndarray:
@@ -287,7 +301,9 @@ def se3_exp_many(xi):
     screw motion that deskewing and the simulator's scans share."""
     xi = np.asarray(xi, dtype=float)
     phi, rho = xi[:, :3], xi[:, 3:]
-    return so3_exp_many(phi), matvec_many(so3_left_jacobian_many(phi), rho)
+    terms = _so3_terms_many(phi)  # shared by Exp and J_l
+    return (_so3_exp_terms(*terms),
+            matvec_many(_so3_left_jacobian_terms(*terms), rho))
 
 
 def se3_log(p: Pose) -> np.ndarray:

@@ -42,6 +42,8 @@ class LidarScan:
             raise ValueError("scan needs matching, non-empty stamps and points")
         if stamps.min() < self.scan_start or stamps.max() > self.scan_end:
             raise ValueError("point stamps outside [scan_start, scan_end]")
+        if not np.all(np.isfinite(points)):
+            raise ValueError(f"non-finite point in scan of {self.sensor_id}")
         object.__setattr__(self, "stamps", stamps)
         object.__setattr__(self, "points", points)
 
@@ -72,17 +74,28 @@ def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> LidarScan:
     )
 
 
+_VOXEL_SPAN = 1 << 21  # voxels per axis below which three fit one int64
+
+
 def voxel_downsample(points, resolution: float = 0.05) -> np.ndarray:
-    """One point per voxel: the centroid of the voxel's members."""
+    """One point per voxel: the centroid of the voxel's members, in the
+    lexicographic order of the voxels' integer coordinates."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) == 0:
         return points
-    keys = np.floor(points / resolution).astype(np.int64)
-    _, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
+    voxels = np.floor(points / resolution)
+    voxels -= voxels.min(axis=0)
+    dims = voxels.max(axis=0) + 1.0
+    if not np.all(dims < _VOXEL_SPAN):  # also false for NaN
+        raise ValueError(
+            "cloud is not finite or spans 2**21 voxels or more on an axis, "
+            "so its voxel keys do not fit one int64"
+        )
+    # one int64 per voxel, ordered as its (x, y, z) coordinates
+    keys = np.ravel_multi_index(voxels.astype(np.int64).T, dims.astype(np.int64))
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     sums = np.zeros((len(counts), 3))
     np.add.at(sums, inverse, points)
     return sums / counts[:, None]
@@ -120,7 +133,8 @@ def icp_register(
             config.coarse_correspondence_dist * 0.5 ** (iterations - 1),
         )
         world = pose.apply(cloud)
-        dists, idx = submap.knn(world, k=1)
+        # the tree stops searching at the gate; pairs beyond it are dropped
+        dists, idx = submap.knn(world, k=1, max_dist=gate)
         mask = dists[:, 0] <= gate
         if mask.any():
             normals_all, valid = submap.plane_normals(
@@ -136,6 +150,7 @@ def icp_register(
                 pose=prior, fitness=np.inf, iterations=iterations,
                 insufficient_overlap=True, degenerate=True, converged=False,
             )
+        src = cloud[mask]
         w = world[mask]
         targets = submap.points()[idx[mask, 0]]
         r = np.einsum("ij,ij->i", normals, w - targets)
@@ -161,7 +176,7 @@ def icp_register(
         step = 1.0
         for _ in range(6):
             cand = _apply_delta(pose, delta * step, center)
-            cw = cand.apply(cloud)[mask]
+            cw = cand.apply(src)
             cr = np.einsum("ij,ij->i", normals, cw - targets)
             ccost = float(np.sum(_huber_weights(cr, config.huber_delta) * cr * cr))
             if ccost <= cost or np.linalg.norm(delta * step) < 1e-12:

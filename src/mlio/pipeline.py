@@ -274,7 +274,8 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
 
 class _Propagator:
     """IMU-mechanized pose prediction between keyframes; records the
-    predicted pose at every fused sample stamp for deskewing.
+    preintegrated delta at every fused sample stamp, from which
+    `pose_at` predicts the poses that deskewing asks for.
 
     `w` is the body rate at the keyframe (bias-corrected gyro), which
     the smoothed state does not carry."""
@@ -288,13 +289,13 @@ class _Propagator:
         self.state = state
         self.w = w
         self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
-        self.track = [(0, state.pose)]  # (stamp, predicted base pose)
+        self.track = [(0, None)]  # (stamp, delta; None at the keyframe)
         self.last_stamp = None
         self.last_sample = None
 
     def advance(self, sample: FusedImuSample):
         if self.last_stamp is None:
-            self.track = [(sample.stamp, self.state.pose)]
+            self.track = [(sample.stamp, None)]
         else:
             dt = (sample.stamp - self.last_stamp) / NS_PER_S
             if dt <= 0:
@@ -311,8 +312,7 @@ class _Propagator:
             steps = math.ceil(dt / 0.099)
             for _ in range(steps):
                 self.delta = integrate(self.delta, mid, dt / steps, self.noise)
-            pred = predict(self.state, self.delta)
-            self.track.append((sample.stamp, pred.pose))
+            self.track.append((sample.stamp, self.delta))
         self.last_stamp = sample.stamp
         self.last_sample = sample
 
@@ -331,13 +331,13 @@ class _Propagator:
         elsewhere."""
         stamps = [t for t, _ in self.track]
         k = int(np.searchsorted(stamps, stamp, side="right")) - 1
+        t_k, delta = self.track[max(k, 0)]
+        pose = self.state.pose if delta is None else predict(self.state, delta).pose
         if k < 0:
-            t_k, pose = self.track[0]
             w, v = self.w, self.state.v
+        elif self.last_sample is None:
+            return pose
         else:
-            t_k, pose = self.track[k]
-            if self.last_sample is None:
-                return pose
             w = self.last_sample.w - self.state.b_g
             v = self.predicted().v
         rem = (stamp - t_k) / NS_PER_S

@@ -23,14 +23,12 @@ from .geometry import (
     matvec_many,
     skew,
     skew_many,
-    so3_double_integral,
     so3_exp,
     so3_exp_many,
-    so3_left_jacobian,
     so3_left_jacobian_inv_many,
     so3_left_jacobian_many,
     so3_log_many,
-    so3_right_jacobian,
+    so3_series,
 )
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -94,10 +92,7 @@ def integrate(
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
         raise ValueError("non-finite IMU sample")
 
-    theta = w * dt
-    A = so3_exp(theta)
-    Jl = so3_left_jacobian(theta)
-    C = so3_double_integral(theta)
+    A, Jl, Jr, C = so3_series(w * dt)
     dR, dv, dp = delta.dR, delta.dv, delta.dp
 
     dp_new = dp + dv * dt + dR @ C @ a * dt**2
@@ -105,7 +100,6 @@ def integrate(
     dR_new = dR @ A
 
     # first-order bias Jacobians
-    Jr = so3_right_jacobian(theta)
     Jla = Jl @ a
     Ca = C @ a
     J_r_bg = A.T @ delta.J_r_bg - Jr * dt

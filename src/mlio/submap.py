@@ -6,8 +6,9 @@ is two flat arrays in insertion order, the (N, 3) points and their voxel
 keys packed into one int64 each relative to an origin voxel that follows
 the box, so insert and crop are array operations, world coordinates of
 any size (UTM too) pack, and the KD-tree sees the points in the order
-they arrived. Plane normals are fit lazily, in one batch per call, and
-cached until the map or the neighbor count changes.
+they arrived. A k-NN query can be bounded by a maximum distance, at
+which the tree stops searching. Plane normals are fit lazily, in one
+batch per call, and cached until the map or the neighbor count changes.
 """
 
 from __future__ import annotations
@@ -99,13 +100,18 @@ class LocalSubmap:
             self._tree = cKDTree(self._points, balanced_tree=False)
         return self._tree
 
-    def knn(self, queries, k: int = 1):
-        """Exact k nearest stored points. Returns (distances, indices)."""
+    def knn(self, queries, k: int = 1, max_dist: float = np.inf):
+        """Exact k nearest stored points at most `max_dist` away. Returns
+        (distances, indices); a neighbor not found within the bound has
+        distance inf and index len(self)."""
         tree = self._ensure_tree()
         if tree is None:
             raise ValueError("submap is empty")
         queries = np.atleast_2d(queries)
-        d, idx = tree.query(queries, k=k)
+        # the tree's bound is exclusive and stops its search early; one
+        # unit of rounding above max_dist keeps every distance equal to it
+        d, idx = tree.query(queries, k=k,
+                            distance_upper_bound=np.nextafter(max_dist, np.inf))
         return d.reshape(len(queries), -1), idx.reshape(len(queries), -1)
 
     def plane_normals(self, indices, k: int = 5):

@@ -4,7 +4,8 @@
 model one sample at a time, independently of `BatchFuser`. The residual
 adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
-runs.
+runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
+rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
 """
 
 import numpy as np
@@ -94,3 +95,14 @@ def numeric_jacobian(fn, state, eps=1e-6):
         J[:, k] = (fn(state.retract(step)) - fn(state.retract(-step))) / (2 * eps)
     return J
 
+
+def voxel_downsample_rows(points, resolution: float) -> np.ndarray:
+    """Voxel centroids, grouped by np.unique over the integer voxel rows."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    keys = np.floor(points / resolution).astype(np.int64)
+    _, inverse, counts = np.unique(
+        keys, axis=0, return_inverse=True, return_counts=True
+    )
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inverse, points)
+    return sums / counts[:, None]

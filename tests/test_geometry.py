@@ -7,6 +7,7 @@ from scipy.linalg import expm, logm
 from mlio.geometry import (
     DegenerateInputError,
     Pose,
+    matvec_many,
     pose_compose,
     pose_inverse,
     se3_exp,
@@ -16,8 +17,10 @@ from mlio.geometry import (
     skew,
     so3_exp,
     so3_exp_many,
+    so3_left_jacobian_many,
     so3_log,
     so3_log_many,
+    so3_series,
 )
 from mlio.lidar import LidarScan, deskew
 
@@ -192,6 +195,61 @@ class TestDqPow:
             single = se3_exp(xi[k])
             np.testing.assert_array_equal(single.R, R[k])
             np.testing.assert_array_equal(single.t, t[k])
+
+
+def so3_left_jacobian(phi) -> np.ndarray:
+    """The per-term left Jacobian that so3_series replaced."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.linalg.norm(phi)
+    K = skew(phi)
+    if theta < 1e-6:
+        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
+    a = (1.0 - math.cos(theta)) / theta**2
+    b = (theta - math.sin(theta)) / theta**3
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+def so3_right_jacobian(phi) -> np.ndarray:
+    return so3_left_jacobian(-np.asarray(phi, dtype=float))
+
+
+def so3_double_integral(phi) -> np.ndarray:
+    """The per-term double integral that so3_series replaced."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.linalg.norm(phi)
+    K = skew(phi)
+    if theta < 1e-4:
+        return 0.5 * np.eye(3) + K / 6.0 + (K @ K) / 24.0
+    a = (theta - math.sin(theta)) / theta**3
+    b = (math.cos(theta) - 1.0 + theta**2 / 2.0) / theta**4
+    return 0.5 * np.eye(3) + a * K + b * (K @ K)
+
+
+class TestSo3Series:
+    # zero, each small-angle threshold from both sides, and large angles
+    ANGLES = [0.0, 1e-9] + [t * f for t in (1e-8, 1e-6, 1e-4)
+                            for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)] + [0.3, 3.0]
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_bit_identical_to_separate_terms(self, angle):
+        rng = np.random.default_rng(15)
+        for axis in rng.normal(size=(20, 3)):
+            phi = angle * axis / np.linalg.norm(axis)
+            got = so3_series(phi)
+            want = (so3_exp(phi), so3_left_jacobian(phi),
+                    so3_right_jacobian(phi), so3_double_integral(phi))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_se3_exp_many_shares_the_so3_terms(self):
+        """The shared (theta, K, K @ K) give the same bits as the two
+        batched SO(3) series they stand for."""
+        rng = np.random.default_rng(16)
+        xi = rng.normal(size=(50, 6)) * np.logspace(-10, 0.5, 50)[:, None]
+        R, t = se3_exp_many(xi)
+        np.testing.assert_array_equal(R, so3_exp_many(xi[:, :3]))
+        np.testing.assert_array_equal(
+            t, matvec_many(so3_left_jacobian_many(xi[:, :3]), xi[:, 3:]))
 
 
 class TestSo3Log:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
+from scipy.spatial import cKDTree
 
 from mlio.geometry import (
     Pose,
@@ -20,6 +21,7 @@ from mlio.lidar import (
     voxel_downsample,
 )
 from mlio.submap import LocalSubmap
+from oracles import voxel_downsample_rows
 from submap_oracle import DictSubmap
 
 
@@ -44,6 +46,14 @@ def fuse_to_base(scans, calib: dict) -> np.ndarray:
             )
         clouds.append(calib[scan.sensor_id].apply(scan.points))
     return np.concatenate(clouds, axis=0)
+
+
+def unbounded_knn(submap, queries, k):
+    """k-NN over a KD-tree built as the submap builds it (same ties),
+    searched without a distance bound."""
+    tree = cKDTree(submap.points(), balanced_tree=False)
+    d, idx = tree.query(np.atleast_2d(queries), k=k)
+    return d.reshape(len(queries), -1), idx.reshape(len(queries), -1)
 
 
 def grid_on_plane(origin, u, v, nu, nv, su, sv):
@@ -94,6 +104,27 @@ class TestLocalSubmap:
             for qi, q in enumerate(queries):
                 brute = np.sort(np.linalg.norm(pts - q, axis=1))[:3]
                 np.testing.assert_allclose(np.sort(d[qi]), brute, atol=1e-12)
+
+    def test_bounded_knn_is_unbounded_within_the_bound(self):
+        """Rows with a neighbor at most max_dist away equal the unbounded
+        query's; the others have distance inf and index len(map). A
+        neighbor exactly at max_dist is kept. Without max_dist the query
+        is unbounded."""
+        rng = np.random.default_rng(17)
+        m = LocalSubmap(voxel_resolution=0.05, extent=20.0)
+        m.insert(rng.uniform(-3, 3, size=(400, 3)))
+        queries = rng.uniform(-5, 5, size=(300, 3))
+        d_all, i_all = unbounded_knn(m, queries, k=3)
+        for got, want in zip(m.knn(queries, k=3), (d_all, i_all)):
+            np.testing.assert_array_equal(got, want)  # unbounded by default
+        r = d_all[30, 1]  # query 30's second neighbor lies exactly at r
+        for k in (1, 3):
+            d, idx = m.knn(queries, k=k, max_dist=r)
+            within = d_all[:, :k] <= r
+            assert within[30].sum() == min(k, 2) and 0 < within.sum() < within.size
+            np.testing.assert_array_equal(d[within], d_all[:, :k][within])
+            np.testing.assert_array_equal(idx[within], i_all[:, :k][within])
+            assert np.all(np.isinf(d[~within])) and np.all(idx[~within] == len(m))
 
     def test_memory_bound(self):
         m = LocalSubmap(voxel_resolution=0.5, extent=4.0)
@@ -212,6 +243,15 @@ class TestLocalSubmap:
             m.crop_to_box([0.0, np.nan, 0.0])
 
 
+class TestLidarScan:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises_naming_the_sensor(self, bad):
+        pts = np.zeros((3, 3))
+        pts[1, 2] = bad
+        with pytest.raises(ValueError, match="lidar/R_L"):
+            LidarScan("lidar/R_L", 0, 10, [0, 5, 10], pts)
+
+
 class TestDeskew:
     def test_no_motion_unchanged(self):
         rng = np.random.default_rng(3)
@@ -322,6 +362,27 @@ class TestVoxelDownsample:
         pts = rng.uniform(0, 1, size=(100_000, 3))
         assert len(voxel_downsample(pts, 0.05)) <= 21**3
 
+    @pytest.mark.parametrize("offset", [[0.0, 0.0, 0.0], [5e5, 5e6, 0.0]])
+    def test_matches_row_unique_oracle(self, offset):
+        """Same centroids, same order, same bits as grouping by the
+        (n, 3) voxel rows; negative coordinates and UTM scale included."""
+        rng = np.random.default_rng(18)
+        for res in (0.05, 0.3):
+            pts = rng.uniform(-4, 4, size=(5000, 3)) + offset
+            pts = np.concatenate([pts, pts[:500] + 1e-3])  # shared voxels
+            assert np.array_equal(voxel_downsample(pts, res),
+                                  voxel_downsample_rows(pts, res))
+
+    def test_cloud_too_wide_for_one_key_raises(self):
+        # 105 km at 0.05 m is more than 2**21 voxels along x
+        with pytest.raises(ValueError, match="int64"):
+            voxel_downsample([[0.0, 0.0, 0.0], [105e3, 0.0, 0.0]], 0.05)
+        assert len(voxel_downsample([[0.0, 0.0, 0.0], [104e3, 0.0, 0.0]], 0.05)) == 2
+
+    def test_non_finite_point_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            voxel_downsample([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], 0.05)
+
 
 class TestIcpRegister:
     def make_map(self):
@@ -367,6 +428,41 @@ class TestIcpRegister:
         est = icp_register(cloud, m, prior)
         assert est.insufficient_overlap and not est.converged
         np.testing.assert_allclose(est.pose.t, prior.t)
+
+
+class UnboundedSubmap(LocalSubmap):
+    """A submap whose k-NN ignores max_dist: every query searches the
+    whole KD-tree, as icp_register's queries did before the bound."""
+
+    def knn(self, queries, k=1, max_dist=None):
+        return unbounded_knn(self, queries, k)
+
+
+class TestIcpBoundedSearch:
+    @pytest.mark.parametrize("seed", [19, 20])
+    def test_same_result_as_unbounded_search(self, seed):
+        """Points far beyond the coarse gate (free space, another room)
+        and an offset prior: the gate-bounded search gives the same
+        pose bits, iterations and flags."""
+        rng = np.random.default_rng(seed)
+        scene = structured_scene()
+        bounded = LocalSubmap(voxel_resolution=0.05, extent=100.0)
+        unbounded = UnboundedSubmap(voxel_resolution=0.05, extent=100.0)
+        for m in (bounded, unbounded):
+            m.insert(scene)
+        cloud = scene[rng.choice(len(scene), size=2000, replace=False)]
+        cloud = np.concatenate([cloud, rng.uniform(-30, 30, size=(500, 3)),
+                                rng.uniform(20, 25, size=(300, 3))])
+        true = Pose(so3_exp([0, 0, math.radians(3.0)]), [0.4, -0.2, 0.05])
+        local = pose_inverse(true).apply(cloud)
+        a = icp_register(local, bounded, Pose())
+        b = icp_register(local, unbounded, Pose())
+        assert a.iterations == b.iterations > 3 and a.converged
+        np.testing.assert_array_equal(a.pose.R, b.pose.R)
+        np.testing.assert_array_equal(a.pose.t, b.pose.t)
+        assert a.fitness == b.fitness
+        assert (a.degenerate, a.insufficient_overlap, a.converged) == (
+            b.degenerate, b.insufficient_overlap, b.converged)
 
 
 class TestMapUpdate:

@@ -9,7 +9,7 @@ import pytest
 
 import mlio
 from mlio.evaluation import Trajectory, ape, rpe
-from mlio.geometry import NavState, Pose, so3_log
+from mlio.geometry import NS_PER_S, NavState, Pose, pose_compose, se3_exp, so3_log
 from mlio.graph import (
     STATE_DIM,
     BetweenFactor,
@@ -31,7 +31,7 @@ from mlio.pipeline import (
     run_pipeline,
     RunCounters,
 )
-from mlio.preintegration import GRAVITY, ImuNoiseParams
+from mlio.preintegration import GRAVITY, ImuNoiseParams, integrate, predict
 from mlio.sim import (
     Dropout,
     corridor_scenario,
@@ -114,7 +114,89 @@ class TestReplay:
         assert not first.w_dot_observable
 
 
+class EagerPropagator(_Propagator):
+    """The propagator with a predicted pose stored at every fused
+    sample, as before `pose_at` predicted only the stamps it is asked
+    about."""
+
+    def reset(self, state, w):
+        super().reset(state, w)
+        self.track = [(0, state.pose)]
+
+    def advance(self, sample):
+        if self.last_stamp is None:
+            self.track = [(sample.stamp, self.state.pose)]
+        else:
+            dt = (sample.stamp - self.last_stamp) / NS_PER_S
+            if dt <= 0:
+                return
+            mid = FusedImuSample(
+                stamp=sample.stamp,
+                f=0.5 * (self.last_sample.f + sample.f),
+                w=0.5 * (self.last_sample.w + sample.w),
+                w_dot=sample.w_dot,
+            )
+            steps = int(np.ceil(dt / 0.099))
+            for _ in range(steps):
+                self.delta = integrate(self.delta, mid, dt / steps, self.noise)
+            self.track.append((sample.stamp, predict(self.state, self.delta).pose))
+        self.last_stamp = sample.stamp
+        self.last_sample = sample
+
+    def pose_at(self, stamp):
+        stamps = [t for t, _ in self.track]
+        k = int(np.searchsorted(stamps, stamp, side="right")) - 1
+        if k < 0:
+            t_k, pose = self.track[0]
+            w, v = self.w, self.state.v
+        else:
+            t_k, pose = self.track[k]
+            if self.last_sample is None:
+                return pose
+            w = self.last_sample.w - self.state.b_g
+            v = self.predicted().v
+        rem = (stamp - t_k) / NS_PER_S
+        if abs(rem) < 1e-12:
+            return pose
+        v_body = pose.R.T @ v
+        return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
+
+
 class TestPropagator:
+    def test_pose_at_equals_eager_track(self):
+        """Bit for bit: stamps before the keyframe, on samples, between
+        samples (also across a 0.26 s gap) and after the last sample, at
+        biased keyframe states mid-turn; and before any sample."""
+        gt = gen_trajectory(loop_scenario())
+        rng = np.random.default_rng(21)
+        for k in (int(np.searchsorted(gt.stamps, t)) for t in (4e9, 13.5e9)):
+            state = NavState(pose=gt.poses[k], v=gt.v_world[k],
+                             b_a=rng.normal(scale=0.05, size=3),
+                             b_g=rng.normal(scale=0.005, size=3))
+            lazy, eager = (cls(state, ImuNoiseParams(), w=gt.w_body[k])
+                           for cls in (_Propagator, EagerPropagator))
+            t0 = int(gt.stamps[k])
+            queries = [t0 - 100_000_000, t0 - 1, t0, t0 + 7_000_000]
+            self._assert_same_poses(lazy, eager, queries)
+            for i in [j for j in range(k, k + 60) if not k + 20 <= j < k + 45]:
+                sample = FusedImuSample(
+                    stamp=int(gt.stamps[i]),
+                    f=gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
+                    w=gt.w_body[i], w_dot=gt.w_dot[i])
+                lazy.advance(sample)
+                eager.advance(sample)
+            stamps = [int(gt.stamps[i]) for i in (k + 1, k + 19, k + 45, k + 59)]
+            queries += stamps + [s + 3_000_000 for s in stamps] + [
+                int(gt.stamps[k + 30]), stamps[-1] + 400_000_000]
+            self._assert_same_poses(lazy, eager, queries)
+
+    @staticmethod
+    def _assert_same_poses(lazy, eager, stamps):
+        for stamp in stamps:
+            a, b = lazy.pose_at(stamp), eager.pose_at(stamp)
+            np.testing.assert_array_equal(a.R, b.R)
+            np.testing.assert_array_equal(a.t, b.t)
+
     def test_pose_before_keyframe_follows_keyframe_state(self):
         # keyframe mid-turn on the urban loop (1 rad/s at 8 m/s); a scan
         # that started 0.1 s before it is deskewed from this pose after
