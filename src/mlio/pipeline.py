@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -27,6 +27,8 @@ from .geometry import (
     se3_exp,
 )
 from .graph import (
+    DEFAULT_BETWEEN_SIGMA_ROT,
+    DEFAULT_BETWEEN_SIGMA_TRANS,
     STATE_DIM,
     BetweenFactor,
     BiasAnchorFactor,
@@ -147,32 +149,24 @@ class RunResult:
 
 
 def replay_sync(dataset, mask: SensorMask, config: SyncConfig, counters: RunCounters):
-    """Push every enabled message in stamp order, then drain ready
-    groups. Returns (imu_groups, lidar_groups)."""
+    """Group every enabled message per modality. Returns (imu_groups,
+    lidar_groups)."""
     sensors = [f"imu/{p}" for p in mask.imu_positions] + [
         f"lidar/{p}" for p in mask.lidar_positions
     ]
-    sync = Synchronizer(sensors, config)
-    events = []
-    for pos in mask.imu_positions:
-        sid = f"imu/{pos}"
-        for s in dataset.imu.get(sid, []):
-            events.append(StampedSignal(stamp=s.stamp, sensor_id=sid, payload=s))
-    for pos in mask.lidar_positions:
-        sid = f"lidar/{pos}"
-        for scan in dataset.lidar.get(sid, []):
-            events.append(
-                StampedSignal(stamp=scan.scan_start, sensor_id=sid, payload=scan)
-            )
-    events.sort(key=lambda e: (e.stamp, e.sensor_id))
-    groups = []
-    for e in events:
-        sync.push(e)
-        counters.sensors_consumed[e.sensor_id] = (
-            counters.sensors_consumed.get(e.sensor_id, 0) + 1
-        )
-        groups.extend(sync.drain())
-    groups.extend(sync.flush())  # everything has been seen: age out the tail
+    signals = []
+    for sid in sensors:
+        if sid.startswith("imu/"):
+            stream = [StampedSignal(s.stamp, sid, s) for s in dataset.imu.get(sid, [])]
+        else:
+            stream = [
+                StampedSignal(scan.scan_start, sid, scan)
+                for scan in dataset.lidar.get(sid, [])
+            ]
+        if stream:
+            counters.sensors_consumed[sid] = len(stream)
+        signals += stream
+    groups = Synchronizer(sensors, config).group(signals)
     imu_groups = [g for g in groups if g.modality == "imu"]
     lidar_groups = [g for g in groups if g.modality == "lidar"]
     counters.imu_groups = len(imu_groups)
@@ -319,11 +313,13 @@ class _Propagator:
     def predicted(self) -> NavState:
         return predict(self.state, self.delta)
 
-    def pose_at(self, stamp: int) -> Pose:
+    def pose_at(self, stamp: int, v) -> Pose:
         """Predicted base pose at `stamp`.
 
         Stamps inside the track extrapolate from the last recorded
-        sample at or before them with the latest rate and velocity.
+        sample at or before them with the latest rate and the velocity
+        `v` of the current prediction, `predicted().v`, which the
+        caller takes once per keyframe.
         Stamps before the keyframe (scans that started before it) are
         extrapolated backwards from the keyframe pose with the keyframe
         state's own velocity and body rate: the current prediction
@@ -339,7 +335,6 @@ class _Propagator:
             return pose
         else:
             w = self.last_sample.w - self.state.b_g
-            v = self.predicted().v
         rem = (stamp - t_k) / NS_PER_S
         if abs(rem) < 1e-12:
             return pose
@@ -418,8 +413,8 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
             parts = []
             for scan in pending_scans:
                 mount = mounts[scan.sensor_id]
-                S0 = pose_compose(prop.pose_at(scan.scan_start), mount)
-                S1 = pose_compose(prop.pose_at(scan.scan_end), mount)
+                S0 = pose_compose(prop.pose_at(scan.scan_start, pred.v), mount)
+                S1 = pose_compose(prop.pose_at(scan.scan_end, pred.v), mount)
                 flat = deskew(scan, S0, S1)
                 base_rel = pose_compose(pose_inverse(pred.pose), S0)
                 parts.append(base_rel.apply(flat.points))
@@ -457,7 +452,8 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
             z = pose_compose(pose_inverse(state.pose), icp_pose)
             cov = None
             if degenerate:
-                cov = np.diag([np.radians(0.5)**2] * 3 + [0.05**2] * 3)
+                cov = np.diag([DEFAULT_BETWEEN_SIGMA_ROT**2] * 3
+                              + [DEFAULT_BETWEEN_SIGMA_TRANS**2] * 3)
                 cov = cov * config.degenerate_cov_scale
             graph.add_factor(BetweenFactor(node - 1, node, z, cov))
         # ---- GNSS ----
@@ -544,18 +540,8 @@ def write_run_outputs(out_dir, result: RunResult) -> None:
     c = result.counters
     with open(os.path.join(out_dir, "counters.txt"), "w") as fh:
         fh.write(f"mask: {result.mask}\n")
-        fh.write(f"imu_groups: {c.imu_groups}\n")
-        fh.write(f"lidar_groups: {c.lidar_groups}\n")
-        fh.write(f"fused_samples: {c.fused_samples}\n")
-        fh.write(f"keyframes: {c.keyframes}\n")
-        fh.write(f"icp_iterations: {c.icp_iterations}\n")
-        fh.write(f"icp_degenerate: {c.icp_degenerate}\n")
-        fh.write(f"icp_insufficient: {c.icp_insufficient}\n")
-        fh.write(f"gnss_added: {c.gnss_added}\n")
-        fh.write(f"gnss_rejected: {c.gnss_rejected}\n")
-        fh.write(f"gnss_unassociated: {c.gnss_unassociated}\n")
-        fh.write(f"lm_iterations: {c.lm_iterations}\n")
-        fh.write(f"lm_rejected: {c.lm_rejected}\n")
-        fh.write(f"lm_unconverged: {c.lm_unconverged}\n")
+        for f in fields(RunCounters):
+            if f.name != "sensors_consumed":
+                fh.write(f"{f.name}: {getattr(c, f.name)}\n")
         for sid in sorted(c.sensors_consumed):
             fh.write(f"consumed {sid}: {c.sensors_consumed[sid]}\n")
