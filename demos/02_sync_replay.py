@@ -2,10 +2,12 @@
 
 Groups a scripted loss pattern in one offline sweep: a healthy frame
 groups all four lidars, then two sensors fall silent and the survivors
-form a group of their own, then the full rig reports again.
+form a group of their own, then the full rig reports again. Each group
+is an anchor stamp plus, per sensor, the index of its member message
+(-1 where the sensor is absent).
 """
 
-from mlio.sync import POSITIONS, StampedSignal, Synchronizer
+from mlio.sync import POSITIONS, Synchronizer
 
 S = 1_000_000_000
 
@@ -18,14 +20,17 @@ def main():
     messages += [("lidar/F_L", 100.200), ("lidar/R_R", 100.203)]
     # frame 3: everyone reports again
     messages += [(sid, 100.600) for sid in sensors]
-    signals = [
-        StampedSignal(stamp=int(t_s * S), sensor_id=sid, payload=t_s)
-        for sid, t_s in messages
-    ]
+    stamps = {sid: [int(t_s * S) for s, t_s in messages if s == sid]
+              for sid in sensors}
     sync = Synchronizer(sensors)
+    groups = sync.group(stamps)["lidar"]
     print("three frames; in frame 2 only F_L and R_R report")
-    for g in sync.group(signals):
-        print(f"  group @ {g.anchor_stamp / S:.3f}s members={sorted(g.members)}")
+    print("  columns:", " ".join(groups.sensors))
+    for anchor, row, members in zip(groups.anchors, groups.members,
+                                    groups.messages()):
+        seconds = ", ".join(f"{t / S:.3f}" for t in members)
+        print(f"  group @ {anchor / S:.3f}s members={row.tolist()} "
+              f"stamps [{seconds}] s")
     print("counters:", sync.counters)
 
 

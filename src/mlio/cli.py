@@ -107,12 +107,13 @@ def _apply_overrides(obj, doc: dict):
 
 def load_pipeline_config(path):
     from .pipeline import PipelineConfig
+    from .sim import YAML_LOADER
 
     config = PipelineConfig()
     if path is None:
         return config
     with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
+        doc = yaml.load(fh, Loader=YAML_LOADER) or {}
     return _apply_overrides(config, doc)
 
 

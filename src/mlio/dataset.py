@@ -10,21 +10,24 @@ the generating scenario:
     gt.tum                t x y z qx qy qz qw
     scenario.yaml         scenario copy
 
-The TUM trajectory format (gt.tum here, a run's est.tum) is read and
-written by this module alone.
+Each IMU CSV is read with one `loadtxt` into an `ImuStream` and written
+with one `savetxt`. gt.tum is read only when a `Dataset`'s ground truth
+is first asked for; a replay never reads it. The TUM trajectory format
+(gt.tum here, a run's est.tum) is read and written by this module alone.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import Pose, quat_from_rotmat, quat_to_rotmat, to_nanos, to_seconds
 from .graph import GnssFix
 from .lidar import LidarScan
-from .mimu import ImuSample
+from .mimu import ImuStream
 from .sim import Scenario, SimData, load_scenario, save_scenario
 
 FLOAT_FMT = "%.9e"
@@ -32,13 +35,10 @@ FLOAT_FMT = "%.9e"
 
 def write_dataset(path, sim: SimData) -> None:
     os.makedirs(path, exist_ok=True)
-    for sid, samples in sim.imu.items():
-        rows = np.array(
-            [[s.stamp, *s.f, *s.w] for s in samples], dtype=float
-        ).reshape(-1, 7)
+    for sid, stream in sim.imu.items():
         np.savetxt(
             os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
-            rows,
+            np.column_stack([stream.stamps, stream.f, stream.w]),
             fmt=["%d"] + [FLOAT_FMT] * 6,
             delimiter=",",
         )
@@ -83,13 +83,26 @@ def read_scan_file(path) -> LidarScan:
 
 @dataclass(frozen=True)
 class Dataset:
+    """A loaded dataset directory. The ground truth is read from gt.tum
+    when first asked for, so a directory without it replays."""
+
     path: str
     scenario: Scenario
-    imu: dict  # 'imu/<pos>' -> [ImuSample]
+    imu: dict  # 'imu/<pos>' -> ImuStream
     lidar: dict  # 'lidar/<pos>' -> [LidarScan]
     gnss: list  # [GnssFix]
-    gt_stamps: np.ndarray
-    gt_poses: tuple
+
+    @cached_property
+    def _gt(self):
+        return load_tum(os.path.join(self.path, "gt.tum"))
+
+    @property
+    def gt_stamps(self) -> np.ndarray:
+        return self._gt[0]
+
+    @property
+    def gt_poses(self) -> tuple:
+        return self._gt[1]
 
 
 def format_tum_line(stamp_ns: int, pose: Pose) -> str:
@@ -120,10 +133,10 @@ def load_dataset(path) -> Dataset:
     for entry in sorted(os.listdir(path)):
         if entry.startswith("imu_") and entry.endswith(".csv"):
             pos = entry[len("imu_"):-len(".csv")]
+            sid = f"imu/{pos}"
             rows = np.loadtxt(os.path.join(path, entry), delimiter=",").reshape(-1, 7)
-            imu[f"imu/{pos}"] = [
-                ImuSample(stamp=int(r[0]), f=r[1:4], w=r[4:7]) for r in rows
-            ]
+            imu[sid] = ImuStream(rows[:, 0].astype(np.int64), rows[:, 1:4],
+                                 rows[:, 4:7], sid)
     gnss = []
     gnss_path = os.path.join(path, "gnss.csv")
     if os.path.exists(gnss_path):
@@ -140,13 +153,6 @@ def load_dataset(path) -> Dataset:
             lidar[f"lidar/{pos}"] = [
                 read_scan_file(os.path.join(scans_root, pos, f)) for f in files
             ]
-    gt_stamps, gt_poses = load_tum(os.path.join(path, "gt.tum"))
     return Dataset(
-        path=str(path),
-        scenario=scenario,
-        imu=imu,
-        lidar=lidar,
-        gnss=gnss,
-        gt_stamps=gt_stamps,
-        gt_poses=gt_poses,
+        path=str(path), scenario=scenario, imu=imu, lidar=lidar, gnss=gnss
     )

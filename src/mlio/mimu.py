@@ -10,6 +10,10 @@ orientation the array obeys the linear model
 which is solved in two stages: the angular rate by inverse-variance
 weighted least squares over the gyros, then Phi by generalized least
 squares with the stacked covariance Q.
+
+Raw channel data travels as one `ImuStream` per sensor (columns of
+stamps, f and w, checked for plausibility on construction); `BatchFuser`
+fuses a whole channel subset's stacked rows at once.
 """
 
 from __future__ import annotations
@@ -28,23 +32,48 @@ class ImuPlausibilityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    stamp: int  # nanoseconds
-    f: np.ndarray  # specific force, m/s^2, sensor frame
-    w: np.ndarray  # angular rate, rad/s, sensor frame
+@dataclass(frozen=True, eq=False)
+class ImuStream:
+    """One IMU's samples as columns: stamps (N,) int64 ns, specific force
+    f (N, 3) m/s^2 and angular rate w (N, 3) rad/s, both in the sensor
+    frame. The whole stream is checked on construction: the first row
+    with a non-finite value, |f| >= MAX_SPECIFIC_FORCE or
+    |w| >= MAX_ANGULAR_RATE raises ImuPlausibilityError naming the sensor
+    and the row."""
+
+    stamps: np.ndarray
+    f: np.ndarray
+    w: np.ndarray
+    sensor_id: str
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float).reshape(3)
-        w = np.asarray(self.w, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(w))):
-            raise ImuPlausibilityError("non-finite IMU sample")
-        if np.linalg.norm(f) >= MAX_SPECIFIC_FORCE:
-            raise ImuPlausibilityError(f"specific force {np.linalg.norm(f):.1f} m/s^2")
-        if np.linalg.norm(w) >= MAX_ANGULAR_RATE:
-            raise ImuPlausibilityError(f"angular rate {np.linalg.norm(w):.1f} rad/s")
+        stamps = np.asarray(self.stamps, dtype=np.int64).reshape(-1)
+        f = np.asarray(self.f, dtype=float).reshape(-1, 3)
+        w = np.asarray(self.w, dtype=float).reshape(-1, 3)
+        finite = np.isfinite(f).all(axis=1) & np.isfinite(w).all(axis=1)
+        f_norm = np.linalg.norm(f, axis=1)
+        w_norm = np.linalg.norm(w, axis=1)
+        bad = ~finite | (f_norm >= MAX_SPECIFIC_FORCE) | (w_norm >= MAX_ANGULAR_RATE)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                what = "non-finite IMU sample"
+            elif f_norm[i] >= MAX_SPECIFIC_FORCE:
+                what = f"specific force {f_norm[i]:.1f} m/s^2"
+            else:
+                what = f"angular rate {w_norm[i]:.1f} rad/s"
+            raise ImuPlausibilityError(f"{self.sensor_id} row {i}: {what}")
+        object.__setattr__(self, "stamps", stamps)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "w", w)
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def take(self, rows) -> "ImuStream":
+        """The stream restricted to `rows` (an index or boolean mask)."""
+        return ImuStream(self.stamps[rows], self.f[rows], self.w[rows],
+                         self.sensor_id)
 
 
 @dataclass(frozen=True)

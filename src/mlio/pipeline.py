@@ -49,7 +49,7 @@ from .preintegration import (
     predict,
 )
 from .submap import LocalSubmap
-from .sync import POSITIONS, StampedSignal, SyncConfig, Synchronizer
+from .sync import POSITIONS, SyncConfig, SyncGroups, Synchronizer
 
 GNSS_ASSOCIATION_NS = 50_000_000
 
@@ -150,28 +150,28 @@ class RunResult:
 
 def replay_sync(dataset, mask: SensorMask, config: SyncConfig, counters: RunCounters):
     """Group every enabled message per modality. Returns (imu_groups,
-    lidar_groups)."""
+    lidar_groups), each a `SyncGroups` whose streams are the dataset's
+    `ImuStream`s and scan lists."""
     sensors = [f"imu/{p}" for p in mask.imu_positions] + [
         f"lidar/{p}" for p in mask.lidar_positions
     ]
-    signals = []
+    stamps, streams = {}, {}
     for sid in sensors:
         if sid.startswith("imu/"):
-            stream = [StampedSignal(s.stamp, sid, s) for s in dataset.imu.get(sid, [])]
+            stream = dataset.imu.get(sid)
+            if stream is None:
+                continue
+            stamps[sid] = stream.stamps
         else:
-            stream = [
-                StampedSignal(scan.scan_start, sid, scan)
-                for scan in dataset.lidar.get(sid, [])
-            ]
-        if stream:
+            stream = dataset.lidar.get(sid, [])
+            stamps[sid] = [scan.scan_start for scan in stream]
+        streams[sid] = stream
+        if len(stream):
             counters.sensors_consumed[sid] = len(stream)
-        signals += stream
-    groups = Synchronizer(sensors, config).group(signals)
-    imu_groups = [g for g in groups if g.modality == "imu"]
-    lidar_groups = [g for g in groups if g.modality == "lidar"]
-    counters.imu_groups = len(imu_groups)
-    counters.lidar_groups = len(lidar_groups)
-    return imu_groups, lidar_groups
+    groups = Synchronizer(sensors, config).group(stamps, streams)
+    counters.imu_groups = len(groups["imu"])
+    counters.lidar_groups = len(groups["lidar"])
+    return groups["imu"], groups["lidar"]
 
 
 # ---------------------------------------------------------------------------
@@ -179,39 +179,46 @@ def replay_sync(dataset, mask: SensorMask, config: SyncConfig, counters: RunCoun
 # ---------------------------------------------------------------------------
 
 
-def fuse_imu_groups(imu_groups, imus: dict, counters: RunCounters = None):
+def fuse_imu_groups(groups: SyncGroups, imus: dict, counters: RunCounters = None):
     """Maximum-likelihood fusion of synchronized IMU groups, batched by
-    channel subset so each distinct dropout pattern reuses one solver."""
+    channel subset so each distinct dropout pattern reuses one solver.
+
+    Subsets are fused in the order their pattern first appears; each
+    channel's rows are gathered from its stream with one index."""
     order = [p for p in POSITIONS if p in imus]
-    calibs = [imus[p] for p in order]
-    array = MimuArray(tuple(calibs))
-    pos_index = {f"imu/{p}": i for i, p in enumerate(order)}
-    buckets = {}
-    for g in imu_groups:
-        idx = tuple(sorted(pos_index[sid] for sid in g.members))
-        buckets.setdefault(idx, []).append(g)
-    fused = []
-    for idx, groups in buckets.items():
+    array = MimuArray(tuple(imus[p] for p in order))
+    cols = [groups.sensors.index(f"imu/{p}") for p in order]
+    members = groups.members[:, cols]
+    pattern = (members >= 0) @ (1 << np.arange(len(order)))
+    codes, first = np.unique(pattern, return_index=True)
+    parts = []
+    for code in codes[np.argsort(first)]:
+        rows = np.flatnonzero(pattern == code)
+        idx = tuple(i for i in range(len(order)) if code >> i & 1)
         sub = array.subset(idx)
         fuser = BatchFuser(sub)
-        rot = [sub.channels[i].R for i in range(sub.K)]
-        T = len(groups)
-        Yf = np.empty((T, 3 * sub.K))
-        Yw = np.empty((T, 3 * sub.K))
-        for r, g in enumerate(groups):
-            for c, i in enumerate(idx):
-                s = g.members[f"imu/{order[i]}"].payload
-                Yf[r, 3 * c:3 * c + 3] = rot[c] @ s.f
-                Yw[r, 3 * c:3 * c + 3] = rot[c] @ s.w
+        Yf = np.empty((len(rows), 3 * sub.K))
+        Yw = np.empty((len(rows), 3 * sub.K))
+        for c, i in enumerate(idx):
+            stream = groups.streams[cols[i]]
+            take = members[rows, i]
+            R_T = sub.channels[c].R.T
+            Yf[:, 3 * c:3 * c + 3] = stream.f[take] @ R_T
+            Yw[:, 3 * c:3 * c + 3] = stream.w[take] @ R_T
         F, W, Wdot = fuser.fuse(Yf, Yw)
-        for g, f, w, wd in zip(groups, F, W, Wdot):
-            fused.append(
-                FusedImuSample(
-                    stamp=g.anchor_stamp, f=f, w=w, w_dot=wd,
-                    w_dot_observable=fuser.w_dot_observable,
-                )
+        observable = np.full(len(rows), fuser.w_dot_observable)
+        parts.append((groups.anchors[rows], F, W, Wdot, observable))
+    fused = []
+    if parts:
+        stamps, F, W, Wdot, observable = (np.concatenate(p) for p in zip(*parts))
+        by_stamp = np.argsort(stamps, kind="stable")
+        fused = [
+            FusedImuSample(stamp=t, f=f, w=w, w_dot=wd, w_dot_observable=obs)
+            for t, f, w, wd, obs in zip(
+                stamps[by_stamp].tolist(), F[by_stamp], W[by_stamp],
+                Wdot[by_stamp], observable[by_stamp].tolist(),
             )
-    fused.sort(key=lambda s: s.stamp)
+        ]
     if counters is not None:
         counters.fused_samples = len(fused)
     return fused
@@ -380,7 +387,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     prop.advance(fused[0])
     gnss_idx = 0
     pending_scans = []
-    lidar_iter = iter(lidar_groups)
+    lidar_iter = iter(lidar_groups.messages())
     next_lidar = next(lidar_iter, None)
     node = 0
     last_fused_stamp = fused[0].stamp
@@ -395,9 +402,9 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         prop.advance(sample)
         # collect lidar groups whose scans have fully ended
         while next_lidar is not None and max(
-            m.payload.scan_end for m in next_lidar.members.values()
+            scan.scan_end for scan in next_lidar
         ) <= sample.stamp:
-            pending_scans.extend(m.payload for m in next_lidar.members.values())
+            pending_scans.extend(next_lidar)
             next_lidar = next(lidar_iter, None)
         if sample.stamp < kf_bound:
             continue

@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .graph import GnssFix
 from .lidar import LidarScan
-from .mimu import ImuChannelCalib, ImuSample
+from .mimu import ImuChannelCalib, ImuStream
 from .preintegration import GRAVITY
 
 # ---------------------------------------------------------------------------
@@ -309,10 +309,7 @@ def synth_imu(gt: GroundTruth, imus: dict, noise: NoiseSpec, seed: int) -> dict:
             f = f + rng.normal(scale=noise.accel_sigma, size=(n, 3))
         if noise.gyro_sigma > 0:
             w = w + rng.normal(scale=noise.gyro_sigma, size=(n, 3))
-        out[sid] = [
-            ImuSample(stamp=int(s), f=fi, w=wi)
-            for s, fi, wi in zip(gt.stamps, f, w)
-        ]
+        out[sid] = ImuStream(gt.stamps, f, w, sid)
     return out
 
 
@@ -415,7 +412,8 @@ def _item_stamp(item) -> int:
 
 def inject_dropout(streams: dict, dropouts) -> dict:
     """Remove messages whose stamp falls in a (sensor, interval) dropout;
-    everything else is passed through unchanged."""
+    everything else is passed through unchanged. A stream is an
+    `ImuStream` or a list of scans or fixes."""
     out = {}
     for sid, items in streams.items():
         windows = [
@@ -423,6 +421,12 @@ def inject_dropout(streams: dict, dropouts) -> dict:
             for d in dropouts
             if d.sensor_id == sid
         ]
+        if isinstance(items, ImuStream):
+            keep = np.ones(len(items), dtype=bool)
+            for a, b in windows:
+                keep &= (items.stamps < a) | (items.stamps > b)
+            out[sid] = items.take(keep)
+            continue
         if not windows:
             out[sid] = list(items)
             continue
@@ -438,7 +442,7 @@ def inject_dropout(streams: dict, dropouts) -> dict:
 class SimData:
     scenario: Scenario
     gt: GroundTruth
-    imu: dict  # 'imu/<pos>' -> [ImuSample]
+    imu: dict  # 'imu/<pos>' -> ImuStream
     lidar: dict  # 'lidar/<pos>' -> [LidarScan]
     gnss: list  # [GnssFix]
 
@@ -599,9 +603,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+# libyaml's parser when PyYAML was built with it; both give the same dicts
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        return scenario_from_dict(yaml.safe_load(fh))
+        return scenario_from_dict(yaml.load(fh, Loader=YAML_LOADER))
 
 
 def save_scenario(path, scenario: Scenario) -> None:

@@ -1,19 +1,21 @@
-"""Offline grouping of lossy multi-sensor message streams.
+"""Offline grouping of lossy multi-sensor stamp streams.
 
-The replay hands every message to `Synchronizer.group` at once. Each
-modality is swept on its own: the anchor is the earliest ungrouped
-message of any of its sensors, and each sensor's earliest ungrouped
-message joins the anchor's group when it lies within the modality
-threshold (10 ms for lidar, 1 ms for IMU by default). A sensor that lost
-its message at that tick is simply absent from the group, so the
-survivors are fused on their own; no message is dropped or used twice.
+The replay hands every sensor's message stamps to `Synchronizer.group`
+at once. Each modality is swept on its own over each sensor's stably
+sorted stamps: the anchor is the earliest ungrouped stamp of any of its
+sensors, and each sensor's earliest ungrouped message joins the
+anchor's group when it lies within the modality threshold (10 ms for
+lidar, 1 ms for IMU by default). A sensor that lost its message at that
+tick is simply absent from the group, so the survivors are fused on
+their own; no message is dropped or used twice. A modality's groups
+come back as index arrays (`SyncGroups`), not per-message objects.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+
+import numpy as np
 
 POSITIONS = ("F_L", "F_R", "R_L", "R_R")
 MODALITIES = ("imu", "lidar")
@@ -25,18 +27,27 @@ def modality_of(sid: str) -> str:
     return sid.split("/", 1)[0]
 
 
-@dataclass(frozen=True)
-class StampedSignal:
-    stamp: int  # nanoseconds
-    sensor_id: str
-    payload: object
+@dataclass(frozen=True, eq=False)
+class SyncGroups:
+    """The groups of one modality, oldest anchor first.
 
+    Column k of `members` belongs to sensor `sensors[k]`; its entries
+    index `streams[k]`, the messages whose stamps were grouped."""
 
-@dataclass(frozen=True)
-class SyncGroup:
-    anchor_stamp: int
-    modality: str
-    members: dict  # sensor_id -> StampedSignal
+    sensors: tuple  # sensor ids, one per column
+    anchors: np.ndarray  # (G,) int64 ns
+    members: np.ndarray  # (G, S) int64, -1 where the sensor is absent
+    streams: tuple  # per column, the sensor's messages
+
+    def __len__(self) -> int:
+        return len(self.anchors)
+
+    def messages(self) -> list:
+        """Per group, its members' messages in column order."""
+        return [
+            [self.streams[k][i] for k, i in enumerate(row) if i >= 0]
+            for row in self.members.tolist()
+        ]
 
 
 @dataclass
@@ -63,40 +74,63 @@ class SyncCounters:
     groups: int = 0
 
 
+def _sweep(stamps: list, threshold: int):
+    """Anchors and member rows of stamp-sorted int lists, one per sensor;
+    a row holds each sensor's position in its list, or -1."""
+    heads = [0] * len(stamps)
+    live = [k for k, s in enumerate(stamps) if s]
+    anchors, rows = [], []
+    while live:
+        anchor = min(stamps[k][heads[k]] for k in live)
+        limit = anchor + threshold
+        row = [-1] * len(stamps)
+        for k in live:
+            if stamps[k][heads[k]] <= limit:
+                row[k] = heads[k]
+                heads[k] += 1
+        anchors.append(anchor)
+        rows.append(row)
+        live = [k for k in live if heads[k] < len(stamps[k])]
+    return anchors, rows
+
+
 class Synchronizer:
-    """Groups the complete message streams of a fixed set of sensors."""
+    """Groups the complete stamp streams of a fixed set of sensors."""
 
     def __init__(self, sensors, config: SyncConfig | None = None):
         self.config = config or SyncConfig()
         self.sensors = list(sensors)
         self.counters = SyncCounters()
 
-    def group(self, signals) -> list:
-        """Every group of `signals`, oldest anchor first (an IMU group
-        before a lidar group at the same anchor). Each sensor's stream
-        is stably sorted by stamp first."""
-        streams = {sid: [] for sid in self.sensors}
-        for s in signals:
-            if s.stamp < 0:
-                raise ValueError("negative timestamp")
-            streams[s.sensor_id].append(s)
-        stamp = attrgetter("stamp")
-        groups = []
+    def group(self, stamps: dict, streams: dict | None = None) -> dict:
+        """Modality -> `SyncGroups` of `stamps`, which maps each sensor to
+        its message stamps in ns (a missing sensor has none). `streams`
+        maps each sensor to the messages those stamps belong to, in the
+        same order; by default they are the stamps themselves."""
+        stamps = {
+            sid: np.asarray(stamps.get(sid, ()), dtype=np.int64).reshape(-1)
+            for sid in self.sensors
+        }
+        if any(len(s) and s.min() < 0 for s in stamps.values()):
+            raise ValueError("negative timestamp")
+        streams = stamps if streams is None else streams
+        out = {}
         for modality in MODALITIES:
-            threshold = self.config.threshold(modality)
-            pending = [
-                (sid, deque(sorted(stream, key=stamp)))
-                for sid, stream in streams.items()
-                if stream and modality_of(sid) == modality
-            ]
-            while pending:
-                anchor = min(q[0].stamp for _, q in pending)
-                members = {
-                    sid: q.popleft() for sid, q in pending
-                    if q[0].stamp - anchor <= threshold
-                }
-                groups.append(SyncGroup(anchor, modality, members))
-                pending = [(sid, q) for sid, q in pending if q]
-        groups.sort(key=attrgetter("anchor_stamp"))  # stable: imu first on a tie
-        self.counters.groups += len(groups)
-        return groups
+            sensors = [sid for sid in self.sensors if modality_of(sid) == modality]
+            orders = [np.argsort(stamps[sid], kind="stable") for sid in sensors]
+            anchors, rows = _sweep(
+                [stamps[sid][o].tolist() for sid, o in zip(sensors, orders)],
+                self.config.threshold(modality),
+            )
+            members = np.array(rows, dtype=np.int64).reshape(len(rows), len(sensors))
+            for k, order in enumerate(orders):  # sorted positions -> stream indices
+                col = members[:, k]
+                col[col >= 0] = order[col[col >= 0]]
+            out[modality] = SyncGroups(
+                sensors=tuple(sensors),
+                anchors=np.array(anchors, dtype=np.int64),
+                members=members,
+                streams=tuple(streams.get(sid, ()) for sid in sensors),
+            )
+            self.counters.groups += len(anchors)
+        return out

@@ -1,19 +1,50 @@
 """Per-sample references for the batched code in `mlio`, shared by tests.
 
-`transform_to_base`, `fuse_gyro` and `fuse_mle` solve the IMU array
-model one sample at a time, independently of `BatchFuser`. The residual
+`ImuSample` is one row of an `ImuStream`. `transform_to_base`,
+`fuse_gyro` and `fuse_mle` solve the IMU array model one sample at a
+time, independently of `BatchFuser`. `fuse_imu_groups_per_group` is
+the per-group loop that `pipeline.fuse_imu_groups` replaced by one
+gather per channel and subset. The residual
 adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
 runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from mlio.geometry import NavStates, skew
 from mlio.graph import STATE_DIM, _between_many, _prior_many
-from mlio.mimu import FusedImuSample, ImuSample, _phi_projector, build_stacked_model
+from mlio.mimu import (
+    BatchFuser,
+    FusedImuSample,
+    ImuStream,
+    MimuArray,
+    _phi_projector,
+    build_stacked_model,
+)
 from mlio.preintegration import GRAVITY, imu_residual_jacobians_many, stack_deltas
+from mlio.sync import POSITIONS
+
+
+@dataclass(frozen=True)
+class ImuSample:
+    """One IMU sample, checked by the rules of a one-row `ImuStream`."""
+
+    stamp: int  # nanoseconds
+    f: np.ndarray  # specific force, m/s^2, sensor frame
+    w: np.ndarray  # angular rate, rad/s, sensor frame
+
+    def __post_init__(self):
+        row = ImuStream([self.stamp], self.f, self.w, "imu")
+        object.__setattr__(self, "f", row.f[0])
+        object.__setattr__(self, "w", row.w[0])
+
+    @classmethod
+    def row(cls, stream: ImuStream, i: int) -> "ImuSample":
+        return cls(int(stream.stamps[i]), stream.f[i], stream.w[i])
 
 
 def transform_to_base(s: ImuSample, c, w_dot_est=None) -> ImuSample:
@@ -49,6 +80,38 @@ def fuse_mle(arr, y_f, y_w) -> FusedImuSample:
     phi = T @ np.linalg.lstsq(A @ T, b, rcond=None)[0]
     return FusedImuSample(stamp=0, f=phi[3:], w=w_star, w_dot=phi[:3],
                           w_dot_observable=bool(observable))
+
+
+def fuse_imu_groups_per_group(groups, imus: dict) -> list:
+    """Fused samples of IMU `SyncGroups`, one group and one channel at a
+    time: groups bucketed by channel subset in first-appearance order,
+    each member rotated by its own 3x3 product, the buckets joined and
+    stably sorted by stamp."""
+    order = [p for p in POSITIONS if p in imus]
+    array = MimuArray(tuple(imus[p] for p in order))
+    cols = [groups.sensors.index(f"imu/{p}") for p in order]
+    buckets = {}
+    for anchor, row in zip(groups.anchors.tolist(), groups.members.tolist()):
+        idx = tuple(i for i, col in enumerate(cols) if row[col] >= 0)
+        buckets.setdefault(idx, []).append((anchor, row))
+    fused = []
+    for idx, members in buckets.items():
+        sub = array.subset(idx)
+        fuser = BatchFuser(sub)
+        Yf = np.empty((len(members), 3 * sub.K))
+        Yw = np.empty((len(members), 3 * sub.K))
+        for r, (_, row) in enumerate(members):
+            for c, i in enumerate(idx):
+                stream = groups.streams[cols[i]]
+                R = sub.channels[c].R
+                Yf[r, 3 * c:3 * c + 3] = R @ stream.f[row[cols[i]]]
+                Yw[r, 3 * c:3 * c + 3] = R @ stream.w[row[cols[i]]]
+        F, W, Wdot = fuser.fuse(Yf, Yw)
+        for (anchor, _), f, w, wd in zip(members, F, W, Wdot):
+            fused.append(FusedImuSample(stamp=anchor, f=f, w=w, w_dot=wd,
+                                        w_dot_observable=fuser.w_dot_observable))
+    fused.sort(key=lambda s: s.stamp)
+    return fused
 
 
 def residual_prior(x0, anchor, b_a0, b_g0) -> np.ndarray:

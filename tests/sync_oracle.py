@@ -12,8 +12,25 @@ change a group.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
-from mlio.sync import MODALITIES, MS, SyncConfig, SyncGroup, modality_of
+import numpy as np
+
+from mlio.sync import MODALITIES, MS, SyncConfig, modality_of
+
+
+@dataclass(frozen=True)
+class StampedSignal:
+    stamp: int  # nanoseconds
+    sensor_id: str
+    index: int  # position in its sensor's stream
+
+
+@dataclass(frozen=True)
+class SyncGroup:
+    anchor_stamp: int
+    modality: str
+    members: dict  # sensor_id -> StampedSignal
 
 
 class StreamingSynchronizer:
@@ -88,14 +105,34 @@ class StreamingSynchronizer:
             yield group
 
 
-def replay(sensors, signals, config: SyncConfig | None = None) -> list:
-    """Push `signals` in (stamp, sensor) order, draining after each push,
-    then flush: the replay loop the offline sweep replaced."""
+def replay(sensors, stamps: dict, config: SyncConfig | None = None) -> dict:
+    """Push every message of `stamps` (sensor -> stamps in stream order)
+    in (stamp, sensor) order, draining after each push, then flush: the
+    replay loop the offline sweep replaced. Returns, per modality, the
+    groups in the sweep's index form: (anchors, members) with one column
+    per sensor of that modality, in `sensors` order, and -1 where a
+    sensor is absent."""
+    signals = [
+        StampedSignal(int(t), sid, i)
+        for sid in sensors for i, t in enumerate(stamps.get(sid, ()))
+    ]
     sync = StreamingSynchronizer(sensors, config)
     groups = []
-    for s in sorted(signals, key=lambda s: (s.stamp, s.sensor_id)):
+    for s in sorted(signals, key=lambda s: (s.stamp, s.sensor_id, s.index)):
         sync.push(s)
         groups.extend(sync.drain())
     groups.extend(sync.flush())
     assert sync.late == 0 and sync.capacity_drops == 0
-    return groups
+    out = {}
+    for modality in MODALITIES:
+        columns = [sid for sid in sensors if modality_of(sid) == modality]
+        mine = [g for g in groups if g.modality == modality]
+        members = np.full((len(mine), len(columns)), -1, dtype=np.int64)
+        for r, g in enumerate(mine):
+            for k, sid in enumerate(columns):
+                if sid in g.members:
+                    members[r, k] = g.members[sid].index
+        out[modality] = (
+            np.array([g.anchor_stamp for g in mine], dtype=np.int64), members
+        )
+    return out

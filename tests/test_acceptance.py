@@ -42,7 +42,7 @@ from mlio.mimu import FusedImuSample
 from mlio.preintegration import empty_delta, integrate
 from mlio.sim import Dropout, NoiseSpec, loop_scenario, simulate
 from mlio.submap import LocalSubmap
-from mlio.sync import StampedSignal, Synchronizer
+from mlio.sync import Synchronizer
 from oracles import (
     fuse_mle,
     imu_residual,
@@ -635,17 +635,20 @@ class TestSynchronizerReplay:
     def test_lossy_pattern_groups(self):
         sensors = [f"lidar/{p}" for p in ("F_L", "F_R", "R_L", "R_R")]
         sync = Synchronizer(sensors)
-        sent = []
+        sent = {sid: [] for sid in sensors}
 
         def push(sid, t_s):
-            sent.append(StampedSignal(stamp=int(t_s * S), sensor_id=sid, payload=object()))
+            sent[sid].append(int(t_s * S))
+
+        def present(groups, g):
+            return {sid for sid, i in zip(groups.sensors, groups.members[g]) if i >= 0}
 
         # t1: all four sensors report within the 10 ms window
         for sid, t_s in zip(sensors, (100.000, 100.004, 100.007, 100.009)):
             push(sid, t_s)
-        groups = sync.group(sent)
+        groups = sync.group(sent)["lidar"]
         assert len(groups) == 1
-        assert set(groups[0].members) == set(sensors)
+        assert present(groups, 0) == set(sensors)
 
         # t2: only F_L and R_R survive
         push("lidar/F_L", 100.200)
@@ -654,15 +657,16 @@ class TestSynchronizerReplay:
         # t3: the full rig reports again
         for sid in sensors:
             push(sid, 100.600)
-        groups = sync.group(sent)
-        assert set(groups[1].members) == {"lidar/F_L", "lidar/R_R"}
-        assert set(groups[2].members) == set(sensors)
+        groups = sync.group(sent)["lidar"]
+        assert present(groups, 1) == {"lidar/F_L", "lidar/R_R"}
+        assert present(groups, 2) == set(sensors)
 
-        anchors = [g.anchor_stamp for g in groups]
+        anchors = groups.anchors.tolist()
         assert anchors == sorted(anchors)
-        used = [m for g in groups for m in g.members.values()]
-        assert len(used) == len({id(m) for m in used})
-        assert len(used) == len(sent)
+        # every message is used once
+        for k, sid in enumerate(groups.sensors):
+            col = groups.members[:, k]
+            assert sorted(col[col >= 0].tolist()) == list(range(len(sent[sid])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -151,6 +153,43 @@ class TestFuseImu:
     def test_bad_sensor_arg_is_usage_error(self, dataset_dir, tmp_path):
         assert cli("fuse-imu", "--dataset", dataset_dir, "--sensors", "X2",
                    "--out", str(tmp_path / "f.csv")) == 1
+
+
+class TestWithoutGroundTruth:
+    """A dataset directory without gt.tum still replays: `run` and
+    `fuse-imu` never read it, and `eval` still needs it."""
+
+    @pytest.fixture(scope="class")
+    def no_gt_dir(self, dataset_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("no_gt") / "straight"
+        shutil.copytree(dataset_dir, out)
+        os.remove(out / "gt.tum")
+        return str(out)
+
+    def test_run_matches_the_full_dataset(self, no_gt_dir, run_dir, tmp_path):
+        out = str(tmp_path / "a")
+        assert cli("run", "--dataset", no_gt_dir, "--sensors", "L2I2",
+                   "--out", out) == 0
+        for name in ("est.tum", "fused_imu.csv", "counters.txt"):
+            with open(f"{out}/{name}", "rb") as fa, \
+                    open(f"{run_dir}/{name}", "rb") as fb:
+                assert fa.read() == fb.read(), name
+
+    def test_fuse_imu_matches_the_full_dataset(self, no_gt_dir, dataset_dir,
+                                               tmp_path):
+        for d, name in ((no_gt_dir, "a.csv"), (dataset_dir, "b.csv")):
+            assert cli("fuse-imu", "--dataset", d, "--sensors", "I4",
+                       "--out", str(tmp_path / name)) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_eval_reads_gt_from_the_dataset(self, no_gt_dir, dataset_dir,
+                                            run_dir, capsys):
+        est = f"{run_dir}/est.tum"
+        assert cli("eval", "--dataset", dataset_dir, "--est", est) == 0
+        by_dataset = capsys.readouterr().out
+        assert cli("eval", "--gt", f"{dataset_dir}/gt.tum", "--est", est) == 0
+        assert capsys.readouterr().out == by_dataset
+        assert cli("eval", "--dataset", no_gt_dir, "--est", est) == 2
 
 
 class TestUsage:

@@ -9,12 +9,12 @@ from mlio.mimu import (
     FusedImuSample,
     ImuChannelCalib,
     ImuPlausibilityError,
-    ImuSample,
+    ImuStream,
     MimuArray,
     build_stacked_model,
 )
 from mlio.sim import Scenario, load_scenario, save_scenario
-from oracles import fuse_gyro, fuse_mle, transform_to_base
+from oracles import ImuSample, fuse_gyro, fuse_mle, transform_to_base
 
 
 def calib(t=(0, 0, 0), R=None, acc_var=1.0, gyro_var=1.0):
@@ -62,6 +62,58 @@ class TestImuSample:
             ImuSample(0, f=[0, 0, 0], w=[40.0, 0, 0])
         with pytest.raises(ImuPlausibilityError):
             ImuSample(0, f=[np.nan, 0, 0], w=[0, 0, 0])
+
+
+def stream_with(row=None, f=None, w=None, n=5):
+    """A plausible n-row stream of imu/R_L, with row `row` replaced."""
+    F = np.tile([0.1, -0.2, 9.81], (n, 1))
+    W = np.tile([0.01, 0.02, -0.3], (n, 1))
+    if f is not None:
+        F[row] = f
+    if w is not None:
+        W[row] = w
+    return ImuStream(np.arange(n) * 10_000_000, F, W, "imu/R_L")
+
+
+class TestImuStream:
+    def test_plausible_stream_is_columnar(self):
+        s = stream_with()
+        assert len(s) == 5
+        assert s.stamps.dtype == np.int64 and s.stamps.shape == (5,)
+        assert s.f.shape == (5, 3) and s.w.shape == (5, 3)
+
+    def test_non_finite_names_sensor_and_row(self):
+        with pytest.raises(ImuPlausibilityError, match=r"imu/R_L row 3: non-finite"):
+            stream_with(3, w=[0.0, np.inf, 0.0])
+        with pytest.raises(ImuPlausibilityError, match=r"imu/R_L row 1: non-finite"):
+            stream_with(1, f=[np.nan, 0.0, 0.0])
+
+    def test_specific_force_limit_names_sensor_and_row(self):
+        stream_with(2, f=[199.9, 0.0, 0.0])
+        with pytest.raises(ImuPlausibilityError,
+                           match=r"imu/R_L row 2: specific force 200\.0"):
+            stream_with(2, f=[0.0, 0.0, 200.0])
+
+    def test_angular_rate_limit_names_sensor_and_row(self):
+        stream_with(4, w=[0.0, 34.9, 0.0])
+        with pytest.raises(ImuPlausibilityError,
+                           match=r"imu/R_L row 4: angular rate 35\.0"):
+            stream_with(4, w=[0.0, 35.0, 0.0])
+
+    def test_first_bad_row_is_named(self):
+        F = np.tile([0.0, 0.0, 9.81], (6, 1))
+        W = np.zeros((6, 3))
+        F[4] = [500.0, 0, 0]
+        W[2] = [40.0, 0, 0]
+        with pytest.raises(ImuPlausibilityError, match=r"row 2: angular rate"):
+            ImuStream(np.arange(6), F, W, "imu/F_L")
+
+    def test_take_keeps_rows_and_sensor(self):
+        s = stream_with()
+        sub = s.take(np.array([True, False, True, False, True]))
+        assert sub.stamps.tolist() == [0, 20_000_000, 40_000_000]
+        assert sub.sensor_id == "imu/R_L"
+        assert np.array_equal(sub.f, s.f[::2])
 
 
 class TestTransformToBase:

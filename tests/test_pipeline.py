@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mlio.graph import (
     GnssFix,
     PriorFactor,
 )
-from mlio.mimu import FusedImuSample
+from mlio.mimu import FusedImuSample, ImuStream
 from mlio.pipeline import (
     EstimatorDivergence,
     PipelineConfig,
@@ -34,11 +35,14 @@ from mlio.pipeline import (
 from mlio.preintegration import GRAVITY, ImuNoiseParams, integrate, predict
 from mlio.sim import (
     Dropout,
+    NoiseSpec,
     corridor_scenario,
     gen_trajectory,
     loop_scenario,
     simulate,
+    synth_imu,
 )
+from oracles import fuse_imu_groups_per_group
 
 
 def straight_scenario(duration=6.0, dropouts=()):
@@ -112,6 +116,41 @@ class TestReplay:
         assert np.allclose(first.f, [0, 0, 9.81], atol=1e-9)
         assert np.allclose(first.w_dot, 0.0, atol=1e-9)
         assert not first.w_dot_observable
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_fusion_matches_per_group_loop(seed):
+    """With random per-sample IMU dropouts, stamp jitter past the sync
+    threshold, repeated stamps and shuffled streams, `fuse_imu_groups`
+    gives bit for bit the samples of the per-group loop it replaced."""
+    rng = np.random.default_rng(seed)
+    scenario = loop_scenario(seed=seed, noise=NoiseSpec(accel_sigma=0.01,
+                                                        gyro_sigma=0.001))
+    scenario = dataclasses.replace(scenario, segments=scenario.segments[:3])
+    gt = gen_trajectory(scenario)
+    streams = {}
+    for sid, stream in synth_imu(gt, scenario.imus, scenario.noise,
+                                 scenario.seed).items():
+        rows = rng.permutation(np.flatnonzero(rng.random(len(stream)) > 0.3))
+        stamps = stream.stamps[rows] + rng.integers(0, 3_000_000, size=len(rows))
+        # repeated stamps carrying other samples: groups with equal anchors
+        dup = rng.choice(len(rows), size=len(rows) // 50, replace=False)
+        stamps = np.concatenate([stamps, stamps[dup]])
+        rows = np.concatenate([rows, rng.choice(rows, size=len(dup))])
+        streams[sid] = ImuStream(stamps, stream.f[rows], stream.w[rows], sid)
+    data = SimpleNamespace(imu=streams, lidar={})
+    mask = parse_sensor_mask("L1I4")
+    groups, _ = replay_sync(data, mask, PipelineConfig().sync, RunCounters())
+    imus = {p: scenario.imus[p] for p in mask.imu_positions}
+    got = fuse_imu_groups(groups, imus)
+    want = fuse_imu_groups_per_group(groups, imus)
+    assert len({tuple(row >= 0) for row in groups.members}) == 15
+    assert np.any(np.diff(groups.anchors) == 0)
+    assert [s.stamp for s in got] == [s.stamp for s in want]
+    assert [s.w_dot_observable for s in got] == [s.w_dot_observable for s in want]
+    for name in ("f", "w", "w_dot"):
+        assert np.array_equal(np.stack([getattr(s, name) for s in got]),
+                              np.stack([getattr(s, name) for s in want])), name
 
 
 class EagerPropagator(_Propagator):

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+import yaml
+
+import mlio.sim as sim_module
 
 from mlio.dataset import load_dataset, write_dataset
 from mlio.geometry import (
@@ -29,15 +33,18 @@ from mlio.sim import (
     corridor_scenario,
     gen_trajectory,
     inject_dropout,
+    load_scenario,
     loop_scenario,
     raycast_world,
+    save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
     simulate,
     synth_gnss,
     synth_imu,
     synth_lidar,
 )
-from oracles import transform_to_base
+from oracles import ImuSample, transform_to_base
 
 
 def simple_imus(levers):
@@ -135,10 +142,12 @@ class TestSynthImu:
         )
         gt = gen_trajectory(s)
         streams = synth_imu(gt, s.imus, NoiseSpec(), seed=0)
-        for sid, samples in streams.items():
-            for sample in samples[:: 20]:
-                np.testing.assert_allclose(sample.f, [0, 0, 9.81], atol=1e-9)
-                np.testing.assert_allclose(sample.w, 0.0, atol=1e-12)
+        for sid, stream in streams.items():
+            assert stream.sensor_id == sid
+            assert np.array_equal(stream.stamps, gt.stamps)
+            np.testing.assert_allclose(stream.f, np.tile([0, 0, 9.81], (len(stream), 1)),
+                                       atol=1e-9)
+            np.testing.assert_allclose(stream.w, 0.0, atol=1e-12)
 
     def test_centrifugal_difference_between_levers(self):
         # steady yaw at 1 rad/s: channels at (1,0,0) and (-1,0,0) differ
@@ -150,7 +159,7 @@ class TestSynthImu:
         gt = gen_trajectory(s)
         streams = synth_imu(gt, s.imus, NoiseSpec(), seed=0)
         k = 250  # mid-run, away from start
-        d = streams["imu/F_L"][k].f - streams["imu/R_R"][k].f
+        d = streams["imu/F_L"].f[k] - streams["imu/R_R"].f[k]
         np.testing.assert_allclose(d, [-2.0, 0, 0], atol=1e-9)
 
     def test_noise_free_round_trip(self):
@@ -172,7 +181,7 @@ class TestSynthImu:
         g = np.array([0, 0, -9.81])
         for k in range(0, len(gt.stamps), 37):
             back = transform_to_base(
-                streams["imu/F_L"][k], calib, w_dot_est=gt.w_dot[k]
+                ImuSample.row(streams["imu/F_L"], k), calib, w_dot_est=gt.w_dot[k]
             )
             f_b_true = gt.poses[k].R.T @ (gt.a_world[k] - g)
             assert np.linalg.norm(back.f - f_b_true) < 1e-10
@@ -307,25 +316,35 @@ class TestInjectDropout:
         out = inject_dropout(
             streams, [Dropout("imu/F_L", 5.0, 15.0)]
         )
-        fl = [x.stamp for x in out["imu/F_L"]]
-        assert not any(5 * NS_PER_S <= t < 15 * NS_PER_S for t in fl)
-        assert len(fl) > 0
-        assert out["imu/R_R"] == streams["imu/R_R"]
+        fl = out["imu/F_L"]
+        assert not np.any((fl.stamps >= 5 * NS_PER_S) & (fl.stamps <= 15 * NS_PER_S))
+        kept = (streams["imu/F_L"].stamps < 5 * NS_PER_S) | (
+            streams["imu/F_L"].stamps > 15 * NS_PER_S)
+        assert np.array_equal(fl.stamps, streams["imu/F_L"].stamps[kept])
+        assert np.array_equal(fl.f, streams["imu/F_L"].f[kept])
+        assert np.array_equal(fl.w, streams["imu/F_L"].w[kept])
+        assert np.array_equal(out["imu/R_R"].stamps, streams["imu/R_R"].stamps)
+        assert np.array_equal(out["imu/R_R"].f, streams["imu/R_R"].f)
 
     def test_empty_is_identity(self):
-        streams = {"a": [1, 2, 3]}
         assert inject_dropout({"gnss": []}, []) == {"gnss": []}
         s = scenario_with([(1.0, np.zeros(6))])
         gt = gen_trajectory(s)
         imu = synth_imu(gt, s.imus, NoiseSpec(), seed=0)
-        assert inject_dropout(imu, []) == imu
+        out = inject_dropout(imu, [])
+        assert set(out) == set(imu)
+        for sid, stream in imu.items():
+            assert np.array_equal(out[sid].stamps, stream.stamps)
+            assert np.array_equal(out[sid].f, stream.f)
+            assert np.array_equal(out[sid].w, stream.w)
 
     def test_drop_everything(self):
         s = scenario_with([(2.0, np.zeros(6))])
         gt = gen_trajectory(s)
         imu = synth_imu(gt, s.imus, NoiseSpec(), seed=0)
         out = inject_dropout(imu, [Dropout("imu/F_L", 0.0, 2.0)])
-        assert out["imu/F_L"] == []
+        assert len(out["imu/F_L"]) == 0
+        assert out["imu/F_L"].f.shape == (0, 3)
 
 
 class TestDeterminism:
@@ -335,8 +354,8 @@ class TestDeterminism:
         a = simulate(corridor_scenario(length=10.0, seed=7, noise=noise))
         b = simulate(corridor_scenario(length=10.0, seed=7, noise=noise))
         for sid in a.imu:
-            for x, y in zip(a.imu[sid], b.imu[sid]):
-                assert np.array_equal(x.f, y.f) and np.array_equal(x.w, y.w)
+            assert np.array_equal(a.imu[sid].f, b.imu[sid].f)
+            assert np.array_equal(a.imu[sid].w, b.imu[sid].w)
         for sid in a.lidar:
             for x, y in zip(a.lidar[sid], b.lidar[sid]):
                 assert np.array_equal(x.points, y.points)
@@ -351,8 +370,7 @@ class TestDeterminism:
         only_fl = synth_imu(
             gt, {"F_L": full.imus["F_L"]}, full.noise, full.seed
         )
-        for x, y in zip(all_streams["imu/F_L"], only_fl["imu/F_L"]):
-            assert np.array_equal(x.f, y.f)
+        assert np.array_equal(all_streams["imu/F_L"].f, only_fl["imu/F_L"].f)
 
 
 class TestDatasetIo:
@@ -370,10 +388,8 @@ class TestDatasetIo:
         assert set(ds.imu) == set(sim.imu)
         for sid in sim.imu:
             assert len(ds.imu[sid]) == len(sim.imu[sid])
-            np.testing.assert_allclose(
-                ds.imu[sid][0].f, sim.imu[sid][0].f, atol=1e-8
-            )
-            assert ds.imu[sid][0].stamp == sim.imu[sid][0].stamp
+            np.testing.assert_allclose(ds.imu[sid].f, sim.imu[sid].f, atol=1e-8)
+            assert np.array_equal(ds.imu[sid].stamps, sim.imu[sid].stamps)
         assert len(ds.gnss) == len(sim.gnss)
         for sid in sim.lidar:
             assert len(ds.lidar[sid]) == len(sim.lidar[sid])
@@ -401,6 +417,56 @@ class TestDatasetIo:
                 pb = pa.replace(str(tmp_path / "a"), str(tmp_path / "b"))
                 with open(pa, "rb") as fa, open(pb, "rb") as fb:
                     assert fa.read() == fb.read(), f
+
+
+    def test_imu_round_trip_is_bit_identical(self, tmp_path):
+        """sim -> write -> load gives the written text's values exactly,
+        and writing the loaded streams again gives the same bytes."""
+        sim = simulate(
+            corridor_scenario(
+                length=5.0, seed=3, noise=NoiseSpec(accel_sigma=0.05),
+                dropouts=[Dropout("imu/R_L", 0.3, 0.9)],
+            )
+        )
+        write_dataset(tmp_path / "a", sim)
+        ds = load_dataset(tmp_path / "a")
+        for sid, stream in sim.imu.items():
+            got = ds.imu[sid]
+            assert got.sensor_id == sid
+            assert got.stamps.dtype == np.int64
+            assert np.array_equal(got.stamps, stream.stamps)
+            for mine, theirs in ((got.f, stream.f), (got.w, stream.w)):
+                printed = np.vectorize(lambda v: float(f"{v:.9e}"))(theirs)
+                assert np.array_equal(mine, printed)
+        write_dataset(tmp_path / "b", dataclasses.replace(sim, imu=ds.imu))
+        for sid in sim.imu:
+            name = f"imu_{sid.split('/')[1]}.csv"
+            with open(tmp_path / "a" / name, "rb") as fa, \
+                    open(tmp_path / "b" / name, "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def test_ground_truth_read_on_first_access(self, tmp_path):
+        sim = simulate(corridor_scenario(length=4.0, seed=1))
+        write_dataset(tmp_path, sim)
+        os.rename(tmp_path / "gt.tum", tmp_path / "gt.later")
+        ds = load_dataset(tmp_path)
+        os.rename(tmp_path / "gt.later", tmp_path / "gt.tum")
+        assert np.array_equal(ds.gt_stamps, sim.gt.stamps)
+        assert len(ds.gt_poses) == len(sim.gt.poses)
+
+
+class TestScenarioFile:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch):
+        path = tmp_path / "loop.yaml"
+        save_scenario(path, loop_scenario(seed=5))
+        assert sim_module.YAML_LOADER is yaml.CSafeLoader
+        fast = load_scenario(path)
+        monkeypatch.setattr(sim_module, "YAML_LOADER", yaml.SafeLoader)
+        slow = load_scenario(path)
+        assert scenario_to_dict(fast) == scenario_to_dict(slow)
+        assert repr(fast) == repr(slow)
 
 
 class TestScenarioValidation:
