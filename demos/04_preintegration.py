@@ -8,7 +8,6 @@ shows the first-order bias correction in action.
 import numpy as np
 
 from mlio.geometry import NavState, so3_log
-from mlio.mimu import FusedImuSample
 from mlio.preintegration import empty_delta, integrate, predict
 
 DT = 0.01
@@ -21,14 +20,14 @@ def main():
 
     delta = empty_delta()
     for w, a in zip(W, A):
-        delta = integrate(delta, FusedImuSample(stamp=0, f=a, w=w, w_dot=np.zeros(3)), DT)
+        delta = integrate(delta, a, w, DT)
     print(f"preintegrated over {delta.dt:.2f}s: |dp|={np.linalg.norm(delta.dp):.3f} m")
 
     # the same measurements at 10x finer substeps should agree closely
     fine = empty_delta()
     for w, a in zip(W, A):
         for _ in range(10):
-            fine = integrate(fine, FusedImuSample(stamp=0, f=a, w=w, w_dot=np.zeros(3)), DT / 10)
+            fine = integrate(fine, a, w, DT / 10)
     print("coarse-vs-fine:",
           f"rot {np.linalg.norm(so3_log(delta.dR.T @ fine.dR)):.2e} rad,",
           f"pos {np.linalg.norm(delta.dp - fine.dp):.2e} m")
@@ -37,9 +36,7 @@ def main():
     b_g = np.array([0.002, -0.001, 0.003])
     rebased = empty_delta()
     for w, a in zip(W, A):
-        rebased = integrate(
-            rebased, FusedImuSample(stamp=0, f=a, w=w - b_g, w_dot=np.zeros(3)), DT
-        )
+        rebased = integrate(rebased, a, w - b_g, DT)
     dR_corr, _, _ = delta.corrected(np.zeros(3), b_g)
     print("bias correction residual:",
           f"{np.linalg.norm(so3_log(dR_corr.T @ rebased.dR)):.2e} rad")

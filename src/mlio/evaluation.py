@@ -52,29 +52,27 @@ class MetricReport:
     pairs_evaluated: int
 
 
-def _nearest(sorted_stamps, stamp, window_ns):
-    """Index of the entry of `sorted_stamps` nearest to `stamp`, or None
-    if none is within `window_ns` (inclusive); of two equally near
-    entries the earlier wins."""
-    i = int(np.searchsorted(sorted_stamps, stamp))
-    best, best_d = None, window_ns + 1
-    for cand in (i - 1, i):
-        if 0 <= cand < len(sorted_stamps):
-            d = abs(int(sorted_stamps[cand]) - int(stamp))
-            if d < best_d:
-                best, best_d = cand, d
-    return best
+def _nearest(sorted_stamps, stamps, window_ns) -> np.ndarray:
+    """Per query in `stamps`, the index of the entry of `sorted_stamps`
+    nearest to it, or -1 if none is within `window_ns` (inclusive); of
+    two equally near entries the earlier wins."""
+    ref = np.asarray(sorted_stamps, dtype=np.int64)
+    query = np.asarray(stamps, dtype=np.int64)
+    if len(ref) == 0:
+        return np.full(len(query), -1)
+    i = np.searchsorted(ref, query)
+    before, after = np.maximum(i - 1, 0), np.minimum(i, len(ref) - 1)
+    d_before = np.abs(ref[before] - query)
+    d_after = np.abs(ref[after] - query)
+    best = np.where(d_after < d_before, after, before)
+    return np.where(np.minimum(d_before, d_after) <= window_ns, best, -1)
 
 
 def associate(gt: Trajectory, est: Trajectory, window_ns=ASSOCIATION_WINDOW_NS):
     """Index pairs (i_gt, i_est): each estimated stamp with its nearest
     ground-truth stamp within the association window."""
-    pairs = []
-    for j, s in enumerate(est.stamps):
-        i = _nearest(gt.stamps, s, window_ns)
-        if i is not None:
-            pairs.append((i, j))
-    return pairs
+    match = _nearest(gt.stamps, est.stamps, window_ns).tolist()
+    return [(i, j) for j, i in enumerate(match) if i >= 0]
 
 
 def _arc_lengths(poses) -> np.ndarray:
@@ -155,22 +153,22 @@ def ape(gt: Trajectory, est: Trajectory) -> float:
     return math.sqrt(total / len(pairs))
 
 
-def imu_rmse(gt_stream, fused_stream):
+def imu_rmse(gt_stream, fused):
     """(rmse_acc, rmse_gyro): RMS of the stacked residual matrices for
-    acceleration and angular rate, streams matched within 1 ms."""
-    fused_by_stamp = np.array([s.stamp for s in fused_stream], dtype=np.int64)
-    acc_sq, gyro_sq, n = 0.0, 0.0, 0
-    for s in gt_stream:
-        j = _nearest(fused_by_stamp, s.stamp, IMU_ASSOCIATION_NS)
-        if j is None:
-            continue
-        other = fused_stream[j]
-        acc_sq += float(np.sum((np.asarray(s.f) - np.asarray(other.f)) ** 2))
-        gyro_sq += float(np.sum((np.asarray(s.w) - np.asarray(other.w)) ** 2))
-        n += 1
-    if n == 0:
+    acceleration and angular rate. Each row of `gt_stream` (with stamp,
+    f and w) is matched within 1 ms to its nearest row of the
+    `FusedImu` `fused`."""
+    rows = list(gt_stream)
+    match = _nearest(fused.stamps, [s.stamp for s in rows], IMU_ASSOCIATION_NS)
+    hit = match >= 0
+    if not hit.any():
         raise AssociationError("no associated IMU samples")
-    return math.sqrt(acc_sq / n), math.sqrt(gyro_sq / n)
+    gt_f = np.array([s.f for s in rows], dtype=float)[hit]
+    gt_w = np.array([s.w for s in rows], dtype=float)[hit]
+    j = match[hit]
+    acc_sq = float(np.sum((gt_f - fused.f[j]) ** 2))
+    gyro_sq = float(np.sum((gt_w - fused.w[j]) ** 2))
+    return math.sqrt(acc_sq / len(j)), math.sqrt(gyro_sq / len(j))
 
 
 def evaluate(gt: Trajectory, est: Trajectory, distance: float = 10.0) -> MetricReport:

@@ -13,16 +13,18 @@ squares with the stacked covariance Q.
 
 Raw channel data travels as one `ImuStream` per sensor (columns of
 stamps, f and w, checked for plausibility on construction); `BatchFuser`
-fuses a whole channel subset's stacked rows at once.
+fuses a whole channel subset's stacked rows at once (whether it observes
+w_dot is `BatchFuser.w_dot_observable`) into one columnar `FusedImu`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import skew
+from .geometry import skew, skew_many
 
 MAX_SPECIFIC_FORCE = 200.0  # m/s^2
 MAX_ANGULAR_RATE = 35.0  # rad/s
@@ -133,19 +135,27 @@ class MimuArray:
         return MimuArray(tuple(self.channels[i] for i in indices))
 
 
-@dataclass(frozen=True)
-class FusedImuSample:
-    stamp: int
-    f: np.ndarray  # base-frame specific force
-    w: np.ndarray  # base-frame angular rate
-    w_dot: np.ndarray  # angular acceleration estimate
-    w_dot_observable: bool = True
+FusedImuRow = namedtuple("FusedImuRow", "stamp f w w_dot")
 
-    def __post_init__(self):
-        for name in ("f", "w", "w_dot"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=float).reshape(3)
-            )
+
+@dataclass(frozen=True, eq=False)
+class FusedImu:
+    """The fused base-frame IMU as columns, oldest first: stamps (N,) int64
+    ns; specific force f, angular rate w and angular acceleration w_dot,
+    each (N, 3). Iterating yields lazy `FusedImuRow`s; mlio reads the
+    columns, and the rows exist only because the benchmark harness's
+    `perfbench/run.py` `replay_fuse` writes its CSV in a loop over rows."""
+
+    stamps: np.ndarray
+    f: np.ndarray
+    w: np.ndarray
+    w_dot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def __iter__(self):
+        return map(FusedImuRow, self.stamps.tolist(), self.f, self.w, self.w_dot)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +166,13 @@ def build_stacked_model(arr: MimuArray, w):
     """Return (h, H) of the stacked array model at angular rate w."""
     w = np.asarray(w, dtype=float).reshape(3)
     K = arr.K
-    h = np.zeros(6 * K)
-    H = np.zeros((6 * K, 6))
+    levers = np.array([c.t for c in arr.channels])
     Wx = skew(w)
-    for k, c in enumerate(arr.channels):
-        h[3 * k : 3 * k + 3] = Wx @ Wx @ c.t
-        H[3 * k : 3 * k + 3, :3] = -skew(c.t)
-        H[3 * k : 3 * k + 3, 3:] = np.eye(3)
-    h[3 * K :] = np.tile(w, K)
+    h = np.concatenate([(Wx @ Wx @ levers[:, :, None]).ravel(), *[w] * K])
+    H = np.zeros((6 * K, 6))
+    acc_rows = H.reshape(2 * K, 3, 6)[:K]  # each channel's 3 x 6 block
+    acc_rows[:, :, :3] = -skew_many(levers)
+    acc_rows[:, :, 3:] = np.eye(3)
     return h, H
 
 
@@ -200,7 +209,7 @@ class BatchFuser:
         self.arr = arr
         K = arr.K
         Wg = np.linalg.inv(arr.Q_gyro)
-        S = np.kron(np.ones((K, 1)), np.eye(3))
+        S = np.tile(np.eye(3), (K, 1))
         self._gyro_solve = np.linalg.solve(S.T @ Wg @ S, S.T @ Wg)
         _, H = build_stacked_model(arr, np.zeros(3))
         Qinv = np.linalg.inv(arr.Q)

@@ -3,7 +3,8 @@
 Replays a dataset by message stamp through synchronization, MIMU
 fusion, IMU preintegration, scan deskewing, multi-lidar ICP odometry
 and the sliding-window factor graph, producing a keyframe trajectory
-plus per-stage counters.
+plus per-stage counters. The fused IMU is one columnar `FusedImu` from
+`fuse_imu_groups` to `write_fused_imu`; every stage indexes its columns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import lidar
-from .dataset import write_tum
+from .dataset import FLOAT_FMT, write_tum
 from .geometry import (
     NS_PER_S,
     NavState,
@@ -38,7 +39,7 @@ from .graph import (
     PriorFactor,
 )
 from .lidar import IcpConfig, deskew, voxel_downsample
-from .mimu import BatchFuser, FusedImuSample, MimuArray
+from .mimu import BatchFuser, FusedImu, MimuArray
 from .preintegration import (
     GravityInit,
     ImuNoiseParams,
@@ -138,7 +139,7 @@ class RunCounters:
 class RunResult:
     stamps: list  # keyframe ns
     poses: list  # optimized keyframe Pose
-    fused: list  # FusedImuSample stream
+    fused: FusedImu
     counters: RunCounters
     mask: SensorMask
 
@@ -184,14 +185,16 @@ def fuse_imu_groups(groups: SyncGroups, imus: dict, counters: RunCounters = None
     channel subset so each distinct dropout pattern reuses one solver.
 
     Subsets are fused in the order their pattern first appears; each
-    channel's rows are gathered from its stream with one index."""
+    channel's rows are gathered from its stream with one index. Returns
+    one `FusedImu`, the subsets' rows stably sorted by stamp."""
     order = [p for p in POSITIONS if p in imus]
     array = MimuArray(tuple(imus[p] for p in order))
     cols = [groups.sensors.index(f"imu/{p}") for p in order]
     members = groups.members[:, cols]
     pattern = (members >= 0) @ (1 << np.arange(len(order)))
     codes, first = np.unique(pattern, return_index=True)
-    parts = []
+    # an empty first part: without groups the stream still has typed columns
+    parts = [(np.zeros(0, np.int64), *np.zeros((3, 0, 3)))]
     for code in codes[np.argsort(first)]:
         rows = np.flatnonzero(pattern == code)
         idx = tuple(i for i in range(len(order)) if code >> i & 1)
@@ -205,20 +208,10 @@ def fuse_imu_groups(groups: SyncGroups, imus: dict, counters: RunCounters = None
             R_T = sub.channels[c].R.T
             Yf[:, 3 * c:3 * c + 3] = stream.f[take] @ R_T
             Yw[:, 3 * c:3 * c + 3] = stream.w[take] @ R_T
-        F, W, Wdot = fuser.fuse(Yf, Yw)
-        observable = np.full(len(rows), fuser.w_dot_observable)
-        parts.append((groups.anchors[rows], F, W, Wdot, observable))
-    fused = []
-    if parts:
-        stamps, F, W, Wdot, observable = (np.concatenate(p) for p in zip(*parts))
-        by_stamp = np.argsort(stamps, kind="stable")
-        fused = [
-            FusedImuSample(stamp=t, f=f, w=w, w_dot=wd, w_dot_observable=obs)
-            for t, f, w, wd, obs in zip(
-                stamps[by_stamp].tolist(), F[by_stamp], W[by_stamp],
-                Wdot[by_stamp], observable[by_stamp].tolist(),
-            )
-        ]
+        parts.append((groups.anchors[rows], *fuser.fuse(Yf, Yw)))
+    columns = [np.concatenate(p) for p in zip(*parts)]
+    by_stamp = np.argsort(columns[0], kind="stable")
+    fused = FusedImu(*(c[by_stamp] for c in columns))
     if counters is not None:
         counters.fused_samples = len(fused)
     return fused
@@ -237,7 +230,6 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
     ground. The course baseline scales with the fix noise so the yaw
     estimate stays usable, and the returned sigmas widen the anchor
     prior to match what the initialization actually knows."""
-    head = fused[:n_samples]
     yaw = 0.0
     t0 = np.zeros(3)
     yaw_sigma = 0.01
@@ -257,7 +249,7 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
                 break
         t0 = first.t  # refined below once attitude is known
     try:
-        init = gravity_align(head, t0=t0, yaw=yaw)
+        init = gravity_align(fused.f[:n_samples], fused.w[:n_samples], t0, yaw)
     except NotStaticError:
         # accelerating start: fall back to a level attitude, zero biases
         init = GravityInit(roll=0.0, pitch=0.0, yaw=yaw, t0=t0,
@@ -292,30 +284,26 @@ class _Propagator:
         self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
         self.track = [(0, None)]  # (stamp, delta; None at the keyframe)
         self.last_stamp = None
-        self.last_sample = None
+        self.last_f = self.last_w = None
 
-    def advance(self, sample: FusedImuSample):
+    def advance(self, stamp: int, f, w):
         if self.last_stamp is None:
-            self.track = [(sample.stamp, None)]
+            self.track = [(stamp, None)]
         else:
-            dt = (sample.stamp - self.last_stamp) / NS_PER_S
+            dt = (stamp - self.last_stamp) / NS_PER_S
             if dt <= 0:
                 return
             # trapezoidal hold: integrate the interval-average measurement
-            mid = FusedImuSample(
-                stamp=sample.stamp,
-                f=0.5 * (self.last_sample.f + sample.f),
-                w=0.5 * (self.last_sample.w + sample.w),
-                w_dot=sample.w_dot,
-            )
+            f_mid = 0.5 * (self.last_f + f)
+            w_mid = 0.5 * (self.last_w + w)
             # integrate() takes steps below 0.1 s; a longer gap is held
             # over equal sub-steps so it counts at its full length
             steps = math.ceil(dt / 0.099)
             for _ in range(steps):
-                self.delta = integrate(self.delta, mid, dt / steps, self.noise)
-            self.track.append((sample.stamp, self.delta))
-        self.last_stamp = sample.stamp
-        self.last_sample = sample
+                self.delta = integrate(self.delta, f_mid, w_mid, dt / steps, self.noise)
+            self.track.append((stamp, self.delta))
+        self.last_stamp = stamp
+        self.last_f, self.last_w = f, w
 
     def predicted(self) -> NavState:
         return predict(self.state, self.delta)
@@ -338,10 +326,10 @@ class _Propagator:
         pose = self.state.pose if delta is None else predict(self.state, delta).pose
         if k < 0:
             w, v = self.w, self.state.v
-        elif self.last_sample is None:
+        elif self.last_w is None:
             return pose
         else:
-            w = self.last_sample.w - self.state.b_g
+            w = self.last_w - self.state.b_g
         rem = (stamp - t_k) / NS_PER_S
         if abs(rem) < 1e-12:
             return pose
@@ -380,40 +368,41 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
 
     submap = LocalSubmap(config.voxel_resolution, config.map_extent)
     est_poses = {0: state.pose}
-    est_stamps = {0: fused[0].stamp}
+    stamps = fused.stamps.tolist()
+    est_stamps = {0: stamps[0]}
     interval_ns = int(round(config.keyframe_interval_s * NS_PER_S))
-    kf_bound = fused[0].stamp + interval_ns
+    kf_bound = stamps[0] + interval_ns
     prop = _Propagator(state, config.imu_noise)
-    prop.advance(fused[0])
+    prop.advance(stamps[0], fused.f[0], fused.w[0])
     gnss_idx = 0
     pending_scans = []
     lidar_iter = iter(lidar_groups.messages())
     next_lidar = next(lidar_iter, None)
     node = 0
-    last_fused_stamp = fused[0].stamp
-    for sample in fused[1:]:
-        gap = (sample.stamp - last_fused_stamp) / NS_PER_S
+    last_fused_stamp = stamps[0]
+    for stamp, f, w in zip(stamps[1:], fused.f[1:], fused.w[1:]):
+        gap = (stamp - last_fused_stamp) / NS_PER_S
         if gap > config.max_sensor_gap_s:
             raise EstimatorDivergence(
                 f"inertial blackout: no fused IMU data for {gap:.1f} s "
                 f"after t={last_fused_stamp / NS_PER_S:.1f} s"
             )
-        last_fused_stamp = sample.stamp
-        prop.advance(sample)
+        last_fused_stamp = stamp
+        prop.advance(stamp, f, w)
         # collect lidar groups whose scans have fully ended
         while next_lidar is not None and max(
             scan.scan_end for scan in next_lidar
-        ) <= sample.stamp:
+        ) <= stamp:
             pending_scans.extend(next_lidar)
             next_lidar = next(lidar_iter, None)
-        if sample.stamp < kf_bound:
+        if stamp < kf_bound:
             continue
         # ---- keyframe ----
         node += 1
-        kf_stamp = sample.stamp
+        kf_stamp = stamp
         kf_bound = kf_stamp + interval_ns
         pred = prop.predicted()
-        w_kf = sample.w - state.b_g
+        w_kf = w - state.b_g
         # deskew + fuse accumulated scans into the predicted keyframe frame
         cloud = None
         if pending_scans:
@@ -502,7 +491,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         if cloud is not None:
             lidar.map_update(submap, state.pose.apply(cloud), state.pose)
         prop.reset(state, w_kf)
-        prop.advance(sample)
+        prop.advance(stamp, f, w)
         counters.keyframes += 1
 
     counters.gnss_unassociated += len(gnss) - gnss_idx
@@ -531,13 +520,12 @@ def graph_position_covariance(graph: FactorGraph, idx: int) -> np.ndarray:
     return cho_solve(cho_factor(H), unit)[k:k + 3]
 
 
-def write_fused_imu(path, fused) -> None:
-    """Fused-IMU CSV: one 't_ns, f, w, w_dot' line per sample."""
-    with open(path, "w") as fh:
-        fh.write("t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
-        for s in fused:
-            vals = ",".join(f"{v:.9e}" for v in (*s.f, *s.w, *s.w_dot))
-            fh.write(f"{s.stamp},{vals}\n")
+def write_fused_imu(path, fused: FusedImu) -> None:
+    """Fused-IMU CSV: one 't_ns, f, w, w_dot' line per sample (stamps
+    go through float64, as in the dataset CSVs: exact below 2^53 ns)."""
+    np.savetxt(path, np.column_stack([fused.stamps, fused.f, fused.w, fused.w_dot]),
+               fmt=["%d"] + [FLOAT_FMT] * 9, delimiter=",", comments="",
+               header="t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz")
 
 
 def write_run_outputs(out_dir, result: RunResult) -> None:

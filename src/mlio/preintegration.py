@@ -81,14 +81,15 @@ def empty_delta(b_a0=None, b_g0=None) -> PreintegratedDelta:
 
 
 def integrate(
-    delta: PreintegratedDelta, sample, dt: float,
+    delta: PreintegratedDelta, f, w, dt: float,
     noise: ImuNoiseParams = ImuNoiseParams(),
 ) -> PreintegratedDelta:
-    """Fold one fused IMU sample (held constant over dt) into the delta."""
+    """Fold one fused IMU sample, specific force f and angular rate w
+    held constant over dt, into the delta."""
     if not (0.0 < dt < 0.1):
         raise ValueError(f"dt out of range: {dt}")
-    w = np.asarray(sample.w, dtype=float) - delta.b_g0
-    a = np.asarray(sample.f, dtype=float) - delta.b_a0
+    w = np.asarray(w, dtype=float) - delta.b_g0
+    a = np.asarray(f, dtype=float) - delta.b_a0
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
         raise ValueError("non-finite IMU sample")
 
@@ -250,16 +251,16 @@ class GravityInit:
         return Pose(self.rotation(), self.t0)
 
 
-def gravity_align(static_samples, t0, yaw: float = 0.0) -> GravityInit:
-    """Tilt initialization from averaged static specific force.
+def gravity_align(F, W, t0, yaw: float = 0.0) -> GravityInit:
+    """Tilt initialization from the averaged specific force F and angular
+    rate W, (n, 3) arrays of static fused samples.
 
     roll = atan2(a_y, a_z), pitch = atan2(-a_x, sqrt(a_y^2 + a_z^2));
     yaw and the world position t0 come from GNSS.
     """
-    if len(static_samples) == 0:
+    F, W = np.asarray(F, dtype=float), np.asarray(W, dtype=float)
+    if len(F) == 0:
         raise NotStaticError("no static samples")
-    F = np.stack([np.asarray(s.f, dtype=float) for s in static_samples])
-    W = np.stack([np.asarray(s.w, dtype=float) for s in static_samples])
     a_bar = F.mean(axis=0)
     if abs(np.linalg.norm(a_bar) - 9.81) > 1.0:
         raise NotStaticError(

@@ -71,7 +71,6 @@ class SyncCounters:
     late: int = 0
     capacity_drops: int = 0
     evictions: int = 0
-    groups: int = 0
 
 
 def _sweep(stamps: list, threshold: int):
@@ -132,5 +131,4 @@ class Synchronizer:
                 members=members,
                 streams=tuple(streams.get(sid, ()) for sid in sensors),
             )
-            self.counters.groups += len(anchors)
         return out

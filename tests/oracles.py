@@ -2,15 +2,19 @@
 
 `ImuSample` is one row of an `ImuStream`. `transform_to_base`,
 `fuse_gyro` and `fuse_mle` solve the IMU array model one sample at a
-time, independently of `BatchFuser`. `fuse_imu_groups_per_group` is
-the per-group loop that `pipeline.fuse_imu_groups` replaced by one
-gather per channel and subset. The residual
+time, independently of `BatchFuser`; `fuse_mle` returns a `FusedRow`.
+`fuse_imu_groups_per_group` is the per-group loop that
+`pipeline.fuse_imu_groups` replaced by one gather per channel and
+subset. `write_fused_imu_rows` is the per-row f-string writer that
+`pipeline.write_fused_imu` replaced by one `savetxt`; the benchmark
+harness writes its fused CSV the same way. The residual
 adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
 runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,7 @@ from mlio.geometry import NavStates, skew
 from mlio.graph import STATE_DIM, _between_many, _prior_many
 from mlio.mimu import (
     BatchFuser,
-    FusedImuSample,
+    FusedImu,
     ImuStream,
     MimuArray,
     _phi_projector,
@@ -61,11 +65,15 @@ def fuse_gyro(arr, y_w) -> np.ndarray:
     """Inverse-variance weighted least-squares angular rate over the array."""
     y = np.asarray(y_w, dtype=float).reshape(3 * arr.K)
     Winv = np.linalg.inv(arr.Q_gyro)
-    S = np.kron(np.ones((arr.K, 1)), np.eye(3))  # 1_K (x) I_3
+    S = np.tile(np.eye(3), (arr.K, 1))  # 1_K (x) I_3
     return np.linalg.solve(S.T @ Winv @ S, S.T @ Winv @ y)
 
 
-def fuse_mle(arr, y_f, y_w) -> FusedImuSample:
+# one fused sample and whether its angular acceleration is fully observable
+FusedRow = namedtuple("FusedRow", "f w w_dot w_dot_observable")
+
+
+def fuse_mle(arr, y_f, y_w) -> FusedRow:
     """Two-stage maximum-likelihood fusion of one sample: y_f, y_w stack
     the base-oriented channel measurements (lever-arm terms still in)."""
     w_star = fuse_gyro(arr, y_w)
@@ -78,11 +86,11 @@ def fuse_mle(arr, y_f, y_w) -> FusedImuSample:
     # collinear lever arms) are pinned to zero and flagged
     T, observable = _phi_projector(A.T @ A)
     phi = T @ np.linalg.lstsq(A @ T, b, rcond=None)[0]
-    return FusedImuSample(stamp=0, f=phi[3:], w=w_star, w_dot=phi[:3],
-                          w_dot_observable=bool(observable))
+    return FusedRow(f=phi[3:], w=w_star, w_dot=phi[:3],
+                    w_dot_observable=bool(observable))
 
 
-def fuse_imu_groups_per_group(groups, imus: dict) -> list:
+def fuse_imu_groups_per_group(groups, imus: dict) -> FusedImu:
     """Fused samples of IMU `SyncGroups`, one group and one channel at a
     time: groups bucketed by channel subset in first-appearance order,
     each member rotated by its own 3x3 product, the buckets joined and
@@ -108,10 +116,18 @@ def fuse_imu_groups_per_group(groups, imus: dict) -> list:
                 Yw[r, 3 * c:3 * c + 3] = R @ stream.w[row[cols[i]]]
         F, W, Wdot = fuser.fuse(Yf, Yw)
         for (anchor, _), f, w, wd in zip(members, F, W, Wdot):
-            fused.append(FusedImuSample(stamp=anchor, f=f, w=w, w_dot=wd,
-                                        w_dot_observable=fuser.w_dot_observable))
-    fused.sort(key=lambda s: s.stamp)
-    return fused
+            fused.append((anchor, f, w, wd))
+    fused.sort(key=lambda row: row[0])
+    return FusedImu(*map(np.array, zip(*fused)))
+
+
+def write_fused_imu_rows(path, fused) -> None:
+    """Fused-IMU CSV, one f-string line per row of `fused`."""
+    with open(path, "w") as fh:
+        fh.write("t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
+        for s in fused:
+            vals = ",".join(f"{v:.9e}" for v in (*s.f, *s.w, *s.w_dot))
+            fh.write(f"{s.stamp},{vals}\n")
 
 
 def residual_prior(x0, anchor, b_a0, b_g0) -> np.ndarray:

@@ -38,7 +38,6 @@ from mlio.pipeline import (
     parse_sensor_mask,
     run_pipeline,
 )
-from mlio.mimu import FusedImuSample
 from mlio.preintegration import empty_delta, integrate
 from mlio.sim import Dropout, NoiseSpec, loop_scenario, simulate
 from mlio.submap import LocalSubmap
@@ -173,9 +172,7 @@ class TestPreintegrationOracle:
             A = rng.uniform(-5.0, 5.0, (100, 3))
             delta = empty_delta()
             for w, a in zip(W, A):
-                delta = integrate(
-                    delta, FusedImuSample(stamp=0, f=a, w=w, w_dot=np.zeros(3)), dt
-                )
+                delta = integrate(delta, a, w, dt)
             R_ref, _, p_ref = fine_integrate(W, A, dt, substeps=100)
             worst_rot = max(
                 worst_rot, float(np.linalg.norm(so3_log(delta.dR.T @ R_ref)))
@@ -236,14 +233,7 @@ class TestFactorJacobians:
             )
             for _ in range(10):
                 delta = integrate(
-                    delta,
-                    FusedImuSample(
-                        stamp=0,
-                        f=rng.uniform(-5, 5, 3),
-                        w=rng.uniform(-1, 1, 3),
-                        w_dot=np.zeros(3),
-                    ),
-                    0.01,
+                    delta, rng.uniform(-5, 5, 3), rng.uniform(-1, 1, 3), 0.01
                 )
             x_i, x_j = random_state(rng), random_state(rng)
             J_i, J_j = imu_residual_jacobians(x_i, x_j, delta)

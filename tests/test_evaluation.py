@@ -8,6 +8,7 @@ from mlio.evaluation import (
     IMU_ASSOCIATION_NS,
     AssociationError,
     Trajectory,
+    _nearest,
     ape,
     associate,
     evaluate,
@@ -17,7 +18,7 @@ from mlio.evaluation import (
     write_report,
 )
 from mlio.geometry import NS_PER_S, Pose, pose_compose, so3_exp
-from mlio.mimu import FusedImuSample
+from mlio.mimu import FusedImu
 
 
 def straight_trajectory(n=101, step=0.2, dt_ns=100_000_000):
@@ -121,20 +122,23 @@ class TestApe:
         assert ape(gt, est) == pytest.approx(1.0)
 
 
-class TestImuRmse:
-    def fused(self, stamp, f, w):
-        return FusedImuSample(stamp=stamp, f=np.asarray(f, float),
-                              w=np.asarray(w, float), w_dot=np.zeros(3))
+def fused_stream(stamps, f, w):
+    """A `FusedImu` of the given stamps with every row's f and w
+    broadcast from (3,) or given as (n, 3); w_dot is zero."""
+    n = len(stamps)
+    f, w = (np.broadcast_to(np.asarray(v, float), (n, 3)) for v in (f, w))
+    return FusedImu(np.asarray(stamps, np.int64), f, w, np.zeros((n, 3)))
 
+
+class TestImuRmse:
     def test_identical_zero(self):
-        stream = [self.fused(k * 10_000_000, [0, 0, 9.81], [0.1, 0, 0])
-                  for k in range(100)]
+        stream = fused_stream(np.arange(100) * 10_000_000, [0, 0, 9.81], [0.1, 0, 0])
         acc, gyro = imu_rmse(stream, stream)
         assert acc == 0.0 and gyro == 0.0
 
     def test_constant_offset(self):
-        a = [self.fused(k * 10_000_000, [0, 0, 0], [0, 0, 0]) for k in range(50)]
-        b = [self.fused(k * 10_000_000, [1.0, 0, 0], [0, 0, 0]) for k in range(50)]
+        a = fused_stream(np.arange(50) * 10_000_000, [0, 0, 0], [0, 0, 0])
+        b = fused_stream(np.arange(50) * 10_000_000, [1.0, 0, 0], [0, 0, 0])
         acc, gyro = imu_rmse(a, b)
         assert acc == pytest.approx(1.0)
         assert gyro == 0.0
@@ -142,17 +146,15 @@ class TestImuRmse:
     def test_white_noise_statistics(self):
         rng = np.random.default_rng(1)
         n = 10_000
-        a = [self.fused(k * 1_000_000, [0, 0, 0], [0, 0, 0]) for k in range(n)]
-        b = [
-            self.fused(k * 1_000_000, rng.normal(scale=0.2, size=3), [0, 0, 0])
-            for k in range(n)
-        ]
+        a = fused_stream(np.arange(n) * 1_000_000, [0, 0, 0], [0, 0, 0])
+        b = fused_stream(np.arange(n) * 1_000_000,
+                         rng.normal(scale=0.2, size=(n, 3)), [0, 0, 0])
         acc, _ = imu_rmse(a, b)
         assert abs(acc - 0.2 * math.sqrt(3)) / (0.2 * math.sqrt(3)) < 0.05
 
     def test_empty_association_raises(self):
-        a = [self.fused(0, [0, 0, 0], [0, 0, 0])]
-        b = [self.fused(10_000_000, [0, 0, 0], [0, 0, 0])]
+        a = fused_stream([0], [0, 0, 0], [0, 0, 0])
+        b = fused_stream([10_000_000], [0, 0, 0], [0, 0, 0])
         with pytest.raises(AssociationError):
             imu_rmse(a, b)
 
@@ -165,10 +167,10 @@ def matched_by_associate(ref, stamp):
 
 def matched_by_imu_rmse(ref, stamp):
     # reference sample k carries f = (k, 0, 0), so the error names the match
-    z = np.zeros(3)
-    fused = [FusedImuSample(s, [k, 0, 0], z, z) for k, s in enumerate(ref)]
+    f = [[k, 0, 0] for k in range(len(ref))]
+    fused = fused_stream(ref, f, [0, 0, 0])
     try:
-        return round(imu_rmse([FusedImuSample(stamp, z, z, z)], fused)[0])
+        return round(imu_rmse(fused_stream([stamp], [0, 0, 0], [0, 0, 0]), fused)[0])
     except AssociationError:
         return None
 
@@ -185,6 +187,33 @@ def test_nearest_stamp_rule(match, window):
     assert match([0], window) == 0
     assert match([0], window + 1) is None
     assert match([10 * window, 11 * window + 1], 11 * window) == 1
+
+
+def nearest_per_stamp(sorted_stamps, stamp, window_ns):
+    """The matcher's rule for one query stamp, as a loop over its two
+    neighbours: the index of the nearest entry within the window, or -1;
+    the earlier of two equally near entries."""
+    i = int(np.searchsorted(sorted_stamps, stamp))
+    best, best_d = -1, window_ns + 1
+    for cand in (i - 1, i):
+        if 0 <= cand < len(sorted_stamps):
+            d = abs(int(sorted_stamps[cand]) - int(stamp))
+            if d < best_d:
+                best, best_d = cand, d
+    return best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_nearest_matches_per_stamp_rule(seed):
+    """Repeated reference stamps (also first and last), exact ties,
+    queries before, between and after them, and an empty reference."""
+    rng = np.random.default_rng(seed)
+    ref = np.sort(rng.integers(0, 200, size=30) * 2)
+    ref = np.concatenate([ref[:1], ref, ref[-1:]])
+    query = rng.integers(-20, 440, size=500)
+    got = _nearest(ref, query, 5)
+    assert got.tolist() == [nearest_per_stamp(ref, q, 5) for q in query]
+    assert _nearest(ref[:0], query, 5).tolist() == [-1] * len(query)
 
 
 class TestReports:

@@ -23,7 +23,6 @@ from mlio.graph import (
     PriorFactor,
     residual_gnss,
 )
-from mlio.mimu import FusedImuSample
 from mlio.preintegration import empty_delta, integrate
 from oracles import numeric_jacobian, residual_between, residual_prior
 
@@ -63,14 +62,7 @@ def random_delta(rng, n=20):
     )
     for _ in range(n):
         delta = integrate(
-            delta,
-            FusedImuSample(
-                stamp=0,
-                f=rng.normal(scale=2, size=3),
-                w=rng.normal(scale=0.5, size=3),
-                w_dot=np.zeros(3),
-            ),
-            0.01,
+            delta, rng.normal(scale=2, size=3), rng.normal(scale=0.5, size=3), 0.01
         )
     return delta
 

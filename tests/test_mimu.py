@@ -6,7 +6,6 @@ import pytest
 from mlio.geometry import skew, so3_exp
 from mlio.mimu import (
     BatchFuser,
-    FusedImuSample,
     ImuChannelCalib,
     ImuPlausibilityError,
     ImuStream,
@@ -14,7 +13,7 @@ from mlio.mimu import (
     build_stacked_model,
 )
 from mlio.sim import Scenario, load_scenario, save_scenario
-from oracles import ImuSample, fuse_gyro, fuse_mle, transform_to_base
+from oracles import FusedRow, ImuSample, fuse_gyro, fuse_mle, transform_to_base
 
 
 def calib(t=(0, 0, 0), R=None, acc_var=1.0, gyro_var=1.0):
@@ -35,14 +34,14 @@ def scale_variances(channels, k):
     )
 
 
-def fuse_average(arr, y_f, y_w) -> FusedImuSample:
+def fuse_average(arr, y_f, y_w) -> FusedRow:
     """Arithmetic-mean baseline with per-channel centrifugal correction."""
     y_f = np.asarray(y_f, dtype=float).reshape(arr.K, 3)
     y_w = np.asarray(y_w, dtype=float).reshape(arr.K, 3)
     f = [yf - skew(yw) @ skew(yw) @ c.t
          for yf, yw, c in zip(y_f, y_w, arr.channels)]
-    return FusedImuSample(stamp=0, f=np.mean(f, axis=0), w=y_w.mean(axis=0),
-                          w_dot=np.zeros(3), w_dot_observable=False)
+    return FusedRow(f=np.mean(f, axis=0), w=y_w.mean(axis=0),
+                    w_dot=np.zeros(3), w_dot_observable=False)
 
 
 def stack_channel_samples(arr, samples, indices):

@@ -19,7 +19,7 @@ from mlio.graph import (
     GnssFix,
     PriorFactor,
 )
-from mlio.mimu import FusedImuSample, ImuStream
+from mlio.mimu import BatchFuser, FusedImu, ImuStream, MimuArray
 from mlio.pipeline import (
     EstimatorDivergence,
     PipelineConfig,
@@ -31,6 +31,7 @@ from mlio.pipeline import (
     replay_sync,
     run_pipeline,
     RunCounters,
+    write_fused_imu,
 )
 from mlio.preintegration import GRAVITY, ImuNoiseParams, integrate, predict
 from mlio.sim import (
@@ -42,7 +43,7 @@ from mlio.sim import (
     simulate,
     synth_imu,
 )
-from oracles import fuse_imu_groups_per_group
+from oracles import fuse_imu_groups_per_group, write_fused_imu_rows
 
 
 def straight_scenario(duration=6.0, dropouts=()):
@@ -112,10 +113,23 @@ class TestReplay:
         )
         imus = {p: straight_data.scenario.imus[p] for p in mask.imu_positions}
         fused = fuse_imu_groups(imu_groups, imus, counters)
-        first = fused[0]
-        assert np.allclose(first.f, [0, 0, 9.81], atol=1e-9)
-        assert np.allclose(first.w_dot, 0.0, atol=1e-9)
-        assert not first.w_dot_observable
+        assert np.allclose(fused.f[0], [0, 0, 9.81], atol=1e-9)
+        assert np.allclose(fused.w_dot[0], 0.0, atol=1e-9)
+        # one channel cannot observe the angular acceleration: the fuser
+        # says so, and every fused row's w_dot is pinned to zero
+        assert not BatchFuser(MimuArray((imus["F_L"],))).w_dot_observable
+        assert not fused.w_dot.any()
+
+    def test_no_groups_fuse_to_an_empty_stream(self, straight_data):
+        mask = parse_sensor_mask("L1I2")
+        data = SimpleNamespace(imu={}, lidar={})
+        groups, _ = replay_sync(data, mask, PipelineConfig().sync, RunCounters())
+        imus = {p: straight_data.scenario.imus[p] for p in mask.imu_positions}
+        counters = RunCounters()
+        fused = fuse_imu_groups(groups, imus, counters)
+        assert len(fused) == 0 and counters.fused_samples == 0
+        assert fused.stamps.shape == (0,) and fused.stamps.dtype == np.int64
+        assert fused.f.shape == fused.w.shape == fused.w_dot.shape == (0, 3)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -146,11 +160,53 @@ def test_batched_fusion_matches_per_group_loop(seed):
     want = fuse_imu_groups_per_group(groups, imus)
     assert len({tuple(row >= 0) for row in groups.members}) == 15
     assert np.any(np.diff(groups.anchors) == 0)
-    assert [s.stamp for s in got] == [s.stamp for s in want]
-    assert [s.w_dot_observable for s in got] == [s.w_dot_observable for s in want]
+    assert got.stamps.tolist() == want.stamps.tolist()
+    # a lone channel cannot observe w_dot (BatchFuser.w_dot_observable is
+    # False) and fuses to exactly zero w_dot; no larger subset does
+    singles = np.sum((groups.members >= 0).sum(axis=1) == 1)
+    assert singles > 0 and np.sum(~got.w_dot.any(axis=1)) == singles
     for name in ("f", "w", "w_dot"):
-        assert np.array_equal(np.stack([getattr(s, name) for s in got]),
-                              np.stack([getattr(s, name) for s in want])), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestFusedImuWriter:
+    @staticmethod
+    def _stream():
+        """Negative values, signed and unsigned zeros, tiny and large
+        magnitudes, and stamps from 0 up to 2^53 - 1 ns."""
+        rng = np.random.default_rng(12)
+        n = 40
+        cols = [rng.normal(scale=10.0, size=(n, 3)) for _ in range(3)]
+        cols[0][:4] = [[0.0, -0.0, 1e-300], [-1e-7, 0.0, -9.81],
+                       [123456.789, -0.0, 5e-10], [-1.0, 1.0, 0.0]]
+        cols[2][::3] = 0.0
+        stamps = np.sort(rng.integers(0, 2**53, size=n))
+        stamps[0], stamps[-1] = 0, 2**53 - 1
+        return FusedImu(stamps, *cols)
+
+    def test_matches_row_writer(self, tmp_path):
+        fused = self._stream()
+        write_fused_imu(tmp_path / "cols.csv", fused)
+        write_fused_imu_rows(tmp_path / "rows.csv", fused)
+        text = (tmp_path / "cols.csv").read_bytes()
+        assert text == (tmp_path / "rows.csv").read_bytes()
+        assert b"\n9007199254740991," in text and b"-0.000000000e+00" in text
+
+    def test_empty_stream_writes_the_header_only(self, tmp_path):
+        write_fused_imu(tmp_path / "empty.csv", FusedImu(np.zeros(0, np.int64),
+                                                       *np.zeros((3, 0, 3))))
+        assert (tmp_path / "empty.csv").read_text() == (
+            "t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
+
+    def test_rows_equal_columns(self):
+        fused = self._stream()
+        rows = list(fused)
+        assert len(rows) == len(fused) == 40
+        assert [r.stamp for r in rows] == fused.stamps.tolist()
+        assert all(type(r.stamp) is int for r in rows)
+        for name in ("f", "w", "w_dot"):
+            assert np.array_equal(np.stack([getattr(r, name) for r in rows]),
+                                  getattr(fused, name)), name
 
 
 class EagerPropagator(_Propagator):
@@ -162,25 +218,22 @@ class EagerPropagator(_Propagator):
         super().reset(state, w)
         self.track = [(0, state.pose)]
 
-    def advance(self, sample):
+    def advance(self, stamp, f, w):
         if self.last_stamp is None:
-            self.track = [(sample.stamp, self.state.pose)]
+            self.track = [(stamp, self.state.pose)]
         else:
-            dt = (sample.stamp - self.last_stamp) / NS_PER_S
+            dt = (stamp - self.last_stamp) / NS_PER_S
             if dt <= 0:
                 return
-            mid = FusedImuSample(
-                stamp=sample.stamp,
-                f=0.5 * (self.last_sample.f + sample.f),
-                w=0.5 * (self.last_sample.w + sample.w),
-                w_dot=sample.w_dot,
-            )
+            f_mid = 0.5 * (self.last_f + f)
+            w_mid = 0.5 * (self.last_w + w)
             steps = int(np.ceil(dt / 0.099))
             for _ in range(steps):
-                self.delta = integrate(self.delta, mid, dt / steps, self.noise)
-            self.track.append((sample.stamp, predict(self.state, self.delta).pose))
-        self.last_stamp = sample.stamp
-        self.last_sample = sample
+                self.delta = integrate(self.delta, f_mid, w_mid, dt / steps,
+                                       self.noise)
+            self.track.append((stamp, predict(self.state, self.delta).pose))
+        self.last_stamp = stamp
+        self.last_f, self.last_w = f, w
 
     def pose_at(self, stamp, v):
         stamps = [t for t, _ in self.track]
@@ -190,9 +243,9 @@ class EagerPropagator(_Propagator):
             w, v = self.w, self.state.v
         else:
             t_k, pose = self.track[k]
-            if self.last_sample is None:
+            if self.last_w is None:
                 return pose
-            w = self.last_sample.w - self.state.b_g
+            w = self.last_w - self.state.b_g
         rem = (stamp - t_k) / NS_PER_S
         if abs(rem) < 1e-12:
             return pose
@@ -217,12 +270,11 @@ class TestPropagator:
             queries = [t0 - 100_000_000, t0 - 1, t0, t0 + 7_000_000]
             self._assert_same_poses(lazy, eager, queries)
             for i in [j for j in range(k, k + 60) if not k + 20 <= j < k + 45]:
-                sample = FusedImuSample(
-                    stamp=int(gt.stamps[i]),
-                    f=gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
-                    w=gt.w_body[i], w_dot=gt.w_dot[i])
-                lazy.advance(sample)
-                eager.advance(sample)
+                sample = (int(gt.stamps[i]),
+                          gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
+                          gt.w_body[i])
+                lazy.advance(*sample)
+                eager.advance(*sample)
             stamps = [int(gt.stamps[i]) for i in (k + 1, k + 19, k + 45, k + 59)]
             queries += stamps + [s + 3_000_000 for s in stamps] + [
                 int(gt.stamps[k + 30]), stamps[-1] + 400_000_000]
@@ -245,24 +297,19 @@ class TestPropagator:
         state = NavState(pose=gt.poses[k], v=gt.v_world[k])
         prop = _Propagator(state, ImuNoiseParams(), w=gt.w_body[k])
         for i in range(k, k + 51):
-            prop.advance(FusedImuSample(
-                stamp=int(gt.stamps[i]),
-                f=gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
-                w=gt.w_body[i],
-                w_dot=gt.w_dot[i],
-            ))
+            prop.advance(int(gt.stamps[i]),
+                         gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
+                         gt.w_body[i])
         stamp = int(gt.stamps[k]) - 100_000_000
         pose, truth = prop.pose_at(stamp, prop.predicted().v), gt.pose_at(stamp)
         assert np.linalg.norm(pose.t - truth.t) < 0.01
         assert np.linalg.norm(so3_log(truth.R.T @ pose.R)) < 1e-3
 
     @staticmethod
-    def _rest_samples(stamps_s):
-        return [
-            FusedImuSample(stamp=int(round(t * 1e9)), f=np.array([0.1, -0.2, 9.81]),
-                           w=np.array([0.01, 0.02, -0.03]), w_dot=np.zeros(3))
-            for t in stamps_s
-        ]
+    def _advance_at_rest(prop, stamps_s):
+        for t in stamps_s:
+            prop.advance(int(round(t * 1e9)), np.array([0.1, -0.2, 9.81]),
+                         np.array([0.01, 0.02, -0.03]))
 
     def test_imu_noise_reaches_preintegrated_covariance(self):
         base = ImuNoiseParams()
@@ -273,8 +320,7 @@ class TestPropagator:
         covs = []
         for noise in (base, loud):
             prop = _Propagator(NavState(), noise)
-            for sample in self._rest_samples(np.arange(0.0, 0.5, 0.01)):
-                prop.advance(sample)
+            self._advance_at_rest(prop, np.arange(0.0, 0.5, 0.01))
             covs.append(prop.delta.cov)
         assert np.all(np.isfinite(covs[0])) and covs[0][0, 0] > 0
         scale = np.abs(covs[1]).max()
@@ -284,8 +330,7 @@ class TestPropagator:
         # a 0.5 s hole in the fused stream, longer than one integrate() step
         stamps = np.concatenate([np.arange(0.0, 0.2, 0.01), 0.7 + np.arange(0.0, 0.1, 0.01)])
         prop = _Propagator(NavState(), ImuNoiseParams())
-        for sample in self._rest_samples(stamps):
-            prop.advance(sample)
+        self._advance_at_rest(prop, stamps)
         assert abs(prop.delta.dt - (stamps[-1] - stamps[0])) < 1e-6
 
 

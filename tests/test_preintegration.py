@@ -5,7 +5,6 @@ import pytest
 
 from mlio.geometry import NavState, Pose, so3_exp, so3_log
 from mlio.graph import STATE_DIM
-from mlio.mimu import FusedImuSample
 from mlio.preintegration import (
     GRAVITY,
     NotStaticError,
@@ -17,14 +16,10 @@ from mlio.preintegration import (
 from oracles import imu_residual, imu_residual_jacobians
 
 
-def fused(f, w, stamp=0):
-    return FusedImuSample(stamp=stamp, f=f, w=w, w_dot=np.zeros(3))
-
-
 def integrate_samples(F, W, dt, b_a0=None, b_g0=None):
     delta = empty_delta(b_a0=b_a0, b_g0=b_g0)
     for f, w in zip(F, W):
-        delta = integrate(delta, fused(f, w), dt)
+        delta = integrate(delta, f, w, dt)
     return delta
 
 
@@ -85,18 +80,16 @@ class TestIntegrate:
     def test_dt_validation(self):
         d = empty_delta()
         with pytest.raises(ValueError):
-            integrate(d, fused([0, 0, 0], [0, 0, 0]), 0.0)
+            integrate(d, [0, 0, 0], [0, 0, 0], 0.0)
         with pytest.raises(ValueError):
-            integrate(d, fused([0, 0, 0], [0, 0, 0]), 0.5)
+            integrate(d, [0, 0, 0], [0, 0, 0], 0.5)
 
     def test_covariance_trace_monotone(self):
         rng = np.random.default_rng(1)
         delta = empty_delta()
         prev = 0.0
         for _ in range(50):
-            delta = integrate(
-                delta, fused(rng.normal(size=3), rng.normal(size=3)), 0.01
-            )
+            delta = integrate(delta, rng.normal(size=3), rng.normal(size=3), 0.01)
             tr = float(np.trace(delta.cov))
             assert tr >= prev
             prev = tr
@@ -140,7 +133,7 @@ class TestPredict:
     def test_gravity_cancellation(self):
         delta = empty_delta()
         for _ in range(100):
-            delta = integrate(delta, fused([0, 0, 9.81], [0, 0, 0]), 0.01)
+            delta = integrate(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
         y = predict(NavState(), delta, g=GRAVITY)
         np.testing.assert_allclose(y.v, 0.0, atol=1e-9)
         np.testing.assert_allclose(y.pose.t, 0.0, atol=1e-9)
@@ -152,7 +145,7 @@ class TestResidual:
         delta = empty_delta()
         for _ in range(30):
             delta = integrate(
-                delta, fused(rng.normal(size=3), rng.normal(scale=0.5, size=3)), 0.01
+                delta, rng.normal(size=3), rng.normal(scale=0.5, size=3), 0.01
             )
         x_i = NavState(
             pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)),
@@ -165,7 +158,7 @@ class TestResidual:
         rng = np.random.default_rng(5)
         delta = empty_delta()
         for _ in range(10):
-            delta = integrate(delta, fused([0, 0, 9.81], [0, 0, 0]), 0.01)
+            delta = integrate(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
         x_i = NavState(pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)))
         x_j = predict(x_i, delta)
         shift = np.array([0.1, 0.0, 0.0])
@@ -182,7 +175,7 @@ class TestResidual:
         b_i = np.array([0.1, -0.2, 0.3])
         b_j = np.array([-0.4, 0.5, -0.6])
         delta = empty_delta(b_a0=b_i, b_g0=np.zeros(3))
-        delta = integrate(delta, fused(b_i, [0, 0, 0]), 0.01)
+        delta = integrate(delta, b_i, [0, 0, 0], 0.01)
         x_i = NavState(b_a=b_i)
         x_j = predict(x_i, delta)
         x_j = NavState(pose=x_j.pose, v=x_j.v, b_a=b_j, b_g=x_j.b_g)
@@ -198,8 +191,7 @@ class TestResidual:
             )
             for _ in range(20):
                 delta = integrate(
-                    delta,
-                    fused(rng.normal(scale=2, size=3), rng.normal(scale=0.5, size=3)),
+                    delta, rng.normal(scale=2, size=3), rng.normal(scale=0.5, size=3),
                     0.01,
                 )
             states = []
@@ -233,8 +225,8 @@ class TestResidual:
 
 class TestGravityAlign:
     def test_level(self):
-        samples = [fused([0, 0, 9.81], [0, 0, 0])] * 10
-        init = gravity_align(samples, t0=[1.0, 2.0, 3.0], yaw=0.3)
+        init = gravity_align([[0, 0, 9.81]] * 10, [[0, 0, 0]] * 10,
+                             t0=[1.0, 2.0, 3.0], yaw=0.3)
         assert init.roll == pytest.approx(0.0)
         assert init.pitch == pytest.approx(0.0)
         assert init.yaw == pytest.approx(0.3)
@@ -243,22 +235,22 @@ class TestGravityAlign:
 
     def test_roll_ten_degrees(self):
         a = 9.81 * np.array([0.0, math.sin(math.radians(10)), math.cos(math.radians(10))])
-        init = gravity_align([fused(a, [0, 0, 0])] * 5, t0=np.zeros(3))
+        init = gravity_align([a] * 5, [[0, 0, 0]] * 5, t0=np.zeros(3))
         assert math.degrees(init.roll) == pytest.approx(10.0, abs=1e-9)
         assert init.pitch == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(init.b_a0, 0.0, atol=1e-12)
 
     def test_pitch_five_degrees(self):
         a = 9.81 * np.array([-math.sin(math.radians(5)), 0.0, math.cos(math.radians(5))])
-        init = gravity_align([fused(a, [0, 0, 0])] * 5, t0=np.zeros(3))
+        init = gravity_align([a] * 5, [[0, 0, 0]] * 5, t0=np.zeros(3))
         assert math.degrees(init.pitch) == pytest.approx(5.0, abs=1e-9)
         assert init.roll == pytest.approx(0.0, abs=1e-12)
 
     def test_gyro_bias_from_mean(self):
-        samples = [fused([0, 0, 9.81], [0.01, -0.02, 0.005])] * 8
-        init = gravity_align(samples, t0=np.zeros(3))
+        init = gravity_align([[0, 0, 9.81]] * 8, [[0.01, -0.02, 0.005]] * 8,
+                             t0=np.zeros(3))
         np.testing.assert_allclose(init.b_g0, [0.01, -0.02, 0.005])
 
     def test_not_static_rejected(self):
         with pytest.raises(NotStaticError):
-            gravity_align([fused([0, 0, 15.0], [0, 0, 0])] * 5, t0=np.zeros(3))
+            gravity_align([[0, 0, 15.0]] * 5, [[0, 0, 0]] * 5, t0=np.zeros(3))
