@@ -10,10 +10,11 @@ the generating scenario:
     gt.tum                t x y z qx qy qz qw
     scenario.yaml         scenario copy
 
-Each IMU CSV is read with one `loadtxt` into an `ImuStream` and written
-with one `savetxt`. gt.tum is read only when a `Dataset`'s ground truth
-is first asked for; a replay never reads it. The TUM trajectory format
-(gt.tum here, a run's est.tum) is read and written by this module alone.
+Each IMU CSV and the GNSS CSV are read with one structured `loadtxt`;
+their ns stamps are read and written as ints, exact at any size. gt.tum
+is read only when a `Dataset`'s ground truth is first asked for; a
+replay never reads it. The TUM trajectory format (gt.tum here, a run's
+est.tum) is read and written by this module alone; it holds seconds.
 """
 
 from __future__ import annotations
@@ -33,23 +34,24 @@ from .sim import Scenario, SimData, load_scenario, save_scenario
 FLOAT_FMT = "%.9e"
 
 
+def _write_stamped_csv(path, stamps, values, header="") -> None:
+    """A 't_ns,v0,v1,...' line per row, the stamps formatted as ints."""
+    line = ",".join(["%d"] + [FLOAT_FMT] * values.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(line % (t, *v) for t, v in
+                      zip(np.asarray(stamps, np.int64).tolist(), values.tolist()))
+
+
 def write_dataset(path, sim: SimData) -> None:
     os.makedirs(path, exist_ok=True)
     for sid, stream in sim.imu.items():
-        np.savetxt(
-            os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
-            np.column_stack([stream.stamps, stream.f, stream.w]),
-            fmt=["%d"] + [FLOAT_FMT] * 6,
-            delimiter=",",
-        )
-    gnss_rows = np.array(
-        [[f.stamp, *f.t, f.cov[0, 0]] for f in sim.gnss], dtype=float
-    ).reshape(-1, 5)
-    np.savetxt(
+        _write_stamped_csv(os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
+                           stream.stamps, np.hstack([stream.f, stream.w]))
+    _write_stamped_csv(
         os.path.join(path, "gnss.csv"),
-        gnss_rows,
-        fmt=["%d"] + [FLOAT_FMT] * 4,
-        delimiter=",",
+        [f.stamp for f in sim.gnss],
+        np.array([[*f.t, f.cov[0, 0]] for f in sim.gnss], dtype=float).reshape(-1, 4),
     )
     for sid, scans in sim.lidar.items():
         scan_dir = os.path.join(path, "scans", sid.split("/")[1])
@@ -134,17 +136,16 @@ def load_dataset(path) -> Dataset:
         if entry.startswith("imu_") and entry.endswith(".csv"):
             pos = entry[len("imu_"):-len(".csv")]
             sid = f"imu/{pos}"
-            rows = np.loadtxt(os.path.join(path, entry), delimiter=",").reshape(-1, 7)
-            imu[sid] = ImuStream(rows[:, 0].astype(np.int64), rows[:, 1:4],
-                                 rows[:, 4:7], sid)
+            rows = np.loadtxt(os.path.join(path, entry), delimiter=",", ndmin=1,
+                              dtype=[("t", np.int64), ("f", float, 3), ("w", float, 3)])
+            imu[sid] = ImuStream(rows["t"], rows["f"], rows["w"], sid)
     gnss = []
     gnss_path = os.path.join(path, "gnss.csv")
     if os.path.exists(gnss_path):
-        rows = np.loadtxt(gnss_path, delimiter=",").reshape(-1, 5)
-        gnss = [
-            GnssFix(stamp=int(r[0]), t=r[1:4], cov=np.eye(3) * max(r[4], 1e-12))
-            for r in rows
-        ]
+        rows = np.loadtxt(gnss_path, delimiter=",", ndmin=1,
+                          dtype=[("t", np.int64), ("p", float, 3), ("var", float)])
+        gnss = [GnssFix(stamp=t, t=p, cov=np.eye(3) * max(var, 1e-12))
+                for t, p, var in zip(rows["t"].tolist(), rows["p"], rows["var"].tolist())]
     lidar = {}
     scans_root = os.path.join(path, "scans")
     if os.path.isdir(scans_root):

@@ -1,14 +1,16 @@
 """Offline estimation pipeline.
 
-Replays a dataset by message stamp through synchronization, MIMU
-fusion, IMU preintegration, scan deskewing, multi-lidar ICP odometry
-and the sliding-window factor graph, producing a keyframe trajectory
-plus per-stage counters. The fused IMU is one columnar `FusedImu` from
+Synchronizes and fuses a dataset's IMUs, fixes the keyframe schedule
+from the fused stamps and the lidar scan ends, then replays it keyframe
+by keyframe through IMU preintegration, scan deskewing, multi-lidar ICP
+odometry and the sliding-window factor graph, producing a keyframe
+trajectory plus per-stage counters. The fused IMU is one columnar `FusedImu` from
 `fuse_imu_groups` to `write_fused_imu`; every stage indexes its columns.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import re
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import lidar
-from .dataset import FLOAT_FMT, write_tum
+from .dataset import _write_stamped_csv, write_tum
 from .geometry import (
     NS_PER_S,
     NavState,
@@ -270,39 +272,35 @@ class _Propagator:
     preintegrated delta at every fused sample stamp, from which
     `pose_at` predicts the poses that deskewing asks for.
 
-    `w` is the body rate at the keyframe (bias-corrected gyro), which
-    the smoothed state does not carry."""
+    `reset` starts it at a keyframe's fused sample (`stamp`, `f`,
+    `w_meas`) with the smoothed `state` and the body rate `w`
+    (bias-corrected gyro), which the state does not carry."""
 
-    def __init__(self, state: NavState, noise: ImuNoiseParams,
-                 w=np.zeros(3)):
-        self.reset(state, w)
+    def __init__(self, noise: ImuNoiseParams):
         self.noise = noise
 
-    def reset(self, state: NavState, w):
+    def reset(self, state: NavState, w, stamp: int, f, w_meas):
         self.state = state
         self.w = w
         self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
-        self.track = [(0, None)]  # (stamp, delta; None at the keyframe)
-        self.last_stamp = None
-        self.last_f = self.last_w = None
+        self.stamps = [stamp]  # sample stamps, strictly increasing
+        self.deltas = [None]  # delta at each stamp; None at the keyframe
+        self.last_f, self.last_w = f, w_meas
 
     def advance(self, stamp: int, f, w):
-        if self.last_stamp is None:
-            self.track = [(stamp, None)]
-        else:
-            dt = (stamp - self.last_stamp) / NS_PER_S
-            if dt <= 0:
-                return
-            # trapezoidal hold: integrate the interval-average measurement
-            f_mid = 0.5 * (self.last_f + f)
-            w_mid = 0.5 * (self.last_w + w)
-            # integrate() takes steps below 0.1 s; a longer gap is held
-            # over equal sub-steps so it counts at its full length
-            steps = math.ceil(dt / 0.099)
-            for _ in range(steps):
-                self.delta = integrate(self.delta, f_mid, w_mid, dt / steps, self.noise)
-            self.track.append((stamp, self.delta))
-        self.last_stamp = stamp
+        dt = (stamp - self.stamps[-1]) / NS_PER_S
+        if dt <= 0:
+            return
+        # trapezoidal hold: integrate the interval-average measurement
+        f_mid = 0.5 * (self.last_f + f)
+        w_mid = 0.5 * (self.last_w + w)
+        # integrate() takes steps below 0.1 s; a longer gap is held
+        # over equal sub-steps so it counts at its full length
+        steps = math.ceil(dt / 0.099)
+        for _ in range(steps):
+            self.delta = integrate(self.delta, f_mid, w_mid, dt / steps, self.noise)
+        self.stamps.append(stamp)
+        self.deltas.append(self.delta)
         self.last_f, self.last_w = f, w
 
     def predicted(self) -> NavState:
@@ -320,14 +318,11 @@ class _Propagator:
         state's own velocity and body rate: the current prediction
         can be up to a keyframe interval later and, in a turn, points
         elsewhere."""
-        stamps = [t for t, _ in self.track]
-        k = int(np.searchsorted(stamps, stamp, side="right")) - 1
-        t_k, delta = self.track[max(k, 0)]
+        k = bisect.bisect_right(self.stamps, stamp) - 1
+        t_k, delta = self.stamps[max(k, 0)], self.deltas[max(k, 0)]
         pose = self.state.pose if delta is None else predict(self.state, delta).pose
         if k < 0:
             w, v = self.w, self.state.v
-        elif self.last_w is None:
-            return pose
         else:
             w = self.last_w - self.state.b_g
         rem = (stamp - t_k) / NS_PER_S
@@ -335,6 +330,26 @@ class _Propagator:
             return pose
         v_body = pose.R.T @ v
         return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
+
+
+def _keyframe_schedule(stamps: np.ndarray, interval_ns: int, scan_ends):
+    """Keyframe rows of the fused `stamps`, and `taken`: keyframe n
+    deskews the lidar groups `taken[n - 1]:taken[n]`. Row 0 is the first
+    keyframe; each next one is the first sample at least `interval_ns`
+    after the last, and a later row even if the interval is <= 0. The
+    groups queue in anchor order: each goes to the first keyframe after
+    row 0 at or after its own scan end and every earlier group's."""
+    rows = [0]
+    while True:
+        bound = stamps[rows[-1]] + interval_ns
+        row = max(int(np.searchsorted(stamps, bound, side="left")), rows[-1] + 1)
+        if row == len(stamps):
+            break
+        rows.append(row)
+    due = np.maximum.accumulate(np.asarray(scan_ends, dtype=np.int64))
+    taken = np.searchsorted(due, stamps[rows], side="right")
+    taken[0] = 0
+    return rows, taken
 
 
 def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
@@ -353,9 +368,22 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     fused = fuse_imu_groups(imu_groups, imus, counters)
     if len(fused) < config.init_samples + 2:
         raise EstimatorDivergence("not enough fused IMU data to initialize")
+    gaps = np.diff(fused.stamps) / NS_PER_S
+    over = np.flatnonzero(gaps > config.max_sensor_gap_s)
+    if len(over):
+        i = over[0]
+        raise EstimatorDivergence(
+            f"inertial blackout: no fused IMU data for {gaps[i]:.1f} s "
+            f"after t={int(fused.stamps[i]) / NS_PER_S:.1f} s"
+        )
     anchor, init, yaw_sigma, pos_sigma = initialize(
         fused, gnss, mask, dataset.scenario.gnss_lever, config.init_samples
     )
+
+    scans = lidar_groups.messages()
+    rows, taken = _keyframe_schedule(
+        fused.stamps, int(round(config.keyframe_interval_s * NS_PER_S)),
+        [max(scan.scan_end for scan in group) for group in scans])
 
     state = NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0)
     graph = FactorGraph()
@@ -367,47 +395,24 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     graph.add_factor(PriorFactor(0, anchor, init.b_a0, init.b_g0, prior_cov))
 
     submap = LocalSubmap(config.voxel_resolution, config.map_extent)
-    est_poses = {0: state.pose}
+    poses = []  # marginalized keyframe poses, oldest first
     stamps = fused.stamps.tolist()
-    est_stamps = {0: stamps[0]}
-    interval_ns = int(round(config.keyframe_interval_s * NS_PER_S))
-    kf_bound = stamps[0] + interval_ns
-    prop = _Propagator(state, config.imu_noise)
-    prop.advance(stamps[0], fused.f[0], fused.w[0])
+    prop = _Propagator(config.imu_noise)
+    # the anchor's body rate is not known
+    prop.reset(state, np.zeros(3), stamps[0], fused.f[0], fused.w[0])
     gnss_idx = 0
-    pending_scans = []
-    lidar_iter = iter(lidar_groups.messages())
-    next_lidar = next(lidar_iter, None)
-    node = 0
-    last_fused_stamp = stamps[0]
-    for stamp, f, w in zip(stamps[1:], fused.f[1:], fused.w[1:]):
-        gap = (stamp - last_fused_stamp) / NS_PER_S
-        if gap > config.max_sensor_gap_s:
-            raise EstimatorDivergence(
-                f"inertial blackout: no fused IMU data for {gap:.1f} s "
-                f"after t={last_fused_stamp / NS_PER_S:.1f} s"
-            )
-        last_fused_stamp = stamp
-        prop.advance(stamp, f, w)
-        # collect lidar groups whose scans have fully ended
-        while next_lidar is not None and max(
-            scan.scan_end for scan in next_lidar
-        ) <= stamp:
-            pending_scans.extend(next_lidar)
-            next_lidar = next(lidar_iter, None)
-        if stamp < kf_bound:
-            continue
-        # ---- keyframe ----
-        node += 1
-        kf_stamp = stamp
-        kf_bound = kf_stamp + interval_ns
+    for node, (prev, row) in enumerate(zip(rows, rows[1:]), 1):
+        for j in range(prev + 1, row + 1):
+            prop.advance(stamps[j], fused.f[j], fused.w[j])
+        kf_stamp = stamps[row]
         pred = prop.predicted()
-        w_kf = w - state.b_g
-        # deskew + fuse accumulated scans into the predicted keyframe frame
+        w_kf = fused.w[row] - state.b_g
+        # deskew + fuse the keyframe's scans into the predicted keyframe frame
+        batch = [scan for group in scans[taken[node - 1]:taken[node]] for scan in group]
         cloud = None
-        if pending_scans:
+        if batch:
             parts = []
-            for scan in pending_scans:
+            for scan in batch:
                 mount = mounts[scan.sensor_id]
                 S0 = pose_compose(prop.pose_at(scan.scan_start, pred.v), mount)
                 S1 = pose_compose(prop.pose_at(scan.scan_end, pred.v), mount)
@@ -417,7 +422,6 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
             cloud = voxel_downsample(
                 np.concatenate(parts, axis=0), config.voxel_resolution
             )
-            pending_scans = []
         if node == 1 and cloud is not None:
             submap.insert(pred.pose.apply(cloud))
         # ---- ICP odometry ----
@@ -481,24 +485,18 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         counters.lm_rejected += report.rejected
         counters.lm_unconverged += int(not report.converged)
         while len(graph.nodes) > config.window:
-            oldest = min(graph.nodes)
-            est_poses[oldest] = graph.nodes[oldest].pose
+            poses.append(graph.nodes[min(graph.nodes)].pose)
             graph.marginalize_oldest()
-        for k in graph.nodes:
-            est_poses[k] = graph.nodes[k].pose
-        est_stamps[node] = kf_stamp
         state = graph.nodes[node]
         if cloud is not None:
             lidar.map_update(submap, state.pose.apply(cloud), state.pose)
-        prop.reset(state, w_kf)
-        prop.advance(stamp, f, w)
+        prop.reset(state, w_kf, kf_stamp, fused.f[row], fused.w[row])
         counters.keyframes += 1
 
     counters.gnss_unassociated += len(gnss) - gnss_idx
-    order = sorted(est_poses)
     return RunResult(
-        stamps=[est_stamps[k] for k in order],
-        poses=[est_poses[k] for k in order],
+        stamps=[stamps[row] for row in rows],
+        poses=poses + [graph.nodes[k].pose for k in sorted(graph.nodes)],
         fused=fused,
         counters=counters,
         mask=mask,
@@ -521,11 +519,9 @@ def graph_position_covariance(graph: FactorGraph, idx: int) -> np.ndarray:
 
 
 def write_fused_imu(path, fused: FusedImu) -> None:
-    """Fused-IMU CSV: one 't_ns, f, w, w_dot' line per sample (stamps
-    go through float64, as in the dataset CSVs: exact below 2^53 ns)."""
-    np.savetxt(path, np.column_stack([fused.stamps, fused.f, fused.w, fused.w_dot]),
-               fmt=["%d"] + [FLOAT_FMT] * 9, delimiter=",", comments="",
-               header="t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz")
+    """Fused-IMU CSV: one 't_ns, f, w, w_dot' line per sample."""
+    _write_stamped_csv(path, fused.stamps, np.hstack([fused.f, fused.w, fused.w_dot]),
+                       header="t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
 
 
 def write_run_outputs(out_dir, result: RunResult) -> None:

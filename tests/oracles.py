@@ -130,6 +130,32 @@ def write_fused_imu_rows(path, fused) -> None:
             fh.write(f"{s.stamp},{vals}\n")
 
 
+def keyframe_schedule_per_sample(stamps, interval_ns, scan_ends):
+    """The keyframe bookkeeping of the per-sample replay loop that
+    `run_pipeline` ran before its schedule was fixed up front.
+
+    Walks the fused stamps from the second on. At each sample, the
+    lidar groups (in anchor order) join a queue while the next one's
+    scan end is at or before the sample; a sample at or after the
+    keyframe bound becomes a keyframe and takes the queue. Returns the
+    keyframe rows (row 0 first) and, per keyframe after row 0, the
+    indices of the groups it takes."""
+    rows, taken, queue = [0], [], []
+    bound = stamps[0] + interval_ns
+    g = 0
+    for j, stamp in enumerate(stamps[1:], 1):
+        while g < len(scan_ends) and scan_ends[g] <= stamp:
+            queue.append(g)
+            g += 1
+        if stamp < bound:
+            continue
+        rows.append(j)
+        taken.append(queue)
+        queue = []
+        bound = stamp + interval_ns
+    return rows, taken
+
+
 def residual_prior(x0, anchor, b_a0, b_g0) -> np.ndarray:
     return _prior_many(NavStates.stack([x0]), anchor.R, anchor.t,
                        b_a0, b_g0)[0][0]

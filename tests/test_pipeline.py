@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from mlio.pipeline import (
     EstimatorDivergence,
     PipelineConfig,
     SensorMask,
+    _keyframe_schedule,
     _Propagator,
     fuse_imu_groups,
     graph_position_covariance,
@@ -43,7 +45,11 @@ from mlio.sim import (
     simulate,
     synth_imu,
 )
-from oracles import fuse_imu_groups_per_group, write_fused_imu_rows
+from oracles import (
+    fuse_imu_groups_per_group,
+    keyframe_schedule_per_sample,
+    write_fused_imu_rows,
+)
 
 
 def straight_scenario(duration=6.0, dropouts=()):
@@ -198,6 +204,16 @@ class TestFusedImuWriter:
         assert (tmp_path / "empty.csv").read_text() == (
             "t_ns,fx,fy,fz,wx,wy,wz,wdx,wdy,wdz\n")
 
+    def test_large_stamp_written_exactly(self, tmp_path):
+        stamps = np.array([1700000000123456789, 1700000000123456790])
+        write_fused_imu(tmp_path / "big.csv",
+                        FusedImu(stamps, *np.ones((3, 2, 3))))
+        text = (tmp_path / "big.csv").read_text()
+        assert "\n1700000000123456789,1.000000000e+00," in text
+        back = np.loadtxt(tmp_path / "big.csv", delimiter=",", skiprows=1,
+                          usecols=0, dtype=np.int64)
+        assert np.array_equal(back, stamps)
+
     def test_rows_equal_columns(self):
         fused = self._stream()
         rows = list(fused)
@@ -214,37 +230,31 @@ class EagerPropagator(_Propagator):
     sample, as before `pose_at` predicted only the stamps it is asked
     about."""
 
-    def reset(self, state, w):
-        super().reset(state, w)
-        self.track = [(0, state.pose)]
+    def reset(self, state, w, stamp, f, w_meas):
+        super().reset(state, w, stamp, f, w_meas)
+        self.poses = [state.pose]
 
     def advance(self, stamp, f, w):
-        if self.last_stamp is None:
-            self.track = [(stamp, self.state.pose)]
-        else:
-            dt = (stamp - self.last_stamp) / NS_PER_S
-            if dt <= 0:
-                return
-            f_mid = 0.5 * (self.last_f + f)
-            w_mid = 0.5 * (self.last_w + w)
-            steps = int(np.ceil(dt / 0.099))
-            for _ in range(steps):
-                self.delta = integrate(self.delta, f_mid, w_mid, dt / steps,
-                                       self.noise)
-            self.track.append((stamp, predict(self.state, self.delta).pose))
-        self.last_stamp = stamp
+        dt = (stamp - self.stamps[-1]) / NS_PER_S
+        if dt <= 0:
+            return
+        f_mid = 0.5 * (self.last_f + f)
+        w_mid = 0.5 * (self.last_w + w)
+        steps = int(np.ceil(dt / 0.099))
+        for _ in range(steps):
+            self.delta = integrate(self.delta, f_mid, w_mid, dt / steps,
+                                   self.noise)
+        self.stamps.append(stamp)
+        self.poses.append(predict(self.state, self.delta).pose)
         self.last_f, self.last_w = f, w
 
     def pose_at(self, stamp, v):
-        stamps = [t for t, _ in self.track]
-        k = int(np.searchsorted(stamps, stamp, side="right")) - 1
+        k = int(np.searchsorted(self.stamps, stamp, side="right")) - 1
         if k < 0:
-            t_k, pose = self.track[0]
+            t_k, pose = self.stamps[0], self.poses[0]
             w, v = self.w, self.state.v
         else:
-            t_k, pose = self.track[k]
-            if self.last_w is None:
-                return pose
+            t_k, pose = self.stamps[k], self.poses[k]
             w = self.last_w - self.state.b_g
         rem = (stamp - t_k) / NS_PER_S
         if abs(rem) < 1e-12:
@@ -253,28 +263,33 @@ class EagerPropagator(_Propagator):
         return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
 
 
+def _gt_sample(gt, i):
+    """Noise-free IMU sample of ground-truth row i: (stamp, f, w)."""
+    return (int(gt.stamps[i]), gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
+            gt.w_body[i])
+
+
 class TestPropagator:
     def test_pose_at_equals_eager_track(self):
         """Bit for bit: stamps before the keyframe, on samples, between
         samples (also across a 0.26 s gap) and after the last sample, at
-        biased keyframe states mid-turn; and before any sample."""
+        biased keyframe states mid-turn; and right after the reset."""
         gt = gen_trajectory(loop_scenario())
         rng = np.random.default_rng(21)
         for k in (int(np.searchsorted(gt.stamps, t)) for t in (4e9, 13.5e9)):
             state = NavState(pose=gt.poses[k], v=gt.v_world[k],
                              b_a=rng.normal(scale=0.05, size=3),
                              b_g=rng.normal(scale=0.005, size=3))
-            lazy, eager = (cls(state, ImuNoiseParams(), w=gt.w_body[k])
+            lazy, eager = (cls(ImuNoiseParams())
                            for cls in (_Propagator, EagerPropagator))
+            for prop in (lazy, eager):
+                prop.reset(state, gt.w_body[k], *_gt_sample(gt, k))
             t0 = int(gt.stamps[k])
             queries = [t0 - 100_000_000, t0 - 1, t0, t0 + 7_000_000]
             self._assert_same_poses(lazy, eager, queries)
-            for i in [j for j in range(k, k + 60) if not k + 20 <= j < k + 45]:
-                sample = (int(gt.stamps[i]),
-                          gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
-                          gt.w_body[i])
-                lazy.advance(*sample)
-                eager.advance(*sample)
+            for i in [j for j in range(k + 1, k + 60) if not k + 20 <= j < k + 45]:
+                lazy.advance(*_gt_sample(gt, i))
+                eager.advance(*_gt_sample(gt, i))
             stamps = [int(gt.stamps[i]) for i in (k + 1, k + 19, k + 45, k + 59)]
             queries += stamps + [s + 3_000_000 for s in stamps] + [
                 int(gt.stamps[k + 30]), stamps[-1] + 400_000_000]
@@ -295,21 +310,24 @@ class TestPropagator:
         gt = gen_trajectory(loop_scenario())
         k = int(np.searchsorted(gt.stamps, 13_500_000_000))
         state = NavState(pose=gt.poses[k], v=gt.v_world[k])
-        prop = _Propagator(state, ImuNoiseParams(), w=gt.w_body[k])
-        for i in range(k, k + 51):
-            prop.advance(int(gt.stamps[i]),
-                         gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
-                         gt.w_body[i])
+        prop = _Propagator(ImuNoiseParams())
+        prop.reset(state, gt.w_body[k], *_gt_sample(gt, k))
+        for i in range(k + 1, k + 51):
+            prop.advance(*_gt_sample(gt, i))
         stamp = int(gt.stamps[k]) - 100_000_000
         pose, truth = prop.pose_at(stamp, prop.predicted().v), gt.pose_at(stamp)
         assert np.linalg.norm(pose.t - truth.t) < 0.01
         assert np.linalg.norm(so3_log(truth.R.T @ pose.R)) < 1e-3
 
     @staticmethod
-    def _advance_at_rest(prop, stamps_s):
-        for t in stamps_s:
-            prop.advance(int(round(t * 1e9)), np.array([0.1, -0.2, 9.81]),
-                         np.array([0.01, 0.02, -0.03]))
+    def _propagate_at_rest(noise, stamps_s):
+        f, w = np.array([0.1, -0.2, 9.81]), np.array([0.01, 0.02, -0.03])
+        stamps = [int(round(t * 1e9)) for t in stamps_s]
+        prop = _Propagator(noise)
+        prop.reset(NavState(), np.zeros(3), stamps[0], f, w)
+        for t in stamps[1:]:
+            prop.advance(t, f, w)
+        return prop
 
     def test_imu_noise_reaches_preintegrated_covariance(self):
         base = ImuNoiseParams()
@@ -317,11 +335,8 @@ class TestPropagator:
             base, gyro_noise_density=10 * base.gyro_noise_density,
             acc_noise_density=10 * base.acc_noise_density,
         )
-        covs = []
-        for noise in (base, loud):
-            prop = _Propagator(NavState(), noise)
-            self._advance_at_rest(prop, np.arange(0.0, 0.5, 0.01))
-            covs.append(prop.delta.cov)
+        covs = [self._propagate_at_rest(noise, np.arange(0.0, 0.5, 0.01)).delta.cov
+                for noise in (base, loud)]
         assert np.all(np.isfinite(covs[0])) and covs[0][0, 0] > 0
         scale = np.abs(covs[1]).max()
         np.testing.assert_allclose(covs[1], 100.0 * covs[0], rtol=0, atol=1e-9 * scale)
@@ -329,9 +344,43 @@ class TestPropagator:
     def test_gap_integrated_over_full_length(self):
         # a 0.5 s hole in the fused stream, longer than one integrate() step
         stamps = np.concatenate([np.arange(0.0, 0.2, 0.01), 0.7 + np.arange(0.0, 0.1, 0.01)])
-        prop = _Propagator(NavState(), ImuNoiseParams())
-        self._advance_at_rest(prop, stamps)
+        prop = self._propagate_at_rest(ImuNoiseParams(), stamps)
         assert abs(prop.delta.dt - (stamps[-1] - stamps[0])) < 1e-6
+
+
+SCHEDULE_CASES = ("duplicate stamps", "interval 0", "ends outside the samples",
+                  "ends out of order")
+
+
+@pytest.mark.parametrize("case", SCHEDULE_CASES)
+def test_schedule_matches_per_sample_loop(case):
+    """The up-front keyframe rows and per-keyframe lidar groups equal
+    the bookkeeping of the per-sample loop they replaced, on seeded
+    random stamps of a few ns, so that repeated stamps, keyframe bounds
+    that land on a sample and scan ends equal to a keyframe stamp all
+    occur."""
+    rng = np.random.default_rng(SCHEDULE_CASES.index(case))
+    for _ in range(750):
+        n = int(rng.integers(2, 30))
+        stamps = np.sort(rng.integers(0, 40, size=n))
+        interval = int(rng.integers(1, 10))
+        ends = np.sort(rng.integers(stamps[0], stamps[-1] + 1,
+                                    size=rng.integers(0, 12)))
+        if case == "duplicate stamps":
+            stamps = np.repeat(stamps, rng.integers(1, 4, size=n))
+        elif case == "interval 0":
+            interval = int(rng.integers(-2, 1))
+        elif case == "ends outside the samples":
+            outside = [stamps[0] - rng.integers(0, 5, size=2),
+                       stamps[-1] + rng.integers(1, 5, size=2)]
+            ends = np.sort(np.concatenate([ends, *outside]))
+        else:
+            rng.shuffle(ends)
+        rows, taken = _keyframe_schedule(stamps, interval, ends)
+        want_rows, want_groups = keyframe_schedule_per_sample(
+            stamps.tolist(), interval, ends.tolist())
+        assert rows == want_rows
+        assert [list(range(a, b)) for a, b in zip(taken, taken[1:])] == want_groups
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +429,46 @@ class TestEndToEnd:
         assert again.stamps == result.stamps
         for a, b in zip(again.poses, result.poses):
             assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
+
+
+class TestBenchmarkTracer:
+    def test_every_span_opens_and_every_patch_is_undone(self, straight_data,
+                                                        tmp_path, monkeypatch):
+        """The benchmark's tracer times mlio by patching names such as
+        `pipeline.integrate`; a refactor that calls
+        `preintegration.integrate` instead would lose those spans. Every
+        name the tracer patches must open a span in one replay (the
+        loader excepted: a replay gets its dataset in memory), and every
+        patch must be undone when the tracer is removed."""
+        monkeypatch.syspath_prepend(
+            os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+        import tracer as perf_tracer
+        from mlio import dataset, graph, lidar, mimu, pipeline, submap
+
+        modules = (dataset, graph, lidar, mimu, pipeline, submap)
+        owners = list(modules) + [
+            v for m in modules for v in vars(m).values()
+            if isinstance(v, type) and v.__module__ == m.__name__]
+        before = [(owner, dict(vars(owner))) for owner in owners]
+        t = perf_tracer.Tracer()
+        with t.installed():
+            spans = {
+                inspect.getclosurevars(value).nonlocals["name"]
+                for owner, attrs in before for key, value in vars(owner).items()
+                if attrs.get(key) is not value and hasattr(value, "__wrapped__")
+            }
+            with t.replay():
+                result = pipeline.run_pipeline(
+                    straight_data, parse_sensor_mask("L4I4G1"),
+                    PipelineConfig(window=5))
+                pipeline.write_run_outputs(tmp_path, result)
+        assert len(spans) >= 20 and "preintegration.integrate" in spans
+        opened = {name for name, *_ in t.spans}
+        assert spans - opened == {"dataset.load"}
+        for owner, attrs in before:
+            now = dict(vars(owner))
+            assert now.keys() == attrs.keys(), owner
+            assert all(now[key] is value for key, value in attrs.items()), owner
 
 
 class TestDropout:

@@ -19,7 +19,7 @@ from mlio.geometry import (
     so3_exp,
 )
 from mlio.lidar import deskew
-from mlio.mimu import ImuChannelCalib
+from mlio.mimu import ImuChannelCalib, ImuStream
 from mlio.sim import (
     BUILTIN_SCENARIOS,
     Box,
@@ -444,6 +444,27 @@ class TestDatasetIo:
             with open(tmp_path / "a" / name, "rb") as fa, \
                     open(tmp_path / "b" / name, "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_large_stamps_round_trip_exactly(self, tmp_path):
+        """Stamps past 2^53 ns (here Unix time in ns) are written and
+        read back exactly in the IMU and GNSS CSVs; gt.tum, like every
+        TUM file, holds seconds."""
+        sim = simulate(corridor_scenario(length=4.0, seed=1))
+        first = 1700000000123456789
+        shift = first - int(sim.imu["imu/F_L"].stamps[0])
+        imu = {sid: ImuStream(s.stamps + shift, s.f, s.w, sid)
+               for sid, s in sim.imu.items()}
+        gnss = [dataclasses.replace(f, stamp=f.stamp + shift) for f in sim.gnss]
+        write_dataset(tmp_path, dataclasses.replace(sim, imu=imu, gnss=gnss,
+                                                    lidar={}))
+        assert (tmp_path / "imu_F_L.csv").read_text().startswith(f"{first},")
+        ds = load_dataset(tmp_path)
+        for sid, stream in imu.items():
+            assert ds.imu[sid].stamps.dtype == np.int64
+            assert np.array_equal(ds.imu[sid].stamps, stream.stamps)
+        assert len(gnss) > 0
+        assert [f.stamp for f in ds.gnss] == [f.stamp for f in gnss]
+        assert all(type(f.stamp) is int for f in ds.gnss)
 
     def test_ground_truth_read_on_first_access(self, tmp_path):
         sim = simulate(corridor_scenario(length=4.0, seed=1))
