@@ -14,18 +14,20 @@ Each IMU CSV and the GNSS CSV are read with one structured `loadtxt`;
 their ns stamps are read and written as ints, exact at any size. gt.tum
 is read only when a `Dataset`'s ground truth is first asked for; a
 replay never reads it. The TUM trajectory format (gt.tum here, a run's
-est.tum) is read and written by this module alone; it holds seconds.
+est.tum) is read and written by this module alone; it holds seconds,
+written and read as decimals, so ns stamps are exact there too.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, quat_from_rotmat, quat_to_rotmat, to_nanos, to_seconds
+from .geometry import NS_PER_S, Pose, quat_from_rotmat, quat_to_rotmat
 from .graph import GnssFix
 from .lidar import LidarScan
 from .mimu import ImuStream
@@ -108,9 +110,14 @@ class Dataset:
 
 
 def format_tum_line(stamp_ns: int, pose: Pose) -> str:
+    """'t x y z qx qy qz qw'; t is the ns stamp in seconds, digit for
+    digit, so it is exact at any size."""
     q = quat_from_rotmat(pose.R)  # (w, x, y, z)
-    vals = [to_seconds(stamp_ns), *pose.t, q[1], q[2], q[3], q[0]]
-    return " ".join(f"{v:.9f}" for v in vals)
+    s = int(stamp_ns)
+    sec, ns = divmod(abs(s), NS_PER_S)
+    vals = [*pose.t, q[1], q[2], q[3], q[0]]
+    return " ".join([f"{'-' if s < 0 else ''}{sec}.{ns:09d}",
+                     *(f"{v:.9f}" for v in vals)])
 
 
 def write_tum(path, stamps, poses) -> None:
@@ -121,10 +128,16 @@ def write_tum(path, stamps, poses) -> None:
 
 
 def load_tum(path):
-    rows = np.loadtxt(path).reshape(-1, 8)
-    stamps = np.array([to_nanos(t) for t in rows[:, 0]], dtype=np.int64)
+    """(stamps, poses) of a TUM file; the stamps are parsed as decimals,
+    so they are exact to the nanosecond at any size."""
+    fields = np.loadtxt(path, dtype=str, ndmin=2).reshape(-1, 8)
+    rows = fields[:, 1:].astype(float)
+    stamps = np.array(
+        [int((Decimal(t) * NS_PER_S).to_integral_value()) for t in fields[:, 0]],
+        dtype=np.int64,
+    )
     poses = tuple(
-        Pose(quat_to_rotmat([r[7], r[4], r[5], r[6]]), r[1:4]) for r in rows
+        Pose(quat_to_rotmat([r[6], r[3], r[4], r[5]]), r[0:3]) for r in rows
     )
     return stamps, poses
 

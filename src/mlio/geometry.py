@@ -17,10 +17,6 @@ import numpy as np
 NS_PER_S = 1_000_000_000
 
 
-def to_seconds(nanos: int) -> float:
-    return nanos / NS_PER_S
-
-
 def to_nanos(seconds: float) -> int:
     return int(round(seconds * NS_PER_S))
 

@@ -4,7 +4,10 @@ Scans are deskewed to their start time with a constant-twist motion model:
 the sensor pose at fraction eta of the scan is se3_exp(eta * xi) relative
 to the start pose, xi being the twist of the start-to-end motion. Scans
 are then voxel-downsampled and registered point-to-plane against the
-incremental local submap.
+incremental local submap. k-NN candidates are kept across ICP
+iterations; a point is queried again only when its nearest neighbour may
+have changed, which a triangle-inequality bound on its motion decides
+(`_KnnCandidates`), so the correspondences equal a fresh query's.
 `run_pipeline` moves each deskewed scan into the base frame by its mount
 pose before the scans of one keyframe are downsampled together.
 """
@@ -124,6 +127,7 @@ def icp_register(
     degenerate = False
     fitness = np.inf
     iterations = 0
+    neighbors = _KnnCandidates(submap, len(cloud))
     for iterations in range(1, config.max_iterations + 1):
         # coarse-to-fine gate: early iterations accept distant pairs for
         # capture range, converged iterations keep only tight pairs to
@@ -133,12 +137,12 @@ def icp_register(
             config.coarse_correspondence_dist * 0.5 ** (iterations - 1),
         )
         world = pose.apply(cloud)
-        # the tree stops searching at the gate; pairs beyond it are dropped
-        dists, idx = submap.knn(world, k=1, max_dist=gate)
-        mask = dists[:, 0] <= gate
+        # pairs beyond the gate are dropped
+        dist, nearest, targets = neighbors.nearest(world, gate)
+        mask = dist <= gate
         if mask.any():
             normals_all, valid = submap.plane_normals(
-                idx[mask, 0], k=config.plane_neighbors
+                nearest[mask], k=config.plane_neighbors
             )
             full = np.flatnonzero(mask)
             mask = np.zeros_like(mask)
@@ -152,7 +156,7 @@ def icp_register(
             )
         src = cloud[mask]
         w = world[mask]
-        targets = submap.points()[idx[mask, 0]]
+        targets = targets[mask]
         r = np.einsum("ij,ij->i", normals, w - targets)
         weights = _huber_weights(r, config.huber_delta)
         J = np.empty((n_corr, 6))
@@ -197,6 +201,79 @@ def icp_register(
         pose=pose, fitness=fitness, iterations=iterations,
         degenerate=degenerate, converged=False,
     )
+
+
+KNN_CANDIDATES = 4  # map points kept per cloud point across ICP iterations
+_MOVED_MARGIN = 1e-9  # m, covers the rounding of the distances compared
+
+
+class _KnnCandidates:
+    """Each cloud point's K nearest map points within the gate, kept from
+    its last k-NN query across ICP iterations.
+
+    A query at `origin` keeps the candidates and a lower bound `bound` on
+    the distance from `origin` to every other map point: the K-th
+    distance, or the query's gate when fewer than K are found. After the
+    point moves by `moved`, every other map point is at least
+    `bound - moved` away (triangle inequality). If the nearest candidate
+    is nearer than that, it is the nearest map point; if the gate is, no
+    map point lies within the gate. Only the points that meet neither
+    test are queried again. The candidates' coordinates are stored at
+    query time, so a kept point reads nothing from the map.
+    """
+
+    def __init__(self, submap: LocalSubmap, n: int):
+        self.submap = submap
+        # candidate-major, so each candidate's distances are one
+        # contiguous row of n
+        self.index = np.empty((KNN_CANDIDATES, n), dtype=np.intp)
+        self.xyz = np.empty((3, KNN_CANDIDATES, n))
+        self.origin = np.empty((n, 3))  # where each point was last queried
+        self.bound = None  # (n,) once the first call has queried every point
+
+    def nearest(self, world, gate: float):
+        """(distance, index, coordinates) of each world point's nearest map
+        point. Within the gate they equal a fresh gated k=1 query's, but
+        between equally near map points; a point with no map point within
+        the gate gets a distance above it."""
+        n = len(world)
+        if self.bound is None:
+            self.bound = np.empty(n)
+            best, dist = np.zeros(n, dtype=np.intp), np.empty(n)
+            stale = slice(None)
+        else:
+            # squared distances summed one axis at a time, as the KD-tree
+            # sums them
+            (x, y, z), (wx, wy, wz) = self.xyz, world.T
+            sq = (x - wx) ** 2
+            sq += (y - wy) ** 2
+            sq += (z - wz) ** 2
+            best = np.zeros(n, dtype=np.intp)
+            least = sq[0].copy()
+            for k in range(1, KNN_CANDIDATES):  # first of equals wins
+                best[sq[k] < least] = k
+                np.minimum(least, sq[k], out=least)
+            dist = np.sqrt(least)
+            step = world - self.origin
+            moved = np.sqrt(np.einsum("ij,ij->i", step, step)) + _MOVED_MARGIN
+            stale = np.flatnonzero(~(np.minimum(dist, gate) < self.bound - moved))
+        queries = world[stale]
+        if len(queries):
+            d, idx = self.submap.knn(queries, k=KNN_CANDIDATES, max_dist=gate)
+            pts = self.submap.points()
+            xyz = np.take(pts, idx.T, axis=0, mode="clip")  # (K, m, 3)
+            missing = idx.T == len(pts)  # never nearest: inf, as k-NN says
+            if missing.any():
+                xyz[missing] = np.inf
+            self.index[:, stale] = idx.T
+            self.xyz[:, :, stale] = xyz.transpose(2, 0, 1)
+            self.origin[stale] = queries
+            self.bound[stale] = np.minimum(d[:, -1], gate)
+            best[stale] = 0
+            dist[stale] = d[:, 0]
+        flat = best * n + np.arange(n)
+        return (dist, np.take(self.index, flat),
+                np.take(self.xyz.reshape(3, -1), flat, axis=1).T)
 
 
 def _huber_weights(r, delta: float) -> np.ndarray:

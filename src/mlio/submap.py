@@ -102,8 +102,10 @@ class LocalSubmap:
 
     def knn(self, queries, k: int = 1, max_dist: float = np.inf):
         """Exact k nearest stored points at most `max_dist` away. Returns
-        (distances, indices); a neighbor not found within the bound has
-        distance inf and index len(self)."""
+        (distances, indices), each (len(queries), k). A point exactly
+        `max_dist` away is returned; a neighbor not found within the
+        bound, or missing because k > len(self), has distance inf and
+        index len(self). ICP's kept candidates rely on all three."""
         tree = self._ensure_tree()
         if tree is None:
             raise ValueError("submap is empty")

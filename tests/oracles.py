@@ -12,6 +12,9 @@ adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
 runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
+`icp_register_requery` is `lidar.icp_register` as it was before it kept
+each point's k-NN candidates across iterations: it queries the map
+afresh for every point on every iteration.
 """
 
 from collections import namedtuple
@@ -21,6 +24,7 @@ import numpy as np
 
 from mlio.geometry import NavStates, skew
 from mlio.graph import STATE_DIM, _between_many, _prior_many
+from mlio.lidar import IcpConfig, OdomEstimate, _apply_delta, _huber_weights
 from mlio.mimu import (
     BatchFuser,
     FusedImu,
@@ -211,3 +215,77 @@ def voxel_downsample_rows(points, resolution: float) -> np.ndarray:
     sums = np.zeros((len(counts), 3))
     np.add.at(sums, inverse, points)
     return sums / counts[:, None]
+
+
+def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstimate:
+    """`lidar.icp_register` with one gated k=1 query of every point on
+    every iteration."""
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    pose = prior
+    center = np.asarray(prior.t, dtype=float)
+    degenerate = False
+    fitness = np.inf
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        gate = max(
+            config.max_correspondence_dist,
+            config.coarse_correspondence_dist * 0.5 ** (iterations - 1),
+        )
+        world = pose.apply(cloud)
+        dists, idx = submap.knn(world, k=1, max_dist=gate)
+        mask = dists[:, 0] <= gate
+        if mask.any():
+            normals_all, valid = submap.plane_normals(
+                idx[mask, 0], k=config.plane_neighbors
+            )
+            full = np.flatnonzero(mask)
+            mask = np.zeros_like(mask)
+            mask[full[valid]] = True
+            normals = normals_all[valid]
+        n_corr = int(mask.sum())
+        if n_corr < config.min_correspondences:
+            return OdomEstimate(
+                pose=prior, fitness=np.inf, iterations=iterations,
+                insufficient_overlap=True, degenerate=True, converged=False,
+            )
+        src = cloud[mask]
+        w = world[mask]
+        targets = submap.points()[idx[mask, 0]]
+        r = np.einsum("ij,ij->i", normals, w - targets)
+        weights = _huber_weights(r, config.huber_delta)
+        J = np.empty((n_corr, 6))
+        J[:, :3] = np.cross(w - center, normals)
+        J[:, 3:] = normals
+        Jw = J * weights[:, None]
+        N = J.T @ Jw
+        g = Jw.T @ r
+        d = np.sqrt(np.maximum(N.diagonal(), 1e-30))
+        Nn = N / d[:, None] / d[None, :]
+        if np.linalg.cond(Nn) > config.degenerate_condition:
+            degenerate = True
+            Nn = Nn + np.eye(6) / config.degenerate_condition
+        delta = -np.linalg.solve(Nn, g / d) / d
+        cost = float(np.sum(weights * r * r))
+        step = 1.0
+        for _ in range(6):
+            cand = _apply_delta(pose, delta * step, center)
+            cw = cand.apply(src)
+            cr = np.einsum("ij,ij->i", normals, cw - targets)
+            ccost = float(np.sum(_huber_weights(cr, config.huber_delta) * cr * cr))
+            if ccost <= cost or np.linalg.norm(delta * step) < 1e-12:
+                break
+            step *= 0.5
+        pose = _apply_delta(pose, delta * step, center)
+        fitness = float(np.mean(r * r))
+        if (
+            gate <= config.max_correspondence_dist
+            and np.linalg.norm(delta * step) < config.translation_tol
+        ):
+            return OdomEstimate(
+                pose=pose, fitness=fitness, iterations=iterations,
+                degenerate=degenerate, converged=True,
+            )
+    return OdomEstimate(
+        pose=pose, fitness=fitness, iterations=iterations,
+        degenerate=degenerate, converged=False,
+    )

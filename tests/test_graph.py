@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
-from mlio.dataset import format_tum_line, write_tum
+from mlio.dataset import format_tum_line, load_tum, write_tum
 from mlio.geometry import (
     NavState,
     NavStates,
@@ -507,3 +507,25 @@ class TestTumOutput:
         rows = np.loadtxt(path)
         assert rows.shape == (5, 8)
         np.testing.assert_allclose(rows[:, 1:4], [p.t for p in poses], atol=1e-8)
+
+    def test_epoch_scale_stamps_round_trip_exactly(self, tmp_path):
+        """Nanosecond stamps at epoch scale, where float64 seconds are
+        238 ns apart, are written digit for digit and read back exactly."""
+        stamps = [1700000000123456789, 1700000000123456790, 999_999_999, 0, 7]
+        assert format_tum_line(stamps[0], Pose()).split()[0] == (
+            "1700000000.123456789")
+        assert format_tum_line(stamps[2], Pose()).split()[0] == "0.999999999"
+        assert format_tum_line(stamps[4], Pose()).split()[0] == "0.000000007"
+        path = tmp_path / "traj.tum"
+        write_tum(path, stamps, [Pose()] * len(stamps))
+        got, poses = load_tum(path)
+        assert got.tolist() == stamps
+        assert len(poses) == len(stamps)
+
+    def test_load_reads_exponent_stamps(self, tmp_path):
+        path = tmp_path / "traj.tum"
+        path.write_text("1.7e9 1 2 3 0 0 0 1\n1700000000.5 1 2 3 0 0 0 1\n")
+        stamps, poses = load_tum(path)
+        assert stamps.tolist() == [1_700_000_000_000_000_000, 1_700_000_000_500_000_000]
+        np.testing.assert_array_equal(poses[1].t, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(poses[1].R, np.eye(3))

@@ -14,14 +14,17 @@ from mlio.geometry import (
     so3_log,
 )
 from mlio.lidar import (
+    KNN_CANDIDATES,
+    IcpConfig,
     LidarScan,
+    _KnnCandidates,
     deskew,
     icp_register,
     map_update,
     voxel_downsample,
 )
 from mlio.submap import LocalSubmap
-from oracles import voxel_downsample_rows
+from oracles import icp_register_requery, voxel_downsample_rows
 from submap_oracle import DictSubmap
 
 
@@ -125,6 +128,21 @@ class TestLocalSubmap:
             np.testing.assert_array_equal(d[within], d_all[:, :k][within])
             np.testing.assert_array_equal(idx[within], i_all[:, :k][within])
             assert np.all(np.isinf(d[~within])) and np.all(idx[~within] == len(m))
+
+    def test_bounded_knn_with_more_neighbors_than_points(self):
+        """k above the map size: the missing neighbors, like those beyond
+        the bound, have distance inf and index len(map); a point exactly
+        at max_dist is still returned."""
+        m = LocalSubmap(voxel_resolution=0.05)
+        m.insert([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        d, idx = m.knn([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], k=5, max_dist=1.0)
+        assert d.shape == idx.shape == (2, 5)
+        np.testing.assert_array_equal(d[0], [0.0, 1.0] + [np.inf] * 3)
+        np.testing.assert_array_equal(idx[0], [0, 1] + [len(m)] * 3)
+        assert np.all(np.isinf(d[1])) and np.all(idx[1] == len(m))
+        d, idx = m.knn([[0.0, 0.0, 0.0]], k=5)  # unbounded
+        np.testing.assert_array_equal(d[0], [0.0, 1.0, 3.0, np.inf, np.inf])
+        np.testing.assert_array_equal(idx[0], [0, 1, 2, len(m), len(m)])
 
     def test_memory_bound(self):
         m = LocalSubmap(voxel_resolution=0.5, extent=4.0)
@@ -463,6 +481,125 @@ class TestIcpBoundedSearch:
         assert a.fitness == b.fitness
         assert (a.degenerate, a.insufficient_overlap, a.converged) == (
             b.degenerate, b.insufficient_overlap, b.converged)
+
+
+class CountingSubmap(LocalSubmap):
+    """A submap that counts the points its k-NN queries ask about."""
+
+    queries = 0
+
+    def knn(self, queries, k=1, max_dist=np.inf):
+        self.queries += len(queries)
+        return super().knn(queries, k=k, max_dist=max_dist)
+
+
+class CountingUnboundedSubmap(CountingSubmap, UnboundedSubmap):
+    pass
+
+
+def brute_nearest(points, queries):
+    """(distance, index) of each query's nearest point, by a full scan."""
+    diff = queries[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("qpi,qpi->qp", diff, diff))
+    j = dist.argmin(axis=1)
+    return dist[np.arange(len(queries)), j], j
+
+
+class TestKnnCandidates:
+    """The kept candidates against a brute-force nearest neighbor, over
+    ICP's 2.0 -> 1.0 -> 0.5 gate schedule and random point motions."""
+
+    GATES = (2.0, 1.0, 0.5, 0.5, 0.5, 0.5)
+
+    def check_schedule(self, rng, m, queries, scales):
+        cands = _KnnCandidates(m, len(queries))
+        requeried = []
+        for gate, scale in zip(self.GATES, scales):
+            moving = rng.random(len(queries)) < 0.7
+            queries = queries + moving[:, None] * rng.normal(
+                scale=scale, size=queries.shape)
+            before = m.queries
+            dist, idx, xyz = cands.nearest(queries, gate)
+            requeried.append(m.queries - before)
+            want_d, want_i = brute_nearest(m.points(), queries)
+            within = want_d <= gate
+            np.testing.assert_array_equal(dist <= gate, within)
+            np.testing.assert_array_equal(idx[within], want_i[within])
+            np.testing.assert_array_equal(xyz[within], m.points()[want_i[within]])
+            np.testing.assert_allclose(dist[within], want_d[within],
+                                       rtol=0, atol=1e-12)
+        return requeried, within
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nearest_matches_brute_force(self, seed):
+        """Small motions keep most candidates, large ones force queries;
+        points outside the map's box have no neighbor within the gate."""
+        rng = np.random.default_rng(100 + seed)
+        m = CountingSubmap(voxel_resolution=0.01, extent=100.0)
+        m.insert(rng.uniform(-3, 3, size=(2000, 3)))
+        queries = rng.uniform(-6, 6, size=(400, 3))
+        requeried, within = self.check_schedule(
+            rng, m, queries, scales=(0.0, 0.5, 0.02, 0.005, 1.0, 0.0))
+        assert requeried[0] == 400  # the first call queries every point
+        assert requeried[1] > 100 and requeried[4] > 100  # large motions
+        assert requeried[2] + requeried[3] < 80  # small ones
+        assert 0 < within.sum() < 400
+
+    def test_map_with_fewer_points_than_candidates(self):
+        """k-NN returns index len(map) and distance inf for the missing
+        candidates; they are never anyone's nearest."""
+        rng = np.random.default_rng(7)
+        m = CountingSubmap(voxel_resolution=0.01, extent=100.0)
+        m.insert(rng.uniform(-1, 1, size=(KNN_CANDIDATES - 1, 3)))
+        queries = rng.uniform(-2, 2, size=(200, 3))
+        requeried, within = self.check_schedule(
+            rng, m, queries, scales=(0.0, 0.2, 0.01, 0.001, 0.3, 0.0))
+        assert requeried[0] == 200 and 0 < within.sum() < 200
+
+    def test_knn_that_ignores_the_bound(self):
+        """A k-NN that ignores max_dist returns neighbors beyond the gate;
+        they bound the others as well and are never within the gate."""
+        rng = np.random.default_rng(8)
+        m = CountingUnboundedSubmap(voxel_resolution=0.01, extent=100.0)
+        m.insert(rng.uniform(-3, 3, size=(300, 3)))
+        self.check_schedule(rng, m, rng.uniform(-6, 6, size=(300, 3)),
+                            scales=(0.0, 0.3, 0.01, 0.002, 0.2, 0.0))
+
+
+class TestIcpKeptCandidates:
+    """icp_register keeps each point's k-NN candidates across iterations;
+    it must give the bits of the loop that queries every point on every
+    iteration (`oracles.icp_register_requery`)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_result_as_requery_loop(self, seed):
+        """Structured scenes, priors up to about 0.4 m and 3 degrees off,
+        free-space points and points beyond the coarse gate."""
+        rng = np.random.default_rng(40 + seed)
+        scene = structured_scene(step=int(rng.integers(30, 45)))
+        scene = scene + rng.normal(scale=0.01, size=scene.shape)
+        kept = CountingSubmap(voxel_resolution=0.05, extent=100.0)
+        requery = CountingSubmap(voxel_resolution=0.05, extent=100.0)
+        for m in (kept, requery):
+            m.insert(scene)
+        cloud = scene[rng.choice(len(scene), size=1500, replace=False)]
+        cloud = np.concatenate([cloud, rng.uniform(-30, 30, size=(500, 3)),
+                                rng.uniform(20, 25, size=(300, 3))])
+        yaw, roll = rng.uniform(-3, 3, size=2)
+        true = Pose(so3_exp(np.radians([roll, 0.3 * roll, yaw])),
+                    rng.uniform(-0.4, 0.4, size=3) * [1, 1, 0.25])
+        local = pose_inverse(true).apply(cloud)
+        config = IcpConfig(max_iterations=int(rng.integers(8, 31)))
+        a = icp_register(local, kept, Pose(), config)
+        b = icp_register_requery(local, requery, Pose(), config)
+        assert a.iterations == b.iterations > 3
+        np.testing.assert_array_equal(a.pose.R, b.pose.R)
+        np.testing.assert_array_equal(a.pose.t, b.pose.t)
+        assert a.fitness == b.fitness
+        assert (a.degenerate, a.insufficient_overlap, a.converged) == (
+            b.degenerate, b.insufficient_overlap, b.converged)
+        # the candidates are kept, not queried again
+        assert kept.queries < 0.5 * requery.queries
 
 
 class TestMapUpdate:
