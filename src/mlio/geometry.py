@@ -127,37 +127,26 @@ def so3_log_many(R) -> np.ndarray:
     return out
 
 
-def so3_series(phi):
-    """(Exp, J_l, J_r, C) of one rotation vector from one norm, skew and
-    K @ K: the exponential, the left Jacobian J_l = integral_0^1
-    Exp(s*phi) ds, the right Jacobian J_r = J_l(-phi) and the double
-    integral C = integral_0^1 integral_0^a Exp(u*phi) du da. Each keeps
-    its own small-angle threshold (1e-8, 1e-6, 1e-4)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    K = skew(phi)
-    KK = K @ K
-    eye = np.eye(3)
-    s, c = math.sin(theta), math.cos(theta)
-    if theta < 1e-8:
-        R = eye + K + 0.5 * KK
-    else:
-        R = eye + s / theta * K + (1.0 - c) / theta**2 * KK
-    if theta < 1e-6:
-        Jl = eye + 0.5 * K + KK / 6.0
-        Jr = eye - 0.5 * K + KK / 6.0
-    else:
-        a = (1.0 - c) / theta**2
-        b = (theta - s) / theta**3
-        Jl = eye + a * K + b * KK
-        Jr = eye - a * K + b * KK
-    if theta < 1e-4:
-        C = 0.5 * eye + K / 6.0 + KK / 24.0
-    else:
-        a = (theta - s) / theta**3
-        b = (c - 1.0 + theta**2 / 2.0) / theta**4
-        C = 0.5 * eye + a * K + b * KK
-    return R, Jl, Jr, C
+def _so3_double_integral_terms(theta, K, KK) -> np.ndarray:
+    small = theta < 1e-4
+    ts = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 / 6.0, (ts - np.sin(ts)) / ts**3)
+    b = np.where(small, 1.0 / 24.0, (np.cos(ts) - 1.0 + ts**2 / 2.0) / ts**4)
+    return 0.5 * np.eye(3) + a * K + b * KK
+
+
+def so3_series_many(phi):
+    """(Exp, J_l, J_r, C) of stacked (m, 3) rotation vectors from one
+    norm, skew and K @ K: the exponential, the left Jacobian J_l =
+    integral_0^1 Exp(s*phi) ds, the right Jacobian J_r = J_l(-phi) and
+    the double integral C = integral_0^1 integral_0^a Exp(u*phi) du da,
+    each (m, 3, 3). Each keeps its own small-angle threshold (1e-8,
+    1e-6, 1e-4)."""
+    theta, K, KK = _so3_terms_many(phi)
+    return (_so3_exp_terms(theta, K, KK),
+            _so3_left_jacobian_terms(theta, K, KK),
+            _so3_left_jacobian_terms(theta, -K, KK),
+            _so3_double_integral_terms(theta, K, KK))
 
 
 def _so3_left_jacobian_terms(theta, K, KK) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Synchronizes and fuses a dataset's IMUs, fixes the keyframe schedule
 from the fused stamps and the lidar scan ends, then replays it keyframe
-by keyframe through IMU preintegration, scan deskewing, multi-lidar ICP
-odometry and the sliding-window factor graph, producing a keyframe
+by keyframe through IMU preintegration (each keyframe interval's fused
+rows in one call), scan deskewing, multi-lidar ICP odometry and the
+sliding-window factor graph, producing a keyframe
 trajectory plus per-stage counters. The fused IMU is one columnar `FusedImu` from
 `fuse_imu_groups` to `write_fused_imu`; every stage indexes its columns.
 """
@@ -46,6 +47,7 @@ from .preintegration import (
     GravityInit,
     ImuNoiseParams,
     NotStaticError,
+    PreintegratedDelta,
     empty_delta,
     gravity_align,
     integrate,
@@ -284,24 +286,37 @@ class _Propagator:
         self.w = w
         self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
         self.stamps = [stamp]  # sample stamps, strictly increasing
-        self.deltas = [None]  # delta at each stamp; None at the keyframe
+        # (block, row) of the delta at each stamp; None at the keyframe
+        self.deltas = [None]
         self.last_f, self.last_w = f, w_meas
 
-    def advance(self, stamp: int, f, w):
-        dt = (stamp - self.stamps[-1]) / NS_PER_S
-        if dt <= 0:
+    def advance(self, stamps, f, w):
+        """Integrate one fused sample (a stamp, f and w of shape (3,)) or
+        a block of them ((m,) stamps, (m, 3) f and w) in one call. A
+        sample no later than the last one integrated is skipped."""
+        stamps = np.atleast_1d(np.asarray(stamps, dtype=np.int64))
+        f, w = np.reshape(f, (-1, 3)), np.reshape(w, (-1, 3))
+        prior = np.maximum.accumulate(np.r_[self.stamps[-1], stamps[:-1]])
+        keep = stamps > prior
+        if not keep.any():
             return
+        stamps, f, w = stamps[keep], f[keep], w[keep]
+        dt = np.diff(stamps, prepend=self.stamps[-1]) / NS_PER_S
         # trapezoidal hold: integrate the interval-average measurement
-        f_mid = 0.5 * (self.last_f + f)
-        w_mid = 0.5 * (self.last_w + w)
+        f_mid = 0.5 * (np.vstack([self.last_f, f[:-1]]) + f)
+        w_mid = 0.5 * (np.vstack([self.last_w, w[:-1]]) + w)
         # integrate() takes steps below 0.1 s; a longer gap is held
-        # over equal sub-steps so it counts at its full length
-        steps = math.ceil(dt / 0.099)
-        for _ in range(steps):
-            self.delta = integrate(self.delta, f_mid, w_mid, dt / steps, self.noise)
-        self.stamps.append(stamp)
-        self.deltas.append(self.delta)
-        self.last_f, self.last_w = f, w
+        # over equal sub-steps (repeated rows) so it counts at its full
+        # length
+        steps = np.ceil(dt / 0.099).astype(np.int64)
+        block = integrate(self.delta, np.repeat(f_mid, steps, axis=0),
+                          np.repeat(w_mid, steps, axis=0),
+                          np.repeat(dt / steps, steps), self.noise)
+        ends = (np.cumsum(steps) - 1).tolist()  # block row at each stamp
+        self.stamps.extend(stamps.tolist())
+        self.deltas.extend((block, j) for j in ends)
+        self.delta = _delta_row(block, ends[-1])
+        self.last_f, self.last_w = f[-1], w[-1]
 
     def predicted(self) -> NavState:
         return predict(self.state, self.delta)
@@ -319,8 +334,9 @@ class _Propagator:
         can be up to a keyframe interval later and, in a turn, points
         elsewhere."""
         k = bisect.bisect_right(self.stamps, stamp) - 1
-        t_k, delta = self.stamps[max(k, 0)], self.deltas[max(k, 0)]
-        pose = self.state.pose if delta is None else predict(self.state, delta).pose
+        t_k, row = self.stamps[max(k, 0)], self.deltas[max(k, 0)]
+        pose = (self.state.pose if row is None
+                else predict(self.state, _delta_row(*row)).pose)
         if k < 0:
             w, v = self.w, self.state.v
         else:
@@ -330,6 +346,13 @@ class _Propagator:
             return pose
         v_body = pose.R.T @ v
         return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
+
+
+def _delta_row(block: PreintegratedDelta, j: int) -> PreintegratedDelta:
+    """A copy of row j of a delta in the `stack_deltas` layout."""
+    return PreintegratedDelta(**{
+        f.name: getattr(block, f.name)[j].copy() for f in fields(PreintegratedDelta)
+    })
 
 
 def _keyframe_schedule(stamps: np.ndarray, interval_ns: int, scan_ends):
@@ -402,8 +425,8 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     prop.reset(state, np.zeros(3), stamps[0], fused.f[0], fused.w[0])
     gnss_idx = 0
     for node, (prev, row) in enumerate(zip(rows, rows[1:]), 1):
-        for j in range(prev + 1, row + 1):
-            prop.advance(stamps[j], fused.f[j], fused.w[j])
+        block = slice(prev + 1, row + 1)
+        prop.advance(fused.stamps[block], fused.f[block], fused.w[block])
         kf_stamp = stamps[row]
         pred = prop.predicted()
         w_kf = fused.w[row] - state.b_g

@@ -6,7 +6,9 @@ state, with first-order bias Jacobians and a propagated 9x9 noise
 covariance. Within each sample interval the measurement is held constant
 and the propagation uses the exact constant-input solution (left-Jacobian
 and double-integral correction terms), so the coarse-rate result matches a
-fine-step integrator to the integrator's own error.
+fine-step integrator to the integrator's own error. `integrate` folds
+a whole block of samples, such as one keyframe interval, in one call;
+a single sample is a block of one.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from .geometry import (
     NavStates,
     Pose,
     matvec_many,
-    skew,
     skew_many,
     so3_exp,
     so3_exp_many,
     so3_left_jacobian_inv_many,
     so3_left_jacobian_many,
     so3_log_many,
-    so3_series,
+    so3_series_many,
 )
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -80,56 +81,98 @@ def empty_delta(b_a0=None, b_g0=None) -> PreintegratedDelta:
     )
 
 
+def _running_sum(start, *steps) -> np.ndarray:
+    """`start` and its running sum after each row, shape (m + 1, ...):
+    out[k + 1] = (out[k] + steps[0][k]) + steps[1][k] + ..., added in
+    exactly that order, as a row-by-row loop adds them."""
+    start = np.asarray(start, dtype=float)
+    n, m = len(steps), len(steps[0])
+    terms = np.empty((1 + n * m,) + start.shape)
+    terms[0] = start
+    for i, step in enumerate(steps):
+        terms[1 + i::n] = step
+    return np.cumsum(terms, axis=0)[::n]
+
+
 def integrate(
-    delta: PreintegratedDelta, f, w, dt: float,
+    delta: PreintegratedDelta, f, w, dt,
     noise: ImuNoiseParams = ImuNoiseParams(),
 ) -> PreintegratedDelta:
-    """Fold one fused IMU sample, specific force f and angular rate w
-    held constant over dt, into the delta."""
-    if not (0.0 < dt < 0.1):
-        raise ValueError(f"dt out of range: {dt}")
-    w = np.asarray(w, dtype=float) - delta.b_g0
-    a = np.asarray(f, dtype=float) - delta.b_a0
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
+    """Fold fused IMU samples into the delta, each with its specific
+    force f and angular rate w held constant over its dt.
+
+    One sample (f and w of shape (3,), a scalar dt) gives the new delta.
+    A block (f and w of shape (m, 3), dt of shape (m,)) gives the delta
+    after each of its rows, in the `stack_deltas` layout. Both run the
+    same kernel: the SO(3) series of every row come from one batched
+    call, dR, J_r_bg and the covariance step row by row, and the other
+    terms are running sums added in the order of a row-by-row loop."""
+    one = np.ndim(dt) == 0
+    dt = np.atleast_1d(np.asarray(dt, dtype=float))
+    out = ~((dt > 0.0) & (dt < 0.1))
+    if out.any():
+        raise ValueError(f"dt out of range: {dt[out][0]}")
+    w = np.reshape(np.asarray(w, dtype=float), (-1, 3)) - delta.b_g0
+    a = np.reshape(np.asarray(f, dtype=float), (-1, 3)) - delta.b_a0
+    if not (np.isfinite(w).all() and np.isfinite(a).all()):
         raise ValueError("non-finite IMU sample")
+    m = len(dt)
+    if not len(w) == len(a) == m:
+        raise ValueError("f, w and dt need one row per sample")
 
-    A, Jl, Jr, C = so3_series(w * dt)
-    dR, dv, dp = delta.dR, delta.dv, delta.dp
+    A, Jl, Jr, C = so3_series_many(w * dt[:, None])
+    At = np.swapaxes(A, 1, 2)
+    Jr_dt = Jr * dt[:, None, None]
+    dR = np.empty((m + 1, 3, 3))
+    J_r_bg = np.empty((m + 1, 3, 3))
+    dR[0], J_r_bg[0] = delta.dR, delta.J_r_bg
+    for k in range(m):
+        dR[k + 1] = dR[k] @ A[k]
+        J_r_bg[k + 1] = At[k] @ J_r_bg[k] - Jr_dt[k]
+    R, Jrb = dR[:-1], J_r_bg[:-1]  # at the start of each row
 
-    dp_new = dp + dv * dt + dR @ C @ a * dt**2
-    dv_new = dv + dR @ Jl @ a * dt
-    dR_new = dR @ A
+    h, h2 = dt[:, None], dt[:, None] ** 2  # per row, for vectors
+    H, H2 = h[..., None], h2[..., None]  # for matrices
+    RJl, RC = R @ Jl, R @ C
+    RS_v = R @ skew_many(matvec_many(Jl, a))
+    RS_p = R @ skew_many(matvec_many(C, a))
+    dv = _running_sum(delta.dv, matvec_many(RJl, a) * h)
+    dp = _running_sum(delta.dp, dv[:-1] * h, matvec_many(RC, a) * h2)
 
     # first-order bias Jacobians
-    Jla = Jl @ a
-    Ca = C @ a
-    J_r_bg = A.T @ delta.J_r_bg - Jr * dt
-    J_v_ba = delta.J_v_ba - dR @ Jl * dt
-    J_v_bg = delta.J_v_bg - dR @ skew(Jla) @ delta.J_r_bg * dt
-    J_p_ba = delta.J_p_ba + delta.J_v_ba * dt - dR @ C * dt**2
-    J_p_bg = delta.J_p_bg + delta.J_v_bg * dt - dR @ skew(Ca) @ delta.J_r_bg * dt**2
+    J_v_ba = _running_sum(delta.J_v_ba, -(RJl * H))
+    J_v_bg = _running_sum(delta.J_v_bg, -((RS_v @ Jrb) * H))
+    J_p_ba = _running_sum(delta.J_p_ba, J_v_ba[:-1] * H, -(RC * H2))
+    J_p_bg = _running_sum(delta.J_p_bg, J_v_bg[:-1] * H, -((RS_p @ Jrb) * H2))
 
     # covariance over (rot, vel, pos)
-    F = np.eye(9)
-    F[0:3, 0:3] = A.T
-    F[3:6, 0:3] = -dR @ skew(Jla) * dt
-    F[6:9, 0:3] = -dR @ skew(Ca) * dt**2
-    F[6:9, 3:6] = np.eye(3) * dt
-    G = np.zeros((9, 6))
-    G[0:3, 0:3] = Jr * dt
-    G[3:6, 3:6] = dR * dt
-    G[6:9, 3:6] = 0.5 * dR * dt**2
-    Qd = np.zeros((6, 6))
-    Qd[:3, :3] = np.eye(3) * noise.gyro_noise_density**2 / dt
-    Qd[3:, 3:] = np.eye(3) * noise.acc_noise_density**2 / dt
-    cov = F @ delta.cov @ F.T + G @ Qd @ G.T
+    F = np.tile(np.eye(9), (m, 1, 1))
+    F[:, 0:3, 0:3] = At
+    F[:, 3:6, 0:3] = -RS_v * H
+    F[:, 6:9, 0:3] = -RS_p * H2
+    F[:, 6:9, 3:6] = np.eye(3) * H
+    G = np.zeros((m, 9, 6))
+    G[:, 0:3, 0:3] = Jr_dt
+    G[:, 3:6, 3:6] = R * H
+    G[:, 6:9, 3:6] = 0.5 * R * H2
+    Qd = np.zeros((m, 6, 6))
+    Qd[:, [0, 1, 2], [0, 1, 2]] = noise.gyro_noise_density**2 / h
+    Qd[:, [3, 4, 5], [3, 4, 5]] = noise.acc_noise_density**2 / h
+    GQG = G @ Qd @ np.swapaxes(G, 1, 2)
+    cov = np.empty((m + 1, 9, 9))
+    cov[0] = delta.cov
+    for k in range(m):
+        cov[k + 1] = F[k] @ cov[k] @ F[k].T + GQG[k]
 
-    return replace(
-        delta,
-        dR=dR_new, dv=dv_new, dp=dp_new, dt=delta.dt + dt,
-        J_r_bg=J_r_bg, J_v_ba=J_v_ba, J_v_bg=J_v_bg,
-        J_p_ba=J_p_ba, J_p_bg=J_p_bg, cov=cov,
+    rows = dict(
+        dR=dR[1:], dv=dv[1:], dp=dp[1:], dt=_running_sum(delta.dt, dt)[1:],
+        J_r_bg=J_r_bg[1:], J_v_ba=J_v_ba[1:], J_v_bg=J_v_bg[1:],
+        J_p_ba=J_p_ba[1:], J_p_bg=J_p_bg[1:], cov=cov[1:],
     )
+    if one:
+        return replace(delta, **{name: v[0] for name, v in rows.items()})
+    return PreintegratedDelta(**rows, b_a0=np.tile(delta.b_a0, (m, 1)),
+                              b_g0=np.tile(delta.b_g0, (m, 1)))
 
 
 def predict(x_i: NavState, delta: PreintegratedDelta, g=GRAVITY) -> NavState:

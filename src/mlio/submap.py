@@ -8,7 +8,9 @@ the box, so insert and crop are array operations, world coordinates of
 any size (UTM too) pack, and the KD-tree sees the points in the order
 they arrived. A k-NN query can be bounded by a maximum distance, at
 which the tree stops searching. Plane normals are fit lazily, in one
-batch per call, and cached until the map or the neighbor count changes.
+batch per call, and cached until the map or the neighbor count changes;
+each 3x3 scatter is solved in closed form, with `np.linalg.eigh` only
+for the rows where that is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -95,9 +97,12 @@ class LocalSubmap:
 
     def _ensure_tree(self):
         if self._tree is None and len(self._points):
-            # sliding-midpoint splits build and query faster than medians;
-            # distances stay exact, ties between equally near points may not
-            self._tree = cKDTree(self._points, balanced_tree=False)
+            # sliding-midpoint splits build and query faster than medians,
+            # and leaving node boxes unshrunk builds faster still (the
+            # tree is rebuilt after every insert); distances stay exact,
+            # ties between equally near points may not
+            self._tree = cKDTree(self._points, balanced_tree=False,
+                                 compact_nodes=False)
         return self._tree
 
     def knn(self, queries, k: int = 1, max_dist: float = np.inf):
@@ -122,8 +127,9 @@ class LocalSubmap:
         A fit is valid only when the neighborhood is genuinely planar:
         thin along the normal and spread in both in-plane directions
         (nearly collinear neighborhoods give arbitrary normals). Each
-        point is fit to its k nearest stored neighbors, in one batched
-        eigendecomposition per call; fits are cached for the last k."""
+        point is fit to its k nearest stored neighbors, all in one batch
+        per call (`_smallest_eigenpairs`); fits are cached for the last
+        k."""
         indices = np.asarray(indices, dtype=np.int64)
         if k != self._fit_k:
             self._computed[:] = False
@@ -133,10 +139,9 @@ class LocalSubmap:
             pts = self._points
             kk = min(k, len(pts))
             _, nbr = self._ensure_tree().query(pts[todo], k=kk)
-            hood = pts[nbr.reshape(len(todo), kk)]
-            local = hood - hood.mean(axis=1, keepdims=True)
-            vals, vecs = np.linalg.eigh(np.swapaxes(local, 1, 2) @ local)
-            self._normals[todo] = vecs[:, :, 0]
+            hood = pts.T[:, nbr.reshape(len(todo), kk).T]  # (3, kk, len(todo))
+            vals, self._normals[todo] = _smallest_eigenpairs(
+                hood - hood.mean(axis=1, keepdims=True))
             self._valid[todo] = (
                 (vals[:, 2] > 0.0)
                 & (vals[:, 0] <= 1e-3 * vals[:, 2])
@@ -144,3 +149,68 @@ class LocalSubmap:
             )
             self._computed[todo] = True
         return self._normals[indices], self._valid[indices]
+
+
+def _det3(d0, d1, d2, e01, e02, e12):
+    """Determinants of symmetric 3x3 matrices given by their diagonals
+    d and off-diagonals e."""
+    return (d0 * (d1 * d2 - e12 * e12) - e01 * (e01 * d2 - e12 * e02)
+            + e02 * (e01 * e12 - d1 * e02))
+
+
+def _cubic_eigenvalues(xx, yy, zz, xy, xz, yz):
+    """Eigenvalues, ascending (n, 3), of symmetric 3x3 matrices from the
+    trigonometric solution of their characteristic cubic."""
+    q = (xx + yy + zz) / 3.0
+    p = np.sqrt(((xx - q) ** 2 + (yy - q) ** 2 + (zz - q) ** 2
+                 + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
+    ps = np.where(p > 0.0, p, 1.0)  # p = 0: A = q I, every angle will do
+    r = 0.5 * _det3((xx - q) / ps, (yy - q) / ps, (zz - q) / ps, xy / ps, xz / ps, yz / ps)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    hi = q + 2.0 * p * np.cos(phi)
+    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    return np.stack([lo, 3.0 * q - hi - lo, hi], axis=1)
+
+
+def _smallest_eigenpairs(local):
+    """Eigenvalues, ascending (n, 3), and the unit eigenvector of the
+    least one (n, 3), of the scatter matrices of n centred neighborhoods
+    of k points, given axis first as `local` (3, k, n).
+
+    Closed form (Smith, CACM 1961): the eigenvalues come from the
+    trigonometric solution of the characteristic cubic, the least one
+    then takes two Newton steps on det(A - lambda I), and the
+    eigenvector is the largest of the three row cross products of A -
+    lambda_0 I. Where the two least eigenvalues are not clearly apart,
+    lambda_1 - lambda_0 <= 1e-3 lambda_2 (zero scatter too), the vector
+    is ill-conditioned for that and the row goes to `np.linalg.eigh`."""
+    x, y, z = local
+    moments = ((x * x).sum(0), (y * y).sum(0), (z * z).sum(0),
+               (x * y).sum(0), (x * z).sum(0), (y * z).sum(0))
+    vals = _cubic_eigenvalues(*moments)
+    vecs = np.empty((len(vals), 3))
+
+    ok = vals[:, 1] - vals[:, 0] > 1e-3 * vals[:, 2]
+    xx, yy, zz, xy, xz, yz = (v[ok] for v in moments)
+    lam = vals[ok, 0]
+    for _ in range(2):
+        d0, d1, d2 = xx - lam, yy - lam, zz - lam
+        minors = (d1 * d2 - yz * yz) + (d0 * d2 - xz * xz) + (d0 * d1 - xy * xy)
+        lam = lam + _det3(d0, d1, d2, xy, xz, yz) / minors
+    vals[ok, 0] = lam
+    d0, d1, d2 = xx - lam, yy - lam, zz - lam
+    cross = np.empty((3, 3, len(lam)))  # rows 0 x 1, 0 x 2, 1 x 2 of A - lambda_0 I
+    cross[0] = xy * yz - xz * d1, xz * xy - d0 * yz, d0 * d1 - xy * xy
+    cross[1] = xy * d2 - xz * yz, xz * xz - d0 * d2, d0 * yz - xy * xz
+    cross[2] = d1 * d2 - yz * yz, yz * xz - xy * d2, xy * yz - d1 * xz
+    norm2 = np.einsum("ijn,ijn->in", cross, cross)
+    best = norm2.argmax(0)
+    cols = np.arange(len(best))
+    vecs[ok] = cross[best, :, cols] / np.sqrt(norm2[best, cols])[:, None]
+
+    rest = ~ok
+    if rest.any():
+        near = local[:, :, rest].T  # (n, k, 3)
+        vals[rest], v = np.linalg.eigh(np.swapaxes(near, 1, 2) @ near)
+        vecs[rest] = v[:, :, 0]
+    return vals, vecs

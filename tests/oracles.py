@@ -14,11 +14,15 @@ runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
 `icp_register_requery` is `lidar.icp_register` as it was before it kept
 each point's k-NN candidates across iterations: it queries the map
-afresh for every point on every iteration.
+afresh for every point on every iteration. `so3_series` is the
+single-vector SO(3) series that `geometry.so3_series_many` batches, and
+`integrate_sample` folds one IMU sample into a delta with it, as
+`preintegration.integrate` did before it took a block of samples.
 """
 
+import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +37,12 @@ from mlio.mimu import (
     _phi_projector,
     build_stacked_model,
 )
-from mlio.preintegration import GRAVITY, imu_residual_jacobians_many, stack_deltas
+from mlio.preintegration import (
+    GRAVITY,
+    ImuNoiseParams,
+    imu_residual_jacobians_many,
+    stack_deltas,
+)
 from mlio.sync import POSITIONS
 
 
@@ -288,4 +297,86 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
     return OdomEstimate(
         pose=pose, fitness=fitness, iterations=iterations,
         degenerate=degenerate, converged=False,
+    )
+
+
+def so3_series(phi):
+    """(Exp, J_l, J_r, C) of one rotation vector from one norm, skew and
+    K @ K: the exponential, the left Jacobian J_l = integral_0^1
+    Exp(s*phi) ds, the right Jacobian J_r = J_l(-phi) and the double
+    integral C = integral_0^1 integral_0^a Exp(u*phi) du da. Each keeps
+    its own small-angle threshold (1e-8, 1e-6, 1e-4)."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.linalg.norm(phi)
+    K = skew(phi)
+    KK = K @ K
+    eye = np.eye(3)
+    s, c = math.sin(theta), math.cos(theta)
+    if theta < 1e-8:
+        R = eye + K + 0.5 * KK
+    else:
+        R = eye + s / theta * K + (1.0 - c) / theta**2 * KK
+    if theta < 1e-6:
+        Jl = eye + 0.5 * K + KK / 6.0
+        Jr = eye - 0.5 * K + KK / 6.0
+    else:
+        a = (1.0 - c) / theta**2
+        b = (theta - s) / theta**3
+        Jl = eye + a * K + b * KK
+        Jr = eye - a * K + b * KK
+    if theta < 1e-4:
+        C = 0.5 * eye + K / 6.0 + KK / 24.0
+    else:
+        a = (theta - s) / theta**3
+        b = (c - 1.0 + theta**2 / 2.0) / theta**4
+        C = 0.5 * eye + a * K + b * KK
+    return R, Jl, Jr, C
+
+
+def integrate_sample(delta, f, w, dt: float, noise=ImuNoiseParams()):
+    """Fold one fused IMU sample, specific force f and angular rate w
+    held constant over dt, into the delta."""
+    if not (0.0 < dt < 0.1):
+        raise ValueError(f"dt out of range: {dt}")
+    w = np.asarray(w, dtype=float) - delta.b_g0
+    a = np.asarray(f, dtype=float) - delta.b_a0
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
+        raise ValueError("non-finite IMU sample")
+
+    A, Jl, Jr, C = so3_series(w * dt)
+    dR, dv, dp = delta.dR, delta.dv, delta.dp
+
+    dp_new = dp + dv * dt + dR @ C @ a * dt**2
+    dv_new = dv + dR @ Jl @ a * dt
+    dR_new = dR @ A
+
+    # first-order bias Jacobians
+    Jla = Jl @ a
+    Ca = C @ a
+    J_r_bg = A.T @ delta.J_r_bg - Jr * dt
+    J_v_ba = delta.J_v_ba - dR @ Jl * dt
+    J_v_bg = delta.J_v_bg - dR @ skew(Jla) @ delta.J_r_bg * dt
+    J_p_ba = delta.J_p_ba + delta.J_v_ba * dt - dR @ C * dt**2
+    J_p_bg = delta.J_p_bg + delta.J_v_bg * dt - dR @ skew(Ca) @ delta.J_r_bg * dt**2
+
+    # covariance over (rot, vel, pos)
+    F = np.eye(9)
+    F[0:3, 0:3] = A.T
+    F[3:6, 0:3] = -dR @ skew(Jla) * dt
+    F[6:9, 0:3] = -dR @ skew(Ca) * dt**2
+    F[6:9, 3:6] = np.eye(3) * dt
+    G = np.zeros((9, 6))
+    G[0:3, 0:3] = Jr * dt
+    G[3:6, 3:6] = dR * dt
+    G[6:9, 3:6] = 0.5 * dR * dt**2
+    Qd = np.zeros((6, 6))
+    Qd[:3, :3] = np.eye(3) * noise.gyro_noise_density**2 / dt
+    Qd[3:, 3:] = np.eye(3) * noise.acc_noise_density**2 / dt
+    cov = F @ delta.cov @ F.T + G @ Qd @ G.T
+
+    return replace(
+        delta,
+        dR=dR_new, dv=dv_new, dp=dp_new, dt=delta.dt + dt,
+        J_r_bg=J_r_bg, J_v_ba=J_v_ba, J_v_bg=J_v_bg,
+        J_p_ba=J_p_ba, J_p_bg=J_p_bg, cov=cov,
     )

@@ -20,9 +20,10 @@ from mlio.geometry import (
     so3_left_jacobian_many,
     so3_log,
     so3_log_many,
-    so3_series,
+    so3_series_many,
 )
 from mlio.lidar import LidarScan, deskew
+from oracles import so3_series
 
 
 def rot_z(angle):
@@ -240,6 +241,19 @@ class TestSo3Series:
                     so3_right_jacobian(phi), so3_double_integral(phi))
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("angle", [a for a in ANGLES if a not in (1e-8, 1e-6, 1e-4)])
+    def test_batched_series_matches_single_vector(self, angle):
+        """so3_series_many against the one-vector series, on both sides of
+        each small-angle threshold, within a few units of rounding. At a
+        threshold itself the two norms may round to different sides and
+        pick different branches, so it is left out."""
+        rng = np.random.default_rng(15)
+        axes = rng.normal(size=(20, 3))
+        phi = angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        got = so3_series_many(phi)
+        for k, want in enumerate(zip(*(so3_series(p) for p in phi))):
+            np.testing.assert_allclose(got[k], np.stack(want), rtol=0, atol=4e-15)
 
     def test_se3_exp_many_shares_the_so3_terms(self):
         """The shared (theta, K, K @ K) give the same bits as the two

@@ -23,7 +23,7 @@ from mlio.lidar import (
     map_update,
     voxel_downsample,
 )
-from mlio.submap import LocalSubmap
+from mlio.submap import LocalSubmap, _smallest_eigenpairs
 from oracles import icp_register_requery, voxel_downsample_rows
 from submap_oracle import DictSubmap
 
@@ -259,6 +259,95 @@ class TestLocalSubmap:
         m.insert([[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             m.crop_to_box([0.0, np.nan, 0.0])
+
+
+def _hoods(kind, rng, n=2000, k=7):
+    """n neighborhoods of k points: `random` Gaussian; `disk` on thin
+    planar disks in random planes, whose two large eigenvalues nearly
+    coincide; `collinear` along thin lines, whose two least ones do;
+    `strip` on thin strips 15-30% as wide as long, whose two least ones
+    are apart, some by little more than the fallback's 1e-3 of the
+    largest; `utm` small planar patches half a million metres out;
+    `point` k copies of one point (zero scatter)."""
+    turn = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    if kind == "random":
+        return rng.normal(size=(n, k, 3))
+    if kind == "point":
+        return np.broadcast_to(rng.normal(size=(n, 1, 3)), (n, k, 3)).copy()
+    if kind == "disk":
+        # k points evenly round a circle scatter alike in every in-plane
+        # direction; jitter of 1e-9 to 1e-2 rad splits the two
+        jitter = rng.normal(size=(n, k)) * np.logspace(-9, -2, n)[:, None]
+        ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 1)) \
+            + 2.0 * np.pi * np.arange(k) / k + jitter
+        flat = np.stack([np.cos(ang), np.sin(ang),
+                         rng.normal(scale=1e-3, size=(n, k))], axis=2)
+        return flat @ turn
+    if kind == "strip":
+        width = rng.uniform(0.15, 0.3, size=(n, 1))
+        strip = np.stack([rng.uniform(-1.0, 1.0, size=(n, k)),
+                          width * rng.uniform(-1.0, 1.0, size=(n, k)),
+                          rng.normal(scale=1e-4, size=(n, k))], axis=2)
+        return strip @ turn
+    if kind == "collinear":
+        line = rng.normal(scale=1e-4, size=(n, k, 3))
+        line[..., 0] = rng.normal(size=(n, k))
+        return line @ turn
+    patch = np.stack([rng.uniform(-0.1, 0.1, size=(n, k)),
+                      rng.uniform(-0.1, 0.1, size=(n, k)),
+                      rng.normal(scale=1e-4, size=(n, k))], axis=2)
+    return patch @ turn + [5e5, 5e6, 30.0]
+
+
+class TestClosedFormPlaneFit:
+    """`_smallest_eigenpairs` against `np.linalg.eigh` on the same
+    centred neighborhoods: the plane normal up to sign within 1e-12 and
+    the same validity under `plane_normals`' thresholds."""
+
+    @staticmethod
+    def _planar(vals):
+        return ((vals[:, 2] > 0.0) & (vals[:, 0] <= 1e-3 * vals[:, 2])
+                & (vals[:, 1] >= 1e-2 * vals[:, 2]))
+
+    @pytest.mark.parametrize("kind", ["random", "disk", "strip", "collinear", "utm",
+                                      "point"])
+    def test_matches_eigh(self, kind):
+        hood = _hoods(kind, np.random.default_rng(40))
+        local = hood - hood.mean(axis=1, keepdims=True)
+        vals, normals = _smallest_eigenpairs(local.T)  # axis first
+        vals_ref, vecs_ref = np.linalg.eigh(np.swapaxes(local, 1, 2) @ local)
+        ref = vecs_ref[:, :, 0]
+        sign = np.sign(np.einsum("ij,ij->i", normals, ref))
+        np.testing.assert_allclose(normals * sign[:, None], ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(self._planar(vals), self._planar(vals_ref))
+        # which path the rows take: the closed form needs the two least
+        # eigenvalues apart, by more than 1e-3 of the largest
+        apart = vals_ref[:, 1] - vals_ref[:, 0] > 1e-3 * vals_ref[:, 2]
+        closed = {"random": apart.mean() > 0.9, "disk": apart.all(),
+                  "strip": apart.mean() > 0.99,
+                  "utm": apart.all(), "collinear": not apart.any(),
+                  "point": not apart.any()}
+        assert closed[kind]
+        if kind in ("disk", "utm"):
+            assert self._planar(vals).mean() > 0.9
+        if kind == "disk":  # most disks' two large eigenvalues nearly meet
+            spread = (vals_ref[:, 2] - vals_ref[:, 1]) / vals_ref[:, 2]
+            assert np.median(spread) < 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_map_of_fewer_than_three_points(self, n):
+        """Fewer stored points than a plane needs: every fit is invalid,
+        as with the per-point oracle, and no normal is NaN."""
+        pts = np.random.default_rng(41).uniform(-1, 1, size=(n, 3))
+        m, ref = LocalSubmap(voxel_resolution=0.01), DictSubmap(voxel_resolution=0.01)
+        m.insert(pts)
+        ref.insert(pts)
+        normals, ok = m.plane_normals(np.arange(n), k=5)
+        normals_ref, ok_ref = ref.plane_normals(np.arange(n), k=5)
+        assert not ok.any() and not ok_ref.any()
+        assert np.all(np.isfinite(normals))
+        sign = np.sign(np.einsum("ij,ij->i", normals, normals_ref))
+        np.testing.assert_allclose(normals * sign[:, None], normals_ref, rtol=0, atol=1e-12)
 
 
 class TestLidarScan:

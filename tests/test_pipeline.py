@@ -319,6 +319,35 @@ class TestPropagator:
         assert np.linalg.norm(pose.t - truth.t) < 0.01
         assert np.linalg.norm(so3_log(truth.R.T @ pose.R)) < 1e-3
 
+    def test_block_advance_equals_per_sample_advance(self):
+        """One call on a keyframe's block equals the per-sample advance
+        of the eager track bit for bit: deltas, stamps and poses, over a
+        0.26 s gap (three sub-steps) and repeated stamps (skipped, their
+        samples unused)."""
+        gt = gen_trajectory(loop_scenario())
+        k = int(np.searchsorted(gt.stamps, 13.5e9))
+        rng = np.random.default_rng(22)
+        state = NavState(pose=gt.poses[k], v=gt.v_world[k],
+                         b_a=rng.normal(scale=0.05, size=3),
+                         b_g=rng.normal(scale=0.005, size=3))
+        rows = [i for i in range(k + 1, k + 60) if not k + 20 <= i < k + 45]
+        samples = [_gt_sample(gt, i) for i in rows]
+        for at in (0, 10, 11, 11, 30):  # a repeat of the keyframe stamp too
+            stamp, f, w = samples[at - 1] if at else _gt_sample(gt, k)
+            samples.insert(at, (stamp, f + rng.normal(size=3), w + 1.0))
+        block, eager = _Propagator(ImuNoiseParams()), EagerPropagator(ImuNoiseParams())
+        for prop in (block, eager):
+            prop.reset(state, gt.w_body[k], *_gt_sample(gt, k))
+        block.advance(*(np.array(c) for c in zip(*samples)))
+        for sample in samples:
+            eager.advance(*sample)
+        assert block.stamps == eager.stamps == [int(gt.stamps[i]) for i in [k] + rows]
+        for f in dataclasses.fields(block.delta):
+            np.testing.assert_array_equal(getattr(block.delta, f.name),
+                                          getattr(eager.delta, f.name))
+        self._assert_same_poses(block, eager, block.stamps + [
+            s + 3_000_000 for s in block.stamps] + [int(gt.stamps[k + 30])])
+
     @staticmethod
     def _propagate_at_rest(noise, stamps_s):
         f, w = np.array([0.1, -0.2, 9.81]), np.array([0.01, 0.02, -0.03])

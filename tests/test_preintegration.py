@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mlio.preintegration import (
     integrate,
     predict,
 )
-from oracles import imu_residual, imu_residual_jacobians
+from oracles import imu_residual, imu_residual_jacobians, integrate_sample
 
 
 def integrate_samples(F, W, dt, b_a0=None, b_g0=None):
@@ -121,6 +122,67 @@ class TestIntegrate:
             )
             r = imu_residual(x, predict(x, d), d)
             assert np.linalg.norm(r) < 1e-9
+
+
+def _block(rng, m):
+    """m random fused samples: turn rates from standstill to fast (each
+    small-angle threshold of the SO(3) series crossed) and steps from
+    1 ms to just under the 0.1 s limit."""
+    F = rng.normal(scale=3.0, size=(m, 3))
+    W = rng.normal(size=(m, 3)) * np.logspace(-9, 0.5, m)[:, None]
+    dt = rng.uniform(0.001, 0.0999, size=m)
+    start = empty_delta(b_a0=rng.normal(scale=0.05, size=3),
+                        b_g0=rng.normal(scale=0.005, size=3))
+    # a delta in mid-interval, so every Jacobian starts non-zero
+    for f, w, h in zip(F[:3], W[-3:], dt[:3]):
+        start = integrate(start, f, w, h)
+    return start, F, W, dt
+
+
+class TestIntegrateBlock:
+    def test_block_equals_single_sample_calls(self):
+        """Row k of a block of m samples equals k + 1 one-sample calls
+        bit for bit, in every field."""
+        start, F, W, dt = _block(np.random.default_rng(30), 50)
+        block = integrate(start, F, W, dt)
+        one = start
+        for k in range(50):
+            one = integrate(one, F[k], W[k], dt[k])
+            for f in fields(one):
+                np.testing.assert_array_equal(
+                    getattr(block, f.name)[k], getattr(one, f.name), err_msg=f.name)
+
+    def test_block_matches_per_sample_recursion(self):
+        """The block kernel against the one-sample recursion it replaced
+        (oracles.integrate_sample), within 1e-12 of each field's size."""
+        start, F, W, dt = _block(np.random.default_rng(31), 50)
+        block = integrate(start, F, W, dt)
+        ref = start
+        for k in range(50):
+            ref = integrate_sample(ref, F[k], W[k], dt[k])
+            for f in fields(ref):
+                want = np.asarray(getattr(ref, f.name))
+                np.testing.assert_allclose(
+                    getattr(block, f.name)[k], want, rtol=0,
+                    atol=1e-12 * np.abs(want).max(), err_msg=f.name)
+
+    @pytest.mark.parametrize("row", [0, 7, 19])
+    @pytest.mark.parametrize("bad", ["dt 0", "dt -1e-3", "dt 0.1", "dt nan",
+                                     "f nan", "f inf", "w nan", "w -inf"])
+    def test_bad_row_raises(self, row, bad):
+        start, F, W, dt = _block(np.random.default_rng(32), 20)
+        what, value = bad.split()
+        {"dt": dt[row:row + 1], "f": F[row], "w": W[row]}[what][0] = float(value)
+        with pytest.raises(ValueError):
+            integrate(start, F, W, dt)
+
+    def test_block_of_one_is_a_single_sample(self):
+        start, F, W, dt = _block(np.random.default_rng(33), 1)
+        block, one = integrate(start, F, W, dt), integrate(start, F[0], W[0], dt[0])
+        assert block.dR.shape == (1, 3, 3) and one.dR.shape == (3, 3)
+        np.testing.assert_array_equal(block.b_g0, start.b_g0[None])
+        for f in fields(one):
+            np.testing.assert_array_equal(getattr(block, f.name)[0], getattr(one, f.name))
 
 
 class TestPredict:
