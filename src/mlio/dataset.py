@@ -59,14 +59,10 @@ def write_dataset(path, sim: SimData) -> None:
         scan_dir = os.path.join(path, "scans", sid.split("/")[1])
         os.makedirs(scan_dir, exist_ok=True)
         for n, scan in enumerate(scans):
-            fname = os.path.join(scan_dir, f"{n:06d}.csv")
-            with open(fname, "w") as fh:
-                fh.write(f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n")
-                offsets = scan.stamps - scan.scan_start
-                for off, p in zip(offsets, scan.points):
-                    fh.write(
-                        f"{off},{FLOAT_FMT % p[0]},{FLOAT_FMT % p[1]},{FLOAT_FMT % p[2]}\n"
-                    )
+            _write_stamped_csv(
+                os.path.join(scan_dir, f"{n:06d}.csv"),
+                scan.stamps - scan.scan_start, scan.points,
+                header=f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n")
     write_tum(os.path.join(path, "gt.tum"), sim.gt.stamps, sim.gt.poses)
     save_scenario(os.path.join(path, "scenario.yaml"), sim.scenario)
 

@@ -34,8 +34,8 @@ from .preintegration import (
 )
 
 STATE_DIM = 15  # tangent (rot, trans, v, b_a, b_g), see NavStates.retract
-DEFAULT_BETWEEN_SIGMA_ROT = math.radians(0.5)
-DEFAULT_BETWEEN_SIGMA_TRANS = 0.05
+# lidar odometry noise of a BetweenFactor: 0.5 deg rotation, 5 cm translation
+DEFAULT_BETWEEN_COV = np.diag([math.radians(0.5) ** 2] * 3 + [0.05**2] * 3)
 GNSS_GATE_CHI2 = 16.27  # chi-square 3 dof, 99.9%
 
 
@@ -249,12 +249,7 @@ class BetweenFactor(_Factor):
     def __init__(self, i, j, z: Pose, cov=None):
         self.nodes = (i, j)
         self.z = z
-        if cov is None:
-            cov = np.diag(
-                [DEFAULT_BETWEEN_SIGMA_ROT**2] * 3
-                + [DEFAULT_BETWEEN_SIGMA_TRANS**2] * 3
-            )
-        self.sqrt_info = _sqrt_info(cov)
+        self.sqrt_info = _sqrt_info(DEFAULT_BETWEEN_COV if cov is None else cov)
 
     @classmethod
     def stack(cls, factors):

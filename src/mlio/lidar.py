@@ -14,7 +14,7 @@ pose before the scans of one keyframe are downsampled together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,20 +61,18 @@ class OdomEstimate:
     converged: bool = True
 
 
-def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> LidarScan:
-    """Project every point to the scan-start frame under the constant-twist
-    motion between the predicted start and end sensor poses."""
+def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> np.ndarray:
+    """The scan's (N, 3) points in the scan-start frame, under the
+    constant-twist motion between the predicted start and end sensor
+    poses."""
     span = scan.scan_end - scan.scan_start
     if span == 0:
-        return replace(scan, stamps=np.full_like(scan.stamps, scan.scan_start))
+        return scan.points
     xi = se3_log(pose_compose(pose_inverse(pose_start), pose_end))
     etas = (scan.stamps - scan.scan_start) / span
     # point i was seen from exp(eta_i xi) relative to the start pose
     R, t = se3_exp_many(etas[:, None] * xi)
-    pts = matvec_many(R, scan.points) + t
-    return replace(
-        scan, stamps=np.full_like(scan.stamps, scan.scan_start), points=pts
-    )
+    return matvec_many(R, scan.points) + t
 
 
 _VOXEL_SPAN = 1 << 21  # voxels per axis below which three fit one int64

@@ -1,11 +1,12 @@
 """Offline estimation pipeline.
 
 Synchronizes and fuses a dataset's IMUs, fixes the keyframe schedule
-from the fused stamps and the lidar scan ends, then replays it keyframe
-by keyframe through IMU preintegration (each keyframe interval's fused
-rows in one call), scan deskewing, multi-lidar ICP odometry and the
-sliding-window factor graph, producing a keyframe
-trajectory plus per-stage counters. The fused IMU is one columnar `FusedImu` from
+(from the fused stamps and the lidar scan ends) and each keyframe's GNSS
+fix up front, then runs one `_keyframe_step` per keyframe: IMU
+preintegration of the interval's fused rows in one call, scan
+deskewing, multi-lidar ICP odometry and the sliding-window factor
+graph. Each step returns a `KeyframeRecord`, and the run's counters are
+summed from them. The fused IMU is one columnar `FusedImu` from
 `fuse_imu_groups` to `write_fused_imu`; every stage indexes its columns.
 """
 
@@ -31,14 +32,14 @@ from .geometry import (
     se3_exp,
 )
 from .graph import (
-    DEFAULT_BETWEEN_SIGMA_ROT,
-    DEFAULT_BETWEEN_SIGMA_TRANS,
+    DEFAULT_BETWEEN_COV,
     STATE_DIM,
     BetweenFactor,
     BiasAnchorFactor,
     FactorGraph,
     GnssFix,
     ImuFactor,
+    OptimizeReport,
     PriorFactor,
 )
 from .lidar import IcpConfig, deskew, voxel_downsample
@@ -269,79 +270,53 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
 # ---------------------------------------------------------------------------
 
 
-class _Propagator:
-    """IMU-mechanized pose prediction between keyframes; records the
-    preintegrated delta at every fused sample stamp, from which
-    `pose_at` predicts the poses that deskewing asks for.
+class _Interval:
+    """IMU-mechanized prediction over one keyframe interval, from the
+    smoothed `state` of the keyframe that opens it, that keyframe's body
+    rate `w0` (bias-corrected gyro, which the state does not carry) and
+    the fused rows from the keyframe's own sample to the next keyframe's
+    (`stamps`, `f`, `w`). A row whose stamp repeats the one before it is
+    skipped. `delta` is the interval's preintegrated delta and `pred`
+    the state it predicts at the next keyframe; `pose_at` predicts the
+    poses that deskewing asks for."""
 
-    `reset` starts it at a keyframe's fused sample (`stamp`, `f`,
-    `w_meas`) with the smoothed `state` and the body rate `w`
-    (bias-corrected gyro), which the state does not carry."""
-
-    def __init__(self, noise: ImuNoiseParams):
-        self.noise = noise
-
-    def reset(self, state: NavState, w, stamp: int, f, w_meas):
-        self.state = state
-        self.w = w
-        self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
-        self.stamps = [stamp]  # sample stamps, strictly increasing
-        # (block, row) of the delta at each stamp; None at the keyframe
-        self.deltas = [None]
-        self.last_f, self.last_w = f, w_meas
-
-    def advance(self, stamps, f, w):
-        """Integrate one fused sample (a stamp, f and w of shape (3,)) or
-        a block of them ((m,) stamps, (m, 3) f and w) in one call. A
-        sample no later than the last one integrated is skipped."""
-        stamps = np.atleast_1d(np.asarray(stamps, dtype=np.int64))
-        f, w = np.reshape(f, (-1, 3)), np.reshape(w, (-1, 3))
-        prior = np.maximum.accumulate(np.r_[self.stamps[-1], stamps[:-1]])
-        keep = stamps > prior
-        if not keep.any():
-            return
+    def __init__(self, state: NavState, w0, stamps, f, w, noise: ImuNoiseParams):
+        keep = np.r_[True, np.diff(stamps) > 0]
         stamps, f, w = stamps[keep], f[keep], w[keep]
-        dt = np.diff(stamps, prepend=self.stamps[-1]) / NS_PER_S
-        # trapezoidal hold: integrate the interval-average measurement
-        f_mid = 0.5 * (np.vstack([self.last_f, f[:-1]]) + f)
-        w_mid = 0.5 * (np.vstack([self.last_w, w[:-1]]) + w)
-        # integrate() takes steps below 0.1 s; a longer gap is held
-        # over equal sub-steps (repeated rows) so it counts at its full
-        # length
-        steps = np.ceil(dt / 0.099).astype(np.int64)
-        block = integrate(self.delta, np.repeat(f_mid, steps, axis=0),
-                          np.repeat(w_mid, steps, axis=0),
-                          np.repeat(dt / steps, steps), self.noise)
-        ends = (np.cumsum(steps) - 1).tolist()  # block row at each stamp
-        self.stamps.extend(stamps.tolist())
-        self.deltas.extend((block, j) for j in ends)
-        self.delta = _delta_row(block, ends[-1])
-        self.last_f, self.last_w = f[-1], w[-1]
+        self.state, self.w0 = state, w0
+        self.stamps = stamps.tolist()  # strictly increasing
+        self.w = w[-1] - state.b_g  # body rate at the last sample
+        self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
+        if len(stamps) > 1:
+            dt = np.diff(stamps) / NS_PER_S
+            # trapezoidal hold: integrate the interval-average measurement
+            f_mid, w_mid = 0.5 * (f[:-1] + f[1:]), 0.5 * (w[:-1] + w[1:])
+            # integrate() takes steps below 0.1 s; a longer gap is held
+            # over equal sub-steps (repeated rows) so it counts at its
+            # full length
+            steps = np.ceil(dt / 0.099).astype(np.int64)
+            self.block = integrate(self.delta, np.repeat(f_mid, steps, axis=0),
+                                   np.repeat(w_mid, steps, axis=0),
+                                   np.repeat(dt / steps, steps), noise)
+            self.ends = (np.cumsum(steps) - 1).tolist()  # block row at stamps[1:]
+            self.delta = _delta_row(self.block, self.ends[-1])
+        self.pred = predict(state, self.delta)
 
-    def predicted(self) -> NavState:
-        return predict(self.state, self.delta)
-
-    def pose_at(self, stamp: int, v) -> Pose:
+    def pose_at(self, stamp: int) -> Pose:
         """Predicted base pose at `stamp`.
 
-        Stamps inside the track extrapolate from the last recorded
-        sample at or before them with the latest rate and the velocity
-        `v` of the current prediction, `predicted().v`, which the
-        caller takes once per keyframe.
-        Stamps before the keyframe (scans that started before it) are
-        extrapolated backwards from the keyframe pose with the keyframe
-        state's own velocity and body rate: the current prediction
-        can be up to a keyframe interval later and, in a turn, points
-        elsewhere."""
+        Stamps inside the interval extrapolate from the last sample at
+        or before them with the latest body rate and the predicted
+        velocity `pred.v`. Stamps before the keyframe (scans that
+        started before it) are extrapolated backwards from the keyframe
+        pose with the keyframe state's own velocity and body rate: the
+        prediction is up to a keyframe interval later and, in a turn,
+        points elsewhere."""
         k = bisect.bisect_right(self.stamps, stamp) - 1
-        t_k, row = self.stamps[max(k, 0)], self.deltas[max(k, 0)]
-        pose = (self.state.pose if row is None
-                else predict(self.state, _delta_row(*row)).pose)
-        if k < 0:
-            w, v = self.w, self.state.v
-        else:
-            w = self.last_w - self.state.b_g
-        rem = (stamp - t_k) / NS_PER_S
+        pose = (self.state.pose if k <= 0
+                else predict(self.state, _delta_row(self.block, self.ends[k - 1])).pose)
+        w, v = (self.w0, self.state.v) if k < 0 else (self.w, self.pred.v)
+        rem = (stamp - self.stamps[max(k, 0)]) / NS_PER_S
         if abs(rem) < 1e-12:
             return pose
         v_body = pose.R.T @ v
@@ -375,16 +350,98 @@ def _keyframe_schedule(stamps: np.ndarray, interval_ns: int, scan_ends):
     return rows, taken
 
 
+def _gnss_schedule(gnss, stamps):
+    """The fix each keyframe stamp takes, or None. Fixes are walked in
+    order: those more than GNSS_ASSOCIATION_NS before the keyframe are
+    passed over for good, and the next one is taken if it is at most
+    that far after it."""
+    taken, i = [], 0
+    for stamp in stamps:
+        while i < len(gnss) and gnss[i].stamp < stamp - GNSS_ASSOCIATION_NS:
+            i += 1
+        near = i < len(gnss) and abs(gnss[i].stamp - stamp) <= GNSS_ASSOCIATION_NS
+        taken.append(gnss[i] if near else None)
+        i += near
+    return taken
+
+
+@dataclass(frozen=True)
+class KeyframeRecord:
+    """What one keyframe step did: the ICP estimate (None when ICP did
+    not run), the GNSS gate decision (None when no fix was associated)
+    and the smoother's report."""
+
+    icp: lidar.OdomEstimate | None
+    gnss: bool | None
+    report: OptimizeReport
+
+
+def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
+                   interval: _Interval, scans, fix, scenario, init: GravityInit,
+                   config: PipelineConfig) -> KeyframeRecord:
+    """One keyframe: deskew its `scans` into the frame that `interval`
+    predicts, register the cloud against `submap`, add node `node` with
+    its IMU, bias-anchor, lidar and GNSS (`fix` or None) factors,
+    optimize, and insert the cloud into the map at the smoothed pose."""
+    pred = interval.pred
+    cloud = None
+    if scans:
+        parts = []
+        for scan in scans:
+            mount = scenario.lidars[scan.sensor_id.split("/")[1]].pose
+            S0 = pose_compose(interval.pose_at(scan.scan_start), mount)
+            S1 = pose_compose(interval.pose_at(scan.scan_end), mount)
+            base_rel = pose_compose(pose_inverse(pred.pose), S0)
+            parts.append(base_rel.apply(deskew(scan, S0, S1)))
+        cloud = voxel_downsample(
+            np.concatenate(parts, axis=0), config.voxel_resolution
+        )
+    if node == 1 and cloud is not None:
+        submap.insert(pred.pose.apply(cloud))
+    # ---- ICP odometry ----
+    est = None
+    if cloud is not None and len(submap) > 0 and node > 1:
+        est = lidar.icp_register(cloud, submap, pred.pose, config.icp)
+    odom = est is not None and not est.insufficient_overlap
+    # ---- graph update ----
+    x_new = NavState(pose=est.pose if odom else pred.pose, v=pred.v,
+                     b_a=pred.b_a, b_g=pred.b_g)
+    graph.add_node(node, x_new)
+    graph.add_factor(ImuFactor(node - 1, node, interval.delta, config.imu_noise))
+    graph.add_factor(BiasAnchorFactor(node, init.b_a0, init.b_g0))
+    if odom:
+        # z is relative to the smoothed pose of node - 1, which the ICP
+        # prior and the map were built from; a result that ran out of
+        # iterations is no better constrained than a degenerate one
+        z = pose_compose(pose_inverse(interval.state.pose), est.pose)
+        weak = est.degenerate or not est.converged
+        cov = DEFAULT_BETWEEN_COV * config.degenerate_cov_scale if weak else None
+        graph.add_factor(BetweenFactor(node - 1, node, z, cov))
+    # ---- GNSS ----
+    added = None
+    if fix is not None:
+        lever = np.asarray(scenario.gnss_lever, dtype=float)
+        base_fix = GnssFix(
+            stamp=fix.stamp, t=fix.t - x_new.pose.R @ lever, cov=fix.cov
+        )
+        est_cov = graph_position_covariance(graph, node)
+        added = graph.maybe_add_gnss(node, est_cov, base_fix)
+    # ---- optimize ----
+    report = graph.optimize(max_iter=config.optimize_iters)
+    if not np.isfinite(report.final_cost):
+        raise EstimatorDivergence(f"non-finite cost at keyframe {node}: {report}")
+    if cloud is not None:
+        pose = graph.nodes[node].pose
+        lidar.map_update(submap, pose.apply(cloud), pose)
+    return KeyframeRecord(est, added, report)
+
+
 def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     """Full replay: returns a RunResult with the optimized keyframe
     trajectory."""
     config = config or PipelineConfig()
     counters = RunCounters()
     imus = {p: dataset.scenario.imus[p] for p in mask.imu_positions}
-    mounts = {
-        f"lidar/{p}": dataset.scenario.lidars[p].pose
-        for p in mask.lidar_positions
-    }
     gnss = list(dataset.gnss) if mask.use_gnss else []
 
     imu_groups, lidar_groups = replay_sync(dataset, mask, config.sync, counters)
@@ -407,10 +464,11 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     rows, taken = _keyframe_schedule(
         fused.stamps, int(round(config.keyframe_interval_s * NS_PER_S)),
         [max(scan.scan_end for scan in group) for group in scans])
+    stamps = fused.stamps[rows].tolist()
+    fixes = _gnss_schedule(gnss, stamps[1:])
 
-    state = NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0)
     graph = FactorGraph()
-    graph.add_node(0, state)
+    graph.add_node(0, NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0))
     prior_cov = np.diag(
         [0.01**2, 0.01**2, yaw_sigma**2] + [pos_sigma**2] * 3 + [0.1**2] * 3
         + [0.005**2] * 3 + [0.0005**2] * 3
@@ -418,107 +476,38 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     graph.add_factor(PriorFactor(0, anchor, init.b_a0, init.b_g0, prior_cov))
 
     submap = LocalSubmap(config.voxel_resolution, config.map_extent)
-    poses = []  # marginalized keyframe poses, oldest first
-    stamps = fused.stamps.tolist()
-    prop = _Propagator(config.imu_noise)
-    # the anchor's body rate is not known
-    prop.reset(state, np.zeros(3), stamps[0], fused.f[0], fused.w[0])
-    gnss_idx = 0
+    poses, records = [], []  # marginalized keyframe poses, oldest first
+    w = np.zeros(3)  # the anchor's body rate is not known
     for node, (prev, row) in enumerate(zip(rows, rows[1:]), 1):
-        block = slice(prev + 1, row + 1)
-        prop.advance(fused.stamps[block], fused.f[block], fused.w[block])
-        kf_stamp = stamps[row]
-        pred = prop.predicted()
-        w_kf = fused.w[row] - state.b_g
-        # deskew + fuse the keyframe's scans into the predicted keyframe frame
+        state = graph.nodes[node - 1]
+        block = slice(prev, row + 1)
+        interval = _Interval(state, w, fused.stamps[block], fused.f[block],
+                             fused.w[block], config.imu_noise)
+        w = fused.w[row] - state.b_g
         batch = [scan for group in scans[taken[node - 1]:taken[node]] for scan in group]
-        cloud = None
-        if batch:
-            parts = []
-            for scan in batch:
-                mount = mounts[scan.sensor_id]
-                S0 = pose_compose(prop.pose_at(scan.scan_start, pred.v), mount)
-                S1 = pose_compose(prop.pose_at(scan.scan_end, pred.v), mount)
-                flat = deskew(scan, S0, S1)
-                base_rel = pose_compose(pose_inverse(pred.pose), S0)
-                parts.append(base_rel.apply(flat.points))
-            cloud = voxel_downsample(
-                np.concatenate(parts, axis=0), config.voxel_resolution
-            )
-        if node == 1 and cloud is not None:
-            submap.insert(pred.pose.apply(cloud))
-        # ---- ICP odometry ----
-        icp_pose = pred.pose
-        degenerate = False
-        have_odom = False
-        if cloud is not None and len(submap) > 0 and node > 1:
-            est = lidar.icp_register(cloud, submap, pred.pose, config.icp)
-            counters.icp_iterations += est.iterations
-            if est.insufficient_overlap:
-                counters.icp_insufficient += 1
-            else:
-                icp_pose = est.pose
-                # a result that ran out of iterations is no better
-                # constrained than a degenerate one
-                degenerate = est.degenerate or not est.converged
-                have_odom = True
-                if est.degenerate:
-                    counters.icp_degenerate += 1
-        # ---- graph update ----
-        x_new = NavState(pose=icp_pose, v=pred.v, b_a=pred.b_a, b_g=pred.b_g)
-        graph.add_node(node, x_new)
-        graph.add_factor(ImuFactor(node - 1, node, prop.delta, config.imu_noise))
-        graph.add_factor(BiasAnchorFactor(node, init.b_a0, init.b_g0))
-        if have_odom:
-            # z is relative to the smoothed pose of node - 1, which the
-            # ICP prior and the map were built from
-            z = pose_compose(pose_inverse(state.pose), icp_pose)
-            cov = None
-            if degenerate:
-                cov = np.diag([DEFAULT_BETWEEN_SIGMA_ROT**2] * 3
-                              + [DEFAULT_BETWEEN_SIGMA_TRANS**2] * 3)
-                cov = cov * config.degenerate_cov_scale
-            graph.add_factor(BetweenFactor(node - 1, node, z, cov))
-        # ---- GNSS ----
-        while gnss_idx < len(gnss) and gnss[gnss_idx].stamp < kf_stamp - GNSS_ASSOCIATION_NS:
-            gnss_idx += 1
-            counters.gnss_unassociated += 1
-        if (
-            gnss_idx < len(gnss)
-            and abs(gnss[gnss_idx].stamp - kf_stamp) <= GNSS_ASSOCIATION_NS
-        ):
-            fix = gnss[gnss_idx]
-            lever = np.asarray(dataset.scenario.gnss_lever, dtype=float)
-            base_fix = GnssFix(
-                stamp=fix.stamp, t=fix.t - x_new.pose.R @ lever, cov=fix.cov
-            )
-            est_cov = graph_position_covariance(graph, node)
-            if graph.maybe_add_gnss(node, est_cov, base_fix):
-                counters.gnss_added += 1
-            else:
-                counters.gnss_rejected += 1
-            gnss_idx += 1
-        # ---- optimize / marginalize ----
-        report = graph.optimize(max_iter=config.optimize_iters)
-        if not np.isfinite(report.final_cost):
-            raise EstimatorDivergence(
-                f"non-finite cost at keyframe {node}: {report}"
-            )
-        counters.lm_iterations += report.iterations
-        counters.lm_rejected += report.rejected
-        counters.lm_unconverged += int(not report.converged)
+        records.append(_keyframe_step(graph, submap, node, interval, batch,
+                                      fixes[node - 1], dataset.scenario, init, config))
         while len(graph.nodes) > config.window:
             poses.append(graph.nodes[min(graph.nodes)].pose)
             graph.marginalize_oldest()
-        state = graph.nodes[node]
-        if cloud is not None:
-            lidar.map_update(submap, state.pose.apply(cloud), state.pose)
-        prop.reset(state, w_kf, kf_stamp, fused.f[row], fused.w[row])
-        counters.keyframes += 1
 
-    counters.gnss_unassociated += len(gnss) - gnss_idx
+    icps = [r.icp for r in records if r.icp is not None]
+    gates = [r.gnss for r in records if r.gnss is not None]
+    reports = [r.report for r in records]
+    counters.keyframes = len(records)
+    counters.icp_iterations = sum(e.iterations for e in icps)
+    counters.icp_insufficient = sum(e.insufficient_overlap for e in icps)
+    counters.icp_degenerate = sum(e.degenerate and not e.insufficient_overlap
+                                  for e in icps)
+    counters.gnss_added = sum(gates)
+    counters.gnss_rejected = len(gates) - counters.gnss_added
+    counters.gnss_unassociated = (len(gnss) - counters.gnss_added
+                                  - counters.gnss_rejected)
+    counters.lm_iterations = sum(r.iterations for r in reports)
+    counters.lm_rejected = sum(r.rejected for r in reports)
+    counters.lm_unconverged = sum(not r.converged for r in reports)
     return RunResult(
-        stamps=[stamps[row] for row in rows],
+        stamps=stamps,
         poses=poses + [graph.nodes[k].pose for k in sorted(graph.nodes)],
         fused=fused,
         counters=counters,

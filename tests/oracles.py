@@ -18,6 +18,10 @@ afresh for every point on every iteration. `so3_series` is the
 single-vector SO(3) series that `geometry.so3_series_many` batches, and
 `integrate_sample` folds one IMU sample into a delta with it, as
 `preintegration.integrate` did before it took a block of samples.
+`EagerPropagator` is the per-sample propagator that `pipeline._Interval`
+replaced by one value per keyframe interval. `write_scan_file_rows` is
+the per-point f-string scan writer that `dataset.write_dataset` replaced
+by `_write_stamped_csv`.
 """
 
 import math
@@ -26,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from mlio.geometry import NavStates, skew
+from mlio.dataset import FLOAT_FMT
+from mlio.geometry import NS_PER_S, NavStates, pose_compose, se3_exp, skew
 from mlio.graph import STATE_DIM, _between_many, _prior_many
 from mlio.lidar import IcpConfig, OdomEstimate, _apply_delta, _huber_weights
 from mlio.mimu import (
@@ -40,7 +45,10 @@ from mlio.mimu import (
 from mlio.preintegration import (
     GRAVITY,
     ImuNoiseParams,
+    empty_delta,
     imu_residual_jacobians_many,
+    integrate,
+    predict,
     stack_deltas,
 )
 from mlio.sync import POSITIONS
@@ -380,3 +388,64 @@ def integrate_sample(delta, f, w, dt: float, noise=ImuNoiseParams()):
         J_r_bg=J_r_bg, J_v_ba=J_v_ba, J_v_bg=J_v_bg,
         J_p_ba=J_p_ba, J_p_bg=J_p_bg, cov=cov,
     )
+
+
+class EagerPropagator:
+    """The keyframe propagator of the per-sample replay, the reference
+    for `pipeline._Interval`: `reset` starts it at a keyframe's fused
+    sample (`stamp`, `f`, `w_meas`) with the smoothed `state` and body
+    rate `w`, `advance` integrates one later sample (a repeated stamp is
+    skipped) and stores the predicted pose at it, and `pose_at` looks
+    the pose up in that track."""
+
+    def __init__(self, noise):
+        self.noise = noise
+
+    def reset(self, state, w, stamp, f, w_meas):
+        self.state, self.w = state, w
+        self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
+        self.stamps, self.poses = [stamp], [state.pose]
+        self.last_f, self.last_w = f, w_meas
+
+    def advance(self, stamp, f, w):
+        dt = (stamp - self.stamps[-1]) / NS_PER_S
+        if dt <= 0:
+            return
+        f_mid = 0.5 * (self.last_f + f)
+        w_mid = 0.5 * (self.last_w + w)
+        steps = int(np.ceil(dt / 0.099))
+        for _ in range(steps):
+            self.delta = integrate(self.delta, f_mid, w_mid, dt / steps,
+                                   self.noise)
+        self.stamps.append(stamp)
+        self.poses.append(predict(self.state, self.delta).pose)
+        self.last_f, self.last_w = f, w
+
+    def predicted(self):
+        return predict(self.state, self.delta)
+
+    def pose_at(self, stamp, v):
+        k = int(np.searchsorted(self.stamps, stamp, side="right")) - 1
+        if k < 0:
+            t_k, pose = self.stamps[0], self.poses[0]
+            w, v = self.w, self.state.v
+        else:
+            t_k, pose = self.stamps[k], self.poses[k]
+            w = self.last_w - self.state.b_g
+        rem = (stamp - t_k) / NS_PER_S
+        if abs(rem) < 1e-12:
+            return pose
+        v_body = pose.R.T @ v
+        return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
+
+
+def write_scan_file_rows(path, scan) -> None:
+    """Scan CSV, one f-string line per point: the header
+    'sensor_id,start,end', then each point's stamp offset and x, y, z."""
+    with open(path, "w") as fh:
+        fh.write(f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n")
+        offsets = scan.stamps - scan.scan_start
+        for off, p in zip(offsets, scan.points):
+            fh.write(
+                f"{off},{FLOAT_FMT % p[0]},{FLOAT_FMT % p[1]},{FLOAT_FMT % p[2]}\n"
+            )

@@ -123,16 +123,17 @@ class TestMimuOptimality:
             y_f = rng.normal(0.0, 4.0, 3 * K)
             y_w = rng.normal(0.0, 0.5, 3 * K)
             cases.append((arr, y_f, y_w))
-        worst = 0.0
+        # only the 1000 solves are timed, not the gradient check
         t0 = time.monotonic()
-        for arr, y_f, y_w in cases:
-            fused = fuse_mle(arr, y_f, y_w)
+        solved = [fuse_mle(arr, y_f, y_w) for arr, y_f, y_w in cases]
+        elapsed = time.monotonic() - t0
+        worst = 0.0
+        for (arr, y_f, y_w), fused in zip(cases, solved):
             h, H = build_stacked_model(arr, fused.w)
             Qinv = np.linalg.inv(arr.Q)
             phi = np.concatenate([fused.w_dot, fused.f])
             grad = H.T @ Qinv @ (np.concatenate([y_f, y_w]) - h - H @ phi)
             worst = max(worst, float(np.linalg.norm(grad)))
-        elapsed = time.monotonic() - t0
         assert worst < 1e-8
         assert elapsed < 1.0
 
@@ -325,7 +326,7 @@ class TestDeskewOracle:
         )
         flat = deskew(scan, start, end)
         expected = pose_inverse(start).apply(world)
-        assert np.abs(flat.points - expected).max() < 1e-3
+        assert np.abs(flat - expected).max() < 1e-3
 
 
 @pytest.fixture(scope="module")

@@ -167,7 +167,7 @@ class TestDqPow:
         stamps = np.sort(rng.integers(0, 100_000_000, size=40))
         pts = rng.normal(scale=5.0, size=(40, 3))
         scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, pts)
-        got = deskew(scan, start, pose_compose(start, p)).points
+        got = deskew(scan, start, pose_compose(start, p))
         log_p = logm(p.matrix())
         for i, s in enumerate(stamps):
             T = expm(s / 100_000_000 * log_p).real

@@ -367,8 +367,7 @@ class TestDeskew:
         scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, pts)
         pose = Pose(so3_exp([0.1, 0.2, 0.3]), [1, 2, 3])
         out = deskew(scan, pose, pose)
-        np.testing.assert_allclose(out.points, pts, atol=1e-12)
-        assert np.all(out.stamps == 0)
+        np.testing.assert_allclose(out, pts, atol=1e-12)
 
     def test_forward_motion_midpoint(self):
         # sensor advances 1 m in x during the scan; a point seen at the
@@ -377,7 +376,7 @@ class TestDeskew:
             "lidar/F_L", 0, 100_000_000, [50_000_000], [[0.0, 0.0, 0.0]]
         )
         out = deskew(scan, Pose(), Pose(np.eye(3), [1.0, 0, 0]))
-        np.testing.assert_allclose(out.points, [[0.5, 0, 0]], atol=1e-12)
+        np.testing.assert_allclose(out, [[0.5, 0, 0]], atol=1e-12)
 
     def test_distort_then_deskew_round_trip(self):
         rng = np.random.default_rng(4)
@@ -395,7 +394,7 @@ class TestDeskew:
             raw[i] = pose_inverse(pose_t).apply(p)
         scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, raw)
         out = deskew(scan, pose_start, pose_end)
-        recovered = pose_start.apply(out.points)
+        recovered = pose_start.apply(out)
         np.testing.assert_allclose(recovered, world_pts, atol=1e-9)
 
     def test_plane_flattening_under_constant_twist(self):
@@ -418,7 +417,7 @@ class TestDeskew:
             LidarScan("lidar/F_L", 0, 100_000_000, stamps, raw),
             pose_start, pose_end,
         )
-        flattened = pose_start.apply(out.points)
+        flattened = pose_start.apply(out)
         assert np.max(np.abs(flattened[:, 2])) < 1e-9
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import mlio
 from mlio.evaluation import Trajectory, ape, rpe
-from mlio.geometry import NS_PER_S, NavState, Pose, pose_compose, se3_exp, so3_log
+from mlio.geometry import NavState, Pose, pose_compose, pose_inverse, so3_log
 from mlio.graph import (
     STATE_DIM,
     BetweenFactor,
@@ -25,17 +25,21 @@ from mlio.pipeline import (
     EstimatorDivergence,
     PipelineConfig,
     SensorMask,
+    _gnss_schedule,
+    _Interval,
     _keyframe_schedule,
-    _Propagator,
+    _keyframe_step,
     fuse_imu_groups,
     graph_position_covariance,
+    initialize,
     parse_sensor_mask,
     replay_sync,
     run_pipeline,
     RunCounters,
     write_fused_imu,
 )
-from mlio.preintegration import GRAVITY, ImuNoiseParams, integrate, predict
+from mlio.preintegration import GRAVITY, ImuNoiseParams
+from mlio.submap import LocalSubmap
 from mlio.sim import (
     Dropout,
     NoiseSpec,
@@ -46,6 +50,7 @@ from mlio.sim import (
     synth_imu,
 )
 from oracles import (
+    EagerPropagator,
     fuse_imu_groups_per_group,
     keyframe_schedule_per_sample,
     write_fused_imu_rows,
@@ -225,105 +230,73 @@ class TestFusedImuWriter:
                                   getattr(fused, name)), name
 
 
-class EagerPropagator(_Propagator):
-    """The propagator with a predicted pose stored at every fused
-    sample, as before `pose_at` predicted only the stamps it is asked
-    about."""
-
-    def reset(self, state, w, stamp, f, w_meas):
-        super().reset(state, w, stamp, f, w_meas)
-        self.poses = [state.pose]
-
-    def advance(self, stamp, f, w):
-        dt = (stamp - self.stamps[-1]) / NS_PER_S
-        if dt <= 0:
-            return
-        f_mid = 0.5 * (self.last_f + f)
-        w_mid = 0.5 * (self.last_w + w)
-        steps = int(np.ceil(dt / 0.099))
-        for _ in range(steps):
-            self.delta = integrate(self.delta, f_mid, w_mid, dt / steps,
-                                   self.noise)
-        self.stamps.append(stamp)
-        self.poses.append(predict(self.state, self.delta).pose)
-        self.last_f, self.last_w = f, w
-
-    def pose_at(self, stamp, v):
-        k = int(np.searchsorted(self.stamps, stamp, side="right")) - 1
-        if k < 0:
-            t_k, pose = self.stamps[0], self.poses[0]
-            w, v = self.w, self.state.v
-        else:
-            t_k, pose = self.stamps[k], self.poses[k]
-            w = self.last_w - self.state.b_g
-        rem = (stamp - t_k) / NS_PER_S
-        if abs(rem) < 1e-12:
-            return pose
-        v_body = pose.R.T @ v
-        return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
-
-
 def _gt_sample(gt, i):
     """Noise-free IMU sample of ground-truth row i: (stamp, f, w)."""
     return (int(gt.stamps[i]), gt.poses[i].R.T @ (gt.a_world[i] - GRAVITY),
             gt.w_body[i])
 
 
+def _interval(state, w0, samples, noise=ImuNoiseParams()):
+    """The interval value of (stamp, f, w) samples, the keyframe's first."""
+    stamps, f, w = (np.array(c) for c in zip(*samples))
+    return _Interval(state, w0, stamps, f, w, noise)
+
+
 class TestPropagator:
     def test_pose_at_equals_eager_track(self):
         """Bit for bit: stamps before the keyframe, on samples, between
         samples (also across a 0.26 s gap) and after the last sample, at
-        biased keyframe states mid-turn; and right after the reset."""
+        biased keyframe states mid-turn; and with the keyframe's own
+        sample alone."""
         gt = gen_trajectory(loop_scenario())
         rng = np.random.default_rng(21)
         for k in (int(np.searchsorted(gt.stamps, t)) for t in (4e9, 13.5e9)):
             state = NavState(pose=gt.poses[k], v=gt.v_world[k],
                              b_a=rng.normal(scale=0.05, size=3),
                              b_g=rng.normal(scale=0.005, size=3))
-            lazy, eager = (cls(ImuNoiseParams())
-                           for cls in (_Propagator, EagerPropagator))
-            for prop in (lazy, eager):
-                prop.reset(state, gt.w_body[k], *_gt_sample(gt, k))
+            eager = EagerPropagator(ImuNoiseParams())
+            eager.reset(state, gt.w_body[k], *_gt_sample(gt, k))
+            samples = [_gt_sample(gt, k)]
             t0 = int(gt.stamps[k])
             queries = [t0 - 100_000_000, t0 - 1, t0, t0 + 7_000_000]
-            self._assert_same_poses(lazy, eager, queries)
+            self._assert_same_poses(_interval(state, gt.w_body[k], samples),
+                                    eager, queries)
             for i in [j for j in range(k + 1, k + 60) if not k + 20 <= j < k + 45]:
-                lazy.advance(*_gt_sample(gt, i))
-                eager.advance(*_gt_sample(gt, i))
+                samples.append(_gt_sample(gt, i))
+                eager.advance(*samples[-1])
             stamps = [int(gt.stamps[i]) for i in (k + 1, k + 19, k + 45, k + 59)]
             queries += stamps + [s + 3_000_000 for s in stamps] + [
                 int(gt.stamps[k + 30]), stamps[-1] + 400_000_000]
-            self._assert_same_poses(lazy, eager, queries)
+            self._assert_same_poses(_interval(state, gt.w_body[k], samples),
+                                    eager, queries)
 
     @staticmethod
-    def _assert_same_poses(lazy, eager, stamps):
-        v_lazy, v_eager = lazy.predicted().v, eager.predicted().v
+    def _assert_same_poses(interval, eager, stamps):
+        v_eager = eager.predicted().v
         for stamp in stamps:
-            a, b = lazy.pose_at(stamp, v_lazy), eager.pose_at(stamp, v_eager)
+            a, b = interval.pose_at(stamp), eager.pose_at(stamp, v_eager)
             np.testing.assert_array_equal(a.R, b.R)
             np.testing.assert_array_equal(a.t, b.t)
 
     def test_pose_before_keyframe_follows_keyframe_state(self):
         # keyframe mid-turn on the urban loop (1 rad/s at 8 m/s); a scan
-        # that started 0.1 s before it is deskewed from this pose after
-        # the propagator has run on to the next keyframe
+        # that started 0.1 s before it is deskewed from this pose by the
+        # interval that runs on to the next keyframe
         gt = gen_trajectory(loop_scenario())
         k = int(np.searchsorted(gt.stamps, 13_500_000_000))
         state = NavState(pose=gt.poses[k], v=gt.v_world[k])
-        prop = _Propagator(ImuNoiseParams())
-        prop.reset(state, gt.w_body[k], *_gt_sample(gt, k))
-        for i in range(k + 1, k + 51):
-            prop.advance(*_gt_sample(gt, i))
+        interval = _interval(state, gt.w_body[k],
+                             [_gt_sample(gt, i) for i in range(k, k + 51)])
         stamp = int(gt.stamps[k]) - 100_000_000
-        pose, truth = prop.pose_at(stamp, prop.predicted().v), gt.pose_at(stamp)
+        pose, truth = interval.pose_at(stamp), gt.pose_at(stamp)
         assert np.linalg.norm(pose.t - truth.t) < 0.01
         assert np.linalg.norm(so3_log(truth.R.T @ pose.R)) < 1e-3
 
     def test_block_advance_equals_per_sample_advance(self):
-        """One call on a keyframe's block equals the per-sample advance
-        of the eager track bit for bit: deltas, stamps and poses, over a
-        0.26 s gap (three sub-steps) and repeated stamps (skipped, their
-        samples unused)."""
+        """The interval's one integration call equals the per-sample
+        advance of the eager track bit for bit: deltas, stamps and
+        poses, over a 0.26 s gap (three sub-steps) and repeated stamps
+        (skipped, their samples unused)."""
         gt = gen_trajectory(loop_scenario())
         k = int(np.searchsorted(gt.stamps, 13.5e9))
         rng = np.random.default_rng(22)
@@ -335,28 +308,24 @@ class TestPropagator:
         for at in (0, 10, 11, 11, 30):  # a repeat of the keyframe stamp too
             stamp, f, w = samples[at - 1] if at else _gt_sample(gt, k)
             samples.insert(at, (stamp, f + rng.normal(size=3), w + 1.0))
-        block, eager = _Propagator(ImuNoiseParams()), EagerPropagator(ImuNoiseParams())
-        for prop in (block, eager):
-            prop.reset(state, gt.w_body[k], *_gt_sample(gt, k))
-        block.advance(*(np.array(c) for c in zip(*samples)))
+        interval = _interval(state, gt.w_body[k], [_gt_sample(gt, k)] + samples)
+        eager = EagerPropagator(ImuNoiseParams())
+        eager.reset(state, gt.w_body[k], *_gt_sample(gt, k))
         for sample in samples:
             eager.advance(*sample)
-        assert block.stamps == eager.stamps == [int(gt.stamps[i]) for i in [k] + rows]
-        for f in dataclasses.fields(block.delta):
-            np.testing.assert_array_equal(getattr(block.delta, f.name),
+        assert interval.stamps == eager.stamps == [
+            int(gt.stamps[i]) for i in [k] + rows]
+        for f in dataclasses.fields(interval.delta):
+            np.testing.assert_array_equal(getattr(interval.delta, f.name),
                                           getattr(eager.delta, f.name))
-        self._assert_same_poses(block, eager, block.stamps + [
-            s + 3_000_000 for s in block.stamps] + [int(gt.stamps[k + 30])])
+        self._assert_same_poses(interval, eager, interval.stamps + [
+            s + 3_000_000 for s in interval.stamps] + [int(gt.stamps[k + 30])])
 
     @staticmethod
     def _propagate_at_rest(noise, stamps_s):
         f, w = np.array([0.1, -0.2, 9.81]), np.array([0.01, 0.02, -0.03])
-        stamps = [int(round(t * 1e9)) for t in stamps_s]
-        prop = _Propagator(noise)
-        prop.reset(NavState(), np.zeros(3), stamps[0], f, w)
-        for t in stamps[1:]:
-            prop.advance(t, f, w)
-        return prop
+        samples = [(int(round(t * 1e9)), f, w) for t in stamps_s]
+        return _interval(NavState(), np.zeros(3), samples, noise)
 
     def test_imu_noise_reaches_preintegrated_covariance(self):
         base = ImuNoiseParams()
@@ -373,8 +342,8 @@ class TestPropagator:
     def test_gap_integrated_over_full_length(self):
         # a 0.5 s hole in the fused stream, longer than one integrate() step
         stamps = np.concatenate([np.arange(0.0, 0.2, 0.01), 0.7 + np.arange(0.0, 0.1, 0.01)])
-        prop = self._propagate_at_rest(ImuNoiseParams(), stamps)
-        assert abs(prop.delta.dt - (stamps[-1] - stamps[0])) < 1e-6
+        interval = self._propagate_at_rest(ImuNoiseParams(), stamps)
+        assert abs(interval.delta.dt - (stamps[-1] - stamps[0])) < 1e-6
 
 
 SCHEDULE_CASES = ("duplicate stamps", "interval 0", "ends outside the samples",
@@ -424,6 +393,62 @@ def dropout_data():
         for sid in ("imu/F_L", "lidar/F_L", "imu/R_R", "lidar/R_R")
     ]
     return simulate(straight_scenario(dropouts=drops))
+
+
+class TestKeyframeStep:
+    def test_records_match_the_graph(self, straight_data):
+        """The first two keyframes of an L4I4G1 replay, stepped by hand.
+        The first seeds the map and runs no ICP; the second registers
+        against it. Each record's GNSS decision is the graph's new GNSS
+        factor or its absence, the between factor is built from the
+        record's ICP estimate, and the report's final cost is the
+        graph's cost at the smoothed states."""
+        mask, config = parse_sensor_mask("L4I4G1"), PipelineConfig()
+        scenario = straight_data.scenario
+        imu_groups, lidar_groups = replay_sync(straight_data, mask, config.sync,
+                                               RunCounters())
+        fused = fuse_imu_groups(
+            imu_groups, {p: scenario.imus[p] for p in mask.imu_positions})
+        anchor, init, _, _ = initialize(fused, straight_data.gnss, mask,
+                                        scenario.gnss_lever, config.init_samples)
+        scans = lidar_groups.messages()
+        rows, taken = _keyframe_schedule(fused.stamps, 500_000_000,
+                                         [max(s.scan_end for s in g) for g in scans])
+        fixes = _gnss_schedule(straight_data.gnss, fused.stamps[rows[1:]].tolist())
+        graph = FactorGraph()
+        graph.add_node(0, NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0))
+        graph.add_factor(PriorFactor(0, anchor, init.b_a0, init.b_g0,
+                                     1e-4 * np.eye(STATE_DIM)))
+        submap = LocalSubmap(config.voxel_resolution, config.map_extent)
+        w = np.zeros(3)
+        for node in (1, 2):
+            state = graph.nodes[node - 1]
+            block = slice(rows[node - 1], rows[node] + 1)
+            interval = _Interval(state, w, fused.stamps[block], fused.f[block],
+                                 fused.w[block], config.imu_noise)
+            w = fused.w[rows[node]] - state.b_g
+            batch = [s for g in scans[taken[node - 1]:taken[node]] for s in g]
+            assert batch
+            before = len(graph.factors)
+            record = _keyframe_step(graph, submap, node, interval, batch,
+                                    fixes[node - 1], scenario, init, config)
+            new = {f.kind: f for f in graph.factors[before:]}
+            assert (record.gnss is None) == (fixes[node - 1] is None)
+            assert ("gnss" in new) == bool(record.gnss)
+            assert len(submap) > 0
+            if node == 1:
+                assert record.icp is None and new.keys() <= {"imu", "bias_anchor",
+                                                             "gnss"}
+            else:
+                assert record.icp.converged and not record.icp.insufficient_overlap
+                z = pose_compose(pose_inverse(state.pose), record.icp.pose)
+                np.testing.assert_array_equal(new["between"].z.R, z.R)
+                np.testing.assert_array_equal(new["between"].z.t, z.t)
+            assert record.report.converged
+            _, _, cost = graph.normal_equations(graph.nodes, sorted(graph.nodes))
+            assert cost == pytest.approx(record.report.final_cost, rel=1e-12)
+            truth = straight_data.gt.pose_at(int(fused.stamps[rows[node]]))
+            assert np.linalg.norm(graph.nodes[node].pose.t - truth.t) < 0.05
 
 
 class TestEndToEnd:

@@ -8,7 +8,7 @@ import yaml
 
 import mlio.sim as sim_module
 
-from mlio.dataset import load_dataset, write_dataset
+from mlio.dataset import load_dataset, read_scan_file, write_dataset
 from mlio.geometry import (
     NS_PER_S,
     Pose,
@@ -44,7 +44,7 @@ from mlio.sim import (
     synth_imu,
     synth_lidar,
 )
-from oracles import ImuSample, transform_to_base
+from oracles import ImuSample, transform_to_base, write_scan_file_rows
 
 
 def simple_imus(levers):
@@ -214,7 +214,7 @@ class TestSynthLidar:
         S0 = pose_compose(gt.pose_at(scan.scan_start), mount.pose)
         S1 = pose_compose(gt.pose_at(scan.scan_end), mount.pose)
         flat = deskew(scan, S0, S1)
-        wall_x = S0.apply(flat.points)[:, 0]
+        wall_x = S0.apply(flat)[:, 0]
         np.testing.assert_allclose(wall_x, 30.0, atol=1e-9)
         # without deskew the raw points do not lie on the wall
         raw_x = S0.apply(scan.points)[:, 0]
@@ -465,6 +465,27 @@ class TestDatasetIo:
         assert len(gnss) > 0
         assert [f.stamp for f in ds.gnss] == [f.stamp for f in gnss]
         assert all(type(f.stamp) is int for f in ds.gnss)
+
+    def test_scan_files_match_the_row_writer(self, tmp_path):
+        """Each scan file holds the bytes of the per-point writer, also
+        with epoch-scale stamps, and reads back as the written scan."""
+        sim = simulate(corridor_scenario(length=4.0, seed=1))
+        shift = 1700000000123456789 - sim.lidar["lidar/F_L"][0].scan_start
+        lidar = {sid: [dataclasses.replace(
+            s, scan_start=s.scan_start + shift, scan_end=s.scan_end + shift,
+            stamps=s.stamps + shift) for s in scans[:3]]
+            for sid, scans in sim.lidar.items()}
+        write_dataset(tmp_path, dataclasses.replace(sim, lidar=lidar))
+        for sid, scans in lidar.items():
+            for n, scan in enumerate(scans):
+                path = tmp_path / "scans" / sid.split("/")[1] / f"{n:06d}.csv"
+                write_scan_file_rows(tmp_path / "rows.csv", scan)
+                assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+                back = read_scan_file(path)
+                assert (back.sensor_id, back.scan_start, back.scan_end) == (
+                    scan.sensor_id, scan.scan_start, scan.scan_end)
+                assert np.array_equal(back.stamps, scan.stamps)
+                np.testing.assert_allclose(back.points, scan.points, rtol=1e-9)
 
     def test_ground_truth_read_on_first_access(self, tmp_path):
         sim = simulate(corridor_scenario(length=4.0, seed=1))
