@@ -265,19 +265,29 @@ class Pose:
         return pts @ self.R.T + self.t
 
 
+def _derived_pose(R: np.ndarray, t: np.ndarray) -> Pose:
+    """A Pose from a float (3, 3) R and (3,) t derived from checked
+    poses or from the exponential map, so R is orthonormal to rounding:
+    it skips the check (and projection) that `Pose(...)` runs."""
+    pose = object.__new__(Pose)
+    object.__setattr__(pose, "R", R)
+    object.__setattr__(pose, "t", t)
+    return pose
+
+
 def pose_compose(a: Pose, b: Pose) -> Pose:
-    return Pose(a.R @ b.R, a.R @ b.t + a.t)
+    return _derived_pose(a.R @ b.R, a.R @ b.t + a.t)
 
 
 def pose_inverse(a: Pose) -> Pose:
     Rt = a.R.T
-    return Pose(Rt, -(Rt @ a.t))
+    return _derived_pose(Rt, -(Rt @ a.t))
 
 
 def se3_exp(xi) -> Pose:
     """Exponential map; xi = (phi, rho) ordered rotation-first."""
     R, t = se3_exp_many(np.asarray(xi, dtype=float)[None])
-    return Pose(R[0], t[0])
+    return _derived_pose(R[0], t[0])
 
 
 def se3_exp_many(xi):

@@ -69,10 +69,13 @@ def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> np.ndarray:
     if span == 0:
         return scan.points
     xi = se3_log(pose_compose(pose_inverse(pose_start), pose_end))
-    etas = (scan.stamps - scan.scan_start) / span
-    # point i was seen from exp(eta_i xi) relative to the start pose
+    # a point stamped eta of the way through the scan was seen from
+    # exp(eta xi) relative to the start pose; a scan has one stamp per
+    # azimuth step, so one exponential per distinct stamp
+    stamps, inverse = np.unique(scan.stamps, return_inverse=True)
+    etas = (stamps - scan.scan_start) / span
     R, t = se3_exp_many(etas[:, None] * xi)
-    return matvec_many(R, scan.points) + t
+    return matvec_many(R[inverse], scan.points) + t[inverse]
 
 
 _VOXEL_SPAN = 1 << 21  # voxels per axis below which three fit one int64

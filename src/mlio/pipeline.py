@@ -386,12 +386,16 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
     pred = interval.pred
     cloud = None
     if scans:
+        # the sensors scan in step, so their scans share a few stamps
+        poses = {stamp: interval.pose_at(stamp)
+                 for scan in scans for stamp in (scan.scan_start, scan.scan_end)}
+        pred_inv = pose_inverse(pred.pose)
         parts = []
         for scan in scans:
             mount = scenario.lidars[scan.sensor_id.split("/")[1]].pose
-            S0 = pose_compose(interval.pose_at(scan.scan_start), mount)
-            S1 = pose_compose(interval.pose_at(scan.scan_end), mount)
-            base_rel = pose_compose(pose_inverse(pred.pose), S0)
+            S0 = pose_compose(poses[scan.scan_start], mount)
+            S1 = pose_compose(poses[scan.scan_end], mount)
+            base_rel = pose_compose(pred_inv, S0)
             parts.append(base_rel.apply(deskew(scan, S0, S1)))
         cloud = voxel_downsample(
             np.concatenate(parts, axis=0), config.voxel_resolution

@@ -5,11 +5,17 @@ segments, then synthesizes per-channel IMU measurements (including the
 centrifugal and Euler lever-arm terms), motion-distorted lidar scans by
 ray casting planes and boxes from the continuously moving sensor, and
 GNSS fixes — all reproducible from a single scenario seed.
+
+Each scan-boundary pose is interpolated once and shared by every
+sensor's scans, and each scan casts its rays against all boxes in one
+batched slab pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +25,7 @@ import yaml
 from .geometry import (
     NS_PER_S,
     Pose,
+    _derived_pose,
     matvec_many,
     pose_compose,
     pose_inverse,
@@ -72,25 +79,40 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def raycast(self, origins, dirs) -> np.ndarray:
-        # slab method, vectorized over rays
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(np.abs(dirs) > 1e-12, 1.0 / dirs, np.inf)
-        t1 = (self.lo - origins) * inv
-        t2 = (self.hi - origins) * inv
-        tmin = np.minimum(t1, t2).max(axis=1)
-        tmax = np.maximum(t1, t2).min(axis=1)
-        hit = (tmax >= tmin) & (tmax > 1e-6)
-        entry = np.where(tmin > 1e-6, tmin, tmax)
-        return np.where(hit, entry, np.inf)
-
 
 def raycast_world(world, origins, dirs) -> np.ndarray:
-    """Nearest positive hit distance per ray (inf where nothing is hit)."""
+    """Nearest positive hit distance per ray (inf where nothing is hit).
+
+    Planes are cast one at a time. Boxes are cast together with the slab
+    method (Kay & Kajiya, SIGGRAPH 1986) over (3, boxes, rays) arrays: a
+    ray enters a box at the latest of its three slab entries, tmin, and
+    leaves at the earliest exit, tmax. A direction component at or below
+    1e-12 counts as parallel to its slab. Hits at 1e-6 or closer do not
+    count, and a ray from inside a box hits it where it leaves."""
     best = np.full(len(origins), np.inf)
+    boxes = []
     for surface in world:
-        best = np.minimum(best, surface.raycast(origins, dirs))
-    return best
+        if isinstance(surface, Box):
+            boxes.append(surface)
+        else:
+            best = np.minimum(best, surface.raycast(origins, dirs))
+    if not boxes:
+        return best
+    lo = np.stack([b.lo for b in boxes], axis=1)[..., None]  # (3, boxes, 1)
+    hi = np.stack([b.hi for b in boxes], axis=1)[..., None]
+    o = np.asarray(origins).T[:, None]  # (3, 1, rays)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(np.abs(dirs) > 1e-12, 1.0 / dirs, np.inf).T[:, None]
+        t1 = (lo - o) * inv
+        t2 = (hi - o) * inv
+        near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+    # pairwise chains propagate NaN (0 * inf: an origin on a face of a
+    # slab the ray runs along) as a reduction over the axes would
+    tmin = np.maximum(np.maximum(near[0], near[1]), near[2])
+    tmax = np.minimum(np.minimum(far[0], far[1]), far[2])
+    hit = (tmax >= tmin) & (tmax > 1e-6)
+    entry = np.where(tmin > 1e-6, tmin, tmax)
+    return np.minimum(best, np.where(hit, entry, np.inf).min(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +230,17 @@ class GroundTruth:
         return pose_compose(T0, se3_exp(eta * xi))
 
 
-def _twist_at(scenario: Scenario, t: float):
+def _segment_starts(scenario: Scenario) -> list:
+    """Start time of each segment, s."""
+    return [0.0, *itertools.accumulate(d for d, _ in scenario.segments[:-1])]
+
+
+def _twist_at(scenario: Scenario, starts: list, t: float):
     """Body twist and its time derivative at time t (piecewise constant
     with optional smoothstep ramps at segment boundaries, so the
-    acceleration profile is continuous)."""
-    starts = []
-    acc = 0.0
-    for d, _ in scenario.segments:
-        starts.append(acc)
-        acc += d
-    k = 0
-    for i, s in enumerate(starts):
-        if t >= s:
-            k = i
+    acceleration profile is continuous). `starts` are the segments'
+    start times, `_segment_starts(scenario)`."""
+    k = max(bisect.bisect_right(starts, t) - 1, 0)
     xi = scenario.segments[k][1]
     dxi = np.zeros(6)
     r = scenario.ramp
@@ -248,19 +268,20 @@ def gen_trajectory(scenario: Scenario) -> GroundTruth:
     # each step's midpoint twist depends on time alone, so one kernel
     # call gives every step motion
     h = np.diff(stamps) / NS_PER_S
+    starts = _segment_starts(scenario)
     mid_twists = np.array([
-        _twist_at(scenario, s / NS_PER_S + hk / 2.0)[0] * hk
+        _twist_at(scenario, starts, s / NS_PER_S + hk / 2.0)[0] * hk
         for s, hk in zip(stamps[:-1], h)
     ]).reshape(-1, 6)
     poses = [Pose.identity()]
     for R, t in zip(*se3_exp_many(mid_twists)):
-        poses.append(pose_compose(poses[-1], Pose(R, t)))
+        poses.append(pose_compose(poses[-1], _derived_pose(R, t)))
     v_world = np.zeros((n, 3))
     w_body = np.zeros((n, 3))
     a_world = np.zeros((n, 3))
     w_dot = np.zeros((n, 3))
     for k in range(n):
-        xi, dxi = _twist_at(scenario, stamps[k] / NS_PER_S)
+        xi, dxi = _twist_at(scenario, starts, stamps[k] / NS_PER_S)
         w, v_b = xi[:3], xi[3:]
         R = poses[k].R
         v_world[k] = R @ v_b
@@ -344,22 +365,25 @@ def synth_lidar(
         raise ValueError("world must be non-empty")
     period_ns = int(round(NS_PER_S / rate))
     n_scans = int(gt.stamps[-1] // period_ns)
+    # every sensor's scan i runs between the same two boundary poses
+    bounds = [gt.pose_at(i * period_ns) for i in range(n_scans + 1)] if mounts else []
     out = {}
     for pos, mount in mounts.items():
         sid = f"lidar/{pos}"
         rng = _channel_rng(seed, sid)
         pattern = _scan_pattern(mount)  # (n_az, n_el, 3)
         n_az, n_el = pattern.shape[:2]
+        offsets = (np.arange(n_az) * period_ns) // n_az
+        etas = (offsets / period_ns)[:, None]
         scans = []
         for i in range(n_scans):
             start = i * period_ns
             end = start + period_ns
             # constant-twist sensor motion across the scan period
-            S0 = pose_compose(gt.pose_at(start), mount.pose)
-            S1 = pose_compose(gt.pose_at(end), mount.pose)
+            S0 = pose_compose(bounds[i], mount.pose)
+            S1 = pose_compose(bounds[i + 1], mount.pose)
             xi = se3_log(pose_compose(pose_inverse(S0), S1))
-            offsets = (np.arange(n_az) * period_ns) // n_az
-            R_rel, t_rel = se3_exp_many((offsets / period_ns)[:, None] * xi)
+            R_rel, t_rel = se3_exp_many(etas * xi)
             rot = S0.R @ R_rel
             origins = matvec_many(S0.R, t_rel) + S0.t
             dirs_w = np.einsum("aij,aej->aei", rot, pattern)

@@ -21,7 +21,14 @@ single-vector SO(3) series that `geometry.so3_series_many` batches, and
 `EagerPropagator` is the per-sample propagator that `pipeline._Interval`
 replaced by one value per keyframe interval. `write_scan_file_rows` is
 the per-point f-string scan writer that `dataset.write_dataset` replaced
-by `_write_stamped_csv`.
+by `_write_stamped_csv`. `box_raycast` is the one-box slab cast and
+`raycast_world_per_surface` the surface-at-a-time world cast that
+`sim.raycast_world` replaced by one pass over all boxes.
+`twist_at_linear` is `sim._twist_at` finding its segment by a linear
+scan over start times it adds up on each call, and
+`synth_scan_per_call` casts one noise-free scan the way `sim.synth_lidar`
+did before it interpolated each scan-boundary pose once for all
+sensors: from `gt.pose_at` at both ends of every scan.
 """
 
 import math
@@ -31,7 +38,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from mlio.dataset import FLOAT_FMT
-from mlio.geometry import NS_PER_S, NavStates, pose_compose, se3_exp, skew
+from mlio.geometry import (
+    NS_PER_S,
+    NavStates,
+    matvec_many,
+    pose_compose,
+    pose_inverse,
+    se3_exp,
+    se3_exp_many,
+    se3_log,
+    skew,
+)
 from mlio.graph import STATE_DIM, _between_many, _prior_many
 from mlio.lidar import IcpConfig, OdomEstimate, _apply_delta, _huber_weights
 from mlio.mimu import (
@@ -51,6 +68,7 @@ from mlio.preintegration import (
     predict,
     stack_deltas,
 )
+from mlio.sim import Box
 from mlio.sync import POSITIONS
 
 
@@ -449,3 +467,69 @@ def write_scan_file_rows(path, scan) -> None:
             fh.write(
                 f"{off},{FLOAT_FMT % p[0]},{FLOAT_FMT % p[1]},{FLOAT_FMT % p[2]}\n"
             )
+
+
+def box_raycast(box, origins, dirs) -> np.ndarray:
+    """Entry distance of each ray into one box (inf on a miss), by the
+    slab method with per-axis reductions."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(np.abs(dirs) > 1e-12, 1.0 / dirs, np.inf)
+        t1 = (box.lo - origins) * inv
+        t2 = (box.hi - origins) * inv
+    tmin = np.minimum(t1, t2).max(axis=1)
+    tmax = np.maximum(t1, t2).min(axis=1)
+    hit = (tmax >= tmin) & (tmax > 1e-6)
+    entry = np.where(tmin > 1e-6, tmin, tmax)
+    return np.where(hit, entry, np.inf)
+
+
+def raycast_world_per_surface(world, origins, dirs) -> np.ndarray:
+    """Nearest positive hit distance per ray, one surface at a time."""
+    best = np.full(len(origins), np.inf)
+    for surface in world:
+        hits = (box_raycast(surface, origins, dirs) if isinstance(surface, Box)
+                else surface.raycast(origins, dirs))
+        best = np.minimum(best, hits)
+    return best
+
+
+def twist_at_linear(scenario, t: float):
+    """`sim._twist_at` with its segment found by a linear scan."""
+    starts = []
+    acc = 0.0
+    for d, _ in scenario.segments:
+        starts.append(acc)
+        acc += d
+    k = 0
+    for i, s in enumerate(starts):
+        if t >= s:
+            k = i
+    xi = scenario.segments[k][1]
+    dxi = np.zeros(6)
+    r = scenario.ramp
+    if r > 0 and k > 0 and t < starts[k] + r:
+        prev = scenario.segments[k - 1][1]
+        alpha = (t - starts[k]) / r
+        blend = alpha * alpha * (3.0 - 2.0 * alpha)
+        dxi = 6.0 * alpha * (1.0 - alpha) / r * (xi - prev)
+        xi = prev + blend * (xi - prev)
+    return xi, dxi
+
+
+def synth_scan_per_call(gt, world, mount, pattern, start, period_ns, max_range):
+    """Stamps and sensor-frame points of the noise-free scan that starts
+    at `start`, cast from `gt.pose_at` at both of its ends and
+    `pattern` = `sim._scan_pattern(mount)`."""
+    n_az, n_el = pattern.shape[:2]
+    S0 = pose_compose(gt.pose_at(start), mount.pose)
+    S1 = pose_compose(gt.pose_at(start + period_ns), mount.pose)
+    xi = se3_log(pose_compose(pose_inverse(S0), S1))
+    offsets = (np.arange(n_az) * period_ns) // n_az
+    R_rel, t_rel = se3_exp_many((offsets / period_ns)[:, None] * xi)
+    origins = matvec_many(S0.R, t_rel) + S0.t
+    dirs = np.einsum("aij,aej->aei", S0.R @ R_rel, pattern)
+    ranges = raycast_world_per_surface(
+        world, np.repeat(origins, n_el, axis=0), dirs.reshape(-1, 3))
+    hit = np.isfinite(ranges) & (ranges <= max_range)
+    points = pattern.reshape(-1, 3)[hit] * ranges[hit, None]
+    return start + np.repeat(offsets, n_el)[hit], points

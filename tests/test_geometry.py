@@ -95,6 +95,28 @@ class TestPose:
             np.testing.assert_allclose(e.R, np.eye(3), atol=1e-9)
             np.testing.assert_allclose(e.t, 0.0, atol=1e-9)
 
+    def test_public_constructor_projects_a_non_rotation(self):
+        R = rot_z(0.4) + 1e-5 * np.arange(9.0).reshape(3, 3)
+        p = Pose(R, [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(p.R @ p.R.T, np.eye(3), atol=1e-12)
+        assert np.linalg.norm(p.R - R) > 1e-6
+
+    def test_derived_poses_are_the_plain_products(self):
+        """compose, inverse and exp return their arithmetic as is: the
+        inputs are rotations already."""
+        rng = np.random.default_rng(4)
+        a, b = random_pose(rng), random_pose(rng)
+        ab = pose_compose(a, b)
+        assert ab.R.tobytes() == (a.R @ b.R).tobytes()
+        assert ab.t.tobytes() == (a.R @ b.t + a.t).tobytes()
+        inv = pose_inverse(a)
+        assert inv.R.tobytes() == a.R.T.tobytes()
+        assert inv.t.tobytes() == (-(a.R.T @ a.t)).tobytes()
+        xi = rng.normal(size=6)
+        R, t = se3_exp_many(xi[None])
+        e = se3_exp(xi)
+        assert e.R.tobytes() == R[0].tobytes() and e.t.tobytes() == t[0].tobytes()
+
     def test_orthonormality_after_long_chain(self):
         rng = np.random.default_rng(3)
         p = Pose.identity()

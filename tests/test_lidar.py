@@ -7,9 +7,12 @@ from scipy.spatial import cKDTree
 
 from mlio.geometry import (
     Pose,
+    matvec_many,
     pose_compose,
     pose_inverse,
     se3_exp,
+    se3_exp_many,
+    se3_log,
     so3_exp,
     so3_log,
 )
@@ -377,6 +380,20 @@ class TestDeskew:
         )
         out = deskew(scan, Pose(), Pose(np.eye(3), [1.0, 0, 0]))
         np.testing.assert_allclose(out, [[0.5, 0, 0]], atol=1e-12)
+
+    def test_shared_stamps_match_one_exp_per_point(self):
+        """One exponential per distinct stamp, as in a scan whose points
+        come in azimuth steps, gives what one per point gives."""
+        rng = np.random.default_rng(8)
+        stamps = np.repeat(np.sort(rng.integers(0, 100_000_000, size=60)), 11)
+        pts = rng.normal(scale=5.0, size=(len(stamps), 3))
+        scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, pts)
+        start = Pose(so3_exp([0.1, -0.2, 0.3]), [1.0, 2.0, 0.5])
+        end = pose_compose(start, se3_exp([0.05, 0.02, 0.3, 1.5, 0.2, 0.0]))
+        xi = se3_log(pose_compose(pose_inverse(start), end))
+        R, t = se3_exp_many((stamps / 100_000_000)[:, None] * xi)
+        want = matvec_many(R, pts) + t
+        assert deskew(scan, start, end).tobytes() == want.tobytes()
 
     def test_distort_then_deskew_round_trip(self):
         rng = np.random.default_rng(4)

@@ -17,6 +17,7 @@ from mlio.geometry import (
     se3_exp,
     se3_log,
     so3_exp,
+    to_nanos,
 )
 from mlio.lidar import deskew
 from mlio.mimu import ImuChannelCalib, ImuStream
@@ -30,6 +31,8 @@ from mlio.sim import (
     Rates,
     Scenario,
     _scan_pattern,
+    _segment_starts,
+    _twist_at,
     corridor_scenario,
     gen_trajectory,
     inject_dropout,
@@ -44,7 +47,14 @@ from mlio.sim import (
     synth_imu,
     synth_lidar,
 )
-from oracles import ImuSample, transform_to_base, write_scan_file_rows
+from oracles import (
+    ImuSample,
+    raycast_world_per_surface,
+    synth_scan_per_call,
+    transform_to_base,
+    twist_at_linear,
+    write_scan_file_rows,
+)
 
 
 def simple_imus(levers):
@@ -83,6 +93,66 @@ class TestRaycast:
         world = [Box(lo=[2, -1, -1], hi=[4, 1, 1])]
         r = raycast_world(world, np.array([[0, 0, 0.0]]), np.array([[-1.0, 0, 0]]))
         assert np.isinf(r[0])
+
+    BOXES = [Box(lo=[2, -1, -1], hi=[4, 1, 1]),
+             Box(lo=[-3, -3, 0], hi=[-1, 3, 2]),
+             Box(lo=[-1, 2, -2], hi=[5, 2.5, 3]),
+             Box(lo=[0, -6, 0], hi=[0.4, -4, 1])]
+
+    @staticmethod
+    def seeded_rays(boxes, n=4000):
+        """Random rays, with origins on box faces and inside boxes,
+        direction components at, around and below 1e-12, and rays that
+        point away from everything."""
+        rng = np.random.default_rng(12)
+        origins = rng.uniform(-8, 8, size=(n, 3))
+        dirs = rng.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        tiny = np.array([0.0, -0.0, 1e-12, -1e-12, 5e-13, -1e-13, 1.1e-12,
+                         -2e-12])
+        k = rng.integers(0, 3, size=n // 2)
+        dirs[np.arange(n // 2), k] = rng.choice(tiny, size=n // 2)
+        for i, box in enumerate(boxes):
+            inside = slice(n // 2 + 200 * i, n // 2 + 200 * i + 100)
+            origins[inside] = rng.uniform(box.lo, box.hi, size=(100, 3))
+            # on a face; half of them run along it (0 * inf = NaN)
+            on_face = np.arange(n // 2 + 200 * i + 100, n // 2 + 200 * (i + 1))
+            axis = rng.integers(0, 3, size=100)
+            origins[on_face] = rng.uniform(box.lo, box.hi, size=(100, 3))
+            origins[on_face, axis] = np.where(rng.random(100) < 0.5,
+                                              box.lo[axis], box.hi[axis])
+            dirs[on_face[:50], axis[:50]] = rng.choice(tiny, size=50)
+        # far above the world, looking up: hits nothing
+        origins[-50:] = [0.0, 0.0, 50.0]
+        dirs[-50:] = [0.0, 0.0, 1.0]
+        return origins, dirs
+
+    @pytest.mark.parametrize("world", [
+        [Plane(point=[0, 0, -1], normal=[0.1, 0, 1])] + BOXES,
+        BOXES + [Plane(point=[0, 0, -1], normal=[0, 0, 1])],
+        [Plane(point=[0, 0, -1], normal=[0.1, 0.2, 1])],
+        BOXES[:1],
+    ], ids=["plane-first", "plane-last", "plane-only", "one-box"])
+    def test_matches_per_surface_oracle_bitwise(self, world):
+        origins, dirs = self.seeded_rays(self.BOXES)
+        got = raycast_world(world, origins, dirs)
+        want = raycast_world_per_surface(world, origins, dirs)
+        assert got.tobytes() == want.tobytes()
+        hit = np.isfinite(want)
+        assert 0 < hit.sum() < len(want)
+        assert np.all(want[hit] > 1e-6)
+
+    def test_origin_inside_box_hits_where_it_leaves(self):
+        world = [Box(lo=[-1, -1, -1], hi=[3, 1, 1])]
+        r = raycast_world(world, np.array([[0.0, 0, 0], [0.0, 0, 0]]),
+                          np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
+        np.testing.assert_array_equal(r, [3.0, 1.0])
+
+    def test_box_behind_the_origin_is_missed(self):
+        world = [Box(lo=[2, -1, -1], hi=[4, 1, 1])]
+        r = raycast_world(world, np.array([[5.0, 0, 0], [4.0, 0, 0]]),
+                          np.array([[1.0, 0, 0], [1.0, 0, 0]]))
+        assert np.isinf(r).all()
 
 
 class TestGenTrajectory:
@@ -125,6 +195,29 @@ class TestGenTrajectory:
             assert np.linalg.norm(v_num - gt.v_world[k]) < 1e-4
             w_num = so3_log(gt.poses[k - 1].R.T @ gt.poses[k + 1].R) / (2 * dt)
             assert np.linalg.norm(w_num - gt.w_body[k]) < 1e-4
+
+    def test_twist_at_equals_linear_scan(self):
+        """Bisection finds the segment a linear scan does: at every
+        segment start and 1 ns either side, through each ramp, before
+        the start and past the end."""
+        s = scenario_with(
+            [(0.37, [0, 0, 0.1, 1, 0, 0]), (1.13, [0.2, 0, -0.3, 2, 0, 0.1]),
+             (0.1, np.zeros(6)), (2.9, [0, 0.1, 0.4, 3, -0.2, 0]),
+             (0.25, [0, 0, 0, 1, 0, 0])],
+            ramp=0.3,
+        )
+        starts = _segment_starts(s)
+        times = [-1e-9, s.duration, s.duration + 1.0]
+        for start in starts:
+            ns = to_nanos(start)
+            times += [start, np.nextafter(start, -1.0), np.nextafter(start, 9.0)]
+            times += [(ns + d) / NS_PER_S for d in (-1, 0, 1)]
+            times += list(start + np.linspace(0.0, 0.31, 32))
+        for t in times:
+            xi, dxi = _twist_at(s, starts, t)
+            xi_ref, dxi_ref = twist_at_linear(s, t)
+            assert xi.tobytes() == xi_ref.tobytes(), t
+            assert dxi.tobytes() == dxi_ref.tobytes(), t
 
     def test_pose_at_matches_samples(self):
         s = scenario_with([(2.0, [0, 0, 0.3, 1.0, 0, 0])])
@@ -251,6 +344,25 @@ class TestSynthLidar:
             np.testing.assert_array_equal(scan.stamps, stamps)
             np.testing.assert_allclose(scan.points, np.concatenate(pts),
                                        rtol=0, atol=1e-9)
+
+    def test_scans_equal_per_call_pose_variant(self):
+        """Interpolating each scan-boundary pose once for all sensors
+        gives the scans that `gt.pose_at` per scan end gives."""
+        s = corridor_scenario(length=4.0)
+        gt = gen_trajectory(s)
+        period_ns = NS_PER_S // 5
+        streams = synth_lidar(gt, s.world, s.lidars, 5.0, NoiseSpec(), seed=0)
+        assert len(streams) == 4
+        for sid, scans in streams.items():
+            mount = s.lidars[sid.split("/")[1]]
+            pattern = _scan_pattern(mount)
+            assert len(scans) == int(gt.stamps[-1] // period_ns)
+            for scan in scans:
+                stamps, points = synth_scan_per_call(
+                    gt, s.world, mount, pattern, scan.scan_start, period_ns,
+                    s.max_range)
+                assert scan.stamps.tobytes() == stamps.astype(np.int64).tobytes()
+                assert scan.points.tobytes() == points.tobytes()
 
     def test_four_mounts_cover_full_circle(self):
         s = loop_scenario(seed=0)
