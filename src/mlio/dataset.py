@@ -16,6 +16,14 @@ is read only when a `Dataset`'s ground truth is first asked for; a
 replay never reads it. The TUM trajectory format (gt.tum here, a run's
 est.tum) is read and written by this module alone; it holds seconds,
 written and read as decimals, so ns stamps are exact there too.
+
+Every stamped CSV (the IMU and GNSS CSVs, the scan files, a run's
+fused_imu.csv) is printed by `_format_rows`, one vectorized pass per
+sensor stream that gives byte for byte what `'%d,%.9e,...' %` prints
+row by row. It rounds each mantissa in float64 and prints the few
+values whose rounding that cannot decide with `%` itself. A lidar's
+scans are formatted in one call and cut into files at their newlines.
+A TUM file is printed by one `%` call over all its poses.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import NS_PER_S, Pose, quat_from_rotmat, quat_to_rotmat
+from .geometry import NS_PER_S, Pose, quat_from_rotmat_many, quat_to_rotmat
 from .graph import GnssFix
 from .lidar import LidarScan
 from .mimu import ImuStream
@@ -35,14 +43,133 @@ from .sim import Scenario, SimData, load_scenario, save_scenario
 
 FLOAT_FMT = "%.9e"
 
+# `_format_rows` prints into one uint8 buffer of fixed-width rows: a
+# `%d` stamp field, then a `,%.9e` field per value. Each field is a few
+# constant bytes and 4-byte words looked up in the tables below; the
+# bytes a number does not use (a sign, leading zeros of a stamp, a
+# third exponent digit) are NUL, and are deleted from the whole text.
+_STAMP_WIDTH = 21  # sign, then five 4-digit words (2**63 has 19 digits)
+_FIELD_WIDTH = 18  # ',' [sign d '.' d] [dddd] [dddd] 'e' [sign 3 digits]
+_E_MIN, _E_MAX = -308, 308  # decimal exponents of the normal doubles
+
+
+def _words(strings) -> np.ndarray:
+    return np.frombuffer(b"".join(strings), np.uint32)
+
+
+_DIGITS = _words(b"%04d" % k for k in range(10000))
+# the sign, first digit, '.' and second digit of a mantissa, by
+# 100 * signbit(x) + its first two digits
+_LEADS = _words(sign + b"%d.%d" % divmod(d, 10) for sign in (b"\0", b"-")
+                for d in range(100))
+_EXPONENTS = _words(b"%c%c%02d" % (b"-+"[e >= 0], b"\x00123"[abs(e) // 100],
+                                   abs(e) % 100) for e in range(_E_MIN, _E_MAX + 1))
+# 10**(9 - e) for each exponent e, correctly rounded; 0 where it
+# overflows (e < -299), which sends those values to `%`
+_SCALE = np.array([float(f"1e{9 - e}") if 9 - e <= 308 else 0.0
+                   for e in range(_E_MIN, _E_MAX + 1)])
+
+
+def _word(fields, offset) -> np.ndarray:
+    """The uint32 view of bytes offset..offset+3 of each field."""
+    return fields[..., offset:offset + 4].view(np.uint32)[..., 0]
+
+
+def _magnitude(stamps):
+    """(stamps < 0, |stamps| as uint64), exact for -2**63 too."""
+    neg = stamps < 0
+    mag = stamps.astype(np.uint64)
+    return neg, np.where(neg, ~mag + np.uint64(1), mag)
+
+
+def _format_stamps(out, stamps) -> None:
+    """`%d` of each int64 stamp into the (n, 21) uint8 view `out`."""
+    neg, mag = _magnitude(stamps)
+    out[:, 0] = neg * ord("-")
+    width = 4 * -(-len(str(mag.max(initial=0))) // 4)  # whole words
+    q = mag
+    for offset in range(_STAMP_WIDTH - 4, _STAMP_WIDTH - width - 1, -4):
+        q, r = np.divmod(q, np.uint64(10000))
+        _word(out, offset)[:] = _DIGITS[r]
+    # leading zeros go: digit j (from the right) shows if |stamp| >= 10**j
+    shown = mag[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)
+    out[:, _STAMP_WIDTH - width:-1] *= shown
+
+
+def _format_values(out, x) -> None:
+    """`,%.9e` of each value of the (n, k) float array `x` into the
+    (n, k, 18) uint8 view `out`, whose ',' and 'e' are set; byte for
+    byte what `%` prints.
+
+    The mantissa is rint(y), y = |x| * 10**(9 - e), e = floor(log10|x|).
+    Both roundings in y together are under 3 ulp, so y is within 7e-6
+    of its exact value. A value goes through `%` itself where rint can
+    round otherwise or the digits are not ten: where y's fraction is
+    within 1e-4 of .5 (every exact tie is), where y is not in
+    [1e9, 1e10) (log10 was off by one) or rounds up to 1e10, and for
+    subnormals, NaN and inf. ±0 is the mantissa 0 with exponent 0."""
+    a = np.abs(x)
+    zero = a == 0.0
+    normal = np.isfinite(x) & (a >= np.finfo(float).tiny)
+    a = np.where(normal, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    y = a * _SCALE[e]
+    m = np.rint(y)
+    exact = normal & (y >= 1e9) & (m < 1e10) & (np.abs(y - np.floor(y) - 0.5) > 1e-4)
+    m = np.where(exact, m, 0.0)
+    exact |= zero
+    lead, lo = np.divmod(m.astype(np.int64), 10000)
+    lead, mid = np.divmod(lead, 10000)
+    _word(out, 1)[:] = _LEADS[lead + 100 * np.signbit(x)]
+    _word(out, 5)[:] = _DIGITS[mid]
+    _word(out, 9)[:] = _DIGITS[lo]
+    _word(out, 14)[:] = _EXPONENTS[e]
+    for i, j in zip(*np.nonzero(~exact)):
+        text = np.frombuffer((FLOAT_FMT % x[i, j]).encode(), np.uint8)
+        out[i, j, 1:] = 0
+        out[i, j, 1:1 + len(text)] = text
+
+
+def _format_rows(stamps, values) -> bytes:
+    """A 't_ns,v0,v1,...' line per row, as `%d` and `%.9e` print them."""
+    stamps = np.asarray(stamps, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    n, k = values.shape
+    template = np.zeros(_STAMP_WIDTH + k * _FIELD_WIDTH + 1, np.uint8)
+    template[_STAMP_WIDTH::_FIELD_WIDTH] = ord(",")
+    template[_STAMP_WIDTH + 13::_FIELD_WIDTH] = ord("e")
+    template[-1] = ord("\n")
+    rows = np.empty((n, len(template)), np.uint8)
+    rows[:] = template
+    _format_stamps(rows[:, :_STAMP_WIDTH], stamps)
+    _format_values(rows[:, _STAMP_WIDTH:-1].reshape(n, k, _FIELD_WIDTH), values)
+    return rows.tobytes().translate(None, b"\0")
+
 
 def _write_stamped_csv(path, stamps, values, header="") -> None:
-    """A 't_ns,v0,v1,...' line per row, the stamps formatted as ints."""
-    line = ",".join(["%d"] + [FLOAT_FMT] * values.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.writelines(line % (t, *v) for t, v in
-                      zip(np.asarray(stamps, np.int64).tolist(), values.tolist()))
+    """A 't_ns,v0,v1,...' line per row after `header`."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(_format_rows(stamps, values))
+
+
+def _write_scans(scan_dir, scans) -> None:
+    """One file per scan, 'sensor_id,start,end' then its stamp offsets
+    and points; the rows of all scans are formatted in one call and cut
+    at their newlines."""
+    os.makedirs(scan_dir, exist_ok=True)
+    if not scans:
+        return
+    text = _format_rows(np.concatenate([s.stamps - s.scan_start for s in scans]),
+                        np.concatenate([s.points for s in scans]))
+    row_starts = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
+    row_starts = np.concatenate([[0], row_starts])
+    cuts = row_starts[np.cumsum([0] + [len(s.stamps) for s in scans])].tolist()
+    text = memoryview(text)
+    for n, scan in enumerate(scans):
+        with open(os.path.join(scan_dir, f"{n:06d}.csv"), "wb") as fh:
+            fh.write(f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n".encode())
+            fh.write(text[cuts[n]:cuts[n + 1]])
 
 
 def write_dataset(path, sim: SimData) -> None:
@@ -56,13 +183,7 @@ def write_dataset(path, sim: SimData) -> None:
         np.array([[*f.t, f.cov[0, 0]] for f in sim.gnss], dtype=float).reshape(-1, 4),
     )
     for sid, scans in sim.lidar.items():
-        scan_dir = os.path.join(path, "scans", sid.split("/")[1])
-        os.makedirs(scan_dir, exist_ok=True)
-        for n, scan in enumerate(scans):
-            _write_stamped_csv(
-                os.path.join(scan_dir, f"{n:06d}.csv"),
-                scan.stamps - scan.scan_start, scan.points,
-                header=f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n")
+        _write_scans(os.path.join(path, "scans", sid.split("/")[1]), scans)
     write_tum(os.path.join(path, "gt.tum"), sim.gt.stamps, sim.gt.poses)
     save_scenario(os.path.join(path, "scenario.yaml"), sim.scenario)
 
@@ -105,22 +226,23 @@ class Dataset:
         return self._gt[1]
 
 
-def format_tum_line(stamp_ns: int, pose: Pose) -> str:
-    """'t x y z qx qy qz qw'; t is the ns stamp in seconds, digit for
-    digit, so it is exact at any size."""
-    q = quat_from_rotmat(pose.R)  # (w, x, y, z)
-    s = int(stamp_ns)
-    sec, ns = divmod(abs(s), NS_PER_S)
-    vals = [*pose.t, q[1], q[2], q[3], q[0]]
-    return " ".join([f"{'-' if s < 0 else ''}{sec}.{ns:09d}",
-                     *(f"{v:.9f}" for v in vals)])
-
-
 def write_tum(path, stamps, poses) -> None:
-    """Trajectory file: one 't x y z qx qy qz qw' line per pose."""
+    """Trajectory file: one 't x y z qx qy qz qw' line per pose, all
+    printed by one `%`. t is the ns stamp in seconds, digit for digit,
+    so it is exact at any size."""
+    stamps = np.asarray(stamps, dtype=np.int64)
+    n = len(stamps)
+    q = quat_from_rotmat_many(np.array([p.R for p in poses], float).reshape(n, 3, 3))
+    neg, mag = _magnitude(stamps)
+    fields = np.empty((n, 10), dtype=object)
+    fields[:, 0] = np.where(neg, "-", "")
+    fields[:, 1], fields[:, 2] = np.divmod(mag, np.uint64(NS_PER_S))
+    fields[:, 3:6] = np.array([p.t for p in poses], float).reshape(n, 3)
+    fields[:, 6:9] = q[:, 1:]
+    fields[:, 9] = q[:, 0]
+    line = "%s%d.%09d" + " %.9f" * 7 + "\n"
     with open(path, "w") as fh:
-        for s, p in zip(stamps, poses):
-            fh.write(format_tum_line(s, p) + "\n")
+        fh.write((line * n) % tuple(fields.ravel().tolist()))
 
 
 def load_tum(path):

@@ -186,36 +186,34 @@ def _project_rotation(R) -> np.ndarray:
 # quaternions [w, x, y, z]
 # ---------------------------------------------------------------------------
 
-def quat_from_rotmat(R) -> np.ndarray:
+# the numerators of (w, x, y, z) in each branch of `quat_from_rotmat_many`,
+# as columns of [R21 - R12, R02 - R20, R10 - R01, R01 + R10, R02 + R20,
+# R12 + R21]; the branch's own component (-1) is s / 4
+_QUAT_NUMERATORS = np.array([[-1, 0, 1, 2], [0, -1, 3, 4], [1, 3, -1, 5], [2, 4, 5, -1]])
+
+
+def quat_from_rotmat_many(R) -> np.ndarray:
+    """(n, 4) unit quaternions [w, x, y, z], w >= 0, of (n, 3, 3)
+    rotations. Each is built from the largest of the trace and the
+    diagonal entries, so no division is by a small number. Each norm is
+    a 1x4 @ 4x1 matmul, which numpy hands to the BLAS dot that
+    `np.linalg.norm` of one vector calls, so it has the same bits."""
     R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
-             (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s,
-             (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s,
-             (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
-             (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    q /= np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
+    d0, d1, d2 = R[:, 0, 0], R[:, 1, 1], R[:, 2, 2]
+    trace = d0 + d1 + d2
+    branch = np.where(trace > 0.0, 0,
+                      np.where((d0 > d1) & (d0 > d2), 1, np.where(d1 > d2, 2, 3)))
+    radicand = np.choose(branch, [trace + 1.0, 1.0 + d0 - d1 - d2,
+                                  1.0 + d1 - d0 - d2, 1.0 + d2 - d0 - d1])
+    s = np.sqrt(radicand) * 2.0
+    num = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                    R[:, 1, 0] - R[:, 0, 1], R[:, 0, 1] + R[:, 1, 0],
+                    R[:, 0, 2] + R[:, 2, 0], R[:, 1, 2] + R[:, 2, 1]], axis=1)
+    rows = np.arange(len(R))
+    q = num[rows[:, None], _QUAT_NUMERATORS[branch]] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    q[q[:, 0] < 0.0] *= -1.0
     return q
 
 

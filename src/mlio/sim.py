@@ -29,7 +29,7 @@ from .geometry import (
     matvec_many,
     pose_compose,
     pose_inverse,
-    quat_from_rotmat,
+    quat_from_rotmat_many,
     quat_to_rotmat,
     se3_exp,
     se3_exp_many,
@@ -505,9 +505,12 @@ def simulate(scenario: Scenario) -> SimData:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    def quat_list(R) -> list:
+        return quat_from_rotmat_many(R[None])[0].tolist()
+
     def pose_dict(p: Pose) -> dict:
         return {
-            "quat": [float(x) for x in quat_from_rotmat(p.R)],
+            "quat": quat_list(p.R),
             "t": [float(x) for x in p.t],
         }
 
@@ -540,7 +543,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "world": world,
         "imus": {
             pos: {
-                "quat": [float(x) for x in quat_from_rotmat(c.R)],
+                "quat": quat_list(c.R),
                 "lever_arm": [float(x) for x in c.t],
                 "acc_noise_var": [float(x) for x in c.acc_noise_var],
                 "gyro_noise_var": [float(x) for x in c.gyro_noise_var],
@@ -627,8 +630,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
-# libyaml's parser when PyYAML was built with it; both give the same dicts
+# libyaml's parser and emitter when PyYAML was built with it; the loaders
+# give the same dicts and the dumpers the same text
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def load_scenario(path) -> Scenario:
@@ -638,7 +643,7 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(path, scenario: Scenario) -> None:
     with open(path, "w") as fh:
-        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
+        yaml.dump(scenario_to_dict(scenario), fh, Dumper=YAML_DUMPER, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@
 time, independently of `BatchFuser`; `fuse_mle` returns a `FusedRow`.
 `fuse_imu_groups_per_group` is the per-group loop that
 `pipeline.fuse_imu_groups` replaced by one gather per channel and
-subset. `write_fused_imu_rows` is the per-row f-string writer that
-`pipeline.write_fused_imu` replaced by one `savetxt`; the benchmark
-harness writes its fused CSV the same way. The residual
+subset. `write_fused_imu_rows` is the per-row f-string writer of the
+fused-IMU CSV that `pipeline.write_fused_imu` writes with
+`dataset._write_stamped_csv`; the benchmark harness writes its fused
+CSV the same way. The residual
 adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
 runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
@@ -20,8 +21,13 @@ single-vector SO(3) series that `geometry.so3_series_many` batches, and
 `preintegration.integrate` did before it took a block of samples.
 `EagerPropagator` is the per-sample propagator that `pipeline._Interval`
 replaced by one value per keyframe interval. `write_scan_file_rows` is
-the per-point f-string scan writer that `dataset.write_dataset` replaced
-by `_write_stamped_csv`. `box_raycast` is the one-box slab cast and
+the per-point f-string scan writer. `write_stamped_csv_rows` prints
+one row at a time with `%`, as `dataset._write_stamped_csv` did before
+its one vectorized pass per stream; `quat_from_rotmat` is the
+one-matrix `geometry.quat_from_rotmat_many`, `format_tum_line` one
+line of `dataset.write_tum`, and `write_dataset_rows` writes a whole
+dataset with these and PyYAML's pure-Python `safe_dump`, as
+`dataset.write_dataset` did before. `box_raycast` is the one-box slab cast and
 `raycast_world_per_surface` the surface-at-a-time world cast that
 `sim.raycast_world` replaced by one pass over all boxes.
 `twist_at_linear` is `sim._twist_at` finding its segment by a linear
@@ -32,10 +38,12 @@ sensors: from `gt.pose_at` at both ends of every scan.
 """
 
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
+import yaml
 
 from mlio.dataset import FLOAT_FMT
 from mlio.geometry import (
@@ -68,7 +76,7 @@ from mlio.preintegration import (
     predict,
     stack_deltas,
 )
-from mlio.sim import Box
+from mlio.sim import Box, scenario_to_dict
 from mlio.sync import POSITIONS
 
 
@@ -467,6 +475,91 @@ def write_scan_file_rows(path, scan) -> None:
             fh.write(
                 f"{off},{FLOAT_FMT % p[0]},{FLOAT_FMT % p[1]},{FLOAT_FMT % p[2]}\n"
             )
+
+
+def write_stamped_csv_rows(path, stamps, values, header="") -> None:
+    """A 't_ns,v0,v1,...' line per row, each printed by its own `%`."""
+    line = ",".join(["%d"] + [FLOAT_FMT] * values.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(line % (t, *v) for t, v in
+                      zip(np.asarray(stamps, np.int64).tolist(), values.tolist()))
+
+
+def quat_from_rotmat(R) -> np.ndarray:
+    R = np.asarray(R, dtype=float)
+    t = np.trace(R)
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
+             (R[1, 0] - R[0, 1]) / s]
+        )
+    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s,
+             (R[0, 2] + R[2, 0]) / s]
+        )
+    elif R[1, 1] > R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s,
+             (R[1, 2] + R[2, 1]) / s]
+        )
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
+             (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+        )
+    q /= np.linalg.norm(q)
+    if q[0] < 0.0:
+        q = -q
+    return q
+
+
+def format_tum_line(stamp_ns: int, pose) -> str:
+    """'t x y z qx qy qz qw'; t is the ns stamp in seconds, digit for
+    digit, so it is exact at any size."""
+    q = quat_from_rotmat(pose.R)  # (w, x, y, z)
+    s = int(stamp_ns)
+    sec, ns = divmod(abs(s), NS_PER_S)
+    vals = [*pose.t, q[1], q[2], q[3], q[0]]
+    return " ".join([f"{'-' if s < 0 else ''}{sec}.{ns:09d}",
+                     *(f"{v:.9f}" for v in vals)])
+
+
+def write_dataset_rows(path, sim) -> None:
+    """`dataset.write_dataset`, one row, pose and quaternion at a time."""
+    os.makedirs(path, exist_ok=True)
+    for sid, stream in sim.imu.items():
+        write_stamped_csv_rows(os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
+                               stream.stamps, np.hstack([stream.f, stream.w]))
+    write_stamped_csv_rows(
+        os.path.join(path, "gnss.csv"),
+        [f.stamp for f in sim.gnss],
+        np.array([[*f.t, f.cov[0, 0]] for f in sim.gnss], dtype=float).reshape(-1, 4),
+    )
+    for sid, scans in sim.lidar.items():
+        scan_dir = os.path.join(path, "scans", sid.split("/")[1])
+        os.makedirs(scan_dir, exist_ok=True)
+        for n, scan in enumerate(scans):
+            write_stamped_csv_rows(
+                os.path.join(scan_dir, f"{n:06d}.csv"),
+                scan.stamps - scan.scan_start, scan.points,
+                header=f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n")
+    with open(os.path.join(path, "gt.tum"), "w") as fh:
+        for s, p in zip(sim.gt.stamps, sim.gt.poses):
+            fh.write(format_tum_line(s, p) + "\n")
+    doc = scenario_to_dict(sim.scenario)
+    for pos, imu in sim.scenario.imus.items():
+        doc["imus"][pos]["quat"] = [float(x) for x in quat_from_rotmat(imu.R)]
+    for pos, mount in sim.scenario.lidars.items():
+        doc["lidars"][pos]["pose"]["quat"] = [
+            float(x) for x in quat_from_rotmat(mount.pose.R)]
+    with open(os.path.join(path, "scenario.yaml"), "w") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 def box_raycast(box, origins, dirs) -> np.ndarray:

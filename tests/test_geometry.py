@@ -10,6 +10,8 @@ from mlio.geometry import (
     matvec_many,
     pose_compose,
     pose_inverse,
+    quat_from_rotmat_many,
+    quat_to_rotmat,
     se3_exp,
     se3_exp_many,
     se3_left_jacobian_inv_many,
@@ -23,7 +25,7 @@ from mlio.geometry import (
     so3_series_many,
 )
 from mlio.lidar import LidarScan, deskew
-from oracles import so3_series
+from oracles import quat_from_rotmat, so3_series
 
 
 def rot_z(angle):
@@ -364,3 +366,41 @@ class TestSe3LogExp:
                 minus = se3_log(pose_compose(se3_exp(-e), X))
                 num[:, k] = (plus - minus) / (2.0 * h)
             np.testing.assert_allclose(Jinv, num, atol=1e-5)
+
+
+class TestQuatFromRotmat:
+    @staticmethod
+    def _rotations():
+        """Random rotations, and rotations within 1e-12..0.3 rad of 180°
+        about each axis and random axes, where the trace is <= 0 and
+        each diagonal branch is taken."""
+        rng = np.random.default_rng(21)
+        n = 6000
+        axes = np.vstack([np.repeat(np.eye(3), 500, axis=0), rng.normal(size=(n, 3))])
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        near_pi = np.pi - 10.0 ** rng.uniform(-12, -0.5, len(axes))
+        uniform = rng.normal(size=(n, 3))
+        uniform *= rng.uniform(0, np.pi, (n, 1)) / np.linalg.norm(uniform, axis=1, keepdims=True)
+        flips = [np.diag(d) for d in ([1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1])]
+        return np.concatenate([so3_exp_many(axes * near_pi[:, None]),
+                               so3_exp_many(uniform), [np.eye(3), *flips]])
+
+    def test_bitwise_equal_to_the_one_matrix_oracle(self):
+        R = self._rotations()
+        assert len(R) >= 10_000
+        got = quat_from_rotmat_many(R)
+        expected = np.array([quat_from_rotmat(r) for r in R])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        # every branch ran: the trace and each diagonal entry was largest
+        d = np.einsum("nii->ni", R)
+        largest = np.where(d.sum(axis=1) > 0, 3, d.argmax(axis=1))
+        assert set(largest.tolist()) == {0, 1, 2, 3}
+
+    def test_round_trip_and_sign(self):
+        R = self._rotations()
+        q = quat_from_rotmat_many(R)
+        assert (q[:, 0] >= 0).all()
+        np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-15)
+        back = np.array([quat_to_rotmat(row) for row in q])
+        np.testing.assert_allclose(back, R, atol=1e-12)
+        assert quat_from_rotmat_many(np.zeros((0, 3, 3))).shape == (0, 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
-from mlio.dataset import format_tum_line, load_tum, write_tum
+from mlio.dataset import load_tum, write_tum
 from mlio.geometry import (
     NavState,
     NavStates,
@@ -24,7 +24,7 @@ from mlio.graph import (
     residual_gnss,
 )
 from mlio.preintegration import empty_delta, integrate
-from oracles import numeric_jacobian, residual_between, residual_prior
+from oracles import format_tum_line, numeric_jacobian, residual_between, residual_prior
 
 
 def whitened(factor, states):
@@ -490,9 +490,9 @@ class TestMarginalization:
 
 
 class TestTumOutput:
-    def test_identity_line(self):
-        line = format_tum_line(1_000_000_000, Pose())
-        fields = line.split()
+    def test_identity_line(self, tmp_path):
+        write_tum(tmp_path / "traj.tum", [1_000_000_000], [Pose()])
+        fields = (tmp_path / "traj.tum").read_text().split()
         assert len(fields) == 8
         assert float(fields[0]) == pytest.approx(1.0)
         np.testing.assert_allclose([float(f) for f in fields[1:7]], 0.0)
@@ -508,19 +508,44 @@ class TestTumOutput:
         assert rows.shape == (5, 8)
         np.testing.assert_allclose(rows[:, 1:4], [p.t for p in poses], atol=1e-8)
 
+    def test_lines_match_the_per_pose_formatter(self, tmp_path):
+        """Every line equals `format_tum_line` of its pose, for rotations
+        in each branch of the quaternion and stamps of either sign."""
+        rng = np.random.default_rng(7)
+        axes = np.vstack([np.eye(3), rng.normal(size=(60, 3))])
+        angles = np.concatenate([rng.uniform(0, np.pi, 40), np.pi - 10.0 ** rng.uniform(-9, -1, 23)])
+        poses = [Pose(so3_exp(a / np.linalg.norm(a) * th), rng.normal(size=3) * 100)
+                 for a, th in zip(axes, angles)]
+        stamps = rng.integers(-2**62, 2**62, size=len(poses)).tolist()
+        stamps[:3] = [-2**63, 2**63 - 1, -1]
+        write_tum(tmp_path / "traj.tum", stamps, poses)
+        assert (tmp_path / "traj.tum").read_text() == "".join(
+            format_tum_line(s, p) + "\n" for s, p in zip(stamps, poses))
+        write_tum(tmp_path / "empty.tum", [], [])
+        assert (tmp_path / "empty.tum").read_text() == ""
+
     def test_epoch_scale_stamps_round_trip_exactly(self, tmp_path):
         """Nanosecond stamps at epoch scale, where float64 seconds are
         238 ns apart, are written digit for digit and read back exactly."""
         stamps = [1700000000123456789, 1700000000123456790, 999_999_999, 0, 7]
-        assert format_tum_line(stamps[0], Pose()).split()[0] == (
-            "1700000000.123456789")
-        assert format_tum_line(stamps[2], Pose()).split()[0] == "0.999999999"
-        assert format_tum_line(stamps[4], Pose()).split()[0] == "0.000000007"
         path = tmp_path / "traj.tum"
         write_tum(path, stamps, [Pose()] * len(stamps))
+        assert [line.split()[0] for line in path.read_text().splitlines()] == [
+            "1700000000.123456789", "1700000000.123456790", "0.999999999",
+            "0.000000000", "0.000000007"]
         got, poses = load_tum(path)
         assert got.tolist() == stamps
         assert len(poses) == len(stamps)
+
+    def test_negative_stamps_round_trip_exactly(self, tmp_path):
+        stamps = [-5, -1_000_000_001, -1700000000123456789, -2**63]
+        path = tmp_path / "traj.tum"
+        write_tum(path, stamps, [Pose()] * len(stamps))
+        assert [line.split()[0] for line in path.read_text().splitlines()] == [
+            "-0.000000005", "-1.000000001", "-1700000000.123456789",
+            "-9223372036.854775808"]
+        got, _ = load_tum(path)
+        assert got.tolist() == stamps
 
     def test_load_reads_exponent_stamps(self, tmp_path):
         path = tmp_path / "traj.tum"

@@ -8,7 +8,7 @@ import yaml
 
 import mlio.sim as sim_module
 
-from mlio.dataset import load_dataset, read_scan_file, write_dataset
+from mlio.dataset import _format_rows, load_dataset, read_scan_file, write_dataset
 from mlio.geometry import (
     NS_PER_S,
     Pose,
@@ -53,7 +53,9 @@ from oracles import (
     synth_scan_per_call,
     transform_to_base,
     twist_at_linear,
+    write_dataset_rows,
     write_scan_file_rows,
+    write_stamped_csv_rows,
 )
 
 
@@ -609,6 +611,82 @@ class TestDatasetIo:
         assert len(ds.gt_poses) == len(sim.gt.poses)
 
 
+def hard_values(rng) -> np.ndarray:
+    """Over 1M doubles of every class the row formatter treats apart."""
+    n = 400_000
+    sign = rng.choice([-1.0, 1.0], size=n)
+    # exact 11-digit ties (…5) where 10**(9 - e) is inexact, e = 10..17,
+    # and dyadic ties j / 2**(10 - e), e = -3..9, where it is exact
+    k = rng.integers(10**9 // 2, 10**10 // 2, size=60_000)
+    e = rng.integers(10, 18, size=len(k))
+    decimal_ties = ((2 * k + 1) * 5).astype(float) * 10.0 ** (e - 10)
+    e = rng.integers(-3, 10, size=20_000)
+    j = np.floor(10.0 ** (e + rng.uniform(0, 1, len(e))) * 2.0 ** (10 - e))
+    dyadic_ties = (j + (j % 2 == 0)) * 2.0 ** (e - 10.0)
+    # each power of ten, values that round up to the next (the carry)
+    # and their neighbours
+    p = 10.0 ** np.arange(-307, 308)
+    near = np.concatenate([p, p * 9.9999999995, p * 9.99999999951, p * 9.99999999949,
+                           [1e308, 9.9999999995, 1e22, 1e23, 2.2250738585072014e-308]])
+    near = np.concatenate([near, *(np.nextafter(near, t) for t in (0.0, np.inf))])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.5e-310,
+                        1e-300, 1.7976931348623157e308])
+    values = np.concatenate([
+        sign * rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n),
+        sign * 10.0 ** rng.uniform(-300, 300, size=n),
+        sign[:200_000] * 10.0 ** rng.uniform(-308, -299, size=200_000),  # 10**(9 - e) overflows
+        sign[:20_000] * rng.uniform(0, 2.2250738585072014e-308, size=20_000),  # subnormal
+        decimal_ties, -decimal_ties, dyadic_ties, near, -near, special, -special,
+    ])
+    return values[rng.permutation(len(values))]
+
+
+def percent_rows(tmp_path, stamps, values) -> bytes:
+    write_stamped_csv_rows(tmp_path / "rows.csv", stamps, values)
+    return (tmp_path / "rows.csv").read_bytes()
+
+
+class TestStampedRows:
+    def test_equals_percent_on_every_class(self, tmp_path):
+        rng = np.random.default_rng(17)
+        values = hard_values(rng)
+        values = values[:len(values) // 3 * 3].reshape(-1, 3)
+        assert values.size >= 1_000_000
+        stamps = rng.integers(-2**62, 2**62, size=len(values))
+        stamps[:5] = [-2**63, 2**63 - 1, 0, -1, 9]
+        assert _format_rows(stamps, values) == percent_rows(tmp_path, stamps, values)
+
+    def test_zero_and_single_rows(self, tmp_path):
+        for k in (1, 4, 7):
+            assert _format_rows([], np.zeros((0, k))) == b""
+            for stamp, value in ((0, 1.0), (-2**63, -0.0), (123, 9.99999999951)):
+                row = np.full((1, k), value)
+                assert _format_rows([stamp], row) == percent_rows(tmp_path, [stamp], row)
+
+    @pytest.mark.parametrize("scenario", [
+        corridor_scenario(length=4.0, seed=8, noise=NoiseSpec(
+            lidar_sigma=0.01, gnss_sigma=0.5, accel_sigma=0.01, gyro_sigma=0.001)),
+        dataclasses.replace(
+            loop_scenario(side=24.0, seed=9, noise=NoiseSpec(lidar_sigma=0.01),
+                          dropouts=[Dropout("lidar/F_L", 2.0, 3.0),
+                                    Dropout("imu/R_R", 2.0, 3.0)]),
+            segments=loop_scenario(side=24.0).segments[:4]),
+    ], ids=["corridor", "loop-dropout"])
+    def test_write_dataset_equals_the_row_writer(self, tmp_path, scenario):
+        sim = simulate(scenario)
+        assert sim.gnss
+        write_dataset(tmp_path / "cols", sim)
+        write_dataset_rows(tmp_path / "rows", sim)
+        names = sorted(str(f.relative_to(tmp_path / "rows"))
+                       for f in (tmp_path / "rows").rglob("*") if f.is_file())
+        assert names == sorted(str(f.relative_to(tmp_path / "cols"))
+                               for f in (tmp_path / "cols").rglob("*") if f.is_file())
+        assert len(names) > 20
+        for name in names:
+            assert (tmp_path / "cols" / name).read_bytes() == (
+                tmp_path / "rows" / name).read_bytes(), name
+
+
 class TestScenarioFile:
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
@@ -621,6 +699,16 @@ class TestScenarioFile:
         slow = load_scenario(path)
         assert scenario_to_dict(fast) == scenario_to_dict(slow)
         assert repr(fast) == repr(slow)
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                        reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_libyaml_and_python_dumpers_agree(self, tmp_path, name):
+        assert sim_module.YAML_DUMPER is yaml.CSafeDumper
+        scenario = BUILTIN_SCENARIOS[name]()
+        save_scenario(tmp_path / "fast.yaml", scenario)
+        assert (tmp_path / "fast.yaml").read_text() == yaml.safe_dump(
+            scenario_to_dict(scenario), sort_keys=False)
 
 
 class TestScenarioValidation:
