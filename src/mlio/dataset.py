@@ -11,7 +11,9 @@ the generating scenario:
     scenario.yaml         scenario copy
 
 Each IMU CSV and the GNSS CSV are read with one structured `loadtxt`;
-their ns stamps are read and written as ints, exact at any size. gt.tum
+their ns stamps are read and written as ints, exact at any size. A GNSS
+variance that is negative, NaN or infinite fails the load with its line;
+a zero one (a noise-free simulation) loads as 1e-12 m². gt.tum
 is read only when a `Dataset`'s ground truth is first asked for; a
 replay never reads it. The TUM trajectory format (gt.tum here, a run's
 est.tum) is read and written by this module alone; it holds seconds,
@@ -275,8 +277,15 @@ def load_dataset(path) -> Dataset:
     if os.path.exists(gnss_path):
         rows = np.loadtxt(gnss_path, delimiter=",", ndmin=1,
                           dtype=[("t", np.int64), ("p", float, 3), ("var", float)])
-        gnss = [GnssFix(stamp=t, t=p, cov=np.eye(3) * max(var, 1e-12))
-                for t, p, var in zip(rows["t"].tolist(), rows["p"], rows["var"].tolist())]
+        var = rows["var"]
+        bad = np.flatnonzero(~(np.isfinite(var) & (var >= 0)))
+        if len(bad):
+            raise ValueError(f"{gnss_path} line {bad[0] + 1}: variance {var[bad[0]]} "
+                             "is not a finite non-negative number")
+        # a zero variance (a noise-free simulation) gets a 1 um sigma
+        gnss = [GnssFix(stamp=t, t=p, cov=np.eye(3) * v)
+                for t, p, v in zip(rows["t"].tolist(), rows["p"],
+                                   np.maximum(var, 1e-12).tolist())]
     lidar = {}
     scans_root = os.path.join(path, "scans")
     if os.path.isdir(scans_root):

@@ -9,6 +9,18 @@ lidar, 1 ms for IMU by default). A sensor that lost its message at that
 tick is simply absent from the group, so the survivors are fused on
 their own; no message is dropped or used twice. A modality's groups
 come back as index arrays (`SyncGroups`), not per-message objects.
+
+When every sensor of a modality has its stamps more than the threshold
+apart (one `np.diff` per sensor decides), the sweep's groups are the
+windows [anchor, anchor + threshold] of the merged, stamp-sorted stamps:
+each window holds at most one stamp per sensor, its head, and the next
+anchor is the first stamp past it. That modality is then grouped in one
+vectorized pass (`_one_pass`): a stamp more than the threshold past the
+stamp before it anchors a group, and only a run of closer stamps that
+spans more than the threshold is walked from window to window. A sensor
+with two stamps within the threshold of each other (a duplicate, or
+jitter at a fast rate) sends its modality through the per-group sweep
+(`_sweep`) instead.
 """
 
 from __future__ import annotations
@@ -93,6 +105,38 @@ def _sweep(stamps: list, threshold: int):
     return anchors, rows
 
 
+def _one_pass(stamps: list, orders: list, threshold: int):
+    """`_sweep` of stamp-sorted int64 arrays, one per sensor, whose
+    stamps are each more than `threshold` apart: anchors (G,) and member
+    rows (G, S) of stream indices, `orders[k]` mapping sensor k's sorted
+    positions to them."""
+    merged = np.concatenate([np.empty(0, np.int64), *stamps])
+    column = np.repeat(np.arange(len(stamps)), [len(s) for s in stamps])
+    index = np.concatenate([np.empty(0, np.int64), *orders])
+    order = np.argsort(merged, kind="stable")
+    m = merged[order]
+    # A stamp more than `threshold` past the one before it anchors a group.
+    # In a run of closer stamps that spans more than `threshold`, each next
+    # anchor is the first stamp past the previous anchor's window.
+    first = np.ones(len(m), dtype=bool)
+    first[1:] = np.diff(m) > threshold
+    runs = np.flatnonzero(first)
+    stops = np.append(runs, len(m))[1:]
+    wide = m[stops - 1] - m[runs] > threshold
+    if wide.any():
+        # one past each stamp's window: the j with m[j] <= m[i] + threshold,
+        # counted without forming m[i] + threshold
+        ends = np.searchsorted(m - threshold, m, side="right").tolist()
+        for start, stop in zip(runs[wide].tolist(), stops[wide].tolist()):
+            i = ends[start]
+            while i < stop:
+                first[i] = True
+                i = ends[i]
+    members = np.full((np.count_nonzero(first), len(stamps)), -1, dtype=np.int64)
+    members[np.cumsum(first) - 1, column[order]] = index[order]
+    return m[first], members
+
+
 class Synchronizer:
     """Groups the complete stamp streams of a fixed set of sensors."""
 
@@ -117,14 +161,16 @@ class Synchronizer:
         for modality in MODALITIES:
             sensors = [sid for sid in self.sensors if modality_of(sid) == modality]
             orders = [np.argsort(stamps[sid], kind="stable") for sid in sensors]
-            anchors, rows = _sweep(
-                [stamps[sid][o].tolist() for sid, o in zip(sensors, orders)],
-                self.config.threshold(modality),
-            )
-            members = np.array(rows, dtype=np.int64).reshape(len(rows), len(sensors))
-            for k, order in enumerate(orders):  # sorted positions -> stream indices
-                col = members[:, k]
-                col[col >= 0] = order[col[col >= 0]]
+            ordered = [stamps[sid][o] for sid, o in zip(sensors, orders)]
+            threshold = self.config.threshold(modality)
+            if all(np.all(np.diff(s) > threshold) for s in ordered):
+                anchors, members = _one_pass(ordered, orders, threshold)
+            else:
+                anchors, rows = _sweep([s.tolist() for s in ordered], threshold)
+                members = np.array(rows, dtype=np.int64).reshape(len(rows), len(sensors))
+                for k, order in enumerate(orders):  # sorted positions -> stream indices
+                    col = members[:, k]
+                    col[col >= 0] = order[col[col >= 0]]
             out[modality] = SyncGroups(
                 sensors=tuple(sensors),
                 anchors=np.array(anchors, dtype=np.int64),

@@ -27,8 +27,10 @@ its one vectorized pass per stream; `quat_from_rotmat` is the
 one-matrix `geometry.quat_from_rotmat_many`, `format_tum_line` one
 line of `dataset.write_tum`, and `write_dataset_rows` writes a whole
 dataset with these and PyYAML's pure-Python `safe_dump`, as
-`dataset.write_dataset` did before. `box_raycast` is the one-box slab cast and
-`raycast_world_per_surface` the surface-at-a-time world cast that
+`dataset.write_dataset` did before. `write_fused_imu_streaming_groups`
+writes `mlio fuse-imu`'s CSV from the streaming synchronizer's groups.
+`box_raycast` is the one-box slab cast and `raycast_world_per_surface`
+the surface-at-a-time world cast that
 `sim.raycast_world` replaced by one pass over all boxes.
 `twist_at_linear` is `sim._twist_at` finding its segment by a linear
 scan over start times it adds up on each call, and
@@ -45,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from mlio.dataset import FLOAT_FMT
+from mlio.dataset import FLOAT_FMT, load_dataset
 from mlio.geometry import (
     NS_PER_S,
     NavStates,
@@ -76,8 +78,10 @@ from mlio.preintegration import (
     predict,
     stack_deltas,
 )
+from mlio.pipeline import fuse_imu_groups, write_fused_imu
 from mlio.sim import Box, scenario_to_dict
-from mlio.sync import POSITIONS
+from mlio.sync import POSITIONS, SyncGroups
+from sync_oracle import replay as replay_streaming
 
 
 @dataclass(frozen=True)
@@ -560,6 +564,19 @@ def write_dataset_rows(path, sim) -> None:
             float(x) for x in quat_from_rotmat(mount.pose.R)]
     with open(os.path.join(path, "scenario.yaml"), "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
+
+
+def write_fused_imu_streaming_groups(dataset_path, out_path) -> None:
+    """`mlio fuse-imu --sensors I4`, with the IMU groups of the streaming
+    synchronizer in `sync_oracle` in place of `Synchronizer.group`."""
+    ds = load_dataset(dataset_path)
+    sensors = [f"imu/{p}" for p in POSITIONS]
+    anchors, members = replay_streaming(
+        sensors, {sid: s.stamps for sid, s in ds.imu.items()})["imu"]
+    groups = SyncGroups(tuple(sensors), anchors, members,
+                        tuple(ds.imu.get(sid, ()) for sid in sensors))
+    imus = {p: ds.scenario.imus[p] for p in POSITIONS}
+    write_fused_imu(out_path, fuse_imu_groups(groups, imus))
 
 
 def box_raycast(box, origins, dirs) -> np.ndarray:

@@ -601,6 +601,32 @@ class TestDatasetIo:
                 assert np.array_equal(back.stamps, scan.stamps)
                 np.testing.assert_allclose(back.points, scan.points, rtol=1e-9)
 
+    @staticmethod
+    def gnss_dataset_with_variance(path, var, line=None):
+        """A short corridor dataset whose gnss.csv has variance `var` on
+        1-based `line`, or on every line."""
+        write_dataset(path, simulate(corridor_scenario(length=4.0, seed=1)))
+        lines = (path / "gnss.csv").read_text().splitlines()
+        assert len(lines) > 1
+        lines = [
+            row.rsplit(",", 1)[0] + f",{var}" if line in (None, n + 1) else row
+            for n, row in enumerate(lines)
+        ]
+        (path / "gnss.csv").write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("var", ["-2.500000000e-01", "nan", "inf"])
+    def test_bad_gnss_variance_is_rejected_with_its_line(self, tmp_path, var):
+        self.gnss_dataset_with_variance(tmp_path, var, line=2)
+        with pytest.raises(ValueError, match=r"gnss\.csv line 2: variance"):
+            load_dataset(tmp_path)
+
+    def test_zero_gnss_variance_loads_at_the_floor(self, tmp_path):
+        self.gnss_dataset_with_variance(tmp_path, "0.000000000e+00")
+        fixes = load_dataset(tmp_path).gnss
+        assert len(fixes) > 1
+        for fix in fixes:
+            assert np.array_equal(fix.cov, 1e-12 * np.eye(3))
+
     def test_ground_truth_read_on_first_access(self, tmp_path):
         sim = simulate(corridor_scenario(length=4.0, seed=1))
         write_dataset(tmp_path, sim)

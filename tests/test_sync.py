@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mlio.sync as sync_module
 from mlio.sync import (
     MS,
     POSITIONS,
@@ -138,19 +139,30 @@ class TestLossyPatternReplay:
         assert memberships[1] == {"imu/F_L", "imu/R_R"}
 
 
-def lossy_streams(rng, modality, ticks=150, silent=()):
+def lossy_streams(rng, modality, ticks=150, silent=(), collide=True):
     """One modality's four stamp streams at a common cadence: single
     dropouts, blackouts of every sensor (some longer than the streaming
     aging limits), equal stamps across and within sensors, and jitter just
     inside, at and just outside the threshold. Sensors at the positions
     in `silent` have empty streams. Each stream is shuffled, so its order is
-    not its stamp order."""
+    not its stamp order.
+
+    With `collide` false no sensor has two stamps within the threshold:
+    ticks are at least three thresholds apart, each stamp lies less than
+    one threshold from its tick, and no stamp repeats within a sensor.
+    Stamps of different sensors still coincide, and one tick's stamps
+    can still span more than one threshold."""
     thr = SyncConfig().threshold(modality)
-    offsets = [0, 0, 1, thr - 1, thr, thr + 1, 2 * thr, -thr, -thr - 1]
+    if collide:
+        offsets = [0, 0, 1, thr - 1, thr, thr + 1, 2 * thr, -thr, -thr - 1]
+        steps = [thr // 2, 3 * thr, 10 * thr]
+    else:
+        offsets = [0, 0, 1, thr // 2, thr - 1, -thr + 1]
+        steps = [3 * thr, 10 * thr]
     stamps = {f"{modality}/{p}": [] for p in POSITIONS}
     t = 2 * thr
     for _ in range(ticks):
-        t += int(rng.choice([thr // 2, 3 * thr, 10 * thr]))
+        t += int(rng.choice(steps))
         if rng.random() < 0.05:
             t += int(rng.integers(0, 400 * MS))  # every sensor silent
         for sid, stream in stamps.items():
@@ -158,9 +170,26 @@ def lossy_streams(rng, modality, ticks=150, silent=()):
                 continue
             stamp = t + int(rng.choice(offsets))
             stream.append(stamp)
-            if rng.random() < 0.05:
+            if collide and rng.random() < 0.05:
                 stream.append(stamp)
     return {sid: [s[i] for i in rng.permutation(len(s))] for sid, s in stamps.items()}
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The grouping path each modality took, in call order: "one pass"
+    or "sweep"."""
+    taken = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            taken.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(sync_module, "_one_pass", spy("one pass", sync_module._one_pass))
+    monkeypatch.setattr(sync_module, "_sweep", spy("sweep", sync_module._sweep))
+    return taken
 
 
 def assert_sweep_matches_oracle(stamps):
@@ -196,3 +225,56 @@ def test_sweep_matches_streaming_oracle_with_a_silent_sensor(seed):
     got = make_sync().group(stamps)
     for groups in got.values():
         assert np.all(groups.members[:, seed] == -1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_pass_matches_streaming_oracle(seed, paths):
+    """Streams with no two stamps of a sensor within the threshold are
+    grouped in one pass per modality, into the streaming synchronizer's
+    groups."""
+    rng = np.random.default_rng(200 + seed)
+    assert_sweep_matches_oracle({**lossy_streams(rng, "imu", collide=False),
+                                 **lossy_streams(rng, "lidar", collide=False)})
+    assert paths == ["one pass", "one pass"]
+
+
+class TestOnePassBoundaries:
+    def group(self, stamps):
+        sync = make_sync(sensors=list(stamps))
+        return sync.group(stamps)["imu"]
+
+    @pytest.mark.parametrize("late, anchors, members", [
+        (0, [5 * MS], [[0, 0]]),  # exactly at the anchor plus the threshold: joins
+        (1, [5 * MS, 6 * MS + 1], [[0, -1], [-1, 0]]),  # one ns later: a new group
+    ])
+    def test_window_closes_at_anchor_plus_threshold(self, paths, late, anchors, members):
+        groups = self.group({"imu/F_L": [5 * MS], "imu/F_R": [6 * MS + late]})
+        assert groups.anchors.tolist() == anchors
+        assert groups.members.tolist() == members
+        assert paths == ["one pass", "one pass"]
+
+    def test_one_pass_walks_a_tick_that_spans_two_windows(self, paths):
+        # no two stamps of the first tick are more than the threshold
+        # apart, yet they span more: F_R's stamp, exactly at the anchor
+        # plus the threshold, joins F_L's group, and R_L's, one ns later,
+        # anchors its own
+        stamps = {"imu/F_L": [0, 10 * MS], "imu/F_R": [MS], "imu/R_L": [MS + 1]}
+        groups = self.group(stamps)
+        assert groups.anchors.tolist() == [0, MS + 1, 10 * MS]
+        assert groups.members.tolist() == [[0, 0, -1], [-1, -1, 0], [1, -1, -1]]
+        assert paths == ["one pass", "one pass"]
+
+    def test_in_sensor_gap_of_exactly_the_threshold_takes_the_sweep(self, paths):
+        stamps = {"imu/F_L": [0, MS], "imu/F_R": [MS]}
+        groups = self.group(stamps)
+        assert groups.members.tolist() == [[0, 0], [1, -1]]
+        assert paths == ["sweep", "one pass"]
+        anchors, members = replay(list(stamps), stamps)["imu"]
+        assert np.array_equal(groups.anchors, anchors)
+        assert np.array_equal(groups.members, members)
+
+    def test_one_modality_collides_while_the_other_takes_one_pass(self, paths):
+        rng = np.random.default_rng(7)
+        assert_sweep_matches_oracle({**lossy_streams(rng, "imu"),
+                                     **lossy_streams(rng, "lidar", collide=False)})
+        assert paths == ["sweep", "one pass"]
