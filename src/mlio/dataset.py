@@ -11,9 +11,11 @@ the generating scenario:
     scenario.yaml         scenario copy
 
 Each IMU CSV and the GNSS CSV are read with one structured `loadtxt`;
-their ns stamps are read and written as ints, exact at any size. A GNSS
-variance that is negative, NaN or infinite fails the load with its line;
-a zero one (a noise-free simulation) loads as 1e-12 m². gt.tum
+their ns stamps are read and written as ints, exact at any size. The
+GNSS CSV becomes one `GnssStream` (empty without the file), its `var`
+column the isotropic variance. A variance that is negative, NaN or
+infinite fails the load with its line; a zero one (a noise-free
+simulation) loads at the floor `GnssStream` puts on it. gt.tum
 is read only when a `Dataset`'s ground truth is first asked for; a
 replay never reads it. The TUM trajectory format (gt.tum here, a run's
 est.tum) is read and written by this module alone; it holds seconds,
@@ -38,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import NS_PER_S, Pose, quat_from_rotmat_many, quat_to_rotmat
-from .graph import GnssFix
+from .graph import GnssStream
 from .lidar import LidarScan
 from .mimu import ImuStream
 from .sim import Scenario, SimData, load_scenario, save_scenario
@@ -179,11 +181,8 @@ def write_dataset(path, sim: SimData) -> None:
     for sid, stream in sim.imu.items():
         _write_stamped_csv(os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
                            stream.stamps, np.hstack([stream.f, stream.w]))
-    _write_stamped_csv(
-        os.path.join(path, "gnss.csv"),
-        [f.stamp for f in sim.gnss],
-        np.array([[*f.t, f.cov[0, 0]] for f in sim.gnss], dtype=float).reshape(-1, 4),
-    )
+    _write_stamped_csv(os.path.join(path, "gnss.csv"), sim.gnss.stamps,
+                       np.column_stack([sim.gnss.t, sim.gnss.var]))
     for sid, scans in sim.lidar.items():
         _write_scans(os.path.join(path, "scans", sid.split("/")[1]), scans)
     write_tum(os.path.join(path, "gt.tum"), sim.gt.stamps, sim.gt.poses)
@@ -213,7 +212,7 @@ class Dataset:
     scenario: Scenario
     imu: dict  # 'imu/<pos>' -> ImuStream
     lidar: dict  # 'lidar/<pos>' -> [LidarScan]
-    gnss: list  # [GnssFix]
+    gnss: GnssStream
 
     @cached_property
     def _gt(self):
@@ -262,6 +261,9 @@ def load_tum(path):
     return stamps, poses
 
 
+_GNSS_ROW = [("t", np.int64), ("p", float, 3), ("var", float)]
+
+
 def load_dataset(path) -> Dataset:
     scenario = load_scenario(os.path.join(path, "scenario.yaml"))
     imu = {}
@@ -272,20 +274,16 @@ def load_dataset(path) -> Dataset:
             rows = np.loadtxt(os.path.join(path, entry), delimiter=",", ndmin=1,
                               dtype=[("t", np.int64), ("f", float, 3), ("w", float, 3)])
             imu[sid] = ImuStream(rows["t"], rows["f"], rows["w"], sid)
-    gnss = []
     gnss_path = os.path.join(path, "gnss.csv")
+    rows = np.zeros(0, _GNSS_ROW)
     if os.path.exists(gnss_path):
-        rows = np.loadtxt(gnss_path, delimiter=",", ndmin=1,
-                          dtype=[("t", np.int64), ("p", float, 3), ("var", float)])
+        rows = np.loadtxt(gnss_path, delimiter=",", ndmin=1, dtype=_GNSS_ROW)
         var = rows["var"]
         bad = np.flatnonzero(~(np.isfinite(var) & (var >= 0)))
         if len(bad):
             raise ValueError(f"{gnss_path} line {bad[0] + 1}: variance {var[bad[0]]} "
                              "is not a finite non-negative number")
-        # a zero variance (a noise-free simulation) gets a 1 um sigma
-        gnss = [GnssFix(stamp=t, t=p, cov=np.eye(3) * v)
-                for t, p, v in zip(rows["t"].tolist(), rows["p"],
-                                   np.maximum(var, 1e-12).tolist())]
+    gnss = GnssStream(rows["t"], rows["p"], rows["var"])
     lidar = {}
     scans_root = os.path.join(path, "scans")
     if os.path.isdir(scans_root):

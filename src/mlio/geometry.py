@@ -367,11 +367,6 @@ class NavState:
                 raise ValueError(f"non-finite {name}")
             object.__setattr__(self, name, val)
 
-    def retract(self, delta) -> "NavState":
-        """Apply a 15-dim tangent update, see NavStates.retract."""
-        delta = np.asarray(delta, dtype=float).reshape(1, 15)
-        return NavStates.stack([self]).retract(delta).unstack()[0]
-
 
 @dataclass(frozen=True)
 class NavStates:

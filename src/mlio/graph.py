@@ -1,11 +1,12 @@
 """Sliding-window factor-graph smoother.
 
 Keyframe states are connected by prior, preintegrated-IMU, lidar
-between and GNSS position factors; the joint nonlinear least-squares
-problem is solved with Levenberg-Marquardt on the manifold (lift,
-solve, retract) and old keyframes leave the window through a
-Schur-complement marginal prior. Every pass over the factors evaluates
-each factor kind in one vectorized batch on stacked states.
+between and GNSS position factors (the fixes arrive as one columnar
+`GnssStream`); the joint nonlinear least-squares problem is solved with
+Levenberg-Marquardt on the manifold (lift, solve, retract) and old
+keyframes leave the window through a Schur-complement marginal prior.
+Every pass over the factors evaluates each factor kind in one vectorized
+batch on stacked states.
 """
 
 from __future__ import annotations
@@ -40,18 +41,33 @@ GNSS_GATE_CHI2 = 16.27  # chi-square 3 dof, 99.9%
 
 
 @dataclass(frozen=True)
-class GnssFix:
-    stamp: int
-    t: np.ndarray  # UTM position, m
-    cov: np.ndarray  # 3x3 SPD
+class GnssStream:
+    """GNSS fixes as columns: stamps (N,) int64 ns, antenna positions t
+    (N, 3) m (UTM) and isotropic position variances var (N,) m^2, so fix
+    k has covariance var[k] * I. A variance below that of a 1 um sigma is
+    raised to it on construction, so a noise-free fix keeps a factorable
+    covariance."""
+
+    stamps: np.ndarray
+    t: np.ndarray
+    var: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(3)
-        cov = np.asarray(self.cov, dtype=float).reshape(3, 3)
-        if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) <= 0:
-            raise ValueError("GNSS covariance must be SPD")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "cov", cov)
+        var = np.asarray(self.var, dtype=float).reshape(-1)
+        object.__setattr__(self, "stamps", np.asarray(self.stamps, np.int64).reshape(-1))
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(-1, 3))
+        object.__setattr__(self, "var", np.maximum(var, 1e-12))
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def take(self, rows) -> "GnssStream":
+        """The stream restricted to `rows` (an index or boolean mask)."""
+        return GnssStream(self.stamps[rows], self.t[rows], self.var[rows])
+
+    def cov(self, row: int) -> np.ndarray:
+        """The 3x3 covariance of fix `row`."""
+        return np.eye(3) * self.var[row]
 
 
 @dataclass(frozen=True)
@@ -120,10 +136,6 @@ def _between_many(R_i, t_i, R_j, t_j, z_R, z_t):
     J_i = _decoupled(se3_left_jacobian_inv_many(-r) @ ad, R_i)
     J_j = -_decoupled(se3_left_jacobian_inv_many(r), R_j)
     return r, J_i, J_j
-
-
-def residual_gnss(x_i: NavState, fix: GnssFix) -> np.ndarray:
-    return x_i.pose.t - fix.t
 
 
 def _whiten(S, r, J):
@@ -271,15 +283,14 @@ class BetweenFactor(_Factor):
 class GnssFactor(_Factor):
     kind = "gnss"
 
-    def __init__(self, i, fix: GnssFix):
+    def __init__(self, i, t, cov):
         self.nodes = (i,)
-        self.fix = fix
-        self.sqrt_info = _sqrt_info(fix.cov)
+        self.t = np.asarray(t, dtype=float).reshape(3)
+        self.sqrt_info = _sqrt_info(cov)
 
     @classmethod
     def stack(cls, factors):
-        return (np.stack([f.fix.t for f in factors]),
-                _stacked(factors, "sqrt_info"))
+        return _stacked(factors, "t"), _stacked(factors, "sqrt_info")
 
     @classmethod
     def evaluate(cls, params, x, idx):
@@ -351,22 +362,21 @@ class FactorGraph:
                 raise ValueError(f"factor references missing node {n}")
         self.factors.append(factor)
 
-    def maybe_add_gnss(self, idx: int, est_cov, fix: GnssFix) -> bool:
-        """Add the GNSS factor unless it is a clear outlier.
+    def maybe_add_gnss(self, idx: int, est_cov, t, cov) -> bool:
+        """Add the GNSS factor of position `t` with covariance `cov`
+        unless it is a clear outlier.
 
         A fix that is more precise than the current position estimate is
         always informative and accepted. Otherwise the innovation is
         gated chi-square (3 dof, 99.9%) against the combined position
         covariance, rejecting fixes inconsistent with the estimate."""
         est_cov = np.asarray(est_cov, dtype=float)
-        if float(np.trace(est_cov)) > float(np.trace(fix.cov)):
-            self.add_factor(GnssFactor(idx, fix))
-            return True
-        r = residual_gnss(self.nodes[idx], fix)
-        S = est_cov + fix.cov + np.eye(3) * 1e-9
-        if float(r @ np.linalg.solve(S, r)) > GNSS_GATE_CHI2:
-            return False
-        self.add_factor(GnssFactor(idx, fix))
+        if not float(np.trace(est_cov)) > float(np.trace(cov)):
+            r = self.nodes[idx].pose.t - t
+            S = est_cov + cov + np.eye(3) * 1e-9
+            if float(r @ np.linalg.solve(S, r)) > GNSS_GATE_CHI2:
+                return False
+        self.add_factor(GnssFactor(idx, t, cov))
         return True
 
     # -- optimization --------------------------------------------------

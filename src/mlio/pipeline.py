@@ -37,7 +37,7 @@ from .graph import (
     BetweenFactor,
     BiasAnchorFactor,
     FactorGraph,
-    GnssFix,
+    GnssStream,
     ImuFactor,
     OptimizeReport,
     PriorFactor,
@@ -227,7 +227,7 @@ def fuse_imu_groups(groups: SyncGroups, imus: dict, counters: RunCounters = None
 # ---------------------------------------------------------------------------
 
 
-def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
+def initialize(fused, gnss: GnssStream, mask: SensorMask, lever, n_samples: int):
     """Anchor pose, initial biases and their prior sigmas.
 
     Gravity alignment gives roll/pitch; with GNSS the anchor position
@@ -240,19 +240,15 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
     yaw_sigma = 0.01
     pos_sigma = 0.05
     if mask.use_gnss and len(gnss) >= 2:
-        first = gnss[0]
-        fix_sigma = float(np.sqrt(np.trace(first.cov) / 3.0))
+        fix_sigma = float(np.sqrt(np.trace(gnss.cov(0)) / 3.0))
         pos_sigma = max(pos_sigma, fix_sigma)
         baseline = max(2.0, 20.0 * fix_sigma)
-        for fix in gnss[1:]:
-            d = fix.t - first.t
-            if np.linalg.norm(d[:2]) >= baseline:
-                yaw = float(np.arctan2(d[1], d[0]))
-                yaw_sigma = max(
-                    yaw_sigma, math.sqrt(2.0) * fix_sigma / baseline
-                )
-                break
-        t0 = first.t  # refined below once attitude is known
+        d = gnss.t[1:] - gnss.t[0]
+        far = np.flatnonzero(np.linalg.norm(d[:, :2], axis=1) >= baseline)
+        if len(far):
+            yaw = float(np.arctan2(d[far[0], 1], d[far[0], 0]))
+            yaw_sigma = max(yaw_sigma, math.sqrt(2.0) * fix_sigma / baseline)
+        t0 = gnss.t[0]  # refined below once attitude is known
     try:
         init = gravity_align(fused.f[:n_samples], fused.w[:n_samples], t0, yaw)
     except NotStaticError:
@@ -261,7 +257,7 @@ def initialize(fused, gnss, mask: SensorMask, lever, n_samples: int):
                            b_a0=np.zeros(3), b_g0=np.zeros(3))
     anchor = init.pose()
     if mask.use_gnss and len(gnss) >= 1:
-        anchor = Pose(anchor.R, gnss[0].t - anchor.R @ np.asarray(lever, float))
+        anchor = Pose(anchor.R, gnss.t[0] - anchor.R @ np.asarray(lever, float))
     return anchor, init, yaw_sigma, pos_sigma
 
 
@@ -350,17 +346,18 @@ def _keyframe_schedule(stamps: np.ndarray, interval_ns: int, scan_ends):
     return rows, taken
 
 
-def _gnss_schedule(gnss, stamps):
-    """The fix each keyframe stamp takes, or None. Fixes are walked in
-    order: those more than GNSS_ASSOCIATION_NS before the keyframe are
-    passed over for good, and the next one is taken if it is at most
-    that far after it."""
+def _gnss_schedule(gnss: GnssStream, stamps):
+    """The row of `gnss` each keyframe stamp takes, or None. Fixes are
+    walked in order: those more than GNSS_ASSOCIATION_NS before the
+    keyframe are passed over for good, and the next one is taken if it
+    is at most that far after it."""
+    fixes = gnss.stamps.tolist()
     taken, i = [], 0
     for stamp in stamps:
-        while i < len(gnss) and gnss[i].stamp < stamp - GNSS_ASSOCIATION_NS:
+        while i < len(fixes) and fixes[i] < stamp - GNSS_ASSOCIATION_NS:
             i += 1
-        near = i < len(gnss) and abs(gnss[i].stamp - stamp) <= GNSS_ASSOCIATION_NS
-        taken.append(gnss[i] if near else None)
+        near = i < len(fixes) and abs(fixes[i] - stamp) <= GNSS_ASSOCIATION_NS
+        taken.append(i if near else None)
         i += near
     return taken
 
@@ -377,12 +374,13 @@ class KeyframeRecord:
 
 
 def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
-                   interval: _Interval, scans, fix, scenario, init: GravityInit,
-                   config: PipelineConfig) -> KeyframeRecord:
+                   interval: _Interval, scans, gnss: GnssStream, fix, scenario,
+                   init: GravityInit, config: PipelineConfig) -> KeyframeRecord:
     """One keyframe: deskew its `scans` into the frame that `interval`
     predicts, register the cloud against `submap`, add node `node` with
-    its IMU, bias-anchor, lidar and GNSS (`fix` or None) factors,
-    optimize, and insert the cloud into the map at the smoothed pose."""
+    its IMU, bias-anchor, lidar and GNSS (row `fix` of `gnss`, or None)
+    factors, optimize, and insert the cloud into the map at the smoothed
+    pose."""
     pred = interval.pred
     cloud = None
     if scans:
@@ -424,12 +422,10 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
     # ---- GNSS ----
     added = None
     if fix is not None:
-        lever = np.asarray(scenario.gnss_lever, dtype=float)
-        base_fix = GnssFix(
-            stamp=fix.stamp, t=fix.t - x_new.pose.R @ lever, cov=fix.cov
-        )
+        # the fix at the base origin
+        t = gnss.t[fix] - x_new.pose.R @ np.asarray(scenario.gnss_lever, dtype=float)
         est_cov = graph_position_covariance(graph, node)
-        added = graph.maybe_add_gnss(node, est_cov, base_fix)
+        added = graph.maybe_add_gnss(node, est_cov, t, gnss.cov(fix))
     # ---- optimize ----
     report = graph.optimize(max_iter=config.optimize_iters)
     if not np.isfinite(report.final_cost):
@@ -446,7 +442,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     config = config or PipelineConfig()
     counters = RunCounters()
     imus = {p: dataset.scenario.imus[p] for p in mask.imu_positions}
-    gnss = list(dataset.gnss) if mask.use_gnss else []
+    gnss = dataset.gnss if mask.use_gnss else GnssStream([], [], [])
 
     imu_groups, lidar_groups = replay_sync(dataset, mask, config.sync, counters)
     fused = fuse_imu_groups(imu_groups, imus, counters)
@@ -490,7 +486,8 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         w = fused.w[row] - state.b_g
         batch = [scan for group in scans[taken[node - 1]:taken[node]] for scan in group]
         records.append(_keyframe_step(graph, submap, node, interval, batch,
-                                      fixes[node - 1], dataset.scenario, init, config))
+                                      gnss, fixes[node - 1], dataset.scenario, init,
+                                      config))
         while len(graph.nodes) > config.window:
             poses.append(graph.nodes[min(graph.nodes)].pose)
             graph.marginalize_oldest()

@@ -202,7 +202,7 @@ def imu_residual_jacobians_many(
     x_j hold their m start and end states, delta their stacked deltas
     (stack_deltas). Returns r (m, 15) ordered (rot, pos, vel, b_a, b_g)
     and J_i, J_j (m, 15, 15) with respect to the tangents of x_i and
-    x_j (NavState.retract ordering: rot, trans, v, b_a, b_g)."""
+    x_j (NavStates.retract ordering: rot, trans, v, b_a, b_g)."""
     dba = x_i.b_a - delta.b_a0
     dbg = x_i.b_g - delta.b_g0
     # first-order bias correction, as PreintegratedDelta.corrected

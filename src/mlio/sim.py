@@ -6,18 +6,23 @@ centrifugal and Euler lever-arm terms), motion-distorted lidar scans by
 ray casting planes and boxes from the continuously moving sensor, and
 GNSS fixes — all reproducible from a single scenario seed.
 
-Each scan-boundary pose is interpolated once and shared by every
-sensor's scans, and each scan casts its rays against all boxes in one
-batched slab pass.
+The ground truth is generated in arrays: the twists at all sample
+times come from one `_twists_at` call, and only the chain that composes
+each step's motion onto the last pose is a loop. `GroundTruth.poses_at`
+interpolates poses at any stamps in one batch, for the scan boundaries
+and the GNSS fixes alike. Each scan-boundary pose is interpolated once
+and shared by every sensor's scans, and each scan casts its rays
+against all boxes in one batched slab pass. GNSS fixes are one
+`GnssStream`, and dropouts remove IMU and GNSS rows by stamp.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -31,14 +36,14 @@ from .geometry import (
     pose_inverse,
     quat_from_rotmat_many,
     quat_to_rotmat,
-    se3_exp,
     se3_exp_many,
     se3_log,
-    skew,
+    se3_log_many,
+    skew_many,
     so3_exp,
     to_nanos,
 )
-from .graph import GnssFix
+from .graph import GnssStream
 from .lidar import LidarScan
 from .mimu import ImuChannelCalib, ImuStream
 from .preintegration import GRAVITY
@@ -215,19 +220,30 @@ class GroundTruth:
     a_world: np.ndarray  # (N, 3)
     w_dot: np.ndarray  # (N, 3) body
 
-    def pose_at(self, stamp_ns: int) -> Pose:
-        """Pose at an arbitrary time by constant-twist interpolation
-        between the two bracketing samples."""
-        stamps = self.stamps
-        if stamp_ns <= stamps[0]:
-            return self.poses[0]
-        if stamp_ns >= stamps[-1]:
-            return self.poses[-1]
-        k = int(np.searchsorted(stamps, stamp_ns, side="right")) - 1
-        T0, T1 = self.poses[k], self.poses[k + 1]
-        eta = (stamp_ns - stamps[k]) / (stamps[k + 1] - stamps[k])
-        xi = se3_log(pose_compose(pose_inverse(T0), T1))
-        return pose_compose(T0, se3_exp(eta * xi))
+    @cached_property
+    def _stacked(self):
+        return (np.stack([p.R for p in self.poses]),
+                np.stack([p.t for p in self.poses]))
+
+    def poses_at(self, stamps):
+        """Poses (R (m, 3, 3), t (m, 3)) at the ns `stamps` by
+        constant-twist interpolation between the two bracketing samples;
+        a stamp at or past either end gets that end's pose."""
+        stamps = np.asarray(stamps, dtype=np.int64)
+        R, t = self._stacked
+        k = np.clip(np.searchsorted(self.stamps, stamps, side="right") - 1,
+                    0, len(self.stamps) - 2)
+        eta = (stamps - self.stamps[k]) / (self.stamps[k + 1] - self.stamps[k])
+        R0, t0 = R[k], t[k]
+        R0T = np.swapaxes(R0, -1, -2)
+        # T0^-1 T1, then T0 Exp(eta xi)
+        xi = se3_log_many(R0T @ R[k + 1],
+                          matvec_many(R0T, t[k + 1]) - matvec_many(R0T, t0))
+        R_eta, t_eta = se3_exp_many(eta[:, None] * xi)
+        out_R, out_t = R0 @ R_eta, matvec_many(R0, t_eta) + t0
+        for end, at in ((0, stamps <= self.stamps[0]), (-1, stamps >= self.stamps[-1])):
+            out_R[at], out_t[at] = R[end], t[end]
+        return out_R, out_t
 
 
 def _segment_starts(scenario: Scenario) -> list:
@@ -235,21 +251,23 @@ def _segment_starts(scenario: Scenario) -> list:
     return [0.0, *itertools.accumulate(d for d, _ in scenario.segments[:-1])]
 
 
-def _twist_at(scenario: Scenario, starts: list, t: float):
-    """Body twist and its time derivative at time t (piecewise constant
-    with optional smoothstep ramps at segment boundaries, so the
-    acceleration profile is continuous). `starts` are the segments'
-    start times, `_segment_starts(scenario)`."""
-    k = max(bisect.bisect_right(starts, t) - 1, 0)
-    xi = scenario.segments[k][1]
-    dxi = np.zeros(6)
+def _twists_at(scenario: Scenario, times):
+    """Body twists (m, 6) and their time derivatives (m, 6) at the
+    `times` (m,) s: piecewise constant, with optional smoothstep ramps
+    at segment boundaries so the acceleration profile is continuous."""
+    times = np.asarray(times, dtype=float)
+    starts = np.array(_segment_starts(scenario))
+    twists = np.stack([tw for _, tw in scenario.segments])
+    k = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+    xi, dxi = twists[k], np.zeros((len(times), 6))
     r = scenario.ramp
-    if r > 0 and k > 0 and t < starts[k] + r:
-        prev = scenario.segments[k - 1][1]
-        alpha = (t - starts[k]) / r
-        blend = alpha * alpha * (3.0 - 2.0 * alpha)
-        dxi = 6.0 * alpha * (1.0 - alpha) / r * (xi - prev)
-        xi = prev + blend * (xi - prev)
+    if r > 0:
+        ramp = np.flatnonzero((k > 0) & (times < starts[k] + r))
+        j = k[ramp]
+        prev, step = twists[j - 1], twists[j] - twists[j - 1]
+        alpha = ((times[ramp] - starts[j]) / r)[:, None]
+        dxi[ramp] = 6.0 * alpha * (1.0 - alpha) / r * step
+        xi[ramp] = prev + alpha * alpha * (3.0 - 2.0 * alpha) * step
     return xi, dxi
 
 
@@ -264,37 +282,22 @@ def gen_trajectory(scenario: Scenario) -> GroundTruth:
         stamps = np.append(stamps, end_ns)
     else:
         stamps[-1] = end_ns
-    n = len(stamps)
-    # each step's midpoint twist depends on time alone, so one kernel
-    # call gives every step motion
+    # each step's motion is its midpoint twist, which depends on time alone
     h = np.diff(stamps) / NS_PER_S
-    starts = _segment_starts(scenario)
-    mid_twists = np.array([
-        _twist_at(scenario, starts, s / NS_PER_S + hk / 2.0)[0] * hk
-        for s, hk in zip(stamps[:-1], h)
-    ]).reshape(-1, 6)
+    mid = _twists_at(scenario, stamps[:-1] / NS_PER_S + h / 2.0)[0] * h[:, None]
     poses = [Pose.identity()]
-    for R, t in zip(*se3_exp_many(mid_twists)):
+    for R, t in zip(*se3_exp_many(mid)):
         poses.append(pose_compose(poses[-1], _derived_pose(R, t)))
-    v_world = np.zeros((n, 3))
-    w_body = np.zeros((n, 3))
-    a_world = np.zeros((n, 3))
-    w_dot = np.zeros((n, 3))
-    for k in range(n):
-        xi, dxi = _twist_at(scenario, starts, stamps[k] / NS_PER_S)
-        w, v_b = xi[:3], xi[3:]
-        R = poses[k].R
-        v_world[k] = R @ v_b
-        w_body[k] = w
-        a_world[k] = R @ (skew(w) @ v_b + dxi[3:])
-        w_dot[k] = dxi[:3]
+    xi, dxi = _twists_at(scenario, stamps / NS_PER_S)
+    w, v_b = np.ascontiguousarray(xi[:, :3]), xi[:, 3:]
+    R = np.stack([p.R for p in poses])
     return GroundTruth(
         stamps=stamps,
         poses=tuple(poses),
-        v_world=v_world,
-        w_body=w_body,
-        a_world=a_world,
-        w_dot=w_dot,
+        v_world=matvec_many(R, v_b),
+        w_body=w,
+        a_world=matvec_many(R, matvec_many(skew_many(w), v_b) + dxi[:, 3:]),
+        w_dot=np.ascontiguousarray(dxi[:, :3]),
     )
 
 
@@ -366,7 +369,7 @@ def synth_lidar(
     period_ns = int(round(NS_PER_S / rate))
     n_scans = int(gt.stamps[-1] // period_ns)
     # every sensor's scan i runs between the same two boundary poses
-    bounds = [gt.pose_at(i * period_ns) for i in range(n_scans + 1)] if mounts else []
+    bound_R, bound_t = gt.poses_at(np.arange(n_scans + 1) * period_ns)
     out = {}
     for pos, mount in mounts.items():
         sid = f"lidar/{pos}"
@@ -380,8 +383,8 @@ def synth_lidar(
             start = i * period_ns
             end = start + period_ns
             # constant-twist sensor motion across the scan period
-            S0 = pose_compose(bounds[i], mount.pose)
-            S1 = pose_compose(bounds[i + 1], mount.pose)
+            S0 = pose_compose(_derived_pose(bound_R[i], bound_t[i]), mount.pose)
+            S1 = pose_compose(_derived_pose(bound_R[i + 1], bound_t[i + 1]), mount.pose)
             xi = se3_log(pose_compose(pose_inverse(S0), S1))
             R_rel, t_rel = se3_exp_many(etas * xi)
             rot = S0.R @ R_rel
@@ -414,30 +417,23 @@ def synth_lidar(
 
 def synth_gnss(
     gt: GroundTruth, rate: float, sigma: float, lever, seed: int
-) -> list:
+) -> GnssStream:
     """GNSS fixes at the antenna position (base + lever arm)."""
     lever = np.asarray(lever, dtype=float).reshape(3)
     rng = _channel_rng(seed, "gnss")
-    period_ns = int(round(NS_PER_S / rate))
-    var = sigma**2 if sigma > 0 else 1e-12
-    fixes = []
-    for stamp in range(0, int(gt.stamps[-1]), period_ns):
-        T = gt.pose_at(stamp)
-        p = T.t + T.R @ lever
-        if sigma > 0:
-            p = p + rng.normal(scale=sigma, size=3)
-        fixes.append(GnssFix(stamp=stamp, t=p, cov=np.eye(3) * var))
-    return fixes
-
-
-def _item_stamp(item) -> int:
-    return item.scan_start if isinstance(item, LidarScan) else item.stamp
+    stamps = np.arange(0, gt.stamps[-1], int(round(NS_PER_S / rate)), dtype=np.int64)
+    R, t = gt.poses_at(stamps)
+    p = t + matvec_many(R, lever)
+    if sigma > 0:
+        p = p + rng.normal(scale=sigma, size=p.shape)
+    return GnssStream(stamps, p, np.full(len(stamps), sigma**2))
 
 
 def inject_dropout(streams: dict, dropouts) -> dict:
-    """Remove messages whose stamp falls in a (sensor, interval) dropout;
-    everything else is passed through unchanged. A stream is an
-    `ImuStream` or a list of scans or fixes."""
+    """Remove messages whose stamp falls in a (sensor, interval) dropout,
+    window ends included; everything else is passed through unchanged. A
+    stream is an `ImuStream` or a `GnssStream`, or a list of scans, each
+    stamped by its scan start."""
     out = {}
     for sid, items in streams.items():
         windows = [
@@ -445,20 +441,14 @@ def inject_dropout(streams: dict, dropouts) -> dict:
             for d in dropouts
             if d.sensor_id == sid
         ]
-        if isinstance(items, ImuStream):
+        if isinstance(items, (ImuStream, GnssStream)):
             keep = np.ones(len(items), dtype=bool)
             for a, b in windows:
                 keep &= (items.stamps < a) | (items.stamps > b)
             out[sid] = items.take(keep)
-            continue
-        if not windows:
-            out[sid] = list(items)
-            continue
-        out[sid] = [
-            it
-            for it in items
-            if not any(a <= _item_stamp(it) <= b for a, b in windows)
-        ]
+        else:
+            out[sid] = [scan for scan in items
+                        if not any(a <= scan.scan_start <= b for a, b in windows)]
     return out
 
 
@@ -468,7 +458,7 @@ class SimData:
     gt: GroundTruth
     imu: dict  # 'imu/<pos>' -> ImuStream
     lidar: dict  # 'lidar/<pos>' -> [LidarScan]
-    gnss: list  # [GnssFix]
+    gnss: GnssStream
 
 
 def simulate(scenario: Scenario) -> SimData:

@@ -32,11 +32,15 @@ writes `mlio fuse-imu`'s CSV from the streaming synchronizer's groups.
 `box_raycast` is the one-box slab cast and `raycast_world_per_surface`
 the surface-at-a-time world cast that
 `sim.raycast_world` replaced by one pass over all boxes.
-`twist_at_linear` is `sim._twist_at` finding its segment by a linear
-scan over start times it adds up on each call, and
-`synth_scan_per_call` casts one noise-free scan the way `sim.synth_lidar`
-did before it interpolated each scan-boundary pose once for all
-sensors: from `gt.pose_at` at both ends of every scan.
+`twist_at_linear` is the body twist at one time that `sim._twists_at`
+gives for many, finding its segment by a linear scan over start times
+it adds up on each call; `pose_at` is the ground-truth pose at one
+stamp that `GroundTruth.poses_at` gives for many. `synth_scan_per_call`
+casts one noise-free scan the way `sim.synth_lidar` did before it
+interpolated each scan-boundary pose once for all sensors: from
+`pose_at` at both ends of every scan. `retract` applies one state's
+tangent update through `NavStates.retract`, and `residual_gnss` is the
+GNSS factor's unwhitened residual: the state's position less the fix.
 """
 
 import math
@@ -241,6 +245,16 @@ def imu_residual_jacobians(x_i, x_j, delta, g=GRAVITY):
     return J_i[0], J_j[0]
 
 
+def retract(state, delta):
+    """`state` moved by a 15-dim tangent update, see NavStates.retract."""
+    delta = np.asarray(delta, dtype=float).reshape(1, STATE_DIM)
+    return NavStates.stack([state]).retract(delta).unstack()[0]
+
+
+def residual_gnss(state, t) -> np.ndarray:
+    return state.pose.t - t
+
+
 def numeric_jacobian(fn, state, eps=1e-6):
     """Central differences of fn along the 15 tangent directions of state."""
     r0 = fn(state)
@@ -248,7 +262,7 @@ def numeric_jacobian(fn, state, eps=1e-6):
     for k in range(STATE_DIM):
         step = np.zeros(STATE_DIM)
         step[k] = eps
-        J[:, k] = (fn(state.retract(step)) - fn(state.retract(-step))) / (2 * eps)
+        J[:, k] = (fn(retract(state, step)) - fn(retract(state, -step))) / (2 * eps)
     return J
 
 
@@ -540,11 +554,8 @@ def write_dataset_rows(path, sim) -> None:
     for sid, stream in sim.imu.items():
         write_stamped_csv_rows(os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
                                stream.stamps, np.hstack([stream.f, stream.w]))
-    write_stamped_csv_rows(
-        os.path.join(path, "gnss.csv"),
-        [f.stamp for f in sim.gnss],
-        np.array([[*f.t, f.cov[0, 0]] for f in sim.gnss], dtype=float).reshape(-1, 4),
-    )
+    write_stamped_csv_rows(os.path.join(path, "gnss.csv"), sim.gnss.stamps,
+                           np.column_stack([sim.gnss.t, sim.gnss.var]))
     for sid, scans in sim.lidar.items():
         scan_dir = os.path.join(path, "scans", sid.split("/")[1])
         os.makedirs(scan_dir, exist_ok=True)
@@ -604,7 +615,8 @@ def raycast_world_per_surface(world, origins, dirs) -> np.ndarray:
 
 
 def twist_at_linear(scenario, t: float):
-    """`sim._twist_at` with its segment found by a linear scan."""
+    """Body twist and its time derivative at time t, one row of
+    `sim._twists_at`, with its segment found by a linear scan."""
     starts = []
     acc = 0.0
     for d, _ in scenario.segments:
@@ -626,13 +638,28 @@ def twist_at_linear(scenario, t: float):
     return xi, dxi
 
 
+def pose_at(gt, stamp_ns: int):
+    """Ground-truth pose at an arbitrary time by constant-twist
+    interpolation between the two bracketing samples."""
+    stamps = gt.stamps
+    if stamp_ns <= stamps[0]:
+        return gt.poses[0]
+    if stamp_ns >= stamps[-1]:
+        return gt.poses[-1]
+    k = int(np.searchsorted(stamps, stamp_ns, side="right")) - 1
+    T0, T1 = gt.poses[k], gt.poses[k + 1]
+    eta = (stamp_ns - stamps[k]) / (stamps[k + 1] - stamps[k])
+    xi = se3_log(pose_compose(pose_inverse(T0), T1))
+    return pose_compose(T0, se3_exp(eta * xi))
+
+
 def synth_scan_per_call(gt, world, mount, pattern, start, period_ns, max_range):
     """Stamps and sensor-frame points of the noise-free scan that starts
-    at `start`, cast from `gt.pose_at` at both of its ends and
+    at `start`, cast from `pose_at` at both of its ends and
     `pattern` = `sim._scan_pattern(mount)`."""
     n_az, n_el = pattern.shape[:2]
-    S0 = pose_compose(gt.pose_at(start), mount.pose)
-    S1 = pose_compose(gt.pose_at(start + period_ns), mount.pose)
+    S0 = pose_compose(pose_at(gt, start), mount.pose)
+    S1 = pose_compose(pose_at(gt, start + period_ns), mount.pose)
     xi = se3_log(pose_compose(pose_inverse(S0), S1))
     offsets = (np.arange(n_az) * period_ns) // n_az
     R_rel, t_rel = se3_exp_many((offsets / period_ns)[:, None] * xi)

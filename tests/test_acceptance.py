@@ -25,7 +25,7 @@ from mlio.geometry import (
     so3_exp,
     so3_log,
 )
-from mlio.graph import STATE_DIM, GnssFix, residual_gnss
+from mlio.graph import STATE_DIM
 from mlio.lidar import IcpConfig, LidarScan, deskew, icp_register
 from mlio.mimu import (
     BatchFuser,
@@ -48,6 +48,7 @@ from oracles import (
     imu_residual_jacobians,
     numeric_jacobian,
     residual_between_jacobians,
+    residual_gnss,
     residual_prior,
     residual_prior_jacobian,
 )
@@ -270,7 +271,7 @@ class TestFactorJacobians:
         rng = np.random.default_rng(19)
         for _ in range(self.N):
             x = random_state(rng)
-            fix = GnssFix(stamp=0, t=rng.normal(0, 5, 3), cov=np.eye(3))
+            fix = rng.normal(0, 5, 3)
             Jn = numeric_jacobian(lambda s: residual_gnss(s, fix), x)
             J = np.zeros((3, STATE_DIM))
             J[:, 3:6] = np.eye(3)
@@ -532,10 +533,8 @@ def map_frame_loop(loop_data):
         v_world=loop_data.gt.v_world @ T.R.T,
         a_world=loop_data.gt.a_world @ T.R.T,
     )
-    gnss = [
-        GnssFix(stamp=f.stamp, t=T.apply(f.t), cov=T.R @ f.cov @ T.R.T)
-        for f in loop_data.gnss
-    ]
+    # a fix's covariance var * I is the same in every rotated frame
+    gnss = dataclasses.replace(loop_data.gnss, t=T.apply(loop_data.gnss.t))
     data = dataclasses.replace(loop_data, gt=gt, gnss=gnss)
     return data, Trajectory(stamps=gt.stamps, poses=gt.poses)
 

@@ -18,13 +18,19 @@ from mlio.graph import (
     BiasAnchorFactor,
     FactorGraph,
     GnssFactor,
-    GnssFix,
+    GnssStream,
     ImuFactor,
     PriorFactor,
-    residual_gnss,
 )
 from mlio.preintegration import empty_delta, integrate
-from oracles import format_tum_line, numeric_jacobian, residual_between, residual_prior
+from oracles import (
+    format_tum_line,
+    numeric_jacobian,
+    residual_between,
+    residual_gnss,
+    residual_prior,
+    retract,
+)
 
 
 def whitened(factor, states):
@@ -122,24 +128,45 @@ class TestResiduals:
         np.testing.assert_allclose(r, [0, 0, 0, 1, 0, 0], atol=1e-12)
 
     def test_gnss_examples(self):
-        fix = GnssFix(0, [3.0, 4.0, 0.0], np.eye(3))
-        assert np.allclose(residual_gnss(NavState(pose=Pose(np.eye(3), fix.t)), fix), 0.0)
+        fix = np.array([3.0, 4.0, 0.0])
+        assert np.allclose(residual_gnss(NavState(pose=Pose(np.eye(3), fix)), fix), 0.0)
         r = residual_gnss(NavState(), fix)
         np.testing.assert_allclose(r, [-3, -4, 0])
         assert np.linalg.norm(r) == pytest.approx(5.0)
 
     def test_gnss_whitening_scale(self):
-        fix1 = GnssFix(0, [3.0, 4.0, 0.0], np.eye(3))
-        fix4 = GnssFix(0, [3.0, 4.0, 0.0], 4.0 * np.eye(3))
         g = FactorGraph()
         g.add_node(0, NavState())
-        r1, _ = whitened(GnssFactor(0, fix1), [g.nodes[0]])
-        r4, _ = whitened(GnssFactor(0, fix4), [g.nodes[0]])
+        r1, _ = whitened(GnssFactor(0, [3.0, 4.0, 0.0], np.eye(3)), [g.nodes[0]])
+        r4, _ = whitened(GnssFactor(0, [3.0, 4.0, 0.0], 4.0 * np.eye(3)), [g.nodes[0]])
         assert np.linalg.norm(r4) == pytest.approx(np.linalg.norm(r1) / 2.0)
 
     def test_gnss_cov_must_be_spd(self):
         with pytest.raises(ValueError):
-            GnssFix(0, [0, 0, 0], np.diag([1.0, -1.0, 1.0]))
+            GnssFactor(0, [0, 0, 0], np.diag([1.0, -1.0, 1.0]))
+
+
+class TestGnssStream:
+    def test_columns_length_and_take(self):
+        gnss = GnssStream([5, 7, 9], np.arange(9.0), [0.25, 1.0, 4.0])
+        assert len(gnss) == 3
+        assert gnss.stamps.dtype == np.int64 and gnss.t.shape == (3, 3)
+        part = gnss.take(np.array([True, False, True]))
+        assert isinstance(part, GnssStream) and len(part) == 2
+        assert part.stamps.tolist() == [5, 9]
+        assert np.array_equal(part.t, [[0.0, 1, 2], [6, 7, 8]])
+        assert part.var.tolist() == [0.25, 4.0]
+        assert np.array_equal(gnss.take([1]).cov(0), np.eye(3))
+        empty = GnssStream([], [], [])
+        assert len(empty) == 0 and empty.t.shape == (0, 3)
+
+    def test_variance_floor(self):
+        """A variance under 1e-12 m^2 (a noise-free or sub-micron fix)
+        becomes 1e-12; larger ones are kept as they are."""
+        var = [0.0, 1e-20, 1e-12, np.nextafter(1e-12, 1.0), 0.25]
+        gnss = GnssStream(np.arange(5), np.zeros((5, 3)), var)
+        assert gnss.var.tolist() == [1e-12, 1e-12, 1e-12, var[3], 0.25]
+        assert gnss.take([0, 4]).var.tolist() == [1e-12, 0.25]
 
 
 class TestFactorJacobians:
@@ -150,12 +177,12 @@ class TestFactorJacobians:
         x_j = random_state(rng)
         anchor = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
         z = Pose(so3_exp(rng.normal(scale=0.3, size=3)), rng.normal(size=3))
-        fix = GnssFix(0, rng.normal(size=3), np.eye(3) * 0.25)
+        fix = rng.normal(size=3)
         factors = [
             PriorFactor(0, anchor, rng.normal(size=3) * 0.01,
                         rng.normal(size=3) * 0.01, np.eye(STATE_DIM) * 0.1),
             BetweenFactor(0, 1, z),
-            GnssFactor(0, fix),
+            GnssFactor(0, fix, np.eye(3) * 0.25),
             ImuFactor(0, 1, random_delta(rng)),
         ]
         for factor in factors:
@@ -186,7 +213,7 @@ def chain_graph(n, step=None, gnss_on=(), prior_cov=None, sigma_gnss=0.5):
         g.add_factor(BetweenFactor(k, k + 1, z))
     for k in gnss_on:
         g.add_factor(
-            GnssFactor(k, GnssFix(0, truth[k].t, np.eye(3) * sigma_gnss**2))
+            GnssFactor(k, truth[k].t, np.eye(3) * sigma_gnss**2)
         )
     return g, truth
 
@@ -227,10 +254,10 @@ class TestNormalEquations:
         for k in range(4):
             g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
             g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
-        g.add_factor(GnssFactor(3, GnssFix(0, rng.normal(size=3), np.eye(3))))
+        g.add_factor(GnssFactor(3, rng.normal(size=3), np.eye(3)))
         g.marginalize_oldest()  # adds a dense LinearFactor on node 1
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
+            g.nodes[k] = retract(g.nodes[k], rng.normal(scale=0.05, size=STATE_DIM))
         order = [3, 1, 4, 2]
         for factors in (g.factors, g.factors[::2]):
             J, r = stacked_whitened(g, factors, order)
@@ -260,15 +287,14 @@ class TestNormalEquations:
             g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
             g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
         for _ in range(2):
-            g.add_factor(GnssFactor(3, GnssFix(0, rng.normal(size=3),
-                                               np.eye(3) * 0.5)))
+            g.add_factor(GnssFactor(3, rng.normal(size=3), np.eye(3) * 0.5))
         g.marginalize_oldest()
         assert {f.kind for f in g.factors} == {
             "linear", "bias_anchor", "imu", "between", "gnss"}
         g.add_factor(PriorFactor(2, se3_exp(rng.normal(scale=0.3, size=6)),
                                  np.zeros(3), np.zeros(3), np.eye(STATE_DIM)))
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
+            g.nodes[k] = retract(g.nodes[k], rng.normal(scale=0.05, size=STATE_DIM))
         order = [int(n) for n in rng.permutation(sorted(g.nodes))]
         subset = [g.factors[i] for i in rng.permutation(len(g.factors))[:9]]
         for factors in (g.factors, subset):
@@ -316,7 +342,7 @@ class TestOptimize:
         g.add_node(0, NavState())
         cov = np.eye(STATE_DIM)
         g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), cov))
-        g.add_factor(GnssFactor(0, GnssFix(0, [1.0, 0, 0], np.eye(3))))
+        g.add_factor(GnssFactor(0, [1.0, 0, 0], np.eye(3)))
         report = g.optimize()
         assert report.converged
         np.testing.assert_allclose(g.nodes[0].pose.t, [0.5, 0, 0], atol=1e-6)
@@ -325,7 +351,7 @@ class TestOptimize:
         g, _ = chain_graph(3, prior_cov=np.eye(STATE_DIM) * 0.01)
         # GNSS on the last node, offset 0.3 m, tight covariance
         g.add_factor(
-            GnssFactor(2, GnssFix(0, [2.3, 0, 0], np.eye(3) * 0.01**2))
+            GnssFactor(2, [2.3, 0, 0], np.eye(3) * 0.01**2)
         )
         oracle = {k: v for k, v in g.nodes.items()}
         order = sorted(oracle)
@@ -346,7 +372,7 @@ class TestOptimize:
             r = np.concatenate(r_blocks)
             delta = -np.linalg.pinv(J.T @ J, hermitian=True) @ (J.T @ r)
             for i, n in enumerate(order):
-                oracle[n] = oracle[n].retract(delta[STATE_DIM * i:STATE_DIM * (i + 1)])
+                oracle[n] = retract(oracle[n], delta[STATE_DIM * i:STATE_DIM * (i + 1)])
             if np.linalg.norm(delta) < 1e-12:
                 break
         report = g.optimize()
@@ -366,9 +392,9 @@ class TestOptimize:
         the system once, tries no step and reports convergence."""
         rng = np.random.default_rng(9)
         g, _ = chain_graph(5, gnss_on=(2, 4))
-        g.add_factor(GnssFactor(4, GnssFix(0, [4.3, 0.2, 0.0], np.eye(3) * 0.25)))
+        g.add_factor(GnssFactor(4, [4.3, 0.2, 0.0], np.eye(3) * 0.25))
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
+            g.nodes[k] = retract(g.nodes[k], rng.normal(scale=0.05, size=STATE_DIM))
         first = g.optimize()
         assert first.converged and first.final_cost > 1e-3
         passes = []
@@ -385,7 +411,7 @@ class TestOptimize:
         rng = np.random.default_rng(2)
         g, truth = chain_graph(6, gnss_on=(5,))
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.1, size=STATE_DIM))
+            g.nodes[k] = retract(g.nodes[k], rng.normal(scale=0.1, size=STATE_DIM))
         report = g.optimize()
         assert report.final_cost <= report.initial_cost
         assert report.final_cost >= 0.0
@@ -421,26 +447,25 @@ class TestGnssGating:
         g = FactorGraph()
         # estimate far from the fix, but the fix is the better source
         g.add_node(0, NavState(pose=Pose(np.eye(3), [5.0, 0, 0])))
-        fix = GnssFix(0, [0, 0, 0], np.eye(3) / 3.0)  # trace 1
-        assert g.maybe_add_gnss(0, np.eye(3) * 3.0, fix)  # est trace 9
+        # fix trace 1, estimate trace 9
+        assert g.maybe_add_gnss(0, np.eye(3) * 3.0, [0, 0, 0], np.eye(3) / 3.0)
         assert len(g.factors) == 1
 
     def test_innovation_gate(self):
         g = FactorGraph()
         g.add_node(0, NavState())
         tight = np.eye(3) * 1e-4  # estimate claims higher precision
-        near = GnssFix(0, [0.5, 0, 0], np.eye(3) * 0.25)
-        far = GnssFix(0, [5.0, 0, 0], np.eye(3) * 0.25)
-        assert g.maybe_add_gnss(0, tight, near)  # consistent innovation
+        cov = np.eye(3) * 0.25
+        assert g.maybe_add_gnss(0, tight, [0.5, 0, 0], cov)  # consistent innovation
         assert len(g.factors) == 1
-        assert not g.maybe_add_gnss(0, tight, far)  # clear outlier
+        assert not g.maybe_add_gnss(0, tight, [5.0, 0, 0], cov)  # clear outlier
         assert len(g.factors) == 1
 
     def test_optimizes_without_gnss(self):
         g, truth = chain_graph(4)
         rng = np.random.default_rng(4)
         for k in g.nodes:
-            g.nodes[k] = g.nodes[k].retract(rng.normal(scale=0.05, size=STATE_DIM))
+            g.nodes[k] = retract(g.nodes[k], rng.normal(scale=0.05, size=STATE_DIM))
         report = g.optimize()
         assert report.converged
         for k, pose in enumerate(truth):
@@ -460,7 +485,7 @@ class TestMarginalization:
         g.add_node(0, NavState(pose=Pose(np.eye(3), [0.1, 0, 0])))
         g.add_node(1, NavState())
         g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3), np.eye(STATE_DIM)))
-        g.add_factor(GnssFactor(1, GnssFix(0, [0.2, 0, 0], np.eye(3))))
+        g.add_factor(GnssFactor(1, [0.2, 0, 0], np.eye(3)))
         rest_cost = 0.2**2  # the GNSS factor alone
         g.marginalize_oldest()
         assert abs(whitened_cost(g, g.nodes) - rest_cost) < 1e-8
@@ -475,8 +500,8 @@ class TestMarginalization:
             marg.marginalize_oldest()
         perturb = {k: rng.normal(scale=0.01, size=STATE_DIM) for k in marg.nodes}
         for k in perturb:
-            full.nodes[k] = full.nodes[k].retract(perturb[k])
-            marg.nodes[k] = marg.nodes[k].retract(perturb[k])
+            full.nodes[k] = retract(full.nodes[k], perturb[k])
+            marg.nodes[k] = retract(marg.nodes[k], perturb[k])
         full.optimize()
         marg.optimize()
         for k in marg.nodes:

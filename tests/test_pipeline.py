@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mlio
+from mlio.dataset import load_dataset, write_dataset
 from mlio.evaluation import Trajectory, ape, rpe
 from mlio.geometry import NavState, Pose, pose_compose, pose_inverse, so3_log
 from mlio.graph import (
@@ -17,7 +18,6 @@ from mlio.graph import (
     BetweenFactor,
     FactorGraph,
     GnssFactor,
-    GnssFix,
     PriorFactor,
 )
 from mlio.mimu import BatchFuser, FusedImu, ImuStream, MimuArray
@@ -53,6 +53,7 @@ from oracles import (
     EagerPropagator,
     fuse_imu_groups_per_group,
     keyframe_schedule_per_sample,
+    pose_at,
     write_fused_imu_rows,
 )
 
@@ -288,7 +289,7 @@ class TestPropagator:
         interval = _interval(state, gt.w_body[k],
                              [_gt_sample(gt, i) for i in range(k, k + 51)])
         stamp = int(gt.stamps[k]) - 100_000_000
-        pose, truth = interval.pose_at(stamp), gt.pose_at(stamp)
+        pose, truth = interval.pose_at(stamp), pose_at(gt, stamp)
         assert np.linalg.norm(pose.t - truth.t) < 0.01
         assert np.linalg.norm(so3_log(truth.R.T @ pose.R)) < 1e-3
 
@@ -431,7 +432,8 @@ class TestKeyframeStep:
             assert batch
             before = len(graph.factors)
             record = _keyframe_step(graph, submap, node, interval, batch,
-                                    fixes[node - 1], scenario, init, config)
+                                    straight_data.gnss, fixes[node - 1], scenario,
+                                    init, config)
             new = {f.kind: f for f in graph.factors[before:]}
             assert (record.gnss is None) == (fixes[node - 1] is None)
             assert ("gnss" in new) == bool(record.gnss)
@@ -447,7 +449,7 @@ class TestKeyframeStep:
             assert record.report.converged
             _, _, cost = graph.normal_equations(graph.nodes, sorted(graph.nodes))
             assert cost == pytest.approx(record.report.final_cost, rel=1e-12)
-            truth = straight_data.gt.pose_at(int(fused.stamps[rows[node]]))
+            truth = pose_at(straight_data.gt, int(fused.stamps[rows[node]]))
             assert np.linalg.norm(graph.nodes[node].pose.t - truth.t) < 0.05
 
 
@@ -482,6 +484,24 @@ class TestEndToEnd:
         again = run_pipeline(straight_data, parse_sensor_mask("L4I4G1"))
         assert again.stamps == result.stamps
         for a, b in zip(again.poses, result.poses):
+            assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
+
+
+class TestWithoutGnssFile:
+    def test_gnss_mask_on_an_empty_stream(self, straight_data, tmp_path):
+        """A dataset without gnss.csv replays under a GNSS mask: every
+        GNSS counter is 0, and the trajectory is the one without GNSS."""
+        write_dataset(tmp_path, dataclasses.replace(straight_data, lidar={}))
+        os.remove(tmp_path / "gnss.csv")
+        ds = dataclasses.replace(load_dataset(tmp_path), lidar=straight_data.lidar)
+        assert len(ds.gnss) == 0 and ds.gnss.t.shape == (0, 3)
+        result = run_pipeline(ds, parse_sensor_mask("L4I4G1"))
+        c = result.counters
+        assert c.keyframes > 0
+        assert (c.gnss_added, c.gnss_rejected, c.gnss_unassociated) == (0, 0, 0)
+        blind = run_pipeline(ds, parse_sensor_mask("L4I4"))
+        assert result.stamps == blind.stamps
+        for a, b in zip(result.poses, blind.poses):
             assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
 
 
@@ -563,7 +583,7 @@ class TestPositionCovariance:
                                  np.eye(STATE_DIM) * 0.01))
         for k in range(2):
             g.add_factor(BetweenFactor(k, k + 1, Pose(np.eye(3), [1.0, 0, 0])))
-        g.add_factor(GnssFactor(2, GnssFix(0, [2.0, 0.1, 0], np.diag([0.25, 0.5, 1.0]))))
+        g.add_factor(GnssFactor(2, [2.0, 0.1, 0], np.diag([0.25, 0.5, 1.0])))
         H, _, _ = g.normal_equations(g.nodes, [0, 1, 2])
         inv = np.linalg.inv(H + np.eye(len(H)) * 1e-9)
         for k in range(3):

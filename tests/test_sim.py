@@ -19,6 +19,7 @@ from mlio.geometry import (
     so3_exp,
     to_nanos,
 )
+from mlio.graph import GnssStream
 from mlio.lidar import deskew
 from mlio.mimu import ImuChannelCalib, ImuStream
 from mlio.sim import (
@@ -32,7 +33,7 @@ from mlio.sim import (
     Scenario,
     _scan_pattern,
     _segment_starts,
-    _twist_at,
+    _twists_at,
     corridor_scenario,
     gen_trajectory,
     inject_dropout,
@@ -49,6 +50,7 @@ from mlio.sim import (
 )
 from oracles import (
     ImuSample,
+    pose_at,
     raycast_world_per_surface,
     synth_scan_per_call,
     transform_to_base,
@@ -199,34 +201,49 @@ class TestGenTrajectory:
             assert np.linalg.norm(w_num - gt.w_body[k]) < 1e-4
 
     def test_twist_at_equals_linear_scan(self):
-        """Bisection finds the segment a linear scan does: at every
-        segment start and 1 ns either side, through each ramp, before
-        the start and past the end."""
+        """The batched twists equal the one-time linear-scan reference
+        bit for bit: at every segment start and ramp end and 1 ns or one
+        ulp either side, through each ramp, before the start and past
+        the end."""
         s = scenario_with(
             [(0.37, [0, 0, 0.1, 1, 0, 0]), (1.13, [0.2, 0, -0.3, 2, 0, 0.1]),
              (0.1, np.zeros(6)), (2.9, [0, 0.1, 0.4, 3, -0.2, 0]),
              (0.25, [0, 0, 0, 1, 0, 0])],
             ramp=0.3,
         )
-        starts = _segment_starts(s)
-        times = [-1e-9, s.duration, s.duration + 1.0]
-        for start in starts:
-            ns = to_nanos(start)
-            times += [start, np.nextafter(start, -1.0), np.nextafter(start, 9.0)]
-            times += [(ns + d) / NS_PER_S for d in (-1, 0, 1)]
+        times = [-1.0, -1e-9, s.duration, s.duration + 1.0]
+        for start in _segment_starts(s):
+            for edge in (start, start + s.ramp):
+                ns = to_nanos(edge)
+                times += [edge, np.nextafter(edge, -1.0), np.nextafter(edge, 9.0)]
+                times += [(ns + d) / NS_PER_S for d in (-1, 0, 1)]
             times += list(start + np.linspace(0.0, 0.31, 32))
-        for t in times:
-            xi, dxi = _twist_at(s, starts, t)
+        xi, dxi = _twists_at(s, times)
+        for t, row, drow in zip(times, xi, dxi):
             xi_ref, dxi_ref = twist_at_linear(s, t)
-            assert xi.tobytes() == xi_ref.tobytes(), t
-            assert dxi.tobytes() == dxi_ref.tobytes(), t
+            assert row.tobytes() == xi_ref.tobytes(), t
+            assert drow.tobytes() == dxi_ref.tobytes(), t
 
     def test_pose_at_matches_samples(self):
-        s = scenario_with([(2.0, [0, 0, 0.3, 1.0, 0, 0])])
+        """The batched poses equal the one-stamp reference bit for bit:
+        before, at and after both ends of the span, on samples and
+        between them; on samples they are the samples."""
+        s = scenario_with([(2.0, [0.1, 0, 0.3, 1.0, 0.2, 0])], ramp=0.5)
         gt = gen_trajectory(s)
+        first, last = int(gt.stamps[0]), int(gt.stamps[-1])
+        stamps = [first - 10**9, first - 1, first, first + 1, last - 1, last, last + 1,
+                  last + 10**9, 3_456_789]
+        for k in (1, 57, 123, len(gt.stamps) - 2):
+            stamps += [int(gt.stamps[k]) + d for d in (-1, 0, 1, 4_999_999)]
+        R, t = gt.poses_at(stamps)
+        assert R.shape == (len(stamps), 3, 3) and t.shape == (len(stamps), 3)
+        for stamp, R_k, t_k in zip(stamps, R, t):
+            ref = pose_at(gt, stamp)
+            assert R_k.tobytes() == ref.R.tobytes(), stamp
+            assert t_k.tobytes() == ref.t.tobytes(), stamp
         for k in (0, 57, 123, len(gt.stamps) - 1):
-            p = gt.pose_at(int(gt.stamps[k]))
-            np.testing.assert_allclose(p.t, gt.poses[k].t, atol=1e-12)
+            _, t_k = gt.poses_at([gt.stamps[k]])
+            np.testing.assert_allclose(t_k[0], gt.poses[k].t, atol=1e-12)
 
 
 class TestSynthImu:
@@ -306,8 +323,8 @@ class TestSynthLidar:
         gt = gen_trajectory(s)
         streams = synth_lidar(gt, world, s.lidars, 2.0, NoiseSpec(), seed=0)
         scan = streams["lidar/F_L"][0]
-        S0 = pose_compose(gt.pose_at(scan.scan_start), mount.pose)
-        S1 = pose_compose(gt.pose_at(scan.scan_end), mount.pose)
+        S0 = pose_compose(pose_at(gt, scan.scan_start), mount.pose)
+        S1 = pose_compose(pose_at(gt, scan.scan_end), mount.pose)
         flat = deskew(scan, S0, S1)
         wall_x = S0.apply(flat)[:, 0]
         np.testing.assert_allclose(wall_x, 30.0, atol=1e-9)
@@ -331,8 +348,8 @@ class TestSynthLidar:
         scans = synth_lidar(gt, world, s.lidars, 5.0, NoiseSpec(), seed=0)["lidar/F_L"]
         assert len(scans) == 5
         for scan in scans:
-            S0 = pose_compose(gt.pose_at(scan.scan_start), mount.pose)
-            S1 = pose_compose(gt.pose_at(scan.scan_end), mount.pose)
+            S0 = pose_compose(pose_at(gt, scan.scan_start), mount.pose)
+            S1 = pose_compose(pose_at(gt, scan.scan_end), mount.pose)
             xi = se3_log(pose_compose(pose_inverse(S0), S1))
             pts, stamps = [], []
             for a in range(n_az):
@@ -349,7 +366,7 @@ class TestSynthLidar:
 
     def test_scans_equal_per_call_pose_variant(self):
         """Interpolating each scan-boundary pose once for all sensors
-        gives the scans that `gt.pose_at` per scan end gives."""
+        gives the scans that `pose_at` per scan end gives."""
         s = corridor_scenario(length=4.0)
         gt = gen_trajectory(s)
         period_ns = NS_PER_S // 5
@@ -394,10 +411,8 @@ class TestSynthGnss:
         s = scenario_with([(10.0, [0, 0, 0.1, 2.0, 0, 0])])
         gt = gen_trajectory(s)
         fixes = synth_gnss(gt, 5.0, 0.0, [0, 0, 0], seed=0)
-        for fix in fixes[:: 7]:
-            np.testing.assert_allclose(
-                fix.t, gt.pose_at(fix.stamp).t, atol=1e-12
-            )
+        for stamp, t in zip(fixes.stamps[::7].tolist(), fixes.t[::7]):
+            np.testing.assert_allclose(t, pose_at(gt, stamp).t, atol=1e-12)
 
     def test_count(self):
         s = scenario_with([(100.0, [0, 0, 0, 1.0, 0, 0])])
@@ -409,14 +424,14 @@ class TestSynthGnss:
         s = scenario_with([(100.0, np.zeros(6))])
         gt = gen_trajectory(s)
         fixes = synth_gnss(gt, 100.0, 0.5, [0, 0, 0], seed=1)
-        err = np.stack([f.t for f in fixes])
+        err = fixes.t
         assert abs(err.std() - 0.5) / 0.5 < 0.05
 
     def test_lever_arm_offset(self):
         s = scenario_with([(2.0, np.zeros(6))])
         gt = gen_trajectory(s)
         fixes = synth_gnss(gt, 5.0, 0.0, [0.0, 0.0, 2.0], seed=0)
-        np.testing.assert_allclose(fixes[0].t, [0, 0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(fixes.t[0], [0, 0, 2.0], atol=1e-12)
 
 
 class TestInjectDropout:
@@ -441,7 +456,8 @@ class TestInjectDropout:
         assert np.array_equal(out["imu/R_R"].f, streams["imu/R_R"].f)
 
     def test_empty_is_identity(self):
-        assert inject_dropout({"gnss": []}, []) == {"gnss": []}
+        out = inject_dropout({"gnss": GnssStream([], [], [])}, [])
+        assert len(out["gnss"]) == 0 and out["gnss"].t.shape == (0, 3)
         s = scenario_with([(1.0, np.zeros(6))])
         gt = gen_trajectory(s)
         imu = synth_imu(gt, s.imus, NoiseSpec(), seed=0)
@@ -451,6 +467,19 @@ class TestInjectDropout:
             assert np.array_equal(out[sid].stamps, stream.stamps)
             assert np.array_equal(out[sid].f, stream.f)
             assert np.array_equal(out[sid].w, stream.w)
+
+    def test_gnss_fixes_removed_by_stamp(self):
+        """A GNSS stream loses the fixes stamped inside a window, both
+        ends included, by the rule that IMU streams follow."""
+        s = scenario_with([(4.0, np.zeros(6))])
+        gnss = synth_gnss(gen_trajectory(s), 10.0, 0.3, [0, 0, 1.0], seed=0)
+        out = inject_dropout({"gnss": gnss}, [Dropout("gnss", 1.0, 2.5),
+                                              Dropout("imu/F_L", 0.0, 4.0)])["gnss"]
+        kept = (gnss.stamps < NS_PER_S) | (gnss.stamps > 2_500_000_000)
+        assert {NS_PER_S, 2_500_000_000} <= set(gnss.stamps.tolist())
+        assert isinstance(out, GnssStream) and len(out) == kept.sum() == len(gnss) - 16
+        for name in ("stamps", "t", "var"):
+            assert np.array_equal(getattr(out, name), getattr(gnss, name)[kept])
 
     def test_drop_everything(self):
         s = scenario_with([(2.0, np.zeros(6))])
@@ -473,8 +502,7 @@ class TestDeterminism:
         for sid in a.lidar:
             for x, y in zip(a.lidar[sid], b.lidar[sid]):
                 assert np.array_equal(x.points, y.points)
-        for x, y in zip(a.gnss, b.gnss):
-            assert np.array_equal(x.t, y.t)
+        assert np.array_equal(a.gnss.t, b.gnss.t)
 
     def test_sensor_streams_independent_of_subset(self):
         # generating fewer sensors must not change the shared ones
@@ -568,7 +596,7 @@ class TestDatasetIo:
         shift = first - int(sim.imu["imu/F_L"].stamps[0])
         imu = {sid: ImuStream(s.stamps + shift, s.f, s.w, sid)
                for sid, s in sim.imu.items()}
-        gnss = [dataclasses.replace(f, stamp=f.stamp + shift) for f in sim.gnss]
+        gnss = dataclasses.replace(sim.gnss, stamps=sim.gnss.stamps + shift)
         write_dataset(tmp_path, dataclasses.replace(sim, imu=imu, gnss=gnss,
                                                     lidar={}))
         assert (tmp_path / "imu_F_L.csv").read_text().startswith(f"{first},")
@@ -577,8 +605,8 @@ class TestDatasetIo:
             assert ds.imu[sid].stamps.dtype == np.int64
             assert np.array_equal(ds.imu[sid].stamps, stream.stamps)
         assert len(gnss) > 0
-        assert [f.stamp for f in ds.gnss] == [f.stamp for f in gnss]
-        assert all(type(f.stamp) is int for f in ds.gnss)
+        assert ds.gnss.stamps.dtype == np.int64
+        assert np.array_equal(ds.gnss.stamps, gnss.stamps)
 
     def test_scan_files_match_the_row_writer(self, tmp_path):
         """Each scan file holds the bytes of the per-point writer, also
@@ -624,8 +652,45 @@ class TestDatasetIo:
         self.gnss_dataset_with_variance(tmp_path, "0.000000000e+00")
         fixes = load_dataset(tmp_path).gnss
         assert len(fixes) > 1
-        for fix in fixes:
-            assert np.array_equal(fix.cov, 1e-12 * np.eye(3))
+        assert np.array_equal(fixes.var, np.full(len(fixes), 1e-12))
+        assert np.array_equal(fixes.cov(1), 1e-12 * np.eye(3))
+
+    def test_gnss_round_trip_is_exact(self, tmp_path):
+        """Every fix's stamp, position and variance reads back exactly
+        as written: values of at most ten significant digits as they
+        are, a simulated stream as `%.9e` prints it."""
+        rng = np.random.default_rng(3)
+        exact = GnssStream(np.arange(7) * 200_000_000 + 2**60,
+                           rng.integers(-10**5, 10**5, size=(7, 3)) / 64,
+                           rng.integers(1, 10**4, size=7) / 64)
+        sim = simulate(corridor_scenario(length=4.0, seed=1,
+                                         noise=NoiseSpec(gnss_sigma=0.3)))
+        printed = np.vectorize(lambda v: float(f"{v:.9e}"))
+        for gnss, expected in ((exact, exact), (sim.gnss, GnssStream(
+                sim.gnss.stamps, printed(sim.gnss.t), printed(sim.gnss.var)))):
+            write_dataset(tmp_path, dataclasses.replace(sim, gnss=gnss, lidar={}))
+            back = load_dataset(tmp_path).gnss
+            assert back.stamps.dtype == np.int64
+            for name in ("stamps", "t", "var"):
+                assert np.array_equal(getattr(back, name), getattr(expected, name))
+
+    def test_tiny_gnss_sigma_floors_as_on_disk(self, tmp_path):
+        """A GNSS sigma under 1 um gives the floored variance in memory,
+        the one the written dataset loads with."""
+        sim = simulate(corridor_scenario(length=4.0, seed=1,
+                                         noise=NoiseSpec(gnss_sigma=1e-7)))
+        write_dataset(tmp_path, sim)
+        assert np.array_equal(sim.gnss.var, np.full(len(sim.gnss), 1e-12))
+        assert np.array_equal(load_dataset(tmp_path).gnss.var, sim.gnss.var)
+
+    def test_missing_gnss_file_loads_an_empty_stream(self, tmp_path):
+        write_dataset(tmp_path, simulate(corridor_scenario(length=4.0, seed=1)))
+        os.remove(tmp_path / "gnss.csv")
+        gnss = load_dataset(tmp_path).gnss
+        assert isinstance(gnss, GnssStream) and len(gnss) == 0
+        assert gnss.stamps.dtype == np.int64 and gnss.stamps.shape == (0,)
+        assert gnss.t.dtype == float and gnss.t.shape == (0, 3)
+        assert gnss.var.dtype == float and gnss.var.shape == (0,)
 
     def test_ground_truth_read_on_first_access(self, tmp_path):
         sim = simulate(corridor_scenario(length=4.0, seed=1))
