@@ -1,5 +1,9 @@
 """SE(3) algebra shared by every other module.
 
+Every SO(3)/SE(3) series (Exp, the scale of Log, J_l, J_r, the double
+integral C and both J_l^-1) reads its coefficients of the angle from one
+kernel, `_series_coefficients`, exact to rounding at every angle.
+
 Conventions:
     - Quaternions are [w, x, y, z] with non-negative scalar part after
       canonicalization.
@@ -29,31 +33,14 @@ class DegenerateInputError(ValueError):
 # skew / SO(3)
 # ---------------------------------------------------------------------------
 
-def skew(v) -> np.ndarray:
-    """Skew-symmetric matrix M with M @ b == cross(v, b)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def so3_exp(phi) -> np.ndarray:
-    """Rotation matrix from a rotation vector (Rodrigues)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    K = skew(phi)
-    if theta < 1e-8:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    a = math.sin(theta) / theta
-    b = (1.0 - math.cos(theta)) / theta**2
-    return np.eye(3) + a * K + b * (K @ K)
-
-
 def matvec_many(A, x) -> np.ndarray:
     """Stacked matrix-vector products A[k] @ x[k], shape (..., a)."""
     return (A @ np.asarray(x)[..., None])[..., 0]
 
 
 def skew_many(v) -> np.ndarray:
-    """Stacked skew matrices of (..., 3) vectors, shape (..., 3, 3)."""
+    """Stacked skew matrices of (..., 3) vectors, shape (..., 3, 3):
+    skew_many(v) @ b == cross(v, b)."""
     v = np.asarray(v, dtype=float)
     out = np.zeros(v.shape + (3,))
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
@@ -63,25 +50,77 @@ def skew_many(v) -> np.ndarray:
     return out
 
 
-def _so3_terms_many(phi):
-    """(theta, K, K @ K) of stacked (m, 3) rotation vectors, theta shaped
-    (m, 1, 1): the terms every SO(3) series below is a sum of."""
+# Every SO(3) and SE(3) series below is a sum of I, K = skew(phi) and
+# K @ K (K^3 = -theta^2 K, theta = |phi|) weighted by coefficients of
+# theta: row k = 1..5 of the kernel's table is
+#     A_k = sum_n (-1)^n theta^2n / (2n + k)!,
+# that is sin/theta, (1 - cos)/theta^2, (theta - sin)/theta^3,
+# (cos - 1 + theta^2/2)/theta^4 and (sin - theta + theta^3/6)/theta^5;
+# row 0 is
+#     B = (1 - (theta/2) cot(theta/2)) / theta^2
+#       = sum_n |Bernoulli_(2n+2)| theta^2n / (2n + 2)!.
+# Below the switch angle the kernel sums the first _SERIES_TERMS terms
+# (the rest is under 1e-17 of the sum there); at and above it, the
+# closed forms, whose cancellation there costs the maps only their last
+# few bits.
+_SERIES_SWITCH = 0.5
+_SERIES_TERMS = 8  # a power of 2, for Estrin's scheme
+_SERIES_TAYLOR = np.array(
+    [[1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160, 691 / 1307674368000,
+      1 / 74724249600, 3617 / 10670622842880000]]
+    + [[(-1) ** n / math.factorial(2 * n + k) for n in range(_SERIES_TERMS)]
+       for k in range(1, 6)])[:, :, None]  # (row, term, 1)
+
+
+def _series_coefficients(theta, rows) -> np.ndarray:
+    """The kernel's `rows` (0 for B, k for A_k) at stacked angles theta
+    (m,), shape (len(rows), m): the table in theta^2 by Estrin's scheme
+    below the switch, the closed forms of one sin and cos at and above
+    it."""
+    small = theta < _SERIES_SWITCH
+    n_small = np.count_nonzero(small)
+    if 0 < n_small < len(theta):  # each part takes one way
+        out = np.empty((len(rows), len(theta)))
+        for part in (small, ~small):
+            out[:, part] = _series_coefficients(theta[part], rows)
+        return out
+    t, t2 = theta, theta * theta
+    if n_small:
+        p, x = _SERIES_TAYLOR[list(rows)], t2
+        while p.shape[1] > 1:  # pair the terms, square x
+            p, x = p[:, 0::2] + p[:, 1::2] * x, x * x
+        return p[:, 0]
+    s, c = np.sin(t), np.cos(t)
+    forms = {
+        0: lambda: (1.0 - 0.5 * t * s / (1.0 - c)) / t2,
+        1: lambda: s / t,
+        2: lambda: (1.0 - c) / t2,
+        3: lambda: (t - s) / (t2 * t),
+        4: lambda: (c - 1.0 + 0.5 * t2) / (t2 * t2),
+        5: lambda: (s - t + t2 * t / 6.0) / (t2 * t2 * t),
+    }
+    return np.array([forms[k]() for k in rows])
+
+
+def _so3_terms_many(phi, rows):
+    """(K, K @ K, the kernel's rows at theta) of stacked (m, 3) rotation
+    vectors, each row shaped (m, 1, 1) to scale K."""
     phi = np.asarray(phi, dtype=float)
     K = skew_many(phi)
-    return np.linalg.norm(phi, axis=-1)[..., None, None], K, K @ K
+    coeffs = _series_coefficients(np.linalg.norm(phi, axis=-1), rows)
+    return K, K @ K, coeffs[..., None, None]
 
 
-def _so3_exp_terms(theta, K, KK) -> np.ndarray:
-    small = theta < 1e-8
-    ts = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0, np.sin(ts) / ts)
-    b = np.where(small, 0.5, (1.0 - np.cos(ts)) / ts**2)
-    return np.eye(3) + a * K + b * KK
+def so3_exp(phi) -> np.ndarray:
+    """Rotation matrix of one rotation vector; see so3_exp_many."""
+    return so3_exp_many(np.asarray(phi, dtype=float)[None])[0]
 
 
 def so3_exp_many(phi) -> np.ndarray:
-    """so3_exp of stacked (m, 3) rotation vectors, shape (m, 3, 3)."""
-    return _so3_exp_terms(*_so3_terms_many(phi))
+    """Rotations Exp(phi) = I + A_1 K + A_2 K^2 (Rodrigues) of stacked
+    (m, 3) rotation vectors, shape (m, 3, 3)."""
+    K, KK, (a1, a2) = _so3_terms_many(phi, (1, 2))
+    return np.eye(3) + a1 * K + a2 * KK
 
 
 def so3_log(R) -> np.ndarray:
@@ -99,11 +138,12 @@ def so3_log_many(R) -> np.ndarray:
 
     The angle is atan2(sin, cos), accurate over the whole range. Below a
     quarter turn the axis comes from the antisymmetric part of R (2 sin
-    theta times the axis); above it from the largest column of the
-    symmetric part R + R^T + (1 - tr R) I (2 (1 - cos theta) times axis
-    axis^T), with the sign of the antisymmetric part. Each divides by
-    the larger of sin theta and 1 - cos theta, so no angle loses
-    precision. Requires every angle <= pi - LOG_PI_MARGIN."""
+    theta times the axis, scaled by theta / (2 sin theta) = 1 / (2 A_1));
+    above it from the largest column of the symmetric part
+    R + R^T + (1 - tr R) I (2 (1 - cos theta) times axis axis^T), with
+    the sign of the antisymmetric part. Neither divides by a small
+    number, so no angle loses precision. Requires every angle
+    <= pi - LOG_PI_MARGIN."""
     R = np.asarray(R, dtype=float)
     w = R[:, (2, 0, 1), (1, 2, 0)] - R[:, (1, 2, 0), (2, 0, 1)]
     s = 0.5 * np.sqrt(np.sum(w * w, axis=-1))
@@ -111,9 +151,7 @@ def so3_log_many(R) -> np.ndarray:
     theta = np.arctan2(s, c)
     if (theta > math.pi - LOG_PI_MARGIN).any():
         raise DegenerateInputError("rotation angle too close to pi for log map")
-    small = theta < 1e-8
-    scale = np.where(small, 0.5, theta / np.where(small, 1.0, 2.0 * s))
-    out = scale[:, None] * w
+    out = (0.5 / _series_coefficients(theta, (1,))[0])[:, None] * w
     wide = c < 0.0
     if wide.any():
         Rw = R[wide]
@@ -127,50 +165,30 @@ def so3_log_many(R) -> np.ndarray:
     return out
 
 
-def _so3_double_integral_terms(theta, K, KK) -> np.ndarray:
-    small = theta < 1e-4
-    ts = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 / 6.0, (ts - np.sin(ts)) / ts**3)
-    b = np.where(small, 1.0 / 24.0, (np.cos(ts) - 1.0 + ts**2 / 2.0) / ts**4)
-    return 0.5 * np.eye(3) + a * K + b * KK
-
-
 def so3_series_many(phi):
     """(Exp, J_l, J_r, C) of stacked (m, 3) rotation vectors from one
-    norm, skew and K @ K: the exponential, the left Jacobian J_l =
-    integral_0^1 Exp(s*phi) ds, the right Jacobian J_r = J_l(-phi) and
-    the double integral C = integral_0^1 integral_0^a Exp(u*phi) du da,
-    each (m, 3, 3). Each keeps its own small-angle threshold (1e-8,
-    1e-6, 1e-4)."""
-    theta, K, KK = _so3_terms_many(phi)
-    return (_so3_exp_terms(theta, K, KK),
-            _so3_left_jacobian_terms(theta, K, KK),
-            _so3_left_jacobian_terms(theta, -K, KK),
-            _so3_double_integral_terms(theta, K, KK))
-
-
-def _so3_left_jacobian_terms(theta, K, KK) -> np.ndarray:
-    small = theta < 1e-6
-    ts = np.where(small, 1.0, theta)
-    a = np.where(small, 0.5, (1.0 - np.cos(ts)) / ts**2)
-    b = np.where(small, 1.0 / 6.0, (ts - np.sin(ts)) / ts**3)
-    return np.eye(3) + a * K + b * KK
+    norm, skew, K @ K and kernel call, each (m, 3, 3): the exponential
+    I + A_1 K + A_2 K^2, the left Jacobian J_l = integral_0^1 Exp(s*phi)
+    ds = I + A_2 K + A_3 K^2, the right Jacobian J_r = J_l(-phi) and the
+    double integral C = integral_0^1 integral_0^a Exp(u*phi) du da =
+    I/2 + A_3 K + A_4 K^2."""
+    K, KK, (a1, a2, a3, a4) = _so3_terms_many(phi, (1, 2, 3, 4))
+    eye = np.eye(3)
+    return (eye + a1 * K + a2 * KK, eye + a2 * K + a3 * KK,
+            eye - a2 * K + a3 * KK, 0.5 * eye + a3 * K + a4 * KK)
 
 
 def so3_left_jacobian_many(phi) -> np.ndarray:
     """Left Jacobians J_l(phi) = integral_0^1 Exp(s*phi) ds of stacked
     (m, 3) vectors, shape (m, 3, 3)."""
-    return _so3_left_jacobian_terms(*_so3_terms_many(phi))
+    K, KK, (a2, a3) = _so3_terms_many(phi, (2, 3))
+    return np.eye(3) + a2 * K + a3 * KK
 
 
 def so3_left_jacobian_inv_many(phi) -> np.ndarray:
-    """Inverse left Jacobians of stacked (m, 3) vectors, (m, 3, 3); the
-    inverse right Jacobian at phi is the one at -phi."""
-    theta, K, KK = _so3_terms_many(phi)
-    small = theta < 1e-6
-    ts = np.where(small, 1.0, theta)
-    cot_half = ts * np.cos(ts / 2.0) / (2.0 * np.sin(ts / 2.0))
-    b = np.where(small, 1.0 / 12.0, (1.0 - cot_half) / ts**2)
+    """Inverse left Jacobians I - K/2 + B K^2 of stacked (m, 3) vectors,
+    (m, 3, 3); the inverse right Jacobian at phi is the one at -phi."""
+    K, KK, (b,) = _so3_terms_many(phi, (0,))
     return np.eye(3) - 0.5 * K + b * KK
 
 
@@ -293,10 +311,10 @@ def se3_exp_many(xi):
     at fraction eta of a constant twist xi is se3_exp(eta * xi), the
     screw motion that deskewing and the simulator's scans share."""
     xi = np.asarray(xi, dtype=float)
-    phi, rho = xi[:, :3], xi[:, 3:]
-    terms = _so3_terms_many(phi)  # shared by Exp and J_l
-    return (_so3_exp_terms(*terms),
-            matvec_many(_so3_left_jacobian_terms(*terms), rho))
+    K, KK, (a1, a2, a3) = _so3_terms_many(xi[:, :3], (1, 2, 3))
+    eye = np.eye(3)
+    return (eye + a1 * K + a2 * KK,
+            matvec_many(eye + a2 * K + a3 * KK, xi[:, 3:]))
 
 
 def se3_log(p: Pose) -> np.ndarray:
@@ -310,43 +328,23 @@ def se3_log_many(R, t) -> np.ndarray:
     return np.concatenate([phi, rho], axis=-1)
 
 
-def _se3_Q_many(phi, rho) -> np.ndarray:
-    """Second-order block of the SE(3) left Jacobian (Barfoot), for
-    stacked (m, 3) phi and rho."""
-    theta = np.linalg.norm(phi, axis=-1)[..., None, None]
-    px = skew_many(phi)
-    rx = skew_many(rho)
-    px_rx = px @ rx
-    rx_px = rx @ px
-    px_rx_px = px_rx @ px
-    small = theta < 1e-4
-    ts = np.where(small, 1.0, theta)
-    c1 = (ts - np.sin(ts)) / ts**3
-    c2 = (1.0 - ts**2 / 2.0 - np.cos(ts)) / ts**4
-    c3 = 0.5 * (c2 - 3.0 * (ts - np.sin(ts) - ts**3 / 6.0) / ts**5)
-    t2 = theta**2
-    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, c1)
-    c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0, c2)
-    c3 = np.where(small, 1.0 / 120.0 - t2 / 2520.0, c3)
-    return (
-        0.5 * rx
-        + c1 * (px_rx + rx_px + px_rx_px)
-        - c2 * (px @ px_rx + rx_px @ px - 3.0 * px_rx_px)
-        - c3 * (px_rx_px @ px + px @ px_rx_px)
-    )
-
-
 def se3_left_jacobian_inv_many(xi) -> np.ndarray:
     """Inverse left Jacobians of SE(3) in (rot, trans) ordering of
     stacked (m, 6) twists, shape (m, 6, 6); the inverse right Jacobian
-    at xi is the one at -xi."""
+    at xi is the one at -xi. Its lower-left block is -J^-1 Q J^-1, with
+    Q the second-order block of the left Jacobian (Barfoot & Furgale)."""
     xi = np.asarray(xi, dtype=float)
-    phi, rho = xi[:, :3], xi[:, 3:]
-    Jinv = so3_left_jacobian_inv_many(phi)
+    K, KK, (b, a3, a4, a5) = _so3_terms_many(xi[:, :3], (0, 3, 4, 5))
+    rx = skew_many(xi[:, 3:])
+    Kr, rK = K @ rx, rx @ K
+    KrK = Kr @ K
+    Q = (0.5 * rx + a3 * (Kr + rK + KrK) + a4 * (KK @ rx + rx @ KK - 3.0 * KrK)
+         + 0.5 * (a4 - 3.0 * a5) * (Kr @ KK + KK @ rK))
+    Jinv = np.eye(3) - 0.5 * K + b * KK
     out = np.zeros((len(xi), 6, 6))
     out[:, :3, :3] = Jinv
     out[:, 3:, 3:] = Jinv
-    out[:, 3:, :3] = -Jinv @ _se3_Q_many(phi, rho) @ Jinv
+    out[:, 3:, :3] = -Jinv @ Q @ Jinv
     return out
 
 

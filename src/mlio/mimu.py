@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import skew, skew_many
+from .geometry import skew_many
 
 MAX_SPECIFIC_FORCE = 200.0  # m/s^2
 MAX_ANGULAR_RATE = 35.0  # rad/s
@@ -167,7 +167,7 @@ def build_stacked_model(arr: MimuArray, w):
     w = np.asarray(w, dtype=float).reshape(3)
     K = arr.K
     levers = np.array([c.t for c in arr.channels])
-    Wx = skew(w)
+    Wx = skew_many(w)
     h = np.concatenate([(Wx @ Wx @ levers[:, :, None]).ravel(), *[w] * K])
     H = np.zeros((6 * K, 6))
     acc_rows = H.reshape(2 * K, 3, 6)[:K]  # each channel's 3 x 6 block

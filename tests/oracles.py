@@ -15,10 +15,13 @@ runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
 `icp_register_requery` is `lidar.icp_register` as it was before it kept
 each point's k-NN candidates across iterations: it queries the map
-afresh for every point on every iteration. `so3_series` is the
-single-vector SO(3) series that `geometry.so3_series_many` batches, and
-`integrate_sample` folds one IMU sample into a delta with it, as
-`preintegration.integrate` did before it took a block of samples.
+afresh for every point on every iteration. `exact_so3_maps` and
+`exact_se3_left_jacobian_inv` are the exact references of every SO(3)
+and SE(3) series in `geometry`: each map's defining power series (and
+its inverse) in decimal arithmetic at `EXACT_DIGITS` digits, rounded to
+float. `integrate_sample` folds one IMU sample into a delta with
+`exact_so3_maps`, as `preintegration.integrate` did before it took a
+block of samples. `skew` is the one-vector `geometry.skew_many`.
 `EagerPropagator` is the per-sample propagator that `pipeline._Interval`
 replaced by one value per keyframe interval. `write_scan_file_rows` is
 the per-point f-string scan writer. `write_stamped_csv_rows` prints
@@ -43,10 +46,12 @@ tangent update through `NavStates.retract`, and `residual_gnss` is the
 GNSS factor's unwhitened residual: the state's position less the fix.
 """
 
+import itertools
 import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import yaml
@@ -61,7 +66,6 @@ from mlio.geometry import (
     se3_exp,
     se3_exp_many,
     se3_log,
-    skew,
 )
 from mlio.graph import STATE_DIM, _between_many, _prior_many
 from mlio.lidar import IcpConfig, OdomEstimate, _apply_delta, _huber_weights
@@ -352,37 +356,82 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
     )
 
 
-def so3_series(phi):
-    """(Exp, J_l, J_r, C) of one rotation vector from one norm, skew and
-    K @ K: the exponential, the left Jacobian J_l = integral_0^1
-    Exp(s*phi) ds, the right Jacobian J_r = J_l(-phi) and the double
-    integral C = integral_0^1 integral_0^a Exp(u*phi) du da. Each keeps
-    its own small-angle threshold (1e-8, 1e-6, 1e-4)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    K = skew(phi)
-    KK = K @ K
-    eye = np.eye(3)
-    s, c = math.sin(theta), math.cos(theta)
-    if theta < 1e-8:
-        R = eye + K + 0.5 * KK
-    else:
-        R = eye + s / theta * K + (1.0 - c) / theta**2 * KK
-    if theta < 1e-6:
-        Jl = eye + 0.5 * K + KK / 6.0
-        Jr = eye - 0.5 * K + KK / 6.0
-    else:
-        a = (1.0 - c) / theta**2
-        b = (theta - s) / theta**3
-        Jl = eye + a * K + b * KK
-        Jr = eye - a * K + b * KK
-    if theta < 1e-4:
-        C = 0.5 * eye + K / 6.0 + KK / 24.0
-    else:
-        a = (theta - s) / theta**3
-        b = (c - 1.0 + theta**2 / 2.0) / theta**4
-        C = 0.5 * eye + a * K + b * KK
-    return R, Jl, Jr, C
+# digits of the decimal arithmetic of the exact series references
+EXACT_DIGITS = 50
+
+
+def skew(v) -> np.ndarray:
+    """Skew-symmetric matrix M with M @ b == cross(v, b): the one-vector
+    `geometry.skew_many`."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _exact_series(M, coefficients) -> list:
+    """[sum_n c(n) M^n for c in coefficients] of a square float matrix M
+    (each coefficient at most 1 / n!), as lists of Decimal rows summed at
+    EXACT_DIGITS digits until the terms fall below 1e-48."""
+    P = [[Decimal(int(i == j)) for j in range(len(M))] for i in range(len(M))]
+    M = [[Decimal(float(x)) for x in row] for row in M]  # exact
+    sums = [[[Decimal(0)] * len(M) for _ in M] for _ in coefficients]
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        for n in itertools.count():
+            if max(abs(x) for row in P for x in row) / math.factorial(n) < Decimal("1e-48"):
+                return sums
+            for S, c in zip(sums, coefficients):
+                cn = c(n)
+                for S_row, P_row in zip(S, P):
+                    S_row[:] = [s + cn * p for s, p in zip(S_row, P_row)]
+            P = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)] for row in P]
+
+
+def _exact_inverse(A) -> list:
+    """Inverse of a square matrix of Decimal rows by Gauss-Jordan
+    elimination with partial pivoting, at EXACT_DIGITS digits."""
+    m = len(A)
+    rows = [list(row) + [Decimal(int(i == j)) for j in range(m)] for i, row in enumerate(A)]
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        for k in range(m):
+            pivot = max(range(k, m), key=lambda i: abs(rows[i][k]))
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            rows[k] = [x / rows[k][k] for x in rows[k]]
+            for i in range(m):
+                if i != k:
+                    f = rows[i][k]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [row[m:] for row in rows]
+
+
+def _to_float(A) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in A])
+
+
+def exact_so3_maps(phi):
+    """(Exp, J_l, J_r, C, J_l^-1) of one rotation vector phi from their
+    defining series in K = skew(phi): sum_n K^n / n!, sum_n K^n /
+    (n + 1)!, sum_n (-K)^n / (n + 1)!, sum_n K^n / (n + 2)! and the
+    inverse of J_l, in decimal at EXACT_DIGITS digits, each rounded to
+    float."""
+    coefficients = (lambda n: Decimal(1) / math.factorial(n),
+                    lambda n: Decimal(1) / math.factorial(n + 1),
+                    lambda n: Decimal((-1) ** n) / math.factorial(n + 1),
+                    lambda n: Decimal(1) / math.factorial(n + 2))
+    series = _exact_series(skew(phi), coefficients)
+    return (*map(_to_float, series), _to_float(_exact_inverse(series[1])))
+
+
+def exact_se3_left_jacobian_inv(xi) -> np.ndarray:
+    """Inverse left Jacobian of SE(3) in (rot, trans) ordering of one
+    twist xi: the inverse of sum_n ad^n / (n + 1)!, ad = [[skew(phi),
+    0], [skew(rho), skew(phi)]], in decimal at EXACT_DIGITS digits,
+    rounded to float."""
+    ad = np.zeros((6, 6))
+    ad[:3, :3] = ad[3:, 3:] = skew(xi[:3])
+    ad[3:, :3] = skew(xi[3:])
+    (J,) = _exact_series(ad, (lambda n: Decimal(1) / math.factorial(n + 1),))
+    return _to_float(_exact_inverse(J))
 
 
 def integrate_sample(delta, f, w, dt: float, noise=ImuNoiseParams()):
@@ -395,7 +444,7 @@ def integrate_sample(delta, f, w, dt: float, noise=ImuNoiseParams()):
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
         raise ValueError("non-finite IMU sample")
 
-    A, Jl, Jr, C = so3_series(w * dt)
+    A, Jl, Jr, C, _ = exact_so3_maps(w * dt)
     dR, dv, dp = delta.dR, delta.dv, delta.dp
 
     dp_new = dp + dv * dt + dR @ C @ a * dt**2

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm, logm
 
 from mlio.geometry import (
+    _SERIES_SWITCH,
     DegenerateInputError,
     Pose,
     matvec_many,
@@ -16,16 +17,17 @@ from mlio.geometry import (
     se3_exp_many,
     se3_left_jacobian_inv_many,
     se3_log,
-    skew,
+    skew_many,
     so3_exp,
     so3_exp_many,
+    so3_left_jacobian_inv_many,
     so3_left_jacobian_many,
     so3_log,
     so3_log_many,
     so3_series_many,
 )
 from mlio.lidar import LidarScan, deskew
-from oracles import quat_from_rotmat, so3_series
+from oracles import exact_se3_left_jacobian_inv, exact_so3_maps, quat_from_rotmat, skew
 
 
 def rot_z(angle):
@@ -54,24 +56,31 @@ def se3_left_jacobian_inv(xi) -> np.ndarray:
 class TestSkew:
     def test_unit_z(self):
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        np.testing.assert_allclose(skew([0, 0, 1]), expected)
+        np.testing.assert_array_equal(skew_many([0, 0, 1]), expected)
 
     def test_zero(self):
-        np.testing.assert_allclose(skew([0, 0, 0]), np.zeros((3, 3)))
+        np.testing.assert_array_equal(skew_many([0, 0, 0]), np.zeros((3, 3)))
 
     def test_cross_product_antisymmetry(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            a, b = rng.normal(size=3), rng.normal(size=3)
-            np.testing.assert_allclose(skew(a) @ b, np.cross(a, b), atol=1e-12)
-            np.testing.assert_allclose(skew(a) @ b, -skew(b) @ a, atol=1e-12)
+        a, b = rng.normal(size=(2, 100, 3))
+        np.testing.assert_allclose(matvec_many(skew_many(a), b), np.cross(a, b), atol=1e-12)
+        np.testing.assert_allclose(matvec_many(skew_many(a), b),
+                                   -matvec_many(skew_many(b), a), atol=1e-12)
 
     def test_skew_squared_equals_nested_cross(self):
         rng = np.random.default_rng(1)
         w, t = rng.normal(size=3), rng.normal(size=3)
         np.testing.assert_allclose(
-            skew(w) @ skew(w) @ t, np.cross(w, np.cross(w, t)), atol=1e-12
+            skew_many(w) @ skew_many(w) @ t, np.cross(w, np.cross(w, t)), atol=1e-12
         )
+
+    def test_any_leading_shape(self):
+        v = np.random.default_rng(2).normal(size=(2, 4, 3))
+        got = skew_many(v)
+        assert got.shape == (2, 4, 3, 3)
+        for i, j in np.ndindex(2, 4):
+            np.testing.assert_array_equal(got[i, j], skew_many(v[i, j]))
 
 
 class TestPose:
@@ -222,62 +231,73 @@ class TestDqPow:
             np.testing.assert_array_equal(single.t, t[k])
 
 
-def so3_left_jacobian(phi) -> np.ndarray:
-    """The per-term left Jacobian that so3_series replaced."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    K = skew(phi)
-    if theta < 1e-6:
-        return np.eye(3) + 0.5 * K + (K @ K) / 6.0
-    a = (1.0 - math.cos(theta)) / theta**2
-    b = (theta - math.sin(theta)) / theta**3
-    return np.eye(3) + a * K + b * (K @ K)
-
-
-def so3_right_jacobian(phi) -> np.ndarray:
-    return so3_left_jacobian(-np.asarray(phi, dtype=float))
-
-
-def so3_double_integral(phi) -> np.ndarray:
-    """The per-term double integral that so3_series replaced."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    K = skew(phi)
-    if theta < 1e-4:
-        return 0.5 * np.eye(3) + K / 6.0 + (K @ K) / 24.0
-    a = (theta - math.sin(theta)) / theta**3
-    b = (math.cos(theta) - 1.0 + theta**2 / 2.0) / theta**4
-    return 0.5 * np.eye(3) + a * K + b * (K @ K)
+def assert_exact(got, want):
+    """got equals the exact reference within 2e-15 of max(1, max |entry|)."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=2e-15 * max(1.0, float(np.abs(want).max())))
 
 
 class TestSo3Series:
-    # zero, each small-angle threshold from both sides, and large angles
-    ANGLES = [0.0, 1e-9] + [t * f for t in (1e-8, 1e-6, 1e-4)
-                            for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)] + [0.3, 3.0]
+    """The SO(3) and SE(3) series against each other, and against their
+    exact references: the defining power series summed in decimal
+    (oracles.exact_so3_maps and oracles.exact_se3_left_jacobian_inv)."""
+
+    # zero, each former small-angle threshold and the kernel's switch from
+    # both sides, and a log-spaced sweep to near a half-turn
+    ANGLES = ([0.0, 1e-9]
+              + [t * f for t in (1e-8, 1e-6, 1e-4, _SERIES_SWITCH)
+                 for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+              + [0.3, 3.0] + np.geomspace(1e-7, math.pi - 1e-3, 12).tolist())
 
     @pytest.mark.parametrize("angle", ANGLES)
     def test_bit_identical_to_separate_terms(self, angle):
-        rng = np.random.default_rng(15)
-        for axis in rng.normal(size=(20, 3)):
-            phi = angle * axis / np.linalg.norm(axis)
-            got = so3_series(phi)
-            want = (so3_exp(phi), so3_left_jacobian(phi),
-                    so3_right_jacobian(phi), so3_double_integral(phi))
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
-
-    @pytest.mark.parametrize("angle", [a for a in ANGLES if a not in (1e-8, 1e-6, 1e-4)])
-    def test_batched_series_matches_single_vector(self, angle):
-        """so3_series_many against the one-vector series, on both sides of
-        each small-angle threshold, within a few units of rounding. At a
-        threshold itself the two norms may round to different sides and
-        pick different branches, so it is left out."""
+        """Each map of so3_series_many has the bits of the function that
+        gives it alone: one kernel call gives every coefficient."""
         rng = np.random.default_rng(15)
         axes = rng.normal(size=(20, 3))
         phi = angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
-        got = so3_series_many(phi)
-        for k, want in enumerate(zip(*(so3_series(p) for p in phi))):
-            np.testing.assert_allclose(got[k], np.stack(want), rtol=0, atol=4e-15)
+        Exp, Jl, Jr, _ = so3_series_many(phi)
+        np.testing.assert_array_equal(Exp, so3_exp_many(phi))
+        np.testing.assert_array_equal(Jl, so3_left_jacobian_many(phi))
+        np.testing.assert_array_equal(Jr, so3_left_jacobian_many(-phi))
+        for p, exp in zip(phi, Exp):
+            np.testing.assert_array_equal(so3_exp(p), exp)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_batched_series_matches_single_vector(self, angle):
+        """so3_series_many (Exp, J_l, J_r, C) and so3_left_jacobian_inv_many
+        against the exact single-vector reference, on 20 axes."""
+        rng = np.random.default_rng(15)
+        axes = rng.normal(size=(20, 3))
+        phi = angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        got = (*so3_series_many(phi), so3_left_jacobian_inv_many(phi))
+        for k, p in enumerate(phi):
+            for g, w in zip(got, exact_so3_maps(p)):
+                assert_exact(g[k], w)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_se3_left_jacobian_inv_is_exact(self, angle):
+        """The SE(3) J_l^-1 on 6 axes with |rho| from 0.1 to 10 m."""
+        rng = np.random.default_rng(16)
+        axes, rho = rng.normal(size=(2, 6, 3))
+        phi = angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        rho *= np.array([0.1, 0.3, 1.0, 3.0, 10.0, 10.0])[:, None] \
+            / np.linalg.norm(rho, axis=1, keepdims=True)
+        xi = np.concatenate([phi, rho], axis=1)
+        for x, got in zip(xi, se3_left_jacobian_inv_many(xi)):
+            assert_exact(got, exact_se3_left_jacobian_inv(x))
+
+    @pytest.mark.parametrize("angle", [1e-6, 5e-5, 9.9e-5, 1.5e-4])
+    def test_se3_q_block_signs_at_small_angles(self, angle):
+        """Near and below 1e-4 rad, where the coefficients 1/24 and 1/120
+        of the second-order block Q's third- and fourth-order terms
+        cancel in their closed forms: with |rho| = 10 m a flipped sign of
+        either is off by about theta^2 |rho| / 4."""
+        rng = np.random.default_rng(17)
+        for axis, rho in rng.normal(size=(10, 2, 3)):
+            xi = np.concatenate([angle * axis / np.linalg.norm(axis),
+                                 10.0 * rho / np.linalg.norm(rho)])
+            assert_exact(se3_left_jacobian_inv(xi), exact_se3_left_jacobian_inv(xi))
 
     def test_se3_exp_many_shares_the_so3_terms(self):
         """The shared (theta, K, K @ K) give the same bits as the two

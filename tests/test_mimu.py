@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mlio.geometry import skew, so3_exp
+from mlio.geometry import so3_exp
 from mlio.mimu import (
     BatchFuser,
     ImuChannelCalib,
@@ -13,7 +13,7 @@ from mlio.mimu import (
     build_stacked_model,
 )
 from mlio.sim import Scenario, load_scenario, save_scenario
-from oracles import FusedRow, ImuSample, fuse_gyro, fuse_mle, transform_to_base
+from oracles import FusedRow, ImuSample, fuse_gyro, fuse_mle, skew, transform_to_base
 
 
 def calib(t=(0, 0, 0), R=None, acc_var=1.0, gyro_var=1.0):
