@@ -1,7 +1,8 @@
 """Deskewing and point-to-plane ICP against a local submap.
 
 Registers a structured indoor scene from a perturbed prior, then shows
-the degeneracy flag on a featureless single-plane scene.
+the weak directions that a featureless single-plane scene leaves: ICP
+takes no step along them, and the pose keeps the prior's there.
 """
 
 import math
@@ -49,7 +50,10 @@ def main():
     flat.insert(np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)]))
     est = icp_register(np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)]),
                        flat, Pose.identity())
-    print(f"single plane: degenerate flag = {est.degenerate}")
+    print(f"single plane: degenerate flag = {est.degenerate}, "
+          f"{len(est.weak)} weak directions (dphi, dt):")
+    for row in est.weak:
+        print("     " + " ".join(f"{x:+.3f}" for x in row))
 
 
 if __name__ == "__main__":

@@ -4,17 +4,21 @@ Scans are deskewed to their start time with a constant-twist motion model:
 the sensor pose at fraction eta of the scan is se3_exp(eta * xi) relative
 to the start pose, xi being the twist of the start-to-end motion. Scans
 are then voxel-downsampled and registered point-to-plane against the
-incremental local submap. k-NN candidates are kept across ICP
-iterations; a point is queried again only when its nearest neighbour may
-have changed, which a triangle-inequality bound on its motion decides
-(`_KnnCandidates`), so the correspondences equal a fresh query's.
+incremental local submap. Each cloud point's correspondence is the plane
+fitted to the map points its last gated k-NN query returned (as LOAM and
+LIO-SAM fit theirs). That hood is kept across ICP iterations until a
+triangle-inequality bound on the point's motion can no longer certify
+its nearest map point (`_Hoods`); only then is the point queried again.
+Each Gauss-Newton step is solved only in the eigen-directions of the
+normal matrix that the scene constrains, and the others are reported as
+the result's weak directions (Zhang, Kaess & Singh, ICRA 2016).
 `run_pipeline` moves each deskewed scan into the base frame by its mount
 pose before the scans of one keyframe are downsampled together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,9 +60,16 @@ class OdomEstimate:
     pose: Pose
     fitness: float  # mean squared point-to-plane distance
     iterations: int
-    degenerate: bool = False
+    # unit perturbations (dphi, dt) about the prior position, one per
+    # row, along which the last step was not solved (`_apply_delta`)
+    weak: np.ndarray = field(default_factory=lambda: np.empty((0, 6)))
     insufficient_overlap: bool = False
     converged: bool = True
+
+    @property
+    def degenerate(self) -> bool:
+        """The scene left the pose unconstrained in some direction."""
+        return len(self.weak) > 0
 
 
 def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> np.ndarray:
@@ -100,8 +111,11 @@ def voxel_downsample(points, resolution: float = 0.05) -> np.ndarray:
     # one int64 per voxel, ordered as its (x, y, z) coordinates
     keys = np.ravel_multi_index(voxels.astype(np.int64).T, dims.astype(np.int64))
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(counts), 3))
-    np.add.at(sums, inverse, points)
+    # bincount adds the members of each voxel in input order
+    sums = np.empty((len(counts), 3))
+    for axis in range(3):
+        sums[:, axis] = np.bincount(inverse, weights=points[:, axis],
+                                    minlength=len(counts))
     return sums / counts[:, None]
 
 
@@ -114,21 +128,28 @@ class IcpConfig:
     huber_delta: float = 0.1
     min_correspondences: int = 50
     plane_neighbors: int = 5
-    degenerate_condition: float = 1e5
+
+
+# least eigenvalue of N = J^T W J along which a step is solved; with unit
+# Huber weights, about the information of 50 points facing that way
+WEAK_EIGENVALUE = 50.0
 
 
 def icp_register(
     cloud, submap: LocalSubmap, prior: Pose, config: IcpConfig = IcpConfig(),
 ) -> OdomEstimate:
     """Point-to-plane Gauss-Newton registration of a base-frame cloud
-    against the local submap, starting from the IMU motion prior."""
+    against the local submap, starting from the IMU motion prior. No
+    step is taken along an eigenvector of N = J^T W J whose eigenvalue
+    is below WEAK_EIGENVALUE; the last iteration's are the result's weak
+    directions."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     pose = prior
     center = np.asarray(prior.t, dtype=float)  # rotation pivot
-    degenerate = False
     fitness = np.inf
     iterations = 0
-    neighbors = _KnnCandidates(submap, len(cloud))
+    weak = np.empty((0, 6))
+    hoods = _Hoods(submap, len(cloud), config.plane_neighbors)
     for iterations in range(1, config.max_iterations + 1):
         # coarse-to-fine gate: early iterations accept distant pairs for
         # capture range, converged iterations keep only tight pairs to
@@ -138,51 +159,40 @@ def icp_register(
             config.coarse_correspondence_dist * 0.5 ** (iterations - 1),
         )
         world = pose.apply(cloud)
-        # pairs beyond the gate are dropped
-        dist, nearest, targets = neighbors.nearest(world, gate)
-        mask = dist <= gate
-        if mask.any():
-            normals_all, valid = submap.plane_normals(
-                nearest[mask], k=config.plane_neighbors
-            )
-            full = np.flatnonzero(mask)
-            mask = np.zeros_like(mask)
-            mask[full[valid]] = True
-            normals = normals_all[valid]
-        n_corr = int(mask.sum())
+        # pairs beyond the gate are dropped, and hoods that are no plane
+        mask = (hoods.nearest(world, gate) <= gate) & hoods.planar
+        n_corr = int(np.count_nonzero(mask))
         if n_corr < config.min_correspondences:
             return OdomEstimate(
                 pose=prior, fitness=np.inf, iterations=iterations,
-                insufficient_overlap=True, degenerate=True, converged=False,
+                weak=np.eye(6), insufficient_overlap=True, converged=False,
             )
         src = cloud[mask]
         w = world[mask]
-        targets = targets[mask]
-        r = np.einsum("ij,ij->i", normals, w - targets)
+        normals = hoods.normal[mask]
+        centroids = hoods.centroid[mask]
+        r = np.einsum("ij,ij->i", normals, w - centroids)
         weights = _huber_weights(r, config.huber_delta)
         J = np.empty((n_corr, 6))
         # rotation about the prior position keeps the lever arms at scene
-        # scale, so the conditioning of N reflects the geometry alone
+        # scale, so the spectrum of N reflects the geometry alone
         J[:, :3] = np.cross(w - center, normals)
         J[:, 3:] = normals
         Jw = J * weights[:, None]
         N = J.T @ Jw
         g = Jw.T @ r
-        # unit-normalize before the condition test so mixed rad/m scales
-        # do not masquerade as degeneracy
-        d = np.sqrt(np.maximum(N.diagonal(), 1e-30))
-        Nn = N / d[:, None] / d[None, :]
-        if np.linalg.cond(Nn) > config.degenerate_condition:
-            degenerate = True
-            Nn = Nn + np.eye(6) / config.degenerate_condition
-        delta = -np.linalg.solve(Nn, g / d) / d
+        vals, vecs = np.linalg.eigh(N)
+        strong = vals >= WEAK_EIGENVALUE
+        weak = vecs[:, ~strong].T
+        basis = vecs[:, strong]
+        delta = -basis @ ((basis.T @ g) / vals[strong])
         cost = float(np.sum(weights * r * r))
         # step halving if the update does not reduce the robust cost
         step = 1.0
         for _ in range(6):
             cand = _apply_delta(pose, delta * step, center)
             cw = cand.apply(src)
-            cr = np.einsum("ij,ij->i", normals, cw - targets)
+            cr = np.einsum("ij,ij->i", normals, cw - centroids)
             ccost = float(np.sum(_huber_weights(cr, config.huber_delta) * cr * cr))
             if ccost <= cost or np.linalg.norm(delta * step) < 1e-12:
                 break
@@ -194,54 +204,54 @@ def icp_register(
             gate <= config.max_correspondence_dist
             and np.linalg.norm(delta * step) < config.translation_tol
         ):
-            return OdomEstimate(
-                pose=pose, fitness=fitness, iterations=iterations,
-                degenerate=degenerate, converged=True,
-            )
-    return OdomEstimate(
-        pose=pose, fitness=fitness, iterations=iterations,
-        degenerate=degenerate, converged=False,
-    )
+            return OdomEstimate(pose=pose, fitness=fitness, iterations=iterations,
+                                weak=weak, converged=True)
+    return OdomEstimate(pose=pose, fitness=fitness, iterations=iterations,
+                        weak=weak, converged=False)
 
 
-KNN_CANDIDATES = 4  # map points kept per cloud point across ICP iterations
 _MOVED_MARGIN = 1e-9  # m, covers the rounding of the distances compared
 
 
-class _KnnCandidates:
-    """Each cloud point's K nearest map points within the gate, kept from
-    its last k-NN query across ICP iterations.
+class _Hoods:
+    """Each cloud point's k nearest map points within the gate of its last
+    k-NN query, and the plane fitted to them, kept across ICP iterations.
 
-    A query at `origin` keeps the candidates and a lower bound `bound` on
-    the distance from `origin` to every other map point: the K-th
-    distance, or the query's gate when fewer than K are found. After the
-    point moves by `moved`, every other map point is at least
-    `bound - moved` away (triangle inequality). If the nearest candidate
-    is nearer than that, it is the nearest map point; if the gate is, no
-    map point lies within the gate. Only the points that meet neither
-    test are queried again. The candidates' coordinates are stored at
-    query time, so a kept point reads nothing from the map.
+    A query at `origin` keeps the hood and a lower bound `bound` on the
+    distance from `origin` to every other map point: the k-th distance,
+    or the query's gate when fewer than k are found. After the point
+    moves by `moved`, every other map point is at least `bound - moved`
+    away (triangle inequality). If the nearest hood point is nearer than
+    that, it is the nearest map point; if the gate is, no map point lies
+    within the gate. Only the points that meet neither test are queried
+    again. A hood is a plane when all k of its points lay within its
+    query's gate and `LocalSubmap.plane_normals` finds them planar. The
+    hood's coordinates are stored at query time, so a kept point reads
+    nothing from the map.
     """
 
-    def __init__(self, submap: LocalSubmap, n: int):
+    def __init__(self, submap: LocalSubmap, n: int, k: int):
         self.submap = submap
-        # candidate-major, so each candidate's distances are one
-        # contiguous row of n
-        self.index = np.empty((KNN_CANDIDATES, n), dtype=np.intp)
-        self.xyz = np.empty((3, KNN_CANDIDATES, n))
+        self.k = k
+        # hood-major, so each hood point's distances are one contiguous
+        # row of n
+        self.xyz = np.empty((3, k, n))
         self.origin = np.empty((n, 3))  # where each point was last queried
         self.bound = None  # (n,) once the first call has queried every point
+        self.normal = np.empty((n, 3))
+        self.centroid = np.empty((n, 3))
+        self.planar = np.zeros(n, dtype=bool)
 
-    def nearest(self, world, gate: float):
-        """(distance, index, coordinates) of each world point's nearest map
-        point. Within the gate they equal a fresh gated k=1 query's, but
-        between equally near map points; a point with no map point within
-        the gate gets a distance above it."""
+    def nearest(self, world, gate: float) -> np.ndarray:
+        """Distance from each world point to its nearest map point, after
+        querying again the points whose hood cannot certify it. Within
+        the gate it equals a fresh gated query's; a point with no map
+        point within the gate gets a distance above it."""
         n = len(world)
         if self.bound is None:
             self.bound = np.empty(n)
-            best, dist = np.zeros(n, dtype=np.intp), np.empty(n)
-            stale = slice(None)
+            dist = np.empty(n)
+            stale = np.arange(n)
         else:
             # squared distances summed one axis at a time, as the KD-tree
             # sums them
@@ -249,32 +259,29 @@ class _KnnCandidates:
             sq = (x - wx) ** 2
             sq += (y - wy) ** 2
             sq += (z - wz) ** 2
-            best = np.zeros(n, dtype=np.intp)
-            least = sq[0].copy()
-            for k in range(1, KNN_CANDIDATES):  # first of equals wins
-                best[sq[k] < least] = k
-                np.minimum(least, sq[k], out=least)
-            dist = np.sqrt(least)
+            dist = np.sqrt(sq.min(axis=0))
             step = world - self.origin
             moved = np.sqrt(np.einsum("ij,ij->i", step, step)) + _MOVED_MARGIN
             stale = np.flatnonzero(~(np.minimum(dist, gate) < self.bound - moved))
-        queries = world[stale]
-        if len(queries):
-            d, idx = self.submap.knn(queries, k=KNN_CANDIDATES, max_dist=gate)
+        if len(stale):
+            queries = world[stale]
+            d, idx = self.submap.knn(queries, k=self.k, max_dist=gate)
             pts = self.submap.points()
-            xyz = np.take(pts, idx.T, axis=0, mode="clip")  # (K, m, 3)
+            xyz = np.take(pts, idx.T, axis=0, mode="clip")  # (k, m, 3)
             missing = idx.T == len(pts)  # never nearest: inf, as k-NN says
             if missing.any():
                 xyz[missing] = np.inf
-            self.index[:, stale] = idx.T
             self.xyz[:, :, stale] = xyz.transpose(2, 0, 1)
             self.origin[stale] = queries
             self.bound[stale] = np.minimum(d[:, -1], gate)
-            best[stale] = 0
             dist[stale] = d[:, 0]
-        flat = best * n + np.arange(n)
-        return (dist, np.take(self.index, flat),
-                np.take(self.xyz.reshape(3, -1), flat, axis=1).T)
+            full = d[:, -1] <= gate
+            self.planar[stale] = False
+            fit = stale[full]
+            if len(fit):
+                self.normal[fit], self.centroid[fit], self.planar[fit] = \
+                    self.submap.plane_normals(idx[full])
+        return dist
 
 
 def _huber_weights(r, delta: float) -> np.ndarray:

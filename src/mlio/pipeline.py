@@ -30,6 +30,7 @@ from .geometry import (
     pose_compose,
     pose_inverse,
     se3_exp,
+    skew_many,
 )
 from .graph import (
     DEFAULT_BETWEEN_COV,
@@ -58,6 +59,7 @@ from .submap import LocalSubmap
 from .sync import POSITIONS, SyncConfig, SyncGroups, Synchronizer
 
 GNSS_ASSOCIATION_NS = 50_000_000
+WEAK_VARIANCE = 100.0  # between-factor variance along each weak ICP direction
 
 
 class EstimatorDivergence(RuntimeError):
@@ -119,7 +121,7 @@ class PipelineConfig:
     optimize_iters: int = 15
     init_samples: int = 30
     max_sensor_gap_s: float = 2.0
-    degenerate_cov_scale: float = 100.0
+    degenerate_cov_scale: float = 100.0  # between covariance of an unconverged ICP
 
 
 @dataclass
@@ -362,6 +364,21 @@ def _gnss_schedule(gnss: GnssStream, stamps):
     return taken
 
 
+def weak_covariance(est: lidar.OdomEstimate, center) -> np.ndarray:
+    """WEAK_VARIANCE along each weak direction of `est`, as a between
+    residual sees it. A weak direction (dphi, dt) moves the ICP pose T =
+    (R, t) about `center`, the prior position: about the origin that is
+    the left twist (dphi, dt - dphi x c), which Ad(T^-1) turns into the
+    right twist (R^T dphi, R^T (dt + dphi x (t - c))) of T, and so of
+    the measured relative pose."""
+    R, t = est.pose.R, est.pose.t
+    A = np.zeros((6, 6))
+    A[:3, :3] = A[3:, 3:] = R.T
+    A[3:, :3] = -R.T @ skew_many(t - np.asarray(center, dtype=float))
+    twists = A @ est.weak.T
+    return WEAK_VARIANCE * twists @ twists.T
+
+
 @dataclass(frozen=True)
 class KeyframeRecord:
     """What one keyframe step did: the ICP estimate (None when ICP did
@@ -414,10 +431,11 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
     if odom:
         # z is relative to the smoothed pose of node - 1, which the ICP
         # prior and the map were built from; a result that ran out of
-        # iterations is no better constrained than a degenerate one
+        # iterations is trusted less in every direction, and the scene
+        # tells z nothing along a weak one
         z = pose_compose(pose_inverse(interval.state.pose), est.pose)
-        weak = est.degenerate or not est.converged
-        cov = DEFAULT_BETWEEN_COV * config.degenerate_cov_scale if weak else None
+        scale = 1.0 if est.converged else config.degenerate_cov_scale
+        cov = DEFAULT_BETWEEN_COV * scale + weak_covariance(est, pred.pose.t)
         graph.add_factor(BetweenFactor(node - 1, node, z, cov))
     # ---- GNSS ----
     added = None

@@ -6,9 +6,10 @@ is two flat arrays in insertion order, the (N, 3) points and their voxel
 keys packed into one int64 each relative to an origin voxel that follows
 the box, so insert and crop are array operations, world coordinates of
 any size (UTM too) pack, and the KD-tree sees the points in the order
-they arrived. A k-NN query can be bounded by a maximum distance, at
-which the tree stops searching. Plane normals are fit lazily, in one
-batch per call, and cached until the map or the neighbor count changes;
+they arrived. A sorted copy of the keys answers an insert's membership
+test by binary search. A k-NN query can be bounded by a maximum
+distance, at which the tree stops searching. Planes are fit to hoods of
+stored points that the caller names, in chunks of `_FIT_CHUNK` hoods;
 each 3x3 scatter is solved in closed form, with `np.linalg.eigh` only
 for the rows where that is ill-conditioned.
 """
@@ -20,6 +21,7 @@ from scipy.spatial import cKDTree
 
 _KEY_BITS = 21  # per axis: voxel offsets from the origin in [-2**20, 2**20)
 _KEY_HALF = 1 << (_KEY_BITS - 1)
+_FIT_CHUNK = 4096  # hoods per plane-fit batch, which bounds its temporaries
 
 
 class LocalSubmap:
@@ -32,9 +34,9 @@ class LocalSubmap:
             raise ValueError("extent spans too many voxels to pack")
         self._points = np.empty((0, 3))
         self._keys = np.empty(0, dtype=np.int64)
+        self._sorted = np.empty(0, dtype=np.int64)  # the keys, ascending
         self._origin = np.zeros(3)  # voxel the keys count from
-        self._fit_k = None  # neighbor count of the cached normal fits
-        self._dirty()
+        self._tree = None
 
     def __len__(self) -> int:
         return len(self._points)
@@ -49,13 +51,16 @@ class LocalSubmap:
 
     def _move_origin(self, point):
         """Count keys from the voxel of `point`. Packing is linear, and all
-        stored points lie in the box around it, so their keys shift alike."""
+        stored points lie in the box around it, so their keys shift alike
+        and the sorted keys stay sorted."""
         voxel = np.floor(np.asarray(point, dtype=float) / self.voxel_resolution)
         if not np.all(np.isfinite(voxel)):
             raise ValueError("map origin must be finite")
         if len(self._keys):
             dx, dy, dz = (int(d) for d in voxel - self._origin)
-            self._keys -= (dx << 2 * _KEY_BITS) + (dy << _KEY_BITS) + dz
+            shift = (dx << 2 * _KEY_BITS) + (dy << _KEY_BITS) + dz
+            self._keys -= shift
+            self._sorted -= shift
         self._origin = voxel
 
     def insert(self, points) -> int:
@@ -65,32 +70,35 @@ class LocalSubmap:
             self._move_origin(points[0])
         packed = self._pack(points)
         keys, first = np.unique(packed, return_index=True)
-        new = np.sort(first[~np.isin(keys, self._keys, assume_unique=True)])
+        at = np.searchsorted(self._sorted, keys)
+        fresh = at == len(self._sorted)
+        inner = np.flatnonzero(~fresh)
+        fresh[inner] = self._sorted[at[inner]] != keys[inner]
+        new = np.sort(first[fresh])
         if len(new):
             self._points = np.concatenate([self._points, points[new]])
             self._keys = np.concatenate([self._keys, packed[new]])
-            self._dirty()
+            self._sorted = np.insert(self._sorted, at[fresh], keys[fresh])
+            self._tree = None
         return len(new)
 
     def crop_to_box(self, center) -> int:
         """Remove points outside the sliding box centered at `center`."""
         center = np.asarray(center, dtype=float)
-        out = np.abs(self._points - center) > self.extent / 2.0
-        doomed = out[:, 0] | out[:, 1] | out[:, 2]
-        removed = int(doomed.sum())
+        half = self.extent / 2.0
+        inside = np.ones(len(self._points), dtype=bool)
+        for axis in range(3):  # 1-D passes: no (N, 3) temporaries
+            inside &= np.abs(self._points[:, axis] - center[axis]) <= half
+        kept = np.flatnonzero(inside)
+        removed = len(self._points) - len(kept)
         if removed:
-            self._points = self._points[~doomed]
-            self._keys = self._keys[~doomed]
-            self._dirty()
+            doomed = np.searchsorted(self._sorted, self._keys[~inside])
+            self._points = np.take(self._points, kept, axis=0)
+            self._keys = np.take(self._keys, kept)
+            self._sorted = np.delete(self._sorted, doomed)
+            self._tree = None
         self._move_origin(center)
         return removed
-
-    def _dirty(self):
-        self._tree = None
-        n = len(self._points)
-        self._normals = np.empty((n, 3))
-        self._valid = np.empty(n, dtype=bool)
-        self._computed = np.zeros(n, dtype=bool)
 
     def points(self) -> np.ndarray:
         return self._points
@@ -110,7 +118,7 @@ class LocalSubmap:
         (distances, indices), each (len(queries), k). A point exactly
         `max_dist` away is returned; a neighbor not found within the
         bound, or missing because k > len(self), has distance inf and
-        index len(self). ICP's kept candidates rely on all three."""
+        index len(self). ICP's kept hoods rely on all three."""
         tree = self._ensure_tree()
         if tree is None:
             raise ValueError("submap is empty")
@@ -121,34 +129,29 @@ class LocalSubmap:
                             distance_upper_bound=np.nextafter(max_dist, np.inf))
         return d.reshape(len(queries), -1), idx.reshape(len(queries), -1)
 
-    def plane_normals(self, indices, k: int = 5):
-        """(normals, valid) at the given stored-point indices.
+    def plane_normals(self, hoods):
+        """Planes fitted to hoods of stored points, one row of stored-point
+        indices (m, k) each: (normals (m, 3), centroids (m, 3), valid (m,)).
 
-        A fit is valid only when the neighborhood is genuinely planar:
-        thin along the normal and spread in both in-plane directions
-        (nearly collinear neighborhoods give arbitrary normals). Each
-        point is fit to its k nearest stored neighbors, all in one batch
-        per call (`_smallest_eigenpairs`); fits are cached for the last
-        k."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if k != self._fit_k:
-            self._computed[:] = False
-            self._fit_k = k
-        todo = np.unique(indices[~self._computed[indices]])
-        if len(todo):
-            pts = self._points
-            kk = min(k, len(pts))
-            _, nbr = self._ensure_tree().query(pts[todo], k=kk)
-            hood = pts.T[:, nbr.reshape(len(todo), kk).T]  # (3, kk, len(todo))
-            vals, self._normals[todo] = _smallest_eigenpairs(
-                hood - hood.mean(axis=1, keepdims=True))
-            self._valid[todo] = (
-                (vals[:, 2] > 0.0)
-                & (vals[:, 0] <= 1e-3 * vals[:, 2])
-                & (vals[:, 1] >= 1e-2 * vals[:, 2])
-            )
-            self._computed[todo] = True
-        return self._normals[indices], self._valid[indices]
+        A fit is valid only when the hood is genuinely planar: thin along
+        the normal and spread in both in-plane directions (nearly
+        collinear hoods give arbitrary normals). The hoods are fit in
+        batches of `_FIT_CHUNK` (`_smallest_eigenpairs`)."""
+        hoods = np.asarray(hoods, dtype=np.intp)
+        m = len(hoods)
+        normals, centroids = np.empty((m, 3)), np.empty((m, 3))
+        valid = np.empty(m, dtype=bool)
+        pts = self._points.T
+        for lo in range(0, m, _FIT_CHUNK):
+            rows = slice(lo, lo + _FIT_CHUNK)
+            hood = pts[:, hoods[rows].T]  # (3, k, rows)
+            centroid = hood.mean(axis=1)
+            vals, normals[rows] = _smallest_eigenpairs(hood - centroid[:, None])
+            centroids[rows] = centroid.T
+            valid[rows] = ((vals[:, 2] > 0.0)
+                           & (vals[:, 0] <= 1e-3 * vals[:, 2])
+                           & (vals[:, 1] >= 1e-2 * vals[:, 2]))
+        return normals, centroids, valid
 
 
 def _det3(d0, d1, d2, e01, e02, e12):

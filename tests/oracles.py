@@ -13,9 +13,12 @@ adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
 runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
-`icp_register_requery` is `lidar.icp_register` as it was before it kept
-each point's k-NN candidates across iterations: it queries the map
-afresh for every point on every iteration. `exact_so3_maps` and
+`brute_knn` is `LocalSubmap.knn` by a full scan, and
+`icp_register_requery` is `lidar.icp_register` with every point queried
+afresh by it on every iteration, each hood kept or replaced by the
+product's rule. `ArraySubmap` is `LocalSubmap` with the insert and crop
+it had before it kept its keys sorted: a membership test by `np.isin`
+over every stored key, and a crop through (N, 3) temporaries. `exact_so3_maps` and
 `exact_se3_left_jacobian_inv` are the exact references of every SO(3)
 and SE(3) series in `geometry`: each map's defining power series (and
 its inverse) in decimal arithmetic at `EXACT_DIGITS` digits, rounded to
@@ -68,7 +71,13 @@ from mlio.geometry import (
     se3_log,
 )
 from mlio.graph import STATE_DIM, _between_many, _prior_many
-from mlio.lidar import IcpConfig, OdomEstimate, _apply_delta, _huber_weights
+from mlio.lidar import (
+    WEAK_EIGENVALUE,
+    IcpConfig,
+    OdomEstimate,
+    _apply_delta,
+    _huber_weights,
+)
 from mlio.mimu import (
     BatchFuser,
     FusedImu,
@@ -88,6 +97,7 @@ from mlio.preintegration import (
 )
 from mlio.pipeline import fuse_imu_groups, write_fused_imu
 from mlio.sim import Box, scenario_to_dict
+from mlio.submap import LocalSubmap
 from mlio.sync import POSITIONS, SyncGroups
 from sync_oracle import replay as replay_streaming
 
@@ -282,40 +292,116 @@ def voxel_downsample_rows(points, resolution: float) -> np.ndarray:
     return sums / counts[:, None]
 
 
+class ArraySubmap(LocalSubmap):
+    """`LocalSubmap` with the insert and crop it had before it kept its
+    keys sorted; its sorted keys are a full sort of the keys after each
+    change."""
+
+    def insert(self, points) -> int:
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not len(self._points) and len(points):
+            self._move_origin(points[0])
+        packed = self._pack(points)
+        keys, first = np.unique(packed, return_index=True)
+        new = np.sort(first[~np.isin(keys, self._keys, assume_unique=True)])
+        if len(new):
+            self._points = np.concatenate([self._points, points[new]])
+            self._keys = np.concatenate([self._keys, packed[new]])
+            self._sorted = np.sort(self._keys)
+            self._tree = None
+        return len(new)
+
+    def crop_to_box(self, center) -> int:
+        center = np.asarray(center, dtype=float)
+        out = np.abs(self._points - center) > self.extent / 2.0
+        doomed = out[:, 0] | out[:, 1] | out[:, 2]
+        removed = int(doomed.sum())
+        if removed:
+            self._points = self._points[~doomed]
+            self._keys = self._keys[~doomed]
+            self._sorted = np.sort(self._keys)
+            self._tree = None
+        self._move_origin(center)
+        return removed
+
+
+def brute_knn(points, queries, k: int, chunk: int = 256):
+    """(distances, indices) of each query's k nearest points, ascending,
+    by a full scan: squared distances summed one axis at a time. Columns beyond len(points) have distance inf and
+    index len(points), as `LocalSubmap.knn` gives them."""
+    m = len(points)
+    d = np.full((len(queries), k), np.inf)
+    idx = np.full((len(queries), k), m, dtype=np.intp)
+    kk = min(k, m)
+    for lo in range(0, len(queries), chunk):
+        q = queries[lo:lo + chunk]
+        sq = (points[None, :, 0] - q[:, None, 0]) ** 2
+        sq += (points[None, :, 1] - q[:, None, 1]) ** 2
+        sq += (points[None, :, 2] - q[:, None, 2]) ** 2
+        near = np.argpartition(sq, kk - 1, axis=1)[:, :kk]
+        order = np.take_along_axis(
+            near, np.argsort(np.take_along_axis(sq, near, axis=1), axis=1), axis=1)
+        idx[lo:lo + chunk, :kk] = order
+        d[lo:lo + chunk, :kk] = np.sqrt(np.take_along_axis(sq, order, axis=1))
+    return d, idx
+
+
 def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstimate:
-    """`lidar.icp_register` with one gated k=1 query of every point on
-    every iteration."""
+    """`lidar.icp_register` with every point queried afresh on every
+    iteration, by `brute_knn`, and its hood replaced by the fresh one
+    only where the kept hood cannot certify its nearest map point: where
+    neither the kept nearest distance nor the gate is below the bound of
+    the hood's query (its k-th distance, or its gate when fewer than k
+    lay within it) less the distance moved since. A certified point's
+    fresh nearest distance must equal its kept one, which is asserted.
+    Planes come from `submap.plane_normals`, so the fits are the
+    product's; the solve is `icp_register`'s."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    pts = submap.points()
+    k, n = config.plane_neighbors, len(cloud)
     pose = prior
     center = np.asarray(prior.t, dtype=float)
-    degenerate = False
     fitness = np.inf
-    iterations = 0
+    weak = np.empty((0, 6))
+    hood = np.full((n, k), len(pts), dtype=np.intp)
+    origin = np.zeros((n, 3))
+    bound = np.full(n, -np.inf)  # never queried: nothing certified
+    normal, centroid = np.empty((n, 3)), np.empty((n, 3))
+    planar = np.zeros(n, dtype=bool)
+    padded = np.concatenate([pts, np.full((1, 3), np.inf)])
     for iterations in range(1, config.max_iterations + 1):
         gate = max(
             config.max_correspondence_dist,
             config.coarse_correspondence_dist * 0.5 ** (iterations - 1),
         )
         world = pose.apply(cloud)
-        dists, idx = submap.knn(world, k=1, max_dist=gate)
-        mask = dists[:, 0] <= gate
-        if mask.any():
-            normals_all, valid = submap.plane_normals(
-                idx[mask, 0], k=config.plane_neighbors
-            )
-            full = np.flatnonzero(mask)
-            mask = np.zeros_like(mask)
-            mask[full[valid]] = True
-            normals = normals_all[valid]
+        d, idx = brute_knn(pts, world, k)
+        kept = np.sqrt(((padded[hood] - world[:, None]) ** 2).sum(axis=2)).min(axis=1)
+        moved = np.linalg.norm(world - origin, axis=1) + 1e-9
+        certified = np.minimum(kept, gate) < bound - moved
+        near = np.minimum(d[:, 0], np.nextafter(gate, np.inf))
+        assert np.allclose(np.minimum(kept, np.nextafter(gate, np.inf))[certified],
+                           near[certified], rtol=0, atol=1e-12)
+        stale = np.flatnonzero(~certified)
+        within = d[stale] <= gate
+        hood[stale] = np.where(within, idx[stale], len(pts))
+        origin[stale] = world[stale]
+        bound[stale] = np.where(within[:, -1], d[stale, -1], gate)
+        full = within[:, -1]
+        planar[stale] = False
+        if full.any():
+            fit = stale[full]
+            normal[fit], centroid[fit], planar[fit] = submap.plane_normals(hood[fit])
+        mask = (d[:, 0] <= gate) & planar
         n_corr = int(mask.sum())
         if n_corr < config.min_correspondences:
             return OdomEstimate(
                 pose=prior, fitness=np.inf, iterations=iterations,
-                insufficient_overlap=True, degenerate=True, converged=False,
+                weak=np.eye(6), insufficient_overlap=True, converged=False,
             )
         src = cloud[mask]
         w = world[mask]
-        targets = submap.points()[idx[mask, 0]]
+        normals, targets = normal[mask], centroid[mask]
         r = np.einsum("ij,ij->i", normals, w - targets)
         weights = _huber_weights(r, config.huber_delta)
         J = np.empty((n_corr, 6))
@@ -324,12 +410,11 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
         Jw = J * weights[:, None]
         N = J.T @ Jw
         g = Jw.T @ r
-        d = np.sqrt(np.maximum(N.diagonal(), 1e-30))
-        Nn = N / d[:, None] / d[None, :]
-        if np.linalg.cond(Nn) > config.degenerate_condition:
-            degenerate = True
-            Nn = Nn + np.eye(6) / config.degenerate_condition
-        delta = -np.linalg.solve(Nn, g / d) / d
+        vals, vecs = np.linalg.eigh(N)
+        strong = vals >= WEAK_EIGENVALUE
+        weak = vecs[:, ~strong].T
+        basis = vecs[:, strong]
+        delta = -basis @ ((basis.T @ g) / vals[strong])
         cost = float(np.sum(weights * r * r))
         step = 1.0
         for _ in range(6):
@@ -346,14 +431,10 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
             gate <= config.max_correspondence_dist
             and np.linalg.norm(delta * step) < config.translation_tol
         ):
-            return OdomEstimate(
-                pose=pose, fitness=fitness, iterations=iterations,
-                degenerate=degenerate, converged=True,
-            )
-    return OdomEstimate(
-        pose=pose, fitness=fitness, iterations=iterations,
-        degenerate=degenerate, converged=False,
-    )
+            return OdomEstimate(pose=pose, fitness=fitness, iterations=iterations,
+                                weak=weak, converged=True)
+    return OdomEstimate(pose=pose, fitness=fitness, iterations=iterations,
+                        weak=weak, converged=False)
 
 
 # digits of the decimal arithmetic of the exact series references

@@ -1,7 +1,8 @@
-"""Reference voxel map for the array-backed `mlio.submap.LocalSubmap`.
+"""Reference voxel map for the array-backed `mlio.submap.LocalSubmap`,
+and the per-hood plane fit (`fit_planes`) that it uses.
 
 One dict entry per voxel in insertion order, a Python loop per point on
-insert and crop, and one `eigh` per point for plane normals: slow, but
+insert and crop, and one `eigh` per hood for plane fits: slow, but
 each rule is spelled out once, so the array-backed map can be checked
 against it element by element.
 """
@@ -9,7 +10,6 @@ against it element by element.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class DictSubmap:
@@ -17,10 +17,7 @@ class DictSubmap:
         self.voxel_resolution = float(voxel_resolution)
         self.extent = float(extent)
         self._voxels: dict = {}
-        self._tree = None
         self._points = None
-        self._normals_cache: dict = {}  # index -> fit to _normals_k neighbors
-        self._normals_k = None
 
     def __len__(self) -> int:
         return len(self._voxels)
@@ -37,7 +34,7 @@ class DictSubmap:
                 voxels[key] = p
                 added += 1
         if added:
-            self._dirty()
+            self._points = None
         return added
 
     def crop_to_box(self, center) -> int:
@@ -49,13 +46,8 @@ class DictSubmap:
         for k in doomed:
             del self._voxels[k]
         if doomed:
-            self._dirty()
+            self._points = None
         return len(doomed)
-
-    def _dirty(self):
-        self._tree = None
-        self._points = None
-        self._normals_cache.clear()
 
     def points(self) -> np.ndarray:
         if self._points is None:
@@ -66,31 +58,21 @@ class DictSubmap:
             )
         return self._points
 
-    def plane_normals(self, indices, k: int = 5):
-        pts = self.points()
-        if k != self._normals_k:
-            self._normals_cache.clear()
-            self._normals_k = k
-        if self._tree is None:
-            self._tree = cKDTree(pts)
-        out = np.empty((len(indices), 3))
-        ok = np.empty(len(indices), dtype=bool)
-        todo = [i for i, idx in enumerate(indices) if idx not in self._normals_cache]
-        if todo:
-            uniq = sorted({int(indices[i]) for i in todo})
-            kk = min(k, len(pts))
-            _, nbr = self._tree.query(pts[uniq], k=kk)
-            nbr = np.atleast_2d(nbr)
-            for u, row in zip(uniq, nbr):
-                local = pts[row] - pts[row].mean(axis=0)
-                cov = local.T @ local
-                vals, vecs = np.linalg.eigh(cov)
-                valid = bool(
-                    vals[2] > 0.0
-                    and vals[0] <= 1e-3 * vals[2]
-                    and vals[1] >= 1e-2 * vals[2]
-                )
-                self._normals_cache[u] = (vecs[:, 0], valid)
-        for i, idx in enumerate(indices):
-            out[i], ok[i] = self._normals_cache[int(idx)]
-        return out, ok
+    def plane_normals(self, hoods):
+        return fit_planes(self.points(), hoods)
+
+
+def fit_planes(points, hoods):
+    """(normals, centroids, valid) of the hoods (m, k) of `points`, one
+    `eigh` of each hood's scatter at a time."""
+    hoods = np.asarray(hoods)
+    normals, centroids = np.empty((len(hoods), 3)), np.empty((len(hoods), 3))
+    valid = np.empty(len(hoods), dtype=bool)
+    for i, row in enumerate(hoods):
+        centroids[i] = points[row].mean(axis=0)
+        local = points[row] - centroids[i]
+        vals, vecs = np.linalg.eigh(local.T @ local)
+        normals[i] = vecs[:, 0]
+        valid[i] = (vals[2] > 0.0 and vals[0] <= 1e-3 * vals[2]
+                    and vals[1] >= 1e-2 * vals[2])
+    return normals, centroids, valid

@@ -17,18 +17,26 @@ from mlio.geometry import (
     so3_log,
 )
 from mlio.lidar import (
-    KNN_CANDIDATES,
     IcpConfig,
     LidarScan,
-    _KnnCandidates,
+    OdomEstimate,
+    _apply_delta,
+    _Hoods,
     deskew,
     icp_register,
     map_update,
     voxel_downsample,
 )
-from mlio.submap import LocalSubmap, _smallest_eigenpairs
-from oracles import icp_register_requery, voxel_downsample_rows
-from submap_oracle import DictSubmap
+from mlio.pipeline import weak_covariance
+from mlio.submap import _FIT_CHUNK, LocalSubmap, _smallest_eigenpairs
+from oracles import (
+    ArraySubmap,
+    brute_knn,
+    icp_register_requery,
+    residual_between,
+    voxel_downsample_rows,
+)
+from submap_oracle import DictSubmap, fit_planes
 
 
 def twist_power(rel: Pose, eta: float) -> Pose:
@@ -172,15 +180,18 @@ class TestLocalSubmap:
         return batch[rng.permutation(len(batch))]
 
     def _churn_against_oracle(self, rng, m, ref, offset, rounds):
-        """Insert, fit normals and crop around `offset` in both maps,
+        """Insert, fit planes and crop around `offset` in both maps,
         comparing every result. Returns the number of valid fits."""
 
-        def same_normals(indices, k):
-            n, ok = m.plane_normals(indices, k=k)
-            n_ref, ok_ref = ref.plane_normals(indices, k=k)
+        def same_planes(k):
+            queries = m.points()[rng.integers(0, len(m), size=300)]  # repeats too
+            hoods = m.knn(queries, k=k)[1]
+            n, c, ok = m.plane_normals(hoods)
+            n_ref, c_ref, ok_ref = ref.plane_normals(hoods)
             np.testing.assert_array_equal(ok, ok_ref)
             sign = np.sign(np.einsum("ij,ij->i", n, n_ref))
             np.testing.assert_allclose(n * sign[:, None], n_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c, c_ref, rtol=1e-15, atol=0)
             return ok
 
         valid = 0
@@ -188,14 +199,12 @@ class TestLocalSubmap:
             batch = self._churn_batch(rng, m, offset)
             assert m.insert(batch) == ref.insert(batch)
             np.testing.assert_array_equal(m.points(), ref.points())
-            for _ in range(2):  # the second call reads the cache
-                idx = rng.integers(0, len(m), size=300)  # repeats included
-                valid += same_normals(idx, k=5).sum()
+            valid += same_planes(k=5).sum()
             center = offset + rng.uniform(-1.5, 1.5, size=3)
             assert m.crop_to_box(center) == ref.crop_to_box(center)
             assert len(m) == len(ref)
             np.testing.assert_array_equal(m.points(), ref.points())
-            valid += same_normals(rng.integers(0, len(m), size=200), k=7).sum()
+            valid += same_planes(k=7).sum()
         return valid
 
     def test_matches_dict_oracle_under_churn(self):
@@ -203,7 +212,7 @@ class TestLocalSubmap:
         m = LocalSubmap(voxel_resolution=0.1, extent=4.0)
         ref = DictSubmap(voxel_resolution=0.1, extent=4.0)
         valid = self._churn_against_oracle(rng, m, ref, np.zeros(3), rounds=12)
-        assert 0 < valid < 12 * 800  # both planar and non-planar fits seen
+        assert 0 < valid < 12 * 600  # both planar and non-planar fits seen
 
     def test_matches_dict_oracle_far_from_origin(self):
         """Churn at UTM-sized coordinates, then a jump further than the
@@ -218,7 +227,7 @@ class TestLocalSubmap:
         assert m.crop_to_box(far) == ref.crop_to_box(far) > 0
         assert len(m) == 0
         valid += self._churn_against_oracle(rng, m, ref, far, rounds=6)
-        assert 0 < valid < 12 * 800
+        assert 0 < valid < 12 * 600
 
     def test_first_point_per_voxel_wins(self):
         m = LocalSubmap(voxel_resolution=0.1)
@@ -228,20 +237,34 @@ class TestLocalSubmap:
             m.points(), [[0.01, 0, 0], [0.5, 0, 0], [0.31, 0, 0]]
         )
 
-    def test_normals_refit_when_k_changes(self):
-        """Fits cached for one neighbor count are not returned for
-        another: a k=7 query after a k=5 one equals a fresh map's."""
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-2, 2, size=(500, 3)) * [1.0, 1.0, 0.05]
-        idx = np.arange(0, 500, 7)
-        m, fresh = LocalSubmap(voxel_resolution=0.01), LocalSubmap(voxel_resolution=0.01)
-        m.insert(pts)
-        fresh.insert(pts)
-        m.plane_normals(idx, k=5)
-        n, ok = m.plane_normals(idx, k=7)
-        n_ref, ok_ref = fresh.plane_normals(idx, k=7)
-        np.testing.assert_array_equal(n, n_ref)
-        np.testing.assert_array_equal(ok, ok_ref)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sorted_keys_match_full_sort_oracle(self, seed):
+        """Random inserts (repeats and second points per voxel included),
+        origin moves that remove nothing and crops that remove points:
+        points, keys and the sorted keys equal, bit for bit, those of
+        the map that tests membership with `np.isin` and sorts every
+        key after each change (`oracles.ArraySubmap`)."""
+        rng = np.random.default_rng(60 + seed)
+        m = LocalSubmap(voxel_resolution=0.1, extent=7.0)
+        ref = ArraySubmap(voxel_resolution=0.1, extent=7.0)
+        offset = np.array([5e5, 5e6, 0.0]) * seed  # UTM-sized too
+        removals = []
+        for _ in range(15):
+            batch = self._churn_batch(rng, m, offset)
+            assert m.insert(batch) == ref.insert(batch)
+            # the middle of the points' bounds keeps every point when they
+            # span less than the box
+            middle = (m.points().min(axis=0) + m.points().max(axis=0)) / 2.0
+            for center in (middle, offset + rng.uniform(-2.0, 2.0, size=3)):
+                removals.append(m.crop_to_box(center))
+                assert removals[-1] == ref.crop_to_box(center)
+                for got, want in ((m._points, ref._points), (m._keys, ref._keys),
+                                  (m._sorted, ref._sorted)):
+                    np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(m._sorted, np.sort(m._keys))
+            offset = center
+        # the origin moved on every crop; some removed points, some did not
+        assert 0 < removals.count(0) < len(removals)
 
     @pytest.mark.parametrize("bad", [[2e5, 0, 0], [0, -2e5, 0], [0, 0, np.nan]])
     def test_unpackable_key_raises(self, bad):
@@ -339,18 +362,40 @@ class TestClosedFormPlaneFit:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_map_of_fewer_than_three_points(self, n):
-        """Fewer stored points than a plane needs: every fit is invalid,
-        as with the per-point oracle, and no normal is NaN."""
+        """Hoods over fewer distinct points than a plane needs: every fit
+        is invalid, as with the per-hood oracle, and no normal is NaN."""
         pts = np.random.default_rng(41).uniform(-1, 1, size=(n, 3))
-        m, ref = LocalSubmap(voxel_resolution=0.01), DictSubmap(voxel_resolution=0.01)
+        m = LocalSubmap(voxel_resolution=0.01)
         m.insert(pts)
-        ref.insert(pts)
-        normals, ok = m.plane_normals(np.arange(n), k=5)
-        normals_ref, ok_ref = ref.plane_normals(np.arange(n), k=5)
+        hoods = np.random.default_rng(42).integers(0, n, size=(50, 5))
+        normals, centroids, ok = m.plane_normals(hoods)
+        normals_ref, centroids_ref, ok_ref = fit_planes(pts, hoods)
         assert not ok.any() and not ok_ref.any()
         assert np.all(np.isfinite(normals))
         sign = np.sign(np.einsum("ij,ij->i", normals, normals_ref))
         np.testing.assert_allclose(normals * sign[:, None], normals_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(centroids, centroids_ref, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_plane_normals_match_per_hood_eigh(self, k):
+        """`plane_normals` over more hoods than one fit batch holds, on a
+        floor, a wall, a corner and free space, against one
+        `np.linalg.eigh` per hood: normals up to sign, centroids and
+        validity."""
+        rng = np.random.default_rng(43)
+        m = LocalSubmap(voxel_resolution=0.02)
+        scene = structured_scene()
+        m.insert(scene + rng.normal(scale=1e-3, size=scene.shape))
+        m.insert(rng.uniform(-10, 10, size=(2000, 3)))
+        queries = m.points()[rng.integers(0, len(m), size=2 * _FIT_CHUNK + 17)]
+        hoods = m.knn(queries, k=k)[1]
+        normals, centroids, ok = m.plane_normals(hoods)
+        normals_ref, centroids_ref, ok_ref = fit_planes(m.points(), hoods)
+        np.testing.assert_array_equal(ok, ok_ref)
+        assert 0.1 < ok.mean() < 0.9  # planar and non-planar hoods
+        sign = np.sign(np.einsum("ij,ij->i", normals, normals_ref))
+        np.testing.assert_allclose(normals * sign[:, None], normals_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(centroids, centroids_ref, rtol=1e-15, atol=0)
 
 
 class TestLidarScan:
@@ -602,68 +647,89 @@ class CountingUnboundedSubmap(CountingSubmap, UnboundedSubmap):
     pass
 
 
-def brute_nearest(points, queries):
-    """(distance, index) of each query's nearest point, by a full scan."""
-    diff = queries[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("qpi,qpi->qp", diff, diff))
-    j = dist.argmin(axis=1)
-    return dist[np.arange(len(queries)), j], j
-
-
 class TestKnnCandidates:
-    """The kept candidates against a brute-force nearest neighbor, over
-    ICP's 2.0 -> 1.0 -> 0.5 gate schedule and random point motions."""
+    """The kept hoods (`lidar._Hoods`) against brute-force k-NN, over
+    ICP's 2.0 -> 1.0 -> 0.5 gate schedule and random point motions: the
+    nearest distance within the gate is a fresh query's, each hood holds
+    the brute-force nearest map points of where its point was last
+    queried, and its plane is the per-hood `eigh` fit."""
 
     GATES = (2.0, 1.0, 0.5, 0.5, 0.5, 0.5)
+    K = 5
+
+    def check_hoods(self, m, hoods):
+        pts = m.points()
+        d, idx = brute_knn(pts, hoods.origin, self.K)
+        xyz = hoods.xyz.transpose(2, 1, 0)  # (n, k, 3)
+        found = np.isfinite(xyz[:, :, 0])
+        # the hood's first points are the brute-force k-NN, and every map
+        # point below the bound is among them
+        assert np.all(found[:, :-1] >= found[:, 1:])
+        np.testing.assert_array_equal(xyz[found], pts[idx[found]])
+        assert np.all(found.sum(axis=1) >= (d <= hoods.bound[:, None]).sum(axis=1))
+        full = found.all(axis=1) & (d[:, -1] <= hoods.bound + 1e-12)
+        normals, centroids, planar = fit_planes(pts, np.where(found, idx, 0)[full])
+        np.testing.assert_array_equal(hoods.planar[full], planar)
+        assert not hoods.planar[~full].any()
+        rows = np.flatnonzero(full)[planar]
+        sign = np.sign(np.einsum("ij,ij->i", hoods.normal[rows], normals[planar]))
+        np.testing.assert_allclose(hoods.normal[rows] * sign[:, None], normals[planar],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hoods.centroid[rows], centroids[planar],
+                                   rtol=1e-15, atol=1e-15)
 
     def check_schedule(self, rng, m, queries, scales):
-        cands = _KnnCandidates(m, len(queries))
+        hoods = _Hoods(m, len(queries), self.K)
         requeried = []
         for gate, scale in zip(self.GATES, scales):
             moving = rng.random(len(queries)) < 0.7
             queries = queries + moving[:, None] * rng.normal(
                 scale=scale, size=queries.shape)
             before = m.queries
-            dist, idx, xyz = cands.nearest(queries, gate)
+            dist = hoods.nearest(queries, gate)
             requeried.append(m.queries - before)
-            want_d, want_i = brute_nearest(m.points(), queries)
+            want_d = brute_knn(m.points(), queries, 1)[0][:, 0]
             within = want_d <= gate
             np.testing.assert_array_equal(dist <= gate, within)
-            np.testing.assert_array_equal(idx[within], want_i[within])
-            np.testing.assert_array_equal(xyz[within], m.points()[want_i[within]])
             np.testing.assert_allclose(dist[within], want_d[within],
                                        rtol=0, atol=1e-12)
-        return requeried, within
+            self.check_hoods(m, hoods)
+        return requeried, within, hoods
 
     @pytest.mark.parametrize("seed", range(6))
     def test_nearest_matches_brute_force(self, seed):
-        """Small motions keep most candidates, large ones force queries;
-        points outside the map's box have no neighbor within the gate."""
+        """Small motions keep most hoods, large ones force queries;
+        points outside the map's box have no neighbor within the gate.
+        Points on a noisy floor get planes."""
         rng = np.random.default_rng(100 + seed)
         m = CountingSubmap(voxel_resolution=0.01, extent=100.0)
-        m.insert(rng.uniform(-3, 3, size=(2000, 3)))
-        queries = rng.uniform(-6, 6, size=(400, 3))
-        requeried, within = self.check_schedule(
+        m.insert(np.concatenate([rng.uniform(-3, 3, size=(2000, 3)),
+                                 rng.uniform(-3, 3, size=(2000, 3)) * [1, 1, 1e-4]]))
+        queries = rng.uniform(-6, 6, size=(400, 3)) * [1, 1, 0.5]
+        requeried, within, hoods = self.check_schedule(
             rng, m, queries, scales=(0.0, 0.5, 0.02, 0.005, 1.0, 0.0))
         assert requeried[0] == 400  # the first call queries every point
         assert requeried[1] > 100 and requeried[4] > 100  # large motions
         assert requeried[2] + requeried[3] < 80  # small ones
-        assert 0 < within.sum() < 400
+        assert 0 < within.sum() < 400 and hoods.planar.any()
 
     def test_map_with_fewer_points_than_candidates(self):
         """k-NN returns index len(map) and distance inf for the missing
-        candidates; they are never anyone's nearest."""
+        hood points; they are never anyone's nearest, and no hood is a
+        plane."""
         rng = np.random.default_rng(7)
         m = CountingSubmap(voxel_resolution=0.01, extent=100.0)
-        m.insert(rng.uniform(-1, 1, size=(KNN_CANDIDATES - 1, 3)))
+        m.insert(rng.uniform(-1, 1, size=(self.K - 1, 3)))
         queries = rng.uniform(-2, 2, size=(200, 3))
-        requeried, within = self.check_schedule(
+        requeried, within, hoods = self.check_schedule(
             rng, m, queries, scales=(0.0, 0.2, 0.01, 0.001, 0.3, 0.0))
         assert requeried[0] == 200 and 0 < within.sum() < 200
+        assert not hoods.planar.any()
 
     def test_knn_that_ignores_the_bound(self):
         """A k-NN that ignores max_dist returns neighbors beyond the gate;
-        they bound the others as well and are never within the gate."""
+        they bound the others as well, are never within the gate, and a
+        hood that reaches beyond its gate is no plane."""
         rng = np.random.default_rng(8)
         m = CountingUnboundedSubmap(voxel_resolution=0.01, extent=100.0)
         m.insert(rng.uniform(-3, 3, size=(300, 3)))
@@ -672,9 +738,10 @@ class TestKnnCandidates:
 
 
 class TestIcpKeptCandidates:
-    """icp_register keeps each point's k-NN candidates across iterations;
-    it must give the bits of the loop that queries every point on every
-    iteration (`oracles.icp_register_requery`)."""
+    """icp_register keeps each point's hood and plane across iterations;
+    it must give the bits of the loop that queries every point afresh on
+    every iteration and applies the same keep rule
+    (`oracles.icp_register_requery`)."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_same_result_as_requery_loop(self, seed):
@@ -684,9 +751,7 @@ class TestIcpKeptCandidates:
         scene = structured_scene(step=int(rng.integers(30, 45)))
         scene = scene + rng.normal(scale=0.01, size=scene.shape)
         kept = CountingSubmap(voxel_resolution=0.05, extent=100.0)
-        requery = CountingSubmap(voxel_resolution=0.05, extent=100.0)
-        for m in (kept, requery):
-            m.insert(scene)
+        kept.insert(scene)
         cloud = scene[rng.choice(len(scene), size=1500, replace=False)]
         cloud = np.concatenate([cloud, rng.uniform(-30, 30, size=(500, 3)),
                                 rng.uniform(20, 25, size=(300, 3))])
@@ -696,15 +761,118 @@ class TestIcpKeptCandidates:
         local = pose_inverse(true).apply(cloud)
         config = IcpConfig(max_iterations=int(rng.integers(8, 31)))
         a = icp_register(local, kept, Pose(), config)
-        b = icp_register_requery(local, requery, Pose(), config)
-        assert a.iterations == b.iterations > 3
+        b = icp_register_requery(local, kept, Pose(), config)
+        assert a.iterations == b.iterations >= 3  # the gate's schedule at least
         np.testing.assert_array_equal(a.pose.R, b.pose.R)
         np.testing.assert_array_equal(a.pose.t, b.pose.t)
+        np.testing.assert_array_equal(a.weak, b.weak)
         assert a.fitness == b.fitness
         assert (a.degenerate, a.insufficient_overlap, a.converged) == (
             b.degenerate, b.insufficient_overlap, b.converged)
-        # the candidates are kept, not queried again
-        assert kept.queries < 0.5 * requery.queries
+        # the hoods are kept, not queried again
+        assert kept.queries < 0.5 * len(local) * a.iterations
+
+
+def grid_box(lo, hi, step):
+    """Points on the faces of the axis-aligned box [lo, hi], `step` apart."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    faces = []
+    for axis in range(3):
+        u, v = [a for a in range(3) if a != axis]
+        n = np.maximum(np.round((hi - lo) / step).astype(int) + 1, 2)
+        for level in (lo[axis], hi[axis]):
+            e_u, e_v = np.eye(3)[u], np.eye(3)[v]
+            origin = lo.copy()
+            origin[axis] = level
+            faces.append(grid_on_plane(origin, e_u, e_v, n[u], n[v],
+                                       hi[u] - lo[u], hi[v] - lo[v]))
+    return np.concatenate(faces)
+
+
+def corridor_scene(step=0.1):
+    """Two walls and a floor, 30 m along x: nothing fixes x."""
+    return np.concatenate([
+        grid_on_plane([-15, -1.5, 0], [1, 0, 0], [0, 0, 1], 301, 26, 30, 2.5),
+        grid_on_plane([-15, 1.5, 0], [1, 0, 0], [0, 0, 1], 301, 26, 30, 2.5),
+        grid_on_plane([-15, -1.5, 0], [1, 0, 0], [0, 1, 0], 301, 31, 30, 3),
+    ])
+
+
+def register_in(scene, true: Pose, prior: Pose, rng):
+    """ICP of a noisy subset of `scene`, seen from `true`, from `prior`."""
+    m = LocalSubmap(voxel_resolution=0.05, extent=100.0)
+    m.insert(scene)
+    cloud = scene[rng.choice(len(scene), size=3000, replace=False)]
+    cloud = cloud + rng.normal(scale=0.002, size=cloud.shape)
+    return icp_register(pose_inverse(true).apply(cloud), m, prior)
+
+
+class TestIcpWeakDirections:
+    """Steps are solved only where the scene constrains the pose; the
+    rest are weak directions, and the between factor gets
+    pipeline.WEAK_VARIANCE along each."""
+
+    def test_corridor_keeps_the_prior_along_track(self):
+        rng = np.random.default_rng(70)
+        true = Pose(so3_exp([0.0, 0.0, 0.02]), [1.0, 0.1, 0.0])
+        prior = Pose(so3_exp([0.0, 0.0, 0.04]), [1.3, 0.2, 0.05])
+        est = register_in(corridor_scene(), true, prior, rng)
+        assert est.converged and est.degenerate and len(est.weak) == 1
+        np.testing.assert_allclose(np.abs(est.weak[0]), [0, 0, 0, 1, 0, 0],
+                                   rtol=0, atol=1e-3)
+        # along track the pose stays the prior's: no step is taken there,
+        # and the yaw steps about the prior position move it only by
+        # their angle times the cross-track offset from it (5e-5 m here)
+        assert abs(est.pose.t[0] - prior.t[0]) < 2e-4
+        np.testing.assert_allclose(est.pose.t[1:], true.t[1:], rtol=0, atol=2e-3)
+        assert np.linalg.norm(so3_log(est.pose.R.T @ true.R)) < math.radians(0.05)
+
+    def test_closed_room_has_no_weak_direction(self):
+        rng = np.random.default_rng(71)
+        true = Pose(so3_exp([0.01, -0.02, 0.3]), [0.5, -0.3, 1.0])
+        prior = Pose(so3_exp([0.0, 0.0, 0.32]), [0.7, -0.1, 1.05])
+        est = register_in(grid_box([-4, -3, 0], [5, 3, 3], 0.1), true, prior, rng)
+        assert est.converged and not est.degenerate and est.weak.shape == (0, 6)
+        np.testing.assert_allclose(est.pose.t, true.t, rtol=0, atol=2e-3)
+        assert np.linalg.norm(so3_log(est.pose.R.T @ true.R)) < math.radians(0.05)
+
+    @pytest.mark.parametrize("case", ["corridor", "tilted"])
+    def test_weak_step_moves_the_between_residual_only_where_inflated(self, case):
+        """Moving the ICP pose along a weak direction by eps changes the
+        between residual only in the span of the inflated covariance,
+        to first order, while a constrained direction leaves it. The
+        corridor's weak direction is ICP's; the tilted one mixes
+        rotation and translation, about a center far from the pose."""
+        rng = np.random.default_rng(72)
+        turn = Pose(so3_exp([0.0, 0.0, 0.5]), [100.0, 50.0, 2.0])
+        if case == "corridor":
+            scene = turn.apply(corridor_scene())
+            true = pose_compose(turn, Pose(so3_exp([0, 0, 0.02]), [1.0, 0.1, 0.0]))
+            prior = pose_compose(turn, Pose(so3_exp([0, 0, 0.04]), [1.3, 0.2, 0.05]))
+            est = register_in(scene, true, prior, rng)
+            center = prior.t
+        else:
+            u = rng.normal(size=6)
+            center = np.array([-20.0, 35.0, 4.0])
+            est = OdomEstimate(Pose(so3_exp([0.3, -0.2, 1.1]), [5.0, -7.0, 1.0]),
+                               fitness=0.0, iterations=1,
+                               weak=(u / np.linalg.norm(u))[None])
+        assert len(est.weak) == 1
+        inflated = weak_covariance(est, center)
+        vals, vecs = np.linalg.eigh(inflated)
+        assert np.all(np.abs(vals[:-1]) < 1e-9 * vals[-1])  # one direction
+        span = vecs[:, -1:]
+        T_i = Pose(so3_exp([0.1, 0.2, -0.3]), [3.0, 1.0, -2.0])
+        eps = 1e-5
+        for direction, inside in ((est.weak[0], True), (np.eye(6)[5], False)):
+            moved = _apply_delta(est.pose, eps * direction, center)
+            # the states agree with the unmoved z, so its residual is 0
+            r = residual_between(T_i, est.pose, pose_compose(pose_inverse(T_i), moved))
+            off = np.linalg.norm(r - span @ (span.T @ r))
+            if inside:
+                assert np.linalg.norm(r) > 0.1 * eps and off < 1e-3 * eps
+            else:
+                assert off > 0.1 * eps
 
 
 class TestMapUpdate:
