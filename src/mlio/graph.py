@@ -77,7 +77,6 @@ class OptimizeReport:
     final_cost: float
     converged: bool
     rejected: int  # trials whose cost rose
-    failed_factorizations: int
 
 
 # Levenberg-Marquardt stop rules (Madsen, Nielsen & Tingleff 2004): the
@@ -423,14 +422,13 @@ class FactorGraph:
         or less or moved less than 1e-10; it stops unconverged after
         LM_MAX_TRIALS failed trials in a row."""
         order = self._order()
-        self._check_connected(order)
         batches = _batches(self.factors, order)
         x = NavStates.stack([self.nodes[i] for i in order])
         H, b, cost = self._linearize(x, batches)
         initial_cost = cost
         lam = 1e-4
         converged = False
-        iterations = rejected = failed = trials = 0
+        iterations = rejected = trials = 0
         eye = np.eye(len(b))
         while iterations < max_iter and trials < LM_MAX_TRIALS:
             if np.max(np.abs(b)) <= LM_GRADIENT_TOL:
@@ -441,7 +439,6 @@ class FactorGraph:
                 # unchecked: a non-finite system fails here or at the cost test
                 factor = cho_factor(H + lam * eye, check_finite=False)
             except np.linalg.LinAlgError:
-                failed += 1
                 lam *= 10.0
                 continue
             delta = cho_solve(factor, -b, check_finite=False)
@@ -472,27 +469,7 @@ class FactorGraph:
             final_cost=cost,
             converged=converged,
             rejected=rejected,
-            failed_factorizations=failed,
         )
-
-    def _check_connected(self, order):
-        if len(order) <= 1:
-            return
-        adj = {n: set() for n in order}
-        for f in self.factors:
-            for a in f.nodes:
-                adj[a].update(f.nodes)
-        seen = set()
-        stack = [order[0]]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(adj[n] - seen)
-        missing = set(order) - seen
-        if missing:
-            raise ValueError(f"disconnected nodes: {sorted(missing)}")
 
     # -- marginalization ----------------------------------------------
 

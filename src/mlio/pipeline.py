@@ -397,13 +397,14 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
     predicts, register the cloud against `submap`, add node `node` with
     its IMU, bias-anchor, lidar and GNSS (row `fix` of `gnss`, or None)
     factors, optimize, and insert the cloud into the map at the smoothed
-    pose."""
+    pose. That insert is the only one, so every cloud enters the map
+    once; the map is empty at keyframe 1, whose cloud is not registered."""
     pred = interval.pred
     cloud = None
     if scans:
         # the sensors scan in step, so their scans share a few stamps
-        poses = {stamp: interval.pose_at(stamp)
-                 for scan in scans for stamp in (scan.scan_start, scan.scan_end)}
+        bounds = {stamp for scan in scans for stamp in (scan.scan_start, scan.scan_end)}
+        poses = {stamp: interval.pose_at(stamp) for stamp in bounds}
         pred_inv = pose_inverse(pred.pose)
         parts = []
         for scan in scans:
@@ -415,11 +416,9 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
         cloud = voxel_downsample(
             np.concatenate(parts, axis=0), config.voxel_resolution
         )
-    if node == 1 and cloud is not None:
-        submap.insert(pred.pose.apply(cloud))
     # ---- ICP odometry ----
     est = None
-    if cloud is not None and len(submap) > 0 and node > 1:
+    if cloud is not None and len(submap) > 0:
         est = lidar.icp_register(cloud, submap, pred.pose, config.icp)
     odom = est is not None and not est.insufficient_overlap
     # ---- graph update ----

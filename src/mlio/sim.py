@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -504,6 +504,9 @@ def scenario_to_dict(s: Scenario) -> dict:
             "t": [float(x) for x in p.t],
         }
 
+    def float_fields(obj) -> dict:
+        return {f.name: float(getattr(obj, f.name)) for f in fields(obj)}
+
     world = []
     for surf in s.world:
         if isinstance(surf, Plane):
@@ -550,17 +553,8 @@ def scenario_to_dict(s: Scenario) -> dict:
             for pos, m in s.lidars.items()
         },
         "gnss_lever": [float(x) for x in s.gnss_lever],
-        "rates": {
-            "imu_hz": float(s.rates.imu_hz),
-            "lidar_hz": float(s.rates.lidar_hz),
-            "gnss_hz": float(s.rates.gnss_hz),
-        },
-        "noise": {
-            "accel_sigma": float(s.noise.accel_sigma),
-            "gyro_sigma": float(s.noise.gyro_sigma),
-            "lidar_sigma": float(s.noise.lidar_sigma),
-            "gnss_sigma": float(s.noise.gnss_sigma),
-        },
+        "rates": float_fields(s.rates),
+        "noise": float_fields(s.noise),
         "dropouts": [
             {"sensor": d.sensor_id, "start": float(d.start), "end": float(d.end)}
             for d in s.dropouts

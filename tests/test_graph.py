@@ -416,12 +416,6 @@ class TestOptimize:
         assert report.final_cost <= report.initial_cost
         assert report.final_cost >= 0.0
 
-    def test_disconnected_node_rejected(self):
-        g, _ = chain_graph(3)
-        g.add_node(99, NavState())
-        with pytest.raises(ValueError, match="disconnected"):
-            g.optimize()
-
     def test_gauge_invariance_without_prior(self):
         rng = np.random.default_rng(3)
         g = FactorGraph()

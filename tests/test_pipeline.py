@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mlio
+from mlio import pipeline
 from mlio.dataset import load_dataset, write_dataset
 from mlio.evaluation import Trajectory, ape, rpe
 from mlio.geometry import NavState, Pose, pose_compose, pose_inverse, so3_log
@@ -451,6 +452,54 @@ class TestKeyframeStep:
             assert cost == pytest.approx(record.report.final_cost, rel=1e-12)
             truth = pose_at(straight_data.gt, int(fused.stamps[rows[node]]))
             assert np.linalg.norm(graph.nodes[node].pose.t - truth.t) < 0.05
+
+
+class TestEachThingOnce:
+    """A short L4I4 replay with the scan-boundary predictions and the
+    map inserts recorded per keyframe step."""
+
+    @pytest.fixture(scope="class")
+    def calls(self, straight_data):
+        steps, poses, inserts = [], [], []
+        step, pose_at_, insert = (pipeline._keyframe_step, _Interval.pose_at,
+                                  LocalSubmap.insert)
+
+        def record_step(graph, submap, node, interval, scans, *args):
+            steps.append((interval, scans))
+            return step(graph, submap, node, interval, scans, *args)
+
+        def record_pose_at(self, stamp):
+            poses.append((self, stamp))
+            return pose_at_(self, stamp)
+
+        def record_insert(self, points):
+            inserts.append(len(steps))
+            return insert(self, points)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_keyframe_step", record_step)
+            mp.setattr(_Interval, "pose_at", record_pose_at)
+            mp.setattr(LocalSubmap, "insert", record_insert)
+            run_pipeline(straight_data, parse_sensor_mask("L4I4"))
+        return steps, poses, inserts
+
+    def test_each_scan_boundary_is_predicted_once(self, calls):
+        steps, poses, _ = calls
+        asked = [(id(i), s) for i, scans in steps
+                 for s in {t for scan in scans for t in (scan.scan_start,
+                                                         scan.scan_end)}]
+        predicted = [(id(i), s) for i, s in poses]
+        assert len(predicted) == len(set(predicted))
+        assert sorted(predicted) == sorted(asked)
+        # the lidars scan in step, so a shared stamp is asked for twice
+        assert sum(2 * len(scans) for _, scans in steps) > len(asked)
+
+    def test_each_cloud_enters_the_map_once(self, calls):
+        steps, _, inserts = calls
+        # inserts[j] is the 1-based step that made insert j; none is made outside
+        per_step = np.bincount(inserts, minlength=len(steps) + 1)
+        assert per_step.tolist() == [0] + [int(bool(scans)) for _, scans in steps]
+        assert per_step[1] == 1
 
 
 class TestEndToEnd:
