@@ -50,7 +50,11 @@ def main():
 
     fuser = BatchFuser(arr)
     F, W, Wdot = fuser.fuse(Yf, Yw)
-    Fa, Wa = fuser.fuse_average(Yf, Yw)
+    # averaging baseline: the channel means, each specific force less its
+    # centrifugal lever-arm term
+    Yf3, Yw3 = Yf.reshape(-1, 4, 3), Yw.reshape(-1, 4, 3)
+    Fa = (Yf3 - np.cross(Yw3, np.cross(Yw3, LEVERS))).mean(axis=1)
+    Wa = Yw3.mean(axis=1)
 
     rmse = lambda x, ref: float(np.sqrt(np.mean((x - ref) ** 2)))
     print(f"angular acceleration observable: {fuser.w_dot_observable}")

@@ -236,15 +236,3 @@ class BatchFuser:
         phi = err @ self._phi_solve.T
         return phi[:, 3:], Wstar, phi[:, :3]
 
-    def fuse_average(self, Yf, Yw):
-        """Vectorized averaging baseline over the same stacked inputs."""
-        Yf = np.asarray(Yf, dtype=float)
-        Yw = np.asarray(Yw, dtype=float)
-        T = Yf.shape[0]
-        K = self.arr.K
-        Yw3 = Yw.reshape(T, K, 3)
-        Yf3 = Yf.reshape(T, K, 3)
-        wxt = np.cross(Yw3, self._levers[None, :, :])
-        centrifugal = np.cross(Yw3, wxt)
-        return (Yf3 - centrifugal).mean(axis=1), Yw3.mean(axis=1)
-

@@ -10,17 +10,13 @@ tick is simply absent from the group, so the survivors are fused on
 their own; no message is dropped or used twice. A modality's groups
 come back as index arrays (`SyncGroups`), not per-message objects.
 
-When every sensor of a modality has its stamps more than the threshold
-apart (one `np.diff` per sensor decides), the sweep's groups are the
-windows [anchor, anchor + threshold] of the merged, stamp-sorted stamps:
-each window holds at most one stamp per sensor, its head, and the next
-anchor is the first stamp past it. That modality is then grouped in one
-vectorized pass (`_one_pass`): a stamp more than the threshold past the
-stamp before it anchors a group, and only a run of closer stamps that
-spans more than the threshold is walked from window to window. A sensor
-with two stamps within the threshold of each other (a duplicate, or
-jitter at a fast rate) sends its modality through the per-group sweep
-(`_sweep`) instead.
+Each modality is grouped in one vectorized pass (`_group`) over its
+merged, stably stamp-sorted stamps. A stamp more than the threshold past
+the one before it opens a run, and no group spans two runs. A run is
+one group unless it spans more than the threshold or holds a sensor
+twice (two stamps of one sensor within the threshold always share a
+run, so one `np.diff` per sensor finds them). Only those runs are swept
+in Python (`_sweep`), all in one call, with the rule above.
 """
 
 from __future__ import annotations
@@ -85,56 +81,59 @@ class SyncCounters:
     evictions: int = 0
 
 
-def _sweep(stamps: list, threshold: int):
-    """Anchors and member rows of stamp-sorted int lists, one per sensor;
-    a row holds each sensor's position in its list, or -1."""
-    heads = [0] * len(stamps)
-    live = [k for k, s in enumerate(stamps) if s]
-    anchors, rows = [], []
-    while live:
-        anchor = min(stamps[k][heads[k]] for k in live)
-        limit = anchor + threshold
-        row = [-1] * len(stamps)
-        for k in live:
-            if stamps[k][heads[k]] <= limit:
-                row[k] = heads[k]
-                heads[k] += 1
-        anchors.append(anchor)
-        rows.append(row)
-        live = [k for k in live if heads[k] < len(stamps[k])]
-    return anchors, rows
+def _sweep(stamps: list, columns: list, threshold: int):
+    """Anchor flags and group labels (0, 1, ... in anchor order) of
+    stamp-sorted stamps, `columns` naming each one's sensor: the anchor
+    is the first ungrouped stamp, and each sensor's first ungrouped stamp
+    joins it when at most `threshold` past it."""
+    head, label = [False] * len(stamps), [-1] * len(stamps)
+    start = group = 0
+    while start < len(stamps):
+        head[start], limit, seen = True, stamps[start] + threshold, set()
+        for i in range(start, len(stamps)):
+            if stamps[i] > limit:
+                break
+            if label[i] < 0 and columns[i] not in seen:
+                seen.add(columns[i])
+                label[i] = group
+        group += 1
+        while start < len(stamps) and label[start] >= 0:
+            start += 1
+    return head, label
 
 
-def _one_pass(stamps: list, orders: list, threshold: int):
-    """`_sweep` of stamp-sorted int64 arrays, one per sensor, whose
-    stamps are each more than `threshold` apart: anchors (G,) and member
-    rows (G, S) of stream indices, `orders[k]` mapping sensor k's sorted
-    positions to them."""
+def _group(stamps: list, orders: list, threshold: int):
+    """Anchors (G,) and member rows (G, S) of stream indices of stamp-sorted
+    int64 arrays, one per sensor, `orders[k]` mapping sensor k's sorted
+    positions to its stream indices."""
     merged = np.concatenate([np.empty(0, np.int64), *stamps])
     column = np.repeat(np.arange(len(stamps)), [len(s) for s in stamps])
     index = np.concatenate([np.empty(0, np.int64), *orders])
+    # a stamp at most `threshold` past its sensor's previous one
+    close = np.zeros(len(merged), dtype=bool)
+    close[1:] = (np.diff(merged) <= threshold) & (column[1:] == column[:-1])
     order = np.argsort(merged, kind="stable")
-    m = merged[order]
-    # A stamp more than `threshold` past the one before it anchors a group.
-    # In a run of closer stamps that spans more than `threshold`, each next
-    # anchor is the first stamp past the previous anchor's window.
-    first = np.ones(len(m), dtype=bool)
-    first[1:] = np.diff(m) > threshold
-    runs = np.flatnonzero(first)
-    stops = np.append(runs, len(m))[1:]
-    wide = m[stops - 1] - m[runs] > threshold
-    if wide.any():
-        # one past each stamp's window: the j with m[j] <= m[i] + threshold,
-        # counted without forming m[i] + threshold
-        ends = np.searchsorted(m - threshold, m, side="right").tolist()
-        for start, stop in zip(runs[wide].tolist(), stops[wide].tolist()):
-            i = ends[start]
-            while i < stop:
-                first[i] = True
-                i = ends[i]
-    members = np.full((np.count_nonzero(first), len(stamps)), -1, dtype=np.int64)
-    members[np.cumsum(first) - 1, column[order]] = index[order]
-    return m[first], members
+    m, col = merged[order], column[order]
+    # A stamp more than `threshold` past the one before it opens a run. A
+    # run is one group unless it spans more than `threshold` or holds a
+    # sensor twice; only those runs are swept.
+    head = np.ones(len(m), dtype=bool)
+    head[1:] = np.diff(m) > threshold
+    starts = np.flatnonzero(head)
+    stops = np.append(starts, len(m))[1:]
+    swept = m[stops - 1] - m[starts] > threshold
+    swept[np.searchsorted(starts, np.flatnonzero(close[order]), side="right") - 1] = True
+    # Runs are more than `threshold` apart, so they are swept as one.
+    at = np.flatnonzero(np.repeat(swept, stops - starts))
+    flags, label = _sweep(m[at].tolist(), col[at].tolist(), threshold)
+    head[at] = flags
+    group = np.cumsum(head) - 1
+    # the sweep's k-th group is the one its k-th anchor opens
+    group[at] = group[at[np.array(flags, dtype=bool)]][label]
+    anchors = m[np.flatnonzero(head)]
+    members = np.full((len(anchors), len(stamps)), -1, dtype=np.int64)
+    members.reshape(-1)[group * len(stamps) + col] = index[order]
+    return anchors, members
 
 
 class Synchronizer:
@@ -161,19 +160,12 @@ class Synchronizer:
         for modality in MODALITIES:
             sensors = [sid for sid in self.sensors if modality_of(sid) == modality]
             orders = [np.argsort(stamps[sid], kind="stable") for sid in sensors]
-            ordered = [stamps[sid][o] for sid, o in zip(sensors, orders)]
-            threshold = self.config.threshold(modality)
-            if all(np.all(np.diff(s) > threshold) for s in ordered):
-                anchors, members = _one_pass(ordered, orders, threshold)
-            else:
-                anchors, rows = _sweep([s.tolist() for s in ordered], threshold)
-                members = np.array(rows, dtype=np.int64).reshape(len(rows), len(sensors))
-                for k, order in enumerate(orders):  # sorted positions -> stream indices
-                    col = members[:, k]
-                    col[col >= 0] = order[col[col >= 0]]
+            anchors, members = _group(
+                [stamps[sid][o] for sid, o in zip(sensors, orders)], orders,
+                self.config.threshold(modality))
             out[modality] = SyncGroups(
                 sensors=tuple(sensors),
-                anchors=np.array(anchors, dtype=np.int64),
+                anchors=anchors,
                 members=members,
                 streams=tuple(streams.get(sid, ()) for sid in sensors),
             )

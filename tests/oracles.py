@@ -3,6 +3,7 @@
 `ImuSample` is one row of an `ImuStream`. `transform_to_base`,
 `fuse_gyro` and `fuse_mle` solve the IMU array model one sample at a
 time, independently of `BatchFuser`; `fuse_mle` returns a `FusedRow`.
+`fuse_average_many` is the averaging baseline the MLE is compared with.
 `fuse_imu_groups_per_group` is the per-group loop that
 `pipeline.fuse_imu_groups` replaced by one gather per channel and
 subset. `write_fused_imu_rows` is the per-row f-string writer of the
@@ -157,6 +158,17 @@ def fuse_mle(arr, y_f, y_w) -> FusedRow:
     phi = T @ np.linalg.lstsq(A @ T, b, rcond=None)[0]
     return FusedRow(f=phi[3:], w=w_star, w_dot=phi[:3],
                     w_dot_observable=bool(observable))
+
+
+def fuse_average_many(arr, Yf, Yw):
+    """Averaging baseline over (T, 3K) stacked base-oriented
+    measurements: (F, W), each (T, 3), the channel means with each
+    channel's centrifugal term taken out of its specific force."""
+    Yf = np.asarray(Yf, dtype=float).reshape(len(Yf), arr.K, 3)
+    Yw = np.asarray(Yw, dtype=float).reshape(len(Yw), arr.K, 3)
+    levers = np.stack([c.t for c in arr.channels])
+    centrifugal = np.cross(Yw, np.cross(Yw, levers))
+    return (Yf - centrifugal).mean(axis=1), Yw.mean(axis=1)
 
 
 def fuse_imu_groups_per_group(groups, imus: dict) -> FusedImu:

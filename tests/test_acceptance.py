@@ -43,6 +43,7 @@ from mlio.sim import Dropout, NoiseSpec, loop_scenario, simulate
 from mlio.submap import LocalSubmap
 from mlio.sync import Synchronizer
 from oracles import (
+    fuse_average_many,
     fuse_mle,
     imu_residual,
     imu_residual_jacobians,
@@ -437,7 +438,7 @@ class TestFusionBeatsAveraging:
                 )
             fuser = BatchFuser(arr)
             F, W, _ = fuser.fuse(Yf, Yw)
-            Fa, Wa = fuser.fuse_average(Yf, Yw)
+            Fa, Wa = fuse_average_many(arr, Yf, Yw)
             rmse = lambda x, ref: float(np.sqrt(np.mean((x - ref) ** 2)))
             if rmse(F, f_true) < rmse(Fa, f_true):
                 acc_wins += 1

@@ -13,7 +13,15 @@ from mlio.mimu import (
     build_stacked_model,
 )
 from mlio.sim import Scenario, load_scenario, save_scenario
-from oracles import FusedRow, ImuSample, fuse_gyro, fuse_mle, skew, transform_to_base
+from oracles import (
+    FusedRow,
+    ImuSample,
+    fuse_average_many,
+    fuse_gyro,
+    fuse_mle,
+    skew,
+    transform_to_base,
+)
 
 
 def calib(t=(0, 0, 0), R=None, acc_var=1.0, gyro_var=1.0):
@@ -328,9 +336,8 @@ class TestBatchFuser:
     def test_average_matches_per_sample(self):
         rng = np.random.default_rng(8)
         arr = MimuArray((calib(t=(1, 0, 0)), calib(t=(0, 1, 0))))
-        fuser = BatchFuser(arr)
         Yf, Yw = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
-        F, W = fuser.fuse_average(Yf, Yw)
+        F, W = fuse_average_many(arr, Yf, Yw)
         for i in range(5):
             ref = fuse_average(arr, Yf[i], Yw[i])
             np.testing.assert_allclose(F[i], ref.f, atol=1e-10)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mlio.sync as sync_module
 from mlio.sync import (
     MS,
     POSITIONS,
@@ -175,24 +174,7 @@ def lossy_streams(rng, modality, ticks=150, silent=(), collide=True):
     return {sid: [s[i] for i in rng.permutation(len(s))] for sid, s in stamps.items()}
 
 
-@pytest.fixture
-def paths(monkeypatch):
-    """The grouping path each modality took, in call order: "one pass"
-    or "sweep"."""
-    taken = []
-
-    def spy(name, fn):
-        def wrapped(*args):
-            taken.append(name)
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(sync_module, "_one_pass", spy("one pass", sync_module._one_pass))
-    monkeypatch.setattr(sync_module, "_sweep", spy("sweep", sync_module._sweep))
-    return taken
-
-
-def assert_sweep_matches_oracle(stamps):
+def assert_groups_match_oracle(stamps):
     sensors = IMU_SENSORS + LIDAR_SENSORS
     got = make_sync().group(stamps)
     want = replay(sensors, stamps)
@@ -209,7 +191,7 @@ def test_sweep_matches_streaming_oracle(seed):
     modality: the same anchors and the same member message of each
     sensor, duplicate stamps included."""
     rng = np.random.default_rng(seed)
-    assert_sweep_matches_oracle(
+    assert_groups_match_oracle(
         {**lossy_streams(rng, "imu"), **lossy_streams(rng, "lidar")}
     )
 
@@ -221,60 +203,81 @@ def test_sweep_matches_streaming_oracle_with_a_silent_sensor(seed):
     silent = (POSITIONS[seed],)
     stamps = {**lossy_streams(rng, "imu", silent=silent),
               **lossy_streams(rng, "lidar", silent=silent)}
-    assert_sweep_matches_oracle(stamps)
+    assert_groups_match_oracle(stamps)
     got = make_sync().group(stamps)
     for groups in got.values():
         assert np.all(groups.members[:, seed] == -1)
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_one_pass_matches_streaming_oracle(seed, paths):
-    """Streams with no two stamps of a sensor within the threshold are
-    grouped in one pass per modality, into the streaming synchronizer's
-    groups."""
+def test_one_pass_matches_streaming_oracle(seed):
+    """Streams with no two stamps of a sensor within the threshold, so
+    that only a tick spanning more than the threshold is swept, give the
+    streaming synchronizer's groups."""
     rng = np.random.default_rng(200 + seed)
-    assert_sweep_matches_oracle({**lossy_streams(rng, "imu", collide=False),
-                                 **lossy_streams(rng, "lidar", collide=False)})
-    assert paths == ["one pass", "one pass"]
+    assert_groups_match_oracle({**lossy_streams(rng, "imu", collide=False),
+                                **lossy_streams(rng, "lidar", collide=False)})
 
 
-class TestOnePassBoundaries:
-    def group(self, stamps):
-        sync = make_sync(sensors=list(stamps))
-        return sync.group(stamps)["imu"]
+class TestWindowBoundaries:
+    """Each group is the window [anchor, anchor + threshold]; explicit
+    groups, each also checked against the streaming oracle."""
+
+    def assert_groups(self, stamps, anchors, members):
+        groups = make_sync(sensors=list(stamps)).group(stamps)["imu"]
+        assert groups.anchors.tolist() == anchors
+        assert groups.members.tolist() == members
+        want_anchors, want_members = replay(list(stamps), stamps)["imu"]
+        assert np.array_equal(groups.anchors, want_anchors)
+        assert np.array_equal(groups.members, want_members)
 
     @pytest.mark.parametrize("late, anchors, members", [
         (0, [5 * MS], [[0, 0]]),  # exactly at the anchor plus the threshold: joins
         (1, [5 * MS, 6 * MS + 1], [[0, -1], [-1, 0]]),  # one ns later: a new group
     ])
-    def test_window_closes_at_anchor_plus_threshold(self, paths, late, anchors, members):
-        groups = self.group({"imu/F_L": [5 * MS], "imu/F_R": [6 * MS + late]})
-        assert groups.anchors.tolist() == anchors
-        assert groups.members.tolist() == members
-        assert paths == ["one pass", "one pass"]
+    def test_window_closes_at_anchor_plus_threshold(self, late, anchors, members):
+        self.assert_groups({"imu/F_L": [5 * MS], "imu/F_R": [6 * MS + late]},
+                           anchors, members)
 
-    def test_one_pass_walks_a_tick_that_spans_two_windows(self, paths):
+    def test_a_tick_that_spans_two_windows_is_split(self):
         # no two stamps of the first tick are more than the threshold
         # apart, yet they span more: F_R's stamp, exactly at the anchor
         # plus the threshold, joins F_L's group, and R_L's, one ns later,
         # anchors its own
-        stamps = {"imu/F_L": [0, 10 * MS], "imu/F_R": [MS], "imu/R_L": [MS + 1]}
-        groups = self.group(stamps)
-        assert groups.anchors.tolist() == [0, MS + 1, 10 * MS]
-        assert groups.members.tolist() == [[0, 0, -1], [-1, -1, 0], [1, -1, -1]]
-        assert paths == ["one pass", "one pass"]
+        self.assert_groups(
+            {"imu/F_L": [0, 10 * MS], "imu/F_R": [MS], "imu/R_L": [MS + 1]},
+            [0, MS + 1, 10 * MS], [[0, 0, -1], [-1, -1, 0], [1, -1, -1]])
 
-    def test_in_sensor_gap_of_exactly_the_threshold_takes_the_sweep(self, paths):
-        stamps = {"imu/F_L": [0, MS], "imu/F_R": [MS]}
-        groups = self.group(stamps)
-        assert groups.members.tolist() == [[0, 0], [1, -1]]
-        assert paths == ["sweep", "one pass"]
-        anchors, members = replay(list(stamps), stamps)["imu"]
-        assert np.array_equal(groups.anchors, anchors)
-        assert np.array_equal(groups.members, members)
+    def test_in_sensor_gap_of_exactly_the_threshold_opens_a_group(self):
+        self.assert_groups({"imu/F_L": [0, MS], "imu/F_R": [MS]},
+                           [0, MS], [[0, 0], [1, -1]])
 
-    def test_one_modality_collides_while_the_other_takes_one_pass(self, paths):
+    def test_end_of_span_pair_of_every_imu_is_two_groups(self):
+        # 10 ms ticks, then a last sample 0.796 ms after the one before it
+        ticks = [100 * S + k * 10 * MS for k in range(6)]
+        ticks.append(ticks[-1] + 796_000)
+        self.assert_groups({sid: ticks for sid in IMU_SENSORS},
+                           ticks, [[k] * 4 for k in range(len(ticks))])
+
+    def test_wide_run_holding_a_sensor_twice(self):
+        # consecutive stamps 0.4-0.5 ms apart span 1.4 ms; F_L's second
+        # stamp anchors the group R_L's joins
+        self.assert_groups(
+            {"imu/F_L": [0, 900_000], "imu/F_R": [500_000], "imu/R_L": [1_400_000]},
+            [0, 900_000], [[0, 0, -1], [1, -1, 0]])
+
+    def test_repeat_at_a_sensors_first_stamp(self):
+        self.assert_groups(
+            {"imu/F_L": [5 * MS, 5 * MS, 15 * MS], "imu/F_R": [15 * MS, 5 * MS]},
+            [5 * MS, 5 * MS, 15 * MS], [[0, 1], [1, -1], [2, 0]])
+
+    def test_silent_sensor_next_to_a_repeating_one(self):
+        self.assert_groups(
+            {"imu/F_L": [0, 0, 10 * MS], "imu/F_R": [],
+             "imu/R_L": [200_000, 10 * MS], "imu/R_R": [10 * MS + 500_000]},
+            [0, 0, 10 * MS], [[0, -1, 0, -1], [1, -1, -1, -1], [2, -1, 1, 0]])
+
+    def test_one_modality_collides_while_the_other_does_not(self):
         rng = np.random.default_rng(7)
-        assert_sweep_matches_oracle({**lossy_streams(rng, "imu"),
-                                     **lossy_streams(rng, "lidar", collide=False)})
-        assert paths == ["sweep", "one pass"]
+        assert_groups_match_oracle({**lossy_streams(rng, "imu"),
+                                    **lossy_streams(rng, "lidar", collide=False)})
