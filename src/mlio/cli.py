@@ -166,28 +166,30 @@ def cmd_eval(args) -> int:
 
     if (args.dataset is None) == (args.gt is None):
         raise UsageError("eval needs exactly one of --dataset or --gt")
-    gt_path = args.gt or os.path.join(args.dataset, "gt.tum")
-    gt = Trajectory.from_tum(gt_path)
+    # a run's label, its directory name, names its row and output files
+    labels = [os.path.basename(os.path.dirname(os.path.abspath(p))) or p for p in args.est]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise UsageError(f"two --est files share the directory name {label!r}")
+    gt = Trajectory.from_tum(args.gt or os.path.join(args.dataset, "gt.tum"))
     rows = []
-    for est_path in args.est:
+    for label, est_path in zip(labels, args.est):
         est = Trajectory.from_tum(est_path)
-        report = evaluate(gt, est, distance=args.rpe_distance)
-        label = os.path.basename(os.path.dirname(os.path.abspath(est_path))) or est_path
-        rows.append((label, est_path, est, report))
+        rows.append((label, est, evaluate(gt, est, distance=args.rpe_distance)))
     header = (
         f"{'run':<16} {'RPE trans [m]':>14} {'RPE rot [deg]':>14} "
         f"{'APE':>10} {'pairs':>6}"
     )
     print(header)
     print("-" * len(header))
-    for label, _, _, r in rows:
+    for label, _, r in rows:
         print(
             f"{label:<16} {r.rpe_trans:>14.4f} {r.rpe_rot:>14.4f} "
             f"{r.ape:>10.4f} {r.pairs_evaluated:>6d}"
         )
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        for label, _, est, r in rows:
+        for label, est, r in rows:
             write_report(
                 os.path.join(args.out, f"report_{label}.txt"), r,
                 distance=args.rpe_distance,

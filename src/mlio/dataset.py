@@ -185,7 +185,7 @@ def write_dataset(path, sim: SimData) -> None:
                        np.column_stack([sim.gnss.t, sim.gnss.var]))
     for sid, scans in sim.lidar.items():
         _write_scans(os.path.join(path, "scans", sid.split("/")[1]), scans)
-    write_tum(os.path.join(path, "gt.tum"), sim.gt.stamps, sim.gt.poses)
+    write_tum(os.path.join(path, "gt.tum"), sim.gt.stamps, sim.gt.R, sim.gt.t)
     save_scenario(os.path.join(path, "scenario.yaml"), sim.scenario)
 
 
@@ -227,18 +227,19 @@ class Dataset:
         return self._gt[1]
 
 
-def write_tum(path, stamps, poses) -> None:
-    """Trajectory file: one 't x y z qx qy qz qw' line per pose, all
-    printed by one `%`. t is the ns stamp in seconds, digit for digit,
-    so it is exact at any size."""
+def write_tum(path, stamps, R, t) -> None:
+    """Trajectory file of the poses (R (N, 3, 3), t (N, 3)): one
+    't x y z qx qy qz qw' line per pose, all printed by one `%`. t is
+    the ns stamp in seconds, digit for digit, so it is exact at any
+    size."""
     stamps = np.asarray(stamps, dtype=np.int64)
     n = len(stamps)
-    q = quat_from_rotmat_many(np.array([p.R for p in poses], float).reshape(n, 3, 3))
+    q = quat_from_rotmat_many(np.asarray(R, float).reshape(n, 3, 3))
     neg, mag = _magnitude(stamps)
     fields = np.empty((n, 10), dtype=object)
     fields[:, 0] = np.where(neg, "-", "")
     fields[:, 1], fields[:, 2] = np.divmod(mag, np.uint64(NS_PER_S))
-    fields[:, 3:6] = np.array([p.t for p in poses], float).reshape(n, 3)
+    fields[:, 3:6] = np.asarray(t, float).reshape(n, 3)
     fields[:, 6:9] = q[:, 1:]
     fields[:, 9] = q[:, 0]
     line = "%s%d.%09d" + " %.9f" * 7 + "\n"

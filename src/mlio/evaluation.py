@@ -4,17 +4,24 @@ RPE is computed over pairs separated by a fixed ground-truth arc
 length (default 10 m), APE as the Frobenius-norm RMS of the absolute
 pose difference in the shared global frame (no alignment), and the
 fused-IMU error as separate RMS over acceleration and angular rate.
+
+A `Trajectory` stacks its poses once into R (N, 3, 3) and t (N, 3), and
+every metric is an array expression over them: `associate` matches all
+estimated stamps in one `searchsorted` and returns index arrays, each
+RPE partner comes from one `searchsorted` over the associated gt arc
+lengths, and the relative and absolute pose errors are batched
+products of the stacked poses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import load_tum
-from .geometry import pose_compose, pose_inverse, so3_log
+from .geometry import matvec_many, so3_log_many
 
 ASSOCIATION_WINDOW_NS = 10_000_000  # trajectory stamp matching, 10 ms
 IMU_ASSOCIATION_NS = 1_000_000  # fused-IMU stamp matching, 1 ms
@@ -26,17 +33,25 @@ class AssociationError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Stamped poses, stacked once into R (N, 3, 3) and t (N, 3)."""
+
     stamps: np.ndarray  # (N,) ns, strictly increasing
     poses: tuple
+    R: np.ndarray = field(init=False, repr=False)
+    t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stamps = np.asarray(self.stamps, dtype=np.int64).reshape(-1)
-        if len(stamps) != len(self.poses):
+        n = len(stamps)
+        if n != len(self.poses):
             raise ValueError("stamps/poses length mismatch")
-        if len(stamps) > 1 and np.any(np.diff(stamps) <= 0):
+        if np.any(np.diff(stamps) <= 0):
             raise ValueError("stamps must be strictly increasing")
+        poses = tuple(self.poses)
         object.__setattr__(self, "stamps", stamps)
-        object.__setattr__(self, "poses", tuple(self.poses))
+        object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "R", np.array([p.R for p in poses], float).reshape(n, 3, 3))
+        object.__setattr__(self, "t", np.array([p.t for p in poses], float).reshape(n, 3))
 
     @staticmethod
     def from_tum(path) -> "Trajectory":
@@ -69,88 +84,66 @@ def _nearest(sorted_stamps, stamps, window_ns) -> np.ndarray:
 
 
 def associate(gt: Trajectory, est: Trajectory, window_ns=ASSOCIATION_WINDOW_NS):
-    """Index pairs (i_gt, i_est): each estimated stamp with its nearest
-    ground-truth stamp within the association window."""
-    match = _nearest(gt.stamps, est.stamps, window_ns).tolist()
-    return [(i, j) for j, i in enumerate(match) if i >= 0]
+    """Index arrays (i_gt, i_est): each estimated stamp, in order, with
+    its nearest ground-truth stamp within the association window."""
+    i_gt = _nearest(gt.stamps, est.stamps, window_ns)
+    i_est = np.flatnonzero(i_gt >= 0)
+    return i_gt[i_est], i_est
 
 
-def _arc_lengths(poses) -> np.ndarray:
-    steps = [
-        np.linalg.norm(b.t - a.t) for a, b in zip(poses[:-1], poses[1:])
-    ]
-    return np.concatenate([[0.0], np.cumsum(steps)])
+def _between(Ra, ta, Rb, tb):
+    """T_a^-1 T_b of stacked poses, in `pose_compose`'s arithmetic."""
+    RaT = np.swapaxes(Ra, -1, -2)
+    return RaT @ Rb, matvec_many(RaT, tb) - matvec_many(RaT, ta)
 
 
-def _rpe_errors(gt: Trajectory, est: Trajectory, pairs, distance: float):
-    """Yield (gi, err) for each associated pair whose partner j is the
-    first pair at least `distance` meters of gt path beyond it; err is
-    the discrepancy between the gt and estimated relative transforms."""
-    arc = _arc_lengths(gt.poses)
-    j = 0
-    for gi, ei in pairs:
-        while j < len(pairs) and arc[pairs[j][0]] < arc[gi] + distance:
-            j += 1
-        if j >= len(pairs):
-            return
-        gj, ej = pairs[j]
-        rel_gt = pose_compose(pose_inverse(gt.poses[gi]), gt.poses[gj])
-        rel_est = pose_compose(pose_inverse(est.poses[ei]), est.poses[ej])
-        yield gi, pose_compose(pose_inverse(rel_gt), rel_est)
-
-
-def rpe(gt: Trajectory, est: Trajectory, distance: float = 10.0):
-    """RMS relative pose error over ground-truth arc-length windows.
-
-    For each associated pose i the partner j is the first pose at least
-    `distance` meters of gt path beyond i; the error is the discrepancy
-    between the gt and estimated relative transforms.
-    """
+def _associated(gt: Trajectory, est: Trajectory):
     pairs = associate(gt, est)
-    if not pairs:
+    if not len(pairs[0]):
         raise AssociationError("no associated poses")
-    trans_sq, rot_sq, count = 0.0, 0.0, 0
-    for _, err in _rpe_errors(gt, est, pairs, distance):
-        trans_sq += float(err.t @ err.t)
-        rot_sq += float(np.sum(so3_log(err.R) ** 2))
-        count += 1
-    if count == 0:
-        raise AssociationError(
-            f"ground-truth path shorter than the {distance} m window"
-        )
-    return (
-        math.sqrt(trans_sq / count),
-        math.degrees(math.sqrt(rot_sq / count)),
-        count,
-    )
+    return pairs
 
 
 def rpe_pairs(gt: Trajectory, est: Trajectory, distance: float = 10.0):
-    """Per-pair (stamp_s, trans_err, rot_err_deg) rows for plotting."""
-    return [
-        (
-            gt.stamps[gi] / 1e9,
-            float(np.linalg.norm(err.t)),
-            math.degrees(float(np.linalg.norm(so3_log(err.R)))),
+    """Per-pair rows (stamp_s, trans_err_m, rot_err_deg), (n, 3).
+
+    For each associated pose i the partner j is the first associated
+    pose at least `distance` meters of gt path beyond i; the error is
+    the discrepancy between the gt and estimated relative transforms.
+    The associated gt arc lengths never decrease, so one `searchsorted`
+    finds every partner."""
+    i_gt, i_est = _associated(gt, est)
+    steps = np.linalg.norm(np.diff(gt.t, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(steps)])[i_gt]
+    j = np.searchsorted(arc, arc + distance)
+    i = np.flatnonzero(j < len(arc))
+    j = j[i]
+    rel_gt = _between(gt.R[i_gt[i]], gt.t[i_gt[i]], gt.R[i_gt[j]], gt.t[i_gt[j]])
+    rel_est = _between(est.R[i_est[i]], est.t[i_est[i]], est.R[i_est[j]], est.t[i_est[j]])
+    R, t = _between(*rel_gt, *rel_est)
+    return np.column_stack([gt.stamps[i_gt[i]] / 1e9, np.linalg.norm(t, axis=1),
+                            np.degrees(np.linalg.norm(so3_log_many(R), axis=1))])
+
+
+def rpe(gt: Trajectory, est: Trajectory, distance: float = 10.0):
+    """RMS relative pose error over ground-truth arc-length windows, as
+    (translation m, rotation degrees, pairs evaluated); the pairs are
+    those of `rpe_pairs`."""
+    rows = rpe_pairs(gt, est, distance)
+    if not len(rows):
+        raise AssociationError(
+            f"ground-truth path shorter than the {distance} m window"
         )
-        for gi, err in _rpe_errors(gt, est, associate(gt, est), distance)
-    ]
+    trans, rot = np.sqrt(np.mean(rows[:, 1:] ** 2, axis=0))
+    return float(trans), float(rot), len(rows)
 
 
 def ape(gt: Trajectory, est: Trajectory) -> float:
     """Frobenius RMS of T_gt^-1 T_est - I over associated poses (global
     frame, no alignment; mixes rotation and translation units)."""
-    pairs = associate(gt, est)
-    if not pairs:
-        raise AssociationError("no associated poses")
-    total = 0.0
-    for gi, ei in pairs:
-        D = (
-            pose_compose(pose_inverse(gt.poses[gi]), est.poses[ei]).matrix()
-            - np.eye(4)
-        )
-        total += float(np.sum(D * D))
-    return math.sqrt(total / len(pairs))
+    i_gt, i_est = _associated(gt, est)
+    R, t = _between(gt.R[i_gt], gt.t[i_gt], est.R[i_est], est.t[i_est])
+    return math.sqrt((np.sum((R - np.eye(3)) ** 2) + np.sum(t * t)) / len(i_gt))
 
 
 def imu_rmse(gt_stream, fused):
@@ -191,8 +184,5 @@ def write_report(path, report: MetricReport, distance: float = 10.0) -> None:
 
 
 def write_pair_csv(path, gt: Trajectory, est: Trajectory, distance: float = 10.0):
-    rows = rpe_pairs(gt, est, distance)
-    with open(path, "w") as fh:
-        fh.write("t_s,rpe_trans_m,rpe_rot_deg\n")
-        for t, tr, rot in rows:
-            fh.write(f"{t:.6f},{tr:.9f},{rot:.9f}\n")
+    np.savetxt(path, rpe_pairs(gt, est, distance), fmt="%.6f,%.9f,%.9f",
+               header="t_s,rpe_trans_m,rpe_rot_deg", comments="")

@@ -270,12 +270,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.R
-        T[:3, 3] = self.t
-        return T
-
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.R.T + self.t

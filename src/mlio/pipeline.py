@@ -60,6 +60,7 @@ from .sync import POSITIONS, SyncConfig, SyncGroups, Synchronizer
 
 GNSS_ASSOCIATION_NS = 50_000_000
 WEAK_VARIANCE = 100.0  # between-factor variance along each weak ICP direction
+DEGENERATE_COV_SCALE = 100.0  # between covariance scale of an unconverged ICP
 
 
 class EstimatorDivergence(RuntimeError):
@@ -121,7 +122,6 @@ class PipelineConfig:
     optimize_iters: int = 15
     init_samples: int = 30
     max_sensor_gap_s: float = 2.0
-    degenerate_cov_scale: float = 100.0  # between covariance of an unconverged ICP
 
 
 @dataclass
@@ -433,7 +433,7 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
         # iterations is trusted less in every direction, and the scene
         # tells z nothing along a weak one
         z = pose_compose(pose_inverse(interval.state.pose), est.pose)
-        scale = 1.0 if est.converged else config.degenerate_cov_scale
+        scale = 1.0 if est.converged else DEGENERATE_COV_SCALE
         cov = DEFAULT_BETWEEN_COV * scale + weak_covariance(est, pred.pose.t)
         graph.add_factor(BetweenFactor(node - 1, node, z, cov))
     # ---- GNSS ----
@@ -556,7 +556,8 @@ def write_fused_imu(path, fused: FusedImu) -> None:
 
 def write_run_outputs(out_dir, result: RunResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_tum(os.path.join(out_dir, "est.tum"), result.stamps, result.poses)
+    write_tum(os.path.join(out_dir, "est.tum"), result.stamps,
+              [p.R for p in result.poses], [p.t for p in result.poses])
     write_fused_imu(os.path.join(out_dir, "fused_imu.csv"), result.fused)
     c = result.counters
     with open(os.path.join(out_dir, "counters.txt"), "w") as fh:

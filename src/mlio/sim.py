@@ -8,12 +8,16 @@ GNSS fixes — all reproducible from a single scenario seed.
 
 The ground truth is generated in arrays: the twists at all sample
 times come from one `_twists_at` call, and only the chain that composes
-each step's motion onto the last pose is a loop. `GroundTruth.poses_at`
-interpolates poses at any stamps in one batch, for the scan boundaries
-and the GNSS fixes alike. Each scan-boundary pose is interpolated once
-and shared by every sensor's scans, and each scan casts its rays
-against all boxes in one batched slab pass. GNSS fixes are one
-`GnssStream`, and dropouts remove IMU and GNSS rows by stamp.
+each step's motion onto the last pose is a loop. That chain fills the
+stacked poses `GroundTruth.R` (N, 3, 3) and `GroundTruth.t` (N, 3)
+once; `synth_imu`, `poses_at` and `dataset.write_dataset` read them,
+and `GroundTruth.poses` is a tuple of `Pose`s derived from them.
+`GroundTruth.poses_at` interpolates poses at any stamps in one batch,
+for the scan boundaries and the GNSS fixes alike. Each scan-boundary
+pose is interpolated once and shared by every sensor's scans, and each
+scan casts its rays against all boxes in one batched slab pass. GNSS
+fixes are one `GnssStream`, and dropouts remove IMU and GNSS rows by
+stamp.
 """
 
 from __future__ import annotations
@@ -214,23 +218,24 @@ def _channel_rng(seed: int, sensor_id: str) -> np.random.Generator:
 @dataclass(frozen=True)
 class GroundTruth:
     stamps: np.ndarray  # (N,) ns
-    poses: tuple  # N Pose, world <- base
+    R: np.ndarray  # (N, 3, 3) world <- base
+    t: np.ndarray  # (N, 3)
     v_world: np.ndarray  # (N, 3)
     w_body: np.ndarray  # (N, 3)
     a_world: np.ndarray  # (N, 3)
     w_dot: np.ndarray  # (N, 3) body
 
     @cached_property
-    def _stacked(self):
-        return (np.stack([p.R for p in self.poses]),
-                np.stack([p.t for p in self.poses]))
+    def poses(self) -> tuple:
+        """The N poses as `Pose`s."""
+        return tuple(map(_derived_pose, self.R, self.t))
 
     def poses_at(self, stamps):
         """Poses (R (m, 3, 3), t (m, 3)) at the ns `stamps` by
         constant-twist interpolation between the two bracketing samples;
         a stamp at or past either end gets that end's pose."""
         stamps = np.asarray(stamps, dtype=np.int64)
-        R, t = self._stacked
+        R, t = self.R, self.t
         k = np.clip(np.searchsorted(self.stamps, stamps, side="right") - 1,
                     0, len(self.stamps) - 2)
         eta = (stamps - self.stamps[k]) / (self.stamps[k + 1] - self.stamps[k])
@@ -285,15 +290,15 @@ def gen_trajectory(scenario: Scenario) -> GroundTruth:
     # each step's motion is its midpoint twist, which depends on time alone
     h = np.diff(stamps) / NS_PER_S
     mid = _twists_at(scenario, stamps[:-1] / NS_PER_S + h / 2.0)[0] * h[:, None]
-    poses = [Pose.identity()]
-    for R, t in zip(*se3_exp_many(mid)):
-        poses.append(pose_compose(poses[-1], _derived_pose(R, t)))
+    # pose k + 1 is pose k composed with step k, in `pose_compose`'s
+    # arithmetic
+    R, t = np.tile(np.eye(3), (len(stamps), 1, 1)), np.zeros((len(stamps), 3))
+    for k, (dR, dp) in enumerate(zip(*se3_exp_many(mid))):
+        R[k + 1], t[k + 1] = R[k] @ dR, R[k] @ dp + t[k]
     xi, dxi = _twists_at(scenario, stamps / NS_PER_S)
     w, v_b = np.ascontiguousarray(xi[:, :3]), xi[:, 3:]
-    R = np.stack([p.R for p in poses])
     return GroundTruth(
-        stamps=stamps,
-        poses=tuple(poses),
+        stamps, R, t,
         v_world=matvec_many(R, v_b),
         w_body=w,
         a_world=matvec_many(R, matvec_many(skew_many(w), v_b) + dxi[:, 3:]),
@@ -317,11 +322,7 @@ def synth_imu(gt: GroundTruth, imus: dict, noise: NoiseSpec, seed: int) -> dict:
     out = {}
     n = len(gt.stamps)
     # base-frame specific force
-    f_base = np.einsum(
-        "nij,nj->ni",
-        np.stack([p.R.T for p in gt.poses]),
-        gt.a_world - g,
-    )
+    f_base = np.einsum("nji,nj->ni", gt.R, gt.a_world - g)
     for pos, calib in imus.items():
         sid = f"imu/{pos}"
         rng = _channel_rng(seed, sid)

@@ -48,6 +48,12 @@ interpolated each scan-boundary pose once for all sensors: from
 `pose_at` at both ends of every scan. `retract` applies one state's
 tangent update through `NavStates.retract`, and `residual_gnss` is the
 GNSS factor's unwhitened residual: the state's position less the fix.
+`pose_matrix` is a `Pose`'s 4x4 homogeneous matrix. `rpe_walk`,
+`rpe_pairs_walk` and `ape_per_pose` are the trajectory metrics one pose
+at a time, as `evaluation` computed them before it stacked each
+`Trajectory`: `associate_pairs` lists the (i_gt, i_est) pairs, each RPE
+partner comes from a two-pointer walk over the gt arc length, and every
+relative pose is a `pose_compose` of `pose_inverse`s.
 """
 
 import itertools
@@ -61,6 +67,7 @@ import numpy as np
 import yaml
 
 from mlio.dataset import FLOAT_FMT, load_dataset
+from mlio.evaluation import ASSOCIATION_WINDOW_NS, AssociationError, _nearest
 from mlio.geometry import (
     NS_PER_S,
     NavStates,
@@ -70,6 +77,7 @@ from mlio.geometry import (
     se3_exp,
     se3_exp_many,
     se3_log,
+    so3_log,
 )
 from mlio.graph import STATE_DIM, _between_many, _prior_many
 from mlio.lidar import (
@@ -812,3 +820,69 @@ def synth_scan_per_call(gt, world, mount, pattern, start, period_ns, max_range):
     hit = np.isfinite(ranges) & (ranges <= max_range)
     points = pattern.reshape(-1, 3)[hit] * ranges[hit, None]
     return start + np.repeat(offsets, n_el)[hit], points
+
+
+def pose_matrix(pose) -> np.ndarray:
+    """The 4x4 homogeneous matrix of a `Pose`."""
+    T = np.eye(4)
+    T[:3, :3] = pose.R
+    T[:3, 3] = pose.t
+    return T
+
+
+def associate_pairs(gt, est, window_ns=ASSOCIATION_WINDOW_NS) -> list:
+    """`evaluation.associate` as a list of (i_gt, i_est) pairs."""
+    match = _nearest(gt.stamps, est.stamps, window_ns).tolist()
+    return [(i, j) for j, i in enumerate(match) if i >= 0]
+
+
+def _rpe_errors_walk(gt, est, pairs, distance):
+    """(gi, err) for each associated pair whose partner, found by a
+    two-pointer walk, is the first pair at least `distance` m of gt path
+    beyond it; err is T_rel_gt^-1 T_rel_est."""
+    steps = [np.linalg.norm(b.t - a.t) for a, b in zip(gt.poses[:-1], gt.poses[1:])]
+    arc = np.concatenate([[0.0], np.cumsum(steps)])
+    j = 0
+    for gi, ei in pairs:
+        while j < len(pairs) and arc[pairs[j][0]] < arc[gi] + distance:
+            j += 1
+        if j >= len(pairs):
+            return
+        gj, ej = pairs[j]
+        rel_gt = pose_compose(pose_inverse(gt.poses[gi]), gt.poses[gj])
+        rel_est = pose_compose(pose_inverse(est.poses[ei]), est.poses[ej])
+        yield gi, pose_compose(pose_inverse(rel_gt), rel_est)
+
+
+def rpe_walk(gt, est, distance=10.0):
+    """`evaluation.rpe` one pose pair at a time."""
+    pairs = associate_pairs(gt, est)
+    if not pairs:
+        raise AssociationError("no associated poses")
+    trans_sq, rot_sq, count = 0.0, 0.0, 0
+    for _, err in _rpe_errors_walk(gt, est, pairs, distance):
+        trans_sq += float(err.t @ err.t)
+        rot_sq += float(np.sum(so3_log(err.R) ** 2))
+        count += 1
+    if count == 0:
+        raise AssociationError(f"ground-truth path shorter than the {distance} m window")
+    return math.sqrt(trans_sq / count), math.degrees(math.sqrt(rot_sq / count)), count
+
+
+def rpe_pairs_walk(gt, est, distance=10.0) -> list:
+    """`evaluation.rpe_pairs` one pose pair at a time."""
+    return [(gt.stamps[gi] / 1e9, float(np.linalg.norm(err.t)),
+             math.degrees(float(np.linalg.norm(so3_log(err.R)))))
+            for gi, err in _rpe_errors_walk(gt, est, associate_pairs(gt, est), distance)]
+
+
+def ape_per_pose(gt, est) -> float:
+    """`evaluation.ape` one associated pose at a time."""
+    pairs = associate_pairs(gt, est)
+    if not pairs:
+        raise AssociationError("no associated poses")
+    total = 0.0
+    for gi, ei in pairs:
+        D = pose_matrix(pose_compose(pose_inverse(gt.poses[gi]), est.poses[ei])) - np.eye(4)
+        total += float(np.sum(D * D))
+    return math.sqrt(total / len(pairs))

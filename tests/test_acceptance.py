@@ -89,9 +89,9 @@ def as_trajectory(result):
 
 
 def translation_ape(gt, est):
-    pairs = associate(gt, est)
     errs = [
-        np.linalg.norm(gt.poses[gi].t - est.poses[ei].t) for gi, ei in pairs
+        np.linalg.norm(gt.poses[gi].t - est.poses[ei].t)
+        for gi, ei in zip(*associate(gt, est))
     ]
     return float(np.sqrt(np.mean(np.square(errs))))
 
@@ -530,7 +530,8 @@ def map_frame_loop(loop_data):
     T = MAP_FROM_LOOP
     gt = dataclasses.replace(
         loop_data.gt,
-        poses=tuple(pose_compose(T, p) for p in loop_data.gt.poses),
+        R=T.R @ loop_data.gt.R,
+        t=T.apply(loop_data.gt.t),
         v_world=loop_data.gt.v_world @ T.R.T,
         a_world=loop_data.gt.a_world @ T.R.T,
     )

@@ -114,6 +114,17 @@ class TestEval:
         assert cli("eval", "--est", est) == 1
         assert cli("eval", "--dataset", "d", "--gt", "g", "--est", est) == 1
 
+    def test_shared_label_is_usage_error(self, dataset_dir, run_dir, tmp_path, capsys):
+        """Two runs in one directory would print two rows with one label,
+        and the second report and pair CSV would overwrite the first."""
+        for name in ("a.tum", "b.tum"):
+            shutil.copy(f"{run_dir}/est.tum", tmp_path / name)
+        out = tmp_path / "eval"
+        assert cli("eval", "--dataset", dataset_dir, "--est", str(tmp_path / "a.tum"),
+                   str(tmp_path / "b.tum"), "--out", str(out)) == 1
+        assert repr(tmp_path.name) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rpe_distance_flag(self, dataset_dir, run_dir, capsys):
         assert cli("eval", "--dataset", dataset_dir, "--est",
                    f"{run_dir}/est.tum", "--rpe-distance", "5") == 0

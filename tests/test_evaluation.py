@@ -14,11 +14,13 @@ from mlio.evaluation import (
     evaluate,
     imu_rmse,
     rpe,
+    rpe_pairs,
     write_pair_csv,
     write_report,
 )
 from mlio.geometry import NS_PER_S, Pose, pose_compose, so3_exp
 from mlio.mimu import FusedImu
+from oracles import ape_per_pose, rpe_pairs_walk, rpe_walk
 
 
 def straight_trajectory(n=101, step=0.2, dt_ns=100_000_000):
@@ -161,8 +163,8 @@ class TestImuRmse:
 
 def matched_by_associate(ref, stamp):
     gt = Trajectory(stamps=ref, poses=(Pose(),) * len(ref))
-    pairs = associate(gt, Trajectory(stamps=[stamp], poses=(Pose(),)))
-    return pairs[0][0] if pairs else None
+    i_gt, _ = associate(gt, Trajectory(stamps=[stamp], poses=(Pose(),)))
+    return i_gt[0] if len(i_gt) else None
 
 
 def matched_by_imu_rmse(ref, stamp):
@@ -235,3 +237,51 @@ class TestReports:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory(stamps=np.array([0, 0]), poses=(Pose(), Pose()))
+
+
+def random_walk_pair(rng, n=150):
+    """A gt trajectory with 20-60 ms stamp gaps and 0-0.4 m steps, and a
+    noisy estimate whose stamps are a gt stamp within 9 ms (some gt poses
+    twice, at -4 and +4 ms), or the middle of a gt gap over 30 ms, which
+    no gt stamp is within the 10 ms window of."""
+    ms = 1_000_000
+    gt_stamps = np.cumsum(rng.integers(20 * ms, 60 * ms, size=n))
+    R, t, gt_poses = np.eye(3), np.zeros(3), []
+    for _ in range(n):
+        R = R @ so3_exp(rng.normal(scale=0.05, size=3))
+        t = t + R @ rng.uniform(0.0, 0.4, size=3)
+        gt_poses.append(Pose(R, t))
+    picked = np.flatnonzero(rng.random(n) < 0.6)
+    twice = picked[rng.random(len(picked)) < 0.2]
+    gaps = np.flatnonzero(np.diff(gt_stamps) > 30 * ms)
+    stamps = np.unique(np.concatenate([
+        gt_stamps[picked] + rng.integers(-9 * ms, 9 * ms, size=len(picked)),
+        gt_stamps[twice] - 4 * ms, gt_stamps[twice] + 4 * ms,
+        (gt_stamps[gaps] + gt_stamps[gaps + 1]) // 2,
+    ]))
+    nearest = np.abs(stamps[:, None] - gt_stamps[None]).argmin(axis=1)
+    est_poses = [pose_compose(gt_poses[k], Pose(so3_exp(rng.normal(scale=0.01, size=3)),
+                                                rng.normal(scale=0.05, size=3)))
+                 for k in nearest]
+    return Trajectory(gt_stamps, gt_poses), Trajectory(stamps, est_poses)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_metrics_match_the_per_pose_reference(seed):
+    """rpe, rpe_pairs and ape agree with the per-pair walk and per-pose
+    APE of tests/oracles.py to 1e-12, with unmatched est stamps, gt poses
+    matched twice, and a window longer than the gt path."""
+    gt, est = random_walk_pair(np.random.default_rng(seed))
+    i_gt, i_est = associate(gt, est)
+    assert 0 < len(i_est) < len(est.stamps)
+    assert np.any(np.diff(i_gt) == 0)
+    assert ape(gt, est) == pytest.approx(ape_per_pose(gt, est), rel=1e-12)
+    for distance in (0.3, 2.0, 10.0, 25.0):
+        got, want = rpe(gt, est, distance), rpe_walk(gt, est, distance)
+        assert got[2] == want[2] > 0
+        np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12)
+        np.testing.assert_allclose(rpe_pairs(gt, est, distance),
+                                   np.array(rpe_pairs_walk(gt, est, distance)), rtol=1e-12)
+    for metric in (rpe, rpe_walk):
+        with pytest.raises(AssociationError, match="shorter than"):
+            metric(gt, est, 1e3)

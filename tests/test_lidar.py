@@ -33,6 +33,7 @@ from oracles import (
     ArraySubmap,
     brute_knn,
     icp_register_requery,
+    pose_matrix,
     residual_between,
     voxel_downsample_rows,
 )
@@ -42,7 +43,7 @@ from submap_oracle import DictSubmap, fit_planes
 def twist_power(rel: Pose, eta: float) -> Pose:
     """rel**eta by the matrix exponential of eta log(rel), independent of
     the se3_exp kernel that deskew uses."""
-    T = expm(eta * logm(rel.matrix())).real
+    T = expm(eta * logm(pose_matrix(rel))).real
     return Pose(T[:3, :3], T[:3, 3])
 
 
