@@ -27,7 +27,8 @@ sensor stream that gives byte for byte what `'%d,%.9e,...' %` prints
 row by row. It rounds each mantissa in float64 and prints the few
 values whose rounding that cannot decide with `%` itself. A lidar's
 scans are formatted in one call and cut into files at their newlines.
-A TUM file is printed by one `%` call over all its poses.
+A TUM file is printed by one `%` call over all its poses and read with
+one batched quaternion conversion.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import NS_PER_S, Pose, quat_from_rotmat_many, quat_to_rotmat
+from .geometry import NS_PER_S, Pose, quat_from_rotmat_many, quat_to_rotmat_many
 from .graph import GnssStream
 from .lidar import LidarScan
 from .mimu import ImuStream
@@ -222,9 +223,9 @@ class Dataset:
     def gt_stamps(self) -> np.ndarray:
         return self._gt[0]
 
-    @property
+    @cached_property
     def gt_poses(self) -> tuple:
-        return self._gt[1]
+        return tuple(map(Pose, *self._gt[1:]))
 
 
 def write_tum(path, stamps, R, t) -> None:
@@ -248,18 +249,23 @@ def write_tum(path, stamps, R, t) -> None:
 
 
 def load_tum(path):
-    """(stamps, poses) of a TUM file; the stamps are parsed as decimals,
-    so they are exact to the nanosecond at any size."""
+    """(stamps (N,), R (N, 3, 3), t (N, 3)) of a TUM file. The stamps are
+    parsed as decimals, so they are exact to the nanosecond at any size.
+    A rotation whose quaternion is too far from unit length (as in a
+    hand-written file) is projected onto SO(3) as `Pose` projects it."""
     fields = np.loadtxt(path, dtype=str, ndmin=2).reshape(-1, 8)
     rows = fields[:, 1:].astype(float)
     stamps = np.array(
         [int((Decimal(t) * NS_PER_S).to_integral_value()) for t in fields[:, 0]],
         dtype=np.int64,
     )
-    poses = tuple(
-        Pose(quat_to_rotmat([r[6], r[3], r[4], r[5]]), r[0:3]) for r in rows
-    )
-    return stamps, poses
+    R = quat_to_rotmat_many(rows[:, [6, 3, 4, 5]])
+    # `Pose` decides on every row whose batched defect nears its bound
+    D = R @ np.swapaxes(R, 1, 2) - np.eye(3)
+    near = np.einsum("nij,nij->n", D, D) > (Pose.ROTATION_TOLERANCE / 2) ** 2
+    for k in np.flatnonzero(near):
+        R[k] = Pose(R[k]).R
+    return stamps, R, rows[:, :3]
 
 
 _GNSS_ROW = [("t", np.int64), ("p", float, 3), ("var", float)]

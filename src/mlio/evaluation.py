@@ -1,9 +1,10 @@
 """Trajectory and signal metrics.
 
 RPE is computed over pairs separated by a fixed ground-truth arc
-length (default 10 m), APE as the Frobenius-norm RMS of the absolute
-pose difference in the shared global frame (no alignment), and the
-fused-IMU error as separate RMS over acceleration and angular rate.
+length (default 10 m, less 1e-6 m for rounding), APE as the
+Frobenius-norm RMS of the absolute pose difference in the shared global
+frame (no alignment), and the fused-IMU error as separate RMS over
+acceleration and angular rate.
 
 A `Trajectory` stacks its poses once into R (N, 3, 3) and t (N, 3), and
 every metric is an array expression over them: `associate` matches all
@@ -21,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import load_tum
-from .geometry import matvec_many, so3_log_many
+from .geometry import _derived_pose, matvec_many, so3_log_many
 
 ASSOCIATION_WINDOW_NS = 10_000_000  # trajectory stamp matching, 10 ms
+RPE_ARC_TOLERANCE = 1e-6  # m an RPE partner may fall short of the window by
 IMU_ASSOCIATION_NS = 1_000_000  # fused-IMU stamp matching, 1 ms
 
 
@@ -55,8 +57,8 @@ class Trajectory:
 
     @staticmethod
     def from_tum(path) -> "Trajectory":
-        stamps, poses = load_tum(path)
-        return Trajectory(stamps=stamps, poses=poses)
+        stamps, R, t = load_tum(path)
+        return Trajectory(stamps, tuple(map(_derived_pose, R, t)))
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,14 @@ def rpe_pairs(gt: Trajectory, est: Trajectory, distance: float = 10.0):
     """Per-pair rows (stamp_s, trans_err_m, rot_err_deg), (n, 3).
 
     For each associated pose i the partner j is the first associated
-    pose at least `distance` meters of gt path beyond i; the error is
-    the discrepancy between the gt and estimated relative transforms.
-    The associated gt arc lengths never decrease, so one `searchsorted`
-    finds every partner."""
+    pose at least `distance` meters, less `RPE_ARC_TOLERANCE`, of gt path
+    beyond i; the error is the discrepancy between the gt and estimated
+    relative transforms. The associated gt arc lengths never decrease,
+    so one `searchsorted` finds every partner."""
     i_gt, i_est = _associated(gt, est)
     steps = np.linalg.norm(np.diff(gt.t, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(steps)])[i_gt]
-    j = np.searchsorted(arc, arc + distance)
+    j = np.searchsorted(arc, arc + distance - RPE_ARC_TOLERANCE)
     i = np.flatnonzero(j < len(arc))
     j = j[i]
     rel_gt = _between(gt.R[i_gt[i]], gt.t[i_gt[i]], gt.R[i_gt[j]], gt.t[i_gt[j]])

@@ -235,15 +235,14 @@ def quat_from_rotmat_many(R) -> np.ndarray:
     return q
 
 
-def quat_to_rotmat(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+def quat_to_rotmat_many(q) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of quaternions [w, x, y, z] (..., 4)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(w.shape + (3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +253,8 @@ def quat_to_rotmat(q) -> np.ndarray:
 class Pose:
     """Rigid transform: p_out = R @ p_in + t."""
 
+    ROTATION_TOLERANCE = 1e-7  # |R R^T - I| (Frobenius) above which R is projected
+
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -261,7 +262,7 @@ class Pose:
         R = np.asarray(self.R, dtype=float)
         t = np.asarray(self.t, dtype=float).reshape(3)
         defect = np.linalg.norm(R @ R.T - np.eye(3))
-        if defect > 1e-7:
+        if defect > self.ROTATION_TOLERANCE:
             R = _project_rotation(R)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)

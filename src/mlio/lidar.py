@@ -4,9 +4,10 @@ Scans are deskewed to their start time with a constant-twist motion model:
 the sensor pose at fraction eta of the scan is se3_exp(eta * xi) relative
 to the start pose, xi being the twist of the start-to-end motion. Scans
 are then voxel-downsampled and registered point-to-plane against the
-incremental local submap. Each cloud point's correspondence is the plane
-fitted to the map points its last gated k-NN query returned (as LOAM and
-LIO-SAM fit theirs). That hood is kept across ICP iterations until a
+incremental local submap, which reports neighbours by their coordinates,
+never by index. Each cloud point's correspondence is the plane fitted to
+the neighbours its last gated k-NN query returned (as LOAM and LIO-SAM
+fit theirs). That hood is kept across ICP iterations until a
 triangle-inequality bound on the point's motion can no longer certify
 its nearest map point (`_Hoods`); only then is the point queried again.
 Each Gauss-Newton step is solved only in the eigen-directions of the
@@ -31,7 +32,7 @@ from .geometry import (
     se3_log,
     so3_exp,
 )
-from .submap import LocalSubmap
+from .submap import LocalSubmap, voxel_keys
 
 
 @dataclass(frozen=True)
@@ -89,27 +90,18 @@ def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> np.ndarray:
     return matvec_many(R[inverse], scan.points) + t[inverse]
 
 
-_VOXEL_SPAN = 1 << 21  # voxels per axis below which three fit one int64
-
-
 def voxel_downsample(points, resolution: float = 0.05) -> np.ndarray:
     """One point per voxel: the centroid of the voxel's members, in the
-    lexicographic order of the voxels' integer coordinates."""
+    lexicographic order of the voxels' integer coordinates. Keys count
+    from the cloud's least voxel plus 2**20 (`voxel_keys`), so a cloud
+    spanning 2**21 voxels or more on an axis, or not finite, raises."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) == 0:
         return points
     voxels = np.floor(points / resolution)
-    voxels -= voxels.min(axis=0)
-    dims = voxels.max(axis=0) + 1.0
-    if not np.all(dims < _VOXEL_SPAN):  # also false for NaN
-        raise ValueError(
-            "cloud is not finite or spans 2**21 voxels or more on an axis, "
-            "so its voxel keys do not fit one int64"
-        )
-    # one int64 per voxel, ordered as its (x, y, z) coordinates
-    keys = np.ravel_multi_index(voxels.astype(np.int64).T, dims.astype(np.int64))
+    keys = voxel_keys(voxels, voxels.min(axis=0) + 2.0 ** 20)
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     # bincount adds the members of each voxel in input order
     sums = np.empty((len(counts), 3))
@@ -226,8 +218,8 @@ class _Hoods:
     within the gate. Only the points that meet neither test are queried
     again. A hood is a plane when all k of its points lay within its
     query's gate and `LocalSubmap.plane_normals` finds them planar. The
-    hood's coordinates are stored at query time, so a kept point reads
-    nothing from the map.
+    hood holds the coordinates k-NN reported (inf for a missing point,
+    never nearest), so a kept point reads nothing from the map.
     """
 
     def __init__(self, submap: LocalSubmap, n: int, k: int):
@@ -265,13 +257,8 @@ class _Hoods:
             stale = np.flatnonzero(~(np.minimum(dist, gate) < self.bound - moved))
         if len(stale):
             queries = world[stale]
-            d, idx = self.submap.knn(queries, k=self.k, max_dist=gate)
-            pts = self.submap.points()
-            xyz = np.take(pts, idx.T, axis=0, mode="clip")  # (k, m, 3)
-            missing = idx.T == len(pts)  # never nearest: inf, as k-NN says
-            if missing.any():
-                xyz[missing] = np.inf
-            self.xyz[:, :, stale] = xyz.transpose(2, 0, 1)
+            d, xyz = self.submap.knn(queries, k=self.k, max_dist=gate)
+            self.xyz[:, :, stale] = xyz.T
             self.origin[stale] = queries
             self.bound[stale] = np.minimum(d[:, -1], gate)
             dist[stale] = d[:, 0]
@@ -280,7 +267,7 @@ class _Hoods:
             fit = stale[full]
             if len(fit):
                 self.normal[fit], self.centroid[fit], self.planar[fit] = \
-                    self.submap.plane_normals(idx[full])
+                    self.submap.plane_normals(xyz[full])
         return dist
 
 

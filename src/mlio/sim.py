@@ -39,7 +39,7 @@ from .geometry import (
     pose_compose,
     pose_inverse,
     quat_from_rotmat_many,
-    quat_to_rotmat,
+    quat_to_rotmat_many,
     se3_exp_many,
     se3_log,
     se3_log_many,
@@ -574,7 +574,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ValueError(f"unknown surface type {surf['type']!r}")
     imus = {
         pos: ImuChannelCalib(
-            R=quat_to_rotmat(np.asarray(c["quat"], dtype=float)),
+            R=quat_to_rotmat_many(c["quat"]),
             t=c["lever_arm"],
             acc_noise_var=c["acc_noise_var"],
             gyro_noise_var=c["gyro_noise_var"],
@@ -589,7 +589,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             opts["elevations_deg"] = tuple(m["elevations_deg"])
         lidars[pos] = LidarMount(
             pose=Pose(
-                quat_to_rotmat(np.asarray(m["pose"]["quat"], dtype=float)),
+                quat_to_rotmat_many(m["pose"]["quat"]),
                 m["pose"]["t"],
             ),
             **opts,

@@ -1,17 +1,19 @@
 """Incremental voxel-deduplicated local map with k-NN queries.
 
 A bounded spatial index: inserts keep one point per voxel, points far
-from the current pose are dropped, and k-NN queries are exact. The map
-is two flat arrays in insertion order, the (N, 3) points and their voxel
-keys packed into one int64 each relative to an origin voxel that follows
-the box, so insert and crop are array operations, world coordinates of
-any size (UTM too) pack, and the KD-tree sees the points in the order
-they arrived. A sorted copy of the keys answers an insert's membership
-test by binary search. A k-NN query can be bounded by a maximum
-distance, at which the tree stops searching. Planes are fit to hoods of
-stored points that the caller names, in chunks of `_FIT_CHUNK` hoods;
-each 3x3 scatter is solved in closed form, with `np.linalg.eigh` only
-for the rows where that is ill-conditioned.
+from the current pose are dropped, and k-NN queries are exact. Only
+this module knows voxel keys and map indices. `voxel_keys` packs a
+voxel's offsets to an origin voxel into one int64 in lexicographic order
+(`lidar.voxel_downsample` shares it). The map is two flat arrays in key
+order, the (N, 3) points and their keys from an origin voxel that
+follows the box, so insert and crop are array operations, world
+coordinates of any size (UTM too) pack, and an insert's membership test
+is a binary search of the keys. `knn` answers with neighbour
+coordinates (m, k, 3), inf for a missing neighbour, optionally within a
+maximum distance at which the tree stops searching; `plane_normals`
+fits such hoods in chunks of `_FIT_CHUNK`, each 3x3 scatter in closed
+form, with `np.linalg.eigh` only for the rows where that is
+ill-conditioned.
 """
 
 from __future__ import annotations
@@ -24,6 +26,18 @@ _KEY_HALF = 1 << (_KEY_BITS - 1)
 _FIT_CHUNK = 4096  # hoods per plane-fit batch, which bounds its temporaries
 
 
+def voxel_keys(voxels, origin) -> np.ndarray:
+    """One int64 per row of integer-valued voxel coordinates (n, 3), from
+    its offsets to the voxel `origin`, each in [-2**20, 2**20), packed x
+    first: keys order as their voxels do. Other offsets raise ValueError."""
+    idx = voxels - origin
+    if not np.all((idx >= -_KEY_HALF) & (idx < _KEY_HALF)):  # also false for NaN
+        raise ValueError("voxel not finite or 2**20 or more voxels from the key "
+                         "origin on an axis: its key does not fit one int64")
+    idx = idx.astype(np.int64) + _KEY_HALF
+    return (idx[:, 0] << 2 * _KEY_BITS) | (idx[:, 1] << _KEY_BITS) | idx[:, 2]
+
+
 class LocalSubmap:
     def __init__(self, voxel_resolution: float = 0.05, extent: float = 150.0):
         if voxel_resolution <= 0:
@@ -32,27 +46,18 @@ class LocalSubmap:
         self.extent = float(extent)  # side length of the sliding box
         if self.extent / self.voxel_resolution >= _KEY_HALF:
             raise ValueError("extent spans too many voxels to pack")
-        self._points = np.empty((0, 3))
-        self._keys = np.empty(0, dtype=np.int64)
-        self._sorted = np.empty(0, dtype=np.int64)  # the keys, ascending
+        self._points = np.empty((0, 3))  # in key order
+        self._keys = np.empty(0, dtype=np.int64)  # ascending
         self._origin = np.zeros(3)  # voxel the keys count from
         self._tree = None
 
     def __len__(self) -> int:
         return len(self._points)
 
-    def _pack(self, points) -> np.ndarray:
-        """One int64 per point from its voxel offsets to the origin."""
-        idx = np.floor(points / self.voxel_resolution) - self._origin
-        if not np.all((idx >= -_KEY_HALF) & (idx < _KEY_HALF)):
-            raise ValueError("point outside the packable voxel range")
-        idx = idx.astype(np.int64) + _KEY_HALF
-        return (idx[:, 0] << 2 * _KEY_BITS) | (idx[:, 1] << _KEY_BITS) | idx[:, 2]
-
     def _move_origin(self, point):
         """Count keys from the voxel of `point`. Packing is linear, and all
         stored points lie in the box around it, so their keys shift alike
-        and the sorted keys stay sorted."""
+        and stay sorted."""
         voxel = np.floor(np.asarray(point, dtype=float) / self.voxel_resolution)
         if not np.all(np.isfinite(voxel)):
             raise ValueError("map origin must be finite")
@@ -60,7 +65,6 @@ class LocalSubmap:
             dx, dy, dz = (int(d) for d in voxel - self._origin)
             shift = (dx << 2 * _KEY_BITS) + (dy << _KEY_BITS) + dz
             self._keys -= shift
-            self._sorted -= shift
         self._origin = voxel
 
     def insert(self, points) -> int:
@@ -68,19 +72,16 @@ class LocalSubmap:
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not len(self._points) and len(points):
             self._move_origin(points[0])
-        packed = self._pack(points)
-        keys, first = np.unique(packed, return_index=True)
-        at = np.searchsorted(self._sorted, keys)
-        fresh = at == len(self._sorted)
-        inner = np.flatnonzero(~fresh)
-        fresh[inner] = self._sorted[at[inner]] != keys[inner]
-        new = np.sort(first[fresh])
-        if len(new):
-            self._points = np.concatenate([self._points, points[new]])
-            self._keys = np.concatenate([self._keys, packed[new]])
-            self._sorted = np.insert(self._sorted, at[fresh], keys[fresh])
+        voxels = np.floor(points / self.voxel_resolution)
+        keys, first = np.unique(voxel_keys(voxels, self._origin), return_index=True)
+        at = np.searchsorted(self._keys, keys)
+        fresh = np.append(self._keys, -1)[at] != keys  # no key is negative
+        if fresh.any():
+            at = at[fresh]
+            self._points = np.insert(self._points, at, points[first[fresh]], axis=0)
+            self._keys = np.insert(self._keys, at, keys[fresh])
             self._tree = None
-        return len(new)
+        return int(np.count_nonzero(fresh))
 
     def crop_to_box(self, center) -> int:
         """Remove points outside the sliding box centered at `center`."""
@@ -92,16 +93,11 @@ class LocalSubmap:
         kept = np.flatnonzero(inside)
         removed = len(self._points) - len(kept)
         if removed:
-            doomed = np.searchsorted(self._sorted, self._keys[~inside])
             self._points = np.take(self._points, kept, axis=0)
             self._keys = np.take(self._keys, kept)
-            self._sorted = np.delete(self._sorted, doomed)
             self._tree = None
         self._move_origin(center)
         return removed
-
-    def points(self) -> np.ndarray:
-        return self._points
 
     def _ensure_tree(self):
         if self._tree is None and len(self._points):
@@ -114,11 +110,12 @@ class LocalSubmap:
         return self._tree
 
     def knn(self, queries, k: int = 1, max_dist: float = np.inf):
-        """Exact k nearest stored points at most `max_dist` away. Returns
-        (distances, indices), each (len(queries), k). A point exactly
-        `max_dist` away is returned; a neighbor not found within the
-        bound, or missing because k > len(self), has distance inf and
-        index len(self). ICP's kept hoods rely on all three."""
+        """Exact k nearest stored points at most `max_dist` away, nearest
+        first. Returns (distances (m, k), neighbour coordinates (m, k, 3))
+        for the m queries. A point exactly `max_dist` away is returned;
+        a neighbour not found within the bound, or missing because
+        k > len(self), has distance inf and coordinates inf. ICP's kept
+        hoods rely on all three."""
         tree = self._ensure_tree()
         if tree is None:
             raise ValueError("submap is empty")
@@ -127,24 +124,27 @@ class LocalSubmap:
         # unit of rounding above max_dist keeps every distance equal to it
         d, idx = tree.query(queries, k=k,
                             distance_upper_bound=np.nextafter(max_dist, np.inf))
-        return d.reshape(len(queries), -1), idx.reshape(len(queries), -1)
+        idx = idx.reshape(len(queries), -1)
+        xyz = np.take(self._points, idx, axis=0, mode="clip")
+        xyz[idx == len(self._points)] = np.inf  # the tree's index of a miss
+        return d.reshape(idx.shape), xyz
 
     def plane_normals(self, hoods):
-        """Planes fitted to hoods of stored points, one row of stored-point
-        indices (m, k) each: (normals (m, 3), centroids (m, 3), valid (m,)).
+        """Planes fitted to hoods of points, one row of k coordinates
+        (m, k, 3) each, as `knn` reports them: (normals (m, 3), centroids
+        (m, 3), valid (m,)).
 
         A fit is valid only when the hood is genuinely planar: thin along
         the normal and spread in both in-plane directions (nearly
         collinear hoods give arbitrary normals). The hoods are fit in
         batches of `_FIT_CHUNK` (`_smallest_eigenpairs`)."""
-        hoods = np.asarray(hoods, dtype=np.intp)
         m = len(hoods)
         normals, centroids = np.empty((m, 3)), np.empty((m, 3))
         valid = np.empty(m, dtype=bool)
-        pts = self._points.T
         for lo in range(0, m, _FIT_CHUNK):
             rows = slice(lo, lo + _FIT_CHUNK)
-            hood = pts[:, hoods[rows].T]  # (3, k, rows)
+            # axis first and contiguous: the sums over k run in order
+            hood = np.ascontiguousarray(hoods[rows].T)  # (3, k, rows)
             centroid = hood.mean(axis=1)
             vals, normals[rows] = _smallest_eigenpairs(hood - centroid[:, None])
             centroids[rows] = centroid.T

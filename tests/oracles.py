@@ -14,12 +14,13 @@ adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
 runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
-`brute_knn` is `LocalSubmap.knn` by a full scan, and
+`brute_knn` is k-NN over a point array by a full scan, and
 `icp_register_requery` is `lidar.icp_register` with every point queried
 afresh by it on every iteration, each hood kept or replaced by the
 product's rule. `ArraySubmap` is `LocalSubmap` with the insert and crop
-it had before it kept its keys sorted: a membership test by `np.isin`
-over every stored key, and a crop through (N, 3) temporaries. `exact_so3_maps` and
+it had before it kept its points in key order: a membership test by
+`np.isin` over every stored key and an append, a crop through (N, 3)
+temporaries, and then a full sort of the points and keys by key. `exact_so3_maps` and
 `exact_se3_left_jacobian_inv` are the exact references of every SO(3)
 and SE(3) series in `geometry`: each map's defining power series (and
 its inverse) in decimal arithmetic at `EXACT_DIGITS` digits, rounded to
@@ -31,7 +32,8 @@ replaced by one value per keyframe interval. `write_scan_file_rows` is
 the per-point f-string scan writer. `write_stamped_csv_rows` prints
 one row at a time with `%`, as `dataset._write_stamped_csv` did before
 its one vectorized pass per stream; `quat_from_rotmat` is the
-one-matrix `geometry.quat_from_rotmat_many`, `format_tum_line` one
+one-matrix `geometry.quat_from_rotmat_many` and `quat_to_rotmat` the
+one-quaternion `geometry.quat_to_rotmat_many`, `format_tum_line` one
 line of `dataset.write_tum`, and `write_dataset_rows` writes a whole
 dataset with these and PyYAML's pure-Python `safe_dump`, as
 `dataset.write_dataset` did before. `write_fused_imu_streaming_groups`
@@ -67,7 +69,12 @@ import numpy as np
 import yaml
 
 from mlio.dataset import FLOAT_FMT, load_dataset
-from mlio.evaluation import ASSOCIATION_WINDOW_NS, AssociationError, _nearest
+from mlio.evaluation import (
+    ASSOCIATION_WINDOW_NS,
+    RPE_ARC_TOLERANCE,
+    AssociationError,
+    _nearest,
+)
 from mlio.geometry import (
     NS_PER_S,
     NavStates,
@@ -106,7 +113,7 @@ from mlio.preintegration import (
 )
 from mlio.pipeline import fuse_imu_groups, write_fused_imu
 from mlio.sim import Box, scenario_to_dict
-from mlio.submap import LocalSubmap
+from mlio.submap import LocalSubmap, voxel_keys
 from mlio.sync import POSITIONS, SyncGroups
 from sync_oracle import replay as replay_streaming
 
@@ -314,21 +321,25 @@ def voxel_downsample_rows(points, resolution: float) -> np.ndarray:
 
 class ArraySubmap(LocalSubmap):
     """`LocalSubmap` with the insert and crop it had before it kept its
-    keys sorted; its sorted keys are a full sort of the keys after each
-    change."""
+    points in key order, each change followed by a full sort of the
+    points and keys by key."""
+
+    def _sort_by_key(self):
+        order = np.argsort(self._keys, kind="stable")
+        self._points, self._keys = self._points[order], self._keys[order]
+        self._tree = None
 
     def insert(self, points) -> int:
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not len(self._points) and len(points):
             self._move_origin(points[0])
-        packed = self._pack(points)
+        packed = voxel_keys(np.floor(points / self.voxel_resolution), self._origin)
         keys, first = np.unique(packed, return_index=True)
         new = np.sort(first[~np.isin(keys, self._keys, assume_unique=True)])
         if len(new):
             self._points = np.concatenate([self._points, points[new]])
             self._keys = np.concatenate([self._keys, packed[new]])
-            self._sorted = np.sort(self._keys)
-            self._tree = None
+            self._sort_by_key()
         return len(new)
 
     def crop_to_box(self, center) -> int:
@@ -339,16 +350,16 @@ class ArraySubmap(LocalSubmap):
         if removed:
             self._points = self._points[~doomed]
             self._keys = self._keys[~doomed]
-            self._sorted = np.sort(self._keys)
-            self._tree = None
+            self._sort_by_key()
         self._move_origin(center)
         return removed
 
 
 def brute_knn(points, queries, k: int, chunk: int = 256):
     """(distances, indices) of each query's k nearest points, ascending,
-    by a full scan: squared distances summed one axis at a time. Columns beyond len(points) have distance inf and
-    index len(points), as `LocalSubmap.knn` gives them."""
+    by a full scan: squared distances summed one axis at a time. Columns
+    beyond len(points) have distance inf and index len(points), as the
+    KD-tree gives them."""
     m = len(points)
     d = np.full((len(queries), k), np.inf)
     idx = np.full((len(queries), k), m, dtype=np.intp)
@@ -377,7 +388,7 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
     Planes come from `submap.plane_normals`, so the fits are the
     product's; the solve is `icp_register`'s."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    pts = submap.points()
+    pts = submap._points
     k, n = config.plane_neighbors, len(cloud)
     pose = prior
     center = np.asarray(prior.t, dtype=float)
@@ -411,7 +422,7 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
         planar[stale] = False
         if full.any():
             fit = stale[full]
-            normal[fit], centroid[fit], planar[fit] = submap.plane_normals(hood[fit])
+            normal[fit], centroid[fit], planar[fit] = submap.plane_normals(padded[hood[fit]])
         mask = (d[:, 0] <= gate) & planar
         n_corr = int(mask.sum())
         if n_corr < config.min_correspondences:
@@ -687,6 +698,17 @@ def quat_from_rotmat(R) -> np.ndarray:
     return q
 
 
+def quat_to_rotmat(q) -> np.ndarray:
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
 def format_tum_line(stamp_ns: int, pose) -> str:
     """'t x y z qx qy qz qw'; t is the ns stamp in seconds, digit for
     digit, so it is exact at any size."""
@@ -838,13 +860,14 @@ def associate_pairs(gt, est, window_ns=ASSOCIATION_WINDOW_NS) -> list:
 
 def _rpe_errors_walk(gt, est, pairs, distance):
     """(gi, err) for each associated pair whose partner, found by a
-    two-pointer walk, is the first pair at least `distance` m of gt path
-    beyond it; err is T_rel_gt^-1 T_rel_est."""
+    two-pointer walk, is the first pair at least `distance` m, less
+    `RPE_ARC_TOLERANCE`, of gt path beyond it; err is T_rel_gt^-1
+    T_rel_est."""
     steps = [np.linalg.norm(b.t - a.t) for a, b in zip(gt.poses[:-1], gt.poses[1:])]
     arc = np.concatenate([[0.0], np.cumsum(steps)])
     j = 0
     for gi, ei in pairs:
-        while j < len(pairs) and arc[pairs[j][0]] < arc[gi] + distance:
+        while j < len(pairs) and arc[pairs[j][0]] < arc[gi] + distance - RPE_ARC_TOLERANCE:
             j += 1
         if j >= len(pairs):
             return

@@ -1,10 +1,12 @@
 """Reference voxel map for the array-backed `mlio.submap.LocalSubmap`,
 and the per-hood plane fit (`fit_planes`) that it uses.
 
-One dict entry per voxel in insertion order, a Python loop per point on
-insert and crop, and one `eigh` per hood for plane fits: slow, but
-each rule is spelled out once, so the array-backed map can be checked
-against it element by element.
+One dict entry per voxel, a Python loop per point on insert and crop,
+the points listed in the lexicographic order of their voxels' integer
+coordinates (the order of `LocalSubmap`'s keys), and one `eigh` per
+hood of point coordinates for plane fits: slow, but each rule is
+spelled out once, so the array-backed map can be checked against it
+element by element.
 """
 
 from __future__ import annotations
@@ -52,25 +54,25 @@ class DictSubmap:
     def points(self) -> np.ndarray:
         if self._points is None:
             self._points = (
-                np.stack(list(self._voxels.values()))
+                np.stack([p for _, p in sorted(self._voxels.items())])
                 if self._voxels
                 else np.empty((0, 3))
             )
         return self._points
 
     def plane_normals(self, hoods):
-        return fit_planes(self.points(), hoods)
+        return fit_planes(hoods)
 
 
-def fit_planes(points, hoods):
-    """(normals, centroids, valid) of the hoods (m, k) of `points`, one
-    `eigh` of each hood's scatter at a time."""
-    hoods = np.asarray(hoods)
+def fit_planes(hoods):
+    """(normals, centroids, valid) of the hoods of point coordinates
+    (m, k, 3), one `eigh` of each hood's scatter at a time."""
+    hoods = np.asarray(hoods, dtype=float)
     normals, centroids = np.empty((len(hoods), 3)), np.empty((len(hoods), 3))
     valid = np.empty(len(hoods), dtype=bool)
-    for i, row in enumerate(hoods):
-        centroids[i] = points[row].mean(axis=0)
-        local = points[row] - centroids[i]
+    for i, hood in enumerate(hoods):
+        centroids[i] = hood.mean(axis=0)
+        local = hood - centroids[i]
         vals, vecs = np.linalg.eigh(local.T @ local)
         normals[i] = vecs[:, 0]
         valid[i] = (vals[2] > 0.0 and vals[0] <= 1e-3 * vals[2]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mlio import evaluation
 from mlio.evaluation import (
     ASSOCIATION_WINDOW_NS,
     IMU_ASSOCIATION_NS,
@@ -75,6 +76,30 @@ class TestRpe:
         _, _, n10 = rpe(t, t, distance=10.0)
         _, _, n5 = rpe(t, t, distance=5.0)
         assert abs(n5 - 2 * n10) <= 0.1 * n10 + 2
+
+    def test_partner_at_the_window_despite_rounding(self, monkeypatch):
+        """A constant-speed straight whose keyframe spacing (2.5 m)
+        divides the 10 m window: each pose's partner is the keyframe
+        10 m on. Moving the gt position of keyframe 4 back by 4 ulp puts
+        its arc just below keyframe 0's threshold; the partner stays put,
+        where without the tolerance it moves on by one keyframe."""
+        stamps = np.arange(13, dtype=np.int64) * NS_PER_S
+        x = 2.5 * np.arange(13)
+
+        def line(xs):
+            return Trajectory(stamps, tuple(Pose(np.eye(3), [v, 0.0, 0.0]) for v in xs))
+
+        est = line(x + 0.01 * np.arange(13) ** 2)  # each partner errs alike
+        moved = x.copy()
+        moved[4] -= 4 * np.spacing(moved[4])
+        assert np.cumsum(np.diff(moved))[3] < 10.0
+        want = rpe_pairs(line(x), est)
+        assert len(want) == 9
+        np.testing.assert_allclose(rpe_pairs(line(moved), est), want, rtol=0, atol=1e-12)
+        monkeypatch.setattr(evaluation, "RPE_ARC_TOLERANCE", 0.0)
+        first = rpe_pairs(line(moved), est)[0]
+        assert first[1] == pytest.approx(0.25)  # keyframe 5's error, not 4's 0.16
+        assert want[0, 1] == pytest.approx(0.16)
 
     def test_subsampling_stability(self):
         rng = np.random.default_rng(0)

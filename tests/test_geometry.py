@@ -12,7 +12,7 @@ from mlio.geometry import (
     pose_compose,
     pose_inverse,
     quat_from_rotmat_many,
-    quat_to_rotmat,
+    quat_to_rotmat_many,
     se3_exp,
     se3_exp_many,
     se3_left_jacobian_inv_many,
@@ -32,6 +32,7 @@ from oracles import (
     exact_so3_maps,
     pose_matrix,
     quat_from_rotmat,
+    quat_to_rotmat,
     skew,
 )
 
@@ -427,6 +428,7 @@ class TestQuatFromRotmat:
         q = quat_from_rotmat_many(R)
         assert (q[:, 0] >= 0).all()
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-15)
-        back = np.array([quat_to_rotmat(row) for row in q])
+        back = quat_to_rotmat_many(q)
+        assert np.array_equal(back, [quat_to_rotmat(row) for row in q])
         np.testing.assert_allclose(back, R, atol=1e-12)
         assert quat_from_rotmat_many(np.zeros((0, 3, 3))).shape == (0, 4)

@@ -27,6 +27,7 @@ from oracles import (
     format_tum_line,
     numeric_jacobian,
     pose_matrix,
+    quat_to_rotmat,
     residual_between,
     residual_gnss,
     residual_prior,
@@ -553,9 +554,9 @@ class TestTumOutput:
         assert [line.split()[0] for line in path.read_text().splitlines()] == [
             "1700000000.123456789", "1700000000.123456790", "0.999999999",
             "0.000000000", "0.000000007"]
-        got, poses = load_tum(path)
+        got, R, t = load_tum(path)
         assert got.tolist() == stamps
-        assert len(poses) == len(stamps)
+        assert R.shape == (len(stamps), 3, 3) and t.shape == (len(stamps), 3)
 
     def test_negative_stamps_round_trip_exactly(self, tmp_path):
         stamps = [-5, -1_000_000_001, -1700000000123456789, -2**63]
@@ -564,13 +565,33 @@ class TestTumOutput:
         assert [line.split()[0] for line in path.read_text().splitlines()] == [
             "-0.000000005", "-1.000000001", "-1700000000.123456789",
             "-9223372036.854775808"]
-        got, _ = load_tum(path)
+        got, _, _ = load_tum(path)
         assert got.tolist() == stamps
 
     def test_load_reads_exponent_stamps(self, tmp_path):
         path = tmp_path / "traj.tum"
         path.write_text("1.7e9 1 2 3 0 0 0 1\n1700000000.5 1 2 3 0 0 0 1\n")
-        stamps, poses = load_tum(path)
+        stamps, R, t = load_tum(path)
         assert stamps.tolist() == [1_700_000_000_000_000_000, 1_700_000_000_500_000_000]
-        np.testing.assert_array_equal(poses[1].t, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(poses[1].R, np.eye(3))
+        np.testing.assert_array_equal(t[1], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(R[1], np.eye(3))
+
+    def test_load_matches_one_pose_per_line(self, tmp_path):
+        """`load_tum` gives the bits of one `Pose` per line of the
+        one-quaternion formula: quaternions unit to rounding are kept as
+        they are, and those far enough off unit length, as a hand-written
+        file may hold, are projected onto SO(3) as `Pose` projects them."""
+        rng = np.random.default_rng(9)
+        q = rng.normal(size=(60, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        q[20:] *= 1.0 + np.logspace(-10, -1, 40)[:, None] * rng.choice([-1, 1], size=(40, 1))
+        t = rng.normal(size=(60, 3)) * 100.0
+        path = tmp_path / "traj.tum"
+        path.write_text("".join(
+            " ".join(f"{v:.17g}" for v in (k, *t[k], *q[k, 1:], q[k, 0])) + "\n"
+            for k in range(60)))
+        _, R, t_got = load_tum(path)
+        want = [Pose(quat_to_rotmat(row), tt) for row, tt in zip(q, t)]
+        assert np.array_equal(R, [p.R for p in want]) and np.array_equal(t_got, t)
+        projected = [not np.array_equal(p.R, quat_to_rotmat(row)) for p, row in zip(want, q)]
+        assert 10 < sum(projected) < 40

@@ -28,7 +28,7 @@ from mlio.lidar import (
     voxel_downsample,
 )
 from mlio.pipeline import weak_covariance
-from mlio.submap import _FIT_CHUNK, LocalSubmap, _smallest_eigenpairs
+from mlio.submap import _FIT_CHUNK, LocalSubmap, _smallest_eigenpairs, voxel_keys
 from oracles import (
     ArraySubmap,
     brute_knn,
@@ -65,10 +65,12 @@ def fuse_to_base(scans, calib: dict) -> np.ndarray:
 
 def unbounded_knn(submap, queries, k):
     """k-NN over a KD-tree built as the submap builds it (same ties),
-    searched without a distance bound."""
-    tree = cKDTree(submap.points(), balanced_tree=False)
-    d, idx = tree.query(np.atleast_2d(queries), k=k)
-    return d.reshape(len(queries), -1), idx.reshape(len(queries), -1)
+    searched without a distance bound: (distances, coordinates), as
+    `LocalSubmap.knn` reports them."""
+    pts = submap._points
+    d, idx = cKDTree(pts, balanced_tree=False).query(np.atleast_2d(queries), k=k)
+    idx = idx.reshape(len(queries), -1)
+    return d.reshape(idx.shape), np.concatenate([pts, np.full((1, 3), np.inf)])[idx]
 
 
 def grid_on_plane(origin, u, v, nu, nv, su, sv):
@@ -114,47 +116,48 @@ class TestLocalSubmap:
             m.insert(rng.uniform(-3, 3, size=(300, 3)))
             m.crop_to_box(rng.uniform(-1, 1, size=3))
             queries = rng.uniform(-3, 3, size=(20, 3))
-            d, idx = m.knn(queries, k=3)
-            pts = m.points()
+            d, _ = m.knn(queries, k=3)
+            pts = m._points
             for qi, q in enumerate(queries):
                 brute = np.sort(np.linalg.norm(pts - q, axis=1))[:3]
                 np.testing.assert_allclose(np.sort(d[qi]), brute, atol=1e-12)
 
     def test_bounded_knn_is_unbounded_within_the_bound(self):
         """Rows with a neighbor at most max_dist away equal the unbounded
-        query's; the others have distance inf and index len(map). A
+        query's; the others have distance inf and coordinates inf. A
         neighbor exactly at max_dist is kept. Without max_dist the query
         is unbounded."""
         rng = np.random.default_rng(17)
         m = LocalSubmap(voxel_resolution=0.05, extent=20.0)
         m.insert(rng.uniform(-3, 3, size=(400, 3)))
         queries = rng.uniform(-5, 5, size=(300, 3))
-        d_all, i_all = unbounded_knn(m, queries, k=3)
-        for got, want in zip(m.knn(queries, k=3), (d_all, i_all)):
+        d_all, xyz_all = unbounded_knn(m, queries, k=3)
+        for got, want in zip(m.knn(queries, k=3), (d_all, xyz_all)):
             np.testing.assert_array_equal(got, want)  # unbounded by default
         r = d_all[30, 1]  # query 30's second neighbor lies exactly at r
         for k in (1, 3):
-            d, idx = m.knn(queries, k=k, max_dist=r)
+            d, xyz = m.knn(queries, k=k, max_dist=r)
             within = d_all[:, :k] <= r
             assert within[30].sum() == min(k, 2) and 0 < within.sum() < within.size
             np.testing.assert_array_equal(d[within], d_all[:, :k][within])
-            np.testing.assert_array_equal(idx[within], i_all[:, :k][within])
-            assert np.all(np.isinf(d[~within])) and np.all(idx[~within] == len(m))
+            np.testing.assert_array_equal(xyz[within], xyz_all[:, :k][within])
+            assert np.all(np.isinf(d[~within])) and np.all(np.isinf(xyz[~within]))
 
     def test_bounded_knn_with_more_neighbors_than_points(self):
         """k above the map size: the missing neighbors, like those beyond
-        the bound, have distance inf and index len(map); a point exactly
+        the bound, have distance inf and coordinates inf; a point exactly
         at max_dist is still returned."""
         m = LocalSubmap(voxel_resolution=0.05)
-        m.insert([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        d, idx = m.knn([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], k=5, max_dist=1.0)
-        assert d.shape == idx.shape == (2, 5)
+        pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]
+        m.insert(pts)
+        d, xyz = m.knn([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], k=5, max_dist=1.0)
+        assert d.shape == (2, 5) and xyz.shape == (2, 5, 3)
         np.testing.assert_array_equal(d[0], [0.0, 1.0] + [np.inf] * 3)
-        np.testing.assert_array_equal(idx[0], [0, 1] + [len(m)] * 3)
-        assert np.all(np.isinf(d[1])) and np.all(idx[1] == len(m))
-        d, idx = m.knn([[0.0, 0.0, 0.0]], k=5)  # unbounded
+        np.testing.assert_array_equal(xyz[0], pts[:2] + [[np.inf] * 3] * 3)
+        assert np.all(np.isinf(d[1])) and np.all(np.isinf(xyz[1]))
+        d, xyz = m.knn([[0.0, 0.0, 0.0]], k=5)  # unbounded
         np.testing.assert_array_equal(d[0], [0.0, 1.0, 3.0, np.inf, np.inf])
-        np.testing.assert_array_equal(idx[0], [0, 1, 2, len(m), len(m)])
+        np.testing.assert_array_equal(xyz[0], pts + [[np.inf] * 3] * 2)
 
     def test_memory_bound(self):
         m = LocalSubmap(voxel_resolution=0.5, extent=4.0)
@@ -176,7 +179,7 @@ class TestLocalSubmap:
         twins = batch[rng.integers(0, len(batch), size=n // 3)]
         twins = (np.floor(twins / m.voxel_resolution)
                  + rng.uniform(0, 1, size=twins.shape)) * m.voxel_resolution
-        stored = m.points()[rng.integers(0, len(m), size=n // 5)] if len(m) else twins[:0]
+        stored = m._points[rng.integers(0, len(m), size=n // 5)] if len(m) else twins[:0]
         batch = np.concatenate([batch, twins, stored])
         return batch[rng.permutation(len(batch))]
 
@@ -185,7 +188,7 @@ class TestLocalSubmap:
         comparing every result. Returns the number of valid fits."""
 
         def same_planes(k):
-            queries = m.points()[rng.integers(0, len(m), size=300)]  # repeats too
+            queries = m._points[rng.integers(0, len(m), size=300)]  # repeats too
             hoods = m.knn(queries, k=k)[1]
             n, c, ok = m.plane_normals(hoods)
             n_ref, c_ref, ok_ref = ref.plane_normals(hoods)
@@ -199,12 +202,12 @@ class TestLocalSubmap:
         for _ in range(rounds):
             batch = self._churn_batch(rng, m, offset)
             assert m.insert(batch) == ref.insert(batch)
-            np.testing.assert_array_equal(m.points(), ref.points())
+            np.testing.assert_array_equal(m._points, ref.points())
             valid += same_planes(k=5).sum()
             center = offset + rng.uniform(-1.5, 1.5, size=3)
             assert m.crop_to_box(center) == ref.crop_to_box(center)
             assert len(m) == len(ref)
-            np.testing.assert_array_equal(m.points(), ref.points())
+            np.testing.assert_array_equal(m._points, ref.points())
             valid += same_planes(k=7).sum()
         return valid
 
@@ -231,20 +234,22 @@ class TestLocalSubmap:
         assert 0 < valid < 12 * 600
 
     def test_first_point_per_voxel_wins(self):
+        """The first point in a voxel stays; the points are stored in the
+        order of their voxels."""
         m = LocalSubmap(voxel_resolution=0.1)
         assert m.insert([[0.01, 0, 0], [0.5, 0, 0], [0.02, 0, 0]]) == 2
         assert m.insert([[0.03, 0, 0], [0.31, 0, 0]]) == 1
         np.testing.assert_array_equal(
-            m.points(), [[0.01, 0, 0], [0.5, 0, 0], [0.31, 0, 0]]
+            m._points, [[0.01, 0, 0], [0.31, 0, 0], [0.5, 0, 0]]
         )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sorted_keys_match_full_sort_oracle(self, seed):
         """Random inserts (repeats and second points per voxel included),
         origin moves that remove nothing and crops that remove points:
-        points, keys and the sorted keys equal, bit for bit, those of
-        the map that tests membership with `np.isin` and sorts every
-        key after each change (`oracles.ArraySubmap`)."""
+        points and keys equal, bit for bit, those of the map that tests
+        membership with `np.isin`, appends, and sorts its points and keys
+        by key after each change (`oracles.ArraySubmap`)."""
         rng = np.random.default_rng(60 + seed)
         m = LocalSubmap(voxel_resolution=0.1, extent=7.0)
         ref = ArraySubmap(voxel_resolution=0.1, extent=7.0)
@@ -255,17 +260,71 @@ class TestLocalSubmap:
             assert m.insert(batch) == ref.insert(batch)
             # the middle of the points' bounds keeps every point when they
             # span less than the box
-            middle = (m.points().min(axis=0) + m.points().max(axis=0)) / 2.0
+            middle = (m._points.min(axis=0) + m._points.max(axis=0)) / 2.0
             for center in (middle, offset + rng.uniform(-2.0, 2.0, size=3)):
                 removals.append(m.crop_to_box(center))
                 assert removals[-1] == ref.crop_to_box(center)
-                for got, want in ((m._points, ref._points), (m._keys, ref._keys),
-                                  (m._sorted, ref._sorted)):
+                for got, want in ((m._points, ref._points), (m._keys, ref._keys)):
                     np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(m._sorted, np.sort(m._keys))
             offset = center
         # the origin moved on every crop; some removed points, some did not
         assert 0 < removals.count(0) < len(removals)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keys_strictly_increase_after_every_change(self, seed):
+        """After every insert, origin move and crop, and after a jump
+        beyond the key range that empties the map, the key array is
+        strictly increasing, one key per stored point, and each key is
+        that point's voxel key from the map's current origin."""
+        rng = np.random.default_rng(80 + seed)
+        m = LocalSubmap(voxel_resolution=float(rng.choice([0.05, 0.1, 0.3])),
+                        extent=float(rng.uniform(3.0, 8.0)))
+        offset = np.array([5e5, 5e6, 0.0]) * (seed % 2)  # UTM-sized too
+        sizes = []
+
+        def check():
+            assert len(m._keys) == len(m._points) == len(m)
+            assert np.all(np.diff(m._keys) > 0)
+            np.testing.assert_array_equal(
+                m._keys, voxel_keys(np.floor(m._points / m.voxel_resolution), m._origin))
+            sizes.append(len(m))
+
+        for step in range(12):
+            m.insert(self._churn_batch(rng, m, offset))
+            check()
+            middle = (m._points.min(axis=0) + m._points.max(axis=0)) / 2.0
+            m.crop_to_box(middle)  # an origin move that may remove nothing
+            check()
+            offset = offset + rng.uniform(-1.5, 1.5, size=3)
+            m.crop_to_box(offset)
+            check()
+            if step == 6:
+                offset = offset + [3e5, -2e5, 10.0]
+                m.crop_to_box(offset)
+                check()
+                assert len(m) == 0
+        assert min(sizes) == 0 and max(sizes) > 100
+
+    def test_missing_neighbours_are_inf_coordinates(self):
+        """Against a brute-force scan: each query's neighbours within the
+        bound come first with their coordinates; every other column,
+        beyond the bound or beyond the map's size (k > len(map)), has
+        distance inf and all three coordinates inf."""
+        rng = np.random.default_rng(19)
+        m = LocalSubmap(voxel_resolution=0.05, extent=20.0)
+        m.insert(rng.uniform(-1, 1, size=(6, 3)))
+        queries = rng.uniform(-2, 2, size=(200, 3))
+        for k, bound in ((4, 1.0), (9, 1.5), (9, np.inf)):
+            d, xyz = m.knn(queries, k=k, max_dist=bound)
+            d_ref, idx = brute_knn(m._points, queries, k)
+            found = np.isfinite(d_ref) & (d_ref <= bound)
+            assert xyz.shape == (len(queries), k, 3)
+            np.testing.assert_array_equal(np.isinf(d), ~found)
+            np.testing.assert_array_equal(np.isinf(xyz), np.repeat(~found[..., None], 3, axis=2))
+            np.testing.assert_allclose(d[found], d_ref[found], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(xyz[found], m._points[idx[found]])
+            assert found.any() and not found[:, len(m):].any()  # beyond the map's size
+            assert np.isinf(bound) or not found[:, :len(m)].all()  # beyond the bound
 
     @pytest.mark.parametrize("bad", [[2e5, 0, 0], [0, -2e5, 0], [0, 0, np.nan]])
     def test_unpackable_key_raises(self, bad):
@@ -368,9 +427,9 @@ class TestClosedFormPlaneFit:
         pts = np.random.default_rng(41).uniform(-1, 1, size=(n, 3))
         m = LocalSubmap(voxel_resolution=0.01)
         m.insert(pts)
-        hoods = np.random.default_rng(42).integers(0, n, size=(50, 5))
+        hoods = pts[np.random.default_rng(42).integers(0, n, size=(50, 5))]
         normals, centroids, ok = m.plane_normals(hoods)
-        normals_ref, centroids_ref, ok_ref = fit_planes(pts, hoods)
+        normals_ref, centroids_ref, ok_ref = fit_planes(hoods)
         assert not ok.any() and not ok_ref.any()
         assert np.all(np.isfinite(normals))
         sign = np.sign(np.einsum("ij,ij->i", normals, normals_ref))
@@ -388,10 +447,10 @@ class TestClosedFormPlaneFit:
         scene = structured_scene()
         m.insert(scene + rng.normal(scale=1e-3, size=scene.shape))
         m.insert(rng.uniform(-10, 10, size=(2000, 3)))
-        queries = m.points()[rng.integers(0, len(m), size=2 * _FIT_CHUNK + 17)]
+        queries = m._points[rng.integers(0, len(m), size=2 * _FIT_CHUNK + 17)]
         hoods = m.knn(queries, k=k)[1]
         normals, centroids, ok = m.plane_normals(hoods)
-        normals_ref, centroids_ref, ok_ref = fit_planes(m.points(), hoods)
+        normals_ref, centroids_ref, ok_ref = fit_planes(hoods)
         np.testing.assert_array_equal(ok, ok_ref)
         assert 0.1 < ok.mean() < 0.9  # planar and non-planar hoods
         sign = np.sign(np.einsum("ij,ij->i", normals, normals_ref))
@@ -562,7 +621,7 @@ class TestIcpRegister:
     def test_self_registration(self):
         m = self.make_map()
         rng = np.random.default_rng(8)
-        cloud = m.points()[rng.choice(len(m), size=1500, replace=False)]
+        cloud = m._points[rng.choice(len(m), size=1500, replace=False)]
         est = icp_register(cloud, m, Pose())
         assert est.converged and not est.degenerate
         assert np.linalg.norm(est.pose.t) < 1e-6
@@ -571,7 +630,7 @@ class TestIcpRegister:
     def test_recovers_injected_transform(self):
         m = self.make_map()
         rng = np.random.default_rng(9)
-        cloud = m.points()[rng.choice(len(m), size=2000, replace=False)]
+        cloud = m._points[rng.choice(len(m), size=2000, replace=False)]
         true = Pose(so3_exp([0, 0, math.radians(2.0)]), [0.3, 0.1, 0.0])
         # cloud expressed in a frame offset by `true`: registration should
         # find `true` starting from identity
@@ -586,7 +645,7 @@ class TestIcpRegister:
         m = LocalSubmap(voxel_resolution=0.05, extent=100.0)
         m.insert(grid_on_plane([-10, -10, 0], [1, 0, 0], [0, 1, 0], 60, 60, 20, 20))
         rng = np.random.default_rng(10)
-        cloud = m.points()[rng.choice(len(m), size=500, replace=False)]
+        cloud = m._points[rng.choice(len(m), size=500, replace=False)]
         est = icp_register(cloud, m, Pose())
         assert est.degenerate
 
@@ -659,7 +718,7 @@ class TestKnnCandidates:
     K = 5
 
     def check_hoods(self, m, hoods):
-        pts = m.points()
+        pts = m._points
         d, idx = brute_knn(pts, hoods.origin, self.K)
         xyz = hoods.xyz.transpose(2, 1, 0)  # (n, k, 3)
         found = np.isfinite(xyz[:, :, 0])
@@ -669,7 +728,7 @@ class TestKnnCandidates:
         np.testing.assert_array_equal(xyz[found], pts[idx[found]])
         assert np.all(found.sum(axis=1) >= (d <= hoods.bound[:, None]).sum(axis=1))
         full = found.all(axis=1) & (d[:, -1] <= hoods.bound + 1e-12)
-        normals, centroids, planar = fit_planes(pts, np.where(found, idx, 0)[full])
+        normals, centroids, planar = fit_planes(xyz[full])
         np.testing.assert_array_equal(hoods.planar[full], planar)
         assert not hoods.planar[~full].any()
         rows = np.flatnonzero(full)[planar]
@@ -689,7 +748,7 @@ class TestKnnCandidates:
             before = m.queries
             dist = hoods.nearest(queries, gate)
             requeried.append(m.queries - before)
-            want_d = brute_knn(m.points(), queries, 1)[0][:, 0]
+            want_d = brute_knn(m._points, queries, 1)[0][:, 0]
             within = want_d <= gate
             np.testing.assert_array_equal(dist <= gate, within)
             np.testing.assert_allclose(dist[within], want_d[within],
@@ -715,7 +774,7 @@ class TestKnnCandidates:
         assert 0 < within.sum() < 400 and hoods.planar.any()
 
     def test_map_with_fewer_points_than_candidates(self):
-        """k-NN returns index len(map) and distance inf for the missing
+        """k-NN returns coordinates inf and distance inf for the missing
         hood points; they are never anyone's nearest, and no hood is a
         plane."""
         rng = np.random.default_rng(7)
@@ -890,5 +949,5 @@ class TestMapUpdate:
         m.insert(np.random.default_rng(13).uniform(-5, 5, size=(2000, 3)))
         far_pose = Pose(np.eye(3), [20.0, 0, 0])
         map_update(m, np.empty((0, 3)), far_pose)
-        pts = m.points()
+        pts = m._points
         assert np.all(np.linalg.norm(pts - far_pose.t, axis=1) <= 5.0 * math.sqrt(3) + 1e-9)

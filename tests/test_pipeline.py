@@ -594,6 +594,40 @@ class TestBenchmarkTracer:
             assert all(now[key] is value for key, value in attrs.items()), owner
 
 
+    def test_submap_counts_are_the_queries_and_fits(self, straight_data, monkeypatch):
+        """The tracer counts `submap.knn_queries` as the rows of `knn`'s
+        first result and `submap.normals_requested` as the rows of
+        `plane_normals`' first argument; both must equal the queries
+        answered and the hoods fitted in its replay."""
+        monkeypatch.syspath_prepend(
+            os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+        import tracer as perf_tracer
+
+        seen = {"queries": 0, "hoods": 0}
+        knn, fit = LocalSubmap.knn, LocalSubmap.plane_normals
+
+        def counted_knn(self, queries, *args, **kwargs):
+            d, xyz = knn(self, queries, *args, **kwargs)
+            assert xyz.shape == d.shape + (3,)
+            seen["queries"] += len(np.atleast_2d(queries))
+            return d, xyz
+
+        def counted_fit(self, hoods):
+            normals, centroids, valid = fit(self, hoods)
+            seen["hoods"] += len(valid)
+            return normals, centroids, valid
+
+        monkeypatch.setattr(LocalSubmap, "knn", counted_knn)
+        monkeypatch.setattr(LocalSubmap, "plane_normals", counted_fit)
+        t = perf_tracer.Tracer()
+        with t.installed(), t.replay():
+            pipeline.run_pipeline(straight_data, parse_sensor_mask("L4I4G1"),
+                                  PipelineConfig(window=5))
+        assert 0 < seen["hoods"] <= seen["queries"]
+        assert t.counts["submap.knn_queries"] == seen["queries"]
+        assert t.counts["submap.normals_requested"] == seen["hoods"]
+
+
 class TestDropout:
     def test_redundant_array_survives_dropout(self, dropout_data, straight_gt):
         result = run_pipeline(dropout_data, parse_sensor_mask("L4I4"))
