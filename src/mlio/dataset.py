@@ -40,7 +40,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import NS_PER_S, Pose, quat_from_rotmat_many, quat_to_rotmat_many
+from .geometry import (
+    NS_PER_S,
+    Pose,
+    _derived_pose,
+    quat_from_rotmat_many,
+    quat_to_rotmat_many,
+)
 from .graph import GnssStream
 from .lidar import LidarScan
 from .mimu import ImuStream
@@ -225,7 +231,8 @@ class Dataset:
 
     @cached_property
     def gt_poses(self) -> tuple:
-        return tuple(map(Pose, *self._gt[1:]))
+        # load_tum has projected every row that `Pose` would
+        return tuple(map(_derived_pose, *self._gt[1:]))
 
 
 def write_tum(path, stamps, R, t) -> None:

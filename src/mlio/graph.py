@@ -7,6 +7,14 @@ Levenberg-Marquardt on the manifold (lift, solve, retract) and old
 keyframes leave the window through a Schur-complement marginal prior.
 Every pass over the factors evaluates each factor kind in one vectorized
 batch on stacked states.
+
+Every linear system (the LM step, the Schur complement, the marginal
+prior's square root, and the GNSS gate's position covariance and
+innovation test) is solved by one Cholesky factorization, which raises
+`LinAlgError` unless the system is positive definite. Each window the
+pipeline builds is: node 0 has a full-rank prior, and every later node
+a bias anchor and an IMU factor whose Jacobian in the node's state has
+full rank 15.
 """
 
 from __future__ import annotations
@@ -90,6 +98,16 @@ LM_MAX_TRIALS = 12  # consecutive rejected or unfactorable trials
 def _sqrt_info(cov) -> np.ndarray:
     """A with A cov A^T = I, so whitened residual is A @ r."""
     return np.linalg.inv(np.linalg.cholesky(np.asarray(cov, dtype=float)))
+
+
+def _cholesky_solve(H, B):
+    """(c, H^-1 B) of the symmetric positive-definite H, whose upper
+    triangle alone is read: c's upper triangle is the upper Cholesky
+    factor U of H (H = U^T U), the rest of c is not cleared. Raises
+    LinAlgError unless H is positive definite to working precision,
+    which a non-finite entry fails too."""
+    c, lower = cho_factor(H, check_finite=False)
+    return c, cho_solve((c, lower), B, check_finite=False)
 
 
 def _tr(A) -> np.ndarray:
@@ -368,12 +386,12 @@ class FactorGraph:
         A fix that is more precise than the current position estimate is
         always informative and accepted. Otherwise the innovation is
         gated chi-square (3 dof, 99.9%) against the combined position
-        covariance, rejecting fixes inconsistent with the estimate."""
+        covariance est_cov + cov, which must be positive definite,
+        rejecting fixes inconsistent with the estimate."""
         est_cov = np.asarray(est_cov, dtype=float)
         if not float(np.trace(est_cov)) > float(np.trace(cov)):
             r = self.nodes[idx].pose.t - t
-            S = est_cov + cov + np.eye(3) * 1e-9
-            if float(r @ np.linalg.solve(S, r)) > GNSS_GATE_CHI2:
+            if float(r @ _cholesky_solve(est_cov + cov, r)[1]) > GNSS_GATE_CHI2:
                 return False
         self.add_factor(GnssFactor(idx, t, cov))
         return True
@@ -420,7 +438,12 @@ class FactorGraph:
         the cost or the gradient is below LM_GRADIENT_TOL, and also
         after an accepted step that changed the cost by a relative 1e-9
         or less or moved less than 1e-10; it stops unconverged after
-        LM_MAX_TRIALS failed trials in a row."""
+        LM_MAX_TRIALS failed trials in a row.
+
+        The step is a Cholesky solve of H + lam I; a trial whose system
+        is not positive definite counts as failed, and lam grows
+        tenfold. A window built like the pipeline's has H itself
+        positive definite (see the module docstring)."""
         order = self._order()
         batches = _batches(self.factors, order)
         x = NavStates.stack([self.nodes[i] for i in order])
@@ -436,12 +459,11 @@ class FactorGraph:
                 break
             trials += 1
             try:
-                # unchecked: a non-finite system fails here or at the cost test
-                factor = cho_factor(H + lam * eye, check_finite=False)
+                # a non-finite system fails here or at the cost test
+                _, delta = _cholesky_solve(H + lam * eye, -b)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            delta = cho_solve(factor, -b, check_finite=False)
             step_sq = float(delta @ delta)
             predicted = float(delta @ H @ delta) + 2.0 * lam * step_sq
             if predicted <= LM_FUNCTION_TOL * cost:
@@ -474,6 +496,15 @@ class FactorGraph:
     # -- marginalization ----------------------------------------------
 
     def marginalize_oldest(self):
+        """Remove the oldest node and the factors on it, leaving their
+        information on its neighbours (its Markov blanket) as one
+        `LinearFactor`: the Schur complement H_t = H_bb - H_bm H_mm^-1
+        H_mb, b_t = b_b - H_bm H_mm^-1 b_m of those factors' system at
+        the current states, whitened as Lambda = U, r0 = U^-T b_t with U
+        the upper Cholesky factor of H_t, so Lambda^T Lambda = H_t and
+        Lambda^T r0 = b_t. Both H_mm and H_t must be positive definite,
+        as they are in a window built like the pipeline's; otherwise
+        LinAlgError is raised and the graph is left as it was."""
         order = self._order()
         oldest = order[0]
         conn = [f for f in self.factors if oldest in f.nodes]
@@ -483,23 +514,27 @@ class FactorGraph:
                 self.nodes, [oldest] + blanket, conn
             )
             d = STATE_DIM
-            H_mm = H[:d, :d]
-            H_mb = H[:d, d:]
-            H_bb = H[d:, d:]
-            b_m, b_b = b[:d], b[d:]
-            H_mm_inv = np.linalg.pinv(H_mm, rcond=1e-12)
-            H_t = H_bb - H_mb.T @ H_mm_inv @ H_mb
-            b_t = b_b - H_mb.T @ H_mm_inv @ b_m
-            vals, vecs = np.linalg.eigh(0.5 * (H_t + H_t.T))
-            keep = vals > max(vals.max(), 1.0) * 1e-12
-            s = np.sqrt(vals[keep])
-            Lambda = s[:, None] * vecs[:, keep].T
-            r0 = (vecs[:, keep].T @ b_t) / s
-            self.factors.append(
-                LinearFactor(
-                    blanket, [self.nodes[n] for n in blanket], Lambda, r0
-                )
-            )
+            H_bm = H[d:, :d]
+            # H_mm^-1 [H_mb, b_m]
+            _, X = _cholesky_solve(H[:d, :d], np.column_stack([H_bm.T, b[:d]]))
+            H_t = H[d:, d:] - H_bm @ X[:, :-1]
+            c, y = _cholesky_solve(H_t, b[d:] - H_bm @ X[:, -1])
+            Lambda = np.triu(c)
+            self.factors.append(LinearFactor(
+                blanket, [self.nodes[n] for n in blanket], Lambda, Lambda @ y))
         for f in conn:
             self.factors.remove(f)
         del self.nodes[oldest]
+
+
+def graph_position_covariance(graph: FactorGraph, idx: int) -> np.ndarray:
+    """Marginal position covariance (3, 3) of node `idx` at the current
+    linearization: the position block of H^-1, H the whole window's
+    normal matrix. H must be positive definite, as it is in a window
+    built like the pipeline's; otherwise LinAlgError is raised."""
+    order = graph._order()
+    H, _, _ = graph.normal_equations(graph.nodes, order)
+    k = order.index(idx) * STATE_DIM + 3
+    unit = np.zeros((len(H), 3))
+    unit[k:k + 3] = np.eye(3)
+    return _cholesky_solve(H, unit)[1][k:k + 3]

@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import lidar
 from .dataset import _write_stamped_csv, write_tum
@@ -34,7 +33,6 @@ from .geometry import (
 )
 from .graph import (
     DEFAULT_BETWEEN_COV,
-    STATE_DIM,
     BetweenFactor,
     BiasAnchorFactor,
     FactorGraph,
@@ -42,6 +40,7 @@ from .graph import (
     ImuFactor,
     OptimizeReport,
     PriorFactor,
+    graph_position_covariance,
 )
 from .lidar import IcpConfig, deskew, voxel_downsample
 from .mimu import BatchFuser, FusedImu, MimuArray
@@ -531,21 +530,6 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         counters=counters,
         mask=mask,
     )
-
-
-def graph_position_covariance(graph: FactorGraph, idx: int) -> np.ndarray:
-    """Marginal position covariance of a node from the current
-    linearization. The 1e-9 ridge keeps H factorable for graphs whose
-    nodes lack IMU factors, where velocity and biases are unconstrained
-    (e.g. a chain of between factors only)."""
-    order = sorted(graph.nodes)
-    H, _, _ = graph.normal_equations(graph.nodes, order)
-    H[np.diag_indices_from(H)] += 1e-9
-    k = order.index(idx) * STATE_DIM + 3
-    unit = np.zeros((len(H), 3))
-    unit[k:k + 3] = np.eye(3)
-    # the three position columns of H^-1
-    return cho_solve(cho_factor(H), unit)[k:k + 3]
 
 
 def write_fused_imu(path, fused: FusedImu) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
-from mlio.dataset import load_tum, write_tum
+from mlio.dataset import Dataset, load_tum, write_tum
 from mlio.geometry import (
     NavState,
     NavStates,
@@ -21,6 +21,7 @@ from mlio.graph import (
     GnssStream,
     ImuFactor,
     PriorFactor,
+    graph_position_covariance,
 )
 from mlio.preintegration import empty_delta, integrate
 from oracles import (
@@ -217,6 +218,41 @@ def chain_graph(n, step=None, gnss_on=(), prior_cov=None, sigma_gnss=0.5):
         g.add_factor(
             GnssFactor(k, truth[k].t, np.eye(3) * sigma_gnss**2)
         )
+    return g, truth
+
+
+# the sigmas of the replay's prior on its first keyframe (rot, trans, v,
+# b_a, b_g), with 0.01 rad and 0.1 m for the yaw and position sigmas the
+# replay derives at initialization
+REPLAY_PRIOR_COV = np.diag([0.01**2] * 3 + [0.1**2] * 3 + [0.1**2] * 3
+                           + [0.005**2] * 3 + [0.0005**2] * 3)
+
+
+def replay_window(n, gnss_on=(), sigma_gnss=0.5, accel=0.2, dt=0.5):
+    """Noiseless window built as the replay builds one: a prior on node
+    0, then per node an ImuFactor from the node before and a
+    BiasAnchorFactor, and a between factor measuring the true relative
+    pose; optional GNSS factors at ground truth. The truth starts at
+    rest, as the replay does, and accelerates at `accel` along x; each
+    IMU delta integrates that specific force (gravity cancelled) with no
+    rotation, so the truth is the optimum."""
+    f = np.array([accel, 0.0, 9.81])
+    delta = empty_delta()
+    for _ in range(10):
+        delta = integrate(delta, f, np.zeros(3), dt / 10)
+    g = FactorGraph()
+    truth = []
+    for k in range(n):
+        pose = Pose(np.eye(3), [0.5 * accel * (k * dt) ** 2, 0.0, 0.0])
+        truth.append(pose)
+        g.add_node(k, NavState(pose=pose, v=[accel * k * dt, 0.0, 0.0]))
+    g.add_factor(PriorFactor(0, truth[0], np.zeros(3), np.zeros(3), REPLAY_PRIOR_COV))
+    for k in range(1, n):
+        g.add_factor(ImuFactor(k - 1, k, delta))
+        g.add_factor(BiasAnchorFactor(k, np.zeros(3), np.zeros(3)))
+        g.add_factor(BetweenFactor(k - 1, k, Pose(np.eye(3), truth[k].t - truth[k - 1].t)))
+    for k in gnss_on:
+        g.add_factor(GnssFactor(k, truth[k].t, np.eye(3) * sigma_gnss**2))
     return g, truth
 
 
@@ -470,7 +506,7 @@ class TestGnssGating:
 
 class TestMarginalization:
     def test_window_size_restored(self):
-        g, _ = chain_graph(11, gnss_on=(10,))
+        g, _ = replay_window(11, gnss_on=(10,))
         g.marginalize_oldest()
         assert len(g.nodes) == 10
         assert 0 not in g.nodes
@@ -488,8 +524,8 @@ class TestMarginalization:
 
     def test_repeated_marginalization_matches_full_smoothing(self):
         rng = np.random.default_rng(5)
-        full, truth = chain_graph(20, gnss_on=(0, 10, 19))
-        marg, _ = chain_graph(20, gnss_on=(0, 10, 19))
+        full, truth = replay_window(20, gnss_on=(0, 10, 19))
+        marg, _ = replay_window(20, gnss_on=(0, 10, 19))
         # marginalize at the consistent estimate (as after an optimize
         # pass), then perturb the remaining nodes identically in both
         for _ in range(10):
@@ -508,6 +544,58 @@ class TestMarginalization:
             np.testing.assert_allclose(
                 full.nodes[k].pose.R, marg.nodes[k].pose.R, atol=1e-6
             )
+
+    def test_marginal_prior_is_the_dense_schur_complement(self):
+        """Away from the optimum, so b is not zero: each marginal prior
+        (the second one absorbing the first) has Lambda^T Lambda =
+        H_bb - H_bm H_mm^-1 H_mb and Lambda^T r0 = b_b - H_bm H_mm^-1 b_m
+        of the removed factors' system, computed with a dense inverse."""
+        rng = np.random.default_rng(11)
+        g, _ = replay_window(6, gnss_on=(0, 3))
+        for k in g.nodes:
+            g.nodes[k] = retract(g.nodes[k], rng.normal(scale=0.05, size=STATE_DIM))
+        d = STATE_DIM
+        for oldest in (0, 1):
+            conn = [f for f in g.factors if oldest in f.nodes]
+            blanket = sorted({n for f in conn for n in f.nodes} - {oldest})
+            H, b, _ = g.normal_equations(g.nodes, [oldest] + blanket, conn)
+            inv = np.linalg.inv(H[:d, :d])
+            H_t = H[d:, d:] - H[d:, :d] @ inv @ H[:d, d:]
+            b_t = b[d:] - H[d:, :d] @ inv @ b[:d]
+            g.marginalize_oldest()
+            prior = g.factors[-1]
+            assert prior.kind == "linear" and prior.nodes == tuple(blanket)
+            Lam = prior.Lambda
+            np.testing.assert_allclose(Lam.T @ Lam, H_t, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(H_t)))
+            np.testing.assert_allclose(Lam.T @ prior.r0, b_t, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(b_t)))
+
+    def test_between_only_chain_is_not_positive_definite(self):
+        """Without IMU factors nothing constrains the later nodes'
+        velocities and biases: marginalization and the position
+        covariance raise rather than return a pseudo-inverse, and the
+        graph is left as it was."""
+        g, _ = chain_graph(3, gnss_on=(2,))
+        factors, nodes = list(g.factors), dict(g.nodes)
+        with pytest.raises(np.linalg.LinAlgError):
+            g.marginalize_oldest()
+        assert g.factors == factors and g.nodes == nodes
+        with pytest.raises(np.linalg.LinAlgError):
+            graph_position_covariance(g, 2)
+
+
+class TestPositionCovariance:
+    def test_matches_inverse_of_normal_matrix(self):
+        g, _ = replay_window(3)
+        g.add_factor(GnssFactor(2, [0.4, 0.1, 0], np.diag([0.25, 0.5, 1.0])))
+        H, _, _ = g.normal_equations(g.nodes, [0, 1, 2])
+        inv = np.linalg.inv(H)
+        for k in range(3):
+            p = STATE_DIM * k + 3  # position columns of node k
+            block = inv[p:p + 3, p:p + 3]
+            np.testing.assert_allclose(graph_position_covariance(g, k), block,
+                                       rtol=1e-9, atol=1e-15)
 
 
 class TestTumOutput:
@@ -577,10 +665,11 @@ class TestTumOutput:
         np.testing.assert_array_equal(R[1], np.eye(3))
 
     def test_load_matches_one_pose_per_line(self, tmp_path):
-        """`load_tum` gives the bits of one `Pose` per line of the
-        one-quaternion formula: quaternions unit to rounding are kept as
-        they are, and those far enough off unit length, as a hand-written
-        file may hold, are projected onto SO(3) as `Pose` projects them."""
+        """`load_tum`, and a dataset's `gt_poses` from it, give the bits
+        of one `Pose` per line of the one-quaternion formula: quaternions
+        unit to rounding are kept as they are, and those far enough off
+        unit length, as a hand-written file may hold, are projected onto
+        SO(3) as `Pose` projects them."""
         rng = np.random.default_rng(9)
         q = rng.normal(size=(60, 4))
         q /= np.linalg.norm(q, axis=1)[:, None]
@@ -593,5 +682,10 @@ class TestTumOutput:
         _, R, t_got = load_tum(path)
         want = [Pose(quat_to_rotmat(row), tt) for row, tt in zip(q, t)]
         assert np.array_equal(R, [p.R for p in want]) and np.array_equal(t_got, t)
+        # a dataset's ground-truth poses, derived from the same stacks
+        path.rename(tmp_path / "gt.tum")
+        poses = Dataset(str(tmp_path), None, {}, {}, None).gt_poses
+        assert all(np.array_equal(p.R, w.R) and np.array_equal(p.t, w.t)
+                   for p, w in zip(poses, want, strict=True))
         projected = [not np.array_equal(p.R, quat_to_rotmat(row)) for p, row in zip(want, q)]
         assert 10 < sum(projected) < 40

@@ -13,14 +13,8 @@ import mlio
 from mlio import pipeline
 from mlio.dataset import load_dataset, write_dataset
 from mlio.evaluation import Trajectory, ape, rpe
-from mlio.geometry import NavState, Pose, pose_compose, pose_inverse, so3_log
-from mlio.graph import (
-    STATE_DIM,
-    BetweenFactor,
-    FactorGraph,
-    GnssFactor,
-    PriorFactor,
-)
+from mlio.geometry import NavState, pose_compose, pose_inverse, so3_log
+from mlio.graph import STATE_DIM, FactorGraph, PriorFactor
 from mlio.mimu import BatchFuser, FusedImu, ImuStream, MimuArray
 from mlio.pipeline import (
     EstimatorDivergence,
@@ -31,7 +25,6 @@ from mlio.pipeline import (
     _keyframe_schedule,
     _keyframe_step,
     fuse_imu_groups,
-    graph_position_covariance,
     initialize,
     parse_sensor_mask,
     replay_sync,
@@ -655,25 +648,6 @@ class TestCorridor:
         result = run_pipeline(data, parse_sensor_mask("L4I4"))
         est = Trajectory(stamps=np.array(result.stamps), poses=tuple(result.poses))
         assert ape(gt, est) < 0.5
-
-
-class TestPositionCovariance:
-    def test_matches_inverse_of_ridged_normal_matrix(self):
-        g = FactorGraph()
-        for k in range(3):
-            g.add_node(k, NavState(pose=Pose(np.eye(3), [k, 0.0, 0.0])))
-        g.add_factor(PriorFactor(0, Pose(), np.zeros(3), np.zeros(3),
-                                 np.eye(STATE_DIM) * 0.01))
-        for k in range(2):
-            g.add_factor(BetweenFactor(k, k + 1, Pose(np.eye(3), [1.0, 0, 0])))
-        g.add_factor(GnssFactor(2, [2.0, 0.1, 0], np.diag([0.25, 0.5, 1.0])))
-        H, _, _ = g.normal_equations(g.nodes, [0, 1, 2])
-        inv = np.linalg.inv(H + np.eye(len(H)) * 1e-9)
-        for k in range(3):
-            p = STATE_DIM * k + 3  # position columns of node k
-            block = inv[p:p + 3, p:p + 3]
-            np.testing.assert_allclose(graph_position_covariance(g, k), block,
-                                       rtol=1e-9, atol=1e-15)
 
 
 # one short noisy L4I4 run (standstill, three straights, two turns);
