@@ -19,7 +19,6 @@ full rank 15.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +42,6 @@ from .preintegration import (
 )
 
 STATE_DIM = 15  # tangent (rot, trans, v, b_a, b_g), see NavStates.retract
-# lidar odometry noise of a BetweenFactor: 0.5 deg rotation, 5 cm translation
-DEFAULT_BETWEEN_COV = np.diag([math.radians(0.5) ** 2] * 3 + [0.05**2] * 3)
 GNSS_GATE_CHI2 = 16.27  # chi-square 3 dof, 99.9%
 
 
@@ -275,10 +272,10 @@ class BetweenFactor(_Factor):
 
     kind = "between"
 
-    def __init__(self, i, j, z: Pose, cov=None):
+    def __init__(self, i, j, z: Pose, cov):
         self.nodes = (i, j)
         self.z = z
-        self.sqrt_info = _sqrt_info(DEFAULT_BETWEEN_COV if cov is None else cov)
+        self.sqrt_info = _sqrt_info(cov)
 
     @classmethod
     def stack(cls, factors):
@@ -381,18 +378,12 @@ class FactorGraph:
 
     def maybe_add_gnss(self, idx: int, est_cov, t, cov) -> bool:
         """Add the GNSS factor of position `t` with covariance `cov`
-        unless it is a clear outlier.
-
-        A fix that is more precise than the current position estimate is
-        always informative and accepted. Otherwise the innovation is
-        gated chi-square (3 dof, 99.9%) against the combined position
-        covariance est_cov + cov, which must be positive definite,
-        rejecting fixes inconsistent with the estimate."""
-        est_cov = np.asarray(est_cov, dtype=float)
-        if not float(np.trace(est_cov)) > float(np.trace(cov)):
-            r = self.nodes[idx].pose.t - t
-            if float(r @ _cholesky_solve(est_cov + cov, r)[1]) > GNSS_GATE_CHI2:
-                return False
+        unless it is a clear outlier: its innovation is gated chi-square
+        (3 dof, 99.9%) against the combined position covariance
+        est_cov + cov, which must be positive definite."""
+        r = self.nodes[idx].pose.t - t
+        if float(r @ _cholesky_solve(est_cov + cov, r)[1]) > GNSS_GATE_CHI2:
+            return False
         self.add_factor(GnssFactor(idx, t, cov))
         return True
 

@@ -10,9 +10,11 @@ the neighbours its last gated k-NN query returned (as LOAM and LIO-SAM
 fit theirs). That hood is kept across ICP iterations until a
 triangle-inequality bound on the point's motion can no longer certify
 its nearest map point (`_Hoods`); only then is the point queried again.
-Each Gauss-Newton step is solved only in the eigen-directions of the
-normal matrix that the scene constrains, and the others are reported as
-the result's weak directions (Zhang, Kaess & Singh, ICRA 2016).
+Each Gauss-Newton step rotates about the current pose's own position and
+is solved only in the eigen-directions of the normal matrix that the
+scene constrains; the others are reported as the result's weak
+directions (Zhang, Kaess & Singh, ICRA 2016). The result states its own
+uncertainty (`OdomEstimate.covariance`), which the between factor takes.
 `run_pipeline` moves each deskewed scan into the base frame by its mount
 pose before the scans of one keyframe are downsampled together.
 """
@@ -56,13 +58,19 @@ class LidarScan:
         object.__setattr__(self, "points", points)
 
 
+# a converged registration's noise: 0.5 deg rotation, 5 cm translation
+BASE_COV = np.diag([np.radians(0.5) ** 2] * 3 + [0.05**2] * 3)
+DEGENERATE_COV_SCALE = 100.0  # BASE_COV scale of an unconverged result
+WEAK_VARIANCE = 100.0  # added variance along each weak direction
+
+
 @dataclass(frozen=True)
 class OdomEstimate:
     pose: Pose
     fitness: float  # mean squared point-to-plane distance
     iterations: int
-    # unit perturbations (dphi, dt) about the prior position, one per
-    # row, along which the last step was not solved (`_apply_delta`)
+    # unit world-frame steps (dphi, dt) about the pose's own position,
+    # one per row, along which the last step was not solved (`_apply_delta`)
     weak: np.ndarray = field(default_factory=lambda: np.empty((0, 6)))
     insufficient_overlap: bool = False
     converged: bool = True
@@ -71,6 +79,18 @@ class OdomEstimate:
     def degenerate(self) -> bool:
         """The scene left the pose unconstrained in some direction."""
         return len(self.weak) > 0
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The registration's (6, 6) covariance as a right perturbation
+        (rot, trans) of `pose`, which is how a between residual on it
+        sees it: BASE_COV, DEGENERATE_COV_SCALE times larger unless
+        converged, plus WEAK_VARIANCE along each weak direction. A weak
+        step (dphi, dt) about the pose's position is the right twist
+        (R^T dphi, R^T dt)."""
+        twists = (self.weak.reshape(-1, 2, 3) @ self.pose.R).reshape(-1, 6)
+        scale = 1.0 if self.converged else DEGENERATE_COV_SCALE
+        return BASE_COV * scale + WEAK_VARIANCE * twists.T @ twists
 
 
 def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> np.ndarray:
@@ -137,7 +157,6 @@ def icp_register(
     directions."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     pose = prior
-    center = np.asarray(prior.t, dtype=float)  # rotation pivot
     fitness = np.inf
     iterations = 0
     weak = np.empty((0, 6))
@@ -166,9 +185,9 @@ def icp_register(
         r = np.einsum("ij,ij->i", normals, w - centroids)
         weights = _huber_weights(r, config.huber_delta)
         J = np.empty((n_corr, 6))
-        # rotation about the prior position keeps the lever arms at scene
-        # scale, so the spectrum of N reflects the geometry alone
-        J[:, :3] = np.cross(w - center, normals)
+        # rotation about the current position keeps the lever arms at
+        # scene scale, so the spectrum of N reflects the geometry alone
+        J[:, :3] = np.cross(w - pose.t, normals)
         J[:, 3:] = normals
         Jw = J * weights[:, None]
         N = J.T @ Jw
@@ -182,14 +201,14 @@ def icp_register(
         # step halving if the update does not reduce the robust cost
         step = 1.0
         for _ in range(6):
-            cand = _apply_delta(pose, delta * step, center)
+            cand = _apply_delta(pose, delta * step)
             cw = cand.apply(src)
             cr = np.einsum("ij,ij->i", normals, cw - centroids)
             ccost = float(np.sum(_huber_weights(cr, config.huber_delta) * cr * cr))
             if ccost <= cost or np.linalg.norm(delta * step) < 1e-12:
                 break
             step *= 0.5
-        pose = _apply_delta(pose, delta * step, center)
+        pose = _apply_delta(pose, delta * step)
         fitness = float(np.mean(r * r))
         # only declare convergence once the gate has tightened fully
         if (
@@ -277,12 +296,10 @@ def _huber_weights(r, delta: float) -> np.ndarray:
     return np.where(absr <= delta, 1.0, delta / np.maximum(absr, 1e-12))
 
 
-def _apply_delta(pose: Pose, delta, center) -> Pose:
-    """World-frame perturbation rotating about `center`:
-    R <- Exp(dphi) R, t <- Exp(dphi) (t - c) + c + dt."""
-    dphi, dt = delta[:3], delta[3:]
-    Rd = so3_exp(dphi)
-    return Pose(Rd @ pose.R, Rd @ (pose.t - center) + center + dt)
+def _apply_delta(pose: Pose, delta) -> Pose:
+    """World-frame perturbation rotating about the pose's own position:
+    R <- Exp(dphi) R, t <- t + dt."""
+    return Pose(so3_exp(delta[:3]) @ pose.R, pose.t + delta[3:])
 
 
 def map_update(submap: LocalSubmap, cloud_world, current_pose: Pose) -> None:

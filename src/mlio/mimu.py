@@ -162,18 +162,17 @@ class FusedImu:
 # operations
 # ---------------------------------------------------------------------------
 
-def build_stacked_model(arr: MimuArray, w):
-    """Return (h, H) of the stacked array model at angular rate w."""
-    w = np.asarray(w, dtype=float).reshape(3)
+def stacked_jacobian(arr: MimuArray) -> np.ndarray:
+    """H (6K, 6) of the stacked array model y = h(w) + H [wdot; f] + noise:
+    each channel's accelerometer rows are [-[t_k]x, I], its gyro rows
+    zero. H does not depend on the angular rate w."""
     K = arr.K
     levers = np.array([c.t for c in arr.channels])
-    Wx = skew_many(w)
-    h = np.concatenate([(Wx @ Wx @ levers[:, :, None]).ravel(), *[w] * K])
     H = np.zeros((6 * K, 6))
     acc_rows = H.reshape(2 * K, 3, 6)[:K]  # each channel's 3 x 6 block
     acc_rows[:, :, :3] = -skew_many(levers)
     acc_rows[:, :, 3:] = np.eye(3)
-    return h, H
+    return H
 
 
 RANK_DEFICIENCY_RATIO = 1e-8
@@ -211,7 +210,7 @@ class BatchFuser:
         Wg = np.linalg.inv(arr.Q_gyro)
         S = np.tile(np.eye(3), (K, 1))
         self._gyro_solve = np.linalg.solve(S.T @ Wg @ S, S.T @ Wg)
-        _, H = build_stacked_model(arr, np.zeros(3))
+        H = stacked_jacobian(arr)
         Qinv = np.linalg.inv(arr.Q)
         N = H.T @ Qinv @ H
         T, self.w_dot_observable = _phi_projector(N)

@@ -5,8 +5,9 @@ Synchronizes and fuses a dataset's IMUs, fixes the keyframe schedule
 fix up front, then runs one `_keyframe_step` per keyframe: IMU
 preintegration of the interval's fused rows in one call, scan
 deskewing, multi-lidar ICP odometry and the sliding-window factor
-graph. Each step returns a `KeyframeRecord`, and the run's counters are
-summed from them. The fused IMU is one columnar `FusedImu` from
+graph, whose between factor takes the ICP estimate's own covariance.
+Each step returns a `KeyframeRecord`, and the run's counters are summed
+from them. The fused IMU is one columnar `FusedImu` from
 `fuse_imu_groups` to `write_fused_imu`; every stage indexes its columns.
 """
 
@@ -29,10 +30,8 @@ from .geometry import (
     pose_compose,
     pose_inverse,
     se3_exp,
-    skew_many,
 )
 from .graph import (
-    DEFAULT_BETWEEN_COV,
     BetweenFactor,
     BiasAnchorFactor,
     FactorGraph,
@@ -58,8 +57,6 @@ from .submap import LocalSubmap
 from .sync import POSITIONS, SyncConfig, SyncGroups, Synchronizer
 
 GNSS_ASSOCIATION_NS = 50_000_000
-WEAK_VARIANCE = 100.0  # between-factor variance along each weak ICP direction
-DEGENERATE_COV_SCALE = 100.0  # between covariance scale of an unconverged ICP
 
 
 class EstimatorDivergence(RuntimeError):
@@ -363,21 +360,6 @@ def _gnss_schedule(gnss: GnssStream, stamps):
     return taken
 
 
-def weak_covariance(est: lidar.OdomEstimate, center) -> np.ndarray:
-    """WEAK_VARIANCE along each weak direction of `est`, as a between
-    residual sees it. A weak direction (dphi, dt) moves the ICP pose T =
-    (R, t) about `center`, the prior position: about the origin that is
-    the left twist (dphi, dt - dphi x c), which Ad(T^-1) turns into the
-    right twist (R^T dphi, R^T (dt + dphi x (t - c))) of T, and so of
-    the measured relative pose."""
-    R, t = est.pose.R, est.pose.t
-    A = np.zeros((6, 6))
-    A[:3, :3] = A[3:, 3:] = R.T
-    A[3:, :3] = -R.T @ skew_many(t - np.asarray(center, dtype=float))
-    twists = A @ est.weak.T
-    return WEAK_VARIANCE * twists @ twists.T
-
-
 @dataclass(frozen=True)
 class KeyframeRecord:
     """What one keyframe step did: the ICP estimate (None when ICP did
@@ -428,13 +410,10 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
     graph.add_factor(BiasAnchorFactor(node, init.b_a0, init.b_g0))
     if odom:
         # z is relative to the smoothed pose of node - 1, which the ICP
-        # prior and the map were built from; a result that ran out of
-        # iterations is trusted less in every direction, and the scene
-        # tells z nothing along a weak one
+        # prior and the map were built from; the registration states its
+        # own uncertainty
         z = pose_compose(pose_inverse(interval.state.pose), est.pose)
-        scale = 1.0 if est.converged else DEGENERATE_COV_SCALE
-        cov = DEFAULT_BETWEEN_COV * scale + weak_covariance(est, pred.pose.t)
-        graph.add_factor(BetweenFactor(node - 1, node, z, cov))
+        graph.add_factor(BetweenFactor(node - 1, node, z, est.covariance))
     # ---- GNSS ----
     added = None
     if fix is not None:

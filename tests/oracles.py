@@ -100,7 +100,7 @@ from mlio.mimu import (
     ImuStream,
     MimuArray,
     _phi_projector,
-    build_stacked_model,
+    stacked_jacobian,
 )
 from mlio.preintegration import (
     GRAVITY,
@@ -144,6 +144,17 @@ def transform_to_base(s: ImuSample, c, w_dot_est=None) -> ImuSample:
     w_b = c.R @ s.w
     f_b = c.R @ s.f - skew(w_b) @ skew(w_b) @ c.t - np.cross(w_dot_est, c.t)
     return ImuSample(stamp=s.stamp, f=f_b, w=w_b)
+
+
+def build_stacked_model(arr, w):
+    """(h, H) of the stacked array model y = h(w) + H [wdot; f] at
+    angular rate w: h holds each channel's centrifugal term
+    w x (w x t_k), then w once per channel; H is `stacked_jacobian`'s."""
+    w = np.asarray(w, dtype=float).reshape(3)
+    levers = np.array([c.t for c in arr.channels])
+    Wx = skew(w)
+    h = np.concatenate([(Wx @ Wx @ levers[:, :, None]).ravel(), *[w] * arr.K])
+    return h, stacked_jacobian(arr)
 
 
 def fuse_gyro(arr, y_w) -> np.ndarray:
@@ -391,7 +402,6 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
     pts = submap._points
     k, n = config.plane_neighbors, len(cloud)
     pose = prior
-    center = np.asarray(prior.t, dtype=float)
     fitness = np.inf
     weak = np.empty((0, 6))
     hood = np.full((n, k), len(pts), dtype=np.intp)
@@ -436,7 +446,7 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
         r = np.einsum("ij,ij->i", normals, w - targets)
         weights = _huber_weights(r, config.huber_delta)
         J = np.empty((n_corr, 6))
-        J[:, :3] = np.cross(w - center, normals)
+        J[:, :3] = np.cross(w - pose.t, normals)
         J[:, 3:] = normals
         Jw = J * weights[:, None]
         N = J.T @ Jw
@@ -449,14 +459,14 @@ def icp_register_requery(cloud, submap, prior, config=IcpConfig()) -> OdomEstima
         cost = float(np.sum(weights * r * r))
         step = 1.0
         for _ in range(6):
-            cand = _apply_delta(pose, delta * step, center)
+            cand = _apply_delta(pose, delta * step)
             cw = cand.apply(src)
             cr = np.einsum("ij,ij->i", normals, cw - targets)
             ccost = float(np.sum(_huber_weights(cr, config.huber_delta) * cr * cr))
             if ccost <= cost or np.linalg.norm(delta * step) < 1e-12:
                 break
             step *= 0.5
-        pose = _apply_delta(pose, delta * step, center)
+        pose = _apply_delta(pose, delta * step)
         fitness = float(np.mean(r * r))
         if (
             gate <= config.max_correspondence_dist

@@ -31,7 +31,6 @@ from mlio.mimu import (
     BatchFuser,
     ImuChannelCalib,
     MimuArray,
-    build_stacked_model,
 )
 from mlio.pipeline import (
     EstimatorDivergence,
@@ -43,6 +42,7 @@ from mlio.sim import Dropout, NoiseSpec, loop_scenario, simulate
 from mlio.submap import LocalSubmap
 from mlio.sync import Synchronizer
 from oracles import (
+    build_stacked_model,
     fuse_average_many,
     fuse_mle,
     imu_residual,

@@ -23,6 +23,7 @@ from mlio.graph import (
     PriorFactor,
     graph_position_covariance,
 )
+from mlio.lidar import BASE_COV
 from mlio.preintegration import empty_delta, integrate
 from oracles import (
     format_tum_line,
@@ -184,7 +185,7 @@ class TestFactorJacobians:
         factors = [
             PriorFactor(0, anchor, rng.normal(size=3) * 0.01,
                         rng.normal(size=3) * 0.01, np.eye(STATE_DIM) * 0.1),
-            BetweenFactor(0, 1, z),
+            BetweenFactor(0, 1, z, BASE_COV),
             GnssFactor(0, fix, np.eye(3) * 0.25),
             ImuFactor(0, 1, random_delta(rng)),
         ]
@@ -213,7 +214,7 @@ def chain_graph(n, step=None, gnss_on=(), prior_cov=None, sigma_gnss=0.5):
     )
     z = Pose(np.eye(3), step)
     for k in range(n - 1):
-        g.add_factor(BetweenFactor(k, k + 1, z))
+        g.add_factor(BetweenFactor(k, k + 1, z, BASE_COV))
     for k in gnss_on:
         g.add_factor(
             GnssFactor(k, truth[k].t, np.eye(3) * sigma_gnss**2)
@@ -250,7 +251,8 @@ def replay_window(n, gnss_on=(), sigma_gnss=0.5, accel=0.2, dt=0.5):
     for k in range(1, n):
         g.add_factor(ImuFactor(k - 1, k, delta))
         g.add_factor(BiasAnchorFactor(k, np.zeros(3), np.zeros(3)))
-        g.add_factor(BetweenFactor(k - 1, k, Pose(np.eye(3), truth[k].t - truth[k - 1].t)))
+        z = Pose(np.eye(3), truth[k].t - truth[k - 1].t)
+        g.add_factor(BetweenFactor(k - 1, k, z, BASE_COV))
     for k in gnss_on:
         g.add_factor(GnssFactor(k, truth[k].t, np.eye(3) * sigma_gnss**2))
     return g, truth
@@ -291,7 +293,7 @@ class TestNormalEquations:
                                  np.eye(STATE_DIM) * 0.01))
         for k in range(4):
             g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
-            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
+            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6)), BASE_COV))
         g.add_factor(GnssFactor(3, rng.normal(size=3), np.eye(3)))
         g.marginalize_oldest()  # adds a dense LinearFactor on node 1
         for k in g.nodes:
@@ -323,7 +325,7 @@ class TestNormalEquations:
                                           rng.normal(scale=0.001, size=3)))
         for k in range(4):
             g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
-            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
+            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6)), BASE_COV))
         for _ in range(2):
             g.add_factor(GnssFactor(3, rng.normal(size=3), np.eye(3) * 0.5))
         g.marginalize_oldest()
@@ -358,7 +360,7 @@ class TestNormalEquations:
             g.add_factor(BiasAnchorFactor(k, np.zeros(3), np.zeros(3)))
         for k in range(2):
             g.add_factor(ImuFactor(k, k + 1, random_delta(rng)))
-            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6))))
+            g.add_factor(BetweenFactor(k, k + 1, se3_exp(rng.normal(size=6)), BASE_COV))
         H, _, _ = g.normal_equations(g.nodes, [0, 1, 2])
         assert H.shape == (3 * STATE_DIM, 3 * STATE_DIM)
         assert np.all(np.any(H != 0.0, axis=1))
@@ -461,7 +463,7 @@ class TestOptimize:
             g.add_node(k, random_state(rng, scale=0.3))
         z = se3_exp(rng.normal(scale=0.2, size=6))
         for k in range(3):
-            g.add_factor(BetweenFactor(k, k + 1, z))
+            g.add_factor(BetweenFactor(k, k + 1, z, BASE_COV))
         cost0 = whitened_cost(g, g.nodes)
         G = Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3))
         moved = {
@@ -482,6 +484,14 @@ class TestGnssGating:
         # fix trace 1, estimate trace 9
         assert g.maybe_add_gnss(0, np.eye(3) * 3.0, [0, 0, 0], np.eye(3) / 3.0)
         assert len(g.factors) == 1
+
+    def test_rejects_outlier_against_a_loose_estimate(self):
+        g = FactorGraph()
+        g.add_node(0, NavState())
+        # a fix more precise than a loose estimate is gated too:
+        # chi-square 2500 / (3 + 1) against 16.27
+        assert not g.maybe_add_gnss(0, np.eye(3) * 3.0, [50.0, 0, 0], np.eye(3))
+        assert len(g.factors) == 0
 
     def test_innovation_gate(self):
         g = FactorGraph()

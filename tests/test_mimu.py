@@ -10,12 +10,12 @@ from mlio.mimu import (
     ImuPlausibilityError,
     ImuStream,
     MimuArray,
-    build_stacked_model,
 )
 from mlio.sim import Scenario, load_scenario, save_scenario
 from oracles import (
     FusedRow,
     ImuSample,
+    build_stacked_model,
     fuse_average_many,
     fuse_gyro,
     fuse_mle,
