@@ -8,7 +8,7 @@ shows the first-order bias correction in action.
 import numpy as np
 
 from mlio.geometry import NavState, so3_log
-from mlio.preintegration import empty_delta, integrate, predict
+from mlio.preintegration import empty_delta, integrate, predict, stack_deltas
 
 DT = 0.01
 
@@ -37,13 +37,15 @@ def main():
     rebased = empty_delta()
     for w, a in zip(W, A):
         rebased = integrate(rebased, a, w - b_g, DT)
-    dR_corr, _, _ = delta.corrected(np.zeros(3), b_g)
+    # predict() corrects the delta at the state's biases; from the
+    # identity pose the predicted attitude is the corrected dR
+    dR_corr = predict(NavState(b_g=b_g), stack_deltas([delta]))[0].pose.R
     print("bias correction residual:",
           f"{np.linalg.norm(so3_log(dR_corr.T @ rebased.dR)):.2e} rad")
 
     # forward prediction includes gravity
     x0 = NavState()
-    x1 = predict(x0, delta)
+    x1 = predict(x0, stack_deltas([delta]))[0]
     print("predicted end state: p =", np.round(x1.pose.t, 3), " v =", np.round(x1.v, 3))
 
 

@@ -381,12 +381,12 @@ class NavStates:
             np.stack([s.b_g for s in states]),
         )
 
+    def __getitem__(self, k) -> NavState:
+        return NavState(pose=Pose(self.R[k], self.t[k]), v=self.v[k],
+                        b_a=self.b_a[k], b_g=self.b_g[k])
+
     def unstack(self) -> list:
-        return [
-            NavState(pose=Pose(R, t), v=v, b_a=b_a, b_g=b_g)
-            for R, t, v, b_a, b_g in zip(self.R, self.t, self.v, self.b_a,
-                                         self.b_g)
-        ]
+        return [self[k] for k in range(len(self.R))]
 
     def take(self, idx) -> "NavStates":
         return NavStates(self.R[idx], self.t[idx], self.v[idx],

@@ -1,11 +1,13 @@
 """Offline estimation pipeline.
 
-Synchronizes and fuses a dataset's IMUs, fixes the keyframe schedule
-(from the fused stamps and the lidar scan ends) and each keyframe's GNSS
-fix up front, then runs one `_keyframe_step` per keyframe: IMU
-preintegration of the interval's fused rows in one call, scan
-deskewing, multi-lidar ICP odometry and the sliding-window factor
-graph, whose between factor takes the ICP estimate's own covariance.
+Synchronizes and fuses a dataset's IMUs, takes the anchor `NavState`
+and its prior from `initialize`, fixes the keyframe schedule (from the
+fused stamps and the lidar scan ends) and each keyframe's GNSS fix up
+front, then runs one `_keyframe_step` per keyframe: IMU preintegration
+of the interval's fused rows and the prediction of the states at them,
+one call each, scan deskewing, multi-lidar ICP odometry and the
+sliding-window factor graph, whose between factor takes the ICP
+estimate's own covariance.
 Each step returns a `KeyframeRecord`, and the run's counters are summed
 from them. The fused IMU is one columnar `FusedImu` from
 `fuse_imu_groups` to `write_fused_imu`; every stage indexes its columns.
@@ -44,7 +46,7 @@ from .graph import (
 from .lidar import IcpConfig, deskew, voxel_downsample
 from .mimu import BatchFuser, FusedImu, MimuArray
 from .preintegration import (
-    GravityInit,
+    MAX_STEP_S,
     ImuNoiseParams,
     NotStaticError,
     PreintegratedDelta,
@@ -52,6 +54,8 @@ from .preintegration import (
     gravity_align,
     integrate,
     predict,
+    rotation_rpy,
+    stack_deltas,
 )
 from .submap import LocalSubmap
 from .sync import POSITIONS, SyncConfig, SyncGroups, Synchronizer
@@ -226,18 +230,18 @@ def fuse_imu_groups(groups: SyncGroups, imus: dict, counters: RunCounters = None
 
 
 def initialize(fused, gnss: GnssStream, mask: SensorMask, lever, n_samples: int):
-    """Anchor pose, initial biases and their prior sigmas.
+    """The anchor state x0 (at rest) and the covariance of its prior.
 
-    Gravity alignment gives roll/pitch; with GNSS the anchor position
-    comes from the first fix and the yaw from the early course over
-    ground. The course baseline scales with the fix noise so the yaw
-    estimate stays usable, and the returned sigmas widen the anchor
-    prior to match what the initialization actually knows."""
+    Gravity alignment gives roll/pitch and the biases; with GNSS the
+    anchor position comes from the first fix and the yaw from the early
+    course over ground. The course baseline scales with the fix noise so
+    the yaw estimate stays usable, and the prior's yaw and position
+    sigmas widen to match what the initialization actually knows."""
     yaw = 0.0
-    t0 = np.zeros(3)
     yaw_sigma = 0.01
     pos_sigma = 0.05
-    if mask.use_gnss and len(gnss) >= 2:
+    fixed = mask.use_gnss and len(gnss) >= 1
+    if fixed:
         fix_sigma = float(np.sqrt(np.trace(gnss.cov(0)) / 3.0))
         pos_sigma = max(pos_sigma, fix_sigma)
         baseline = max(2.0, 20.0 * fix_sigma)
@@ -246,17 +250,17 @@ def initialize(fused, gnss: GnssStream, mask: SensorMask, lever, n_samples: int)
         if len(far):
             yaw = float(np.arctan2(d[far[0], 1], d[far[0], 0]))
             yaw_sigma = max(yaw_sigma, math.sqrt(2.0) * fix_sigma / baseline)
-        t0 = gnss.t[0]  # refined below once attitude is known
     try:
-        init = gravity_align(fused.f[:n_samples], fused.w[:n_samples], t0, yaw)
+        R, b_a0, b_g0 = gravity_align(fused.f[:n_samples], fused.w[:n_samples], yaw)
     except NotStaticError:
         # accelerating start: fall back to a level attitude, zero biases
-        init = GravityInit(roll=0.0, pitch=0.0, yaw=yaw, t0=t0,
-                           b_a0=np.zeros(3), b_g0=np.zeros(3))
-    anchor = init.pose()
-    if mask.use_gnss and len(gnss) >= 1:
-        anchor = Pose(anchor.R, gnss.t[0] - anchor.R @ np.asarray(lever, float))
-    return anchor, init, yaw_sigma, pos_sigma
+        R, b_a0, b_g0 = rotation_rpy(0.0, 0.0, yaw), np.zeros(3), np.zeros(3)
+    t = gnss.t[0] - R @ np.asarray(lever, float) if fixed else np.zeros(3)
+    prior_cov = np.diag(
+        [0.01**2, 0.01**2, yaw_sigma**2] + [pos_sigma**2] * 3 + [0.1**2] * 3
+        + [0.005**2] * 3 + [0.0005**2] * 3
+    )
+    return NavState(pose=Pose(R, t), b_a=b_a0, b_g=b_g0), prior_cov
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,9 @@ class _Interval:
     rate `w0` (bias-corrected gyro, which the state does not carry) and
     the fused rows from the keyframe's own sample to the next keyframe's
     (`stamps`, `f`, `w`). A row whose stamp repeats the one before it is
-    skipped. `delta` is the interval's preintegrated delta and `pred`
+    skipped. `track` holds the state predicted at each kept stamp, from
+    the preintegrated delta at that stamp (empty at the keyframe's own,
+    so the first is `state`); `delta` is the interval's delta and `pred`
     the state it predicts at the next keyframe; `pose_at` predicts the
     poses that deskewing asks for."""
 
@@ -280,21 +286,27 @@ class _Interval:
         self.state, self.w0 = state, w0
         self.stamps = stamps.tolist()  # strictly increasing
         self.w = w[-1] - state.b_g  # body rate at the last sample
-        self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
+        start = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
+        deltas = stack_deltas([start])  # the delta at each kept stamp
         if len(stamps) > 1:
             dt = np.diff(stamps) / NS_PER_S
             # trapezoidal hold: integrate the interval-average measurement
             f_mid, w_mid = 0.5 * (f[:-1] + f[1:]), 0.5 * (w[:-1] + w[1:])
-            # integrate() takes steps below 0.1 s; a longer gap is held
-            # over equal sub-steps (repeated rows) so it counts at its
-            # full length
-            steps = np.ceil(dt / 0.099).astype(np.int64)
-            self.block = integrate(self.delta, np.repeat(f_mid, steps, axis=0),
-                                   np.repeat(w_mid, steps, axis=0),
-                                   np.repeat(dt / steps, steps), noise)
-            self.ends = (np.cumsum(steps) - 1).tolist()  # block row at stamps[1:]
-            self.delta = _delta_row(self.block, self.ends[-1])
-        self.pred = predict(state, self.delta)
+            # integrate() takes steps below MAX_STEP_S; a longer gap is
+            # held over equal sub-steps (repeated rows) so it counts at
+            # its full length
+            steps = np.ceil(dt / (0.99 * MAX_STEP_S)).astype(np.int64)
+            block = integrate(start, np.repeat(f_mid, steps, axis=0),
+                              np.repeat(w_mid, steps, axis=0),
+                              np.repeat(dt / steps, steps), noise)
+            ends = np.cumsum(steps) - 1  # block row at stamps[1:]
+            deltas = PreintegratedDelta(**{
+                k.name: np.concatenate([getattr(deltas, k.name),
+                                        getattr(block, k.name)[ends]])
+                for k in fields(PreintegratedDelta)})
+        self.delta = _delta_row(deltas, -1)
+        self.track = predict(state, deltas)
+        self.pred = self.track[-1]
 
     def pose_at(self, stamp: int) -> Pose:
         """Predicted base pose at `stamp`.
@@ -307,8 +319,7 @@ class _Interval:
         prediction is up to a keyframe interval later and, in a turn,
         points elsewhere."""
         k = bisect.bisect_right(self.stamps, stamp) - 1
-        pose = (self.state.pose if k <= 0
-                else predict(self.state, _delta_row(self.block, self.ends[k - 1])).pose)
+        pose = self.track[max(k, 0)].pose
         w, v = (self.w0, self.state.v) if k < 0 else (self.w, self.pred.v)
         rem = (stamp - self.stamps[max(k, 0)]) / NS_PER_S
         if abs(rem) < 1e-12:
@@ -373,11 +384,12 @@ class KeyframeRecord:
 
 def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
                    interval: _Interval, scans, gnss: GnssStream, fix, scenario,
-                   init: GravityInit, config: PipelineConfig) -> KeyframeRecord:
+                   x0: NavState, config: PipelineConfig) -> KeyframeRecord:
     """One keyframe: deskew its `scans` into the frame that `interval`
     predicts, register the cloud against `submap`, add node `node` with
     its IMU, bias-anchor, lidar and GNSS (row `fix` of `gnss`, or None)
-    factors, optimize, and insert the cloud into the map at the smoothed
+    factors (the bias anchor at the biases of the anchor state `x0`),
+    optimize, and insert the cloud into the map at the smoothed
     pose. That insert is the only one, so every cloud enters the map
     once; the map is empty at keyframe 1, whose cloud is not registered."""
     pred = interval.pred
@@ -407,7 +419,7 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
                      b_a=pred.b_a, b_g=pred.b_g)
     graph.add_node(node, x_new)
     graph.add_factor(ImuFactor(node - 1, node, interval.delta, config.imu_noise))
-    graph.add_factor(BiasAnchorFactor(node, init.b_a0, init.b_g0))
+    graph.add_factor(BiasAnchorFactor(node, x0.b_a, x0.b_g))
     if odom:
         # z is relative to the smoothed pose of node - 1, which the ICP
         # prior and the map were built from; the registration states its
@@ -451,7 +463,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
             f"inertial blackout: no fused IMU data for {gaps[i]:.1f} s "
             f"after t={int(fused.stamps[i]) / NS_PER_S:.1f} s"
         )
-    anchor, init, yaw_sigma, pos_sigma = initialize(
+    x0, prior_cov = initialize(
         fused, gnss, mask, dataset.scenario.gnss_lever, config.init_samples
     )
 
@@ -463,12 +475,8 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
     fixes = _gnss_schedule(gnss, stamps[1:])
 
     graph = FactorGraph()
-    graph.add_node(0, NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0))
-    prior_cov = np.diag(
-        [0.01**2, 0.01**2, yaw_sigma**2] + [pos_sigma**2] * 3 + [0.1**2] * 3
-        + [0.005**2] * 3 + [0.0005**2] * 3
-    )
-    graph.add_factor(PriorFactor(0, anchor, init.b_a0, init.b_g0, prior_cov))
+    graph.add_node(0, x0)
+    graph.add_factor(PriorFactor(0, x0.pose, x0.b_a, x0.b_g, prior_cov))
 
     submap = LocalSubmap(config.voxel_resolution, config.map_extent)
     poses, records = [], []  # marginalized keyframe poses, oldest first
@@ -481,7 +489,7 @@ def run_pipeline(dataset, mask: SensorMask, config: PipelineConfig = None):
         w = fused.w[row] - state.b_g
         batch = [scan for group in scans[taken[node - 1]:taken[node]] for scan in group]
         records.append(_keyframe_step(graph, submap, node, interval, batch,
-                                      gnss, fixes[node - 1], dataset.scenario, init,
+                                      gnss, fixes[node - 1], dataset.scenario, x0,
                                       config))
         while len(graph.nodes) > config.window:
             poses.append(graph.nodes[min(graph.nodes)].pose)

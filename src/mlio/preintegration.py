@@ -8,7 +8,11 @@ and the propagation uses the exact constant-input solution (left-Jacobian
 and double-integral correction terms), so the coarse-rate result matches a
 fine-step integrator to the integrator's own error. `integrate` folds
 a whole block of samples, such as one keyframe interval, in one call;
-a single sample is a block of one.
+a single sample is a block of one. `_corrected` is the one first-order
+bias correction of stacked deltas (Forster et al., T-RO 2017), shared by
+`predict`, which predicts a state across every row of a block, and the
+IMU factor's residual. `gravity_align` gives the anchor's attitude and
+biases from static samples.
 """
 
 from __future__ import annotations
@@ -21,10 +25,8 @@ import numpy as np
 from .geometry import (
     NavState,
     NavStates,
-    Pose,
     matvec_many,
     skew_many,
-    so3_exp,
     so3_exp_many,
     so3_left_jacobian_inv_many,
     so3_left_jacobian_many,
@@ -33,6 +35,7 @@ from .geometry import (
 )
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+MAX_STEP_S = 0.1  # integrate takes samples with 0 < dt < MAX_STEP_S
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,6 @@ class PreintegratedDelta:
     cov: np.ndarray = field(default_factory=lambda: np.zeros((9, 9)))
     b_a0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     b_g0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def corrected(self, b_a, b_g):
-        """First-order bias-corrected (dR, dv, dp) at biases (b_a, b_g)."""
-        dba = np.asarray(b_a, dtype=float) - self.b_a0
-        dbg = np.asarray(b_g, dtype=float) - self.b_g0
-        dR = self.dR @ so3_exp(self.J_r_bg @ dbg)
-        dv = self.dv + self.J_v_ba @ dba + self.J_v_bg @ dbg
-        dp = self.dp + self.J_p_ba @ dba + self.J_p_bg @ dbg
-        return dR, dv, dp
 
 
 def empty_delta(b_a0=None, b_g0=None) -> PreintegratedDelta:
@@ -109,7 +103,7 @@ def integrate(
     terms are running sums added in the order of a row-by-row loop."""
     one = np.ndim(dt) == 0
     dt = np.atleast_1d(np.asarray(dt, dtype=float))
-    out = ~((dt > 0.0) & (dt < 0.1))
+    out = ~((dt > 0.0) & (dt < MAX_STEP_S))
     if out.any():
         raise ValueError(f"dt out of range: {dt[out][0]}")
     w = np.reshape(np.asarray(w, dtype=float), (-1, 3)) - delta.b_g0
@@ -175,17 +169,6 @@ def integrate(
                               b_g0=np.tile(delta.b_g0, (m, 1)))
 
 
-def predict(x_i: NavState, delta: PreintegratedDelta, g=GRAVITY) -> NavState:
-    """Forward state prediction across the preintegrated interval."""
-    dR, dv, dp = delta.corrected(x_i.b_a, x_i.b_g)
-    R_i, p_i, v_i = x_i.pose.R, x_i.pose.t, x_i.v
-    dt = delta.dt
-    R_j = R_i @ dR
-    v_j = v_i + g * dt + R_i @ dv
-    p_j = p_i + v_i * dt + 0.5 * g * dt**2 + R_i @ dp
-    return NavState(pose=Pose(R_j, p_j), v=v_j, b_a=x_i.b_a, b_g=x_i.b_g)
-
-
 def stack_deltas(deltas) -> PreintegratedDelta:
     """m deltas as one PreintegratedDelta whose fields carry a leading
     axis of length m (dt becomes an (m,) array)."""
@@ -193,6 +176,30 @@ def stack_deltas(deltas) -> PreintegratedDelta:
         f.name: np.stack([getattr(d, f.name) for d in deltas])
         for f in fields(PreintegratedDelta)
     })
+
+
+def _corrected(delta: PreintegratedDelta, b_a, b_g):
+    """First-order bias-corrected (dR, dv, dp) of stacked deltas at
+    biases (b_a, b_g), and u = J_r_bg (b_g - b_g0), the rotation
+    correction's tangent."""
+    dba = b_a - delta.b_a0
+    dbg = b_g - delta.b_g0
+    u = matvec_many(delta.J_r_bg, dbg)
+    dR = delta.dR @ so3_exp_many(u)
+    dv = delta.dv + matvec_many(delta.J_v_ba, dba) + matvec_many(delta.J_v_bg, dbg)
+    dp = delta.dp + matvec_many(delta.J_p_ba, dba) + matvec_many(delta.J_p_bg, dbg)
+    return dR, dv, dp, u
+
+
+def predict(x_i: NavState, delta: PreintegratedDelta, g=GRAVITY) -> NavStates:
+    """The states predicted from x_i across each row of stacked deltas
+    (stack_deltas), bias corrected at x_i's biases, which they keep."""
+    dR, dv, dp, _ = _corrected(delta, x_i.b_a, x_i.b_g)
+    R_i, p_i, v_i = x_i.pose.R, x_i.pose.t, x_i.v
+    dt = delta.dt[:, None]
+    return NavStates(R_i @ dR, p_i + v_i * dt + 0.5 * g * dt**2 + matvec_many(R_i, dp),
+                     v_i + g * dt + matvec_many(R_i, dv),
+                     np.tile(x_i.b_a, (len(dt), 1)), np.tile(x_i.b_g, (len(dt), 1)))
 
 
 def imu_residual_jacobians_many(
@@ -203,15 +210,7 @@ def imu_residual_jacobians_many(
     (stack_deltas). Returns r (m, 15) ordered (rot, pos, vel, b_a, b_g)
     and J_i, J_j (m, 15, 15) with respect to the tangents of x_i and
     x_j (NavStates.retract ordering: rot, trans, v, b_a, b_g)."""
-    dba = x_i.b_a - delta.b_a0
-    dbg = x_i.b_g - delta.b_g0
-    # first-order bias correction, as PreintegratedDelta.corrected
-    u = matvec_many(delta.J_r_bg, dbg)
-    dR = delta.dR @ so3_exp_many(u)
-    dv = (delta.dv + matvec_many(delta.J_v_ba, dba)
-          + matvec_many(delta.J_v_bg, dbg))
-    dp = (delta.dp + matvec_many(delta.J_p_ba, dba)
-          + matvec_many(delta.J_p_bg, dbg))
+    dR, dv, dp, u = _corrected(delta, x_i.b_a, x_i.b_g)
     dt = delta.dt[:, None]
     RiT = np.swapaxes(x_i.R, -1, -2)
     E = RiT @ x_j.R
@@ -271,35 +270,24 @@ class NotStaticError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GravityInit:
-    roll: float
-    pitch: float
-    yaw: float
-    t0: np.ndarray  # world (UTM) position, m
-    b_a0: np.ndarray
-    b_g0: np.ndarray
-
-    def rotation(self) -> np.ndarray:
-        """World-from-base rotation Rz(yaw) Ry(pitch) Rx(roll)."""
-        cr, sr = math.cos(self.roll), math.sin(self.roll)
-        cp, sp = math.cos(self.pitch), math.sin(self.pitch)
-        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
-        Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-        Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-        Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-        return Rz @ Ry @ Rx
-
-    def pose(self) -> Pose:
-        return Pose(self.rotation(), self.t0)
+def rotation_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
+    """World-from-base rotation Rz(yaw) Ry(pitch) Rx(roll)."""
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
+    Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
+    Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
+    return Rz @ Ry @ Rx
 
 
-def gravity_align(F, W, t0, yaw: float = 0.0) -> GravityInit:
+def gravity_align(F, W, yaw: float = 0.0):
     """Tilt initialization from the averaged specific force F and angular
-    rate W, (n, 3) arrays of static fused samples.
+    rate W, (n, 3) arrays of static fused samples. Returns the
+    world-from-base rotation R and the biases (b_a0, b_g0).
 
     roll = atan2(a_y, a_z), pitch = atan2(-a_x, sqrt(a_y^2 + a_z^2));
-    yaw and the world position t0 come from GNSS.
+    yaw comes from GNSS.
     """
     F, W = np.asarray(F, dtype=float), np.asarray(W, dtype=float)
     if len(F) == 0:
@@ -311,11 +299,6 @@ def gravity_align(F, W, t0, yaw: float = 0.0) -> GravityInit:
         )
     roll = math.atan2(a_bar[1], a_bar[2])
     pitch = math.atan2(-a_bar[0], math.hypot(a_bar[1], a_bar[2]))
-    init = GravityInit(
-        roll=roll, pitch=pitch, yaw=yaw,
-        t0=np.asarray(t0, dtype=float).reshape(3),
-        b_a0=np.zeros(3), b_g0=W.mean(axis=0),
-    )
+    R = rotation_rpy(roll, pitch, yaw)
     # accelerometer bias: whatever the tilt model cannot explain
-    b_a0 = a_bar - init.rotation().T @ np.array([0.0, 0.0, 9.81])
-    return replace(init, b_a0=b_a0)
+    return R, a_bar - R.T @ np.array([0.0, 0.0, 9.81]), W.mean(axis=0)

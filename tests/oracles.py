@@ -27,8 +27,11 @@ its inverse) in decimal arithmetic at `EXACT_DIGITS` digits, rounded to
 float. `integrate_sample` folds one IMU sample into a delta with
 `exact_so3_maps`, as `preintegration.integrate` did before it took a
 block of samples. `skew` is the one-vector `geometry.skew_many`.
-`EagerPropagator` is the per-sample propagator that `pipeline._Interval`
-replaced by one value per keyframe interval. `write_scan_file_rows` is
+`predict_one` predicts one state across one delta, bias corrected to
+first order, as `preintegration.predict` did before it took a block of
+deltas. `EagerPropagator` is the per-sample propagator, built on
+`predict_one`, that `pipeline._Interval` replaced by one value per
+keyframe interval. `write_scan_file_rows` is
 the per-point f-string scan writer. `write_stamped_csv_rows` prints
 one row at a time with `%`, as `dataset._write_stamped_csv` did before
 its one vectorized pass per stream; `quat_from_rotmat` is the
@@ -77,13 +80,16 @@ from mlio.evaluation import (
 )
 from mlio.geometry import (
     NS_PER_S,
+    NavState,
     NavStates,
+    Pose,
     matvec_many,
     pose_compose,
     pose_inverse,
     se3_exp,
     se3_exp_many,
     se3_log,
+    so3_exp,
     so3_log,
 )
 from mlio.graph import STATE_DIM, _between_many, _prior_many
@@ -108,7 +114,6 @@ from mlio.preintegration import (
     empty_delta,
     imu_residual_jacobians_many,
     integrate,
-    predict,
     stack_deltas,
 )
 from mlio.pipeline import fuse_imu_groups, write_fused_imu
@@ -605,6 +610,22 @@ def integrate_sample(delta, f, w, dt: float, noise=ImuNoiseParams()):
     )
 
 
+def predict_one(x_i, delta, g=GRAVITY) -> NavState:
+    """Forward state prediction across one preintegrated delta, bias
+    corrected to first order at x_i's biases."""
+    dba = np.asarray(x_i.b_a, dtype=float) - delta.b_a0
+    dbg = np.asarray(x_i.b_g, dtype=float) - delta.b_g0
+    dR = delta.dR @ so3_exp(delta.J_r_bg @ dbg)
+    dv = delta.dv + delta.J_v_ba @ dba + delta.J_v_bg @ dbg
+    dp = delta.dp + delta.J_p_ba @ dba + delta.J_p_bg @ dbg
+    R_i, p_i, v_i = x_i.pose.R, x_i.pose.t, x_i.v
+    dt = delta.dt
+    R_j = R_i @ dR
+    v_j = v_i + g * dt + R_i @ dv
+    p_j = p_i + v_i * dt + 0.5 * g * dt**2 + R_i @ dp
+    return NavState(pose=Pose(R_j, p_j), v=v_j, b_a=x_i.b_a, b_g=x_i.b_g)
+
+
 class EagerPropagator:
     """The keyframe propagator of the per-sample replay, the reference
     for `pipeline._Interval`: `reset` starts it at a keyframe's fused
@@ -633,11 +654,11 @@ class EagerPropagator:
             self.delta = integrate(self.delta, f_mid, w_mid, dt / steps,
                                    self.noise)
         self.stamps.append(stamp)
-        self.poses.append(predict(self.state, self.delta).pose)
+        self.poses.append(predict_one(self.state, self.delta).pose)
         self.last_f, self.last_w = f, w
 
     def predicted(self):
-        return predict(self.state, self.delta)
+        return predict_one(self.state, self.delta)
 
     def pose_at(self, stamp, v):
         k = int(np.searchsorted(self.stamps, stamp, side="right")) - 1

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from mlio import pipeline
 from mlio.dataset import load_dataset, write_dataset
 from mlio.evaluation import Trajectory, ape, rpe
 from mlio.geometry import NavState, pose_compose, pose_inverse, so3_log
-from mlio.graph import STATE_DIM, FactorGraph, PriorFactor
+from mlio.graph import STATE_DIM, FactorGraph, GnssStream, PriorFactor
 from mlio.mimu import BatchFuser, FusedImu, ImuStream, MimuArray
 from mlio.pipeline import (
     EstimatorDivergence,
@@ -390,6 +391,42 @@ def dropout_data():
     return simulate(straight_scenario(dropouts=drops))
 
 
+class TestInitialize:
+    LEVER = np.array([0.3, -0.2, 1.0])
+
+    @staticmethod
+    def _fused(f, n=30):
+        return FusedImu(np.arange(n, dtype=np.int64) * 10_000_000,
+                        np.tile(f, (n, 1)), np.zeros((n, 3)), np.zeros((n, 3)))
+
+    def test_one_fix_sets_the_prior_position_variance(self):
+        gnss = GnssStream([0], [[100.0, 200.0, 5.0]], [0.25])
+        x0, prior_cov = initialize(self._fused([0.0, 0.0, 9.81]), gnss,
+                                   parse_sensor_mask("L4I4G1"), self.LEVER, 30)
+        np.testing.assert_array_equal(np.diag(prior_cov)[3:6], 0.25)
+        np.testing.assert_allclose(x0.pose.t, gnss.t[0] - x0.pose.R @ self.LEVER,
+                                   rtol=0, atol=1e-12)
+
+    def test_start_not_at_rest_falls_back_to_level(self):
+        """Samples far from 1 g: the anchor is level, heads along the
+        GNSS course, has zero biases and sits at the first fix less the
+        rotated lever arm."""
+        gnss = GnssStream([0, 10**9], [[100.0, 200.0, 5.0], [103.0, 204.0, 5.0]],
+                          [0.01, 0.01])
+        x0, prior_cov = initialize(self._fused([3.0, 0.0, 14.0]), gnss,
+                                   parse_sensor_mask("L4I4G1"), self.LEVER, 30)
+        yaw = math.atan2(4.0, 3.0)
+        c, s = math.cos(yaw), math.sin(yaw)
+        np.testing.assert_allclose(x0.pose.R, [[c, -s, 0], [s, c, 0], [0, 0, 1]],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(x0.b_a, 0.0)
+        np.testing.assert_array_equal(x0.b_g, 0.0)
+        np.testing.assert_array_equal(x0.v, 0.0)
+        np.testing.assert_allclose(x0.pose.t, gnss.t[0] - x0.pose.R @ self.LEVER,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(prior_cov)[3:6], 0.01, rtol=1e-12)
+
+
 class TestKeyframeStep:
     def test_records_match_the_graph(self, straight_data):
         """The first two keyframes of an L4I4G1 replay, stepped by hand.
@@ -404,15 +441,15 @@ class TestKeyframeStep:
                                                RunCounters())
         fused = fuse_imu_groups(
             imu_groups, {p: scenario.imus[p] for p in mask.imu_positions})
-        anchor, init, _, _ = initialize(fused, straight_data.gnss, mask,
-                                        scenario.gnss_lever, config.init_samples)
+        x0, _ = initialize(fused, straight_data.gnss, mask, scenario.gnss_lever,
+                           config.init_samples)
         scans = lidar_groups.messages()
         rows, taken = _keyframe_schedule(fused.stamps, 500_000_000,
                                          [max(s.scan_end for s in g) for g in scans])
         fixes = _gnss_schedule(straight_data.gnss, fused.stamps[rows[1:]].tolist())
         graph = FactorGraph()
-        graph.add_node(0, NavState(pose=anchor, b_a=init.b_a0, b_g=init.b_g0))
-        graph.add_factor(PriorFactor(0, anchor, init.b_a0, init.b_g0,
+        graph.add_node(0, x0)
+        graph.add_factor(PriorFactor(0, x0.pose, x0.b_a, x0.b_g,
                                      1e-4 * np.eye(STATE_DIM)))
         submap = LocalSubmap(config.voxel_resolution, config.map_extent)
         w = np.zeros(3)
@@ -427,7 +464,7 @@ class TestKeyframeStep:
             before = len(graph.factors)
             record = _keyframe_step(graph, submap, node, interval, batch,
                                     straight_data.gnss, fixes[node - 1], scenario,
-                                    init, config)
+                                    x0, config)
             new = {f.kind: f for f in graph.factors[before:]}
             assert (record.gnss is None) == (fixes[node - 1] is None)
             assert ("gnss" in new) == bool(record.gnss)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,12 +9,20 @@ from mlio.graph import STATE_DIM
 from mlio.preintegration import (
     GRAVITY,
     NotStaticError,
+    _corrected,
     empty_delta,
     gravity_align,
     integrate,
     predict,
+    stack_deltas,
 )
-from oracles import imu_residual, imu_residual_jacobians, integrate_sample, retract
+from oracles import (
+    imu_residual,
+    imu_residual_jacobians,
+    integrate_sample,
+    predict_one,
+    retract,
+)
 
 
 def integrate_samples(F, W, dt, b_a0=None, b_g0=None):
@@ -22,6 +30,17 @@ def integrate_samples(F, W, dt, b_a0=None, b_g0=None):
     for f, w in zip(F, W):
         delta = integrate(delta, f, w, dt)
     return delta
+
+
+def predict_across(x, delta, g=GRAVITY):
+    """The product prediction across one delta, a block of one."""
+    return predict(x, stack_deltas([delta]), g)[0]
+
+
+def rpy(R):
+    """(roll, pitch, yaw) of R = Rz(yaw) Ry(pitch) Rx(roll)."""
+    return (math.atan2(R[2, 1], R[2, 2]), math.asin(-R[2, 0]),
+            math.atan2(R[1, 0], R[0, 0]))
 
 
 def fine_oracle(F, W, coarse_dt, substeps=100, b_a=None, b_g=None):
@@ -102,7 +121,8 @@ class TestIntegrate:
         d0 = integrate_samples(F, W, 0.01)
         db_a = rng.normal(scale=1e-3, size=3)
         db_g = rng.normal(scale=1e-3, size=3)
-        dR_c, dv_c, dp_c = d0.corrected(db_a, db_g)
+        dR_c, dv_c, dp_c, _ = (c[0] for c in _corrected(stack_deltas([d0]),
+                                                           db_a, db_g))
         d1 = integrate_samples(F, W, 0.01, b_a0=db_a, b_g0=db_g)
         assert np.linalg.norm(so3_log(dR_c.T @ d1.dR)) < 1e-5
         assert np.linalg.norm(dv_c - d1.dv) < 1e-5
@@ -120,7 +140,7 @@ class TestIntegrate:
                 pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)),
                 v=rng.normal(size=3),
             )
-            r = imu_residual(x, predict(x, d), d)
+            r = imu_residual(x, predict_across(x, d), d)
             assert np.linalg.norm(r) < 1e-9
 
 
@@ -188,7 +208,7 @@ class TestIntegrateBlock:
 class TestPredict:
     def test_empty_delta_identity(self):
         x = NavState()
-        y = predict(x, empty_delta())
+        y = predict_across(x, empty_delta())
         np.testing.assert_allclose(y.pose.t, x.pose.t)
         np.testing.assert_allclose(y.v, x.v)
 
@@ -196,9 +216,29 @@ class TestPredict:
         delta = empty_delta()
         for _ in range(100):
             delta = integrate(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
-        y = predict(NavState(), delta, g=GRAVITY)
+        y = predict_across(NavState(), delta, g=GRAVITY)
         np.testing.assert_allclose(y.v, 0.0, atol=1e-9)
         np.testing.assert_allclose(y.pose.t, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 7, 40])
+    def test_block_matches_one_delta_at_a_time(self, m):
+        """Every row of a predicted block equals the one-delta oracle
+        bit for bit, from a rotated, moving, biased state."""
+        start, F, W, dt = _block(np.random.default_rng(34), m)
+        block = integrate(start, F, W, dt)
+        rng = np.random.default_rng(35)
+        x = NavState(pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)),
+                     v=rng.normal(size=3), b_a=rng.normal(scale=0.05, size=3),
+                     b_g=rng.normal(scale=0.005, size=3))
+        track = predict(x, block)
+        assert track.R.shape == (m, 3, 3)
+        for k in range(m):
+            one = predict_one(x, replace(
+                block, **{f.name: getattr(block, f.name)[k] for f in fields(block)}))
+            got = track[k]
+            for a, b in ((got.pose.R, one.pose.R), (got.pose.t, one.pose.t),
+                         (got.v, one.v), (got.b_a, one.b_a), (got.b_g, one.b_g)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestResidual:
@@ -213,7 +253,7 @@ class TestResidual:
             pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)),
             v=rng.normal(size=3),
         )
-        r = imu_residual(x_i, predict(x_i, delta), delta)
+        r = imu_residual(x_i, predict_across(x_i, delta), delta)
         assert np.linalg.norm(r) < 1e-9
 
     def test_position_perturbation_block(self):
@@ -222,7 +262,7 @@ class TestResidual:
         for _ in range(10):
             delta = integrate(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
         x_i = NavState(pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)))
-        x_j = predict(x_i, delta)
+        x_j = predict_across(x_i, delta)
         shift = np.array([0.1, 0.0, 0.0])
         x_shifted = NavState(
             pose=Pose(x_j.pose.R, x_j.pose.t + shift),
@@ -239,7 +279,7 @@ class TestResidual:
         delta = empty_delta(b_a0=b_i, b_g0=np.zeros(3))
         delta = integrate(delta, b_i, [0, 0, 0], 0.01)
         x_i = NavState(b_a=b_i)
-        x_j = predict(x_i, delta)
+        x_j = predict_across(x_i, delta)
         x_j = NavState(pose=x_j.pose, v=x_j.v, b_a=b_j, b_g=x_j.b_g)
         r = imu_residual(x_i, x_j, delta)
         np.testing.assert_allclose(r[9:12], b_j - b_i, atol=1e-12)
@@ -287,32 +327,32 @@ class TestResidual:
 
 class TestGravityAlign:
     def test_level(self):
-        init = gravity_align([[0, 0, 9.81]] * 10, [[0, 0, 0]] * 10,
-                             t0=[1.0, 2.0, 3.0], yaw=0.3)
-        assert init.roll == pytest.approx(0.0)
-        assert init.pitch == pytest.approx(0.0)
-        assert init.yaw == pytest.approx(0.3)
-        np.testing.assert_allclose(init.t0, [1, 2, 3])
-        np.testing.assert_allclose(init.b_a0, 0.0, atol=1e-12)
+        R, b_a0, _ = gravity_align([[0, 0, 9.81]] * 10, [[0, 0, 0]] * 10, yaw=0.3)
+        roll, pitch, yaw = rpy(R)
+        assert roll == pytest.approx(0.0)
+        assert pitch == pytest.approx(0.0)
+        assert yaw == pytest.approx(0.3)
+        np.testing.assert_allclose(b_a0, 0.0, atol=1e-12)
 
     def test_roll_ten_degrees(self):
         a = 9.81 * np.array([0.0, math.sin(math.radians(10)), math.cos(math.radians(10))])
-        init = gravity_align([a] * 5, [[0, 0, 0]] * 5, t0=np.zeros(3))
-        assert math.degrees(init.roll) == pytest.approx(10.0, abs=1e-9)
-        assert init.pitch == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(init.b_a0, 0.0, atol=1e-12)
+        R, b_a0, _ = gravity_align([a] * 5, [[0, 0, 0]] * 5)
+        roll, pitch, _ = rpy(R)
+        assert math.degrees(roll) == pytest.approx(10.0, abs=1e-9)
+        assert pitch == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(b_a0, 0.0, atol=1e-12)
 
     def test_pitch_five_degrees(self):
         a = 9.81 * np.array([-math.sin(math.radians(5)), 0.0, math.cos(math.radians(5))])
-        init = gravity_align([a] * 5, [[0, 0, 0]] * 5, t0=np.zeros(3))
-        assert math.degrees(init.pitch) == pytest.approx(5.0, abs=1e-9)
-        assert init.roll == pytest.approx(0.0, abs=1e-12)
+        R, _, _ = gravity_align([a] * 5, [[0, 0, 0]] * 5)
+        roll, pitch, _ = rpy(R)
+        assert math.degrees(pitch) == pytest.approx(5.0, abs=1e-9)
+        assert roll == pytest.approx(0.0, abs=1e-12)
 
     def test_gyro_bias_from_mean(self):
-        init = gravity_align([[0, 0, 9.81]] * 8, [[0.01, -0.02, 0.005]] * 8,
-                             t0=np.zeros(3))
-        np.testing.assert_allclose(init.b_g0, [0.01, -0.02, 0.005])
+        _, _, b_g0 = gravity_align([[0, 0, 9.81]] * 8, [[0.01, -0.02, 0.005]] * 8)
+        np.testing.assert_allclose(b_g0, [0.01, -0.02, 0.005])
 
     def test_not_static_rejected(self):
         with pytest.raises(NotStaticError):
-            gravity_align([[0, 0, 15.0]] * 5, [[0, 0, 0]] * 5, t0=np.zeros(3))
+            gravity_align([[0, 0, 15.0]] * 5, [[0, 0, 0]] * 5)
