@@ -2,7 +2,8 @@
 
 Registers a structured indoor scene from a perturbed prior, then shows
 the weak directions that a featureless single-plane scene leaves: ICP
-takes no step along them, and the pose keeps the prior's there.
+takes no step along them, and the pose keeps the prior's there. Both
+maps have the voxel and extent of `PipelineConfig`, as `mlio run` does.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 
 from mlio.geometry import Pose, pose_inverse, so3_exp, so3_log
 from mlio.lidar import icp_register
+from mlio.pipeline import PipelineConfig
 from mlio.submap import LocalSubmap
 
 
@@ -27,7 +29,8 @@ def scene(step, offset=0.0):
 
 
 def main():
-    submap = LocalSubmap(0.05, 150.0)
+    config = PipelineConfig()
+    submap = LocalSubmap(config.voxel_resolution, config.map_extent)
     submap.insert(scene(step=0.15))
     print(f"submap: {len(submap)} points")
 
@@ -44,7 +47,7 @@ def main():
     print(f"     degenerate: {est.degenerate}")
 
     # a single plane leaves in-plane motion unconstrained
-    flat = LocalSubmap(0.05, 150.0)
+    flat = LocalSubmap(config.voxel_resolution, config.map_extent)
     g = np.arange(-8.0, 8.0, 0.15)
     gx, gy = np.meshgrid(g, g)
     flat.insert(np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)]))

@@ -61,6 +61,7 @@ from .submap import LocalSubmap
 from .sync import POSITIONS, SyncConfig, SyncGroups, Synchronizer
 
 GNSS_ASSOCIATION_NS = 50_000_000
+UNKNOWN_YAW_SIGMA = math.pi / math.sqrt(3.0)  # rad, a heading uniform on the circle
 
 
 class EstimatorDivergence(RuntimeError):
@@ -117,7 +118,8 @@ class PipelineConfig:
     imu_noise: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     keyframe_interval_s: float = 0.5
     window: int = 20
-    voxel_resolution: float = 0.05
+    # cloud and map voxel, m: 5-point plane hoods span ~0.4 m against 1 cm lidar noise
+    voxel_resolution: float = 0.2
     map_extent: float = 150.0
     optimize_iters: int = 15
     init_samples: int = 30
@@ -236,7 +238,10 @@ def initialize(fused, gnss: GnssStream, mask: SensorMask, lever, n_samples: int)
     anchor position comes from the first fix and the yaw from the early
     course over ground. The course baseline scales with the fix noise so
     the yaw estimate stays usable, and the prior's yaw and position
-    sigmas widen to match what the initialization actually knows."""
+    sigmas widen to match what the initialization actually knows. With
+    GNSS but no fix at the baseline from the first, the world frame is
+    the fixes' and the heading in it unknown: the yaw stays 0 with the
+    sigma of a heading uniform on the circle."""
     yaw = 0.0
     yaw_sigma = 0.01
     pos_sigma = 0.05
@@ -250,6 +255,8 @@ def initialize(fused, gnss: GnssStream, mask: SensorMask, lever, n_samples: int)
         if len(far):
             yaw = float(np.arctan2(d[far[0], 1], d[far[0], 0]))
             yaw_sigma = max(yaw_sigma, math.sqrt(2.0) * fix_sigma / baseline)
+        else:
+            yaw_sigma = UNKNOWN_YAW_SIGMA
     try:
         R, b_a0, b_g0 = gravity_align(fused.f[:n_samples], fused.w[:n_samples], yaw)
     except NotStaticError:

@@ -39,7 +39,7 @@ def voxel_keys(voxels, origin) -> np.ndarray:
 
 
 class LocalSubmap:
-    def __init__(self, voxel_resolution: float = 0.05, extent: float = 150.0):
+    def __init__(self, voxel_resolution: float, extent: float):
         if voxel_resolution <= 0:
             raise ValueError("voxel_resolution must be positive")
         self.voxel_resolution = float(voxel_resolution)

@@ -15,7 +15,7 @@ import numpy as np
 
 
 class DictSubmap:
-    def __init__(self, voxel_resolution: float = 0.05, extent: float = 150.0):
+    def __init__(self, voxel_resolution: float, extent: float):
         self.voxel_resolution = float(voxel_resolution)
         self.extent = float(extent)
         self._voxels: dict = {}

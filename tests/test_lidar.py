@@ -95,7 +95,7 @@ def structured_scene(step=35):
 
 class TestLocalSubmap:
     def test_insert_dedup(self):
-        m = LocalSubmap(voxel_resolution=0.05)
+        m = LocalSubmap(voxel_resolution=0.05, extent=150.0)
         pts = np.random.default_rng(0).uniform(-1, 1, size=(500, 3))
         m.insert(pts)
         n = len(m)
@@ -147,7 +147,7 @@ class TestLocalSubmap:
         """k above the map size: the missing neighbors, like those beyond
         the bound, have distance inf and coordinates inf; a point exactly
         at max_dist is still returned."""
-        m = LocalSubmap(voxel_resolution=0.05)
+        m = LocalSubmap(voxel_resolution=0.05, extent=150.0)
         pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]
         m.insert(pts)
         d, xyz = m.knn([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], k=5, max_dist=1.0)
@@ -236,7 +236,7 @@ class TestLocalSubmap:
     def test_first_point_per_voxel_wins(self):
         """The first point in a voxel stays; the points are stored in the
         order of their voxels."""
-        m = LocalSubmap(voxel_resolution=0.1)
+        m = LocalSubmap(voxel_resolution=0.1, extent=150.0)
         assert m.insert([[0.01, 0, 0], [0.5, 0, 0], [0.02, 0, 0]]) == 2
         assert m.insert([[0.03, 0, 0], [0.31, 0, 0]]) == 1
         np.testing.assert_array_equal(
@@ -332,7 +332,7 @@ class TestLocalSubmap:
         until a crop moves it to the box center); points more than 2**20
         voxels from it, or NaN, cannot be packed and change nothing."""
         utm = np.array([5e5, 5e6, 0.0])
-        m = LocalSubmap(voxel_resolution=0.1)
+        m = LocalSubmap(voxel_resolution=0.1, extent=150.0)
         m.insert([utm])
         with pytest.raises(ValueError):
             m.insert([utm + 1.0, utm + bad])
@@ -341,7 +341,7 @@ class TestLocalSubmap:
     def test_unpackable_box_raises(self):
         with pytest.raises(ValueError):
             LocalSubmap(voxel_resolution=1e-4, extent=150.0)  # 1.5e6 voxels
-        m = LocalSubmap(voxel_resolution=0.1)
+        m = LocalSubmap(voxel_resolution=0.1, extent=150.0)
         m.insert([[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             m.crop_to_box([0.0, np.nan, 0.0])
@@ -425,7 +425,7 @@ class TestClosedFormPlaneFit:
         """Hoods over fewer distinct points than a plane needs: every fit
         is invalid, as with the per-hood oracle, and no normal is NaN."""
         pts = np.random.default_rng(41).uniform(-1, 1, size=(n, 3))
-        m = LocalSubmap(voxel_resolution=0.01)
+        m = LocalSubmap(voxel_resolution=0.01, extent=150.0)
         m.insert(pts)
         hoods = pts[np.random.default_rng(42).integers(0, n, size=(50, 5))]
         normals, centroids, ok = m.plane_normals(hoods)
@@ -443,7 +443,7 @@ class TestClosedFormPlaneFit:
         `np.linalg.eigh` per hood: normals up to sign, centroids and
         validity."""
         rng = np.random.default_rng(43)
-        m = LocalSubmap(voxel_resolution=0.02)
+        m = LocalSubmap(voxel_resolution=0.02, extent=150.0)
         scene = structured_scene()
         m.insert(scene + rng.normal(scale=1e-3, size=scene.shape))
         m.insert(rng.uniform(-10, 10, size=(2000, 3)))

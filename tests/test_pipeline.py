@@ -407,6 +407,33 @@ class TestInitialize:
         np.testing.assert_allclose(x0.pose.t, gnss.t[0] - x0.pose.R @ self.LEVER,
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("fixes", [
+        [[100.0, 200.0, 5.0]],
+        [[100.0, 200.0, 5.0], [100.3, 200.4, 5.0]],
+    ], ids=["one-fix", "fixes-0.5m-apart"])
+    def test_heading_unknown_without_a_course_baseline(self, fixes):
+        """A standing rig with GNSS: no fix lies at the 10 m course
+        baseline of 0.5 m fixes, so the heading in the fixes' frame is
+        unknown; the yaw stays 0 and its prior is a uniform heading's."""
+        gnss = GnssStream(np.arange(len(fixes)) * 10**9, fixes, [0.25] * len(fixes))
+        x0, prior_cov = initialize(self._fused([0.0, 0.0, 9.81]), gnss,
+                                   parse_sensor_mask("L4I4G1"), self.LEVER, 30)
+        np.testing.assert_allclose(x0.pose.R, np.eye(3), rtol=0, atol=1e-15)
+        assert prior_cov[2, 2] == pytest.approx(math.pi**2 / 3.0, rel=1e-12)
+        np.testing.assert_array_equal(np.diag(prior_cov)[:2], 1e-4)
+
+    def test_course_baseline_sets_a_tight_heading(self):
+        """A fix 10 m from the first (the baseline of 0.5 m fixes) gives
+        the yaw and a prior sigma of sqrt(2) * 0.5 / 10 rad."""
+        gnss = GnssStream([0, 10**9], [[100.0, 200.0, 5.0], [106.0, 208.0, 5.0]],
+                          [0.25, 0.25])
+        x0, prior_cov = initialize(self._fused([0.0, 0.0, 9.81]), gnss,
+                                   parse_sensor_mask("L4I4G1"), self.LEVER, 30)
+        yaw = math.atan2(x0.pose.R[1, 0], x0.pose.R[0, 0])
+        assert yaw == pytest.approx(math.atan2(8.0, 6.0), abs=1e-12)
+        assert prior_cov[2, 2] == pytest.approx((math.sqrt(2.0) * 0.05) ** 2,
+                                                rel=1e-12)
+
     def test_start_not_at_rest_falls_back_to_level(self):
         """Samples far from 1 g: the anchor is level, heads along the
         GNSS course, has zero biases and sits at the first fix less the
@@ -530,6 +557,38 @@ class TestEachThingOnce:
         per_step = np.bincount(inserts, minlength=len(steps) + 1)
         assert per_step.tolist() == [0] + [int(bool(scans)) for _, scans in steps]
         assert per_step[1] == 1
+
+
+class TestConfigKnobs:
+    def test_voxel_and_extent_reach_the_clouds_and_the_map(self, straight_data,
+                                                            monkeypatch):
+        """Non-default `voxel_resolution` and `map_extent`: every keyframe
+        cloud is downsampled at that voxel, and the one map every step
+        registers against and inserts into is built with both."""
+        clouds, maps, steps = [], [], []
+        downsample, init = pipeline.voxel_downsample, LocalSubmap.__init__
+        step = pipeline._keyframe_step
+
+        def spy_downsample(points, resolution):
+            clouds.append(resolution)
+            return downsample(points, resolution)
+
+        def spy_init(self, voxel_resolution, extent):
+            maps.append((voxel_resolution, extent))
+            init(self, voxel_resolution, extent)
+
+        def spy_step(graph, submap, node, interval, scans, *args):
+            steps.append((id(submap), bool(scans)))
+            return step(graph, submap, node, interval, scans, *args)
+
+        monkeypatch.setattr(pipeline, "voxel_downsample", spy_downsample)
+        monkeypatch.setattr(LocalSubmap, "__init__", spy_init)
+        monkeypatch.setattr(pipeline, "_keyframe_step", spy_step)
+        run_pipeline(straight_data, parse_sensor_mask("L1I1"),
+                     PipelineConfig(voxel_resolution=0.3, map_extent=120.0))
+        assert maps == [(0.3, 120.0)]
+        assert len({submap for submap, _ in steps}) == 1
+        assert clouds and clouds == [0.3] * sum(scans for _, scans in steps)
 
 
 class TestEndToEnd:
@@ -685,6 +744,31 @@ class TestCorridor:
         result = run_pipeline(data, parse_sensor_mask("L4I4"))
         est = Trajectory(stamps=np.array(result.stamps), poses=tuple(result.poses))
         assert ape(gt, est) < 0.5
+
+
+# 1 cm lidar noise, IMU noise at the default rig's declared variances
+NOISY_CORRIDOR = NoiseSpec(accel_sigma=0.01, gyro_sigma=0.001, lidar_sigma=0.01,
+                           gnss_sigma=0.5)
+
+
+class TestCorridorPitch:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lidar_noise_does_not_pitch_the_blind_corridor(self, seed):
+        """ICP fits each plane to a point's 5 nearest map points. On a
+        map whose voxel leaves those hoods a span not far above the 1 cm
+        lidar noise, the noise tilts the planes and the corridor's pose
+        pitches by 0.08-0.13 deg, which gravity turns into metres of
+        along-track drift where the walls see nothing. An along-track
+        step solved from a few far points (`WEAK_EIGENVALUE` too low)
+        pitches it as well. The largest pitch error over all keyframes
+        (the y component of log(R_gt^T R_est)) stays at most 0.05 deg."""
+        data = simulate(corridor_scenario(length=60.0, seed=seed,
+                                          noise=NOISY_CORRIDOR))
+        result = run_pipeline(data, parse_sensor_mask("L4I4"))
+        pitch = [so3_log(pose_at(data.gt, stamp).R.T @ pose.R)[1]
+                 for stamp, pose in zip(result.stamps, result.poses)]
+        assert len(pitch) > 20
+        assert np.max(np.abs(pitch)) <= math.radians(0.05)
 
 
 # one short noisy L4I4 run (standstill, three straights, two turns);
