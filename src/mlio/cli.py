@@ -92,7 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(obj, doc: dict):
     """Rebuild a (possibly frozen) dataclass with leaf overrides from a
-    nested mapping; unknown keys are an error."""
+    nested mapping. An unknown key, and a value that does not fit its
+    field, are errors that name the key: a section given a value, a
+    value given a mapping, list or boolean, a fraction for an int field,
+    or a value the field's type cannot take."""
     kwargs = {}
     for key, value in doc.items():
         if not any(f.name == key for f in dataclasses.fields(obj)):
@@ -100,8 +103,14 @@ def _apply_overrides(obj, doc: dict):
         current = getattr(obj, key)
         if dataclasses.is_dataclass(current) and isinstance(value, dict):
             kwargs[key] = _apply_overrides(current, value)
-        else:
-            kwargs[key] = type(current)(value) if current is not None else value
+            continue
+        try:
+            if dataclasses.is_dataclass(current) or isinstance(value, (dict, list, bool)) or (
+                    type(current) is int and value != int(value)):
+                raise ValueError
+            kwargs[key] = type(current)(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"config key {key!r} does not take {value!r}") from None
     return dataclasses.replace(obj, **kwargs)
 
 
@@ -166,6 +175,8 @@ def cmd_eval(args) -> int:
 
     if (args.dataset is None) == (args.gt is None):
         raise UsageError("eval needs exactly one of --dataset or --gt")
+    if not 0 < args.rpe_distance < np.inf:
+        raise UsageError(f"--rpe-distance {args.rpe_distance} is not a positive finite length")
     # a run's label, its directory name, names its row and output files
     labels = [os.path.basename(os.path.dirname(os.path.abspath(p))) or p for p in args.est]
     for label in labels:

@@ -15,7 +15,10 @@ their ns stamps are read and written as ints, exact at any size. The
 GNSS CSV becomes one `GnssStream` (empty without the file), its `var`
 column the isotropic variance. A variance that is negative, NaN or
 infinite fails the load with its line; a zero one (a noise-free
-simulation) loads at the floor `GnssStream` puts on it. gt.tum
+simulation) loads at the floor `GnssStream` puts on it. A stamp before
+the one on the line above also fails the load with its line, since the
+first fix anchors the run and keyframes take fixes in file order;
+equal stamps load. gt.tum
 is read only when a `Dataset`'s ground truth is first asked for; a
 replay never reads it. The TUM trajectory format (gt.tum here, a run's
 est.tum) is read and written by this module alone; it holds seconds,
@@ -297,6 +300,9 @@ def load_dataset(path) -> Dataset:
         if len(bad):
             raise ValueError(f"{gnss_path} line {bad[0] + 1}: variance {var[bad[0]]} "
                              "is not a finite non-negative number")
+        back = np.flatnonzero(np.diff(rows["t"]) < 0) + 1
+        if len(back):
+            raise ValueError(f"{gnss_path} line {back[0] + 1}: stamp before the line above's")
     gnss = GnssStream(rows["t"], rows["p"], rows["var"])
     lidar = {}
     scans_root = os.path.join(path, "scans")

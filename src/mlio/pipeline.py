@@ -10,7 +10,8 @@ sliding-window factor graph, whose between factor takes the ICP
 estimate's own covariance.
 Each step returns a `KeyframeRecord`, and the run's counters are summed
 from them. The fused IMU is one columnar `FusedImu` from
-`fuse_imu_groups` to `write_fused_imu`; every stage indexes its columns.
+`fuse_imu_groups` to `write_fused_imu`, and the preintegrated deltas
+one block per interval; every stage indexes their rows.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ from .preintegration import (
     ImuNoiseParams,
     NotStaticError,
     PreintegratedDelta,
-    empty_delta,
     gravity_align,
     integrate,
     predict,
     rotation_rpy,
-    stack_deltas,
 )
 from .submap import LocalSubmap
 from .sync import POSITIONS, SyncConfig, SyncGroups, Synchronizer
@@ -281,11 +280,12 @@ class _Interval:
     rate `w0` (bias-corrected gyro, which the state does not carry) and
     the fused rows from the keyframe's own sample to the next keyframe's
     (`stamps`, `f`, `w`). A row whose stamp repeats the one before it is
-    skipped. `track` holds the state predicted at each kept stamp, from
-    the preintegrated delta at that stamp (empty at the keyframe's own,
-    so the first is `state`); `delta` is the interval's delta and `pred`
-    the state it predicts at the next keyframe; `pose_at` predicts the
-    poses that deskewing asks for."""
+    skipped. One `integrate` call gives the delta at every sub-step
+    boundary, empty at the keyframe's own stamp; `track` holds the state
+    predicted at each kept stamp from the row at that stamp (so the
+    first is `state`); `delta` is a copy of the last row, the interval's
+    delta, and `pred` the state it predicts at the next keyframe;
+    `pose_at` predicts the poses that deskewing asks for."""
 
     def __init__(self, state: NavState, w0, stamps, f, w, noise: ImuNoiseParams):
         keep = np.r_[True, np.diff(stamps) > 0]
@@ -293,26 +293,19 @@ class _Interval:
         self.state, self.w0 = state, w0
         self.stamps = stamps.tolist()  # strictly increasing
         self.w = w[-1] - state.b_g  # body rate at the last sample
-        start = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
-        deltas = stack_deltas([start])  # the delta at each kept stamp
-        if len(stamps) > 1:
-            dt = np.diff(stamps) / NS_PER_S
-            # trapezoidal hold: integrate the interval-average measurement
-            f_mid, w_mid = 0.5 * (f[:-1] + f[1:]), 0.5 * (w[:-1] + w[1:])
-            # integrate() takes steps below MAX_STEP_S; a longer gap is
-            # held over equal sub-steps (repeated rows) so it counts at
-            # its full length
-            steps = np.ceil(dt / (0.99 * MAX_STEP_S)).astype(np.int64)
-            block = integrate(start, np.repeat(f_mid, steps, axis=0),
-                              np.repeat(w_mid, steps, axis=0),
-                              np.repeat(dt / steps, steps), noise)
-            ends = np.cumsum(steps) - 1  # block row at stamps[1:]
-            deltas = PreintegratedDelta(**{
-                k.name: np.concatenate([getattr(deltas, k.name),
-                                        getattr(block, k.name)[ends]])
-                for k in fields(PreintegratedDelta)})
-        self.delta = _delta_row(deltas, -1)
-        self.track = predict(state, deltas)
+        dt = np.diff(stamps) / NS_PER_S
+        # trapezoidal hold: integrate the interval-average measurement
+        f_mid, w_mid = 0.5 * (f[:-1] + f[1:]), 0.5 * (w[:-1] + w[1:])
+        # integrate() takes steps below MAX_STEP_S; a longer gap is
+        # held over equal sub-steps (repeated rows) so it counts at
+        # its full length
+        steps = np.ceil(dt / (0.99 * MAX_STEP_S)).astype(np.int64)
+        block = integrate(PreintegratedDelta(b_a0=state.b_a, b_g0=state.b_g),
+                          np.repeat(f_mid, steps, axis=0),
+                          np.repeat(w_mid, steps, axis=0),
+                          np.repeat(dt / steps, steps), noise)
+        self.delta = block.take(-1)
+        self.track = predict(state, block.take(np.r_[0, np.cumsum(steps)]))
         self.pred = self.track[-1]
 
     def pose_at(self, stamp: int) -> Pose:
@@ -333,13 +326,6 @@ class _Interval:
             return pose
         v_body = pose.R.T @ v
         return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
-
-
-def _delta_row(block: PreintegratedDelta, j: int) -> PreintegratedDelta:
-    """A copy of row j of a delta in the `stack_deltas` layout."""
-    return PreintegratedDelta(**{
-        f.name: getattr(block, f.name)[j].copy() for f in fields(PreintegratedDelta)
-    })
 
 
 def _keyframe_schedule(stamps: np.ndarray, interval_ns: int, scan_ends):

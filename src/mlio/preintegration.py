@@ -7,8 +7,9 @@ covariance. Within each sample interval the measurement is held constant
 and the propagation uses the exact constant-input solution (left-Jacobian
 and double-integral correction terms), so the coarse-rate result matches a
 fine-step integrator to the integrator's own error. `integrate` folds
-a whole block of samples, such as one keyframe interval, in one call;
-a single sample is a block of one. `_corrected` is the one first-order
+a block of samples, such as one keyframe interval, in one call and
+returns the delta at every row boundary; `PreintegratedDelta.take`
+picks rows of such a block. `_corrected` is the one first-order
 bias correction of stacked deltas (Forster et al., T-RO 2017), shared by
 `predict`, which predicts a state across every row of a block, and the
 IMU factor's residual. `gravity_align` gives the anchor's attitude and
@@ -18,7 +19,7 @@ biases from static samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,12 +68,13 @@ class PreintegratedDelta:
     b_a0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     b_g0: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-
-def empty_delta(b_a0=None, b_g0=None) -> PreintegratedDelta:
-    return PreintegratedDelta(
-        b_a0=np.zeros(3) if b_a0 is None else np.asarray(b_a0, dtype=float),
-        b_g0=np.zeros(3) if b_g0 is None else np.asarray(b_g0, dtype=float),
-    )
+    def take(self, rows) -> "PreintegratedDelta":
+        """Copies of `rows` of a delta in the `stack_deltas` layout: an
+        index array gives a stacked delta, an integer one delta."""
+        return PreintegratedDelta(**{
+            f.name: np.take(getattr(self, f.name), rows, axis=0)
+            for f in fields(PreintegratedDelta)
+        })
 
 
 def _running_sum(start, *steps) -> np.ndarray:
@@ -92,27 +94,27 @@ def integrate(
     delta: PreintegratedDelta, f, w, dt,
     noise: ImuNoiseParams = ImuNoiseParams(),
 ) -> PreintegratedDelta:
-    """Fold fused IMU samples into the delta, each with its specific
-    force f and angular rate w held constant over its dt.
-
-    One sample (f and w of shape (3,), a scalar dt) gives the new delta.
-    A block (f and w of shape (m, 3), dt of shape (m,)) gives the delta
-    after each of its rows, in the `stack_deltas` layout. Both run the
-    same kernel: the SO(3) series of every row come from one batched
-    call, dR, J_r_bg and the covariance step row by row, and the other
-    terms are running sums added in the order of a row-by-row loop."""
-    one = np.ndim(dt) == 0
-    dt = np.atleast_1d(np.asarray(dt, dtype=float))
+    """Fold a block of fused IMU samples into the delta: f and w of
+    shape (m, 3) and dt of shape (m,), m >= 0, each row's specific force
+    and angular rate held constant over its dt. Returns the m + 1 deltas
+    at the block's row boundaries in the `stack_deltas` layout: row 0 is
+    `delta`, row k + 1 the delta after input row k. The SO(3) series of
+    every row come from one batched call, dR, J_r_bg and the covariance
+    step row by row, and the other terms are running sums added in the
+    order of a row-by-row loop."""
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim != 1:
+        raise ValueError(f"dt needs shape (m,), not {dt.shape}")
     out = ~((dt > 0.0) & (dt < MAX_STEP_S))
     if out.any():
         raise ValueError(f"dt out of range: {dt[out][0]}")
-    w = np.reshape(np.asarray(w, dtype=float), (-1, 3)) - delta.b_g0
-    a = np.reshape(np.asarray(f, dtype=float), (-1, 3)) - delta.b_a0
+    f, w = np.asarray(f, dtype=float), np.asarray(w, dtype=float)
+    m = len(dt)
+    if not f.shape == w.shape == (m, 3):
+        raise ValueError("f, w and dt need one row per sample")
+    w, a = w - delta.b_g0, f - delta.b_a0
     if not (np.isfinite(w).all() and np.isfinite(a).all()):
         raise ValueError("non-finite IMU sample")
-    m = len(dt)
-    if not len(w) == len(a) == m:
-        raise ValueError("f, w and dt need one row per sample")
 
     A, Jl, Jr, C = so3_series_many(w * dt[:, None])
     At = np.swapaxes(A, 1, 2)
@@ -158,15 +160,10 @@ def integrate(
     for k in range(m):
         cov[k + 1] = F[k] @ cov[k] @ F[k].T + GQG[k]
 
-    rows = dict(
-        dR=dR[1:], dv=dv[1:], dp=dp[1:], dt=_running_sum(delta.dt, dt)[1:],
-        J_r_bg=J_r_bg[1:], J_v_ba=J_v_ba[1:], J_v_bg=J_v_bg[1:],
-        J_p_ba=J_p_ba[1:], J_p_bg=J_p_bg[1:], cov=cov[1:],
-    )
-    if one:
-        return replace(delta, **{name: v[0] for name, v in rows.items()})
-    return PreintegratedDelta(**rows, b_a0=np.tile(delta.b_a0, (m, 1)),
-                              b_g0=np.tile(delta.b_g0, (m, 1)))
+    return PreintegratedDelta(
+        dR=dR, dv=dv, dp=dp, dt=_running_sum(delta.dt, dt), J_r_bg=J_r_bg,
+        J_v_ba=J_v_ba, J_v_bg=J_v_bg, J_p_ba=J_p_ba, J_p_bg=J_p_bg, cov=cov,
+        b_a0=np.tile(delta.b_a0, (m + 1, 1)), b_g0=np.tile(delta.b_g0, (m + 1, 1)))
 
 
 def stack_deltas(deltas) -> PreintegratedDelta:

@@ -26,7 +26,8 @@ and SE(3) series in `geometry`: each map's defining power series (and
 its inverse) in decimal arithmetic at `EXACT_DIGITS` digits, rounded to
 float. `integrate_sample` folds one IMU sample into a delta with
 `exact_so3_maps`, as `preintegration.integrate` did before it took a
-block of samples. `skew` is the one-vector `geometry.skew_many`.
+block of samples; `integrate_one` folds one through the product kernel,
+as the last row of a one-row block. `skew` is the one-vector `geometry.skew_many`.
 `predict_one` predicts one state across one delta, bias corrected to
 first order, as `preintegration.predict` did before it took a block of
 deltas. `EagerPropagator` is the per-sample propagator, built on
@@ -111,7 +112,7 @@ from mlio.mimu import (
 from mlio.preintegration import (
     GRAVITY,
     ImuNoiseParams,
-    empty_delta,
+    PreintegratedDelta,
     imu_residual_jacobians_many,
     integrate,
     stack_deltas,
@@ -610,6 +611,13 @@ def integrate_sample(delta, f, w, dt: float, noise=ImuNoiseParams()):
     )
 
 
+def integrate_one(delta, f, w, dt: float, noise=ImuNoiseParams()):
+    """`delta` with one IMU sample folded in by `preintegration.integrate`:
+    the last row of a one-row block."""
+    return integrate(delta, np.reshape(f, (1, 3)), np.reshape(w, (1, 3)), [dt],
+                     noise).take(-1)
+
+
 def predict_one(x_i, delta, g=GRAVITY) -> NavState:
     """Forward state prediction across one preintegrated delta, bias
     corrected to first order at x_i's biases."""
@@ -639,7 +647,7 @@ class EagerPropagator:
 
     def reset(self, state, w, stamp, f, w_meas):
         self.state, self.w = state, w
-        self.delta = empty_delta(b_a0=state.b_a, b_g0=state.b_g)
+        self.delta = PreintegratedDelta(b_a0=state.b_a, b_g0=state.b_g)
         self.stamps, self.poses = [stamp], [state.pose]
         self.last_f, self.last_w = f, w_meas
 
@@ -651,8 +659,8 @@ class EagerPropagator:
         w_mid = 0.5 * (self.last_w + w)
         steps = int(np.ceil(dt / 0.099))
         for _ in range(steps):
-            self.delta = integrate(self.delta, f_mid, w_mid, dt / steps,
-                                   self.noise)
+            self.delta = integrate_one(self.delta, f_mid, w_mid, dt / steps,
+                                       self.noise)
         self.stamps.append(stamp)
         self.poses.append(predict_one(self.state, self.delta).pose)
         self.last_f, self.last_w = f, w

@@ -37,7 +37,7 @@ from mlio.pipeline import (
     parse_sensor_mask,
     run_pipeline,
 )
-from mlio.preintegration import empty_delta, integrate
+from mlio.preintegration import PreintegratedDelta
 from mlio.sim import Dropout, NoiseSpec, loop_scenario, simulate
 from mlio.submap import LocalSubmap
 from mlio.sync import Synchronizer
@@ -47,6 +47,7 @@ from oracles import (
     fuse_mle,
     imu_residual,
     imu_residual_jacobians,
+    integrate_one,
     numeric_jacobian,
     residual_between_jacobians,
     residual_gnss,
@@ -173,9 +174,9 @@ class TestPreintegrationOracle:
         for _ in range(100):
             W = rng.uniform(-1.0, 1.0, (100, 3))
             A = rng.uniform(-5.0, 5.0, (100, 3))
-            delta = empty_delta()
+            delta = PreintegratedDelta()
             for w, a in zip(W, A):
-                delta = integrate(delta, a, w, dt)
+                delta = integrate_one(delta, a, w, dt)
             R_ref, _, p_ref = fine_integrate(W, A, dt, substeps=100)
             worst_rot = max(
                 worst_rot, float(np.linalg.norm(so3_log(delta.dR.T @ R_ref)))
@@ -231,11 +232,11 @@ class TestFactorJacobians:
     def test_imu(self):
         rng = np.random.default_rng(13)
         for _ in range(self.N):
-            delta = empty_delta(
+            delta = PreintegratedDelta(
                 b_a0=rng.normal(0, 0.05, 3), b_g0=rng.normal(0, 0.005, 3)
             )
             for _ in range(10):
-                delta = integrate(
+                delta = integrate_one(
                     delta, rng.uniform(-5, 5, 3), rng.uniform(-1, 1, 3), 0.01
                 )
             x_i, x_j = random_state(rng), random_state(rng)

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mlio.cli import main
+from mlio.cli import load_pipeline_config, main
 from mlio.sim import loop_scenario, save_scenario
 
 
@@ -81,6 +81,16 @@ class TestRun:
         assert cli("run", "--dataset", dataset_dir, "--sensors", "L9I9",
                    "--out", str(tmp_path / "out")) == 2
 
+    def test_gnss_out_of_stamp_order_is_data_error(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "gnss.csv").read_text().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        (data / "gnss.csv").write_text("".join(lines))
+        assert cli("run", "--dataset", str(data), "--sensors", "L2I2G1",
+                   "--out", str(tmp_path / "out")) == 2
+        assert "gnss.csv line 3: stamp" in capsys.readouterr().err
+
     def test_config_overrides(self, dataset_dir, tmp_path):
         config = tmp_path / "cfg.yaml"
         config.write_text("keyframe_interval_s: 1.0\n")
@@ -95,6 +105,35 @@ class TestRun:
         config.write_text("no_such_knob: 1\n")
         assert cli("run", "--dataset", dataset_dir, "--out",
                    str(tmp_path / "out"), "--config", str(config)) == 2
+
+    @pytest.mark.parametrize("text, key", [
+        ("icp: 5", "icp"),  # a value for a section
+        ("sync: 7", "sync"),
+        ("window: 2.7", "window"),  # a fraction for an int field
+        ("icp: {max_iterations: 12.9}", "max_iterations"),
+        ("window: [1, 2]", "window"),  # a list for a value
+        ("keyframe_interval_s: {a: 1}", "keyframe_interval_s"),
+        ("window: true", "window"),  # a boolean is not a number
+        ("keyframe_interval_s: false", "keyframe_interval_s"),
+        ("window: null", "window"),
+    ])
+    def test_config_value_that_does_not_fit_is_data_error(self, dataset_dir, tmp_path,
+                                                          capsys, text, key):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text + "\n")
+        assert cli("run", "--dataset", dataset_dir, "--out",
+                   str(tmp_path / "out"), "--config", str(config)) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_that_fit_load(self, tmp_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("keyframe_interval_s: 1\nwindow: 12.0\n"
+                          "icp: {max_iterations: 9, huber_delta: 1e-2}\n")
+        loaded = load_pipeline_config(str(config))
+        assert loaded.keyframe_interval_s == 1.0 and type(loaded.keyframe_interval_s) is float
+        assert loaded.window == 12 and type(loaded.window) is int
+        assert (loaded.icp.max_iterations, loaded.icp.huber_delta) == (9, 0.01)
 
 
 class TestEval:
@@ -129,6 +168,16 @@ class TestEval:
         assert cli("eval", "--dataset", dataset_dir, "--est",
                    f"{run_dir}/est.tum", "--rpe-distance", "5") == 0
         assert capsys.readouterr().out  # shorter window still associates
+
+    @pytest.mark.parametrize("distance", ["0", "-5", "nan", "inf"])
+    def test_rpe_distance_must_be_positive_and_finite(self, dataset_dir, run_dir,
+                                                      tmp_path, capsys, distance):
+        out = tmp_path / "eval"
+        assert cli("eval", "--dataset", dataset_dir, "--est", f"{run_dir}/est.tum",
+                   "--rpe-distance", distance, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "--rpe-distance" in captured.err and not captured.out
+        assert not out.exists()
 
 
 class TestAllan:

@@ -24,9 +24,10 @@ from mlio.graph import (
     graph_position_covariance,
 )
 from mlio.lidar import BASE_COV
-from mlio.preintegration import empty_delta, integrate
+from mlio.preintegration import PreintegratedDelta
 from oracles import (
     format_tum_line,
+    integrate_one,
     numeric_jacobian,
     pose_matrix,
     quat_to_rotmat,
@@ -67,11 +68,11 @@ def random_state(rng, scale=1.0):
 
 
 def random_delta(rng, n=20):
-    delta = empty_delta(
+    delta = PreintegratedDelta(
         b_a0=rng.normal(scale=0.05, size=3), b_g0=rng.normal(scale=0.01, size=3)
     )
     for _ in range(n):
-        delta = integrate(
+        delta = integrate_one(
             delta, rng.normal(scale=2, size=3), rng.normal(scale=0.5, size=3), 0.01
         )
     return delta
@@ -238,9 +239,9 @@ def replay_window(n, gnss_on=(), sigma_gnss=0.5, accel=0.2, dt=0.5):
     IMU delta integrates that specific force (gravity cancelled) with no
     rotation, so the truth is the optimum."""
     f = np.array([accel, 0.0, 9.81])
-    delta = empty_delta()
+    delta = PreintegratedDelta()
     for _ in range(10):
-        delta = integrate(delta, f, np.zeros(3), dt / 10)
+        delta = integrate_one(delta, f, np.zeros(3), dt / 10)
     g = FactorGraph()
     truth = []
     for k in range(n):

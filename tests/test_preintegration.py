@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from mlio.graph import STATE_DIM
 from mlio.preintegration import (
     GRAVITY,
     NotStaticError,
+    PreintegratedDelta,
     _corrected,
-    empty_delta,
     gravity_align,
     integrate,
     predict,
@@ -19,16 +19,17 @@ from mlio.preintegration import (
 from oracles import (
     imu_residual,
     imu_residual_jacobians,
+    integrate_one,
     integrate_sample,
     predict_one,
     retract,
 )
 
 
-def integrate_samples(F, W, dt, b_a0=None, b_g0=None):
-    delta = empty_delta(b_a0=b_a0, b_g0=b_g0)
+def integrate_samples(F, W, dt, **biases):
+    delta = PreintegratedDelta(**biases)
     for f, w in zip(F, W):
-        delta = integrate(delta, f, w, dt)
+        delta = integrate_one(delta, f, w, dt)
     return delta
 
 
@@ -98,18 +99,20 @@ class TestIntegrate:
             assert np.linalg.norm(d.dv - dv_o) < 1e-5
 
     def test_dt_validation(self):
-        d = empty_delta()
+        d = PreintegratedDelta()
         with pytest.raises(ValueError):
-            integrate(d, [0, 0, 0], [0, 0, 0], 0.0)
+            integrate_one(d, [0, 0, 0], [0, 0, 0], 0.0)
         with pytest.raises(ValueError):
-            integrate(d, [0, 0, 0], [0, 0, 0], 0.5)
+            integrate_one(d, [0, 0, 0], [0, 0, 0], 0.5)
+        with pytest.raises(ValueError, match="shape"):  # a sample is a block of one
+            integrate(d, [0, 0, 0], [0, 0, 0], 0.01)
 
     def test_covariance_trace_monotone(self):
         rng = np.random.default_rng(1)
-        delta = empty_delta()
+        delta = PreintegratedDelta()
         prev = 0.0
         for _ in range(50):
-            delta = integrate(delta, rng.normal(size=3), rng.normal(size=3), 0.01)
+            delta = integrate_one(delta, rng.normal(size=3), rng.normal(size=3), 0.01)
             tr = float(np.trace(delta.cov))
             assert tr >= prev
             prev = tr
@@ -151,26 +154,27 @@ def _block(rng, m):
     F = rng.normal(scale=3.0, size=(m, 3))
     W = rng.normal(size=(m, 3)) * np.logspace(-9, 0.5, m)[:, None]
     dt = rng.uniform(0.001, 0.0999, size=m)
-    start = empty_delta(b_a0=rng.normal(scale=0.05, size=3),
-                        b_g0=rng.normal(scale=0.005, size=3))
+    start = PreintegratedDelta(b_a0=rng.normal(scale=0.05, size=3),
+                               b_g0=rng.normal(scale=0.005, size=3))
     # a delta in mid-interval, so every Jacobian starts non-zero
     for f, w, h in zip(F[:3], W[-3:], dt[:3]):
-        start = integrate(start, f, w, h)
+        start = integrate_one(start, f, w, h)
     return start, F, W, dt
 
 
 class TestIntegrateBlock:
     def test_block_equals_single_sample_calls(self):
-        """Row k of a block of m samples equals k + 1 one-sample calls
-        bit for bit, in every field."""
+        """Row k + 1 of a block of m samples equals k + 1 chained
+        one-row blocks bit for bit, in every field."""
         start, F, W, dt = _block(np.random.default_rng(30), 50)
         block = integrate(start, F, W, dt)
         one = start
         for k in range(50):
-            one = integrate(one, F[k], W[k], dt[k])
+            one = integrate_one(one, F[k], W[k], dt[k])
             for f in fields(one):
                 np.testing.assert_array_equal(
-                    getattr(block, f.name)[k], getattr(one, f.name), err_msg=f.name)
+                    getattr(block, f.name)[k + 1], getattr(one, f.name),
+                    err_msg=f.name)
 
     def test_block_matches_per_sample_recursion(self):
         """The block kernel against the one-sample recursion it replaced
@@ -183,7 +187,7 @@ class TestIntegrateBlock:
             for f in fields(ref):
                 want = np.asarray(getattr(ref, f.name))
                 np.testing.assert_allclose(
-                    getattr(block, f.name)[k], want, rtol=0,
+                    getattr(block, f.name)[k + 1], want, rtol=0,
                     atol=1e-12 * np.abs(want).max(), err_msg=f.name)
 
     @pytest.mark.parametrize("row", [0, 7, 19])
@@ -198,24 +202,45 @@ class TestIntegrateBlock:
 
     def test_block_of_one_is_a_single_sample(self):
         start, F, W, dt = _block(np.random.default_rng(33), 1)
-        block, one = integrate(start, F, W, dt), integrate(start, F[0], W[0], dt[0])
-        assert block.dR.shape == (1, 3, 3) and one.dR.shape == (3, 3)
-        np.testing.assert_array_equal(block.b_g0, start.b_g0[None])
+        block, one = integrate(start, F, W, dt), integrate_one(start, F[0], W[0], dt[0])
+        assert block.dR.shape == (2, 3, 3) and one.dR.shape == (3, 3)
+        np.testing.assert_array_equal(block.b_g0, np.stack([start.b_g0] * 2))
         for f in fields(one):
-            np.testing.assert_array_equal(getattr(block, f.name)[0], getattr(one, f.name))
+            np.testing.assert_array_equal(getattr(block, f.name)[0], getattr(start, f.name))
+            np.testing.assert_array_equal(getattr(block, f.name)[1], getattr(one, f.name))
+
+    def test_empty_block_is_the_start_delta(self):
+        start, *_ = _block(np.random.default_rng(36), 3)
+        block = integrate(start, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+        assert block.dR.shape == (1, 3, 3)
+        for f in fields(start):
+            np.testing.assert_array_equal(getattr(block, f.name)[0], getattr(start, f.name),
+                                          err_msg=f.name)
+
+    def test_take_copies_its_rows(self):
+        """A taken row owns its arrays, so a kept delta does not pin the
+        block it came from."""
+        start, F, W, dt = _block(np.random.default_rng(37), 5)
+        block = integrate(start, F, W, dt)
+        for rows in (-1, [0, 2, 5]):
+            part = block.take(rows)
+            for f in fields(block):
+                assert not np.shares_memory(getattr(part, f.name), getattr(block, f.name))
+                np.testing.assert_array_equal(getattr(part, f.name),
+                                              getattr(block, f.name)[rows], err_msg=f.name)
 
 
 class TestPredict:
     def test_empty_delta_identity(self):
         x = NavState()
-        y = predict_across(x, empty_delta())
+        y = predict_across(x, PreintegratedDelta())
         np.testing.assert_allclose(y.pose.t, x.pose.t)
         np.testing.assert_allclose(y.v, x.v)
 
     def test_gravity_cancellation(self):
-        delta = empty_delta()
+        delta = PreintegratedDelta()
         for _ in range(100):
-            delta = integrate(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
+            delta = integrate_one(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
         y = predict_across(NavState(), delta, g=GRAVITY)
         np.testing.assert_allclose(y.v, 0.0, atol=1e-9)
         np.testing.assert_allclose(y.pose.t, 0.0, atol=1e-9)
@@ -231,10 +256,9 @@ class TestPredict:
                      v=rng.normal(size=3), b_a=rng.normal(scale=0.05, size=3),
                      b_g=rng.normal(scale=0.005, size=3))
         track = predict(x, block)
-        assert track.R.shape == (m, 3, 3)
-        for k in range(m):
-            one = predict_one(x, replace(
-                block, **{f.name: getattr(block, f.name)[k] for f in fields(block)}))
+        assert track.R.shape == (m + 1, 3, 3)
+        for k in range(m + 1):
+            one = predict_one(x, block.take(k))
             got = track[k]
             for a, b in ((got.pose.R, one.pose.R), (got.pose.t, one.pose.t),
                          (got.v, one.v), (got.b_a, one.b_a), (got.b_g, one.b_g)):
@@ -244,9 +268,9 @@ class TestPredict:
 class TestResidual:
     def test_zero_at_prediction(self):
         rng = np.random.default_rng(4)
-        delta = empty_delta()
+        delta = PreintegratedDelta()
         for _ in range(30):
-            delta = integrate(
+            delta = integrate_one(
                 delta, rng.normal(size=3), rng.normal(scale=0.5, size=3), 0.01
             )
         x_i = NavState(
@@ -258,9 +282,9 @@ class TestResidual:
 
     def test_position_perturbation_block(self):
         rng = np.random.default_rng(5)
-        delta = empty_delta()
+        delta = PreintegratedDelta()
         for _ in range(10):
-            delta = integrate(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
+            delta = integrate_one(delta, [0, 0, 9.81], [0, 0, 0], 0.01)
         x_i = NavState(pose=Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3)))
         x_j = predict_across(x_i, delta)
         shift = np.array([0.1, 0.0, 0.0])
@@ -276,8 +300,8 @@ class TestResidual:
     def test_bias_blocks(self):
         b_i = np.array([0.1, -0.2, 0.3])
         b_j = np.array([-0.4, 0.5, -0.6])
-        delta = empty_delta(b_a0=b_i, b_g0=np.zeros(3))
-        delta = integrate(delta, b_i, [0, 0, 0], 0.01)
+        delta = PreintegratedDelta(b_a0=b_i, b_g0=np.zeros(3))
+        delta = integrate_one(delta, b_i, [0, 0, 0], 0.01)
         x_i = NavState(b_a=b_i)
         x_j = predict_across(x_i, delta)
         x_j = NavState(pose=x_j.pose, v=x_j.v, b_a=b_j, b_g=x_j.b_g)
@@ -287,12 +311,12 @@ class TestResidual:
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            delta = empty_delta(
+            delta = PreintegratedDelta(
                 b_a0=rng.normal(scale=0.05, size=3),
                 b_g0=rng.normal(scale=0.01, size=3),
             )
             for _ in range(20):
-                delta = integrate(
+                delta = integrate_one(
                     delta, rng.normal(scale=2, size=3), rng.normal(scale=0.5, size=3),
                     0.01,
                 )

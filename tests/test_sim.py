@@ -648,6 +648,25 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match=r"gnss\.csv line 2: variance"):
             load_dataset(tmp_path)
 
+    def test_gnss_out_of_stamp_order_is_rejected_with_its_line(self, tmp_path):
+        """Fixes 0, 5, 12 and 20 m along x, 0.2 s apart, written in the
+        order 2, 0, 3, 1: the anchor would land on the third fix, facing
+        back, and the keyframes would pass two fixes over."""
+        sim = simulate(corridor_scenario(length=4.0, seed=1))
+        order = [2, 0, 3, 1]
+        fixes = GnssStream(np.arange(4) * 200_000_000,
+                           np.array([[0.0, 0, 0], [5, 0, 0], [12, 0, 0], [20, 0, 0]]),
+                           np.full(4, 0.25)).take(order)
+        write_dataset(tmp_path, dataclasses.replace(sim, gnss=fixes))
+        with pytest.raises(ValueError, match=r"gnss\.csv line 2: stamp before"):
+            load_dataset(tmp_path)
+
+    def test_equal_gnss_stamps_load(self, tmp_path):
+        sim = simulate(corridor_scenario(length=4.0, seed=1))
+        fixes = sim.gnss.take([0, 1, 1, 2])
+        write_dataset(tmp_path, dataclasses.replace(sim, gnss=fixes))
+        assert np.array_equal(load_dataset(tmp_path).gnss.stamps, fixes.stamps)
+
     def test_zero_gnss_variance_loads_at_the_floor(self, tmp_path):
         self.gnss_dataset_with_variance(tmp_path, "0.000000000e+00")
         fixes = load_dataset(tmp_path).gnss
