@@ -1,14 +1,24 @@
 """On-disk dataset format.
 
-A dataset directory contains per-IMU CSVs, a GNSS CSV, per-lidar scan
-directories, the ground-truth trajectory in TUM format and a copy of
-the generating scenario:
+A dataset directory contains per-IMU CSVs, a GNSS CSV, one scan store
+directory per lidar, the ground-truth trajectory in TUM format and a
+copy of the generating scenario:
 
     imu_<id>.csv          t_ns, fx, fy, fz, wx, wy, wz
     gnss.csv              t_ns, x, y, z, var
-    scans/<id>/<n>.csv    header 'sensor_id,start,end' then t_offset_ns, x, y, z
+    scans/<id>/           bounds.npy  (S, 3) int64: scan start, end (ns), point count
+                          stamps.npy  (N,) int64: each point's stamp (ns)
+                          points.npy  (N, 3) float64: each point, sensor frame (m)
     gt.tum                t x y z qx qy qz qw
     scenario.yaml         scenario copy
+
+A lidar's scans are stored back to back in its three arrays, written
+by `np.save` (the same scans give the same bytes) and read by one
+`np.load` each, pickles refused. The sensor id is the directory's
+name, and each loaded `LidarScan` is a view of its rows of the arrays,
+checked as any scan is. A store that lacks an array, holds one of the
+wrong dtype or shape, or whose point counts do not sum to its rows
+fails the load naming its directory.
 
 Each IMU CSV and the GNSS CSV are read with one structured `loadtxt`;
 their ns stamps are read and written as ints, exact at any size. The
@@ -24,14 +34,13 @@ replay never reads it. The TUM trajectory format (gt.tum here, a run's
 est.tum) is read and written by this module alone; it holds seconds,
 written and read as decimals, so ns stamps are exact there too.
 
-Every stamped CSV (the IMU and GNSS CSVs, the scan files, a run's
-fused_imu.csv) is printed by `_format_rows`, one vectorized pass per
-sensor stream that gives byte for byte what `'%d,%.9e,...' %` prints
-row by row. It rounds each mantissa in float64 and prints the few
-values whose rounding that cannot decide with `%` itself. A lidar's
-scans are formatted in one call and cut into files at their newlines.
-A TUM file is printed by one `%` call over all its poses and read with
-one batched quaternion conversion.
+Every stamped CSV (the IMU and GNSS CSVs, a run's fused_imu.csv) is
+printed by `_format_rows`, one vectorized pass per sensor stream that
+gives byte for byte what `'%d,%.9e,...' %` prints row by row. It
+rounds each mantissa in float64 and prints the few values whose
+rounding that cannot decide with `%` itself. A TUM file is printed by
+one `%` call over all its poses and read with one batched quaternion
+conversion.
 """
 
 from __future__ import annotations
@@ -168,22 +177,16 @@ def _write_stamped_csv(path, stamps, values, header="") -> None:
 
 
 def _write_scans(scan_dir, scans) -> None:
-    """One file per scan, 'sensor_id,start,end' then its stamp offsets
-    and points; the rows of all scans are formatted in one call and cut
-    at their newlines."""
+    """A lidar's scans as the three arrays of its store directory."""
     os.makedirs(scan_dir, exist_ok=True)
-    if not scans:
-        return
-    text = _format_rows(np.concatenate([s.stamps - s.scan_start for s in scans]),
-                        np.concatenate([s.points for s in scans]))
-    row_starts = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
-    row_starts = np.concatenate([[0], row_starts])
-    cuts = row_starts[np.cumsum([0] + [len(s.stamps) for s in scans])].tolist()
-    text = memoryview(text)
-    for n, scan in enumerate(scans):
-        with open(os.path.join(scan_dir, f"{n:06d}.csv"), "wb") as fh:
-            fh.write(f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n".encode())
-            fh.write(text[cuts[n]:cuts[n + 1]])
+    bounds = [(s.scan_start, s.scan_end, len(s.stamps)) for s in scans]
+    arrays = {
+        "bounds": np.array(bounds, dtype=np.int64).reshape(-1, 3),
+        "stamps": np.concatenate([np.zeros(0, np.int64)] + [s.stamps for s in scans]),
+        "points": np.concatenate([np.zeros((0, 3))] + [s.points for s in scans]),
+    }
+    for name, array in arrays.items():
+        np.save(os.path.join(scan_dir, f"{name}.npy"), array)
 
 
 def write_dataset(path, sim: SimData) -> None:
@@ -197,20 +200,6 @@ def write_dataset(path, sim: SimData) -> None:
         _write_scans(os.path.join(path, "scans", sid.split("/")[1]), scans)
     write_tum(os.path.join(path, "gt.tum"), sim.gt.stamps, sim.gt.R, sim.gt.t)
     save_scenario(os.path.join(path, "scenario.yaml"), sim.scenario)
-
-
-def read_scan_file(path) -> LidarScan:
-    with open(path) as fh:
-        sensor_id, start, end = fh.readline().strip().split(",")
-        rows = np.loadtxt(fh, delimiter=",").reshape(-1, 4)
-    start, end = int(start), int(end)
-    return LidarScan(
-        sensor_id=sensor_id,
-        scan_start=start,
-        scan_end=end,
-        stamps=rows[:, 0].astype(np.int64) + start,
-        points=rows[:, 1:4],
-    )
 
 
 @dataclass(frozen=True)
@@ -279,6 +268,40 @@ def load_tum(path):
 
 
 _GNSS_ROW = [("t", np.int64), ("p", float, 3), ("var", float)]
+# the arrays of a lidar's store directory: dtype, shape past the first
+# axis, and the shape as the module docstring states it
+_SCAN_ARRAYS = {"bounds": (np.int64, (3,), "(S, 3)"), "stamps": (np.int64, (), "(N,)"),
+                "points": (np.float64, (3,), "(N, 3)")}
+
+
+def _load_scans(scan_dir, sensor_id) -> list:
+    """The scans of one lidar's store directory, each a `LidarScan` whose
+    stamps and points are views of the store's arrays. A store that is
+    not three such arrays whose point counts sum to their rows fails
+    the load naming the directory, as does a scan `LidarScan` rejects."""
+    arrays = []
+    for name, (dtype, row, shape) in _SCAN_ARRAYS.items():
+        try:
+            array = np.load(os.path.join(scan_dir, f"{name}.npy"), allow_pickle=False)
+        except (OSError, ValueError) as e:
+            raise ValueError(f"{scan_dir}: {name}.npy: {e}") from None
+        if array.dtype != dtype or array.ndim != 1 + len(row) or array.shape[1:] != row:
+            raise ValueError(f"{scan_dir}: {name}.npy is a {array.shape} {array.dtype} "
+                             f"array, not {shape} {np.dtype(dtype)}")
+        arrays.append(array)
+    bounds, stamps, points = arrays
+    cuts = np.concatenate([[0], np.cumsum(bounds[:, 2])]).tolist()
+    if cuts[-1] != len(stamps) or len(points) != len(stamps):
+        raise ValueError(f"{scan_dir}: the scans' point counts sum to {cuts[-1]}, but "
+                         f"stamps has {len(stamps)} rows and points {len(points)}")
+    scans = []
+    for n, (start, end, _) in enumerate(bounds.tolist()):
+        try:
+            scans.append(LidarScan(sensor_id, start, end, stamps[cuts[n]:cuts[n + 1]],
+                                   points[cuts[n]:cuts[n + 1]]))
+        except ValueError as e:
+            raise ValueError(f"{scan_dir} scan {n}: {e}") from None
+    return scans
 
 
 def load_dataset(path) -> Dataset:
@@ -308,10 +331,8 @@ def load_dataset(path) -> Dataset:
     scans_root = os.path.join(path, "scans")
     if os.path.isdir(scans_root):
         for pos in sorted(os.listdir(scans_root)):
-            files = sorted(os.listdir(os.path.join(scans_root, pos)))
-            lidar[f"lidar/{pos}"] = [
-                read_scan_file(os.path.join(scans_root, pos, f)) for f in files
-            ]
+            sid = f"lidar/{pos}"
+            lidar[sid] = _load_scans(os.path.join(scans_root, pos), sid)
     return Dataset(
         path=str(path), scenario=scenario, imu=imu, lidar=lidar, gnss=gnss
     )

@@ -2,21 +2,26 @@
 
 Scans are deskewed to their start time with a constant-twist motion model:
 the sensor pose at fraction eta of the scan is se3_exp(eta * xi) relative
-to the start pose, xi being the twist of the start-to-end motion. Scans
-are then voxel-downsampled and registered point-to-plane against the
-incremental local submap, which reports neighbours by their coordinates,
-never by index. Each cloud point's correspondence is the plane fitted to
-the neighbours its last gated k-NN query returned (as LOAM and LIO-SAM
-fit theirs). That hood is kept across ICP iterations until a
-triangle-inequality bound on the point's motion can no longer certify
-its nearest map point (`_Hoods`); only then is the point queried again.
+to the start pose, xi being the twist of the start-to-end motion. All
+the scans of a keyframe are deskewed in one `deskew` call: one log over
+their motions, one exponential per distinct (scan, stamp) and one
+gathered product, each point computed as deskewing its scan alone
+would. Scans are then voxel-downsampled and registered point-to-plane
+against the incremental local submap, which reports neighbours by their
+coordinates, never by index. Each cloud point's correspondence is the
+plane fitted to the neighbours its last gated k-NN query returned (as
+LOAM and LIO-SAM fit theirs). That hood is kept across ICP iterations
+until a triangle-inequality bound on the point's motion can no longer
+certify its nearest map point (`_Hoods`); only then is the point
+queried again.
 Each Gauss-Newton step rotates about the current pose's own position and
 is solved only in the eigen-directions of the normal matrix that the
 scene constrains; the others are reported as the result's weak
 directions (Zhang, Kaess & Singh, ICRA 2016). The result states its own
 uncertainty (`OdomEstimate.covariance`), which the between factor takes.
-`run_pipeline` moves each deskewed scan into the base frame by its mount
-pose before the scans of one keyframe are downsampled together.
+`run_pipeline` moves each deskewed scan into the predicted base frame by
+its start pose (mount included) before the scans of one keyframe are
+downsampled together.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .geometry import (
     pose_compose,
     pose_inverse,
     se3_exp_many,
-    se3_log,
+    se3_log_many,
     so3_exp,
 )
 from .submap import LocalSubmap, voxel_keys
@@ -93,21 +98,37 @@ class OdomEstimate:
         return BASE_COV * scale + WEAK_VARIANCE * twists.T @ twists
 
 
-def deskew(scan: LidarScan, pose_start: Pose, pose_end: Pose) -> np.ndarray:
-    """The scan's (N, 3) points in the scan-start frame, under the
-    constant-twist motion between the predicted start and end sensor
-    poses."""
-    span = scan.scan_end - scan.scan_start
-    if span == 0:
-        return scan.points
-    xi = se3_log(pose_compose(pose_inverse(pose_start), pose_end))
-    # a point stamped eta of the way through the scan was seen from
-    # exp(eta xi) relative to the start pose; a scan has one stamp per
-    # azimuth step, so one exponential per distinct stamp
-    stamps, inverse = np.unique(scan.stamps, return_inverse=True)
-    etas = (stamps - scan.scan_start) / span
-    R, t = se3_exp_many(etas[:, None] * xi)
-    return matvec_many(R[inverse], scan.points) + t[inverse]
+def deskew(scans, starts, ends) -> np.ndarray:
+    """The points of `scans` (N, 3), concatenated in scan order, each in
+    its own scan's start frame, under the constant-twist motion between
+    the scan's predicted start and end sensor poses `starts[k]` and
+    `ends[k]`. A scan of zero span is returned as it is."""
+    if not scans:
+        return np.empty((0, 3))
+    counts = [len(scan.stamps) for scan in scans]
+    cuts = np.cumsum([0] + counts)
+    scan_of = np.repeat(np.arange(len(scans)), counts)
+    first = np.array([scan.scan_start for scan in scans], dtype=np.int64)
+    spans = np.array([scan.scan_end for scan in scans], dtype=np.int64) - first
+    offsets = np.concatenate([scan.stamps for scan in scans]) - first[scan_of]
+    motions = [pose_compose(pose_inverse(a), b) for a, b in zip(starts, ends)]
+    xi = se3_log_many(np.array([m.R for m in motions]), np.array([m.t for m in motions]))
+    # a point stamped eta of the way through its scan was seen from
+    # exp(eta xi) relative to the scan's start pose; a scan has one stamp
+    # per azimuth step, so one exponential per distinct (scan, stamp),
+    # keyed scan-major in one int64 (np.unique over rows is far slower)
+    width = int(spans.max()) + 1
+    if len(scans) * width > np.iinfo(np.int64).max:
+        raise ValueError("scans too long to key their stamps in one int64")
+    keys, inverse = np.unique(scan_of * width + offsets, return_inverse=True)
+    key_scan, key_offset = np.divmod(keys, width)
+    etas = key_offset / np.maximum(spans[key_scan], 1)
+    R, t = se3_exp_many(etas[:, None] * xi[key_scan])
+    out = matvec_many(R[inverse], np.concatenate([scan.points for scan in scans]))
+    out += t[inverse]
+    for k in np.flatnonzero(spans == 0):
+        out[cuts[k]:cuts[k + 1]] = scans[k].points
+    return out
 
 
 def voxel_downsample(points, resolution: float) -> np.ndarray:

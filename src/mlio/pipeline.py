@@ -5,9 +5,9 @@ and its prior from `initialize`, fixes the keyframe schedule (from the
 fused stamps and the lidar scan ends) and each keyframe's GNSS fix up
 front, then runs one `_keyframe_step` per keyframe: IMU preintegration
 of the interval's fused rows and the prediction of the states at them,
-one call each, scan deskewing, multi-lidar ICP odometry and the
-sliding-window factor graph, whose between factor takes the ICP
-estimate's own covariance.
+one call each, the deskewing of all its scans in one call, multi-lidar
+ICP odometry and the sliding-window factor graph, whose between factor
+takes the ICP estimate's own covariance.
 Each step returns a `KeyframeRecord`, and the run's counters are summed
 from them. The fused IMU is one columnar `FusedImu` from
 `fuse_imu_groups` to `write_fused_imu`, and the preintegrated deltas
@@ -391,14 +391,18 @@ def _keyframe_step(graph: FactorGraph, submap: LocalSubmap, node: int,
         # the sensors scan in step, so their scans share a few stamps
         bounds = {stamp for scan in scans for stamp in (scan.scan_start, scan.scan_end)}
         poses = {stamp: interval.pose_at(stamp) for stamp in bounds}
-        pred_inv = pose_inverse(pred.pose)
-        parts = []
+        starts, ends = [], []
         for scan in scans:
             mount = scenario.lidars[scan.sensor_id.split("/")[1]].pose
-            S0 = pose_compose(poses[scan.scan_start], mount)
-            S1 = pose_compose(poses[scan.scan_end], mount)
-            base_rel = pose_compose(pred_inv, S0)
-            parts.append(base_rel.apply(deskew(scan, S0, S1)))
+            starts.append(pose_compose(poses[scan.scan_start], mount))
+            ends.append(pose_compose(poses[scan.scan_end], mount))
+        # every scan of the keyframe in one call, each then moved from its
+        # start frame into the frame `pred` predicts
+        flat = deskew(scans, starts, ends)
+        cuts = np.cumsum([0] + [len(scan.stamps) for scan in scans])
+        pred_inv = pose_inverse(pred.pose)
+        parts = [pose_compose(pred_inv, S0).apply(flat[a:b])
+                 for S0, a, b in zip(starts, cuts, cuts[1:])]
         cloud = voxel_downsample(
             np.concatenate(parts, axis=0), config.voxel_resolution
         )

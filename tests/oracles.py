@@ -32,8 +32,10 @@ as the last row of a one-row block. `skew` is the one-vector `geometry.skew_many
 first order, as `preintegration.predict` did before it took a block of
 deltas. `EagerPropagator` is the per-sample propagator, built on
 `predict_one`, that `pipeline._Interval` replaced by one value per
-keyframe interval. `write_scan_file_rows` is
-the per-point f-string scan writer. `write_stamped_csv_rows` prints
+keyframe interval. `deskew_one` deskews one scan, as
+`lidar.deskew` did before it took all the scans of a keyframe in one
+call. `write_scan_store_rows` writes a lidar's scan store one scan at a
+time. `write_stamped_csv_rows` prints
 one row at a time with `%`, as `dataset._write_stamped_csv` did before
 its one vectorized pass per stream; `quat_from_rotmat` is the
 one-matrix `geometry.quat_from_rotmat_many` and `quat_to_rotmat` the
@@ -65,6 +67,7 @@ relative pose is a `pose_compose` of `pose_inverse`s.
 import itertools
 import math
 import os
+import struct
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
@@ -683,16 +686,35 @@ class EagerPropagator:
         return pose_compose(pose, se3_exp(np.concatenate([w, v_body]) * rem))
 
 
-def write_scan_file_rows(path, scan) -> None:
-    """Scan CSV, one f-string line per point: the header
-    'sensor_id,start,end', then each point's stamp offset and x, y, z."""
-    with open(path, "w") as fh:
-        fh.write(f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n")
-        offsets = scan.stamps - scan.scan_start
-        for off, p in zip(offsets, scan.points):
-            fh.write(
-                f"{off},{FLOAT_FMT % p[0]},{FLOAT_FMT % p[1]},{FLOAT_FMT % p[2]}\n"
-            )
+def deskew_one(scan, pose_start, pose_end) -> np.ndarray:
+    """One scan's (N, 3) points in its start frame, under the constant
+    twist between the predicted start and end sensor poses, as
+    `lidar.deskew` gave them before it took all of a keyframe's scans."""
+    span = scan.scan_end - scan.scan_start
+    if span == 0:
+        return scan.points
+    xi = se3_log(pose_compose(pose_inverse(pose_start), pose_end))
+    stamps, inverse = np.unique(scan.stamps, return_inverse=True)
+    etas = (stamps - scan.scan_start) / span
+    R, t = se3_exp_many(etas[:, None] * xi)
+    return matvec_many(R[inverse], scan.points) + t[inverse]
+
+
+def write_scan_store_rows(scan_dir, scans) -> None:
+    """A lidar's store directory, its three arrays written scan by scan
+    after a header from `numpy.lib.format`."""
+    os.makedirs(scan_dir, exist_ok=True)
+    n = sum(len(scan.stamps) for scan in scans)
+    for name, descr, shape, rows in (
+        ("bounds", "<i8", (len(scans), 3),
+         (struct.pack("<3q", s.scan_start, s.scan_end, len(s.stamps)) for s in scans)),
+        ("stamps", "<i8", (n,), (s.stamps.astype("<i8").tobytes() for s in scans)),
+        ("points", "<f8", (n, 3), (s.points.astype("<f8").tobytes() for s in scans)),
+    ):
+        with open(os.path.join(scan_dir, f"{name}.npy"), "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": descr, "fortran_order": False, "shape": shape})
+            fh.writelines(rows)
 
 
 def write_stamped_csv_rows(path, stamps, values, header="") -> None:
@@ -768,13 +790,7 @@ def write_dataset_rows(path, sim) -> None:
     write_stamped_csv_rows(os.path.join(path, "gnss.csv"), sim.gnss.stamps,
                            np.column_stack([sim.gnss.t, sim.gnss.var]))
     for sid, scans in sim.lidar.items():
-        scan_dir = os.path.join(path, "scans", sid.split("/")[1])
-        os.makedirs(scan_dir, exist_ok=True)
-        for n, scan in enumerate(scans):
-            write_stamped_csv_rows(
-                os.path.join(scan_dir, f"{n:06d}.csv"),
-                scan.stamps - scan.scan_start, scan.points,
-                header=f"{scan.sensor_id},{scan.scan_start},{scan.scan_end}\n")
+        write_scan_store_rows(os.path.join(path, "scans", sid.split("/")[1]), scans)
     with open(os.path.join(path, "gt.tum"), "w") as fh:
         for s, p in zip(sim.gt.stamps, sim.gt.poses):
             fh.write(format_tum_line(s, p) + "\n")

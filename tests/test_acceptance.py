@@ -327,7 +327,7 @@ class TestDeskewOracle:
             sensor_id="lidar/F_L", scan_start=0, scan_end=span,
             stamps=stamps, points=sensor_pts,
         )
-        flat = deskew(scan, start, end)
+        flat = deskew([scan], [start], [end])
         expected = pose_inverse(start).apply(world)
         assert np.abs(flat - expected).max() < 1e-3
 

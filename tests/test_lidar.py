@@ -29,9 +29,11 @@ from mlio.lidar import (
     voxel_downsample,
 )
 from mlio.submap import _FIT_CHUNK, LocalSubmap, _smallest_eigenpairs, voxel_keys
+from mlio.sim import NoiseSpec, corridor_scenario, simulate
 from oracles import (
     ArraySubmap,
     brute_knn,
+    deskew_one,
     icp_register_requery,
     pose_matrix,
     residual_between,
@@ -474,7 +476,7 @@ class TestDeskew:
         stamps = np.linspace(0, 100_000_000, 50).astype(np.int64)
         scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, pts)
         pose = Pose(so3_exp([0.1, 0.2, 0.3]), [1, 2, 3])
-        out = deskew(scan, pose, pose)
+        out = deskew([scan], [pose], [pose])
         np.testing.assert_allclose(out, pts, atol=1e-12)
 
     def test_forward_motion_midpoint(self):
@@ -483,7 +485,7 @@ class TestDeskew:
         scan = LidarScan(
             "lidar/F_L", 0, 100_000_000, [50_000_000], [[0.0, 0.0, 0.0]]
         )
-        out = deskew(scan, Pose(), Pose(np.eye(3), [1.0, 0, 0]))
+        out = deskew([scan], [Pose()], [Pose(np.eye(3), [1.0, 0, 0])])
         np.testing.assert_allclose(out, [[0.5, 0, 0]], atol=1e-12)
 
     def test_shared_stamps_match_one_exp_per_point(self):
@@ -498,7 +500,7 @@ class TestDeskew:
         xi = se3_log(pose_compose(pose_inverse(start), end))
         R, t = se3_exp_many((stamps / 100_000_000)[:, None] * xi)
         want = matvec_many(R, pts) + t
-        assert deskew(scan, start, end).tobytes() == want.tobytes()
+        assert deskew([scan], [start], [end]).tobytes() == want.tobytes()
 
     def test_distort_then_deskew_round_trip(self):
         rng = np.random.default_rng(4)
@@ -515,7 +517,7 @@ class TestDeskew:
             pose_t = pose_compose(pose_start, twist_power(rel, eta))
             raw[i] = pose_inverse(pose_t).apply(p)
         scan = LidarScan("lidar/F_L", 0, 100_000_000, stamps, raw)
-        out = deskew(scan, pose_start, pose_end)
+        out = deskew_one(scan, pose_start, pose_end)
         recovered = pose_start.apply(out)
         np.testing.assert_allclose(recovered, world_pts, atol=1e-9)
 
@@ -535,12 +537,87 @@ class TestDeskew:
         for i, (s, p) in enumerate(zip(stamps, world_pts)):
             pose_t = pose_compose(pose_start, twist_power(rel, s / 1e8))
             raw[i] = pose_inverse(pose_t).apply(p)
-        out = deskew(
+        out = deskew_one(
             LidarScan("lidar/F_L", 0, 100_000_000, stamps, raw),
             pose_start, pose_end,
         )
         flattened = pose_start.apply(out)
         assert np.max(np.abs(flattened[:, 2])) < 1e-9
+
+
+class TestBatchedDeskew:
+    """`deskew` over all of a keyframe's scans at once gives, bit for
+    bit, each scan deskewed on its own (`deskew_one`)."""
+
+    @staticmethod
+    def one_at_a_time(scans, starts, ends):
+        return np.concatenate([deskew_one(*args) for args in zip(scans, starts, ends)])
+
+    @staticmethod
+    def random_motions(rng, n):
+        starts = [Pose(so3_exp(rng.normal(scale=0.5, size=3)), rng.normal(size=3))
+                  for _ in range(n)]
+        ends = [pose_compose(s, se3_exp(rng.normal(scale=0.2, size=6))) for s in starts]
+        return starts, ends
+
+    @pytest.fixture(scope="class")
+    def corridor_scans(self):
+        sim = simulate(corridor_scenario(length=6.0, seed=5,
+                                         noise=NoiseSpec(lidar_sigma=0.01)))
+        return sim.lidar
+
+    def test_zero_span_scan(self):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(scale=5.0, size=(30, 3))
+        pts[0] = [-0.0, 0.0, -0.0]
+        still = LidarScan("lidar/F_R", 7, 7, np.full(30, 7), pts)
+        moving = LidarScan("lidar/F_L", 0, 100_000_000,
+                           np.sort(rng.integers(0, 100_000_000, size=40)),
+                           rng.normal(scale=5.0, size=(40, 3)))
+        starts, ends = self.random_motions(rng, 3)
+        scans = [moving, still, moving]
+        got = deskew(scans, starts, ends)
+        assert got.tobytes() == self.one_at_a_time(scans, starts, ends).tobytes()
+        assert got[40:70].tobytes() == pts.tobytes()
+        assert deskew([still], starts[:1], ends[:1]).tobytes() == pts.tobytes()
+
+    def test_lidars_sharing_stamps(self, corridor_scans):
+        """The first scans of the four lidars, which scan in step and so
+        share their stamps, at epoch-scale stamps."""
+        shift = 1700000000123456789
+        scans = [replace(s[0], scan_start=s[0].scan_start + shift,
+                         scan_end=s[0].scan_end + shift, stamps=s[0].stamps + shift)
+                 for s in corridor_scans.values()]
+        assert len(scans) == 4
+        assert len({(s.scan_start, s.scan_end) for s in scans}) == 1
+        starts, ends = self.random_motions(np.random.default_rng(12), 4)
+        got = deskew(scans, starts, ends)
+        assert got.tobytes() == self.one_at_a_time(scans, starts, ends).tobytes()
+
+    def test_keyframe_of_one_scan(self, corridor_scans):
+        scan = corridor_scans["lidar/R_L"][3]
+        starts, ends = self.random_motions(np.random.default_rng(13), 1)
+        assert deskew([scan], starts, ends).tobytes() == deskew_one(
+            scan, starts[0], ends[0]).tobytes()
+
+    def test_every_scan_of_a_corridor(self, corridor_scans):
+        scans = [s for group in corridor_scans.values() for s in group]
+        assert len(scans) > 40
+        starts, ends = self.random_motions(np.random.default_rng(14), len(scans))
+        got = deskew(scans, starts, ends)
+        assert got.tobytes() == self.one_at_a_time(scans, starts, ends).tobytes()
+
+    def test_no_scans(self):
+        assert deskew([], [], []).shape == (0, 3)
+
+    def test_keys_that_overflow_int64_raise(self):
+        """Two scans 2**62 ns long have (scan, stamp offset) keys past
+        the int64 range; the call refuses them instead of wrapping."""
+        scan = LidarScan("lidar/F_L", 0, 2**62, [0, 2**62], [[1.0, 0, 0], [0, 1.0, 0]])
+        starts, ends = self.random_motions(np.random.default_rng(15), 2)
+        assert deskew([scan], starts[:1], ends[:1]).shape == (2, 3)
+        with pytest.raises(ValueError, match="int64"):
+            deskew([scan, scan], starts, ends)
 
 
 class TestFuseToBase:

@@ -8,7 +8,7 @@ import yaml
 
 import mlio.sim as sim_module
 
-from mlio.dataset import _format_rows, load_dataset, read_scan_file, write_dataset
+from mlio.dataset import _format_rows, load_dataset, write_dataset
 from mlio.geometry import (
     NS_PER_S,
     Pose,
@@ -56,7 +56,6 @@ from oracles import (
     transform_to_base,
     twist_at_linear,
     write_dataset_rows,
-    write_scan_file_rows,
     write_stamped_csv_rows,
 )
 
@@ -325,7 +324,7 @@ class TestSynthLidar:
         scan = streams["lidar/F_L"][0]
         S0 = pose_compose(pose_at(gt, scan.scan_start), mount.pose)
         S1 = pose_compose(pose_at(gt, scan.scan_end), mount.pose)
-        flat = deskew(scan, S0, S1)
+        flat = deskew([scan], [S0], [S1])
         wall_x = S0.apply(flat)[:, 0]
         np.testing.assert_allclose(wall_x, 30.0, atol=1e-9)
         # without deskew the raw points do not lie on the wall
@@ -608,26 +607,31 @@ class TestDatasetIo:
         assert ds.gnss.stamps.dtype == np.int64
         assert np.array_equal(ds.gnss.stamps, gnss.stamps)
 
-    def test_scan_files_match_the_row_writer(self, tmp_path):
-        """Each scan file holds the bytes of the per-point writer, also
-        with epoch-scale stamps, and reads back as the written scan."""
-        sim = simulate(corridor_scenario(length=4.0, seed=1))
+    def test_scan_store_round_trips_exactly(self, tmp_path):
+        """Every scan's sensor id, bounds, stamps and points load back bit
+        for bit, also with epoch-scale stamps, and a lidar without scans
+        loads as one."""
+        sim = simulate(corridor_scenario(length=4.0, seed=1,
+                                         noise=NoiseSpec(lidar_sigma=0.01)))
         shift = 1700000000123456789 - sim.lidar["lidar/F_L"][0].scan_start
         lidar = {sid: [dataclasses.replace(
             s, scan_start=s.scan_start + shift, scan_end=s.scan_end + shift,
-            stamps=s.stamps + shift) for s in scans[:3]]
+            stamps=s.stamps + shift) for s in scans]
             for sid, scans in sim.lidar.items()}
+        lidar["lidar/R_R"] = []
         write_dataset(tmp_path, dataclasses.replace(sim, lidar=lidar))
+        back = load_dataset(tmp_path).lidar
+        assert sorted(back) == sorted(lidar)
+        assert sum(map(len, lidar.values())) > 20
         for sid, scans in lidar.items():
-            for n, scan in enumerate(scans):
-                path = tmp_path / "scans" / sid.split("/")[1] / f"{n:06d}.csv"
-                write_scan_file_rows(tmp_path / "rows.csv", scan)
-                assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
-                back = read_scan_file(path)
-                assert (back.sensor_id, back.scan_start, back.scan_end) == (
-                    scan.sensor_id, scan.scan_start, scan.scan_end)
-                assert np.array_equal(back.stamps, scan.stamps)
-                np.testing.assert_allclose(back.points, scan.points, rtol=1e-9)
+            assert len(back[sid]) == len(scans)
+            for got, want in zip(back[sid], scans):
+                assert (got.sensor_id, got.scan_start, got.scan_end) == (
+                    want.sensor_id, want.scan_start, want.scan_end)
+                assert got.stamps.dtype == np.int64 and got.points.dtype == np.float64
+                assert np.array_equal(got.stamps, want.stamps)
+                assert np.array_equal(got.points, want.points)
+                assert got.points.tobytes() == want.points.tobytes()  # signed zeros too
 
     @staticmethod
     def gnss_dataset_with_variance(path, var, line=None):
@@ -791,7 +795,9 @@ class TestStampedRows:
                        for f in (tmp_path / "rows").rglob("*") if f.is_file())
         assert names == sorted(str(f.relative_to(tmp_path / "cols"))
                                for f in (tmp_path / "cols").rglob("*") if f.is_file())
-        assert len(names) > 20
+        assert len(sim.lidar) == 4
+        assert {f"scans/{sid.split('/')[1]}/{name}.npy" for sid in sim.lidar
+                for name in ("bounds", "stamps", "points")} <= set(names)
         for name in names:
             assert (tmp_path / "cols" / name).read_bytes() == (
                 tmp_path / "rows" / name).read_bytes(), name
