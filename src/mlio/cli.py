@@ -6,7 +6,7 @@ suite into batch runs with reproducible outputs:
     mlio simulate --scenario urban-loop --out data/
     mlio run --dataset data/ --sensors L4I4G1 --out runs/a
     mlio eval --dataset data/ --est runs/a/est.tum --rpe-distance 10
-    mlio allan --input data/imu_F_L.csv --axis fz
+    mlio allan --input data/imu/F_L --axis fz
     mlio fuse-imu --dataset data/ --sensors I4 --out fused.csv
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 estimator failure.
@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ESTIMATOR = 3
+
+AXES = ("fx", "fy", "fz", "wx", "wy", "wz")  # `mlio allan --axis`
 
 
 class UsageError(Exception):
@@ -71,9 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for report and per-pair CSV files")
 
     p = sub.add_parser("allan", help="Allan deviation of an IMU log")
-    p.add_argument("--input", required=True, help="imu CSV (t_ns + 6 axes)")
-    p.add_argument("--axis", default="all",
-                   choices=["fx", "fy", "fz", "wx", "wy", "wz", "all"])
+    p.add_argument("--input", required=True, help="IMU store directory (imu/<pos>)")
+    p.add_argument("--axis", default="all", choices=[*AXES, "all"])
     p.add_argument("--out", default=None, help="directory for (tau, adev) CSVs")
 
     p = sub.add_parser("fuse-imu", help="standalone MIMU fusion on a dataset")
@@ -212,23 +213,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-AXIS_COLUMNS = {"fx": 1, "fy": 2, "fz": 3, "wx": 4, "wy": 5, "wz": 6}
-
-
 def cmd_allan(args) -> int:
     from .allan import allan_variance
+    from .dataset import load_imu
 
-    rows = np.loadtxt(args.input, delimiter=",").reshape(-1, 7)
-    if len(rows) < 3:
+    stream = load_imu(args.input)
+    if len(stream) < 3:
         raise ValueError(f"{args.input}: not enough samples")
-    dt_ns = np.diff(rows[:, 0])
-    rate_hz = 1e9 / float(np.median(dt_ns))
-    axes = list(AXIS_COLUMNS) if args.axis == "all" else [args.axis]
+    rate_hz = 1e9 / float(np.median(np.diff(stream.stamps)))
+    columns = np.hstack([stream.f, stream.w])
+    axes = AXES if args.axis == "all" else [args.axis]
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     print(f"{args.input}: rate {rate_hz:.1f} Hz")
     for axis in axes:
-        res = allan_variance(rows[:, AXIS_COLUMNS[axis]], rate_hz)
+        res = allan_variance(columns[:, AXES.index(axis)], rate_hz)
         print(
             f"  {axis}: white-noise density N = {res.white_noise_density:.6e}"
             f" /sqrt(Hz), bias instability B = {res.bias_instability:.6e}"

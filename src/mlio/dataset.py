@@ -1,46 +1,42 @@
 """On-disk dataset format.
 
-A dataset directory contains per-IMU CSVs, a GNSS CSV, one scan store
-directory per lidar, the ground-truth trajectory in TUM format and a
-copy of the generating scenario:
+A dataset directory contains one store directory per IMU and per lidar,
+a GNSS CSV, the ground-truth trajectory in TUM format and a copy of the
+generating scenario:
 
-    imu_<id>.csv          t_ns, fx, fy, fz, wx, wy, wz
-    gnss.csv              t_ns, x, y, z, var
-    scans/<id>/           bounds.npy  (S, 3) int64: scan start, end (ns), point count
+    imu/<pos>/            stamps.npy  (N,) int64: each sample's stamp (ns)
+                          f.npy       (N, 3) float64: specific force, sensor frame (m/s^2)
+                          w.npy       (N, 3) float64: angular rate, sensor frame (rad/s)
+    scans/<pos>/          bounds.npy  (S, 3) int64: scan start, end (ns), point count
                           stamps.npy  (N,) int64: each point's stamp (ns)
                           points.npy  (N, 3) float64: each point, sensor frame (m)
+    gnss.csv              t_ns, x, y, z, var
     gt.tum                t x y z qx qy qz qw
     scenario.yaml         scenario copy
 
-A lidar's scans are stored back to back in its three arrays, written
-by `np.save` (the same scans give the same bytes) and read by one
-`np.load` each, pickles refused. The sensor id is the directory's
-name, and each loaded `LidarScan` is a view of its rows of the arrays,
-checked as any scan is. A store that lacks an array, holds one of the
-wrong dtype or shape, or whose point counts do not sum to its rows
-fails the load naming its directory.
+A store's arrays are written by `np.save` (the same samples give the
+same bytes) and read by one `np.load` each, pickles refused. The sensor
+id is the directory's name. A directory named for no sensor of
+scenario.yaml fails the load naming it, as does a store that lacks an
+array, holds one of the wrong dtype or shape, or whose row counts
+disagree (for a lidar, point counts that do not sum to its rows). An
+IMU store loads as one `ImuStream`, a lidar's as `LidarScan` views of
+its rows, each checked as any stream or scan is.
 
-Each IMU CSV and the GNSS CSV are read with one structured `loadtxt`;
-their ns stamps are read and written as ints, exact at any size. The
-GNSS CSV becomes one `GnssStream` (empty without the file), its `var`
-column the isotropic variance. A variance that is negative, NaN or
-infinite fails the load with its line; a zero one (a noise-free
-simulation) loads at the floor `GnssStream` puts on it. A stamp before
-the one on the line above also fails the load with its line, since the
-first fix anchors the run and keyframes take fixes in file order;
-equal stamps load. gt.tum
+The GNSS CSV is read with one structured `loadtxt`; its ns stamps are
+read and written as ints, exact at any size. It becomes one
+`GnssStream` (empty without the file), its `var` column the isotropic
+variance. A variance that is negative, NaN or infinite fails the load
+with its line; a zero one (a noise-free simulation) loads at the floor
+`GnssStream` puts on it. A stamp before the one on the line above also
+fails the load with its line, since the first fix anchors the run and
+keyframes take fixes in file order; equal stamps load. gt.tum
 is read only when a `Dataset`'s ground truth is first asked for; a
 replay never reads it. The TUM trajectory format (gt.tum here, a run's
 est.tum) is read and written by this module alone; it holds seconds,
-written and read as decimals, so ns stamps are exact there too.
-
-Every stamped CSV (the IMU and GNSS CSVs, a run's fused_imu.csv) is
-printed by `_format_rows`, one vectorized pass per sensor stream that
-gives byte for byte what `'%d,%.9e,...' %` prints row by row. It
-rounds each mantissa in float64 and prints the few values whose
-rounding that cannot decide with `%` itself. A TUM file is printed by
-one `%` call over all its poses and read with one batched quaternion
-conversion.
+written and read as decimals, so ns stamps are exact there too. Each
+stamped CSV (the GNSS CSV, a run's fused_imu.csv) and TUM file is
+printed by one `%` call over all its rows.
 """
 
 from __future__ import annotations
@@ -66,138 +62,37 @@ from .sim import Scenario, SimData, load_scenario, save_scenario
 
 FLOAT_FMT = "%.9e"
 
-# `_format_rows` prints into one uint8 buffer of fixed-width rows: a
-# `%d` stamp field, then a `,%.9e` field per value. Each field is a few
-# constant bytes and 4-byte words looked up in the tables below; the
-# bytes a number does not use (a sign, leading zeros of a stamp, a
-# third exponent digit) are NUL, and are deleted from the whole text.
-_STAMP_WIDTH = 21  # sign, then five 4-digit words (2**63 has 19 digits)
-_FIELD_WIDTH = 18  # ',' [sign d '.' d] [dddd] [dddd] 'e' [sign 3 digits]
-_E_MIN, _E_MAX = -308, 308  # decimal exponents of the normal doubles
-
-
-def _words(strings) -> np.ndarray:
-    return np.frombuffer(b"".join(strings), np.uint32)
-
-
-_DIGITS = _words(b"%04d" % k for k in range(10000))
-# the sign, first digit, '.' and second digit of a mantissa, by
-# 100 * signbit(x) + its first two digits
-_LEADS = _words(sign + b"%d.%d" % divmod(d, 10) for sign in (b"\0", b"-")
-                for d in range(100))
-_EXPONENTS = _words(b"%c%c%02d" % (b"-+"[e >= 0], b"\x00123"[abs(e) // 100],
-                                   abs(e) % 100) for e in range(_E_MIN, _E_MAX + 1))
-# 10**(9 - e) for each exponent e, correctly rounded; 0 where it
-# overflows (e < -299), which sends those values to `%`
-_SCALE = np.array([float(f"1e{9 - e}") if 9 - e <= 308 else 0.0
-                   for e in range(_E_MIN, _E_MAX + 1)])
-
-
-def _word(fields, offset) -> np.ndarray:
-    """The uint32 view of bytes offset..offset+3 of each field."""
-    return fields[..., offset:offset + 4].view(np.uint32)[..., 0]
-
-
-def _magnitude(stamps):
-    """(stamps < 0, |stamps| as uint64), exact for -2**63 too."""
-    neg = stamps < 0
-    mag = stamps.astype(np.uint64)
-    return neg, np.where(neg, ~mag + np.uint64(1), mag)
-
-
-def _format_stamps(out, stamps) -> None:
-    """`%d` of each int64 stamp into the (n, 21) uint8 view `out`."""
-    neg, mag = _magnitude(stamps)
-    out[:, 0] = neg * ord("-")
-    width = 4 * -(-len(str(mag.max(initial=0))) // 4)  # whole words
-    q = mag
-    for offset in range(_STAMP_WIDTH - 4, _STAMP_WIDTH - width - 1, -4):
-        q, r = np.divmod(q, np.uint64(10000))
-        _word(out, offset)[:] = _DIGITS[r]
-    # leading zeros go: digit j (from the right) shows if |stamp| >= 10**j
-    shown = mag[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)
-    out[:, _STAMP_WIDTH - width:-1] *= shown
-
-
-def _format_values(out, x) -> None:
-    """`,%.9e` of each value of the (n, k) float array `x` into the
-    (n, k, 18) uint8 view `out`, whose ',' and 'e' are set; byte for
-    byte what `%` prints.
-
-    The mantissa is rint(y), y = |x| * 10**(9 - e), e = floor(log10|x|).
-    Both roundings in y together are under 3 ulp, so y is within 7e-6
-    of its exact value. A value goes through `%` itself where rint can
-    round otherwise or the digits are not ten: where y's fraction is
-    within 1e-4 of .5 (every exact tie is), where y is not in
-    [1e9, 1e10) (log10 was off by one) or rounds up to 1e10, and for
-    subnormals, NaN and inf. ±0 is the mantissa 0 with exponent 0."""
-    a = np.abs(x)
-    zero = a == 0.0
-    normal = np.isfinite(x) & (a >= np.finfo(float).tiny)
-    a = np.where(normal, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
-    y = a * _SCALE[e]
-    m = np.rint(y)
-    exact = normal & (y >= 1e9) & (m < 1e10) & (np.abs(y - np.floor(y) - 0.5) > 1e-4)
-    m = np.where(exact, m, 0.0)
-    exact |= zero
-    lead, lo = np.divmod(m.astype(np.int64), 10000)
-    lead, mid = np.divmod(lead, 10000)
-    _word(out, 1)[:] = _LEADS[lead + 100 * np.signbit(x)]
-    _word(out, 5)[:] = _DIGITS[mid]
-    _word(out, 9)[:] = _DIGITS[lo]
-    _word(out, 14)[:] = _EXPONENTS[e]
-    for i, j in zip(*np.nonzero(~exact)):
-        text = np.frombuffer((FLOAT_FMT % x[i, j]).encode(), np.uint8)
-        out[i, j, 1:] = 0
-        out[i, j, 1:1 + len(text)] = text
-
-
-def _format_rows(stamps, values) -> bytes:
-    """A 't_ns,v0,v1,...' line per row, as `%d` and `%.9e` print them."""
-    stamps = np.asarray(stamps, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    n, k = values.shape
-    template = np.zeros(_STAMP_WIDTH + k * _FIELD_WIDTH + 1, np.uint8)
-    template[_STAMP_WIDTH::_FIELD_WIDTH] = ord(",")
-    template[_STAMP_WIDTH + 13::_FIELD_WIDTH] = ord("e")
-    template[-1] = ord("\n")
-    rows = np.empty((n, len(template)), np.uint8)
-    rows[:] = template
-    _format_stamps(rows[:, :_STAMP_WIDTH], stamps)
-    _format_values(rows[:, _STAMP_WIDTH:-1].reshape(n, k, _FIELD_WIDTH), values)
-    return rows.tobytes().translate(None, b"\0")
-
 
 def _write_stamped_csv(path, stamps, values, header="") -> None:
-    """A 't_ns,v0,v1,...' line per row after `header`."""
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(_format_rows(stamps, values))
+    """A 't_ns,v0,v1,...' line per row after `header`, all printed by
+    one `%`."""
+    fields = np.column_stack([np.asarray(stamps, dtype=np.int64).astype(object), values])
+    line = ",".join(["%d"] + [FLOAT_FMT] * values.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + (line * len(fields)) % tuple(fields.ravel().tolist()))
 
 
-def _write_scans(scan_dir, scans) -> None:
-    """A lidar's scans as the three arrays of its store directory."""
-    os.makedirs(scan_dir, exist_ok=True)
-    bounds = [(s.scan_start, s.scan_end, len(s.stamps)) for s in scans]
-    arrays = {
-        "bounds": np.array(bounds, dtype=np.int64).reshape(-1, 3),
-        "stamps": np.concatenate([np.zeros(0, np.int64)] + [s.stamps for s in scans]),
-        "points": np.concatenate([np.zeros((0, 3))] + [s.points for s in scans]),
-    }
+def _write_store(store_dir, arrays) -> None:
+    """A sensor's arrays, one `.npy` each, in its store directory."""
+    os.makedirs(store_dir, exist_ok=True)
     for name, array in arrays.items():
-        np.save(os.path.join(scan_dir, f"{name}.npy"), array)
+        np.save(os.path.join(store_dir, f"{name}.npy"), array)
 
 
 def write_dataset(path, sim: SimData) -> None:
     os.makedirs(path, exist_ok=True)
     for sid, stream in sim.imu.items():
-        _write_stamped_csv(os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
-                           stream.stamps, np.hstack([stream.f, stream.w]))
+        _write_store(os.path.join(path, "imu", sid.split("/")[1]),
+                     {"stamps": stream.stamps, "f": stream.f, "w": stream.w})
     _write_stamped_csv(os.path.join(path, "gnss.csv"), sim.gnss.stamps,
                        np.column_stack([sim.gnss.t, sim.gnss.var]))
     for sid, scans in sim.lidar.items():
-        _write_scans(os.path.join(path, "scans", sid.split("/")[1]), scans)
+        bounds = [(s.scan_start, s.scan_end, len(s.stamps)) for s in scans]
+        _write_store(os.path.join(path, "scans", sid.split("/")[1]), {
+            "bounds": np.array(bounds, dtype=np.int64).reshape(-1, 3),
+            "stamps": np.concatenate([np.zeros(0, np.int64)] + [s.stamps for s in scans]),
+            "points": np.concatenate([np.zeros((0, 3))] + [s.points for s in scans]),
+        })
     write_tum(os.path.join(path, "gt.tum"), sim.gt.stamps, sim.gt.R, sim.gt.t)
     save_scenario(os.path.join(path, "scenario.yaml"), sim.scenario)
 
@@ -235,7 +130,8 @@ def write_tum(path, stamps, R, t) -> None:
     stamps = np.asarray(stamps, dtype=np.int64)
     n = len(stamps)
     q = quat_from_rotmat_many(np.asarray(R, float).reshape(n, 3, 3))
-    neg, mag = _magnitude(stamps)
+    neg = stamps < 0
+    mag = np.abs(stamps).astype(np.uint64)  # exact for -2**63 too
     fields = np.empty((n, 10), dtype=object)
     fields[:, 0] = np.where(neg, "-", "")
     fields[:, 1], fields[:, 2] = np.divmod(mag, np.uint64(NS_PER_S))
@@ -268,32 +164,56 @@ def load_tum(path):
 
 
 _GNSS_ROW = [("t", np.int64), ("p", float, 3), ("var", float)]
-# the arrays of a lidar's store directory: dtype, shape past the first
-# axis, and the shape as the module docstring states it
-_SCAN_ARRAYS = {"bounds": (np.int64, (3,), "(S, 3)"), "stamps": (np.int64, (), "(N,)"),
-                "points": (np.float64, (3,), "(N, 3)")}
+# each array of a store directory: dtype and shape, as the module
+# docstring states them; axes of one name have one length
+_IMU_ARRAYS = {"stamps": (np.int64, "(N,)"), "f": (np.float64, "(N, 3)"),
+               "w": (np.float64, "(N, 3)")}
+_SCAN_ARRAYS = {"bounds": (np.int64, "(S, 3)"), "stamps": (np.int64, "(N,)"),
+                "points": (np.float64, "(N, 3)")}
 
 
-def _load_scans(scan_dir, sensor_id) -> list:
-    """The scans of one lidar's store directory, each a `LidarScan` whose
-    stamps and points are views of the store's arrays. A store that is
-    not three such arrays whose point counts sum to their rows fails
-    the load naming the directory, as does a scan `LidarScan` rejects."""
-    arrays = []
-    for name, (dtype, row, shape) in _SCAN_ARRAYS.items():
+def _load_store(store_dir, spec) -> list:
+    """The arrays `spec` names in a store directory, each read by one
+    `np.load`, pickles refused. An array that is missing, unreadable or
+    not of its stated dtype and shape, or whose rows differ in number
+    from an earlier array's on the same axis, fails the load naming the
+    directory."""
+    arrays, rows = [], {}
+    for name, (dtype, shape) in spec.items():
+        axis, *row = shape.strip("(,)").split(", ")
+        row = tuple(map(int, row))
         try:
-            array = np.load(os.path.join(scan_dir, f"{name}.npy"), allow_pickle=False)
+            array = np.load(os.path.join(store_dir, f"{name}.npy"), allow_pickle=False)
         except (OSError, ValueError) as e:
-            raise ValueError(f"{scan_dir}: {name}.npy: {e}") from None
+            raise ValueError(f"{store_dir}: {name}.npy: {e}") from None
         if array.dtype != dtype or array.ndim != 1 + len(row) or array.shape[1:] != row:
-            raise ValueError(f"{scan_dir}: {name}.npy is a {array.shape} {array.dtype} "
+            raise ValueError(f"{store_dir}: {name}.npy is a {array.shape} {array.dtype} "
                              f"array, not {shape} {np.dtype(dtype)}")
+        first, n = rows.setdefault(axis, (name, len(array)))
+        if len(array) != n:
+            raise ValueError(f"{store_dir}: {name}.npy has {len(array)} rows, "
+                             f"but {first}.npy has {n}")
         arrays.append(array)
-    bounds, stamps, points = arrays
+    return arrays
+
+
+def load_imu(store_dir) -> ImuStream:
+    """The stream of one IMU's store directory, whose name is the IMU's
+    position. A stream `ImuStream` rejects fails the load."""
+    stamps, f, w = _load_store(store_dir, _IMU_ARRAYS)
+    return ImuStream(stamps, f, w, f"imu/{os.path.basename(os.path.normpath(store_dir))}")
+
+
+def _load_scans(scan_dir) -> list:
+    """The scans of one lidar's store directory, named for its position,
+    as `LidarScan` views of the arrays' rows. Point counts that do not
+    sum to the rows, or a scan `LidarScan` rejects, fail the load."""
+    bounds, stamps, points = _load_store(scan_dir, _SCAN_ARRAYS)
+    sensor_id = f"lidar/{os.path.basename(scan_dir)}"
     cuts = np.concatenate([[0], np.cumsum(bounds[:, 2])]).tolist()
-    if cuts[-1] != len(stamps) or len(points) != len(stamps):
+    if cuts[-1] != len(stamps):
         raise ValueError(f"{scan_dir}: the scans' point counts sum to {cuts[-1]}, but "
-                         f"stamps has {len(stamps)} rows and points {len(points)}")
+                         f"stamps has {len(stamps)} rows")
     scans = []
     for n, (start, end, _) in enumerate(bounds.tolist()):
         try:
@@ -304,16 +224,21 @@ def _load_scans(scan_dir, sensor_id) -> list:
     return scans
 
 
+def _stores(path, root, sensors) -> list:
+    """(position, directory) of each store directory in path/root, none
+    without it; one not named for a position of `sensors` fails the load."""
+    root = os.path.join(path, root)
+    stores = [(pos, os.path.join(root, pos))
+              for pos in (sorted(os.listdir(root)) if os.path.isdir(root) else [])]
+    for pos, store in stores:
+        if pos not in sensors:
+            raise ValueError(f"{store}: not a sensor of scenario.yaml ({', '.join(sensors)})")
+    return stores
+
+
 def load_dataset(path) -> Dataset:
     scenario = load_scenario(os.path.join(path, "scenario.yaml"))
-    imu = {}
-    for entry in sorted(os.listdir(path)):
-        if entry.startswith("imu_") and entry.endswith(".csv"):
-            pos = entry[len("imu_"):-len(".csv")]
-            sid = f"imu/{pos}"
-            rows = np.loadtxt(os.path.join(path, entry), delimiter=",", ndmin=1,
-                              dtype=[("t", np.int64), ("f", float, 3), ("w", float, 3)])
-            imu[sid] = ImuStream(rows["t"], rows["f"], rows["w"], sid)
+    imu = {f"imu/{pos}": load_imu(d) for pos, d in _stores(path, "imu", scenario.imus)}
     gnss_path = os.path.join(path, "gnss.csv")
     rows = np.zeros(0, _GNSS_ROW)
     if os.path.exists(gnss_path):
@@ -327,12 +252,7 @@ def load_dataset(path) -> Dataset:
         if len(back):
             raise ValueError(f"{gnss_path} line {back[0] + 1}: stamp before the line above's")
     gnss = GnssStream(rows["t"], rows["p"], rows["var"])
-    lidar = {}
-    scans_root = os.path.join(path, "scans")
-    if os.path.isdir(scans_root):
-        for pos in sorted(os.listdir(scans_root)):
-            sid = f"lidar/{pos}"
-            lidar[sid] = _load_scans(os.path.join(scans_root, pos), sid)
+    lidar = {f"lidar/{pos}": _load_scans(d) for pos, d in _stores(path, "scans", scenario.lidars)}
     return Dataset(
         path=str(path), scenario=scenario, imu=imu, lidar=lidar, gnss=gnss
     )

@@ -7,10 +7,9 @@ time, independently of `BatchFuser`; `fuse_mle` returns a `FusedRow`.
 `fuse_imu_groups_per_group` is the per-group loop that
 `pipeline.fuse_imu_groups` replaced by one gather per channel and
 subset. `write_fused_imu_rows` is the per-row f-string writer of the
-fused-IMU CSV that `pipeline.write_fused_imu` writes with
-`dataset._write_stamped_csv`; the benchmark harness writes its fused
-CSV the same way. The residual
-adapters call the product `_many` functions with a batch of one, so
+fused-IMU CSV that `pipeline.write_fused_imu` prints with one `%`
+call; the benchmark harness writes its fused CSV the same way. The
+residual adapters call the product `_many` functions with a batch of one, so
 finite-difference tests (`numeric_jacobian`) of them check the code that
 runs. `voxel_downsample_rows` groups a cloud by its (n, 3) integer voxel
 rows, where `lidar.voxel_downsample` groups by one int64 key per voxel.
@@ -35,10 +34,11 @@ deltas. `EagerPropagator` is the per-sample propagator, built on
 keyframe interval. `deskew_one` deskews one scan, as
 `lidar.deskew` did before it took all the scans of a keyframe in one
 call. `write_scan_store_rows` writes a lidar's scan store one scan at a
-time. `write_stamped_csv_rows` prints
-one row at a time with `%`, as `dataset._write_stamped_csv` did before
-its one vectorized pass per stream; `quat_from_rotmat` is the
-one-matrix `geometry.quat_from_rotmat_many` and `quat_to_rotmat` the
+time and `write_imu_store_rows` an IMU's store one sample at a time,
+each array through `write_npy_rows`. `write_stamped_csv_rows` prints
+a stamped CSV one row at a time with `%`, where
+`dataset._write_stamped_csv` prints all rows with one. `quat_from_rotmat`
+is the one-matrix `geometry.quat_from_rotmat_many` and `quat_to_rotmat` the
 one-quaternion `geometry.quat_to_rotmat_many`, `format_tum_line` one
 line of `dataset.write_tum`, and `write_dataset_rows` writes a whole
 dataset with these and PyYAML's pure-Python `safe_dump`, as
@@ -700,9 +700,17 @@ def deskew_one(scan, pose_start, pose_end) -> np.ndarray:
     return matvec_many(R[inverse], scan.points) + t[inverse]
 
 
+def write_npy_rows(path, descr, shape, rows) -> None:
+    """An `.npy` file of `shape`: a header from `numpy.lib.format`, then
+    the byte strings `rows`."""
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": descr, "fortran_order": False, "shape": shape})
+        fh.writelines(rows)
+
+
 def write_scan_store_rows(scan_dir, scans) -> None:
-    """A lidar's store directory, its three arrays written scan by scan
-    after a header from `numpy.lib.format`."""
+    """A lidar's store directory, its three arrays written scan by scan."""
     os.makedirs(scan_dir, exist_ok=True)
     n = sum(len(scan.stamps) for scan in scans)
     for name, descr, shape, rows in (
@@ -711,10 +719,19 @@ def write_scan_store_rows(scan_dir, scans) -> None:
         ("stamps", "<i8", (n,), (s.stamps.astype("<i8").tobytes() for s in scans)),
         ("points", "<f8", (n, 3), (s.points.astype("<f8").tobytes() for s in scans)),
     ):
-        with open(os.path.join(scan_dir, f"{name}.npy"), "wb") as fh:
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": descr, "fortran_order": False, "shape": shape})
-            fh.writelines(rows)
+        write_npy_rows(os.path.join(scan_dir, f"{name}.npy"), descr, shape, rows)
+
+
+def write_imu_store_rows(store_dir, stream) -> None:
+    """An IMU's store directory, its three arrays written sample by sample."""
+    os.makedirs(store_dir, exist_ok=True)
+    n = len(stream.stamps)
+    for name, descr, shape, rows in (
+        ("stamps", "<i8", (n,), (struct.pack("<q", t) for t in stream.stamps.tolist())),
+        ("f", "<f8", (n, 3), (struct.pack("<3d", *v) for v in stream.f.tolist())),
+        ("w", "<f8", (n, 3), (struct.pack("<3d", *v) for v in stream.w.tolist())),
+    ):
+        write_npy_rows(os.path.join(store_dir, f"{name}.npy"), descr, shape, rows)
 
 
 def write_stamped_csv_rows(path, stamps, values, header="") -> None:
@@ -785,8 +802,7 @@ def write_dataset_rows(path, sim) -> None:
     """`dataset.write_dataset`, one row, pose and quaternion at a time."""
     os.makedirs(path, exist_ok=True)
     for sid, stream in sim.imu.items():
-        write_stamped_csv_rows(os.path.join(path, f"imu_{sid.split('/')[1]}.csv"),
-                               stream.stamps, np.hstack([stream.f, stream.w]))
+        write_imu_store_rows(os.path.join(path, "imu", sid.split("/")[1]), stream)
     write_stamped_csv_rows(os.path.join(path, "gnss.csv"), sim.gnss.stamps,
                            np.column_stack([sim.gnss.t, sim.gnss.var]))
     for sid, scans in sim.lidar.items():

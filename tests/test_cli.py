@@ -45,8 +45,9 @@ class TestSimulate:
         import os
 
         entries = set(os.listdir(dataset_dir))
-        assert {"gnss.csv", "gt.tum", "scenario.yaml", "scans"} <= entries
-        assert {f"imu_{p}.csv" for p in ("F_L", "F_R", "R_L", "R_R")} <= entries
+        assert {"gnss.csv", "gt.tum", "scenario.yaml", "scans", "imu"} <= entries
+        for root in ("imu", "scans"):
+            assert sorted(os.listdir(f"{dataset_dir}/{root}")) == ["F_L", "F_R", "R_L", "R_R"]
 
     def test_deterministic_given_seed(self, scenario_yaml, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -54,7 +55,7 @@ class TestSimulate:
                    "--seed", "7") == 0
         assert cli("simulate", "--scenario", scenario_yaml, "--out", b,
                    "--seed", "7") == 0
-        for name in ("imu_F_L.csv", "gnss.csv", "gt.tum"):
+        for name in ("imu/F_L/f.npy", "gnss.csv", "gt.tum"):
             with open(f"{a}/{name}", "rb") as fa, open(f"{b}/{name}", "rb") as fb:
                 assert fa.read() == fb.read()
 
@@ -136,17 +137,21 @@ class TestRun:
         assert (loaded.icp.max_iterations, loaded.icp.huber_delta) == (9, 0.01)
 
 
-def break_scan_store(store, case) -> None:
-    """Damage the lidar store directory `store` as `case` names."""
-    arrays = {name: np.load(store / f"{name}.npy") for name in ("bounds", "stamps", "points")}
-    if case == "counts":
+def break_store(store, case) -> None:
+    """Damage the lidar or IMU store directory `store` as `case` names."""
+    names = ("bounds", "stamps", "points") if store.parent.name == "scans" else ("stamps", "f", "w")
+    arrays = {name: np.load(store / f"{name}.npy") for name in names}
+    name, _, damage = case.partition(" ")
+    if case == "counts" and "bounds" in arrays:
         arrays["bounds"][-1, 2] += 1
-    elif case == "points (N, 4)":
-        arrays["points"] = np.hstack([arrays["points"], arrays["points"][:, :1]])
-    elif case == "points int":
-        arrays["points"] = arrays["points"].astype(np.int64)
-    elif case == "stamps 0-d":
-        arrays["stamps"] = arrays["stamps"][0]
+    elif case == "counts":
+        arrays["w"] = arrays["w"][:-1]
+    elif damage == "(N, 4)":
+        arrays[name] = np.hstack([arrays[name], arrays[name][:, :1]])
+    elif damage == "int":
+        arrays[name] = arrays[name].astype(np.int64)
+    elif damage == "0-d":
+        arrays[name] = arrays[name][0]
     elif case == "object":
         arrays["stamps"] = arrays["stamps"].astype(object)
     for name, array in arrays.items():
@@ -155,33 +160,63 @@ def break_scan_store(store, case) -> None:
         os.remove(store / "stamps.npy")
 
 
-class TestMalformedScanStore:
-    """A lidar store that is not three arrays of the stated dtypes and
-    shapes whose counts sum to their rows is a data error naming its
-    directory, for `run` and for `fuse-imu`, which loads it too."""
+LOADING_COMMANDS = pytest.mark.parametrize("command", [
+    ("run", "--sensors", "L2I2", "--out", "out"),
+    ("fuse-imu", "--sensors", "I4", "--out", "fused.csv"),
+], ids=["run", "fuse-imu"])
+MALFORMED_STORES = [
+    ("scans", "counts", "point counts sum to"),
+    ("scans", "points (N, 4)", "points.npy is a"),
+    ("scans", "points int", "points.npy is a"),
+    ("scans", "stamps 0-d", "stamps.npy is a"),
+    ("scans", "missing", "stamps.npy"),
+    ("scans", "object", "stamps.npy: Object arrays"),
+    ("imu", "counts", "rows, but stamps.npy has"),
+    ("imu", "w (N, 4)", "w.npy is a"),
+    ("imu", "f int", "f.npy is a"),
+    ("imu", "stamps 0-d", "stamps.npy is a"),
+    ("imu", "missing", "stamps.npy"),
+    ("imu", "object", "stamps.npy: Object arrays"),
+]
 
-    @pytest.mark.parametrize("command", [
-        ("run", "--sensors", "L2I2", "--out", "out"),
-        ("fuse-imu", "--sensors", "I4", "--out", "fused.csv"),
-    ], ids=["run", "fuse-imu"])
-    @pytest.mark.parametrize("case, message", [
-        ("counts", "point counts sum to"),
-        ("points (N, 4)", "points.npy is a"),
-        ("points int", "points.npy is a"),
-        ("stamps 0-d", "stamps.npy is a"),
-        ("missing", "stamps.npy"),
-        ("object", "stamps.npy: Object arrays"),
-    ])
-    def test_is_data_error(self, dataset_dir, tmp_path, capsys, command, case, message):
-        data = tmp_path / "data"
-        shutil.copytree(dataset_dir, data)
-        break_scan_store(data / "scans" / "F_L", case)
-        name, *rest = command
-        *flags, out = rest
-        assert cli(name, "--dataset", str(data), *flags, str(tmp_path / out)) == 2
+
+def fails_loading(dataset_dir, tmp_path, command, damage) -> None:
+    """A loading command exits 2 and writes nothing on a copy of the
+    dataset that `damage` has changed."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    damage(data)
+    name, *rest = command
+    *flags, out = rest
+    assert cli(name, "--dataset", str(data), *flags, str(tmp_path / out)) == 2
+    assert not (tmp_path / out).exists()
+
+
+class TestMalformedScanStore:
+    """A lidar's or an IMU's store that is not three arrays of the stated
+    dtypes and shapes whose counts agree is a data error naming its
+    directory, for `run` and for `fuse-imu`, which loads both. So is a
+    store directory named for no sensor of the scenario."""
+
+    @LOADING_COMMANDS
+    @pytest.mark.parametrize("root, case, message", MALFORMED_STORES, ids=[
+        f"{case}-{message}" if root == "scans" else f"{root} {case}-{message}"
+        for root, case, message in MALFORMED_STORES])
+    def test_is_data_error(self, dataset_dir, tmp_path, capsys, command, root, case,
+                           message):
+        fails_loading(dataset_dir, tmp_path, command,
+                      lambda data: break_store(data / root / "F_L", case))
         err = capsys.readouterr().err
-        assert os.path.join("scans", "F_L") in err and message in err
-        assert not (tmp_path / out).exists()
+        assert os.path.join(root, "F_L") in err and message in err
+
+    @LOADING_COMMANDS
+    @pytest.mark.parametrize("root", ["scans", "imu"])
+    def test_store_of_no_sensor_is_data_error(self, dataset_dir, tmp_path, capsys,
+                                              command, root):
+        fails_loading(dataset_dir, tmp_path, command,
+                      lambda data: os.rename(data / root / "F_L", data / root / "X_X"))
+        err = capsys.readouterr().err
+        assert f"{os.path.join(root, 'X_X')}: not a sensor of scenario.yaml" in err
 
 
 class TestEval:
@@ -230,21 +265,21 @@ class TestEval:
 
 class TestAllan:
     def test_reports_axis(self, dataset_dir, capsys):
-        assert cli("allan", "--input", f"{dataset_dir}/imu_F_L.csv",
+        assert cli("allan", "--input", f"{dataset_dir}/imu/F_L",
                    "--axis", "fz") == 0
         out = capsys.readouterr().out
         assert "fz: white-noise density" in out
 
     def test_writes_csv(self, dataset_dir, tmp_path):
         out = str(tmp_path / "allan")
-        assert cli("allan", "--input", f"{dataset_dir}/imu_F_L.csv",
+        assert cli("allan", "--input", f"{dataset_dir}/imu/F_L",
                    "--out", out) == 0
         rows = open(f"{out}/allan_wx.csv").readlines()
         assert rows[0].strip() == "tau_s,adev"
         assert len(rows) > 2
 
     def test_missing_input_is_data_error(self, tmp_path):
-        assert cli("allan", "--input", str(tmp_path / "nope.csv")) == 2
+        assert cli("allan", "--input", str(tmp_path / "nope")) == 2
 
 
 class TestFuseImu:
